@@ -76,17 +76,6 @@ struct Deployment {
   }
 };
 
-bool split_host_port(const std::string& address, std::string& host,
-                     std::uint16_t& port) {
-  std::size_t colon = address.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= address.size()) return false;
-  host = address.substr(0, colon);
-  int p = std::atoi(address.c_str() + colon + 1);
-  if (p <= 0 || p > 65535) return false;
-  port = static_cast<std::uint16_t>(p);
-  return true;
-}
-
 /// The router's Σ promise, checked through the front door: every fleet
 /// total equals the sum of its per-shard entries, the routed request count
 /// equals what this run submitted, and nothing was lost before drain.

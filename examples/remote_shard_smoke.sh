@@ -12,6 +12,8 @@
 #   * every request succeeds,
 #   * the router's GetMetrics fan-in reports exactly 2 shards whose summed
 #     counters equal the fleet totals (checked by --expect-shards),
+#   * a raw version-7 envelope gets VersionMismatch from a shard process and
+#     from the router, on a session that stays open,
 #   * a TraceDump against the router returns the merged fabric timeline:
 #     a correlated batch's trace id appears both on the router's request
 #     span and on a shard's replan span (namespaced shard<k>/, on its own
@@ -222,9 +224,34 @@ BENCH_STATUS=$?
 # The merged timeline: router span and shard replan span share the id, the
 # shard's section is namespaced onto its own Perfetto pid, and flow events
 # with the id exist on both sides of the process boundary.
-python3 - "$OUT_DIR" "$TRACE_ID" <<'EOF' || exit 1
-import re, sys
+python3 - "$OUT_DIR" "$TRACE_ID" "$SHARD_A_PORT" "$ROUTER_PORT" <<'EOF' || exit 1
+import re, socket, struct, sys
 out_dir, trace_id = sys.argv[1], sys.argv[2]
+
+# One wire version: a raw CSC1 frame carrying a version-7 GetMetrics
+# envelope must be answered VersionMismatch by a shard process and by the
+# router alike, with the session left open (a current-version GetMetrics on
+# the same connection is then served).
+def exchange(conn, version, request_id):
+    envelope = struct.pack('>HBQQ', version, 4, request_id, 0)  # GetMetrics
+    conn.sendall(struct.pack('>II', 0x43534331, len(envelope)) + envelope)
+    head = b''
+    while len(head) < 8:
+        head += conn.recv(8 - len(head)) or sys.exit('peer closed the session')
+    magic, length = struct.unpack('>II', head)
+    assert magic == 0x43534331, f'bad reply magic {magic:#x}'
+    payload = b''
+    while len(payload) < length:
+        payload += conn.recv(length - len(payload)) or sys.exit('short reply')
+    _, _, echoed, _, status = struct.unpack('>HBQQB', payload[:20])
+    assert echoed == request_id, f'request id {echoed} != {request_id}'
+    return status
+for name, port in (('shard', sys.argv[3]), ('router', sys.argv[4])):
+    with socket.create_connection(('127.0.0.1', int(port)), timeout=30) as c:
+        assert exchange(c, 7, 70) == 1, f'{name}: v7 not VersionMismatch'
+        assert exchange(c, 8, 80) == 0, f'{name}: session not kept open'
+print('OK: v7 envelope refused with VersionMismatch by shard and router')
+
 text = open(f'{out_dir}/remote_trace_merged.txt').read()
 assert re.search(rf'span router\.request.*trace={trace_id}\b', text), \
     'router span does not carry the batch trace id'

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("max-connections", 32));
   options.request_deadline_seconds = args.get_real("deadline", 10.0);
   // --shard-id N makes this server an RPC-addressable shard: the id is
-  // advertised on v5 SubmitJob acks and the GetMetrics shard block so a
+  // advertised on SubmitJob acks and the GetMetrics shard block so a
   // ShardRouter started with --remote can adopt it as a backend. -1 (the
   // default) keeps it a standalone server.
   options.shard_id = static_cast<std::int32_t>(args.get_int("shard-id", -1));

@@ -28,7 +28,7 @@
 //   ./rpc_server --port 7732 --shard-id 1 --virtual 1 &
 //   ./shard_router --port 7720 --remote 127.0.0.1:7731,127.0.0.1:7732
 //
-// Each entry becomes a RemoteShard backend speaking protocol v7 to that
+// Each entry becomes a RemoteShard backend speaking the RPC protocol to that
 // server; shard ids follow list order, so start server k with --shard-id k.
 // --remote-cores tells the router each backend's capacity (the spillover
 // signal); --remote-timeout bounds each proxied RPC. With --trace 1 the
@@ -62,14 +62,10 @@ std::vector<cosched::ClientOptions> parse_remotes(const std::string& spec,
     if (entry.empty()) continue;
     cosched::ClientOptions options;
     options.request_timeout_seconds = timeout_seconds;
-    std::size_t colon = entry.rfind(':');
-    if (colon == std::string::npos) {
-      options.host = entry;
-    } else {
-      options.host = entry.substr(0, colon);
-      options.port =
-          static_cast<std::uint16_t>(std::stoi(entry.substr(colon + 1)));
-    }
+    if (entry.find(':') == std::string::npos)
+      options.host = entry;  // default port
+    else if (!cosched::split_host_port(entry, options.host, options.port))
+      cosched::bad_value("remote", entry);
     remotes.push_back(std::move(options));
   }
   return remotes;

@@ -1,6 +1,7 @@
 #include "harness/experiment.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -37,17 +38,40 @@ std::string ArgParser::get_string(const std::string& name,
   return fallback;
 }
 
-std::int64_t ArgParser::get_int(const std::string& name,
-                                std::int64_t fallback) const {
-  for (const auto& [k, v] : args_)
-    if (k == name && !v.empty()) return std::stoll(v);
+template <typename T>
+T ArgParser::get_number(const std::string& name, T fallback) const {
+  for (const auto& [k, v] : args_) {
+    if (k != name || v.empty()) continue;
+    T value{};
+    if (!parse_number(v, value)) bad_value(name, v);
+    return value;
+  }
   return fallback;
 }
 
+std::int64_t ArgParser::get_int(const std::string& name,
+                                std::int64_t fallback) const {
+  return get_number(name, fallback);
+}
+
 Real ArgParser::get_real(const std::string& name, Real fallback) const {
-  for (const auto& [k, v] : args_)
-    if (k == name && !v.empty()) return std::stod(v);
-  return fallback;
+  return get_number(name, fallback);
+}
+
+void bad_value(const std::string& flag, const std::string& text) {
+  std::cerr << "bad value for --" << flag << ": " << text << "\n";
+  std::cout.flush();
+  // _Exit, not exit: a binary may already run service threads that static
+  // destructors would pull the globals out from under.
+  std::_Exit(2);
+}
+
+bool split_host_port(const std::string& address, std::string& host,
+                     std::uint16_t& port) {
+  std::size_t colon = address.rfind(':');
+  if (colon == std::string::npos) return false;
+  host = address.substr(0, colon);
+  return parse_number(address.substr(colon + 1), port) && port != 0;
 }
 
 void print_experiment_header(const std::string& artefact,

@@ -20,12 +20,26 @@ class ArgParser {
   bool has(const std::string& name) const;
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
+  /// Numeric flags: a value that is not entirely a number exits the
+  /// process through bad_value().
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   Real get_real(const std::string& name, Real fallback) const;
 
  private:
+  template <typename T>
+  T get_number(const std::string& name, T fallback) const;
+
   std::vector<std::pair<std::string, std::string>> args_;
 };
+
+/// Reports an unusable flag value as "bad value for --<flag>: <text>" on
+/// stderr and exits with status 2.
+[[noreturn]] void bad_value(const std::string& flag, const std::string& text);
+
+/// Splits "host:port". False unless a colon is present and the port is a
+/// whole number in [1, 65535].
+bool split_host_port(const std::string& address, std::string& host,
+                     std::uint16_t& port);
 
 /// Prints the standard banner identifying the paper artefact a bench
 /// regenerates.

@@ -20,7 +20,7 @@
 // The head-based sampler keeps running underneath as "one policy among
 // several": it decides what the Tracer *records*, while the TailSampler
 // decides which completed root spans are *retained* (exported over OTLP,
-// surfaced in /metrics exemplars and the v4 GetMetrics block). A span from
+// surfaced in /metrics exemplars and the GetMetrics tail block). A span from
 // a head-sampled-out trace can still be observed here — the root-span
 // end-hooks fire from timers, not from the Tracer — so slow outliers
 // survive even a 1-in-64 head sampler.

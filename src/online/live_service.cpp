@@ -234,7 +234,7 @@ void LiveSchedulerService::execute(Command& command) {
       }
       const TraceJob& job = command.job;
       if (job.processes < 1 || job.processes > total_cores_ ||
-          !(job.work > 0.0)) {
+          !trace_job_fields_valid(job)) {
         out.error = SubmitError::Invalid;
         out.virtual_now = scheduler_.now();
         break;

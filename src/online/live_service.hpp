@@ -52,7 +52,7 @@ struct LiveServiceOptions {
 enum class SubmitError {
   None,
   Draining,  ///< drain() was called; no further admissions
-  Invalid,   ///< job shape rejected (size, non-positive work)
+  Invalid,   ///< size or a field outside trace_job_fields_valid()
 };
 
 const char* to_string(SubmitError error);

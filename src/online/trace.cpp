@@ -11,6 +11,12 @@
 
 namespace cosched {
 
+bool trace_job_fields_valid(const TraceJob& job) {
+  return std::isfinite(job.arrival_time) && std::isfinite(job.work) &&
+         job.work > 0.0 && job.miss_rate >= 0.0 && job.miss_rate <= 1.0 &&
+         std::isfinite(job.sensitivity) && job.sensitivity >= 0.0;
+}
+
 std::int32_t WorkloadTrace::process_count() const {
   std::int32_t n = 0;
   for (const TraceJob& j : jobs) n += j.processes;
@@ -80,6 +86,17 @@ JobKind parse_kind(const std::string& tag) {
   throw std::invalid_argument("unknown trace job kind: " + tag);
 }
 
+/// Whole-cell numeric parse; `line_no`/`field` label the error.
+template <typename T>
+T parse_cell(const std::string& text, std::size_t line_no,
+             const char* field) {
+  T value{};
+  if (!parse_number(text, value))
+    throw std::invalid_argument("trace line " + std::to_string(line_no) +
+                                ": bad " + field + " '" + text + "'");
+  return value;
+}
+
 }  // namespace
 
 void save_trace(const WorkloadTrace& trace, std::ostream& out) {
@@ -120,20 +137,20 @@ WorkloadTrace load_trace(std::istream& in) {
       throw std::invalid_argument("trace line " + std::to_string(line_no) +
                                   ": expected 7 comma-separated fields");
     TraceJob job;
-    job.arrival_time = std::stod(arrival);
+    job.arrival_time = parse_cell<Real>(arrival, line_no, "arrival");
     job.name = name;
     job.kind = parse_kind(kind);
-    job.processes = static_cast<std::int32_t>(std::stol(processes));
-    job.work = std::stod(work);
-    job.miss_rate = std::stod(miss);
-    job.sensitivity = std::stod(sens);
+    job.processes = parse_cell<std::int32_t>(processes, line_no, "processes");
+    job.work = parse_cell<Real>(work, line_no, "work");
+    job.miss_rate = parse_cell<Real>(miss, line_no, "miss_rate");
+    job.sensitivity = parse_cell<Real>(sens, line_no, "sensitivity");
     if (job.processes < 1 ||
         (job.kind == JobKind::Serial && job.processes != 1))
       throw std::invalid_argument("trace line " + std::to_string(line_no) +
                                   ": bad process count");
-    if (job.work <= 0.0)
+    if (!trace_job_fields_valid(job))
       throw std::invalid_argument("trace line " + std::to_string(line_no) +
-                                  ": work must be positive");
+                                  ": job outside " + kTraceJobDomain);
     trace.jobs.push_back(std::move(job));
   }
   std::stable_sort(trace.jobs.begin(), trace.jobs.end(),

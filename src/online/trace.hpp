@@ -28,6 +28,14 @@ struct TraceJob {
   Real sensitivity = 0.7;          ///< degradation susceptibility
 };
 
+/// The field domain the degradation model and the scheduler assume. Both
+/// admission (LiveSchedulerService) and replay (load_trace) reject a job
+/// outside it; the process count is checked separately by each.
+bool trace_job_fields_valid(const TraceJob& job);
+inline constexpr const char* kTraceJobDomain =
+    "finite arrival, finite work > 0, miss_rate in [0, 1], finite "
+    "sensitivity >= 0";
+
 struct WorkloadTrace {
   std::vector<TraceJob> jobs;  ///< sorted by arrival_time
 

@@ -118,12 +118,11 @@ RpcError CoschedClient::attempt(MessageType type,
     error.message = "undecodable response envelope";
     return error;
   }
-  if (out.version < kMinProtocolVersion || out.version > kProtocolVersion) {
+  if (out.version != kProtocolVersion) {
     socket_.close();
     error.kind = RpcErrorKind::Protocol;
     error.message = "server protocol version " + std::to_string(out.version) +
-                    " outside " + std::to_string(kMinProtocolVersion) + ".." +
-                    std::to_string(kProtocolVersion);
+                    ", client speaks " + std::to_string(kProtocolVersion);
     return error;
   }
   if (out.request_id != request.request_id || out.type != type) {
@@ -132,16 +131,15 @@ RpcError CoschedClient::attempt(MessageType type,
     error.message = "response does not match request (stream desync)";
     return error;
   }
-  // A v3 server echoes the effective trace id; for a request that carried
+  // The server echoes the effective trace id; for a request that carried
   // one, anything else is a desynchronized stream.
-  if (out.version >= 3 && out.status == RpcStatus::Ok &&
-      out.trace_id != request.trace_id) {
+  if (out.status == RpcStatus::Ok && out.trace_id != request.trace_id) {
     socket_.close();
     error.kind = RpcErrorKind::Protocol;
     error.message = "response trace_id does not echo the request";
     return error;
   }
-  last_trace_id_ = out.version >= 3 ? out.trace_id : request.trace_id;
+  last_trace_id_ = out.trace_id;
   if (out.status != RpcStatus::Ok) {
     error.kind = RpcErrorKind::Application;
     error.app = out.status;

@@ -72,30 +72,30 @@ class CoschedClient {
 
   RpcError submit_job(const TraceJob& job, SubmitJobResponse& out);
   RpcError query_job_status(std::int64_t job_id, JobStatusResponse& out);
-  /// v7: the decision journal's admission → placement → migration →
+  /// The decision journal's admission → placement → migration →
   /// completion timeline of one job.
   RpcError query_job_timeline(std::int64_t job_id, JobTimelineResponse& out);
   RpcError query_snapshot(ServiceSnapshot& out);
   RpcError get_metrics(MetricsResponse& out);
-  /// v8: the SLO watchdog's alert rule states (router: fleet fan-in,
+  /// The SLO watchdog's alert rule states (router: fleet fan-in,
   /// shard-labelled).
   RpcError get_alerts(AlertsResponse& out);
-  /// v2: the server's structured trace (text dump + Chrome JSON).
+  /// The server's structured trace (text dump + Chrome JSON).
   RpcError trace_dump(TraceDumpResponse& out);
   RpcError drain(DrainResponse& out);
   RpcError shutdown_server(ShutdownResponse& out);
 
-  // ---- end-to-end trace correlation (v3) -------------------------------
+  // ---- end-to-end trace correlation ------------------------------------
   /// Trace id stamped on subsequent requests. 0 (the default) lets the
   /// client derive a deterministic per-request id from the jitter seed; a
   /// nonzero id is used as-is, so a caller can follow its own request
   /// through the server's spans and telemetry stream.
   void set_trace_id(std::uint64_t trace_id) { trace_id_ = trace_id; }
-  /// Effective trace id of the last completed call, as echoed by a v3
-  /// server (client-side value when the server spoke v1/v2).
+  /// Effective trace id of the last completed call, as echoed by the
+  /// server.
   std::uint64_t last_trace_id() const { return last_trace_id_; }
 
-  // ---- streaming telemetry (v3) ----------------------------------------
+  // ---- streaming telemetry ----------------------------------------------
   /// Starts a SubscribeTelemetry stream on this connection. After an Ok
   /// return the connection is dedicated to the stream: drain frames with
   /// read_telemetry_frame(); any unary call tears the stream down first.

@@ -44,7 +44,7 @@ std::vector<std::uint8_t> encode_request(const RequestEnvelope& request) {
   w.u16(request.version);
   w.u8(static_cast<std::uint8_t>(request.type));
   w.u64(request.request_id);
-  if (request.version >= 3) w.u64(request.trace_id);
+  w.u64(request.trace_id);
   w.bytes_raw(request.body);
   return w.take();
 }
@@ -55,14 +55,10 @@ bool decode_request(const std::vector<std::uint8_t>& bytes,
   request.version = r.u16();
   std::uint8_t raw_type = r.u8();
   request.request_id = r.u64();
-  // trace_id travels only on wires we actually know (<= kProtocolVersion,
-  // not every >= 3): an unknown future version must still decode
-  // structurally so the server can answer VersionMismatch instead of
-  // BadRequest.
-  request.trace_id = request.version >= 3 &&
-                             request.version <= kProtocolVersion
-                         ? r.u64()
-                         : 0;
+  // Past the request_id only the current layout is known: a request of any
+  // other version keeps the rest as its body, so the server can answer
+  // VersionMismatch instead of BadRequest.
+  request.trace_id = request.version == kProtocolVersion ? r.u64() : 0;
   if (!r.ok() || !valid_message_type(raw_type)) return false;
   request.type = static_cast<MessageType>(raw_type);
   request.body.assign(bytes.begin() + static_cast<std::ptrdiff_t>(
@@ -76,7 +72,7 @@ std::vector<std::uint8_t> encode_response(const ResponseEnvelope& response) {
   w.u16(response.version);
   w.u8(static_cast<std::uint8_t>(response.type));
   w.u64(response.request_id);
-  if (response.version >= 3) w.u64(response.trace_id);
+  w.u64(response.trace_id);
   w.u8(static_cast<std::uint8_t>(response.status));
   w.str(response.error);
   w.bytes_raw(response.body);
@@ -89,10 +85,7 @@ bool decode_response(const std::vector<std::uint8_t>& bytes,
   response.version = r.u16();
   std::uint8_t raw_type = r.u8();
   response.request_id = r.u64();
-  response.trace_id = response.version >= 3 &&
-                              response.version <= kProtocolVersion
-                          ? r.u64()
-                          : 0;
+  response.trace_id = response.version == kProtocolVersion ? r.u64() : 0;
   std::uint8_t raw_status = r.u8();
   response.error = r.str();
   if (!r.ok() || !valid_message_type(raw_type) ||
@@ -219,12 +212,10 @@ bool decode_service_snapshot(WireReader& r, ServiceSnapshot& snapshot) {
   return r.ok();
 }
 
-void encode_submit_response(WireWriter& w, const SubmitJobResponse& response,
-                            std::uint16_t version) {
+void encode_submit_response(WireWriter& w, const SubmitJobResponse& response) {
   w.i64(response.job_id);
   w.real(response.virtual_now);
   encode_job_status_view(w, response.status);
-  if (version < 5) return;  // v1..v4 ack ends here
   w.i32(response.shard_id);
 }
 
@@ -232,11 +223,6 @@ bool decode_submit_response(WireReader& r, SubmitJobResponse& response) {
   response.job_id = r.i64();
   response.virtual_now = r.real();
   if (!decode_job_status_view(r, response.status)) return false;
-  // v5 extension: present iff the peer wrote it. A v1..v4 ack ends here and
-  // shard_id reads as its no-shard default — explicitly reset, so decoding
-  // into a reused response cannot leak a stale shard.
-  response.shard_id = -1;
-  if (r.remaining() == 0) return true;
   response.shard_id = r.i32();
   return r.ok();
 }
@@ -253,8 +239,7 @@ bool decode_status_response(WireReader& r, JobStatusResponse& response) {
   return decode_job_status_view(r, response.status);
 }
 
-void encode_metrics_response(WireWriter& w, const MetricsResponse& response,
-                             std::uint16_t version) {
+void encode_metrics_response(WireWriter& w, const MetricsResponse& response) {
   w.real(response.virtual_now);
   w.u64(response.arrivals);
   w.u64(response.admissions);
@@ -267,7 +252,6 @@ void encode_metrics_response(WireWriter& w, const MetricsResponse& response,
   w.u64(response.cache.entries);
   w.u64(response.cache.evictions);
   w.str(response.deterministic_csv);
-  if (version < 2) return;  // v1 body ends here
   w.u64(response.cache.compactions);
   w.u64(response.astar_searches);
   w.u64(response.astar_expansions);
@@ -277,12 +261,10 @@ void encode_metrics_response(WireWriter& w, const MetricsResponse& response,
   w.u64(response.rpc_request_count);
   w.real(response.rpc_request_seconds_sum);
   w.real(response.rpc_request_seconds_p99);
-  if (version < 3) return;  // v2 body ends here
   w.u64(response.queue_wait_count);
   w.real(response.queue_wait_seconds_sum);
   w.real(response.queue_wait_seconds_p99);
   w.u64(response.tracer_dropped_events);
-  if (version < 4) return;  // v3 body ends here
   w.u64(response.tail_considered);
   w.u64(response.tail_kept);
   w.u64(response.tail_dropped);
@@ -290,7 +272,6 @@ void encode_metrics_response(WireWriter& w, const MetricsResponse& response,
   w.u64(response.tail_retained_spans);
   w.u64(response.latency_exemplar_trace_id);
   w.real(response.latency_exemplar_seconds);
-  if (version < 5) return;  // v4 body ends here
   w.i32(response.shard_id);
   w.u64(response.command_queue_depth);
   w.real(response.replan_p95_seconds);
@@ -309,7 +290,6 @@ void encode_metrics_response(WireWriter& w, const MetricsResponse& response,
     w.u64(shard.queue_depth);
     w.real(shard.replan_p95_seconds);
   }
-  if (version < 6) return;  // v5 body ends here
   w.u32(static_cast<std::uint32_t>(response.shard_health.size()));
   for (const ShardHealthEntry& health : response.shard_health) {
     w.i32(health.shard_id);
@@ -333,38 +313,6 @@ bool decode_metrics_response(WireReader& r, MetricsResponse& response) {
   response.cache.entries = r.u64();
   response.cache.evictions = r.u64();
   response.deterministic_csv = r.str();
-  if (!r.ok()) return false;
-  // v2 extensions: present iff the peer wrote them. A v1 body simply ends
-  // here and every extension field reads as its zero default — explicitly
-  // reset, so decoding into a reused response cannot leak stale values.
-  response.cache.compactions = 0;
-  response.astar_searches = 0;
-  response.astar_expansions = 0;
-  response.astar_heuristic_evals = 0;
-  response.rpc_requests_ok = 0;
-  response.rpc_requests_failed = 0;
-  response.rpc_request_count = 0;
-  response.rpc_request_seconds_sum = 0.0;
-  response.rpc_request_seconds_p99 = 0.0;
-  response.queue_wait_count = 0;
-  response.queue_wait_seconds_sum = 0.0;
-  response.queue_wait_seconds_p99 = 0.0;
-  response.tracer_dropped_events = 0;
-  response.tail_considered = 0;
-  response.tail_kept = 0;
-  response.tail_dropped = 0;
-  response.tail_pending = 0;
-  response.tail_retained_spans = 0;
-  response.latency_exemplar_trace_id = 0;
-  response.latency_exemplar_seconds = 0.0;
-  response.shard_id = -1;
-  response.command_queue_depth = 0;
-  response.replan_p95_seconds = 0.0;
-  response.router_spillovers = 0;
-  response.router_remapped_keys = 0;
-  response.shards.clear();
-  response.shard_health.clear();
-  if (r.remaining() == 0) return true;
   response.cache.compactions = r.u64();
   response.astar_searches = r.u64();
   response.astar_expansions = r.u64();
@@ -374,16 +322,10 @@ bool decode_metrics_response(WireReader& r, MetricsResponse& response) {
   response.rpc_request_count = r.u64();
   response.rpc_request_seconds_sum = r.real();
   response.rpc_request_seconds_p99 = r.real();
-  if (!r.ok()) return false;
-  // v3 extensions: a v2 body ends here.
-  if (r.remaining() == 0) return true;
   response.queue_wait_count = r.u64();
   response.queue_wait_seconds_sum = r.real();
   response.queue_wait_seconds_p99 = r.real();
   response.tracer_dropped_events = r.u64();
-  if (!r.ok()) return false;
-  // v4 extensions: a v3 body ends here.
-  if (r.remaining() == 0) return true;
   response.tail_considered = r.u64();
   response.tail_kept = r.u64();
   response.tail_dropped = r.u64();
@@ -391,9 +333,6 @@ bool decode_metrics_response(WireReader& r, MetricsResponse& response) {
   response.tail_retained_spans = r.u64();
   response.latency_exemplar_trace_id = r.u64();
   response.latency_exemplar_seconds = r.real();
-  if (!r.ok()) return false;
-  // v5 extensions: a v4 body ends here.
-  if (r.remaining() == 0) return true;
   response.shard_id = r.i32();
   response.command_queue_depth = r.u64();
   response.replan_p95_seconds = r.real();
@@ -401,6 +340,7 @@ bool decode_metrics_response(WireReader& r, MetricsResponse& response) {
   response.router_remapped_keys = r.u64();
   std::uint32_t shard_count = r.u32();
   if (!r.ok() || shard_count > r.remaining()) return false;
+  response.shards.clear();
   response.shards.reserve(shard_count);
   for (std::uint32_t i = 0; i < shard_count; ++i) {
     ShardMetricsEntry shard;
@@ -416,11 +356,9 @@ bool decode_metrics_response(WireReader& r, MetricsResponse& response) {
     shard.replan_p95_seconds = r.real();
     response.shards.push_back(shard);
   }
-  if (!r.ok()) return false;
-  // v6 extensions: a v5 body ends here.
-  if (r.remaining() == 0) return true;
   std::uint32_t health_count = r.u32();
   if (!r.ok() || health_count > r.remaining()) return false;
+  response.shard_health.clear();
   response.shard_health.reserve(health_count);
   for (std::uint32_t i = 0; i < health_count; ++i) {
     ShardHealthEntry health;
@@ -461,7 +399,7 @@ bool decode_drain_response(WireReader& r, DrainResponse& response) {
   return r.ok();
 }
 
-// ---- streaming telemetry (v3) --------------------------------------------
+// ---- streaming telemetry -------------------------------------------------
 
 void encode_telemetry_subscribe_request(
     WireWriter& w, const TelemetrySubscribeRequest& request) {
@@ -493,8 +431,7 @@ bool decode_telemetry_subscribe_ack(WireReader& r,
   return r.ok();
 }
 
-void encode_telemetry_frame(WireWriter& w, const TelemetryFrame& frame,
-                            std::uint16_t version) {
+void encode_telemetry_frame(WireWriter& w, const TelemetryFrame& frame) {
   w.u64(frame.frame_seq);
   w.boolean(frame.last);
   w.u64(frame.dropped_spans);
@@ -516,9 +453,7 @@ void encode_telemetry_frame(WireWriter& w, const TelemetryFrame& frame,
     w.real(s.value);
     w.str(s.args);
   }
-  // v4 frame extension; appended last so a v3 subscriber's decoder stops
-  // cleanly at the end of the span list.
-  if (version >= 4) w.str(frame.sampling_mode);
+  w.str(frame.sampling_mode);
 }
 
 bool decode_telemetry_frame(WireReader& r, TelemetryFrame& frame) {
@@ -556,14 +491,11 @@ bool decode_telemetry_frame(WireReader& r, TelemetryFrame& frame) {
       return false;
     frame.spans.push_back(std::move(s));
   }
-  // v4 extension: present iff the sender wrote it (a v3 frame ends here).
-  frame.sampling_mode.clear();
-  if (r.remaining() == 0) return r.ok();
   frame.sampling_mode = r.str();
   return r.ok();
 }
 
-// ---- decision-journal timeline (v7) --------------------------------------
+// ---- decision-journal timeline -------------------------------------------
 
 void encode_journal_event(WireWriter& w, const JournalEvent& event) {
   w.i64(event.job_id);
@@ -644,6 +576,26 @@ void encode_alerts_response(WireWriter& w, const AlertsResponse& response) {
     w.real(entry.since_seconds);
     w.str(entry.detail);
   }
+}
+
+AlertsResponse local_alerts(const AlertEngine* engine, std::int32_t shard_id) {
+  AlertsResponse response;
+  response.engine_enabled = engine != nullptr;
+  if (!engine) return response;
+  for (const AlertView& view : engine->views()) {
+    AlertEntry entry;
+    entry.shard_id = shard_id;
+    entry.rule = view.rule;
+    entry.state = static_cast<std::uint8_t>(view.state);
+    entry.severity = static_cast<std::uint8_t>(view.severity);
+    entry.value = view.value;
+    entry.threshold = view.threshold;
+    entry.since_seconds = view.since_seconds;
+    entry.detail = view.detail;
+    if (view.state == AlertState::Firing) ++response.firing;
+    response.alerts.push_back(std::move(entry));
+  }
+  return response;
 }
 
 bool decode_alerts_response(WireReader& r, AlertsResponse& response) {

@@ -1,19 +1,18 @@
-// Versioned request/response protocol of the co-scheduling service.
+// Request/response protocol of the co-scheduling service.
 //
 // Every frame payload (see net/frame.hpp) is one envelope:
 //
-//   request:   version u16 | type u8 | request_id u64 |
-//              [v3+: trace_id u64] | body ...
-//   response:  version u16 | type u8 | request_id u64 |
-//              [v3+: trace_id u64] | status u8 |
-//              error str   | body ... (present only when status == Ok)
+//   request:   version u16 | type u8 | request_id u64 | trace_id u64 |
+//              body ...
+//   response:  version u16 | type u8 | request_id u64 | trace_id u64 |
+//              status u8 | error str | body ... (body only when status == Ok)
 //
-// The version is checked before anything else; a mismatched peer gets a
-// VersionMismatch response carrying the server's version, never a silent
-// misparse. The request_id is echoed verbatim so clients can detect
-// desynchronized streams. Bodies reuse the bounds-checked big-endian wire
-// encoding (net/wire.hpp); Reals travel as IEEE-754 bit patterns, which is
-// what makes the RPC submission path byte-identical to trace replay.
+// The version is checked before anything else; a peer speaking any other
+// version gets a VersionMismatch response carrying the server's version,
+// never a silent misparse. The request_id is echoed verbatim so clients can
+// detect desynchronized streams. Bodies reuse the bounds-checked big-endian
+// wire encoding (net/wire.hpp); Reals travel as IEEE-754 bit patterns, which
+// is what makes the RPC submission path byte-identical to trace replay.
 #pragma once
 
 #include <cstdint>
@@ -21,49 +20,18 @@
 #include <vector>
 
 #include "net/wire.hpp"
+#include "obs/alerts.hpp"
 #include "online/live_service.hpp"
 #include "online/scheduler.hpp"
 #include "online/trace.hpp"
 
 namespace cosched {
 
-/// Version 2 adds the TraceDump message and appends observability fields to
-/// the GetMetrics response body. Version 3 adds an end-to-end trace_id to
-/// both envelopes (client may supply one; the server echoes the effective
-/// id), the SubscribeTelemetry streaming message and further GetMetrics
-/// extension fields (queue-wait histogram, tracer drop counter). Version 4
-/// appends tail-sampler accounting plus a request-latency exemplar to
-/// GetMetrics and a frame-level sampling_mode label to telemetry frames.
-/// Version 5 makes the protocol shard-aware: the SubmitJob ack carries the
-/// id of the shard that admitted the job, and GetMetrics gains a fan-in
-/// block — the answering instance's shard id, command-queue depth and
-/// replan p95 (the spillover signals), the router's spillover/remap
-/// accounting, and one summary entry per fronted shard (empty when a
-/// single CoschedServer answers). Version 6 appends the health fan-in
-/// block to GetMetrics: one entry per fronted shard with its cached
-/// liveness verdict and the per-kind RPC failure counters the router's
-/// RemoteShard backend accumulated against it (transport / protocol /
-/// application — the client error taxonomy).
-/// Version 7 adds the QueryJobTimeline message: a job id resolves to the
-/// ordered decision-journal events behind it (admission, batch trigger,
-/// placement with policy/co-runners/predicted degradation delta,
-/// spillover, migration, completion — see online/journal.hpp), each
-/// carrying the trace id of the replan that made the call. The message is
-/// v7-only (older peers never sent it); every pre-v7 reply body is
-/// unchanged.
-/// Version 8 adds the GetAlerts message: the answering instance's alert
-/// rule states (the SLO watchdog — see obs/alerts.hpp), one entry per
-/// rule with its state machine position, evaluated value and bound. A
-/// router fans in every fronted shard's alerts, shard-labelled, next to
-/// its own. The message is v8-only (pre-v8 peers get BadRequest); every
-/// pre-v8 reply body is unchanged.
-/// The server accepts every version in [kMinProtocolVersion,
-/// kProtocolVersion] and answers in the requester's version — a v1..v7
-/// peer gets exactly the bytes it always got (extension fields are appended
-/// after the older body and decoded only when present; the envelope
-/// trace_id travels on v3+ wires only).
+/// One wire version, no compatibility ladder: every peer (client, router,
+/// RemoteShard, benches) is built from this tree, so all of them rebuild
+/// together. Bump kProtocolVersion on any change to an envelope or body
+/// layout; every decoder reads the full current layout or fails.
 inline constexpr std::uint16_t kProtocolVersion = 8;
-inline constexpr std::uint16_t kMinProtocolVersion = 1;
 
 enum class MessageType : std::uint8_t {
   SubmitJob = 1,
@@ -72,10 +40,10 @@ enum class MessageType : std::uint8_t {
   GetMetrics = 4,
   Drain = 5,
   Shutdown = 6,
-  TraceDump = 7,  ///< v2: the server's structured trace, text + Chrome JSON
-  SubscribeTelemetry = 8,  ///< v3: server-push metrics + span stream
-  QueryJobTimeline = 9,  ///< v7: decision-journal events of one job
-  GetAlerts = 10,  ///< v8: alert rule states (router: fleet fan-in)
+  TraceDump = 7,  ///< the server's structured trace, text + Chrome JSON
+  SubscribeTelemetry = 8,  ///< server-push metrics + span stream
+  QueryJobTimeline = 9,  ///< decision-journal events of one job
+  GetAlerts = 10,  ///< alert rule states (router: fleet fan-in)
 };
 
 const char* to_string(MessageType type);
@@ -87,7 +55,7 @@ enum class RpcStatus : std::uint8_t {
   VersionMismatch = 1,  ///< peer speaks a different kProtocolVersion
   BadRequest = 2,       ///< envelope or body failed to decode
   Draining = 3,         ///< drain mode: no further admissions
-  InvalidJob = 4,       ///< job shape rejected (size, non-positive work)
+  InvalidJob = 4,       ///< job size or field out of the model's domain
   UnknownJob = 5,       ///< job id out of range
   DeadlineExpired = 6,  ///< server-side per-request deadline ran out
   ServerError = 7,      ///< internal failure (message has details)
@@ -99,7 +67,7 @@ struct RequestEnvelope {
   std::uint16_t version = kProtocolVersion;
   MessageType type = MessageType::GetMetrics;
   std::uint64_t request_id = 0;
-  std::uint64_t trace_id = 0;  ///< v3+: 0 = let the server assign one
+  std::uint64_t trace_id = 0;  ///< 0 = let the server assign one
   std::vector<std::uint8_t> body;
 };
 
@@ -107,15 +75,16 @@ struct ResponseEnvelope {
   std::uint16_t version = kProtocolVersion;
   MessageType type = MessageType::GetMetrics;
   std::uint64_t request_id = 0;
-  std::uint64_t trace_id = 0;  ///< v3+: effective trace id, echoed
+  std::uint64_t trace_id = 0;  ///< effective trace id, echoed
   RpcStatus status = RpcStatus::Ok;
   std::string error;  ///< human-readable detail for non-Ok statuses
   std::vector<std::uint8_t> body;
 };
 
 std::vector<std::uint8_t> encode_request(const RequestEnvelope& request);
-/// False when the bytes are not a structurally valid request (bad version
-/// is still *valid* here — the server answers VersionMismatch).
+/// False when the bytes are not a structurally valid request. A request of
+/// another version decodes up to its request_id (trace_id stays 0, the rest
+/// is body) so the server can answer VersionMismatch.
 bool decode_request(const std::vector<std::uint8_t>& bytes,
                     RequestEnvelope& request);
 
@@ -129,7 +98,6 @@ struct SubmitJobResponse {
   std::int64_t job_id = -1;
   Real virtual_now = 0.0;
   JobStatusView status;
-  // ---- v5 extension field (-1 when a v1..v4 peer answered) ---------------
   /// Shard that admitted the job: the router stamps the routed shard, a
   /// shard-deployed CoschedServer its configured id, a standalone server -1.
   std::int32_t shard_id = -1;
@@ -141,7 +109,7 @@ struct JobStatusResponse {
   JobStatusView status;
 };
 
-/// Per-shard summary carried in the v5 GetMetrics fan-in block. The
+/// Per-shard summary carried in the GetMetrics fan-in block. The
 /// scheduler counters are the shard's own (its virtual clock advances
 /// independently); `requests` counts what the router routed to it, so the
 /// fleet invariant Σ shards[i].requests == router requests_ok is checkable
@@ -159,7 +127,7 @@ struct ShardMetricsEntry {
   Real replan_p95_seconds = 0.0;
 };
 
-/// Per-shard transport health carried in the v6 GetMetrics fan-in block:
+/// Per-shard transport health carried in the GetMetrics health block:
 /// the router's cached liveness verdict plus the RPC failures its
 /// RemoteShard backend has folded, split by the client error taxonomy.
 /// Local (in-process) shards are always up with zero counters.
@@ -179,9 +147,9 @@ struct MetricsResponse {
   std::uint64_t replans = 0;
   std::uint64_t migrations = 0;
   Real running_mean_degradation = 0.0;
-  DegradationCache::Stats cache;  ///< compactions travels only on v2 wires
+  DegradationCache::Stats cache;
   std::string deterministic_csv;
-  // ---- v2 extension fields (zero when a v1 peer answered) ----------------
+  // ---- observability -----------------------------------------------------
   std::uint64_t astar_searches = 0;
   std::uint64_t astar_expansions = 0;
   std::uint64_t astar_heuristic_evals = 0;
@@ -190,12 +158,10 @@ struct MetricsResponse {
   std::uint64_t rpc_request_count = 0;    ///< latency histogram count
   Real rpc_request_seconds_sum = 0.0;     ///< latency histogram sum
   Real rpc_request_seconds_p99 = 0.0;     ///< interpolated from buckets
-  // ---- v3 extension fields (zero when a v1/v2 peer answered) -------------
   std::uint64_t queue_wait_count = 0;     ///< admission queue-wait samples
   Real queue_wait_seconds_sum = 0.0;      ///< virtual seconds waited, total
   Real queue_wait_seconds_p99 = 0.0;      ///< interpolated from buckets
   std::uint64_t tracer_dropped_events = 0;  ///< ring overwrites since reset
-  // ---- v4 extension fields (zero when a v1/v2/v3 peer answered) -----------
   std::uint64_t tail_considered = 0;   ///< root spans observed by the sampler
   std::uint64_t tail_kept = 0;         ///< spans retained (all reasons)
   std::uint64_t tail_dropped = 0;      ///< spans rejected by every policy
@@ -205,7 +171,7 @@ struct MetricsResponse {
   /// cosched_rpc_request_seconds observation (0 = none yet).
   std::uint64_t latency_exemplar_trace_id = 0;
   Real latency_exemplar_seconds = 0.0;
-  // ---- v5 extension fields (defaults when a v1..v4 peer answered) ---------
+  // ---- shard / fan-in block ----------------------------------------------
   std::int32_t shard_id = -1;  ///< answering instance's shard id (-1 = none)
   /// Commands enqueued and not yet executed by the scheduler thread — the
   /// router's primary spillover signal.
@@ -219,7 +185,6 @@ struct MetricsResponse {
   /// One entry per fronted shard — the fan-in block a router answers with.
   /// Empty for a single CoschedServer.
   std::vector<ShardMetricsEntry> shards;
-  // ---- v6 extension fields (empty when a v1..v5 peer answered) -------------
   /// Health fan-in: liveness + per-kind RPC failure counters per fronted
   /// shard. Empty for a single CoschedServer.
   std::vector<ShardHealthEntry> shard_health;
@@ -237,7 +202,7 @@ struct DrainResponse {
   Real virtual_now = 0.0;
 };
 
-// ---- streaming telemetry (v3) --------------------------------------------
+// ---- streaming telemetry -------------------------------------------------
 // SubscribeTelemetry turns the connection into a server-push stream: the
 // server acks with a TelemetrySubscribeAck body, then sends one Ok response
 // envelope per TelemetryFrame every interval until the subscriber
@@ -283,10 +248,9 @@ struct TelemetryFrame {
   std::uint64_t dropped_spans = 0;  ///< shed by per-subscriber backpressure
   std::vector<TelemetryMetricSample> metrics;
   std::vector<TelemetrySpanSample> spans;
-  /// v4: which sampling configuration produced the spans in this frame, so
+  /// Which sampling configuration produced the spans in this frame, so
   /// consumers can interpret gaps — e.g. "head:1-in-64" or
-  /// "head:1-in-64,tail(slow-replans)". Empty when a v3 peer subscribed
-  /// (the field is appended to the frame only on v4 wires).
+  /// "head:1-in-64,tail(slow-replans)".
   std::string sampling_mode;
 };
 
@@ -294,7 +258,7 @@ struct ShutdownResponse {
   Real virtual_now = 0.0;
 };
 
-// ---- decision-journal timeline (v7) --------------------------------------
+// ---- decision-journal timeline -------------------------------------------
 // QueryJobTimeline request body: one i64 job id (global when asked of a
 // router, local when asked of a single shard). The response carries the
 // journal events of that job in decision order; `truncated` says the
@@ -309,7 +273,7 @@ struct JobTimelineResponse {
   std::vector<JournalEvent> events;  ///< ascending seq
 };
 
-// ---- alert fan-in (v8) ----------------------------------------------------
+// ---- alert fan-in --------------------------------------------------------
 // GetAlerts request body: empty. The response carries one entry per alert
 // rule of the answering instance; a router additionally fans in every
 // fronted shard's entries with their shard ids stamped (its own rules
@@ -333,6 +297,10 @@ struct AlertsResponse {
   std::vector<AlertEntry> alerts;
 };
 
+/// The answering instance's own alert states, every entry stamped
+/// `shard_id`; `engine` may be null (watchdog disabled or compiled out).
+AlertsResponse local_alerts(const AlertEngine* engine, std::int32_t shard_id);
+
 // Field-level encoders shared by client and server. Decoders return false
 // on malformed input and leave the output in an unspecified state.
 void encode_trace_job(WireWriter& w, const TraceJob& job);
@@ -344,23 +312,13 @@ bool decode_job_status_view(WireReader& r, JobStatusView& view);
 void encode_service_snapshot(WireWriter& w, const ServiceSnapshot& snapshot);
 bool decode_service_snapshot(WireReader& r, ServiceSnapshot& snapshot);
 
-/// `version` gates the trailing shard_id field (v5+); the decoder reads it
-/// only when bytes remain, so a v4 peer's ack bytes are untouched.
-void encode_submit_response(WireWriter& w, const SubmitJobResponse& response,
-                            std::uint16_t version = kProtocolVersion);
+void encode_submit_response(WireWriter& w, const SubmitJobResponse& response);
 bool decode_submit_response(WireReader& r, SubmitJobResponse& response);
 
 void encode_status_response(WireWriter& w, const JobStatusResponse& response);
 bool decode_status_response(WireReader& r, JobStatusResponse& response);
 
-/// `version` selects the wire layout: v1 stops after deterministic_csv, v2
-/// appends the first extension block, v3 appends the queue-wait/tracer
-/// block, v4 appends the tail-sampler/exemplar block, v5 appends the
-/// shard/fan-in block, v6 appends the shard-health block. The decoder reads
-/// each extension block only when bytes remain, so either end may be the
-/// older one.
-void encode_metrics_response(WireWriter& w, const MetricsResponse& response,
-                             std::uint16_t version = kProtocolVersion);
+void encode_metrics_response(WireWriter& w, const MetricsResponse& response);
 bool decode_metrics_response(WireReader& r, MetricsResponse& response);
 
 void encode_trace_dump_response(WireWriter& w,
@@ -379,11 +337,7 @@ void encode_telemetry_subscribe_ack(WireWriter& w,
                                     const TelemetrySubscribeAck& ack);
 bool decode_telemetry_subscribe_ack(WireReader& r, TelemetrySubscribeAck& ack);
 
-/// `version` gates the trailing sampling_mode field (v4+); the decoder
-/// reads it only when bytes remain, so a v3 subscriber decodes v3 frames
-/// unchanged and a v4 subscriber tolerates a v3 server.
-void encode_telemetry_frame(WireWriter& w, const TelemetryFrame& frame,
-                            std::uint16_t version = kProtocolVersion);
+void encode_telemetry_frame(WireWriter& w, const TelemetryFrame& frame);
 bool decode_telemetry_frame(WireReader& r, TelemetryFrame& frame);
 
 void encode_journal_event(WireWriter& w, const JournalEvent& event);

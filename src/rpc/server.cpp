@@ -5,11 +5,9 @@
 #include <utility>
 
 #include "obs/log.hpp"
-#include "obs/profiler.hpp"
 #include "obs/tail_sampler.hpp"
 #include "obs/trace.hpp"
 #include "online/metrics.hpp"
-#include "util/rng.hpp"
 #include "util/timer.hpp"
 
 namespace cosched {
@@ -31,45 +29,25 @@ std::string sampling_mode_label() {
 }  // namespace
 
 CoschedServer::CoschedServer(ServerOptions options)
-    : options_(std::move(options)) {
-  COSCHED_EXPECTS(options_.worker_threads >= 1);
-  COSCHED_EXPECTS(options_.max_connections >= 1);
-  service_ = std::make_unique<LiveSchedulerService>(options_.service);
+    : SessionCore(options, "rpc.request", 0xC05C4EDB00C5ULL),
+      shard_id_(options.shard_id),
+      service_(std::make_unique<LiveSchedulerService>(options.service)) {
+  // Shard-addressable servers tag the request span with their shard id, so
+  // a merged fleet dump attributes every span to its shard.
+  if (shard_id_ >= 0) span_suffix_ = " shard=" + std::to_string(shard_id_);
 }
 
 CoschedServer::~CoschedServer() { stop(); }
 
-bool CoschedServer::start(std::string& error) {
-  NetStatus status = NetStatus::Ok;
-  listener_ = Socket::listen_on(options_.host, options_.port,
-                                options_.backlog, status);
-  if (status != NetStatus::Ok) {
-    error = std::string("cannot listen on ") + options_.host + ": " +
-            to_string(status);
-    return false;
-  }
-  port_ = listener_.local_port();
-
+bool CoschedServer::prepare(std::string& error) {
   // SLO watchdog: scrape-and-evaluate on a background tick. A standalone
   // server gets the default burn-rate rules against its latency budget
-  // unless the caller supplied a rule file. Engine construction is cheap;
-  // under COSCHED_ALERTS_DISABLED start() refuses and we drop it.
-  if (options_.enable_alerts && !kAlertsDisabled) {
-    AlertEngineOptions alert_options = options_.alerts;
-    if (alert_options.rules.rules.empty())
-      alert_options.rules = default_alert_rules(options_.alert_budget_ms);
-    alerts_ = std::make_unique<AlertEngine>(std::move(alert_options));
-    alerts_->set_journal(&service_->journal());
-    if (!alerts_->start()) alerts_.reset();
-  }
+  // unless the caller supplied a rule file.
+  start_alerts(options_.alerts, service_->journal());
 
-  if (options_.enable_http) {
-    HttpOptions http_options;
-    http_options.host = options_.host;
-    http_options.port = options_.http_port;
-    http_ = std::make_unique<HttpEndpoint>(http_options);
-    http_->handle("/metrics", [this](const std::string&, std::string& body,
-                                     std::string& content_type) {
+  if (HttpEndpoint* http = open_http()) {
+    http->handle("/metrics", [this](const std::string&, std::string& body,
+                                    std::string& content_type) {
       // Exemplars ride on the side door: a Grafana heatmap cell links
       // straight to the trace behind it. The labeled log/journal families
       // are hand-rendered (the registry callbacks are label-free).
@@ -80,8 +58,8 @@ bool CoschedServer::start(std::string& error) {
       content_type = "text/plain; version=0.0.4; charset=utf-8";
       return true;
     });
-    http_->handle("/healthz", [this](const std::string&, std::string& body,
-                                     std::string&) {
+    http->handle("/healthz", [this](const std::string&, std::string& body,
+                                    std::string&) {
       // Firing alerts degrade the verdict (still 200 — the process serves)
       // so a fleet prober sees the watchdog's judgement, not just liveness.
       std::vector<std::string> firing =
@@ -95,9 +73,9 @@ bool CoschedServer::start(std::string& error) {
       }
       return true;
     });
-    http_->handle("/alerts", [this](const std::string& target,
-                                    std::string& body,
-                                    std::string& content_type) {
+    http->handle("/alerts", [this](const std::string& target,
+                                   std::string& body,
+                                   std::string& content_type) {
       std::vector<AlertView> views =
           alerts_ ? alerts_->views() : std::vector<AlertView>{};
       if (http_query_param(target, "format") == "json") {
@@ -108,15 +86,8 @@ bool CoschedServer::start(std::string& error) {
       }
       return true;
     });
-    http_->handle("/debug/profile", [](const std::string&, std::string& body,
-                                       std::string&) {
-      // Collapsed-stack ("folded") format: one "path self_us" line per
-      // phase, ready for flamegraph.pl / speedscope.
-      body = Profiler::global().render_collapsed();
-      return true;
-    });
-    http_->handle("/debug/events", [this](const std::string& target,
-                                          std::string& body, std::string&) {
+    http->handle("/debug/events", [this](const std::string& target,
+                                         std::string& body, std::string&) {
       // ?job=<id> filters to one job's timeline; bare = the newest 256
       // decisions fleet-wide (the firehose view).
       const DecisionJournal& journal = service_->journal();
@@ -140,67 +111,14 @@ bool CoschedServer::start(std::string& error) {
         body += render_journal_event(event) + "\n";
       return true;
     });
-    if (!http_->start(error)) {
-      http_.reset();
-      listener_.close();
-      return false;
-    }
+    if (!http->start(error)) return false;
   }
   register_observability();
-
-  // A serving scheduler profiles itself: the scoped phase timers cost two
-  // clock reads per phase, and /debug/profile needs data behind it.
-  Profiler::global().set_enabled(true);
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    started_ = true;
-    stopping_ = false;
-  }
-  accept_thread_ = std::thread(&CoschedServer::accept_main, this);
-  workers_.reserve(options_.worker_threads);
-  for (std::size_t i = 0; i < options_.worker_threads; ++i)
-    workers_.emplace_back(&CoschedServer::worker_main, this);
   return true;
 }
 
-void CoschedServer::wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  finished_.wait(lock, [&] {
-    return stopping_ || shutdown_requested_.load(std::memory_order_acquire);
-  });
-}
-
-void CoschedServer::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!started_) return;
-    stopping_ = true;
-  }
-  wake_.notify_all();
-  finished_.notify_all();
-  // The accept loop and the sessions poll with idle_poll_seconds slices and
-  // re-check the stop flag, so joining here is bounded; the listener is only
-  // closed once no thread can be inside poll() on it.
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (std::thread& worker : workers_)
-    if (worker.joinable()) worker.join();
-  workers_.clear();
-  listener_.close();
-  if (http_) {
-    http_->stop();
-    http_.reset();
-  }
-  if (alerts_) {
-    alerts_->stop();
-    alerts_.reset();
-  }
+void CoschedServer::stopped() {
   unregister_observability();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    pending_.clear();
-    started_ = false;
-  }
   service_->stop();
 }
 
@@ -232,15 +150,9 @@ void CoschedServer::register_observability() {
      "counter",
      [&cache] { return static_cast<double>(cache.stats().compactions); });
   cb("cosched_rpc_connections_active", "sessions currently being served",
-     "gauge", [this] {
-       std::lock_guard<std::mutex> lock(mutex_);
-       return static_cast<double>(active_sessions_);
-     });
+     "gauge", [this] { return static_cast<double>(active_sessions()); });
   cb("cosched_rpc_queue_depth", "accepted connections awaiting a worker",
-     "gauge", [this] {
-       std::lock_guard<std::mutex> lock(mutex_);
-       return static_cast<double>(pending_.size());
-     });
+     "gauge", [this] { return static_cast<double>(queued_connections()); });
   cb("cosched_rpc_connections_accepted_total", "connections accepted",
      "counter", [this] {
        return static_cast<double>(stats().accepted_connections);
@@ -306,160 +218,29 @@ void CoschedServer::unregister_observability() {
   // nothing it references dies with us).
 }
 
-ServerStats CoschedServer::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
+bool CoschedServer::take_over(Socket& socket,
+                              const RequestEnvelope& request) {
+  if (request.type != MessageType::SubscribeTelemetry) return false;
+  serve_telemetry(socket, request);
+  return true;
 }
 
-void CoschedServer::accept_main() {
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) return;
-    }
-    NetStatus status = NetStatus::Ok;
-    Socket conn = listener_.accept_connection(
-        Deadline::after(options_.idle_poll_seconds), status);
-    if (status == NetStatus::Timeout) continue;
-    if (status != NetStatus::Ok) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) return;  // listener closed by stop()
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;
-    if (pending_.size() + active_sessions_ >= options_.max_connections) {
-      // At the cap: refuse by closing. The client sees a clean EOF before
-      // any response and reports a transport error it may retry later.
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.rejected_connections;
-      continue;  // `conn` closes as it goes out of scope
-    }
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      ++stats_.accepted_connections;
-    }
-    pending_.push_back(std::move(conn));
-    wake_.notify_one();
+void CoschedServer::request_done(const ResponseEnvelope& response,
+                                 std::uint64_t trace_id,
+                                 const WallTimer& timer) {
+  if (request_latency_) request_latency_->observe(timer.seconds(), trace_id);
+  if (TailSampler::global().active()) {
+    // Tail end-hook: report the finished root span with its measured
+    // duration — the keep/drop decision happens *now*, when slowness is
+    // known, independent of the head sampler's recording decision.
+    CompletedSpan root;
+    root.name = "rpc.request";
+    root.trace_id = trace_id;
+    root.duration_us = timer.seconds() * 1e6;
+    root.error = response.status != RpcStatus::Ok;
+    root.args = std::string("type=") + to_string(response.type);
+    TailSampler::global().observe(std::move(root));
   }
-}
-
-void CoschedServer::worker_main() {
-  while (true) {
-    Socket conn;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [&] { return stopping_ || !pending_.empty(); });
-      if (stopping_) return;
-      conn = std::move(pending_.front());
-      pending_.pop_front();
-      ++active_sessions_;
-    }
-    serve_connection(std::move(conn));
-    std::lock_guard<std::mutex> lock(mutex_);
-    --active_sessions_;
-  }
-}
-
-void CoschedServer::serve_connection(Socket socket) {
-  std::vector<std::uint8_t> payload;
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) return;
-    }
-    FrameStatus frame_status =
-        read_frame(socket, payload, Deadline::after(options_.idle_poll_seconds),
-                   options_.max_frame_bytes);
-    if (frame_status == FrameStatus::Timeout) continue;  // idle connection
-    if (frame_status == FrameStatus::Closed) return;     // clean disconnect
-    if (frame_status != FrameStatus::Ok) {
-      // Truncated / BadMagic / Oversized: the stream is unusable; count it
-      // and drop the connection.
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.malformed_frames;
-      return;
-    }
-
-    WallTimer request_timer;
-    RequestEnvelope request;
-    ResponseEnvelope response;
-    std::uint64_t trace_id = 0;
-    if (!decode_request(payload, request)) {
-      response.status = RpcStatus::BadRequest;
-      response.error = "malformed request envelope";
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.malformed_frames;
-    } else if (request.type == MessageType::SubscribeTelemetry) {
-      // The connection becomes a server-push stream; serve_telemetry owns
-      // it (including the ack and all stats) until the subscriber leaves.
-      serve_telemetry(socket, request);
-      return;
-    } else {
-      // Correlation: adopt the client's trace_id (v3+) or mint one, latch
-      // the head-based sampling decision, and keep the context installed
-      // for the whole dispatch — the scheduler command queue re-installs
-      // it on the scheduler thread, so replan and solver spans inherit it.
-      trace_id = request.trace_id != 0 ? request.trace_id
-                                       : next_server_trace_id();
-      TraceContext context = Tracer::global().make_context(trace_id);
-      TraceContextScope trace_scope(context);
-      // Shard-addressable servers tag the request span with their shard id,
-      // so a merged fleet dump attributes every span to its shard.
-      std::string span_args = std::string("type=") + to_string(request.type);
-      if (options_.shard_id >= 0)
-        span_args += " shard=" + std::to_string(options_.shard_id);
-      COSCHED_TRACE_SPAN(request_span, "rpc.request", -1.0,
-                         std::move(span_args));
-      COSCHED_PROFILE_PHASE(request_phase, "rpc.request");
-      response = handle_request(request);
-      response.trace_id = trace_id;  // echoed on v3+ wires only
-    }
-
-    std::vector<std::uint8_t> bytes = encode_response(response);
-    FrameStatus write_status = write_frame(
-        socket, bytes, Deadline::after(options_.request_deadline_seconds +
-                                       options_.idle_poll_seconds));
-    // The trace context is gone by now (trace_scope closed with its
-    // branch), so the exemplar trace id is passed explicitly.
-    if (request_latency_)
-      request_latency_->observe(request_timer.seconds(), trace_id);
-    if (TailSampler::global().active()) {
-      // Tail end-hook: report the finished root span with its measured
-      // duration — the keep/drop decision happens *now*, when slowness is
-      // known, independent of the head sampler's recording decision.
-      CompletedSpan root;
-      root.name = "rpc.request";
-      root.trace_id = trace_id;
-      root.duration_us = request_timer.seconds() * 1e6;
-      root.error = response.status != RpcStatus::Ok;
-      root.args = std::string("type=") + to_string(response.type);
-      TailSampler::global().observe(std::move(root));
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      if (response.status == RpcStatus::Ok)
-        ++stats_.requests_ok;
-      else
-        ++stats_.requests_failed;
-    }
-    if (write_status != FrameStatus::Ok) return;  // peer went away mid-reply
-    if (response.status == RpcStatus::Ok &&
-        response.type == MessageType::Shutdown) {
-      // Acknowledged; trip the latch after the reply is on the wire.
-      shutdown_requested_.store(true, std::memory_order_release);
-      finished_.notify_all();
-      return;
-    }
-  }
-}
-
-std::uint64_t CoschedServer::next_server_trace_id() {
-  // Deterministic per-server sequence, mixed so server-minted ids do not
-  // collide with the small integers clients tend to pick; | 1 keeps them
-  // nonzero (0 means "no trace" everywhere).
-  std::uint64_t n = trace_id_counter_.fetch_add(1, std::memory_order_relaxed);
-  return SplitMix64(0xC05C4EDB00C5ULL + n).next() | 1;
 }
 
 void CoschedServer::serve_telemetry(Socket& socket,
@@ -467,26 +248,17 @@ void CoschedServer::serve_telemetry(Socket& socket,
   ResponseEnvelope ack;
   ack.type = request.type;
   ack.request_id = request.request_id;
-  ack.version = request.version;
 
-  auto fail = [&](RpcStatus status, const char* error) {
-    ack.status = status;
-    ack.error = error;
-    write_frame(socket, encode_response(ack),
-                Deadline::after(options_.idle_poll_seconds));
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests_failed;
-  };
-
-  if (request.version < 3) {
-    fail(RpcStatus::BadRequest, "SubscribeTelemetry requires protocol v3");
-    return;
-  }
   TelemetrySubscribeRequest sub;
   WireReader reader(request.body);
   if (!decode_telemetry_subscribe_request(reader, sub) ||
       !reader.complete()) {
-    fail(RpcStatus::BadRequest, "malformed SubscribeTelemetry body");
+    ack.status = RpcStatus::BadRequest;
+    ack.error = "malformed SubscribeTelemetry body";
+    write_frame(socket, encode_response(ack),
+                Deadline::after(options_.idle_poll_seconds));
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.requests_failed;
     return;
   }
 
@@ -496,7 +268,7 @@ void CoschedServer::serve_telemetry(Socket& socket,
   const std::size_t max_spans =
       sub.max_spans_per_frame == 0 ? 512 : sub.max_spans_per_frame;
   std::uint64_t trace_id =
-      request.trace_id != 0 ? request.trace_id : next_server_trace_id();
+      request.trace_id != 0 ? request.trace_id : next_trace_id();
 
   TelemetrySubscribeAck ack_body;
   ack_body.interval_ms =
@@ -525,9 +297,9 @@ void CoschedServer::serve_telemetry(Socket& socket,
     TelemetryFrame frame;
     frame.frame_seq = frame_seq++;
     frame.last = last;
-    // v4 subscribers learn which sampling configuration produced the span
+    // Subscribers learn which sampling configuration produced the span
     // stream (the label travels per frame: knobs can change mid-stream).
-    if (request.version >= 4) frame.sampling_mode = sampling_mode_label();
+    frame.sampling_mode = sampling_mode_label();
     std::vector<PrometheusSample> samples;
     if (parse_prometheus_text(MetricsRegistry::global().render_prometheus(),
                               samples)) {
@@ -560,13 +332,12 @@ void CoschedServer::serve_telemetry(Socket& socket,
       frame.spans.push_back(std::move(s));
     }
     ResponseEnvelope push;
-    push.version = request.version;
     push.type = request.type;
     push.request_id = request.request_id;
     push.trace_id = trace_id;
     push.status = RpcStatus::Ok;
     WireWriter body;
-    encode_telemetry_frame(body, frame, request.version);
+    encode_telemetry_frame(body, frame);
     push.body = body.take();
     // A subscriber that cannot drain a frame within one interval (plus the
     // poll slack) is dropped — per-subscriber buffering stays bounded at
@@ -589,12 +360,9 @@ void CoschedServer::serve_telemetry(Socket& socket,
     bool unsubscribe = false;
     bool disconnected = false;
     while (!tick.expired()) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (stopping_) {
-          unsubscribe = true;
-          break;
-        }
+      if (stopping()) {
+        unsubscribe = true;
+        break;
       }
       double slice =
           std::min(options_.idle_poll_seconds,
@@ -626,21 +394,9 @@ void CoschedServer::serve_telemetry(Socket& socket,
   telemetry_subscribers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-ResponseEnvelope CoschedServer::handle_request(const RequestEnvelope& request) {
-  ResponseEnvelope response;
-  response.type = request.type;
-  response.request_id = request.request_id;
-  if (request.version < kMinProtocolVersion ||
-      request.version > kProtocolVersion) {
-    response.status = RpcStatus::VersionMismatch;
-    response.error = "server speaks protocol versions " +
-                     std::to_string(kMinProtocolVersion) + ".." +
-                     std::to_string(kProtocolVersion);
-    return response;
-  }
-  // Answer in the requester's version: a v1 peer gets v1 bodies.
-  response.version = request.version;
-
+ResponseEnvelope CoschedServer::dispatch(const RequestEnvelope& request,
+                                         std::uint64_t trace_id) {
+  (void)trace_id;  // installed as the thread's trace context by the core
   // Per-request server-side budget. The same budget bounds the wait on the
   // scheduler thread; an expired deadline is reported, not worked through.
   Deadline deadline = Deadline::after(options_.request_deadline_seconds);
@@ -648,66 +404,49 @@ ResponseEnvelope CoschedServer::handle_request(const RequestEnvelope& request) {
     int ms = deadline.remaining_ms();
     return ms < 0 ? -1.0 : static_cast<double>(ms) / 1000.0;
   };
-  if (deadline.expired()) {
-    response.status = RpcStatus::DeadlineExpired;
-    response.error = "request budget exhausted before dispatch";
-    return response;
-  }
+  if (deadline.expired())
+    return rpc_failure(RpcStatus::DeadlineExpired,
+                       "request budget exhausted before dispatch");
+  const char* kNoAnswer = "scheduler did not answer within the budget";
 
   WireWriter body;
   WireReader reader(request.body);
   switch (request.type) {
     case MessageType::SubmitJob: {
       TraceJob job;
-      if (!decode_trace_job(reader, job) || !reader.complete()) {
-        response.status = RpcStatus::BadRequest;
-        response.error = "malformed SubmitJob body";
-        return response;
-      }
+      if (!decode_trace_job(reader, job) || !reader.complete())
+        return rpc_failure(RpcStatus::BadRequest, "malformed SubmitJob body");
       SubmitOutcome outcome;
-      if (!service_->submit(job, outcome, remaining_seconds())) {
-        response.status = RpcStatus::DeadlineExpired;
-        response.error = "scheduler did not answer within the budget";
-        return response;
-      }
-      if (outcome.error == SubmitError::Draining) {
-        response.status = RpcStatus::Draining;
-        response.error = "service is draining; admissions stopped";
-        return response;
-      }
-      if (outcome.error == SubmitError::Invalid) {
-        response.status = RpcStatus::InvalidJob;
-        response.error = "job shape rejected (processes in [1, " +
-                         std::to_string(service_->total_cores()) +
-                         "], work > 0)";
-        return response;
-      }
+      if (!service_->submit(job, outcome, remaining_seconds()))
+        return rpc_failure(RpcStatus::DeadlineExpired, kNoAnswer);
+      if (outcome.error == SubmitError::Draining)
+        return rpc_failure(RpcStatus::Draining,
+                           "service is draining; admissions stopped");
+      if (outcome.error == SubmitError::Invalid)
+        return rpc_failure(
+            RpcStatus::InvalidJob,
+            "job rejected (processes in [1, " +
+                std::to_string(service_->total_cores()) + "], " +
+                kTraceJobDomain + ")");
       SubmitJobResponse reply;
       reply.job_id = outcome.job_id;
       reply.virtual_now = outcome.virtual_now;
       reply.status = outcome.status;
-      reply.shard_id = options_.shard_id;
-      encode_submit_response(body, reply, request.version);
+      reply.shard_id = shard_id_;
+      encode_submit_response(body, reply);
       break;
     }
     case MessageType::QueryJobStatus: {
       std::int64_t job_id = reader.i64();
-      if (!reader.complete()) {
-        response.status = RpcStatus::BadRequest;
-        response.error = "malformed QueryJobStatus body";
-        return response;
-      }
+      if (!reader.complete())
+        return rpc_failure(RpcStatus::BadRequest,
+                           "malformed QueryJobStatus body");
       StatusOutcome outcome;
-      if (!service_->job_status(job_id, outcome, remaining_seconds())) {
-        response.status = RpcStatus::DeadlineExpired;
-        response.error = "scheduler did not answer within the budget";
-        return response;
-      }
-      if (!outcome.found) {
-        response.status = RpcStatus::UnknownJob;
-        response.error = "no job with id " + std::to_string(job_id);
-        return response;
-      }
+      if (!service_->job_status(job_id, outcome, remaining_seconds()))
+        return rpc_failure(RpcStatus::DeadlineExpired, kNoAnswer);
+      if (!outcome.found)
+        return rpc_failure(RpcStatus::UnknownJob,
+                           "no job with id " + std::to_string(job_id));
       JobStatusResponse reply;
       reply.found = true;
       reply.virtual_now = outcome.virtual_now;
@@ -716,28 +455,16 @@ ResponseEnvelope CoschedServer::handle_request(const RequestEnvelope& request) {
       break;
     }
     case MessageType::QueryJobTimeline: {
-      if (request.version < 7) {
-        response.status = RpcStatus::BadRequest;
-        response.error = "QueryJobTimeline requires protocol v7";
-        return response;
-      }
       std::int64_t job_id = reader.i64();
-      if (!reader.complete()) {
-        response.status = RpcStatus::BadRequest;
-        response.error = "malformed QueryJobTimeline body";
-        return response;
-      }
+      if (!reader.complete())
+        return rpc_failure(RpcStatus::BadRequest,
+                           "malformed QueryJobTimeline body");
       TimelineOutcome outcome;
-      if (!service_->job_timeline(job_id, outcome, remaining_seconds())) {
-        response.status = RpcStatus::DeadlineExpired;
-        response.error = "scheduler did not answer within the budget";
-        return response;
-      }
-      if (!outcome.found) {
-        response.status = RpcStatus::UnknownJob;
-        response.error = "no job with id " + std::to_string(job_id);
-        return response;
-      }
+      if (!service_->job_timeline(job_id, outcome, remaining_seconds()))
+        return rpc_failure(RpcStatus::DeadlineExpired, kNoAnswer);
+      if (!outcome.found)
+        return rpc_failure(RpcStatus::UnknownJob,
+                           "no job with id " + std::to_string(job_id));
       JobTimelineResponse reply;
       reply.job_id = job_id;
       reply.found = true;
@@ -748,63 +475,28 @@ ResponseEnvelope CoschedServer::handle_request(const RequestEnvelope& request) {
       break;
     }
     case MessageType::GetAlerts: {
-      if (request.version < 8) {
-        response.status = RpcStatus::BadRequest;
-        response.error = "GetAlerts requires protocol v8";
-        return response;
-      }
-      if (!reader.complete()) {
-        response.status = RpcStatus::BadRequest;
-        response.error = "unexpected GetAlerts body";
-        return response;
-      }
-      AlertsResponse reply;
-      reply.engine_enabled = alerts_ != nullptr;
-      if (alerts_) {
-        for (const AlertView& view : alerts_->views()) {
-          AlertEntry entry;
-          entry.shard_id = options_.shard_id;
-          entry.rule = view.rule;
-          entry.state = static_cast<std::uint8_t>(view.state);
-          entry.severity = static_cast<std::uint8_t>(view.severity);
-          entry.value = view.value;
-          entry.threshold = view.threshold;
-          entry.since_seconds = view.since_seconds;
-          entry.detail = view.detail;
-          if (view.state == AlertState::Firing) ++reply.firing;
-          reply.alerts.push_back(std::move(entry));
-        }
-      }
-      encode_alerts_response(body, reply);
+      if (!reader.complete())
+        return rpc_failure(RpcStatus::BadRequest, "unexpected GetAlerts body");
+      encode_alerts_response(body, local_alerts(alerts_.get(), shard_id_));
       break;
     }
     case MessageType::QueryScheduleSnapshot: {
-      if (!reader.complete()) {
-        response.status = RpcStatus::BadRequest;
-        response.error = "unexpected QueryScheduleSnapshot body";
-        return response;
-      }
+      if (!reader.complete())
+        return rpc_failure(RpcStatus::BadRequest,
+                           "unexpected QueryScheduleSnapshot body");
       ServiceSnapshot snapshot;
-      if (!service_->snapshot(snapshot, remaining_seconds())) {
-        response.status = RpcStatus::DeadlineExpired;
-        response.error = "scheduler did not answer within the budget";
-        return response;
-      }
+      if (!service_->snapshot(snapshot, remaining_seconds()))
+        return rpc_failure(RpcStatus::DeadlineExpired, kNoAnswer);
       encode_service_snapshot(body, snapshot);
       break;
     }
     case MessageType::GetMetrics: {
-      if (!reader.complete()) {
-        response.status = RpcStatus::BadRequest;
-        response.error = "unexpected GetMetrics body";
-        return response;
-      }
+      if (!reader.complete())
+        return rpc_failure(RpcStatus::BadRequest,
+                           "unexpected GetMetrics body");
       MetricsOutcome outcome;
-      if (!service_->metrics(outcome, remaining_seconds())) {
-        response.status = RpcStatus::DeadlineExpired;
-        response.error = "scheduler did not answer within the budget";
-        return response;
-      }
+      if (!service_->metrics(outcome, remaining_seconds()))
+        return rpc_failure(RpcStatus::DeadlineExpired, kNoAnswer);
       MetricsResponse reply;
       reply.virtual_now = outcome.virtual_now;
       reply.arrivals = outcome.arrivals;
@@ -815,76 +507,61 @@ ResponseEnvelope CoschedServer::handle_request(const RequestEnvelope& request) {
       reply.running_mean_degradation = outcome.running_mean_degradation;
       reply.cache = outcome.cache;
       reply.deterministic_csv = outcome.deterministic_csv;
-      if (request.version >= 2) {
-        MetricsRegistry& reg = MetricsRegistry::global();
-        reply.astar_searches =
-            reg.counter("cosched_astar_searches_total", "graph searches run")
-                .value();
-        reply.astar_expansions =
-            reg.counter("cosched_astar_expansions_total",
-                        "subpaths expanded")
-                .value();
-        reply.astar_heuristic_evals =
-            reg.counter("cosched_astar_heuristic_evals_total",
-                        "h(v) evaluations")
-                .value();
-        ServerStats snapshot = stats();
-        reply.rpc_requests_ok = snapshot.requests_ok;
-        reply.rpc_requests_failed = snapshot.requests_failed;
-        if (request_latency_) {
-          Histogram latency = request_latency_->snapshot();
-          reply.rpc_request_count = latency.count();
-          reply.rpc_request_seconds_sum = latency.sum();
-          reply.rpc_request_seconds_p99 = latency.quantile(0.99);
+      MetricsRegistry& reg = MetricsRegistry::global();
+      reply.astar_searches =
+          reg.counter("cosched_astar_searches_total", "graph searches run")
+              .value();
+      reply.astar_expansions =
+          reg.counter("cosched_astar_expansions_total", "subpaths expanded")
+              .value();
+      reply.astar_heuristic_evals =
+          reg.counter("cosched_astar_heuristic_evals_total",
+                      "h(v) evaluations")
+              .value();
+      ServerStats snapshot = stats();
+      reply.rpc_requests_ok = snapshot.requests_ok;
+      reply.rpc_requests_failed = snapshot.requests_failed;
+      if (request_latency_) {
+        Histogram latency = request_latency_->snapshot();
+        reply.rpc_request_count = latency.count();
+        reply.rpc_request_seconds_sum = latency.sum();
+        reply.rpc_request_seconds_p99 = latency.quantile(0.99);
+        const Exemplar* newest = nullptr;
+        for (const Exemplar& exemplar : latency.exemplars())
+          if (exemplar.valid && (!newest || exemplar.seq > newest->seq))
+            newest = &exemplar;
+        if (newest) {
+          reply.latency_exemplar_trace_id = newest->trace_id;
+          reply.latency_exemplar_seconds = newest->value;
         }
       }
-      if (request.version >= 3) {
-        if (queue_wait_metric_) {
-          Histogram queue_wait = queue_wait_metric_->snapshot();
-          reply.queue_wait_count = queue_wait.count();
-          reply.queue_wait_seconds_sum = queue_wait.sum();
-          reply.queue_wait_seconds_p99 = queue_wait.quantile(0.99);
-        }
-        reply.tracer_dropped_events = Tracer::global().dropped_events();
+      if (queue_wait_metric_) {
+        Histogram queue_wait = queue_wait_metric_->snapshot();
+        reply.queue_wait_count = queue_wait.count();
+        reply.queue_wait_seconds_sum = queue_wait.sum();
+        reply.queue_wait_seconds_p99 = queue_wait.quantile(0.99);
       }
-      if (request.version >= 4) {
-        TailSampler& tail = TailSampler::global();
-        TailSamplerStats tail_stats = tail.stats();
-        reply.tail_considered = tail_stats.considered;
-        reply.tail_kept = tail_stats.kept();
-        reply.tail_dropped = tail_stats.dropped;
-        reply.tail_pending = tail.pending();
-        reply.tail_retained_spans = tail.retained();
-        if (request_latency_) {
-          Histogram latency = request_latency_->snapshot();
-          const Exemplar* newest = nullptr;
-          for (const Exemplar& exemplar : latency.exemplars())
-            if (exemplar.valid && (!newest || exemplar.seq > newest->seq))
-              newest = &exemplar;
-          if (newest) {
-            reply.latency_exemplar_trace_id = newest->trace_id;
-            reply.latency_exemplar_seconds = newest->value;
-          }
-        }
-      }
-      if (request.version >= 5) {
-        // Shard/fan-in block of a single instance: its identity and its
-        // spillover signals. A standalone server fronts no shards, so the
-        // per-shard list stays empty and the router accounting zero.
-        reply.shard_id = options_.shard_id;
-        LoadProbe probe = service_->load();
-        reply.command_queue_depth = probe.queue_depth;
-        reply.replan_p95_seconds = probe.replan_p95_seconds;
-      }
-      encode_metrics_response(body, reply, request.version);
+      reply.tracer_dropped_events = Tracer::global().dropped_events();
+      TailSampler& tail = TailSampler::global();
+      TailSamplerStats tail_stats = tail.stats();
+      reply.tail_considered = tail_stats.considered;
+      reply.tail_kept = tail_stats.kept();
+      reply.tail_dropped = tail_stats.dropped;
+      reply.tail_pending = tail.pending();
+      reply.tail_retained_spans = tail.retained();
+      // Shard/fan-in block of a single instance: its identity and its
+      // spillover signals. A standalone server fronts no shards, so the
+      // per-shard list stays empty and the router accounting zero.
+      reply.shard_id = shard_id_;
+      LoadProbe probe = service_->load();
+      reply.command_queue_depth = probe.queue_depth;
+      reply.replan_p95_seconds = probe.replan_p95_seconds;
+      encode_metrics_response(body, reply);
       break;
     }
     case MessageType::TraceDump: {
-      if (!reader.complete()) {
-        response.status = RpcStatus::BadRequest;
-        response.error = "unexpected TraceDump body";
-        return response;
-      }
+      if (!reader.complete())
+        return rpc_failure(RpcStatus::BadRequest, "unexpected TraceDump body");
       const Tracer& tracer = Tracer::global();
       TraceDumpResponse reply;
       reply.enabled = tracer.enabled();
@@ -895,17 +572,12 @@ ResponseEnvelope CoschedServer::handle_request(const RequestEnvelope& request) {
       break;
     }
     case MessageType::Drain: {
-      if (!reader.complete()) {
-        response.status = RpcStatus::BadRequest;
-        response.error = "unexpected Drain body";
-        return response;
-      }
+      if (!reader.complete())
+        return rpc_failure(RpcStatus::BadRequest, "unexpected Drain body");
       DrainOutcome outcome;
-      if (!service_->drain(outcome, remaining_seconds())) {
-        response.status = RpcStatus::DeadlineExpired;
-        response.error = "drain did not finish within the budget";
-        return response;
-      }
+      if (!service_->drain(outcome, remaining_seconds()))
+        return rpc_failure(RpcStatus::DeadlineExpired,
+                           "drain did not finish within the budget");
       DrainResponse reply;
       reply.completions = outcome.completions;
       reply.virtual_now = outcome.virtual_now;
@@ -913,29 +585,22 @@ ResponseEnvelope CoschedServer::handle_request(const RequestEnvelope& request) {
       break;
     }
     case MessageType::Shutdown: {
-      if (!reader.complete()) {
-        response.status = RpcStatus::BadRequest;
-        response.error = "unexpected Shutdown body";
-        return response;
-      }
-      body.real(0.0);  // virtual_now placeholder when metrics unavailable
+      if (!reader.complete())
+        return rpc_failure(RpcStatus::BadRequest, "unexpected Shutdown body");
+      // virtual_now; 0 when the scheduler cannot answer in time.
       MetricsOutcome outcome;
-      if (service_->metrics(outcome, remaining_seconds())) {
-        WireWriter fresh;
-        fresh.real(outcome.virtual_now);
-        body = std::move(fresh);
-      }
+      body.real(service_->metrics(outcome, remaining_seconds())
+                    ? outcome.virtual_now
+                    : 0.0);
       break;
     }
-    case MessageType::SubscribeTelemetry: {
-      // Streamed on the connection level (serve_telemetry); reaching the
-      // unary dispatcher means the caller misrouted it.
-      response.status = RpcStatus::BadRequest;
-      response.error = "SubscribeTelemetry is a streaming request";
-      return response;
-    }
+    case MessageType::SubscribeTelemetry:
+      // Streamed on the connection level (take_over); reaching the unary
+      // dispatcher means the caller misrouted it.
+      return rpc_failure(RpcStatus::BadRequest,
+                         "SubscribeTelemetry is a streaming request");
   }
-  response.status = RpcStatus::Ok;
+  ResponseEnvelope response;
   response.body = body.take();
   return response;
 }

@@ -83,9 +83,9 @@ RpcStatus LocalShard::metrics(MetricsResponse& out, std::string& error) {
     error = "shard command queue timeout";
     return RpcStatus::DeadlineExpired;
   }
-  // Scheduler counters + the v5 load fields. The v2–v4 blocks (A* counters,
-  // RPC latency, tail sampler) describe a CoschedServer process, which an
-  // in-process shard does not run — they stay zero.
+  // Scheduler counters + the load fields. The observability fields (A*
+  // counters, RPC latency, tail sampler) describe a CoschedServer process,
+  // which an in-process shard does not run — they stay zero.
   out = MetricsResponse{};
   out.virtual_now = outcome.virtual_now;
   out.arrivals = outcome.arrivals;

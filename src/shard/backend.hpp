@@ -9,10 +9,11 @@
 //  * LocalShard — owns the service in-process. This is the default and the
 //    deterministic one: no sockets, results are a pure function of the
 //    routed submission sequence.
-//  * RemoteShard — speaks protocol v7 to a CoschedServer started elsewhere
-//    with ServerOptions::shard_id set (the RPC-addressable deployment).
-//    Calls are serialized on one connection; the load probe is the cached
-//    fan-in block of the last GetMetrics, refreshed by refresh_load().
+//  * RemoteShard — speaks the RPC protocol to a CoschedServer started
+//    elsewhere with ServerOptions::shard_id set (the RPC-addressable
+//    deployment). Calls are serialized on one connection; the load probe
+//    is the cached fan-in block of the last GetMetrics, refreshed by
+//    refresh_load().
 //
 // Every verb reports an RpcStatus so the router front door can forward
 // shard verdicts (Draining, InvalidJob, UnknownJob, ...) unchanged; local
@@ -24,7 +25,7 @@
 // then carry the router-assigned id, so a merged dump stitches into one
 // request timeline), every folded failure is counted by error kind
 // (transport / protocol / application — surfaced as
-// cosched_shard_rpc_errors_total and the v6 GetMetrics health block), and
+// cosched_shard_rpc_errors_total and the GetMetrics health block), and
 // probe()/trace_dump() feed the router's /healthz and TraceDump fan-in.
 #pragma once
 
@@ -61,11 +62,11 @@ class ShardBackend {
                            std::string& error) = 0;
   virtual RpcStatus job_status(std::int64_t job_id, JobStatusResponse& out,
                                std::string& error) = 0;
-  /// v7: the shard's decision-journal timeline of one (shard-local) job.
+  /// The shard's decision-journal timeline of one (shard-local) job.
   virtual RpcStatus job_timeline(std::int64_t job_id, JobTimelineResponse& out,
                                  std::string& error) = 0;
   virtual RpcStatus snapshot(ServiceSnapshot& out, std::string& error) = 0;
-  /// Fills the shard's own counters plus the v5 load fields (queue depth,
+  /// Fills the shard's own counters plus the load fields (queue depth,
   /// replan p95). The fan-in `shards` vector stays empty — nesting routers
   /// is not a thing.
   virtual RpcStatus metrics(MetricsResponse& out, std::string& error) = 0;
@@ -135,7 +136,7 @@ class LocalShard : public ShardBackend {
   LiveSchedulerService service_;
 };
 
-/// RPC-addressable shard: a v6 CoschedServer somewhere else.
+/// RPC-addressable shard: a CoschedServer somewhere else.
 class RemoteShard : public ShardBackend {
  public:
   RemoteShard(std::int32_t shard_id, ClientOptions options,

@@ -349,7 +349,7 @@ RpcStatus ShardRouter::metrics(MetricsResponse& out, std::string& error) {
   out.deterministic_csv = csv.str();
   out.router_spillovers = router.spillovers;
   out.router_remapped_keys = router.remapped_keys;
-  // v6 health block: every shard answered its metrics round-trip above
+  // Health block: every shard answered its metrics round-trip above
   // (fail-fast on the first miss preserves the Σ invariant), so each is up
   // by observation; record that in the health cache too — a successful
   // GetMetrics is exactly the probe a stale verdict would re-run.

@@ -128,7 +128,7 @@ class ShardRouter {
                    std::string& error, std::uint64_t trace_id = 0);
   RpcStatus job_status(std::int64_t global_id, JobStatusResponse& out,
                        std::string& error);
-  /// v7 "explain this placement": resolves the owning shard from the
+  /// "Explain this placement": resolves the owning shard from the
   /// global id, pulls its decision-journal timeline, rewrites job and
   /// co-runner ids into the global domain and prepends the router's own
   /// spillover events for the job (timestamped 0.0, i.e. before any shard

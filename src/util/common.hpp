@@ -1,6 +1,8 @@
 // Common definitions shared by every cosched module.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +10,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace cosched {
 
@@ -70,6 +73,28 @@ inline bool approx_equal(Real a, Real b, Real eps = 1e-9) {
   if (aa > scale) scale = aa;
   if (bb > scale) scale = bb;
   return diff <= eps * scale;
+}
+
+/// Parses all of `text` (surrounding whitespace allowed) as a T. False on
+/// an empty or partly numeric text and on integers outside T's range. Reals
+/// keep strtod's spellings of nan/inf: callers check their own domain.
+template <typename T>
+bool parse_number(const std::string& text, T& out) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  if constexpr (std::is_floating_point_v<T>) {
+    out = static_cast<T>(std::strtod(begin, &end));
+  } else {
+    long long raw = std::strtoll(begin, &end, 10);
+    if (errno == ERANGE || raw < std::numeric_limits<T>::min() ||
+        raw > std::numeric_limits<T>::max())
+      return false;
+    out = static_cast<T>(raw);
+  }
+  if (end == begin) return false;
+  while (std::isspace(static_cast<unsigned char>(*end))) ++end;
+  return *end == '\0';
 }
 
 }  // namespace cosched

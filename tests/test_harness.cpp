@@ -36,6 +36,39 @@ TEST(ArgParser, FlagFollowedByFlagHasEmptyValue) {
   EXPECT_EQ(args.get_string("b", "none"), "x");
 }
 
+// A numeric flag whose value is not entirely a number ends the process
+// with status 2 and a message naming the flag, instead of an uncaught
+// exception or a silently truncated value.
+TEST(ArgParserDeathTest, BadNumericValuesExitWithStatus2) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"prog",       "--port",  "abc",
+                        "--workers",  "2x",      "--huge",
+                        "99999999999999999999", "--scale", "0.5x",
+                        "--rate",     "fast"};
+  ArgParser args(11, const_cast<char**>(argv));
+  EXPECT_EXIT(args.get_int("port", 0), ::testing::ExitedWithCode(2),
+              "bad value for --port: abc");
+  EXPECT_EXIT(args.get_int("workers", 0), ::testing::ExitedWithCode(2),
+              "bad value for --workers: 2x");
+  EXPECT_EXIT(args.get_int("huge", 0), ::testing::ExitedWithCode(2),
+              "bad value for --huge: 99999999999999999999");
+  EXPECT_EXIT(args.get_real("scale", 0.0), ::testing::ExitedWithCode(2),
+              "bad value for --scale: 0.5x");
+  EXPECT_EXIT(args.get_real("rate", 0.0), ::testing::ExitedWithCode(2),
+              "bad value for --rate: fast");
+}
+
+TEST(SplitHostPort, AcceptsOnlyWholePortsInRange) {
+  std::string host;
+  std::uint16_t port = 0;
+  EXPECT_TRUE(split_host_port("127.0.0.1:7731", host, port));
+  EXPECT_EQ(host, "127.0.0.1");
+  EXPECT_EQ(port, 7731);
+  for (const char* bad : {"127.0.0.1:abc", "127.0.0.1:70000", "h:0", "h:-1",
+                          "h:80x", "h:", "no-colon"})
+    EXPECT_FALSE(split_host_port(bad, host, port)) << bad;
+}
+
 TEST(WriteCsv, RoundTripsTableContents) {
   TextTable t({"a", "b"});
   t.add_row({"1", "2"});

@@ -2,7 +2,7 @@
 // (src/obs/http), the live CoschedServer's /metrics and /healthz routes —
 // the acceptance criterion that GET /metrics serves valid Prometheus text
 // including cosched_cache_hits_total and cosched_rpc_request_seconds —
-// the v2 TraceDump RPC, and backward compatibility with v1 peers.
+// the TraceDump RPC, and the GetMetrics observability fields.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -306,7 +306,7 @@ TEST(HttpMetrics, EndpointCanBeDisabled) {
   server.stop();
 }
 
-// --------------------------------------------------- TraceDump RPC (v2)
+// -------------------------------------------------------- TraceDump RPC
 
 TEST(TraceDumpRpc, ReturnsServerSideSpans) {
   Tracer& tracer = Tracer::global();
@@ -340,162 +340,11 @@ TEST(TraceDumpRpc, ReturnsServerSideSpans) {
   tracer.reset();
 }
 
-// ------------------------------------------------------- v1 back-compat
+// --------------------------------------------------- GetMetrics on the wire
 
-// A v1 peer sends version=1 and must get exactly the v1 bytes back: the
-// response envelope answers in version 1 and the metrics body ends after
-// the v1 fields, leaving every extension at its zero default.
-TEST(ProtocolCompat, V1PeerGetsV1MetricsBody) {
-  CoschedServer server(observable_server_options());
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-
-  NetStatus net = NetStatus::Ok;
-  Socket raw = Socket::connect_to("127.0.0.1", server.port(),
-                                  Deadline::after(2.0), net);
-  ASSERT_EQ(net, NetStatus::Ok);
-
-  RequestEnvelope request;
-  request.version = 1;
-  request.type = MessageType::GetMetrics;
-  request.request_id = 77;
-  ASSERT_EQ(write_frame(raw, encode_request(request), Deadline::after(2.0)),
-            FrameStatus::Ok);
-  std::vector<std::uint8_t> payload;
-  ASSERT_EQ(read_frame(raw, payload, Deadline::after(5.0)), FrameStatus::Ok);
-
-  ResponseEnvelope response;
-  ASSERT_TRUE(decode_response(payload, response));
-  EXPECT_EQ(response.version, 1);  // server answers in the peer's version
-  EXPECT_EQ(response.request_id, 77u);
-  ASSERT_EQ(response.status, RpcStatus::Ok) << response.error;
-
-  WireReader r(response.body);
-  MetricsResponse metrics;
-  metrics.astar_expansions = 123;  // decoder must reset to the zero default
-  ASSERT_TRUE(decode_metrics_response(r, metrics));
-  EXPECT_EQ(r.remaining(), 0u);  // v1 body carries no extension bytes
-  EXPECT_EQ(metrics.astar_expansions, 0u);
-  EXPECT_EQ(metrics.rpc_request_count, 0u);
-  EXPECT_EQ(metrics.cache.compactions, 0u);
-
-  server.stop();
-}
-
-// A v2 peer (pre-v3: no envelope trace_id, no queue-wait/tracer metrics
-// extension) must get exactly the v2 bytes back: the envelope answers in
-// version 2 with no trace id and the metrics body ends after the v2 block.
-TEST(ProtocolCompat, V2PeerGetsV2MetricsBody) {
-  CoschedServer server(observable_server_options());
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-
-  // Traffic through the v3 client, so the v3-only series would be nonzero
-  // if the server leaked them into a v2 reply.
-  ClientOptions client_options;
-  client_options.port = server.port();
-  CoschedClient client(client_options);
-  for (const TraceJob& job : small_jobs(33, 4).jobs) {
-    SubmitJobResponse reply;
-    ASSERT_TRUE(client.submit_job(job, reply).ok());
-  }
-
-  NetStatus net = NetStatus::Ok;
-  Socket raw = Socket::connect_to("127.0.0.1", server.port(),
-                                  Deadline::after(2.0), net);
-  ASSERT_EQ(net, NetStatus::Ok);
-
-  RequestEnvelope request;
-  request.version = 2;
-  request.type = MessageType::GetMetrics;
-  request.request_id = 79;
-  ASSERT_EQ(write_frame(raw, encode_request(request), Deadline::after(2.0)),
-            FrameStatus::Ok);
-  std::vector<std::uint8_t> payload;
-  ASSERT_EQ(read_frame(raw, payload, Deadline::after(5.0)), FrameStatus::Ok);
-
-  ResponseEnvelope response;
-  ASSERT_TRUE(decode_response(payload, response));
-  EXPECT_EQ(response.version, 2);
-  EXPECT_EQ(response.request_id, 79u);
-  EXPECT_EQ(response.trace_id, 0u);  // the v3 envelope field never leaks
-  ASSERT_EQ(response.status, RpcStatus::Ok) << response.error;
-
-  WireReader r(response.body);
-  MetricsResponse metrics;
-  metrics.queue_wait_count = 123;  // decoder must reset to the zero default
-  metrics.tracer_dropped_events = 456;
-  ASSERT_TRUE(decode_metrics_response(r, metrics));
-  EXPECT_EQ(r.remaining(), 0u);  // v2 body ends after the v2 block
-  EXPECT_GT(metrics.rpc_request_count, 0u);  // v2 fields are populated...
-  EXPECT_EQ(metrics.queue_wait_count, 0u);   // ...v3 fields are absent
-  EXPECT_EQ(metrics.queue_wait_seconds_sum, 0.0);
-  EXPECT_EQ(metrics.tracer_dropped_events, 0u);
-
-  server.stop();
-}
-
-// A v3 peer (pre-v4: no tail-sampler/exemplar extension) must get exactly
-// the v3 bytes back under the v4 server: envelope in version 3 with the
-// trace id echoed, metrics body ending after the v3 block.
-TEST(ProtocolCompat, V3PeerGetsV3MetricsBody) {
-  CoschedServer server(observable_server_options());
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-
-  // Traffic through the v4 client (latency exemplars land in the registry
-  // histogram), so the v4-only fields would be nonzero if the server leaked
-  // them into a v3 reply.
-  ClientOptions client_options;
-  client_options.port = server.port();
-  CoschedClient client(client_options);
-  for (const TraceJob& job : small_jobs(35, 4).jobs) {
-    SubmitJobResponse reply;
-    ASSERT_TRUE(client.submit_job(job, reply).ok());
-  }
-
-  NetStatus net = NetStatus::Ok;
-  Socket raw = Socket::connect_to("127.0.0.1", server.port(),
-                                  Deadline::after(2.0), net);
-  ASSERT_EQ(net, NetStatus::Ok);
-
-  RequestEnvelope request;
-  request.version = 3;
-  request.type = MessageType::GetMetrics;
-  request.request_id = 80;
-  request.trace_id = 0x5151;
-  ASSERT_EQ(write_frame(raw, encode_request(request), Deadline::after(2.0)),
-            FrameStatus::Ok);
-  std::vector<std::uint8_t> payload;
-  ASSERT_EQ(read_frame(raw, payload, Deadline::after(5.0)), FrameStatus::Ok);
-
-  ResponseEnvelope response;
-  ASSERT_TRUE(decode_response(payload, response));
-  EXPECT_EQ(response.version, 3);
-  EXPECT_EQ(response.request_id, 80u);
-  EXPECT_EQ(response.trace_id, 0x5151u);  // v3 envelope keeps its trace id
-  ASSERT_EQ(response.status, RpcStatus::Ok) << response.error;
-
-  WireReader r(response.body);
-  MetricsResponse metrics;
-  metrics.tail_considered = 123;  // decoder must reset to the zero default
-  metrics.latency_exemplar_trace_id = 456;
-  ASSERT_TRUE(decode_metrics_response(r, metrics));
-  EXPECT_EQ(r.remaining(), 0u);  // v3 body ends after the v3 block
-  EXPECT_GT(metrics.rpc_request_count, 0u);  // v2/v3 fields are populated...
-  EXPECT_GT(metrics.queue_wait_count, 0u);
-  EXPECT_EQ(metrics.tail_considered, 0u);    // ...v4 fields are absent
-  EXPECT_EQ(metrics.tail_kept, 0u);
-  EXPECT_EQ(metrics.tail_dropped, 0u);
-  EXPECT_EQ(metrics.latency_exemplar_trace_id, 0u);
-  EXPECT_EQ(metrics.latency_exemplar_seconds, 0.0);
-
-  server.stop();
-}
-
-// A v4 peer sees the tail-sampler accounting and the newest request-latency
-// exemplar, whose trace id must refer to a real request.
-TEST(ProtocolCompat, V4PeerGetsTailBlockAndLatencyExemplar) {
+// GetMetrics carries the tail-sampler accounting and the newest
+// request-latency exemplar, whose trace id must refer to a real request.
+TEST(ProtocolWire, MetricsCarryTailBlockAndLatencyExemplar) {
   CoschedServer server(observable_server_options());
   std::string error;
   ASSERT_TRUE(server.start(error)) << error;
@@ -521,7 +370,7 @@ TEST(ProtocolCompat, V4PeerGetsTailBlockAndLatencyExemplar) {
 
 // A peer speaking a future version is refused with VersionMismatch, not
 // misparsed.
-TEST(ProtocolCompat, FutureVersionIsRefused) {
+TEST(ProtocolWire, FutureVersionIsRefused) {
   CoschedServer server(observable_server_options());
   std::string error;
   ASSERT_TRUE(server.start(error)) << error;

@@ -107,6 +107,41 @@ TEST(Trace, LoadRejectsMalformedInput) {
   EXPECT_THROW(load_trace(missing_fields), std::invalid_argument);
 }
 
+// Every numeric cell must be a whole number in the model's domain: junk
+// suffixes, nan/inf, an out-of-range miss rate or sensitivity and an
+// unrepresentable process count all fail with the offending line number —
+// never a partial parse or a std::out_of_range escaping.
+TEST(Trace, LoadRejectsOutOfDomainFields) {
+  const char* bad_lines[] = {
+      "0.2abc,job0,SE,1,10.0,0.4,0.7",  // junk after a number
+      "nan,job0,SE,1,10.0,0.4,0.7",     // arrival
+      "inf,job0,SE,1,10.0,0.4,0.7",
+      "0.0,job0,SE,1,inf,0.4,0.7",      // work
+      "0.0,job0,SE,1,nan,0.4,0.7",
+      "0.0,job0,SE,1,10.0,1.5,0.7",     // miss_rate
+      "0.0,job0,SE,1,10.0,nan,0.7",
+      "0.0,job0,SE,1,10.0,0.4,-1",      // sensitivity
+      "0.0,job0,SE,1,10.0,0.4,nan",
+      "0.0,job0,PE,99999999999,10.0,0.4,0.7",  // processes
+      "0.0,job0,SE,1x,10.0,0.4,0.7",
+      "0.0,job0,SE,1,1e999,0.4,0.7",    // overflows to inf
+  };
+  for (const char* line : bad_lines) {
+    std::stringstream in(std::string("# header\n0.0,ok,SE,1,1.0,0.4,0.7\n") +
+                         line + "\n");
+    try {
+      load_trace(in);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("trace line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  // CRLF line ends are not junk.
+  std::stringstream crlf("0.0,job0,SE,1,10.0,0.4,0.7\r\n");
+  EXPECT_EQ(load_trace(crlf).job_count(), 1);
+}
+
 // ------------------------------------------------------------ events
 
 TEST(EventQueue, OrdersByTimeThenPushSequence) {

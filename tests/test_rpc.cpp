@@ -17,9 +17,14 @@
 #include "rpc/client.hpp"
 #include "rpc/protocol.hpp"
 #include "rpc/server.hpp"
+#include "rpc_test_helpers.hpp"
 
 namespace cosched {
 namespace {
+
+using testhelpers::expect_old_versions_refused;
+using testhelpers::out_of_domain_jobs;
+using testhelpers::raw_exchange;
 
 // ------------------------------------------------------------ protocol
 
@@ -249,6 +254,32 @@ TEST(RpcLoopback, StatusSnapshotAndErrorsBehave) {
   RpcError draining = client.submit_job(job, refused);
   EXPECT_EQ(draining.kind, RpcErrorKind::Application);
   EXPECT_EQ(draining.app, RpcStatus::Draining);
+  server.stop();
+}
+
+// A well-formed SubmitJob whose fields leave the model's domain (miss rate
+// outside [0, 1], negative or NaN sensitivity, non-finite arrival or work)
+// is refused with InvalidJob; the server keeps serving and a drain after
+// the refusals completes the valid work.
+TEST(RpcLoopback, OutOfDomainJobFieldsGetInvalidJob) {
+  CoschedServer server(loopback_options());
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  CoschedClient client(client_for(server));
+
+  for (const TraceJob& bad : out_of_domain_jobs()) {
+    SubmitJobResponse rejected;
+    RpcError invalid = client.submit_job(bad, rejected);
+    EXPECT_EQ(invalid.kind, RpcErrorKind::Application) << bad.name;
+    EXPECT_EQ(invalid.app, RpcStatus::InvalidJob) << bad.name;
+  }
+  TraceJob good;
+  good.work = 4.0;
+  SubmitJobResponse admitted;
+  ASSERT_TRUE(client.submit_job(good, admitted).ok());
+  DrainResponse drained;
+  ASSERT_TRUE(client.drain(drained).ok());
+  EXPECT_EQ(drained.completions, 1u);
   server.stop();
 }
 
@@ -513,103 +544,75 @@ TEST(RpcFaults, ConnectionCapRefusesTheOverflow) {
   server.stop();
 }
 
-// ------------------------------------------- v5 shard-aware wire compat
+// ------------------------------------------------ one wire version
 
-/// One raw request/response exchange at an explicit protocol version —
-/// exactly the bytes a version-N peer would produce.
-ResponseEnvelope raw_exchange(std::uint16_t port, std::uint16_t version,
-                              MessageType type, std::uint64_t request_id,
-                              std::vector<std::uint8_t> body) {
-  NetStatus net = NetStatus::Ok;
-  Socket raw = Socket::connect_to("127.0.0.1", port, Deadline::after(2.0),
-                                  net);
-  EXPECT_EQ(net, NetStatus::Ok);
-  RequestEnvelope request;
-  request.version = version;
-  request.type = type;
-  request.request_id = request_id;
-  request.body = std::move(body);
-  EXPECT_EQ(write_frame(raw, encode_request(request), Deadline::after(2.0)),
-            FrameStatus::Ok);
-  std::vector<std::uint8_t> payload;
-  EXPECT_EQ(read_frame(raw, payload, Deadline::after(5.0)), FrameStatus::Ok);
-  ResponseEnvelope response;
-  EXPECT_TRUE(decode_response(payload, response));
-  return response;
-}
-
-// Every pre-v5 peer must get a SubmitJob ack that ends exactly where it
-// always did — the shard id travels on v5 wires only, even when the server
-// is deployed as a shard (shard_id set).
-TEST(ShardCompat, V1ToV4PeersGetShardFreeSubmitAcks) {
-  ServerOptions options = loopback_options();
-  options.shard_id = 3;  // a sharded deployment's backend server
-  CoschedServer server(options);
+// Any version other than kProtocolVersion is refused with VersionMismatch
+// — the oldest wire and the last one before the current alike — and the
+// session survives the refusal.
+TEST(ProtocolStrict, OldVersionsGetVersionMismatch) {
+  CoschedServer server(loopback_options());
   std::string error;
   ASSERT_TRUE(server.start(error)) << error;
+  expect_old_versions_refused(server.port());
+  server.stop();
+}
 
-  for (std::uint16_t version = 1; version <= 4; ++version) {
-    TraceJob job;
-    job.name = "compat-v" + std::to_string(version);
-    job.work = 4.0;
-    job.arrival_time = static_cast<Real>(version);
-    WireWriter body;
-    encode_trace_job(body, job);
-    ResponseEnvelope response =
-        raw_exchange(server.port(), version, MessageType::SubmitJob, version,
-                     body.take());
-    EXPECT_EQ(response.version, version);
-    ASSERT_EQ(response.status, RpcStatus::Ok) << response.error;
-
-    WireReader r(response.body);
-    SubmitJobResponse ack;
-    ack.shard_id = 99;  // decoder must reset to the -1 default
-    ASSERT_TRUE(decode_submit_response(r, ack));
-    EXPECT_EQ(r.remaining(), 0u) << "v" << version
-                                 << " ack carries trailing bytes";
-    EXPECT_EQ(ack.shard_id, -1);
-    EXPECT_GE(ack.job_id, 0);
+// Every body decoder reads the full current layout or fails: a GetMetrics
+// body cut where an older version's body used to end is rejected, not
+// decoded with the missing fields zeroed.
+TEST(ProtocolStrict, MetricsBodyCutAtAnOldBlockEndIsRejected) {
+  MetricsResponse response;
+  response.arrivals = 3;
+  response.shard_id = 2;
+  WireWriter w;
+  encode_metrics_response(w, response);
+  std::vector<std::uint8_t> bytes = w.take();
+  ASSERT_EQ(bytes.size(), 296u);  // empty CSV, no shard entries
+  {
+    WireReader r(bytes);
+    MetricsResponse got;
+    ASSERT_TRUE(decode_metrics_response(r, got));
+    EXPECT_TRUE(r.complete());
+    EXPECT_EQ(got.shard_id, 2);
   }
-  server.stop();
+  // Where the v1..v5 bodies ended: after deterministic_csv, the A*/RPC
+  // block, the queue-wait/tracer block, the tail/exemplar block and the
+  // shard/fan-in block.
+  for (std::size_t end : {92u, 164u, 196u, 252u, 292u}) {
+    std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + end);
+    WireReader r(cut);
+    MetricsResponse got;
+    EXPECT_FALSE(decode_metrics_response(r, got)) << "cut at " << end;
+  }
 }
 
-// Same pin for GetMetrics: a v4 peer's body ends after the v4 block; the
-// v5 shard/fan-in fields never leak backwards.
-TEST(ShardCompat, V4PeerGetsNoShardBlock) {
-  ServerOptions options = loopback_options();
-  options.shard_id = 2;
-  CoschedServer server(options);
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-
-  ResponseEnvelope response = raw_exchange(
-      server.port(), 4, MessageType::GetMetrics, 91, {});
-  EXPECT_EQ(response.version, 4);
-  ASSERT_EQ(response.status, RpcStatus::Ok) << response.error;
-
-  WireReader r(response.body);
-  MetricsResponse metrics;
-  metrics.shard_id = 77;  // decoder must reset every v5 default
-  metrics.command_queue_depth = 123;
-  metrics.replan_p95_seconds = 1.5;
-  metrics.router_spillovers = 9;
-  metrics.router_remapped_keys = 9;
-  metrics.shards.push_back({});
-  ASSERT_TRUE(decode_metrics_response(r, metrics));
-  EXPECT_EQ(r.remaining(), 0u);  // v4 body ends after the v4 block
-  EXPECT_EQ(metrics.shard_id, -1);
-  EXPECT_EQ(metrics.command_queue_depth, 0u);
-  EXPECT_EQ(metrics.replan_p95_seconds, 0.0);
-  EXPECT_EQ(metrics.router_spillovers, 0u);
-  EXPECT_EQ(metrics.router_remapped_keys, 0u);
-  EXPECT_TRUE(metrics.shards.empty());
-  server.stop();
+// The same for the SubmitJob ack: shard_id is part of the layout, not an
+// optional tail.
+TEST(ProtocolStrict, SubmitAckWithoutShardIdIsRejected) {
+  SubmitJobResponse ack;
+  ack.job_id = 4;
+  ack.shard_id = 1;
+  ack.status.procs.push_back({});
+  WireWriter w;
+  encode_submit_response(w, ack);
+  std::vector<std::uint8_t> bytes = w.take();
+  {
+    WireReader r(bytes);
+    SubmitJobResponse got;
+    ASSERT_TRUE(decode_submit_response(r, got));
+    EXPECT_TRUE(r.complete());
+    EXPECT_EQ(got.shard_id, 1);
+  }
+  bytes.resize(bytes.size() - 4);
+  WireReader r(bytes);
+  SubmitJobResponse got;
+  EXPECT_FALSE(decode_submit_response(r, got));
 }
 
-// A v5 peer against a shard-deployed server sees the shard identity in
-// both the SubmitJob ack and the GetMetrics shard block (fan-in list empty:
-// a single server fronts no shards).
-TEST(ShardCompat, V5PeerSeesShardIdentity) {
+// A shard-deployed server carries its shard identity in both the SubmitJob
+// ack and the GetMetrics shard block (fan-in list empty: a single server
+// fronts no shards).
+TEST(ShardWire, ShardIdentityInAckAndMetrics) {
   ServerOptions options = loopback_options();
   options.shard_id = 5;
   CoschedServer server(options);
@@ -632,9 +635,9 @@ TEST(ShardCompat, V5PeerSeesShardIdentity) {
   server.stop();
 }
 
-// Round-trip of the v5 fan-in block itself, shard entries included — the
-// encoder/decoder pair a router and a v5 client exercise.
-TEST(ShardCompat, MetricsFanInBlockRoundTrips) {
+// Round-trip of the fan-in block itself, shard entries included — the
+// encoder/decoder pair a router and its clients exercise.
+TEST(ShardWire, MetricsFanInBlockRoundTrips) {
   MetricsResponse response;
   response.virtual_now = 12.5;
   response.arrivals = 30;
@@ -662,7 +665,7 @@ TEST(ShardCompat, MetricsFanInBlockRoundTrips) {
   response.shards = {a, b};
 
   WireWriter w;
-  encode_metrics_response(w, response, 5);
+  encode_metrics_response(w, response);
   WireReader r(w.bytes());
   MetricsResponse got;
   ASSERT_TRUE(decode_metrics_response(r, got));
@@ -686,33 +689,9 @@ TEST(ShardCompat, MetricsFanInBlockRoundTrips) {
   EXPECT_FALSE(decode_metrics_response(truncated, bad));
 }
 
-// ------------------------------------------- v6 health fan-in wire compat
-
-// A v5 peer's GetMetrics body must end exactly where it always did: the v6
-// shard-health block never leaks backwards, and the decoder resets the v6
-// defaults when fed an older body.
-TEST(ShardCompat, V5PeerGetsNoHealthBlock) {
-  MetricsResponse response;
-  response.virtual_now = 5.0;
-  ShardHealthEntry health;
-  health.shard_id = 0;
-  health.up = false;
-  health.transport_errors = 4;
-  response.shard_health.push_back(health);
-
-  WireWriter w;
-  encode_metrics_response(w, response, 5);
-  WireReader r(w.bytes());
-  MetricsResponse got;
-  got.shard_health.push_back({});  // decoder must reset the v6 default
-  ASSERT_TRUE(decode_metrics_response(r, got));
-  EXPECT_EQ(r.remaining(), 0u) << "v5 body carries trailing bytes";
-  EXPECT_TRUE(got.shard_health.empty());
-}
-
-// Round-trip of the v6 health block itself — per-shard liveness and the
-// per-kind RPC failure counters a router answers to a v6 peer.
-TEST(ShardCompat, HealthBlockRoundTripsAtV6) {
+// Round-trip of the health block — per-shard liveness and the per-kind
+// RPC failure counters a router answers with.
+TEST(ShardWire, HealthBlockRoundTrips) {
   MetricsResponse response;
   response.virtual_now = 8.0;
   response.arrivals = 4;
@@ -728,7 +707,7 @@ TEST(ShardCompat, HealthBlockRoundTripsAtV6) {
   response.shard_health = {a, b};
 
   WireWriter w;
-  encode_metrics_response(w, response, 6);
+  encode_metrics_response(w, response);
   WireReader r(w.bytes());
   MetricsResponse got;
   ASSERT_TRUE(decode_metrics_response(r, got));
@@ -751,7 +730,7 @@ TEST(ShardCompat, HealthBlockRoundTripsAtV6) {
   EXPECT_FALSE(decode_metrics_response(truncated, bad));
 }
 
-// --------------------------------------- v7 decision-journal wire compat
+// ------------------------------------------------ decision-journal wire
 
 TEST(TimelineWire, JournalEventAndResponseRoundTrip) {
   JournalEvent event;
@@ -815,57 +794,6 @@ TEST(TimelineWire, JournalEventAndResponseRoundTrip) {
   // An undecodable event kind is rejected too.
   JournalEventKind kind;
   EXPECT_FALSE(journal_event_kind_from(200, kind));
-}
-
-// A v6 peer against a v7 server keeps getting byte-identical replies: the
-// GetMetrics body still ends after the v6 health block and the TraceDump
-// body still decodes cleanly with nothing trailing. New messages must ride
-// new requests, never leak into old reply shapes.
-TEST(TimelineCompat, V6RepliesArePinnedUnderV7Server) {
-  ServerOptions options = loopback_options();
-  options.shard_id = 1;
-  CoschedServer server(options);
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-
-  ResponseEnvelope metrics_reply =
-      raw_exchange(server.port(), 6, MessageType::GetMetrics, 61, {});
-  EXPECT_EQ(metrics_reply.version, 6);
-  ASSERT_EQ(metrics_reply.status, RpcStatus::Ok) << metrics_reply.error;
-  WireReader mr(metrics_reply.body);
-  MetricsResponse metrics;
-  ASSERT_TRUE(decode_metrics_response(mr, metrics));
-  EXPECT_EQ(mr.remaining(), 0u) << "v6 GetMetrics body carries trailing bytes";
-  EXPECT_EQ(metrics.shard_id, 1);
-
-  ResponseEnvelope trace_reply =
-      raw_exchange(server.port(), 6, MessageType::TraceDump, 62, {});
-  EXPECT_EQ(trace_reply.version, 6);
-  ASSERT_EQ(trace_reply.status, RpcStatus::Ok) << trace_reply.error;
-  WireReader tr(trace_reply.body);
-  TraceDumpResponse trace;
-  ASSERT_TRUE(decode_trace_dump_response(tr, trace));
-  EXPECT_EQ(tr.remaining(), 0u) << "v6 TraceDump body carries trailing bytes";
-  server.stop();
-}
-
-// QueryJobTimeline is v7-only: a pre-v7 peer asking for it gets a clean
-// BadRequest in its own version, not a dropped connection or a reply body
-// it cannot decode.
-TEST(TimelineCompat, PreV7TimelineRequestsGetBadRequest) {
-  CoschedServer server(loopback_options());
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-
-  WireWriter body;
-  body.i64(0);
-  ResponseEnvelope response = raw_exchange(
-      server.port(), 6, MessageType::QueryJobTimeline, 63, body.bytes());
-  EXPECT_EQ(response.version, 6);
-  EXPECT_EQ(response.status, RpcStatus::BadRequest);
-  EXPECT_NE(response.error.find("protocol v7"), std::string::npos)
-      << response.error;
-  server.stop();
 }
 
 // The end-to-end explainability loop: a job submitted over TCP answers a
@@ -951,7 +879,7 @@ TEST(TimelineLoopback, OverflowAnswersTruncatedMarkerNotError) {
   server.stop();
 }
 
-// ------------------------------------------- v8 alert fan-in wire compat
+// ------------------------------------------------------ alert fan-in wire
 
 TEST(AlertWire, AlertsResponseRoundTripsAndRejectsCorruption) {
   AlertsResponse reply;
@@ -1016,55 +944,15 @@ TEST(AlertWire, AlertsResponseRoundTripsAndRejectsCorruption) {
   EXPECT_FALSE(decode_alerts_response(rv, got));
 }
 
-// GetAlerts is v8-only: a pre-v8 peer asking for it gets a clean
-// BadRequest in its own version, not a dropped connection.
-TEST(AlertCompat, PreV8AlertRequestsGetBadRequest) {
+// GetAlerts takes no body: trailing bytes are a malformed request, answered
+// BadRequest rather than ignored.
+TEST(AlertWire, GetAlertsWithBodyIsBadRequest) {
   CoschedServer server(loopback_options());
   std::string error;
   ASSERT_TRUE(server.start(error)) << error;
-
-  ResponseEnvelope response =
-      raw_exchange(server.port(), 7, MessageType::GetAlerts, 81, {});
-  EXPECT_EQ(response.version, 7);
-  EXPECT_EQ(response.status, RpcStatus::BadRequest);
-  EXPECT_NE(response.error.find("protocol v8"), std::string::npos)
-      << response.error;
-
-  // A v8 GetAlerts with a non-empty body is malformed too.
-  ResponseEnvelope trailing =
-      raw_exchange(server.port(), 8, MessageType::GetAlerts, 82, {1});
+  ResponseEnvelope trailing = raw_exchange(
+      server.port(), kProtocolVersion, MessageType::GetAlerts, 82, {1});
   EXPECT_EQ(trailing.status, RpcStatus::BadRequest);
-  server.stop();
-}
-
-// A v7 peer against a v8 server keeps getting byte-identical replies: the
-// GetMetrics body still ends after its last v7 block and TraceDump decodes
-// with nothing trailing. The alert fan-in rides GetAlerts only.
-TEST(AlertCompat, V7RepliesArePinnedUnderV8Server) {
-  ServerOptions options = loopback_options();
-  options.shard_id = 4;
-  CoschedServer server(options);
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-
-  ResponseEnvelope metrics_reply =
-      raw_exchange(server.port(), 7, MessageType::GetMetrics, 71, {});
-  EXPECT_EQ(metrics_reply.version, 7);
-  ASSERT_EQ(metrics_reply.status, RpcStatus::Ok) << metrics_reply.error;
-  WireReader mr(metrics_reply.body);
-  MetricsResponse metrics;
-  ASSERT_TRUE(decode_metrics_response(mr, metrics));
-  EXPECT_EQ(mr.remaining(), 0u) << "v7 GetMetrics body carries trailing bytes";
-  EXPECT_EQ(metrics.shard_id, 4);
-
-  ResponseEnvelope trace_reply =
-      raw_exchange(server.port(), 7, MessageType::TraceDump, 72, {});
-  EXPECT_EQ(trace_reply.version, 7);
-  ASSERT_EQ(trace_reply.status, RpcStatus::Ok) << trace_reply.error;
-  WireReader tr(trace_reply.body);
-  TraceDumpResponse trace;
-  ASSERT_TRUE(decode_trace_dump_response(tr, trace));
-  EXPECT_EQ(tr.remaining(), 0u) << "v7 TraceDump body carries trailing bytes";
   server.stop();
 }
 

@@ -3,7 +3,7 @@
 // exactly equal the sum of per-shard values, per-shard CSVs byte-identical
 // to isolated replays of the routed partitions), load-aware spillover with
 // remap stickiness, global job-id resolution, the RouterServer TCP front
-// (same wire contract as CoschedServer, including v1 back-compat), the
+// (same wire contract as CoschedServer, other versions refused), the
 // combined /metrics fleet page, and the observability fan-in: trace-id
 // propagation across the router -> RemoteShard -> shard-server hops with
 // merged TraceDump output, the /healthz liveness fold, and the per-kind
@@ -27,6 +27,7 @@
 #include "rpc/server.hpp"
 #include "shard/router.hpp"
 #include "shard/router_server.hpp"
+#include "rpc_test_helpers.hpp"
 
 namespace cosched {
 namespace {
@@ -256,7 +257,7 @@ TEST(ShardRouter, SpilloverReroutesHotShardAndSticks) {
   EXPECT_EQ(fleet.router_remapped_keys, 1u);
 }
 
-// v7 explainability through the front door: the router resolves the owning
+// Explainability through the front door: the router resolves the owning
 // shard from the global id, rewrites the shard's journal events into the
 // global id domain, and prepends its own spillover attribution at time 0.
 TEST(ShardRouter, JobTimelineRewritesIdsAndMergesSpillover) {
@@ -409,7 +410,7 @@ TEST(RouterServer, ServesShardedFleetOverTcp) {
     SubmitJobResponse ack;
     RpcError rpc = client.submit_job(job, ack);
     ASSERT_TRUE(rpc.ok()) << rpc.describe();
-    ASSERT_GE(ack.shard_id, 0);  // v5 ack carries the routed shard
+    ASSERT_GE(ack.shard_id, 0);  // the ack carries the routed shard
     EXPECT_LT(ack.shard_id, 2);
     EXPECT_EQ(ack.job_id % 2, ack.shard_id);
     submitted[ack.job_id] = job.name;
@@ -512,78 +513,49 @@ TEST(RouterServer, FleetMetricsPageMergesShards) {
   server.stop();
 }
 
-// The router speaks the whole version range: a v1 peer gets exactly the v1
-// bytes (no shard block anywhere), same as against a CoschedServer.
-TEST(RouterServer, V1PeerSeesNoShardBytes) {
+// The router refuses other protocol versions exactly as a CoschedServer
+// does: VersionMismatch, session kept open.
+TEST(RouterServer, OldVersionsGetVersionMismatch) {
   ShardRouter router(ring_only_router());
   build_fleet(router, 2);
   RouterServer server(router, RouterServerOptions{});
   std::string error;
   ASSERT_TRUE(server.start(error)) << error;
-
-  NetStatus net = NetStatus::Ok;
-  Socket raw = Socket::connect_to("127.0.0.1", server.port(),
-                                  Deadline::after(2.0), net);
-  ASSERT_EQ(net, NetStatus::Ok);
-
-  // v1 SubmitJob: the ack must end after the v1..v4 fields — no shard id.
-  TraceJob job;
-  job.name = "tenantX/compat";
-  job.work = 4.0;
-  WireWriter body;
-  encode_trace_job(body, job);
-  RequestEnvelope request;
-  request.version = 1;
-  request.type = MessageType::SubmitJob;
-  request.request_id = 7;
-  request.body = body.take();
-  ASSERT_EQ(write_frame(raw, encode_request(request), Deadline::after(2.0)),
-            FrameStatus::Ok);
-  std::vector<std::uint8_t> payload;
-  ASSERT_EQ(read_frame(raw, payload, Deadline::after(5.0)), FrameStatus::Ok);
-  ResponseEnvelope response;
-  ASSERT_TRUE(decode_response(payload, response));
-  EXPECT_EQ(response.version, 1);
-  ASSERT_EQ(response.status, RpcStatus::Ok) << response.error;
-  WireReader r(response.body);
-  SubmitJobResponse ack;
-  ack.shard_id = 99;  // decoder must reset to the -1 default
-  ASSERT_TRUE(decode_submit_response(r, ack));
-  EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_EQ(ack.shard_id, -1);
-  // The job still routed somewhere real; the global id proves it.
-  EXPECT_GE(ack.job_id, 0);
-
-  // v1 GetMetrics: body ends after the v1 fields; the fan-in block (and
-  // every other extension) stays off the wire.
-  RequestEnvelope metrics_request;
-  metrics_request.version = 1;
-  metrics_request.type = MessageType::GetMetrics;
-  metrics_request.request_id = 8;
-  ASSERT_EQ(write_frame(raw, encode_request(metrics_request),
-                        Deadline::after(2.0)),
-            FrameStatus::Ok);
-  ASSERT_EQ(read_frame(raw, payload, Deadline::after(5.0)), FrameStatus::Ok);
-  ASSERT_TRUE(decode_response(payload, response));
-  EXPECT_EQ(response.version, 1);
-  ASSERT_EQ(response.status, RpcStatus::Ok) << response.error;
-  WireReader mr(response.body);
-  MetricsResponse metrics;
-  metrics.command_queue_depth = 123;  // decoder must reset defaults
-  metrics.shards.push_back({});
-  ASSERT_TRUE(decode_metrics_response(mr, metrics));
-  EXPECT_EQ(mr.remaining(), 0u);
-  EXPECT_EQ(metrics.shard_id, -1);
-  EXPECT_EQ(metrics.command_queue_depth, 0u);
-  EXPECT_TRUE(metrics.shards.empty());
-
-  std::string err;
-  DrainResponse drained;
-  ASSERT_EQ(router.drain(drained, err), RpcStatus::Ok) << err;
+  testhelpers::expect_old_versions_refused(server.port());
   server.stop();
 }
 
-// --------------------------------------- observability fan-in (v6)
+// Admission's domain check runs inside every shard: a job with a field
+// outside the model's domain is answered InvalidJob through the router,
+// and the fleet keeps serving.
+TEST(RouterServer, OutOfDomainJobFieldsGetInvalidJob) {
+  ShardRouter router(ring_only_router());
+  build_fleet(router, 2);
+  RouterServer server(router, RouterServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  ClientOptions client_options;
+  client_options.port = server.port();
+  CoschedClient client(client_options);
+
+  for (const TraceJob& bad : testhelpers::out_of_domain_jobs()) {
+    SubmitJobResponse rejected;
+    RpcError invalid = client.submit_job(bad, rejected);
+    EXPECT_EQ(invalid.kind, RpcErrorKind::Application) << bad.name;
+    EXPECT_EQ(invalid.app, RpcStatus::InvalidJob) << bad.name;
+  }
+  TraceJob good;
+  good.name = "tenantGood/job";
+  good.work = 4.0;
+  SubmitJobResponse admitted;
+  ASSERT_TRUE(client.submit_job(good, admitted).ok());
+  DrainResponse drained;
+  ASSERT_TRUE(client.drain(drained).ok());
+  EXPECT_EQ(drained.completions, 1u);
+  server.stop();
+}
+
+// --------------------------------------------- observability fan-in
 
 /// A shard CoschedServer the router can adopt with add_remote_shard:
 /// RPC-addressable (shard_id set), virtual clock, no HTTP side door.
@@ -661,7 +633,7 @@ TEST(RouterObservability, TraceIdStitchesRouterAndShardTimelines) {
   EXPECT_EQ(drained.completions,
             static_cast<std::uint64_t>(trace.job_count()));
 
-  // v6 GetMetrics carries the health block over the wire: the shard
+  // GetMetrics carries the health block over the wire: the shard
   // answered every fan-in call, so it reports up with zero failures.
   MetricsResponse fleet;
   ASSERT_TRUE(client.get_metrics(fleet).ok());
@@ -816,7 +788,7 @@ TEST(RouterObservability, HealthzAnswers503OnlyWhenTheFleetIsDown) {
   down_front.stop();
 }
 
-// v8 alert fan-in: the router's GetAlerts answers its own rules as
+// Alert fan-in: the router's GetAlerts answers its own rules as
 // shard_id -1 and stamps each remote shard's entries with that shard's
 // index; local shards share the router's engine and contribute no
 // duplicate rows. The /alerts page carries the same picture with shard

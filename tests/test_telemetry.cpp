@@ -1,6 +1,6 @@
 // Tests for the continuous-observability layer (ISSUE 4): the tracer's
 // bounded per-thread rings and head-based trace sampling, cursor-based
-// telemetry collection, the v3 envelope trace_id, the SubscribeTelemetry
+// telemetry collection, the envelope trace_id, the SubscribeTelemetry
 // wire codecs, and the end-to-end acceptance criterion — a client-supplied
 // trace id shows up on the server's replan phase spans, solver search
 // spans, the Chrome export's flow events and the streamed telemetry frames.
@@ -17,6 +17,7 @@
 #include "rpc/client.hpp"
 #include "rpc/protocol.hpp"
 #include "rpc/server.hpp"
+#include "rpc_test_helpers.hpp"
 
 namespace cosched {
 namespace {
@@ -172,11 +173,10 @@ TEST(TelemetryCollect, CursorPrefixFilterAndDropOldest) {
   EXPECT_EQ(fresh.events[0].name, "alpha.four");
 }
 
-// ------------------------------------------------------------ wire (v3)
+// ------------------------------------------------------------------ wire
 
-TEST(TelemetryWire, EnvelopeTraceIdTravelsOnlyOnV3) {
+TEST(TelemetryWire, EnvelopeTraceIdRoundTrips) {
   RequestEnvelope request;
-  request.version = 3;
   request.type = MessageType::SubmitJob;
   request.request_id = 5;
   request.trace_id = 0xABCDEF;
@@ -184,20 +184,12 @@ TEST(TelemetryWire, EnvelopeTraceIdTravelsOnlyOnV3) {
   ASSERT_TRUE(decode_request(encode_request(request), decoded));
   EXPECT_EQ(decoded.trace_id, 0xABCDEFu);
 
-  request.version = 2;
-  ASSERT_TRUE(decode_request(encode_request(request), decoded));
-  EXPECT_EQ(decoded.trace_id, 0u);  // v2 wires carry no trace id
-
   ResponseEnvelope response;
-  response.version = 3;
   response.request_id = 5;
   response.trace_id = 0x1234;
   ResponseEnvelope out;
   ASSERT_TRUE(decode_response(encode_response(response), out));
   EXPECT_EQ(out.trace_id, 0x1234u);
-  response.version = 2;
-  ASSERT_TRUE(decode_response(encode_response(response), out));
-  EXPECT_EQ(out.trace_id, 0u);
 }
 
 TEST(TelemetryWire, SubscribeCodecsRoundTrip) {
@@ -267,20 +259,18 @@ TEST(TelemetryWire, SubscribeCodecsRoundTrip) {
   }
 }
 
-// v4 appends the frame-level sampling-mode label; a v3 frame simply lacks
-// the trailing bytes and decodes to an empty label — either end may be the
-// older one.
-TEST(TelemetryWire, FrameSamplingModeTravelsOnlyOnV4) {
+// The frame-level sampling-mode label is part of every frame: it round
+// trips, and a frame without it is rejected rather than decoded with an
+// empty label.
+TEST(TelemetryWire, FrameWithoutSamplingModeIsRejected) {
   TelemetryFrame frame;
   frame.frame_seq = 9;
   frame.sampling_mode = "head:1-in-64,tail(slow-replans)";
 
-  // Default (v4) encode carries the label.
-  WireWriter v4_writer;
-  encode_telemetry_frame(v4_writer, frame);
-  std::vector<std::uint8_t> bytes = v4_writer.take();
+  WireWriter writer;
+  encode_telemetry_frame(writer, frame);
+  std::vector<std::uint8_t> bytes = writer.take();
   TelemetryFrame out;
-  out.sampling_mode = "stale";  // decoder must reset the field
   {
     WireReader r(bytes);
     ASSERT_TRUE(decode_telemetry_frame(r, out));
@@ -288,18 +278,10 @@ TEST(TelemetryWire, FrameSamplingModeTravelsOnlyOnV4) {
   }
   EXPECT_EQ(out.sampling_mode, "head:1-in-64,tail(slow-replans)");
 
-  // A v3 encode omits the field entirely; the decoder yields "".
-  WireWriter v3_writer;
-  encode_telemetry_frame(v3_writer, frame, 3);
-  std::vector<std::uint8_t> v3_bytes = v3_writer.take();
-  EXPECT_LT(v3_bytes.size(), bytes.size());
-  out.sampling_mode = "stale";
-  {
-    WireReader r(v3_bytes);
-    ASSERT_TRUE(decode_telemetry_frame(r, out));
-    EXPECT_EQ(r.remaining(), 0u);
-  }
-  EXPECT_EQ(out.sampling_mode, "");
+  // Drop the label (u32 length + bytes): the frame ends after its spans.
+  bytes.resize(bytes.size() - 4 - frame.sampling_mode.size());
+  WireReader r(bytes);
+  EXPECT_FALSE(decode_telemetry_frame(r, out));
 }
 
 // ----------------------------------------------- end-to-end correlation
@@ -365,7 +347,7 @@ TEST(TelemetryEndToEnd, ClientTraceIdReachesReplanSolverAndStream) {
     SubmitJobResponse reply;
     ASSERT_TRUE(client.submit_job(job, reply).ok());
   }
-  EXPECT_EQ(client.last_trace_id(), kTraceId);  // v3 server echoes the id
+  EXPECT_EQ(client.last_trace_id(), kTraceId);  // the server echoes the id
 
   // Server-side spans: replan phases and solver searches carry the id.
   TraceDumpResponse dump;
@@ -401,7 +383,7 @@ TEST(TelemetryEndToEnd, ClientTraceIdReachesReplanSolverAndStream) {
       if (m.name.rfind("cosched_", 0) == 0) saw_metric = true;
     for (const TelemetrySpanSample& s : frame.spans)
       if (s.trace_id == kTraceId) saw_trace_span = true;
-    // v4 frames advertise the active sampling regime alongside the data.
+    // Frames advertise the active sampling regime alongside the data.
     if (frame.sampling_mode.rfind("head:", 0) == 0) saw_mode = true;
     ASSERT_FALSE(frame.last);
   }
@@ -478,31 +460,21 @@ TEST(TelemetryStream, PrefixFilterAndMaxFramesEndTheStream) {
   reset_global_tracer();
 }
 
-TEST(TelemetryStream, SubscribeRequiresV3AndOldPeersAreRefusedCleanly) {
+// A subscription from another protocol version is refused like any other
+// request of that version: VersionMismatch, and no stream starts.
+TEST(TelemetryStream, OldVersionSubscribeGetsVersionMismatch) {
   CoschedServer server(telemetry_server_options());
   std::string error;
   ASSERT_TRUE(server.start(error)) << error;
 
-  NetStatus net = NetStatus::Ok;
-  Socket raw = Socket::connect_to("127.0.0.1", server.port(),
-                                  Deadline::after(2.0), net);
-  ASSERT_EQ(net, NetStatus::Ok);
-
-  RequestEnvelope request;
-  request.version = 2;
-  request.type = MessageType::SubscribeTelemetry;
-  request.request_id = 91;
   TelemetrySubscribeRequest body;
   WireWriter body_writer;
   encode_telemetry_subscribe_request(body_writer, body);
-  request.body = body_writer.take();
-  ASSERT_EQ(write_frame(raw, encode_request(request), Deadline::after(2.0)),
-            FrameStatus::Ok);
-  std::vector<std::uint8_t> payload;
-  ASSERT_EQ(read_frame(raw, payload, Deadline::after(5.0)), FrameStatus::Ok);
-  ResponseEnvelope response;
-  ASSERT_TRUE(decode_response(payload, response));
-  EXPECT_EQ(response.status, RpcStatus::BadRequest);
+  ResponseEnvelope response = testhelpers::raw_exchange(
+      server.port(), 7, MessageType::SubscribeTelemetry, 91,
+      body_writer.take());
+  EXPECT_EQ(response.status, RpcStatus::VersionMismatch);
+  EXPECT_EQ(server.stats().telemetry_frames, 0u);
 
   server.stop();
 }
