@@ -287,7 +287,6 @@ int main(int argc, char** argv) {
       service.scheduler.admission.every_k =
           static_cast<std::int32_t>(args.get_int("every-k", default_every_k));
       service.scheduler.cache_compaction_jobs = 16;
-      service.scheduler.log_process_finish = false;
       deployment.router->add_local_shard(service);
     }
     RouterServerOptions options;
@@ -324,7 +323,6 @@ int main(int argc, char** argv) {
     options.service.scheduler.admission.every_k =
         static_cast<std::int32_t>(args.get_int("every-k", default_every_k));
     options.service.scheduler.cache_compaction_jobs = 16;
-    options.service.scheduler.log_process_finish = false;
     deployment.single = std::make_unique<CoschedServer>(options);
     std::string error;
     if (!deployment.single->start(error)) {

@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
   // migration costs bite, little enough that the fresh solver's placement
   // quality still shows through in the comparison.
   base.replan_passes = 1;
-  base.log_process_finish = false;
 
   std::cout << "trace: " << trace.job_count() << " jobs ("
             << trace.process_count() << " processes), fleet " << machines

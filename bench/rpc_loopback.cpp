@@ -168,7 +168,6 @@ bool run_router_config(std::int64_t shard_count,
         std::max<std::int64_t>(1, kTotalMachines / shard_count));
     service.scheduler.admission.every_k = 4;
     service.scheduler.cache_compaction_jobs = 16;
-    service.scheduler.log_process_finish = false;
     router.add_local_shard(service);
   }
 
@@ -416,7 +415,6 @@ int main(int argc, char** argv) {
   server_options.service.scheduler.machines = 8;
   server_options.service.scheduler.admission.every_k = 4;
   server_options.service.scheduler.cache_compaction_jobs = 16;
-  server_options.service.scheduler.log_process_finish = false;
 
   CoschedServer server(server_options);
   std::string error;

@@ -228,7 +228,6 @@ int main(int argc, char** argv) {
   // always-keep override to matter without pinning the scheduler thread.
   server_options.service.scheduler.admission.every_k = 2;
   server_options.service.scheduler.cache_compaction_jobs = 16;
-  server_options.service.scheduler.log_process_finish = false;
 
   CoschedServer server(server_options);
   std::string error;

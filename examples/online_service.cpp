@@ -3,9 +3,9 @@
 // HA*-backed migration-aware replans on a fixed fleet, and complete at
 // contention-stretched rates.
 //
-// Prints a slice of the event log, the replan history and the service
-// metrics. Everything is a pure function of the seed: run it twice and the
-// tables are byte-identical.
+// Prints the first decision-journal events, the replan history and the
+// service metrics. Everything is a pure function of the seed: run it twice
+// and the tables are byte-identical.
 #include <iostream>
 
 #include "online/scheduler.hpp"
@@ -29,7 +29,6 @@ int main() {
   options.admission.trigger = ReplanTrigger::EveryKArrivals;
   options.admission.every_k = 4;
   options.migration_cost = 0.05;
-  options.log_process_finish = false;
 
   std::cout << "Online co-scheduling service: " << trace.job_count()
             << " jobs (" << trace.process_count() << " processes) onto "
@@ -39,13 +38,12 @@ int main() {
   OnlineScheduler service(options);
   service.run(trace);
 
-  const auto& entries = service.log().entries();
-  std::cout << "First events of the run:\n";
-  TextTable head({"time", "event", "detail"});
-  for (std::size_t i = 0; i < entries.size() && head.row_count() < 12; ++i)
-    head.add_row({TextTable::fmt(entries[i].time, 3),
-                  to_string(entries[i].kind), entries[i].detail});
-  std::cout << head.render() << "\n";
+  std::cout << "First decision-journal events of the run:\n";
+  std::vector<JournalEvent> events = service.journal().tail(
+      service.journal().size());
+  for (std::size_t i = 0; i < events.size() && i < 12; ++i)
+    std::cout << "  " << render_journal_event(events[i]) << "\n";
+  std::cout << "\n";
 
   std::cout << "Replan history (virtual-time deterministic):\n"
             << service.metrics().replans_table().render() << "\n";

@@ -26,7 +26,6 @@ int main() {
   base.machines = 5;
   base.solver = OnlineSolverKind::HAStar;
   base.admission.trigger = ReplanTrigger::EveryKArrivals;
-  base.log_process_finish = false;
 
   std::cout << "Rolling rescheduling: " << trace.job_count()
             << " jobs streamed onto " << base.machines << " machines x "

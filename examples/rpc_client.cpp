@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
 
   ClientOptions options;
   options.host = args.get_string("host", "127.0.0.1");
-  options.port = static_cast<std::uint16_t>(args.get_int("port", 7717));
+  options.port =
+      static_cast<std::uint16_t>(args.get_int("port", 7717, 0, kMaxPort));
   options.request_timeout_seconds = args.get_real("timeout", 5.0);
   options.max_attempts = static_cast<int>(args.get_int("attempts", 3));
   CoschedClient client(options);

@@ -27,11 +27,12 @@ int main(int argc, char** argv) {
 
   ServerOptions options;
   options.host = args.get_string("host", "127.0.0.1");
-  options.port = static_cast<std::uint16_t>(args.get_int("port", 7717));
+  options.port =
+      static_cast<std::uint16_t>(args.get_int("port", 7717, 0, kMaxPort));
   options.worker_threads =
-      static_cast<std::size_t>(args.get_int("workers", 2));
-  options.max_connections =
-      static_cast<std::size_t>(args.get_int("max-connections", 32));
+      static_cast<std::size_t>(args.get_int("workers", 2, 1, kMaxCount));
+  options.max_connections = static_cast<std::size_t>(
+      args.get_int("max-connections", 32, 1, kMaxCount));
   options.request_deadline_seconds = args.get_real("deadline", 10.0);
   // --shard-id N makes this server an RPC-addressable shard: the id is
   // advertised on SubmitJob acks and the GetMetrics shard block so a
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
   options.shard_id = static_cast<std::int32_t>(args.get_int("shard-id", -1));
   // Observability side door (GET /metrics, /healthz). 0 picks an ephemeral
   // port; --metrics-port -1 disables the endpoint entirely.
-  std::int64_t metrics_port = args.get_int("metrics-port", 7718);
+  std::int64_t metrics_port = args.get_int("metrics-port", 7718, -1, kMaxPort);
   options.enable_http = metrics_port >= 0;
   if (options.enable_http)
     options.http_port = static_cast<std::uint16_t>(metrics_port);
@@ -146,16 +147,15 @@ int main(int argc, char** argv) {
   options.service.wall_clock = args.get_int("virtual", 0) == 0;
   options.service.wall_time_scale = args.get_real("wall-scale", 4.0);
   options.service.scheduler.cores =
-      static_cast<std::uint32_t>(args.get_int("cores", 4));
+      static_cast<std::uint32_t>(args.get_int("cores", 4, 1, kMaxCount));
   options.service.scheduler.machines =
-      static_cast<std::int32_t>(args.get_int("machines", 6));
+      static_cast<std::int32_t>(args.get_int("machines", 6, 1, kMaxCount));
   options.service.scheduler.admission.trigger = ReplanTrigger::EveryKArrivals;
   options.service.scheduler.admission.every_k =
-      static_cast<std::int32_t>(args.get_int("every-k", 2));
+      static_cast<std::int32_t>(args.get_int("every-k", 2, 1, kMaxCount));
   options.service.scheduler.admission.max_wait = args.get_real("max-wait", 8.0);
   options.service.scheduler.cache_compaction_jobs =
       static_cast<std::uint32_t>(args.get_int("compact-jobs", 16));
-  options.service.scheduler.log_process_finish = false;
 
   CoschedServer server(options);
   std::string error;

@@ -111,12 +111,14 @@ int main(int argc, char** argv) {
   router_options.shard_timeout_seconds = args.get_real("shard-timeout", 30.0);
   ShardRouter router(router_options);
 
+  const std::int64_t cores = args.get_int("cores", 4, 1, kMaxCount);
+  const std::int64_t machines_per_shard =
+      args.get_int("machines-per-shard", 2, 1, kMaxCount);
+  const std::int64_t every_k = args.get_int("every-k", 2, 1, kMaxCount);
   if (!remotes.empty()) {
     shard_count = static_cast<std::int64_t>(remotes.size());
     std::int32_t cores_per_remote = static_cast<std::int32_t>(
-        args.get_int("remote-cores",
-                     args.get_int("machines-per-shard", 2) *
-                         args.get_int("cores", 4)));
+        args.get_int("remote-cores", machines_per_shard * cores));
     for (ClientOptions& remote : remotes)
       router.add_remote_shard(std::move(remote), cores_per_remote);
   } else {
@@ -124,25 +126,24 @@ int main(int argc, char** argv) {
       LiveServiceOptions service;
       service.wall_clock = args.get_int("virtual", 0) == 0;
       service.wall_time_scale = args.get_real("wall-scale", 4.0);
-      service.scheduler.cores =
-          static_cast<std::uint32_t>(args.get_int("cores", 4));
+      service.scheduler.cores = static_cast<std::uint32_t>(cores);
       service.scheduler.machines =
-          static_cast<std::int32_t>(args.get_int("machines-per-shard", 2));
+          static_cast<std::int32_t>(machines_per_shard);
       service.scheduler.admission.trigger = ReplanTrigger::EveryKArrivals;
-      service.scheduler.admission.every_k =
-          static_cast<std::int32_t>(args.get_int("every-k", 2));
+      service.scheduler.admission.every_k = static_cast<std::int32_t>(every_k);
       service.scheduler.cache_compaction_jobs =
           static_cast<std::uint32_t>(args.get_int("compact-jobs", 16));
-      service.scheduler.log_process_finish = false;
       router.add_local_shard(service);
     }
   }
 
   RouterServerOptions options;
   options.host = args.get_string("host", "127.0.0.1");
-  options.port = static_cast<std::uint16_t>(args.get_int("port", 7720));
-  options.worker_threads = static_cast<std::size_t>(args.get_int("workers", 2));
-  std::int64_t metrics_port = args.get_int("metrics-port", 7721);
+  options.port =
+      static_cast<std::uint16_t>(args.get_int("port", 7720, 0, kMaxPort));
+  options.worker_threads =
+      static_cast<std::size_t>(args.get_int("workers", 2, 1, kMaxCount));
+  std::int64_t metrics_port = args.get_int("metrics-port", 7721, -1, kMaxPort);
   options.enable_http = metrics_port >= 0;
   if (options.enable_http)
     options.http_port = static_cast<std::uint16_t>(metrics_port);

@@ -8,7 +8,6 @@
 #include "graph/condensation.hpp"
 #include "graph/level_stats.hpp"
 #include "obs/metrics_registry.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "util/combinatorics.hpp"
 #include "util/dynamic_bitset.hpp"
@@ -58,7 +57,6 @@ class Engine {
     COSCHED_TRACE_SPAN(search_span, "astar.search", -1.0,
                        options_.heuristic_search ? "variant=HA*"
                                                  : "variant=OA*");
-    COSCHED_PROFILE_PHASE(search_phase, "astar.search");
 
     prepare_level_stats(result.stats);
     condense_ = options_.condense && num_parallel_ > 0;
@@ -148,7 +146,6 @@ class Engine {
   void prepare_level_stats(SearchStats& out) {
     if (options_.heuristic == HeuristicKind::None) return;
     COSCHED_TRACE_SPAN(precompute_span, "astar.precompute");
-    COSCHED_PROFILE_PHASE(precompute_phase, "astar.precompute");
     WallTimer timer;
     std::uint64_t total = binomial(static_cast<std::uint64_t>(n_),
                                    static_cast<std::uint64_t>(u_));
@@ -181,7 +178,7 @@ class Engine {
   /// level at a time, keep the `beam_width_` best (by g + h) distinct
   /// states, repeat. Dismissal/condensation still apply within a depth.
   void run_beam(SearchResult& result, const WallTimer& timer) {
-    COSCHED_PROFILE_PHASE(beam_phase, "astar.beam");
+    COSCHED_TRACE_SPAN(beam_span, "astar.beam");
     std::vector<std::int32_t> frontier{0};
     const std::int32_t depth_count = n_ / u_;
     for (std::int32_t depth = 0; depth < depth_count; ++depth) {

@@ -54,6 +54,14 @@ std::int64_t ArgParser::get_int(const std::string& name,
   return get_number(name, fallback);
 }
 
+std::int64_t ArgParser::get_int(const std::string& name,
+                                std::int64_t fallback, std::int64_t lo,
+                                std::int64_t hi) const {
+  std::int64_t value = get_int(name, fallback);
+  if (value < lo || value > hi) bad_value(name, get_string(name, ""));
+  return value;
+}
+
 Real ArgParser::get_real(const std::string& name, Real fallback) const {
   return get_number(name, fallback);
 }

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,10 @@ class ArgParser {
   /// Numeric flags: a value that is not entirely a number exits the
   /// process through bad_value().
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// get_int() confined to [lo, hi]: a value outside exits through
+  /// bad_value() too, so a narrowing cast at the call site cannot wrap.
+  std::int64_t get_int(const std::string& name, std::int64_t fallback,
+                       std::int64_t lo, std::int64_t hi) const;
   Real get_real(const std::string& name, Real fallback) const;
 
  private:
@@ -31,6 +36,12 @@ class ArgParser {
 
   std::vector<std::pair<std::string, std::string>> args_;
 };
+
+/// Bounds for get_int(): a TCP port, and a count (cores, machines,
+/// workers, ...) that must fit the int32 fields it lands in.
+inline constexpr std::int64_t kMaxPort = 65535;
+inline constexpr std::int64_t kMaxCount =
+    std::numeric_limits<std::int32_t>::max();
 
 /// Reports an unusable flag value as "bad value for --<flag>: <text>" on
 /// stderr and exits with status 2.

@@ -528,8 +528,8 @@ void AlertEngine::transition_locked(RuleState& rs, AlertState next, double now,
   double threshold = rs.rule.kind == AlertRule::Kind::BurnRate
                          ? rs.rule.burn_factor
                          : rs.rule.threshold;
-  LogLevel level = next == AlertState::Firing ? LogLevel::Warn : LogLevel::Info;
-  COSCHED_LOG(level, "alerts", "alert transition",
+  COSCHED_LOG(next == AlertState::Firing ? LogLevel::Warn : LogLevel::Info,
+              "alerts", "alert transition",
               {log_kv("rule", rs.rule.name),
                log_kv("from", to_string(previous)),
                log_kv("to", to_string(next)), log_kv("value", rs.value),

@@ -30,11 +30,11 @@
 // exposition, so tests drive the full lifecycle without sleeping. The
 // background thread (start/stop) just calls tick on the wall clock.
 //
-// COSCHED_ALERTS_DISABLED compiles the watchdog out of a translation
-// unit: kAlertsDisabled flips, AlertEngine::start() refuses to spawn the
-// scrape thread and tick() no-ops, so a build with the define pays only
-// an untaken branch (gated ≤2 % in CI, like the trace/profile/log
-// switches).
+// COSCHED_OBS_DISABLED (the one observability kill switch, shared with
+// spans and logging) compiles the watchdog out of a translation unit:
+// kAlertsDisabled flips, AlertEngine::start() refuses to spawn the scrape
+// thread and tick() no-ops, so a build with the define pays only an
+// untaken branch.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +53,7 @@ namespace cosched {
 class DecisionJournal;
 class MetricsRegistry;
 
-#ifdef COSCHED_ALERTS_DISABLED
+#ifdef COSCHED_OBS_DISABLED
 inline constexpr bool kAlertsDisabled = true;
 #else
 inline constexpr bool kAlertsDisabled = false;
@@ -182,7 +182,7 @@ class AlertEngine {
 
   /// One deterministic evaluation step: ingest `exposition` at `now`,
   /// then run every rule's state machine. No-op (returns false) in a
-  /// COSCHED_ALERTS_DISABLED translation unit.
+  /// COSCHED_OBS_DISABLED translation unit.
   bool tick(const std::string& exposition, double now) {
     if (kAlertsDisabled) return false;
     return tick_impl(exposition, now);
@@ -192,7 +192,7 @@ class AlertEngine {
 
   /// Spawns the background scrape-and-evaluate thread over the global
   /// registry at options().scrape_interval_seconds. Returns false (and
-  /// stays stopped) in a COSCHED_ALERTS_DISABLED translation unit.
+  /// stays stopped) in a COSCHED_OBS_DISABLED translation unit.
   bool start() {
     if (kAlertsDisabled) return false;
     return start_impl();

@@ -18,8 +18,9 @@
 //     dropped_records() too, so the drop is observable;
 //   * level filtering is one relaxed atomic load; records below the
 //     threshold are neither counted nor stored;
-//   * compile-time kill switch: -DCOSCHED_LOG_DISABLED turns the
-//     COSCHED_LOG macro into a no-op with zero residue in that TU.
+//   * compile-time kill switch: -DCOSCHED_OBS_DISABLED turns the
+//     COSCHED_LOG macro into a no-op with zero residue in that TU (the
+//     same define compiles out spans and the alert engine).
 //
 // Sinks: by default records only live in the rings (collect() serves
 // /debug and tests). set_sink_path() additionally appends every accepted
@@ -196,8 +197,8 @@ std::string render_log_metrics();
 // ---- macro ----------------------------------------------------------------
 // COSCHED_LOG(level, component, message, {fields...}) — records iff the
 // level passes the runtime threshold; vanishes entirely in TUs compiled
-// with -DCOSCHED_LOG_DISABLED.
-#ifdef COSCHED_LOG_DISABLED
+// with -DCOSCHED_OBS_DISABLED.
+#ifdef COSCHED_OBS_DISABLED
 
 #define COSCHED_LOG(level, component, message, ...) \
   do {                                              \
@@ -212,4 +213,4 @@ std::string render_log_metrics();
                                       __VA_OPT__(, ) __VA_ARGS__);      \
   } while (0)
 
-#endif  // COSCHED_LOG_DISABLED
+#endif  // COSCHED_OBS_DISABLED

@@ -1,34 +1,31 @@
 // Continuous wall-time profiler for the replan hot path.
 //
 // Where the Tracer answers "what happened on this request", the Profiler
-// answers "where does the time go overall": scoped phase timers accumulate
-// into a per-thread tree of (phase path -> call count, total wall time),
-// merged across threads at render time. The phase names reuse the span
-// taxonomy (online.replan -> replan.fresh_solve -> astar.search -> ...), so
-// a flamegraph of the profile and a Perfetto view of a trace describe the
-// same shapes.
+// answers "where does the time go overall": every TraceSpan (obs/trace.hpp)
+// is also a profiler phase, accumulated into a per-thread tree of (phase
+// path -> call count, total wall time), merged across threads at render
+// time. The phases are the span taxonomy (online.replan ->
+// replan.fresh_solve -> astar.search -> ...), so a flamegraph of the
+// profile and a Perfetto view of a trace describe the same shapes.
 //
 // Cost model, because this runs continuously in production servers:
 //  * runtime-disabled (the default): one relaxed atomic load + branch per
-//    phase — the same budget the runtime-disabled tracer meets, gated in CI
-//    at <= 2% on bench/online_throughput;
-//  * enabled: two steady_clock reads plus two relaxed atomic adds per
-//    phase; child lookup is a pointer-compare scan over a handful of
-//    siblings. No allocation after a phase path's first visit, no locks on
-//    the hot path (structural inserts take the owning tree's mutex only so
-//    concurrent renders never observe a half-built child list).
+//    span, inside the budget of the one CI observability-overhead gate;
+//  * enabled: two steady_clock reads (shared with the trace span when both
+//    are on) plus two relaxed atomic adds per phase; child lookup is a
+//    pointer-compare scan over a handful of siblings. No allocation after
+//    a phase path's first visit, no locks on the hot path (structural
+//    inserts take the owning tree's mutex only so concurrent renders never
+//    observe a half-built child list).
 //
 // Output is collapsed-stack text ("a;b;c <self_microseconds>" per line),
 // the format flamegraph.pl and speedscope ingest directly, served by the
 // /debug/profile HTTP endpoint and the --profile-out flags. Phase names
 // must be string literals (the tree stores the pointer, like the tracer).
-//
-// Compile-time kill switch: -DCOSCHED_PROFILE_DISABLED turns every
-// COSCHED_PROFILE_PHASE in that TU into a no-op with zero residue.
+// -DCOSCHED_OBS_DISABLED compiles the span macro, and so every phase, out.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -41,7 +38,7 @@ class Profiler {
  public:
   Profiler();
 
-  /// Process-wide profiler used by the COSCHED_PROFILE_PHASE macro.
+  /// Process-wide profiler fed by every TraceSpan.
   static Profiler& global();
 
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_release); }
@@ -76,7 +73,7 @@ class Profiler {
   /// directories. False (with a stderr warning) on I/O failure.
   bool write_collapsed(const std::string& path) const;
 
-  // ---- hot-path entry points (ProfilePhase is the intended caller) -------
+  // ---- hot-path entry points (TraceSpan is the intended caller) ----------
   /// Descends into (creating on first visit) the child `name` of the
   /// calling thread's current node.
   void enter(const char* name);
@@ -108,46 +105,4 @@ class Profiler {
   std::vector<std::shared_ptr<ThreadTree>> trees_;
 };
 
-/// RAII phase scope. Latches the enabled decision at construction so
-/// enter/leave always pair even if the profiler is toggled mid-phase.
-class ProfilePhase {
- public:
-  explicit ProfilePhase(const char* name)
-      : active_(Profiler::global().enabled()) {
-    if (active_) {
-      Profiler::global().enter(name);
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~ProfilePhase() {
-    if (active_) {
-      auto elapsed = std::chrono::steady_clock::now() - start_;
-      Profiler::global().leave(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-              .count()));
-    }
-  }
-  ProfilePhase(const ProfilePhase&) = delete;
-  ProfilePhase& operator=(const ProfilePhase&) = delete;
-
- private:
-  bool active_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 }  // namespace cosched
-
-// COSCHED_PROFILE_PHASE(var, name) — RAII phase timer bound to the
-// enclosing scope. Vanishes entirely (no profiler reference) in TUs
-// compiled with -DCOSCHED_PROFILE_DISABLED.
-#ifdef COSCHED_PROFILE_DISABLED
-
-#define COSCHED_PROFILE_PHASE(var, name) \
-  do {                                   \
-  } while (0)
-
-#else
-
-#define COSCHED_PROFILE_PHASE(var, name) ::cosched::ProfilePhase var(name)
-
-#endif  // COSCHED_PROFILE_DISABLED

@@ -157,9 +157,9 @@ Tracer::ThreadBuffer& Tracer::local_buffer() {
   return *buffer;
 }
 
-void Tracer::record(ThreadBuffer& buffer, Event event) {
-  std::chrono::duration<double, std::micro> since =
-      std::chrono::steady_clock::now() - epoch_;
+void Tracer::record(ThreadBuffer& buffer, Event event,
+                    std::chrono::steady_clock::time_point at) {
+  std::chrono::duration<double, std::micro> since = at - epoch_;
   event.wall_us = since.count();
   event.trace_id = current_context_slot().trace_id;
   event.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
@@ -178,7 +178,8 @@ void Tracer::record(ThreadBuffer& buffer, Event event) {
 }
 
 void Tracer::begin_span(const char* name, Real virtual_time,
-                        std::string args) {
+                        std::string args,
+                        std::chrono::steady_clock::time_point at) {
   if (!enabled()) return;
   ThreadBuffer& buffer = local_buffer();
   Event event;
@@ -187,10 +188,10 @@ void Tracer::begin_span(const char* name, Real virtual_time,
   event.virtual_time = virtual_time;
   event.depth = buffer.depth++;
   event.args = std::move(args);
-  record(buffer, std::move(event));
+  record(buffer, std::move(event), at);
 }
 
-void Tracer::end_span() {
+void Tracer::end_span(std::chrono::steady_clock::time_point at) {
   // Intentionally no enabled() check: a span begun while enabled always
   // closes (TraceSpan latches the decision at construction).
   ThreadBuffer& buffer = local_buffer();
@@ -198,7 +199,7 @@ void Tracer::end_span() {
   Event event;
   event.phase = Phase::End;
   event.depth = --buffer.depth;
-  record(buffer, std::move(event));
+  record(buffer, std::move(event), at);
 }
 
 void Tracer::instant(const char* name, Real virtual_time, std::string args) {
@@ -210,7 +211,7 @@ void Tracer::instant(const char* name, Real virtual_time, std::string args) {
   event.virtual_time = virtual_time;
   event.depth = buffer.depth;
   event.args = std::move(args);
-  record(buffer, std::move(event));
+  record(buffer, std::move(event), std::chrono::steady_clock::now());
 }
 
 void Tracer::counter(const char* name, double value) {
@@ -221,7 +222,7 @@ void Tracer::counter(const char* name, double value) {
   event.phase = Phase::Counter;
   event.value = value;
   event.depth = buffer.depth;
-  record(buffer, std::move(event));
+  record(buffer, std::move(event), std::chrono::steady_clock::now());
 }
 
 std::vector<std::shared_ptr<Tracer::ThreadBuffer>> Tracer::buffers_snapshot()

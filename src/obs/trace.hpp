@@ -35,11 +35,19 @@
 //    deterministic event sequence (threads in registration order, events in
 //    record order), which is what the tests byte-compare.
 //
-// Compile-time kill switch: defining COSCHED_TRACE_DISABLED in a TU turns
+// TraceSpan is the one phase scope of the codebase: besides the trace
+// begin/end pair it feeds the continuous Profiler (obs/profiler.hpp), so
+// every span name is also a /debug/profile path. The two runtime switches
+// (Tracer::set_enabled, Profiler::set_enabled) are latched independently at
+// construction — spans started while a switch is off record nothing there,
+// even if it is turned on before they close — and profiling ignores head
+// sampling. One clock read opens the span and one closes it, shared by
+// both consumers.
+//
+// Compile-time kill switch: defining COSCHED_OBS_DISABLED in a TU turns
 // every COSCHED_TRACE_* macro in that TU into a no-op with zero residue
-// (no Tracer call, no guard object). Runtime switch: Tracer::set_enabled —
-// spans started while disabled record nothing, even if tracing is enabled
-// before they close.
+// (no Tracer or Profiler call, no guard object); the same define compiles
+// out COSCHED_LOG (obs/log.hpp) and the alert engine (obs/alerts.hpp).
 //
 // Span names must be string literals (or otherwise outlive the tracer):
 // events store the pointer, not a copy, to keep recording allocation-free
@@ -54,6 +62,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/profiler.hpp"
 #include "util/common.hpp"
 
 namespace cosched {
@@ -169,9 +178,14 @@ class Tracer {
   bool should_record(const char* name) const;
 
   // ---- recording (the macros below are the intended entry points) -------
+  /// `at` stamps the event; TraceSpan passes the clock read it shares with
+  /// the profiler.
   void begin_span(const char* name, Real virtual_time = -1.0,
-                  std::string args = {});
-  void end_span();
+                  std::string args = {},
+                  std::chrono::steady_clock::time_point at =
+                      std::chrono::steady_clock::now());
+  void end_span(std::chrono::steady_clock::time_point at =
+                    std::chrono::steady_clock::now());
   void instant(const char* name, Real virtual_time = -1.0,
                std::string args = {});
   void counter(const char* name, double value);
@@ -216,7 +230,8 @@ class Tracer {
   };
 
   ThreadBuffer& local_buffer();
-  void record(ThreadBuffer& buffer, Event event);
+  void record(ThreadBuffer& buffer, Event event,
+              std::chrono::steady_clock::time_point at);
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_snapshot() const;
   /// Ring contents oldest-first. Caller must hold `buffer.mutex`.
   static std::vector<Event> ordered_events(const ThreadBuffer& buffer);
@@ -281,36 +296,52 @@ class TraceContextScope {
   TraceContext previous_;
 };
 
-/// RAII span guard. Records nothing when the tracer was runtime-disabled at
-/// construction or the current trace is sampled out (and never
-/// "half-records": begin and end are paired).
+/// RAII phase scope: a trace span and a profiler phase under one name.
+/// Latches both decisions at construction — profiling on, and tracing on
+/// with the current trace head-sampled in (or `name` always-kept) — so
+/// enter/leave and begin/end always pair even if a switch is toggled
+/// mid-span.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, Real virtual_time = -1.0,
                      std::string args = {})
-      : active_(Tracer::global().enabled() &&
+      : profiled_(Profiler::global().enabled()),
+        traced_(Tracer::global().enabled() &&
                 Tracer::global().should_record(name)) {
-    if (active_)
-      Tracer::global().begin_span(name, virtual_time, std::move(args));
+    if (!profiled_ && !traced_) return;
+    if (profiled_) Profiler::global().enter(name);
+    start_ = std::chrono::steady_clock::now();
+    if (traced_)
+      Tracer::global().begin_span(name, virtual_time, std::move(args),
+                                  start_);
   }
   ~TraceSpan() {
-    if (active_) Tracer::global().end_span();
+    if (!profiled_ && !traced_) return;
+    auto now = std::chrono::steady_clock::now();
+    if (profiled_)
+      Profiler::global().leave(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(now - start_)
+              .count()));
+    if (traced_) Tracer::global().end_span(now);
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  bool active_;
+  bool profiled_;
+  bool traced_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace cosched
 
 // ---- macros ---------------------------------------------------------------
-// COSCHED_TRACE_SPAN(var, name[, virtual_time[, args]]) — RAII span bound to
-// the enclosing scope. COSCHED_TRACE_INSTANT / COSCHED_TRACE_COUNTER record
-// single events. All of them vanish entirely (no-ops, no tracer reference)
-// in TUs compiled with -DCOSCHED_TRACE_DISABLED.
-#ifdef COSCHED_TRACE_DISABLED
+// COSCHED_TRACE_SPAN(var, name[, virtual_time[, args]]) — RAII span and
+// profiler phase bound to the enclosing scope. COSCHED_TRACE_INSTANT /
+// COSCHED_TRACE_COUNTER record single events. All of them vanish entirely
+// (no-ops, no tracer or profiler reference) in TUs compiled with
+// -DCOSCHED_OBS_DISABLED.
+#ifdef COSCHED_OBS_DISABLED
 
 #define COSCHED_TRACE_SPAN(var, ...) \
   do {                               \
@@ -336,4 +367,4 @@ class TraceSpan {
       ::cosched::Tracer::global().counter((name), (value));     \
   } while (0)
 
-#endif  // COSCHED_TRACE_DISABLED
+#endif  // COSCHED_OBS_DISABLED

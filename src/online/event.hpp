@@ -1,33 +1,26 @@
-// Event primitives of the online co-scheduling service: a virtual clock, a
-// deterministic priority event queue, and a replayable event log.
+// Event primitives of the online co-scheduling service: a virtual clock and
+// a deterministic priority event queue. (What the service decided is
+// recorded by the DecisionJournal, online/journal.hpp.)
 //
 // Determinism is the design constraint: two runs over the same trace must
-// process the same events in the same order and leave byte-identical logs.
-// Ties in virtual time are therefore broken by a push-order sequence
-// number, never by container iteration order or wall-clock time.
+// process the same events in the same order and leave byte-identical
+// journals. Ties in virtual time are therefore broken by a push-order
+// sequence number, never by container iteration order or wall-clock time.
 #pragma once
 
 #include <cstdint>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "util/common.hpp"
-#include "util/table.hpp"
 
 namespace cosched {
 
 enum class EventKind : std::uint8_t {
   JobArrival,         ///< a trace job enters the pending queue
-  JobAdmission,       ///< a pending job is placed by a replan
-  JobCompletion,      ///< all processes of a job finished
-  ProcessFinish,      ///< one process finished (frees a core)
-  Replan,             ///< the scheduler re-solved the placement
   ReplanTick,         ///< periodic-policy timer fired
   AdmissionDeadline,  ///< max-wait backstop for a pending job fired
 };
-
-const char* to_string(EventKind kind);
 
 /// A scheduled occurrence in virtual time. `sequence` is assigned by the
 /// queue at push time and breaks time ties, making the processing order a
@@ -55,14 +48,20 @@ class VirtualClock {
 /// Min-queue over (time, sequence).
 class EventQueue {
  public:
-  void push(Real time, EventKind kind, std::int64_t payload = -1);
+  void push(Real time, EventKind kind, std::int64_t payload = -1) {
+    heap_.push(Event{time, kind, payload, next_sequence_++});
+  }
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
   const Event& top() const {
     COSCHED_EXPECTS(!heap_.empty());
     return heap_.top();
   }
-  Event pop();
+  Event pop() {
+    Event e = top();
+    heap_.pop();
+    return e;
+  }
 
  private:
   struct Later {
@@ -73,27 +72,6 @@ class EventQueue {
   };
   std::priority_queue<Event, std::vector<Event>, Later> heap_;
   std::uint64_t next_sequence_ = 0;
-};
-
-/// Append-only record of everything the service did, CSV-renderable so two
-/// runs can be compared byte-for-byte (the deterministic-replay tests).
-class EventLog {
- public:
-  struct Entry {
-    Real time = 0.0;
-    EventKind kind = EventKind::JobArrival;
-    std::string detail;
-  };
-
-  void record(Real time, EventKind kind, std::string detail);
-  std::size_t size() const { return entries_.size(); }
-  const std::vector<Entry>& entries() const { return entries_; }
-
-  TextTable to_table() const;  ///< columns: time, event, detail
-  std::string render_csv() const { return to_table().render_csv(); }
-
- private:
-  std::vector<Entry> entries_;
 };
 
 }  // namespace cosched

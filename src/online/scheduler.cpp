@@ -11,7 +11,6 @@
 #include "core/degradation_models.hpp"
 #include "core/snapshot.hpp"
 #include "obs/log.hpp"
-#include "obs/profiler.hpp"
 #include "obs/tail_sampler.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -188,7 +187,6 @@ void OnlineScheduler::begin() {
   // Fresh state; the degradation cache intentionally survives runs.
   clock_ = VirtualClock();
   queue_ = EventQueue();
-  log_ = EventLog();
   journal_.clear();
   metrics_ = SchedulerMetrics();
   jobs_.clear();
@@ -296,13 +294,9 @@ void OnlineScheduler::run(const WorkloadTrace& trace) {
 }
 
 void OnlineScheduler::handle_arrival(std::int64_t job_id) {
-  JobState& job = jobs_[static_cast<std::size_t>(job_id)];
   pending_.push_back(job_id);
   --remaining_arrivals_;
   metrics_.on_arrival();
-  log_.record(clock_.now(), EventKind::JobArrival,
-              job.spec.name + " procs=" +
-                  TextTable::fmt_int(job.spec.processes));
   queue_.push(clock_.now() + options_.admission.max_wait,
               EventKind::AdmissionDeadline, job_id);
   maybe_replan();
@@ -318,16 +312,11 @@ void OnlineScheduler::handle_process_finish(std::int64_t proc_gid) {
   p.machine = -1;
 
   JobState& job = jobs_[static_cast<std::size_t>(p.job)];
-  if (options_.log_process_finish)
-    log_.record(clock_.now(), EventKind::ProcessFinish,
-                job.spec.name + "/p" + TextTable::fmt_int(proc_gid));
   COSCHED_EXPECTS(job.unfinished > 0);
   if (--job.unfinished == 0) {
     job.finish_time = clock_.now();
     Real slowdown = (clock_.now() - job.admit_time) / job.spec.work;
     metrics_.on_completion(slowdown);
-    log_.record(clock_.now(), EventKind::JobCompletion,
-                job.spec.name + " slowdown=" + TextTable::fmt(slowdown));
     JournalEvent done;
     done.job_id = p.job;
     done.kind = JournalEventKind::Completion;
@@ -366,7 +355,6 @@ void OnlineScheduler::handle_tick() {
 void OnlineScheduler::handle_deadline(std::int64_t job_id) {
   const JobState& job = jobs_[static_cast<std::size_t>(job_id)];
   if (job.admit_time >= 0.0) return;  // admitted long ago
-  log_.record(clock_.now(), EventKind::AdmissionDeadline, job.spec.name);
   replan("deadline", false);
   if (jobs_[static_cast<std::size_t>(job_id)].admit_time < 0.0)
     queue_.push(clock_.now() + options_.admission.max_wait,
@@ -404,7 +392,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   COSCHED_TRACE_SPAN(replan_span, "online.replan", clock_.now(),
                      std::string("reason=") + reason +
                          " solver=" + to_string(options_.solver));
-  COSCHED_PROFILE_PHASE(replan_phase, "online.replan");
 
   // Decision journal: one fleet-level event per fired replan, then one
   // per admitted job — all stamped with the trace that triggered us.
@@ -424,7 +411,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
       pending_.begin(), pending_.begin() + admit);
   {
     COSCHED_TRACE_SPAN(admission_span, "replan.admission", clock_.now());
-    COSCHED_PROFILE_PHASE(admission_phase, "replan.admission");
     for (std::int32_t k = 0; k < admit; ++k) {
       std::int64_t job_id = pending_[static_cast<std::size_t>(k)];
       JobState& job = jobs_[static_cast<std::size_t>(job_id)];
@@ -441,8 +427,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
       }
       Real wait = clock_.now() - job.spec.arrival_time;
       metrics_.on_admission(wait);
-      log_.record(clock_.now(), EventKind::JobAdmission,
-                  job.spec.name + " wait=" + TextTable::fmt(wait));
       JournalEvent admitted;
       admitted.job_id = job_id;
       admitted.kind = JournalEventKind::Admission;
@@ -466,7 +450,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   {
     WallTimer solve_timer;
     COSCHED_TRACE_SPAN(solve_span, "replan.fresh_solve", clock_.now());
-    COSCHED_PROFILE_PHASE(solve_phase, "replan.fresh_solve");
     problem.machine = machine_by_cores(options_.cores);
     std::vector<Real> rates;
     std::vector<Real> sens;
@@ -541,7 +524,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   ReplanResult result;
   {
     COSCHED_TRACE_SPAN(alignment_span, "replan.alignment", clock_.now());
-    COSCHED_PROFILE_PHASE(alignment_phase, "replan.alignment");
     const std::size_t u = options_.cores;
     Solution incumbent;
     incumbent.machines.resize(machines_.size());
@@ -579,7 +561,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   // degradations come straight off the core snapshot accessor instead of a
   // per-machine re-query loop.
   COSCHED_TRACE_SPAN(commit_span, "replan.commit", clock_.now());
-  COSCHED_PROFILE_PHASE(commit_phase, "replan.commit");
   // Pre-commit machine of every process: the commit loop overwrites it,
   // and the delta is what the journal's migration events report.
   std::vector<std::int32_t> prev_machine(procs_.size(), -1);
@@ -716,11 +697,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
                        " admitted=" + TextTable::fmt_int(admit);
     tail.observe(std::move(replan_done));
   }
-  log_.record(clock_.now(), EventKind::Replan,
-              std::string(reason) + " solver=" + to_string(options_.solver) +
-                  " admitted=" + TextTable::fmt_int(admit) +
-                  " migrations=" + TextTable::fmt_int(result.migrations) +
-                  " combined=" + TextTable::fmt(result.combined));
 }
 
 }  // namespace cosched

@@ -28,8 +28,9 @@
 // job mix driven through the RPC front-end (src/rpc) in virtual-time mode
 // replays byte-identically to the same mix fed as a trace.
 //
-// Everything observable — the event log and SchedulerMetrics — is a pure
-// function of (submission sequence, options), byte-identical across runs.
+// Everything observable — the decision journal (the scheduler's one event
+// record) and SchedulerMetrics — is a pure function of (submission
+// sequence, options), byte-identical across runs.
 #pragma once
 
 #include <memory>
@@ -73,7 +74,6 @@ struct OnlineSchedulerOptions {
   /// job that ever ran.
   std::uint32_t cache_compaction_jobs = 0;
   std::uint64_t seed = 0xC05EDULL;  ///< Random-solver draws
-  bool log_process_finish = true;   ///< event-log verbosity
   /// Decision-journal ring capacity (admissions, placements, migrations);
   /// oldest events are evicted (and counted) past this bound.
   std::size_t journal_capacity = 65536;
@@ -154,7 +154,6 @@ class OnlineScheduler {
   const OnlineSchedulerOptions& options() const { return options_; }
   Real now() const { return clock_.now(); }
   const SchedulerMetrics& metrics() const { return metrics_; }
-  const EventLog& log() const { return log_; }
   /// Per-decision attribution ring (see journal.hpp); query with
   /// job_timeline(). The non-const overload exists for the alert engine,
   /// which appends fleet-level transition events from its own thread (the
@@ -207,7 +206,6 @@ class OnlineScheduler {
 
   VirtualClock clock_;
   EventQueue queue_;
-  EventLog log_;
   DecisionJournal journal_;
   SchedulerMetrics metrics_;
   DegradationCachePtr cache_;

@@ -232,7 +232,6 @@ void SessionCore::serve_connection(Socket socket) {
       COSCHED_TRACE_SPAN(request_span, span_name_, -1.0,
                          std::string("type=") + to_string(request.type) +
                              span_suffix_);
-      COSCHED_PROFILE_PHASE(request_phase, span_name_);
       response = request.version == kProtocolVersion
                      ? dispatch(request, trace_id)
                      : rpc_failure(RpcStatus::VersionMismatch,

@@ -61,7 +61,7 @@ struct SessionOptions {
   /// SLO watchdog: scrape metrics into the embedded tsdb and evaluate alert
   /// rules on a background tick (obs/alerts.hpp). When `alerts.rules` is
   /// empty the default_alert_rules() against `alert_budget_ms` apply.
-  /// Compiled out under COSCHED_ALERTS_DISABLED regardless of this switch.
+  /// Compiled out under COSCHED_OBS_DISABLED regardless of this switch.
   bool enable_alerts = true;
   AlertEngineOptions alerts;
   /// Latency budget (ms) behind the default burn-rate rules; slo.json's

@@ -24,7 +24,6 @@ class LoadRunnerTest : public ::testing::Test {
     options.service.scheduler.cores = 4;
     options.service.scheduler.machines = 4;
     options.service.scheduler.admission.every_k = 4;
-    options.service.scheduler.log_process_finish = false;
     server_ = std::make_unique<CoschedServer>(options);
     std::string error;
     ASSERT_TRUE(server_->start(error)) << error;

@@ -647,7 +647,6 @@ TEST(ObsEndToEnd, ReplanTraceShowsPhaseHierarchyAndAstarCounters) {
   options.machines = 3;
   options.admission.every_k = 2;
   options.solver = OnlineSolverKind::HAStar;
-  options.log_process_finish = false;
   OnlineScheduler service(options);
   service.run(generate_trace(spec));
 

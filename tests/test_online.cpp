@@ -147,8 +147,8 @@ TEST(Trace, LoadRejectsOutOfDomainFields) {
 TEST(EventQueue, OrdersByTimeThenPushSequence) {
   EventQueue q;
   q.push(1.0, EventKind::JobArrival, 10);
-  q.push(0.5, EventKind::Replan, 20);
-  q.push(1.0, EventKind::JobCompletion, 30);  // same time as the first push
+  q.push(0.5, EventKind::ReplanTick, 20);
+  q.push(1.0, EventKind::AdmissionDeadline, 30);  // same time as the first
   EXPECT_EQ(q.size(), 3u);
   Event e1 = q.pop();
   EXPECT_EQ(e1.payload, 20);
@@ -362,7 +362,6 @@ OnlineSchedulerOptions small_service_options() {
   options.cores = 2;
   options.machines = 3;
   options.admission.every_k = 2;
-  options.log_process_finish = true;
   return options;
 }
 
@@ -376,6 +375,16 @@ WorkloadTrace small_trace(std::uint64_t seed, std::int32_t jobs = 16) {
   spec.max_parallel_processes = 2;
   spec.seed = seed;
   return generate_trace(spec);
+}
+
+/// Every retained decision-journal event, one rendered line each: the
+/// scheduler's event record as a byte-comparable string.
+std::string rendered_journal(const OnlineScheduler& service) {
+  std::string out;
+  for (const JournalEvent& event :
+       service.journal().tail(service.journal().size()))
+    out += render_journal_event(event) + "\n";
+  return out;
 }
 
 TEST(OnlineService, CompletesEveryJob) {
@@ -393,7 +402,7 @@ TEST(OnlineService, CompletesEveryJob) {
 }
 
 // The deterministic-replay acceptance test: two runs over the same trace
-// leave byte-identical event logs and metric CSVs.
+// leave byte-identical decision journals and metric CSVs.
 TEST(OnlineService, ReplayIsByteIdentical) {
   WorkloadTrace trace = small_trace(2);
   for (OnlineSolverKind solver :
@@ -405,7 +414,8 @@ TEST(OnlineService, ReplayIsByteIdentical) {
     first.run(trace);
     OnlineScheduler second(options);
     second.run(trace);
-    EXPECT_EQ(first.log().render_csv(), second.log().render_csv())
+    EXPECT_FALSE(rendered_journal(first).empty()) << to_string(solver);
+    EXPECT_EQ(rendered_journal(first), rendered_journal(second))
         << to_string(solver);
     EXPECT_EQ(first.metrics().render_deterministic_csv(),
               second.metrics().render_deterministic_csv())
@@ -495,7 +505,8 @@ TEST(OnlineService, IncrementalInterfaceMatchesRunByteForByte) {
   }
   incremental.finish();
 
-  EXPECT_EQ(batch.log().render_csv(), incremental.log().render_csv());
+  EXPECT_FALSE(rendered_journal(batch).empty());
+  EXPECT_EQ(rendered_journal(batch), rendered_journal(incremental));
   EXPECT_EQ(batch.metrics().render_deterministic_csv(),
             incremental.metrics().render_deterministic_csv());
 }

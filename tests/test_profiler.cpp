@@ -1,7 +1,8 @@
 // Tests for the continuous profiler (src/obs/profiler): deterministic
 // accumulation of the merged cross-thread wall-time tree, collapsed-stack
-// rendering for flamegraph tooling, the runtime switch, reset semantics,
-// and the acceptance pin — replaying a workload under the global profiler
+// rendering for flamegraph tooling, the span scope that feeds it under
+// independent profiler/tracer switches, reset semantics, and the
+// acceptance pin — replaying a workload under the global profiler
 // shows replan.fresh_solve owning the majority of online.replan wall time
 // (the HA* solve is the hot phase; /debug/profile must show that shape).
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "online/scheduler.hpp"
 #include "online/trace.hpp"
 
@@ -94,21 +96,96 @@ TEST(Profiler, ResetZeroesCountsButKeepsTheTreeUsable) {
   EXPECT_EQ(profiler.render_collapsed(), "phase 3\n");
 }
 
-TEST(Profiler, RuntimeSwitchGatesTheMacroLayer) {
-  Profiler& profiler = Profiler::global();
-  profiler.set_enabled(false);
-  profiler.reset();
-  { COSCHED_PROFILE_PHASE(off_phase, "never.recorded"); }
-  EXPECT_EQ(profiler.render_collapsed().find("never.recorded"),
-            std::string::npos);
+// The span scope feeds both consumers under independent runtime switches.
+// Each case starts from idle global singletons and leaves them idle.
+class ProfiledSpan : public ::testing::Test {
+ protected:
+  void SetUp() override { idle(); }
+  void TearDown() override { idle(); }
+  static void idle() {
+    Tracer& tracer = Tracer::global();
+    tracer.set_enabled(false);
+    tracer.set_sample_every(1);
+    tracer.set_always_keep({});
+    tracer.reset();
+    Profiler::global().set_enabled(false);
+    Profiler::global().reset();
+  }
+};
 
-  profiler.set_enabled(true);
-  { COSCHED_PROFILE_PHASE(on_phase, "test.phase"); }
-  profiler.set_enabled(false);
-  std::map<std::string, Profiler::NodeView> nodes = by_path(profiler);
+// (a) profiler on, tracer off: the phase counts, no trace event appears.
+TEST_F(ProfiledSpan, ProfilesWithTracerOff) {
+  Profiler::global().set_enabled(true);
+  { COSCHED_TRACE_SPAN(span, "test.phase"); }
+  std::map<std::string, Profiler::NodeView> nodes = by_path(Profiler::global());
   ASSERT_EQ(nodes.count("test.phase"), 1u);
   EXPECT_EQ(nodes["test.phase"].count, 1u);
-  profiler.reset();
+  EXPECT_EQ(Tracer::global().event_count(), 0u);
+}
+
+// (b) tracer on but the trace head-sampled out: profiling ignores head
+// sampling, so the phase still counts while the trace records nothing.
+TEST_F(ProfiledSpan, ProfilesSampledOutTraces) {
+  Tracer& tracer = Tracer::global();
+  tracer.set_enabled(true);
+  tracer.set_sample_every(1000000);  // effectively: drop every trace
+  std::uint64_t dropped_id = 0;
+  for (std::uint64_t id = 1; id <= 64 && dropped_id == 0; ++id)
+    if (!tracer.make_context(id).sampled) dropped_id = id;
+  ASSERT_NE(dropped_id, 0u) << "no sampled-out id found in 64 tries";
+  Profiler::global().set_enabled(true);
+  {
+    TraceContextScope scope(tracer.make_context(dropped_id));
+    COSCHED_TRACE_SPAN(span, "test.phase");
+  }
+  std::map<std::string, Profiler::NodeView> nodes = by_path(Profiler::global());
+  ASSERT_EQ(nodes.count("test.phase"), 1u);
+  EXPECT_EQ(nodes["test.phase"].count, 1u);
+  EXPECT_EQ(tracer.event_count(), 0u);
+}
+
+// (c) tracer on, profiler off: begin + end are recorded, the profile stays
+// empty.
+TEST_F(ProfiledSpan, TracesWithProfilerOff) {
+  Tracer::global().set_enabled(true);
+  { COSCHED_TRACE_SPAN(span, "test.phase"); }
+  EXPECT_EQ(Tracer::global().event_count(), 2u);
+  EXPECT_NE(Tracer::global().dump_text().find("\nspan test.phase\n"),
+            std::string::npos);
+  EXPECT_EQ(Profiler::global().render_collapsed(), "");
+}
+
+// (d) both decisions are latched at construction: toggling either switch
+// mid-span neither drops a close nor adds an unopened one, so a following
+// span lands at the top level of both the profile and the trace.
+TEST_F(ProfiledSpan, MidSpanTogglesKeepBothSidesPaired) {
+  Tracer& tracer = Tracer::global();
+  Profiler& profiler = Profiler::global();
+  {
+    COSCHED_TRACE_SPAN(opened_off, "opened.off");
+    tracer.set_enabled(true);
+    profiler.set_enabled(true);
+  }
+  {
+    COSCHED_TRACE_SPAN(opened_on, "opened.on");
+    tracer.set_enabled(false);
+    profiler.set_enabled(false);
+  }
+  tracer.set_enabled(true);
+  profiler.set_enabled(true);
+  { COSCHED_TRACE_SPAN(after, "after"); }
+
+  EXPECT_EQ(profiler.render_collapsed().find("opened.off"), std::string::npos);
+  std::map<std::string, Profiler::NodeView> nodes = by_path(profiler);
+  ASSERT_EQ(nodes.count("opened.on"), 1u) << profiler.render_text();
+  EXPECT_EQ(nodes["opened.on"].count, 1u);
+  ASSERT_EQ(nodes.count("after"), 1u) << profiler.render_text();
+  EXPECT_EQ(nodes["after"].depth, 0);
+  EXPECT_EQ(tracer.event_count(), 4u);
+  // Both spans at depth 0: "after" is not indented under "opened.on".
+  EXPECT_NE(tracer.dump_text().find("\nspan opened.on\nspan after\n"),
+            std::string::npos)
+      << tracer.dump_text();
 }
 
 // The acceptance pin behind /debug/profile: on a replayed workload the
@@ -137,7 +214,6 @@ TEST(Profiler, FreshSolveOwnsTheMajorityOfReplanTime) {
   options.machines = 4;
   options.admission.every_k = 2;
   options.solver = OnlineSolverKind::HAStar;
-  options.log_process_finish = false;
   OnlineScheduler service(options);
   service.run(generate_trace(spec));
   profiler.set_enabled(false);

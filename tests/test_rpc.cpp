@@ -143,7 +143,6 @@ OnlineSchedulerOptions small_fleet() {
   options.cores = 2;
   options.machines = 3;
   options.admission.every_k = 2;
-  options.log_process_finish = true;
   return options;
 }
 

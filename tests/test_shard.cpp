@@ -37,7 +37,6 @@ OnlineSchedulerOptions shard_fleet() {
   options.cores = 2;
   options.machines = 2;
   options.admission.every_k = 2;
-  options.log_process_finish = true;
   return options;
 }
 

@@ -295,7 +295,6 @@ ServerOptions telemetry_server_options() {
   options.service.scheduler.cores = 2;
   options.service.scheduler.machines = 3;
   options.service.scheduler.admission.every_k = 2;
-  options.service.scheduler.log_process_finish = false;
   return options;
 }
 
