@@ -286,7 +286,6 @@ int main(int argc, char** argv) {
           std::max<std::int64_t>(1, machines / shards));
       service.scheduler.admission.every_k =
           static_cast<std::int32_t>(args.get_int("every-k", default_every_k));
-      service.scheduler.cache_compaction_jobs = 16;
       deployment.router->add_local_shard(service);
     }
     RouterServerOptions options;
@@ -322,7 +321,6 @@ int main(int argc, char** argv) {
         static_cast<std::int32_t>(machines);
     options.service.scheduler.admission.every_k =
         static_cast<std::int32_t>(args.get_int("every-k", default_every_k));
-    options.service.scheduler.cache_compaction_jobs = 16;
     deployment.single = std::make_unique<CoschedServer>(options);
     std::string error;
     if (!deployment.single->start(error)) {

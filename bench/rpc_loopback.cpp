@@ -167,7 +167,6 @@ bool run_router_config(std::int64_t shard_count,
     service.scheduler.machines = static_cast<std::int32_t>(
         std::max<std::int64_t>(1, kTotalMachines / shard_count));
     service.scheduler.admission.every_k = 4;
-    service.scheduler.cache_compaction_jobs = 16;
     router.add_local_shard(service);
   }
 
@@ -376,7 +375,7 @@ int main(int argc, char** argv) {
   std::int64_t jobs_per_client = args.get_int("jobs", 100) * scale;
   std::int64_t client_count = args.get_int("clients", 2);
   // Per-client warm-up: the first N requests of every client thread warm
-  // the connection, the oracle cache and the scheduler before measurement
+  // the connection and the scheduler before measurement
   // starts. They run, they are counted, they never reach the histograms.
   std::int64_t warmup = args.get_int("warmup", 5);
   if (warmup < 0 || warmup >= jobs_per_client) {
@@ -414,7 +413,6 @@ int main(int argc, char** argv) {
   server_options.service.scheduler.cores = 4;
   server_options.service.scheduler.machines = 8;
   server_options.service.scheduler.admission.every_k = 4;
-  server_options.service.scheduler.cache_compaction_jobs = 16;
 
   CoschedServer server(server_options);
   std::string error;

@@ -227,7 +227,6 @@ int main(int argc, char** argv) {
   // Replan every other admission: enough commit-span traffic for the
   // always-keep override to matter without pinning the scheduler thread.
   server_options.service.scheduler.admission.every_k = 2;
-  server_options.service.scheduler.cache_compaction_jobs = 16;
 
   CoschedServer server(server_options);
   std::string error;

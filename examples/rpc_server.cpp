@@ -154,8 +154,6 @@ int main(int argc, char** argv) {
   options.service.scheduler.admission.every_k =
       static_cast<std::int32_t>(args.get_int("every-k", 2, 1, kMaxCount));
   options.service.scheduler.admission.max_wait = args.get_real("max-wait", 8.0);
-  options.service.scheduler.cache_compaction_jobs =
-      static_cast<std::uint32_t>(args.get_int("compact-jobs", 16));
 
   CoschedServer server(options);
   std::string error;

@@ -131,8 +131,6 @@ int main(int argc, char** argv) {
           static_cast<std::int32_t>(machines_per_shard);
       service.scheduler.admission.trigger = ReplanTrigger::EveryKArrivals;
       service.scheduler.admission.every_k = static_cast<std::int32_t>(every_k);
-      service.scheduler.cache_compaction_jobs =
-          static_cast<std::uint32_t>(args.get_int("compact-jobs", 16));
       router.add_local_shard(service);
     }
   }

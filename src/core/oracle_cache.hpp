@@ -1,136 +1,41 @@
-// Thread-safe, shareable memoization of degradation queries.
+// Read side of the retired degradation-oracle cache.
 //
-// The offline solvers build one Problem, query its model single-threaded,
-// and throw everything away. The online service (src/online) rebuilds a
-// Problem at every replan — same live processes, new local numbering — and
-// may evaluate candidate placements from several threads. DegradationCache
-// is the piece that makes this cheap and safe:
+// Replans used to memoize every degradation query in a striped, shared map
+// keyed by stable process ids. The only model the online scheduler builds
+// is the closed-form SyntheticDegradationModel, whose degradation() costs a
+// few nanoseconds — far less than a locked map probe — so replans now
+// evaluate it directly and nothing produces cache entries any more.
 //
-//  * the cache is keyed by caller-supplied *stable* ids (the online
-//    service's global process ids), so entries survive Problem rebuilds and
-//    local renumbering;
-//  * the table is striped into mutex-guarded shards, so concurrent replan
-//    evaluation scales instead of serializing on one lock;
-//  * CachingDegradationModel is a drop-in DegradationModel decorator: wrap
-//    any base model, hand several wrappers the same DegradationCache;
-//  * stable ids are only ever retired, never reused, across a service
-//    lifetime — so evict_dead() can drop every entry that mentions a
-//    finished process id and keep a long-lived server's cache bounded by
-//    the live set instead of by everything that ever ran.
+// What remains is the counter block: DegradationCache::Stats travels in the
+// GetMetrics reply (its wire layout is unchanged), the router sums it over
+// shards, /metrics exposes it as the cosched_cache_* families, and the
+// benchmark reads OnlineScheduler::oracle_cache().stats(). Every counter
+// reads zero. The block stays only for the wire and the benchmark; retiring
+// it is a change to the benchmark, not to the scheduler.
 #pragma once
 
-#include <atomic>
-#include <memory>
-#include <mutex>
-#include <span>
-#include <string>
-#include <unordered_map>
-#include <vector>
+#include <cstdint>
 
-#include "core/degradation_model.hpp"
+#include "util/common.hpp"
 
 namespace cosched {
 
-/// Striped concurrent map from (stable id, stable co-runner set) to a
-/// degradation value. Safe for concurrent lookup/insert from any number of
-/// threads.
+/// Counter view of the (retired) degradation-oracle cache. Always zero.
 class DegradationCache {
  public:
-  /// `shard_count` is rounded up to a power of two (at least 1).
-  explicit DegradationCache(std::size_t shard_count = 16);
-
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t entries = 0;
-    std::uint64_t evictions = 0;    ///< entries dropped by evict_dead()
-    std::uint64_t compactions = 0;  ///< evict_dead() passes run
+    std::uint64_t evictions = 0;
+    std::uint64_t compactions = 0;
     Real hit_rate() const {
       std::uint64_t total = hits + misses;
       return total == 0 ? 0.0 : static_cast<Real>(hits) /
                                     static_cast<Real>(total);
     }
   };
-  Stats stats() const;
-  std::size_t shard_count() const { return shards_.size(); }
-
-  /// Returns true and fills `out` on a hit. Counts a hit/miss either way.
-  bool lookup(const std::string& key, Real& out) const;
-  /// Inserts (idempotent: the first value stored for a key wins).
-  void insert(const std::string& key, Real value);
-  void clear();
-
-  /// Epoch compaction: erases every entry whose key mentions a stable id
-  /// NOT in `live_ids` (subject or co-runner). Callers hand in the ids of
-  /// the processes still running; everything about finished processes —
-  /// including live-process entries keyed against finished co-runners — is
-  /// dead weight, because retired stable ids never come back. Safe against
-  /// concurrent lookup/insert. Returns the number of entries evicted.
-  std::size_t evict_dead(std::span<const ProcessId> live_ids);
-
-  /// Packs (stable id, stable co ids) into a map key. `co_stable` need not
-  /// be sorted; negative ids (inert padding) are dropped — the
-  /// DegradationModel contract says they contribute nothing.
-  static std::string make_key(ProcessId stable_i,
-                              std::vector<ProcessId> co_stable);
-
- private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::string, Real> map;
-  };
-  Shard& shard_for(const std::string& key);
-  const Shard& shard_for(const std::string& key) const;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::uint64_t> compactions_{0};
-};
-
-using DegradationCachePtr = std::shared_ptr<DegradationCache>;
-
-/// Whether a base model's degradation() may be invoked from several threads
-/// at once. Closed-form models (Synthetic, Tabular after construction) are
-/// safe; SdcDegradationModel memoizes internally without locks and is not.
-enum class BaseModelConcurrency {
-  Serialized,      ///< miss computations are serialized behind one mutex
-  ConcurrentSafe,  ///< base model may be called concurrently
-};
-
-/// Decorator memoizing degradation() into a shared DegradationCache.
-///
-/// `stable_ids` maps the wrapped model's local process ids to the stable
-/// ids used for cache keys (empty = identity: local ids are already
-/// stable). A negative stable id marks an inert process (padding): its own
-/// degradation bypasses the cache and it is dropped from co-runner keys.
-class CachingDegradationModel final : public DegradationModel {
- public:
-  CachingDegradationModel(
-      DegradationModelPtr base, DegradationCachePtr cache,
-      std::vector<ProcessId> stable_ids = {},
-      BaseModelConcurrency concurrency = BaseModelConcurrency::Serialized);
-
-  Real degradation(ProcessId i, std::span<const ProcessId> co) const override;
-  Real solo_time(ProcessId i) const override { return base_->solo_time(i); }
-  Real pressure(ProcessId i) const override { return base_->pressure(i); }
-
-  const DegradationCache& cache() const { return *cache_; }
-
- private:
-  ProcessId stable_of(ProcessId local) const {
-    if (stable_ids_.empty()) return local;
-    COSCHED_EXPECTS(local >= 0 &&
-                    static_cast<std::size_t>(local) < stable_ids_.size());
-    return stable_ids_[static_cast<std::size_t>(local)];
-  }
-
-  DegradationModelPtr base_;
-  DegradationCachePtr cache_;
-  std::vector<ProcessId> stable_ids_;
-  BaseModelConcurrency concurrency_;
-  mutable std::mutex base_mutex_;  ///< guards base_ in Serialized mode
+  Stats stats() const { return {}; }
 };
 
 }  // namespace cosched

@@ -33,25 +33,59 @@ std::vector<NodeCandidate> k_best_exact(const NodeEvaluator& eval,
                                         ProcessId lead,
                                         const std::vector<ProcessId>& pool,
                                         std::int32_t u, std::int32_t k) {
-  std::vector<NodeCandidate> all;
+  // Bounded max-heap of the k cheapest nodes seen so far, ordered by
+  // (weight, node lexicographically) — the total order a full sort would
+  // use, so the winners and their order are the same. Heap entries point
+  // into a slab of k node slots: a node that loses costs one evaluation
+  // and no allocation.
+  const std::size_t width = static_cast<std::size_t>(u);
+  struct Entry {
+    Real weight;
+    std::size_t slot;
+  };
+  std::vector<Entry> heap;
+  std::vector<ProcessId> slab;
+  auto node_at = [&](std::size_t slot) {
+    return std::span<const ProcessId>(slab.data() + slot * width, width);
+  };
+  auto before = [](Real wa, std::span<const ProcessId> a, Real wb,
+                   std::span<const ProcessId> b) {
+    if (wa != wb) return wa < wb;
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());  // deterministic tie-break
+  };
+  auto heap_less = [&](const Entry& a, const Entry& b) {
+    return before(a.weight, node_at(a.slot), b.weight, node_at(b.slot));
+  };
   std::vector<Real> d_scratch;
+  const auto cap = static_cast<std::size_t>(k);
   for_each_valid_node(lead, pool, u, [&](std::span<const ProcessId> node) {
-    NodeCandidate c;
-    c.node.assign(node.begin(), node.end());
-    c.weight = eval.weight(node, d_scratch);
-    c.member_d = d_scratch;
-    all.push_back(std::move(c));
+    Real w = eval.weight(node, d_scratch);
+    if (heap.size() < cap) {
+      heap.push_back({w, heap.size()});
+      slab.insert(slab.end(), node.begin(), node.end());
+      std::push_heap(heap.begin(), heap.end(), heap_less);
+    } else if (before(w, node, heap.front().weight,
+                      node_at(heap.front().slot))) {
+      std::pop_heap(heap.begin(), heap.end(), heap_less);
+      Entry& worst = heap.back();
+      worst.weight = w;
+      std::copy(node.begin(), node.end(),
+                slab.begin() + static_cast<std::ptrdiff_t>(worst.slot * width));
+      std::push_heap(heap.begin(), heap.end(), heap_less);
+    }
     return true;
   });
-  std::int32_t take =
-      std::min<std::int32_t>(k, static_cast<std::int32_t>(all.size()));
-  std::partial_sort(all.begin(), all.begin() + take, all.end(),
-                    [](const NodeCandidate& a, const NodeCandidate& b) {
-                      if (a.weight != b.weight) return a.weight < b.weight;
-                      return a.node < b.node;  // deterministic tie-break
-                    });
-  all.resize(static_cast<std::size_t>(take));
-  return all;
+  std::sort_heap(heap.begin(), heap.end(), heap_less);
+  // Per-member degradations only for the winners: the model is a pure
+  // function, so re-evaluating reproduces the enumerated values bit for bit.
+  std::vector<NodeCandidate> best(heap.size());
+  for (std::size_t i = 0; i < heap.size(); ++i) {
+    std::span<const ProcessId> node = node_at(heap[i].slot);
+    best[i].node.assign(node.begin(), node.end());
+    best[i].weight = eval.weight(node, best[i].member_d);
+  }
+  return best;
 }
 
 /// Best-first generation of (u-1)-subsets of `sorted_pool` (sorted by

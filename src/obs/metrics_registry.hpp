@@ -8,8 +8,8 @@
 // Registration is idempotent: counter("x", ...) returns the same Counter
 // forever; re-registering a name as a different kind is a contract
 // violation. Callback metrics sample a closure at render time — the bridge
-// for values owned elsewhere (the oracle cache's atomics, a server's queue
-// depth) that would be wasteful to mirror write-by-write.
+// for values owned elsewhere (a server's queue depth, its open
+// connections) that would be wasteful to mirror write-by-write.
 //
 // MetricsRegistry::global() serves the process-wide registry used by the
 // solver instrumentation and the RPC server; tests needing isolation

@@ -153,10 +153,9 @@ class LiveSchedulerService {
   /// blocks on the scheduler thread (see LoadProbe).
   LoadProbe load() const;
 
-  /// Shared degradation cache. The pointer is fixed for the scheduler's
-  /// lifetime and stats() reads atomics behind shard locks, so this is safe
-  /// from any thread — it is the bridge the /metrics callback samples
-  /// without a round-trip through the command queue.
+  /// Retired oracle-cache counters (always zero; see oracle_cache.hpp),
+  /// kept for the GetMetrics cache block and the cosched_cache_* /metrics
+  /// families. Safe from any thread.
   const DegradationCache& oracle_cache() const {
     return scheduler_.oracle_cache();
   }

@@ -56,8 +56,7 @@ struct OnlineScheduler::ProcState {
 OnlineScheduler::OnlineScheduler(OnlineSchedulerOptions options)
     : options_(options),
       policy_(options.admission),
-      rng_(options.seed),
-      cache_(std::make_shared<DegradationCache>()) {
+      rng_(options.seed) {
   COSCHED_EXPECTS(options_.machines >= 1);
   COSCHED_EXPECTS(options_.migration_cost >= 0.0);
   machine_by_cores(options_.cores);  // validates the core count
@@ -184,7 +183,6 @@ void OnlineScheduler::refresh_degradations() {
 }
 
 void OnlineScheduler::begin() {
-  // Fresh state; the degradation cache intentionally survives runs.
   clock_ = VirtualClock();
   queue_ = EventQueue();
   journal_.clear();
@@ -198,7 +196,6 @@ void OnlineScheduler::begin() {
   remaining_arrivals_ = 0;
   last_replan_time_ = -kInfinity;
   tick_armed_ = false;
-  finished_since_compaction_ = 0;
 }
 
 std::int64_t OnlineScheduler::submit(const TraceJob& spec) {
@@ -324,23 +321,9 @@ void OnlineScheduler::handle_process_finish(std::int64_t proc_gid) {
     done.trace_id = Tracer::current_context().trace_id;
     done.detail = "slowdown=" + TextTable::fmt(slowdown);
     journal_.append(std::move(done));
-    ++finished_since_compaction_;
-    maybe_compact_cache();
   }
   refresh_degradations();
   maybe_replan();
-}
-
-void OnlineScheduler::maybe_compact_cache() {
-  if (options_.cache_compaction_jobs == 0 ||
-      finished_since_compaction_ < options_.cache_compaction_jobs)
-    return;
-  finished_since_compaction_ = 0;
-  std::vector<ProcessId> live;
-  for (const auto& machine : machines_)
-    for (std::int64_t gid : machine)
-      live.push_back(static_cast<ProcessId>(gid));
-  cache_->evict_dead(live);
 }
 
 void OnlineScheduler::handle_tick() {
@@ -483,18 +466,11 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     Real capacity = options_.synthetic_capacity > 0.0
                         ? options_.synthetic_capacity
                         : 0.45 * static_cast<Real>(options_.cores - 1);
-    auto base = std::make_shared<SyntheticDegradationModel>(
+    auto model = std::make_shared<SyntheticDegradationModel>(
         std::move(rates), std::move(sens), capacity,
         SyntheticLandscape::Threshold);
-    std::vector<ProcessId> stable_ids;
-    stable_ids.reserve(local_to_gid_.size());
-    for (std::int64_t gid : local_to_gid_)
-      stable_ids.push_back(static_cast<ProcessId>(gid));
-    auto cached = std::make_shared<CachingDegradationModel>(
-        base, cache_, std::move(stable_ids),
-        BaseModelConcurrency::ConcurrentSafe);
-    problem.contention_model = cached;
-    problem.full_model = cached;
+    problem.contention_model = model;
+    problem.full_model = model;
     problem.check();
 
     switch (options_.solver) {

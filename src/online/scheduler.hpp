@@ -13,11 +13,10 @@
 //    trading Eq. 13 degradation against the cost of moving already-running
 //    processes (newly admitted jobs and idle slots move free, via the
 //    weighted move_weight extension);
-//  * degradation queries go through a CachingDegradationModel keyed by
-//    *global* process ids, so repeated replans over overlapping live sets
-//    and concurrent evaluation reuse predictions instead of recomputing;
-//    finished jobs' entries are evicted in epochs (cache_compaction_jobs)
-//    so a long-lived service's cache stays bounded;
+//  * each replan evaluates the closed-form synthetic contention model
+//    directly — a few nanoseconds per query, so nothing is memoized; the
+//    oracle-cache counters (oracle_cache()) stay only for the wire and the
+//    benchmark, and read zero;
 //  * progress is simulated with per-process rates: a process with current
 //    degradation d advances its solo work at 1/(1+d), re-evaluated whenever
 //    a machine's co-runner set changes. Completions free cores mid-epoch.
@@ -67,12 +66,6 @@ struct OnlineSchedulerOptions {
   /// S-curve capacity of the synthetic contention model; 0 = the builders'
   /// convention 0.45 * (u - 1).
   Real synthetic_capacity = 0.0;
-  /// Oracle-cache compaction epoch: after this many job completions, evict
-  /// cache entries that mention a process id no longer live. 0 disables
-  /// compaction (the offline-benchmark default); the RPC server enables it
-  /// so a long-lived service's cache plateaus instead of growing with every
-  /// job that ever ran.
-  std::uint32_t cache_compaction_jobs = 0;
   std::uint64_t seed = 0xC05EDULL;  ///< Random-solver draws
   /// Decision-journal ring capacity (admissions, placements, migrations);
   /// oldest events are evicted (and counted) past this bound.
@@ -130,8 +123,7 @@ class OnlineScheduler {
   void run(const WorkloadTrace& trace);
 
   // ---- open-world (live) interface -------------------------------------
-  /// Resets clock, queues, placement and metrics. The degradation cache
-  /// intentionally survives (warm restarts of the same workload).
+  /// Resets clock, queues, placement and metrics.
   void begin();
   /// Registers one job; its arrival event fires at spec.arrival_time
   /// (clamped up to the current virtual time — arrivals cannot be in the
@@ -164,8 +156,8 @@ class OnlineScheduler {
   JobTimeline job_timeline(std::int64_t job_id) const {
     return journal_.query(job_id);
   }
-  /// Shared degradation cache (hit statistics, entry count).
-  const DegradationCache& oracle_cache() const { return *cache_; }
+  /// Retired oracle-cache counters (always zero; see oracle_cache.hpp).
+  const DegradationCache& oracle_cache() const { return cache_; }
   std::int32_t machine_count() const { return options_.machines; }
   std::int32_t total_cores() const {
     return options_.machines * static_cast<std::int32_t>(options_.cores);
@@ -192,7 +184,6 @@ class OnlineScheduler {
   void maybe_replan();
   void replan(const char* reason, bool allow_pure_rebalance);
   void refresh_degradations();
-  void maybe_compact_cache();
   void arm_tick();
   bool outstanding_work() const;
   std::int32_t live_process_count() const;
@@ -208,7 +199,7 @@ class OnlineScheduler {
   EventQueue queue_;
   DecisionJournal journal_;
   SchedulerMetrics metrics_;
-  DegradationCachePtr cache_;
+  DegradationCache cache_;
 
   std::vector<JobState> jobs_;           ///< indexed by global job id
   std::vector<ProcState> procs_;         ///< indexed by global process id
@@ -217,10 +208,9 @@ class OnlineScheduler {
   std::int64_t remaining_arrivals_ = 0;
   Real last_replan_time_ = -kInfinity;
   bool tick_armed_ = false;
-  std::uint32_t finished_since_compaction_ = 0;
 
   // Current problem context (rebuilt at each replan): local <-> global maps
-  // and the cached model used for rate re-evaluation between replans.
+  // and the model used for rate re-evaluation between replans.
   std::unique_ptr<Problem> problem_;
   std::vector<std::int64_t> local_to_gid_;  ///< -1 for idle padding
 };

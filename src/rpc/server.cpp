@@ -136,6 +136,7 @@ void CoschedServer::register_observability() {
     reg.callback(name, help, type, std::move(sample));
     callback_names_.push_back(name);
   };
+  // Retired oracle-cache counters: always zero (see oracle_cache.hpp).
   const DegradationCache& cache = service_->oracle_cache();
   cb("cosched_cache_hits_total", "oracle cache hits", "counter",
      [&cache] { return static_cast<double>(cache.stats().hits); });

@@ -1,8 +1,13 @@
 // Tests for HA* (heuristic A*) and the k-best candidate generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
 #include "astar/search.hpp"
 #include "baseline/brute_force.hpp"
+#include "core/degradation_models.hpp"
 #include "graph/node_enumerator.hpp"
 #include "test_helpers.hpp"
 
@@ -67,6 +72,66 @@ TEST(KBestNodes, CandidatesAreValidNodes) {
       Real sum = 0.0;
       for (Real d : c.member_d) sum += d;
       EXPECT_NEAR(sum, c.weight, 1e-12);
+    }
+  }
+}
+
+// The bounded k-best selection must return exactly the first k entries of
+// a full sort by (weight, node): same nodes, same order, bit-equal weights
+// and member degradations. Degradations are multiples of 1/4, so node
+// weights tie often and the lexicographic node tie-break decides the order.
+TEST(KBestNodes, BoundedSelectionMatchesFullSort) {
+  constexpr std::int32_t kU = 3;
+  Problem p = random_serial_problem(9, kU, 6);
+  TabularDegradationModel model(p.n());
+  const std::vector<ProcessId> pool{1, 2, 3, 4, 5, 6, 7, 8};
+  for_each_valid_node(0, pool, kU, [&](std::span<const ProcessId> node) {
+    for (std::size_t m = 0; m < node.size(); ++m) {
+      std::vector<ProcessId> co;
+      for (std::size_t j = 0; j < node.size(); ++j)
+        if (j != m) co.push_back(node[j]);
+      std::int32_t mix = 5 * node[m] + co[0] + 3 * co[1];
+      model.set(node[m], co, 0.25 * static_cast<Real>(mix % 3));
+    }
+    return true;
+  });
+  NodeEvaluator eval(p, model);
+
+  std::vector<NodeCandidate> reference;
+  for_each_valid_node(0, pool, kU, [&](std::span<const ProcessId> node) {
+    NodeCandidate c;
+    c.node.assign(node.begin(), node.end());
+    c.weight = eval.weight(node, c.member_d);
+    reference.push_back(std::move(c));
+    return true;
+  });
+  std::sort(reference.begin(), reference.end(),
+            [](const NodeCandidate& a, const NodeCandidate& b) {
+              if (a.weight != b.weight) return a.weight < b.weight;
+              return a.node < b.node;
+            });
+  const auto level_size = static_cast<std::int32_t>(reference.size());
+  ASSERT_EQ(level_size, 28);  // C(8, 2)
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < reference.size(); ++i)
+    if (reference[i].weight == reference[i - 1].weight) ++ties;
+  ASSERT_GE(ties, 10u) << "the landscape must exercise the tie-break";
+
+  auto bits = [](Real x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::int32_t k : {1, 3, level_size, level_size + 5}) {
+    auto got = k_best_valid_nodes(eval, 0, pool, kU, k,
+                                  CandidateSelection::ExactSort);
+    ASSERT_EQ(got.size(),
+              static_cast<std::size_t>(std::min(k, level_size)))
+        << "k=" << k;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].node, reference[i].node) << "k=" << k << " i=" << i;
+      EXPECT_EQ(bits(got[i].weight), bits(reference[i].weight))
+          << "k=" << k << " i=" << i;
+      ASSERT_EQ(got[i].member_d.size(), reference[i].member_d.size());
+      for (std::size_t m = 0; m < got[i].member_d.size(); ++m)
+        EXPECT_EQ(bits(got[i].member_d[m]), bits(reference[i].member_d[m]))
+            << "k=" << k << " i=" << i << " m=" << m;
     }
   }
 }

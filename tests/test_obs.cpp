@@ -18,7 +18,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/oracle_cache.hpp"
 #include "obs/histogram.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics_registry.hpp"
@@ -580,39 +579,6 @@ TEST(ObsRegistry, CallbacksCanBeReplacedAndUnregistered) {
   reg.unregister_callback("cosched_test_live");
   EXPECT_EQ(reg.render_prometheus(), "");
   reg.unregister_callback("cosched_test_live");  // idempotent
-}
-
-// -------------------------------------------------------- cache counters
-
-// Hit/miss/evict/compaction counters against a hand-computed sequence.
-TEST(ObsCacheCounters, MatchHandComputedSequence) {
-  DegradationCache cache(2);
-  Real out = 0.0;
-
-  std::string k_a = DegradationCache::make_key(0, {1});
-  std::string k_b = DegradationCache::make_key(1, {0});
-  std::string k_c = DegradationCache::make_key(2, {3});
-
-  EXPECT_FALSE(cache.lookup(k_a, out));  // miss 1
-  cache.insert(k_a, 0.1);
-  cache.insert(k_b, 0.2);
-  cache.insert(k_c, 0.3);
-  EXPECT_TRUE(cache.lookup(k_a, out));   // hit 1
-  EXPECT_TRUE(cache.lookup(k_b, out));   // hit 2
-  EXPECT_FALSE(cache.lookup(DegradationCache::make_key(9, {}), out));  // miss 2
-
-  // Processes 2 and 3 finished: k_c mentions a dead id and must go.
-  std::vector<ProcessId> live = {0, 1};
-  EXPECT_EQ(cache.evict_dead(live), 1u);
-  EXPECT_EQ(cache.evict_dead(live), 0u);  // second pass finds nothing
-
-  DegradationCache::Stats s = cache.stats();
-  EXPECT_EQ(s.hits, 2u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.entries, 2u);
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_EQ(s.compactions, 2u);  // both passes count, even the empty one
-  EXPECT_NEAR(s.hit_rate(), 0.5, 1e-12);
 }
 
 // ----------------------------------------- end-to-end replan trace (HA*)

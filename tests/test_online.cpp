@@ -1,7 +1,6 @@
-// Tests for the online co-scheduling service (src/online) and the shared
-// degradation-oracle cache (src/core/oracle_cache): deterministic replay,
-// cached-vs-uncached equivalence, admission batching, and the service-level
-// replan property (never worse than staying put).
+// Tests for the online co-scheduling service (src/online): deterministic
+// replay, admission batching, and the service-level replan property (never
+// worse than staying put).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,13 +11,9 @@
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <vector>
 
-#include "core/degradation_models.hpp"
-#include "core/oracle_cache.hpp"
 #include "online/scheduler.hpp"
-#include "util/rng.hpp"
 
 namespace cosched {
 namespace {
@@ -239,122 +234,6 @@ TEST(Admission, ThresholdRespectsCooldown) {
   EXPECT_FALSE(policy.should_replan(s));
 }
 
-// ------------------------------------------------------- oracle cache
-
-TEST(OracleCache, KeyDropsPaddingAndIgnoresCoOrder) {
-  std::string a = DegradationCache::make_key(3, {5, 1, 2});
-  std::string b = DegradationCache::make_key(3, {2, 5, 1});
-  std::string c = DegradationCache::make_key(3, {2, 5, 1, -1, -1});
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);  // negative ids are inert padding
-  EXPECT_NE(a, DegradationCache::make_key(4, {5, 1, 2}));
-  EXPECT_NE(a, DegradationCache::make_key(3, {5, 1}));
-}
-
-TEST(OracleCache, InsertLookupAndStats) {
-  DegradationCache cache(4);
-  Real out = -1.0;
-  EXPECT_FALSE(cache.lookup("k1", out));
-  cache.insert("k1", 0.25);
-  EXPECT_TRUE(cache.lookup("k1", out));
-  EXPECT_EQ(out, 0.25);
-  cache.insert("k1", 0.75);  // first value wins
-  EXPECT_TRUE(cache.lookup("k1", out));
-  EXPECT_EQ(out, 0.25);
-  auto s = cache.stats();
-  EXPECT_EQ(s.hits, 2u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.entries, 1u);
-}
-
-// Every (i, co) query through the cache must be bit-identical to the base
-// model, cold and warm.
-TEST(OracleCache, CachedModelMatchesBaseBitForBit) {
-  Rng rng(41);
-  auto base = SyntheticDegradationModel::random(8, rng);
-  auto cache = std::make_shared<DegradationCache>();
-  CachingDegradationModel cached(base, cache, {},
-                                 BaseModelConcurrency::ConcurrentSafe);
-  std::vector<std::vector<ProcessId>> co_sets = {
-      {}, {1}, {1, 2}, {2, 1}, {1, 2, 3}, {4, 5, 6, 7}, {7, 6, 5, 4}};
-  for (int pass = 0; pass < 2; ++pass) {  // pass 1 hits the warm cache
-    for (ProcessId i = 0; i < 8; ++i) {
-      for (const auto& co : co_sets) {
-        if (std::find(co.begin(), co.end(), i) != co.end()) continue;
-        EXPECT_EQ(cached.degradation(i, co), base->degradation(i, co))
-            << "i=" << i << " pass=" << pass;
-      }
-    }
-  }
-  EXPECT_GT(cache->stats().hits, 0u);
-}
-
-// Two Problems with different local numberings of the same underlying
-// processes share one cache through the stable-id remap: the second model
-// must read the first model's entries and still return its own base's
-// values bit for bit.
-TEST(OracleCache, StableIdsShareEntriesAcrossRenumberings) {
-  const std::vector<Real> rates{0.2, 0.7, 0.4, 0.55};
-  const std::vector<Real> sens{0.5, 0.9, 0.6, 0.8};
-  // Model B sees the same processes in reversed local order.
-  const std::vector<ProcessId> perm{3, 2, 1, 0};
-  std::vector<Real> rates_b(4), sens_b(4);
-  for (std::size_t j = 0; j < 4; ++j) {
-    rates_b[j] = rates[static_cast<std::size_t>(perm[j])];
-    sens_b[j] = sens[static_cast<std::size_t>(perm[j])];
-  }
-  auto base_a = std::make_shared<SyntheticDegradationModel>(rates, sens);
-  auto base_b = std::make_shared<SyntheticDegradationModel>(rates_b, sens_b);
-  auto cache = std::make_shared<DegradationCache>();
-
-  CachingDegradationModel a(base_a, cache, {0, 1, 2, 3},
-                            BaseModelConcurrency::ConcurrentSafe);
-  CachingDegradationModel b(base_b, cache, perm,
-                            BaseModelConcurrency::ConcurrentSafe);
-
-  // Warm the cache through A.
-  (void)a.degradation(1, std::vector<ProcessId>{0, 2});
-  (void)a.degradation(3, std::vector<ProcessId>{0});
-  const auto warm = cache->stats();
-
-  // B's local 2 is stable 1, co {3, 1} is stable {0, 2} -> same key.
-  EXPECT_EQ(b.degradation(2, std::vector<ProcessId>{3, 1}),
-            base_b->degradation(2, std::vector<ProcessId>{3, 1}));
-  EXPECT_EQ(b.degradation(0, std::vector<ProcessId>{3}),
-            base_b->degradation(0, std::vector<ProcessId>{3}));
-  auto s = cache->stats();
-  EXPECT_EQ(s.hits, warm.hits + 2);      // both queries were warm
-  EXPECT_EQ(s.entries, warm.entries);    // nothing new inserted
-}
-
-TEST(OracleCache, ConcurrentHammerStaysConsistent) {
-  Rng rng(43);
-  auto base = SyntheticDegradationModel::random(12, rng);
-  auto cache = std::make_shared<DegradationCache>(8);
-  CachingDegradationModel cached(base, cache, {},
-                                 BaseModelConcurrency::ConcurrentSafe);
-  std::vector<std::thread> threads;
-  std::vector<int> mismatches(4, 0);
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      Rng local(static_cast<std::uint64_t>(100 + t));
-      for (int iter = 0; iter < 2000; ++iter) {
-        ProcessId i = static_cast<ProcessId>(local.uniform(12));
-        std::vector<ProcessId> co;
-        for (ProcessId p = 0; p < 12; ++p)
-          if (p != i && local.uniform(3) == 0) co.push_back(p);
-        if (cached.degradation(i, co) != base->degradation(i, co))
-          ++mismatches[static_cast<std::size_t>(t)];
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (int t = 0; t < 4; ++t) EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0);
-  auto s = cache->stats();
-  EXPECT_EQ(s.hits + s.misses, 4u * 2000u);
-  EXPECT_GT(s.hits, 0u);
-}
-
 // ------------------------------------------------------------ service
 
 OnlineSchedulerOptions small_service_options() {
@@ -471,15 +350,6 @@ TEST(OnlineService, ThresholdTriggerAlsoDrainsTheQueue) {
             options.admission.max_wait + 1e-9);
 }
 
-TEST(OnlineService, SharedOracleCacheGetsReuse) {
-  WorkloadTrace trace = small_trace(8);
-  OnlineScheduler service(small_service_options());
-  service.run(trace);
-  auto s = service.oracle_cache().stats();
-  EXPECT_GT(s.entries, 0u);
-  EXPECT_GT(s.hits, s.misses);  // replans re-query overlapping live sets
-}
-
 // ------------------------------------------------- open-world interface
 
 // run(trace) is documented as exactly begin + submit* + finish; driving the
@@ -562,61 +432,6 @@ TEST(OnlineService, MaxWaitBackstopFiresInTraceReplay) {
   EXPECT_EQ(status.admit_time,
             waiter.arrival_time + options.admission.max_wait);
   EXPECT_EQ(service.metrics().completions(), 2u);
-}
-
-// ------------------------------------------------- cache compaction
-
-// Epoch-based eviction keeps a long-lived service's cache bounded: over
-// many completion epochs the resident entry count plateaus instead of
-// growing with every job that ever ran.
-TEST(OracleCache, CompactionPlateausResidentEntries) {
-  OnlineSchedulerOptions options = small_service_options();
-  options.cache_compaction_jobs = 4;
-  OnlineScheduler service(options);
-  service.begin();
-
-  WorkloadTrace stream = small_trace(10, 64);
-  std::size_t peak_early = 0;
-  std::size_t last_wave = 0;
-  std::size_t wave = 0;
-  for (std::size_t start = 0; start < stream.jobs.size(); start += 8, ++wave) {
-    Real horizon = 0.0;
-    for (std::size_t j = start;
-         j < std::min(start + 8, stream.jobs.size()); ++j) {
-      service.submit(stream.jobs[j]);
-      horizon = stream.jobs[j].arrival_time;
-    }
-    service.pump(horizon + 1000.0);  // complete the whole wave
-    std::size_t entries =
-        static_cast<std::size_t>(service.oracle_cache().stats().entries);
-    if (wave < 3) peak_early = std::max(peak_early, entries);
-    last_wave = entries;
-  }
-  service.finish();
-
-  EXPECT_GT(service.oracle_cache().stats().evictions, 0u);
-  // Plateau: after 8 waves the cache is no bigger than its early peak.
-  EXPECT_LE(last_wave, peak_early);
-  EXPECT_EQ(service.metrics().completions(), 64u);
-}
-
-TEST(OracleCache, EvictDeadDropsOnlyDeadEntries) {
-  DegradationCachePtr cache = std::make_shared<DegradationCache>();
-  // Entries over ids {1,2}, {2,3}, {7}: killing 3 must only drop {2,3}.
-  cache->insert(DegradationCache::make_key(1, {2}), 0.25);
-  cache->insert(DegradationCache::make_key(2, {3}), 0.5);
-  cache->insert(DegradationCache::make_key(7, {}), 0.75);
-  ASSERT_EQ(cache->stats().entries, 3u);
-
-  std::vector<ProcessId> live = {1, 2, 7};
-  EXPECT_EQ(cache->evict_dead(live), 1u);
-  EXPECT_EQ(cache->stats().entries, 2u);
-  EXPECT_EQ(cache->stats().evictions, 1u);
-  Real value = 0.0;
-  EXPECT_TRUE(cache->lookup(DegradationCache::make_key(1, {2}), value));
-  EXPECT_EQ(value, 0.25);
-  EXPECT_FALSE(cache->lookup(DegradationCache::make_key(2, {3}), value));
-  EXPECT_TRUE(cache->lookup(DegradationCache::make_key(7, {}), value));
 }
 
 // ------------------------------------------------- metrics CSV writer
