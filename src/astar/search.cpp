@@ -1,6 +1,7 @@
 #include "astar/search.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
@@ -437,7 +438,7 @@ class Engine {
     };
 
     auto make_successor = [&](std::span<const ProcessId> node,
-                              const std::vector<Real>& member_d) {
+                              std::span<const Real> member_d) {
       ++stats_.generated;
       Real g_serial = parent_g_serial;
       thread_local std::vector<Real> par_max;
@@ -458,16 +459,21 @@ class Engine {
       Real g = g_serial;
       for (Real mx : par_max) g += mx;
 
-      DynamicBitset set = parent_set;
-      for (ProcessId p : node) set.set(static_cast<std::size_t>(p));
-
-      if (!admit(set, g_serial, par_max, g)) {
+      // Dismissal is decided before anything is built: the successor's set
+      // is written into a reused buffer, and one table lookup finds the
+      // set's records or, for a new set (always admitted), inserts its
+      // entry. A dismissed successor allocates nothing.
+      succ_set_ = parent_set;
+      for (ProcessId p : node) succ_set_.set(static_cast<std::size_t>(p));
+      auto [slot, fresh] = table_.try_emplace(succ_set_);
+      std::vector<std::int32_t>& entries = slot->second;
+      if (!fresh && !admit(entries, g_serial, par_max, g)) {
         ++stats_.dismissed;
         return;
       }
 
       StateRec rec;
-      rec.scheduled = std::move(set);
+      rec.scheduled = succ_set_;
       rec.g_serial = g_serial;
       rec.par_max = par_max;
       rec.g = g;
@@ -475,7 +481,7 @@ class Engine {
       rec.via_node.assign(node.begin(), node.end());
       rec.q = parent_q + u_;
       std::int32_t new_idx = static_cast<std::int32_t>(states_.size());
-      register_record(new_idx, rec);
+      register_record(entries, new_idx);
       Real h = successor_h(node);
       states_.push_back(std::move(rec));
       if (beam_mode_) {
@@ -543,7 +549,6 @@ class Engine {
               pool_pressures[static_cast<std::size_t>(pool_size - 1 - t)];
         }
         std::vector<ProcessId> node;
-        std::vector<Real> d_scratch;
         std::vector<bool> used(static_cast<std::size_t>(pool_size));
         const std::int32_t variants = std::max<std::int32_t>(2, mer_cap_);
         for (std::int32_t j = 0; j < variants; ++j) {
@@ -587,8 +592,8 @@ class Engine {
           }
           std::sort(node.begin(), node.end());
           if (condensed_duplicate(node)) continue;
-          eval_.weight(node, d_scratch);
-          make_successor(node, d_scratch);
+          eval_.weight(node, d_scratch_);
+          make_successor(node, d_scratch_);
         }
       }
     } else {
@@ -597,39 +602,48 @@ class Engine {
       // but on f-plateaus the FIFO tie-break then prefers cheap nodes, so
       // the optimal path returned among co-optimal ones is the one a
       // weight-sorted search finds — which the Fig. 5 MER statistics
-      // measure.
-      struct Cand {
-        std::vector<ProcessId> node;
-        std::vector<Real> d;
-        Real weight;
-      };
-      std::vector<Cand> cands;
-      std::vector<Real> d_scratch;
+      // measure. The level's candidates live in one flat slab (u ids and u
+      // member degradations each) reused across expansions; an index array
+      // is sorted by (weight, node lexicographically), a total order since
+      // the nodes are distinct.
+      const auto width = static_cast<std::size_t>(u_);
+      cand_nodes_.clear();
+      cand_d_.clear();
+      cand_w_.clear();
       for_each_valid_node(lead, pool, u_,
                           [&](std::span<const ProcessId> node) {
                             if (condensed_duplicate(node)) return true;
-                            Real w = eval_.weight(node, d_scratch);
-                            cands.push_back(
-                                Cand{{node.begin(), node.end()},
-                                     d_scratch, w});
+                            cand_w_.push_back(eval_.weight(node, d_scratch_));
+                            cand_nodes_.insert(cand_nodes_.end(),
+                                               node.begin(), node.end());
+                            cand_d_.insert(cand_d_.end(), d_scratch_.begin(),
+                                           d_scratch_.end());
                             return true;
                           });
-      std::sort(cands.begin(), cands.end(),
-                [](const Cand& a, const Cand& b) {
-                  if (a.weight != b.weight) return a.weight < b.weight;
-                  return a.node < b.node;
+      auto node_of = [&](std::size_t c) {
+        return std::span<const ProcessId>(cand_nodes_).subspan(c * width,
+                                                               width);
+      };
+      cand_order_.resize(cand_w_.size());
+      std::iota(cand_order_.begin(), cand_order_.end(), std::size_t{0});
+      std::sort(cand_order_.begin(), cand_order_.end(),
+                [&](std::size_t a, std::size_t b) {
+                  if (cand_w_[a] != cand_w_[b]) return cand_w_[a] < cand_w_[b];
+                  std::span<const ProcessId> na = node_of(a), nb = node_of(b);
+                  return std::lexicographical_compare(na.begin(), na.end(),
+                                                      nb.begin(), nb.end());
                 });
-      for (const Cand& c : cands) make_successor(c.node, c.d);
+      for (std::size_t c : cand_order_)
+        make_successor(node_of(c), std::span<const Real>(cand_d_).subspan(
+                                       c * width, width));
     }
   }
 
-  /// Dismissal check. Returns true if the successor must be kept, in which
-  /// case any superseded/dominated records have been retired already.
-  bool admit(const DynamicBitset& set, Real g_serial,
+  /// Dismissal check against the records `entries` already held for the
+  /// successor's process set. Returns true if the successor must be kept,
+  /// in which case any superseded/dominated records have been retired.
+  bool admit(const std::vector<std::int32_t>& entries, Real g_serial,
              const std::vector<Real>& par_max, Real g) {
-    auto it = table_.find(set);
-    if (it == table_.end()) return true;
-    auto& entries = it->second;
     if (options_.dismiss == DismissPolicy::PaperMinDistance) {
       COSCHED_ENSURES(entries.size() == 1);
       StateRec& existing = states_[static_cast<std::size_t>(entries[0])];
@@ -658,13 +672,12 @@ class Engine {
       if (ex.alive && dominates(g_serial, par_max, ex.g_serial, ex.par_max))
         ex.alive = false;
     }
-    (void)g;
     return true;
   }
 
-  /// Records the accepted successor in the dismissal table.
-  void register_record(std::int32_t new_idx, const StateRec& rec) {
-    auto& entries = table_[rec.scheduled];
+  /// Records the accepted successor among its set's dismissal-table entries.
+  void register_record(std::vector<std::int32_t>& entries,
+                       std::int32_t new_idx) {
     if (options_.dismiss == DismissPolicy::PaperMinDistance) {
       entries.assign(1, new_idx);
     } else {
@@ -710,6 +723,17 @@ class Engine {
   bool beam_mode_ = false;
   std::int32_t beam_width_ = 0;
   std::vector<std::pair<Real, std::int32_t>> beam_next_;
+
+  // Per-successor buffers, reused so that a dismissed successor allocates
+  // nothing.
+  DynamicBitset succ_set_;
+  std::vector<Real> d_scratch_;
+  // The full-sort path's candidate slab: u ids, u member degradations and
+  // one weight per candidate, plus the sorted candidate order.
+  std::vector<ProcessId> cand_nodes_;
+  std::vector<Real> cand_d_;
+  std::vector<Real> cand_w_;
+  std::vector<std::size_t> cand_order_;
 
   std::vector<StateRec> states_;
   std::unordered_map<DynamicBitset, std::vector<std::int32_t>,

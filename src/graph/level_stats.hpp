@@ -38,9 +38,10 @@ class LevelStats {
   bool exact() const { return exact_; }
   std::uint64_t total_nodes() const { return total_nodes_; }
 
-  /// Minimum h-weight among nodes of level `lead` (the level whose nodes
-  /// start with process `lead`). Returns 0 for the last level... no: returns
-  /// the computed value; levels exist for lead in [0, n-u].
+  /// Minimum h-weight among the nodes of level `lead` (the nodes whose
+  /// smallest member is `lead`); approximate builds hold the greedy estimate
+  /// instead. Levels exist only for lead in [0, n-u]; larger ids lead no
+  /// level and return kInfinity.
   Real min_level_weight(ProcessId lead) const;
 
   /// Strategy 2: sum of the `k` smallest min_level_weight values over the

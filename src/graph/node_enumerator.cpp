@@ -4,28 +4,7 @@
 #include <queue>
 #include <unordered_set>
 
-#include "util/combinatorics.hpp"
-
 namespace cosched {
-
-void for_each_valid_node(
-    ProcessId lead, const std::vector<ProcessId>& pool, std::int32_t u,
-    const std::function<bool(std::span<const ProcessId>)>& fn) {
-  COSCHED_EXPECTS(u >= 1);
-  COSCHED_EXPECTS(static_cast<std::int32_t>(pool.size()) >= u - 1);
-  std::vector<ProcessId> node(static_cast<std::size_t>(u));
-  node[0] = lead;
-  if (u == 1) {
-    fn(node);
-    return;
-  }
-  for_each_combination(pool, static_cast<std::size_t>(u - 1),
-                       [&](const std::vector<std::int32_t>& comb) {
-                         for (std::size_t j = 0; j < comb.size(); ++j)
-                           node[j + 1] = comb[j];
-                         return fn(node);
-                       });
-}
 
 namespace {
 

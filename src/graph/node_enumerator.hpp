@@ -4,16 +4,23 @@
 // unscheduled process id; valid nodes are {lead} ∪ any (u-1)-subset of the
 // remaining unscheduled ids. OA* visits all of them; HA* only the k
 // cheapest by node weight (k = n/u, the MER function). At small scale the k
-// cheapest are found by full enumeration + partial selection; at large
+// cheapest are found by full enumeration + bounded selection; at large
 // scale they are generated best-first over a separable pressure surrogate
 // and re-ranked by true weight (DESIGN.md §3 "HA*").
+//
+// for_each_valid_node is a header template over its callback (no type-erased
+// function wrapper), built on the same inline walker as
+// for_each_combination: the lead and the combination are written straight
+// into one node buffer, so enumerating a level costs no allocation and no
+// indirect call per node.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/node_eval.hpp"
+#include "util/combinatorics.hpp"
 
 namespace cosched {
 
@@ -24,12 +31,22 @@ struct NodeCandidate {
   std::vector<Real> member_d;   ///< degradation per member, node order
 };
 
-/// Invokes `fn` for every valid node of the level led by `lead`, where
-/// `pool` holds the unscheduled ids greater than `lead` (sorted ascending).
-/// `fn` returns false to stop. The span passed to `fn` is reused.
-void for_each_valid_node(
-    ProcessId lead, const std::vector<ProcessId>& pool, std::int32_t u,
-    const std::function<bool(std::span<const ProcessId>)>& fn);
+/// Invokes `fn(std::span<const ProcessId>)` for every valid node of the
+/// level led by `lead`, where `pool` holds the unscheduled ids greater than
+/// `lead` (sorted ascending): {lead} ∪ each (u-1)-subset of `pool`, in
+/// lexicographic order. `fn` returns false to stop. The span passed to `fn`
+/// is reused.
+template <class Fn>
+void for_each_valid_node(ProcessId lead, const std::vector<ProcessId>& pool,
+                         std::int32_t u, Fn&& fn) {
+  COSCHED_EXPECTS(u >= 1);
+  COSCHED_EXPECTS(static_cast<std::int32_t>(pool.size()) >= u - 1);
+  std::vector<ProcessId> node(static_cast<std::size_t>(u));
+  node[0] = lead;
+  const std::span<const ProcessId> view(node);
+  detail::walk_combinations(pool, std::span<ProcessId>(node).subspan(1),
+                            [&] { return fn(view); });
+}
 
 enum class CandidateSelection {
   Auto,          ///< Exact when the level is small, surrogate otherwise

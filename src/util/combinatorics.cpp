@@ -22,43 +22,6 @@ std::uint64_t binomial(std::uint64_t n, std::uint64_t k) {
   return result;
 }
 
-void for_each_combination(
-    const std::vector<std::int32_t>& pool, std::size_t k,
-    const std::function<bool(const std::vector<std::int32_t>&)>& fn) {
-  const std::size_t n = pool.size();
-  if (k > n) return;
-  if (k == 0) {
-    static const std::vector<std::int32_t> empty;
-    fn(empty);
-    return;
-  }
-  std::vector<std::size_t> idx(k);
-  for (std::size_t i = 0; i < k; ++i) idx[i] = i;
-  std::vector<std::int32_t> comb(k);
-  while (true) {
-    for (std::size_t i = 0; i < k; ++i) comb[i] = pool[idx[i]];
-    if (!fn(comb)) return;
-    if (!next_combination_indices(idx, n)) return;
-  }
-}
-
-bool next_combination_indices(std::vector<std::size_t>& comb,
-                              std::size_t pool_size) {
-  const std::size_t k = comb.size();
-  COSCHED_EXPECTS(k <= pool_size);
-  // Find the rightmost index that can be advanced.
-  std::size_t i = k;
-  while (i > 0) {
-    --i;
-    if (comb[i] != i + pool_size - k) {
-      ++comb[i];
-      for (std::size_t j = i + 1; j < k; ++j) comb[j] = comb[j - 1] + 1;
-      return true;
-    }
-  }
-  return false;
-}
-
 std::uint64_t rank_combination(const std::vector<std::int32_t>& comb,
                                std::int32_t n) {
   const std::size_t k = comb.size();

@@ -10,12 +10,67 @@
 #include "core/degradation_models.hpp"
 #include "graph/node_enumerator.hpp"
 #include "test_helpers.hpp"
+#include "util/combinatorics.hpp"
 
 namespace cosched {
 namespace {
 
 using testhelpers::random_pe_problem;
 using testhelpers::random_serial_problem;
+
+// ------------------------------------------------------- valid-node walker
+
+std::vector<std::vector<ProcessId>> walk_level(
+    ProcessId lead, const std::vector<ProcessId>& pool, std::int32_t u,
+    std::size_t stop_after = 0) {
+  std::vector<std::vector<ProcessId>> nodes;
+  for_each_valid_node(lead, pool, u, [&](std::span<const ProcessId> node) {
+    nodes.emplace_back(node.begin(), node.end());
+    return nodes.size() != stop_after;
+  });
+  return nodes;
+}
+
+TEST(NodeEnumerator, WalksEveryValidNodeInLexicographicOrder) {
+  const std::vector<ProcessId> pool{2, 3, 5, 8, 9, 11, 12};
+  for (std::int32_t u : {2, 3, 4, 8}) {
+    auto nodes = walk_level(1, pool, u);
+    EXPECT_EQ(nodes.size(), binomial(pool.size(),
+                                     static_cast<std::uint64_t>(u - 1)))
+        << "u=" << u;
+    EXPECT_EQ(std::adjacent_find(nodes.begin(), nodes.end(),
+                                 [](const auto& a, const auto& b) {
+                                   return !(a < b);
+                                 }),
+              nodes.end())
+        << "u=" << u << ": not strictly lexicographic";
+    for (const auto& node : nodes) {
+      ASSERT_EQ(node.size(), static_cast<std::size_t>(u));
+      EXPECT_EQ(node.front(), 1);
+      EXPECT_TRUE(std::is_sorted(node.begin(), node.end()));
+    }
+  }
+  EXPECT_EQ(walk_level(1, pool, 3).front(), (std::vector<ProcessId>{1, 2, 3}));
+  EXPECT_EQ(walk_level(1, pool, 3).back(),
+            (std::vector<ProcessId>{1, 11, 12}));
+}
+
+TEST(NodeEnumerator, SingleCoreLevelIsTheLeadAlone) {
+  EXPECT_EQ(walk_level(4, {5, 6, 7}, 1),
+            (std::vector<std::vector<ProcessId>>{{4}}));
+  EXPECT_EQ(walk_level(4, {}, 1), (std::vector<std::vector<ProcessId>>{{4}}));
+}
+
+TEST(NodeEnumerator, ReturningFalseStopsAfterThatNode) {
+  const std::vector<ProcessId> pool{1, 2, 3, 4, 5, 6};
+  auto all = walk_level(0, pool, 3);
+  for (std::size_t stop : {1u, 2u, 7u}) {
+    auto some = walk_level(0, pool, 3, stop);
+    ASSERT_EQ(some.size(), stop);
+    EXPECT_TRUE(std::equal(some.begin(), some.end(), all.begin()));
+  }
+  EXPECT_EQ(walk_level(0, pool, 1, 1).size(), 1u);
+}
 
 // ------------------------------------------------------ k-best candidates
 

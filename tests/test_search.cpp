@@ -2,9 +2,15 @@
 // heuristic strategies, dismissal policies, valid-path semantics.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <numeric>
+
 #include "astar/search.hpp"
 #include "baseline/brute_force.hpp"
+#include "core/degradation_models.hpp"
+#include "core/node_eval.hpp"
 #include "test_helpers.hpp"
+#include "util/combinatorics.hpp"
 
 namespace cosched {
 namespace {
@@ -199,7 +205,94 @@ TEST(SearchMechanics, DeterministicAcrossRuns) {
   auto b = solve_oastar(p);
   ASSERT_TRUE(a.found && b.found);
   EXPECT_EQ(a.solution.machines, b.solution.machines);
+  EXPECT_EQ(a.stats.expanded, b.stats.expanded);
+  EXPECT_EQ(a.stats.generated, b.stats.generated);
+  EXPECT_EQ(a.stats.dismissed, b.stats.dismissed);
   EXPECT_EQ(a.stats.visited_paths, b.stats.visited_paths);
+}
+
+/// A 12-process quad-core batch on a quarter-valued table: many nodes tie on
+/// weight and several partitions are co-optimal, so which schedule OA*
+/// returns, and how much work it does, depend on the order in which a
+/// level's candidates are generated.
+Problem tie_heavy_problem() {
+  constexpr std::int32_t kU = 4;
+  Problem p = random_serial_problem(12, kU, 21);
+  auto model = std::make_shared<TabularDegradationModel>(p.n());
+  std::vector<ProcessId> all(static_cast<std::size_t>(p.n()));
+  std::iota(all.begin(), all.end(), 0);
+  for_each_combination(all, kU, [&](const std::vector<ProcessId>& node) {
+    for (std::size_t m = 0; m < node.size(); ++m) {
+      std::vector<ProcessId> co;
+      for (std::size_t j = 0; j < node.size(); ++j)
+        if (j != m) co.push_back(node[j]);
+      std::int32_t mix = 5 * node[m] + co[0] + 3 * co[1] + 7 * co[2];
+      model->set(node[m], co, 0.25 * static_cast<Real>(mix % 4));
+    }
+    return true;
+  });
+  p.contention_model = model;
+  p.full_model = model;
+  return p;
+}
+
+/// Number of partitions of {0..n-1} into level-ordered machines whose total
+/// weight equals `target` (quarter-valued weights sum exactly, so equality
+/// is exact).
+std::int32_t count_partitions_at(const NodeEvaluator& eval, std::int32_t n,
+                                 std::int32_t u, std::vector<bool>& used,
+                                 Real so_far, Real target) {
+  std::int32_t lead = 0;
+  while (lead < n && used[static_cast<std::size_t>(lead)]) ++lead;
+  if (lead == n) return so_far == target ? 1 : 0;
+  std::vector<ProcessId> pool;
+  for (std::int32_t q = lead + 1; q < n; ++q)
+    if (!used[static_cast<std::size_t>(q)]) pool.push_back(q);
+  std::int32_t count = 0;
+  for_each_combination(
+      pool, static_cast<std::size_t>(u - 1),
+      [&](const std::vector<ProcessId>& comb) {
+        std::vector<ProcessId> node{lead};
+        node.insert(node.end(), comb.begin(), comb.end());
+        for (ProcessId q : node) used[static_cast<std::size_t>(q)] = true;
+        count += count_partitions_at(eval, n, u, used,
+                                     so_far + eval.weight(node), target);
+        for (ProcessId q : node) used[static_cast<std::size_t>(q)] = false;
+        return true;
+      });
+  return count;
+}
+
+TEST(SearchMechanics, TieOrderAndWorkArePinned) {
+  // Pinned schedule and work counts: a change to the order in which a
+  // level's candidates are generated (weight, then node lexicographically),
+  // to the FIFO tie-break or to dismissal shows up here, even when the
+  // objective stays optimal.
+  Problem p = tie_heavy_problem();
+  NodeEvaluator eval(p, *p.full_model);
+  auto optimum = solve_brute_force(p);
+  std::vector<bool> used(static_cast<std::size_t>(p.n()), false);
+  ASSERT_GE(count_partitions_at(eval, p.n(), p.u(), used, 0.0,
+                                optimum.objective),
+            2)
+      << "the landscape must have several co-optimal schedules";
+
+  const std::vector<std::vector<ProcessId>> machines{
+      {0, 2, 4, 6}, {1, 3, 7, 9}, {5, 8, 10, 11}};
+  for (DismissPolicy dismiss :
+       {DismissPolicy::PaperMinDistance, DismissPolicy::ParetoDominance}) {
+    SCOPED_TRACE(static_cast<int>(dismiss));
+    SearchOptions opt;
+    opt.dismiss = dismiss;
+    auto r = solve_oastar(p, opt);
+    ASSERT_TRUE(r.found);
+    EXPECT_EQ(r.objective, optimum.objective);
+    EXPECT_EQ(r.solution.machines, machines);
+    EXPECT_EQ(r.stats.expanded, 39u);
+    EXPECT_EQ(r.stats.generated, 407u);
+    EXPECT_EQ(r.stats.dismissed, 107u);
+    EXPECT_EQ(r.stats.visited_paths, 301u);
+  }
 }
 
 TEST(SearchMechanics, ObjectiveConsistentAcrossAggregations) {
