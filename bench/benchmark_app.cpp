@@ -6,7 +6,7 @@
 // heavy-tailed and diurnal workload shapes, tenant key mixes for the shard
 // ring, a BENCH_*.json report sharing the rpc_loopback schema, an SLO gate
 // and a baseline regression gate. Replaces the measurement half of the old
-// rpc_loopback/rpc_soak split.
+// rpc_loopback bench.
 //
 //   # open loop, 20 rps Poisson offered at depth 8 against the embedded
 //   # single-scheduler deployment; first 20 requests are warm-up

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
-#include "obs/tail_sampler.hpp"
 #include "obs/trace.hpp"
 #include "online/scheduler.hpp"
 #include "util/timer.hpp"
@@ -72,17 +71,6 @@ int main(int argc, char** argv) {
   // Chrome trace-event JSON loadable in Perfetto.
   const std::string trace_out = args.get_string("trace-out", "");
   if (!trace_out.empty()) Tracer::global().set_enabled(true);
-  // --tail-idle 1 arms the tail sampler with a policy that matches no span
-  // name: every replan pays the active-sampler observe path but nothing is
-  // ever retained. CI gates this configuration against the compiled-out
-  // build with the same budget as runtime-disabled tracing.
-  if (args.get_int("tail-idle", 0) != 0) {
-    TailPolicy noop;
-    noop.name = "idle-gate";
-    noop.span_prefix = "noop.";
-    noop.min_duration_us = 1e12;
-    TailSampler::global().configure({std::move(noop)}, {});
-  }
 
   print_experiment_header(
       "online service throughput (extension; Aupy et al. online regime)",

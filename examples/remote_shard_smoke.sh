@@ -12,7 +12,7 @@
 #   * every request succeeds,
 #   * the router's GetMetrics fan-in reports exactly 2 shards whose summed
 #     counters equal the fleet totals (checked by --expect-shards),
-#   * a raw version-7 envelope gets VersionMismatch from a shard process and
+#   * a raw version-8 envelope gets VersionMismatch from a shard process and
 #     from the router, on a session that stays open,
 #   * a TraceDump against the router returns the merged fabric timeline:
 #     a correlated batch's trace id appears both on the router's request
@@ -228,7 +228,7 @@ python3 - "$OUT_DIR" "$TRACE_ID" "$SHARD_A_PORT" "$ROUTER_PORT" <<'EOF' || exit 
 import re, socket, struct, sys
 out_dir, trace_id = sys.argv[1], sys.argv[2]
 
-# One wire version: a raw CSC1 frame carrying a version-7 GetMetrics
+# One wire version: a raw CSC1 frame carrying a version-8 GetMetrics
 # envelope must be answered VersionMismatch by a shard process and by the
 # router alike, with the session left open (a current-version GetMetrics on
 # the same connection is then served).
@@ -248,9 +248,9 @@ def exchange(conn, version, request_id):
     return status
 for name, port in (('shard', sys.argv[3]), ('router', sys.argv[4])):
     with socket.create_connection(('127.0.0.1', int(port)), timeout=30) as c:
-        assert exchange(c, 7, 70) == 1, f'{name}: v7 not VersionMismatch'
-        assert exchange(c, 8, 80) == 0, f'{name}: session not kept open'
-print('OK: v7 envelope refused with VersionMismatch by shard and router')
+        assert exchange(c, 8, 80) == 1, f'{name}: v8 not VersionMismatch'
+        assert exchange(c, 9, 90) == 0, f'{name}: session not kept open'
+print('OK: v8 envelope refused with VersionMismatch by shard and router')
 
 text = open(f'{out_dir}/remote_trace_merged.txt').read()
 assert re.search(rf'span router\.request.*trace={trace_id}\b', text), \

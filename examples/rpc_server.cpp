@@ -15,9 +15,7 @@
 #include "harness/experiment.hpp"
 #include "loadgen/slo.hpp"
 #include "obs/log.hpp"
-#include "obs/otlp.hpp"
 #include "obs/profiler.hpp"
-#include "obs/tail_sampler.hpp"
 #include "obs/trace.hpp"
 #include "rpc/server.hpp"
 
@@ -70,33 +68,6 @@ int main(int argc, char** argv) {
     if (!prefixes.empty())
       Tracer::global().set_always_keep(std::move(prefixes));
   }
-  // Tail-sampling knobs: keep/drop is decided at span *end*, so these
-  // compose with --trace-sample-every (head sampling) — a slow span is
-  // retained even when its trace lost the head coin flip.
-  // --tail-keep-slow-us N keeps spans matching --tail-prefix that ran at
-  // least N microseconds; --tail-top-k K keeps the K slowest per
-  // --tail-window completed spans; --tail-keep-errors keeps error spans.
-  {
-    std::vector<TailPolicy> policies;
-    std::int64_t slow_us = args.get_int("tail-keep-slow-us", 0);
-    std::int64_t top_k = args.get_int("tail-top-k", 0);
-    std::string prefix = args.get_string("tail-prefix", "");
-    if (slow_us > 0 || top_k > 0 || args.get_int("tail-keep-errors", 0) != 0) {
-      TailPolicy policy;
-      policy.name = args.get_string("tail-policy-name", "cli");
-      policy.span_prefix = prefix;
-      policy.min_duration_us =
-          slow_us > 0 ? static_cast<Real>(slow_us) : 0.0;
-      policy.top_k = top_k > 0 ? static_cast<std::size_t>(top_k) : 0;
-      policy.keep_errors = args.get_int("tail-keep-errors", 0) != 0;
-      policies.push_back(std::move(policy));
-      TailSamplerOptions tail_options;
-      tail_options.window_spans =
-          static_cast<std::size_t>(args.get_int("tail-window", 64));
-      TailSampler::global().configure(std::move(policies), tail_options);
-    }
-  }
-
   // Structured logging: --log-level debug|info|warn|error|off filters the
   // global logger, --log-json 1 switches the sink to JSON lines, --log-out
   // FILE appends every accepted record to a file (the tail -f surface).
@@ -196,38 +167,6 @@ int main(int argc, char** argv) {
        server.service().write_metrics_csvs(out_dir, "service"))
     std::cout << "wrote " << path << "\n";
 
-  // OTLP sinks: --otlp-out DIR drops otlp_traces.json + otlp_metrics.json
-  // (the collector-less path, same files CI archives from the soak);
-  // --otlp-endpoint host[:port] POSTs both bodies to a live OTLP/HTTP
-  // collector (4318 is the conventional port).
-  TailSampler* tail =
-      TailSampler::global().active() ? &TailSampler::global() : nullptr;
-  std::string otlp_out = args.get_string("otlp-out", "");
-  if (!otlp_out.empty()) {
-    std::vector<std::string> written;
-    if (otlp_write_files(otlp_out, Tracer::global(),
-                         MetricsRegistry::global(), tail, {}, &written,
-                         &Logger::global(), &server.service().journal()))
-      for (const std::string& path : written)
-        std::cout << "wrote " << path << "\n";
-  }
-  std::string otlp_spec = args.get_string("otlp-endpoint", "");
-  if (!otlp_spec.empty()) {
-    OtlpEndpoint endpoint;
-    std::string otlp_error;
-    if (!parse_otlp_endpoint(otlp_spec, endpoint, otlp_error)) {
-      std::cerr << "rpc_server: --otlp-endpoint: " << otlp_error << "\n";
-    } else {
-      if (!otlp_post(endpoint, "/v1/traces",
-                     otlp_traces_json(Tracer::global(), tail), otlp_error))
-        std::cerr << "rpc_server: OTLP trace export failed: " << otlp_error
-                  << "\n";
-      if (!otlp_post(endpoint, "/v1/metrics",
-                     otlp_metrics_json(MetricsRegistry::global()), otlp_error))
-        std::cerr << "rpc_server: OTLP metric export failed: " << otlp_error
-                  << "\n";
-    }
-  }
   // --profile-out FILE drops the lifetime collapsed-stack profile (the same
   // text /debug/profile serves live) for flamegraph.pl / speedscope.
   std::string profile_out = args.get_string("profile-out", "");

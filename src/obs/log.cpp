@@ -1,6 +1,5 @@
 #include "obs/log.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -81,11 +80,7 @@ LogField log_kv(std::string key, bool value) {
   return LogField{std::move(key), value ? "true" : "false", false};
 }
 
-Logger::Logger() : epoch_(std::chrono::steady_clock::now()) {
-  static std::atomic<std::uint64_t> next_id{1};
-  id_ = next_id.fetch_add(1, std::memory_order_relaxed);
-  bucket_refill_ = epoch_;
-}
+Logger::Logger() : epoch_(std::chrono::steady_clock::now()) {}
 
 Logger::~Logger() {
   std::lock_guard<std::mutex> lock(sink_mutex_);
@@ -96,14 +91,6 @@ Logger::~Logger() {
 Logger& Logger::global() {
   static Logger logger;
   return logger;
-}
-
-void Logger::set_rate_limit(double rate_per_second, double burst) {
-  std::lock_guard<std::mutex> lock(bucket_mutex_);
-  rate_per_second_ = rate_per_second;
-  burst_ = std::max(burst, 1.0);
-  tokens_ = burst_;
-  bucket_refill_ = std::chrono::steady_clock::now();
 }
 
 bool Logger::set_sink_path(const std::string& path) {
@@ -126,42 +113,9 @@ bool Logger::set_sink_path(const std::string& path) {
   return true;
 }
 
-Logger::ThreadBuffer& Logger::local_buffer() {
-  // One cached buffer per (thread, logger) pair; a second Logger (tests)
-  // re-resolves on id mismatch.
-  thread_local std::uint64_t cached_id = 0;
-  thread_local std::shared_ptr<ThreadBuffer> cached;
-  if (cached && cached_id == id_) return *cached;
-  auto buffer = std::make_shared<ThreadBuffer>();
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    buffer->tid = static_cast<std::int32_t>(buffers_.size() + 1);
-    buffers_.push_back(buffer);
-  }
-  cached = buffer;
-  cached_id = id_;
-  return *cached;
-}
-
-bool Logger::take_token() {
-  std::lock_guard<std::mutex> lock(bucket_mutex_);
-  if (rate_per_second_ <= 0.0) return true;
-  auto now = std::chrono::steady_clock::now();
-  double elapsed = std::chrono::duration<double>(now - bucket_refill_).count();
-  bucket_refill_ = now;
-  tokens_ = std::min(burst_, tokens_ + elapsed * rate_per_second_);
-  if (tokens_ < 1.0) return false;
-  tokens_ -= 1.0;
-  return true;
-}
-
 void Logger::log(LogLevel level, const char* component, std::string message,
                  std::vector<LogField> fields) {
   if (level == LogLevel::Off || !enabled(level)) return;
-  if (!take_token()) {
-    rate_limited_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   LogRecord record;
   record.level = level;
   record.component = component;
@@ -170,24 +124,10 @@ void Logger::log(LogLevel level, const char* component, std::string message,
                        std::chrono::steady_clock::now() - epoch_)
                        .count();
   record.trace_id = Tracer::current_context().trace_id;
-  record.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   record.fields = std::move(fields);
   records_by_level_[static_cast<std::size_t>(level)].fetch_add(
       1, std::memory_order_relaxed);
-
-  ThreadBuffer& buffer = local_buffer();
-  record.tid = buffer.tid;
   sink_write(record);
-  std::size_t capacity = max_records_per_thread();
-  std::lock_guard<std::mutex> lock(buffer.mutex);
-  if (buffer.records.size() < capacity) {
-    buffer.records.push_back(std::move(record));
-  } else {
-    if (buffer.next >= buffer.records.size()) buffer.next = 0;
-    buffer.records[buffer.next] = std::move(record);
-    buffer.next = (buffer.next + 1) % buffer.records.size();
-    ++buffer.dropped;
-  }
 }
 
 void Logger::sink_write(const LogRecord& record) {
@@ -254,47 +194,6 @@ std::uint64_t Logger::records_total(LogLevel level) const {
       std::memory_order_relaxed);
 }
 
-std::uint64_t Logger::dropped_records() const {
-  std::uint64_t total = rate_limited_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    total += buffer->dropped;
-  }
-  return total;
-}
-
-std::uint64_t Logger::buffered_records() const {
-  std::uint64_t total = 0;
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-    total += buffer->records.size();
-  }
-  return total;
-}
-
-std::vector<LogRecord> Logger::collect(const std::string& component,
-                                       std::size_t max_records) const {
-  std::vector<LogRecord> out;
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    for (const auto& buffer : buffers_) {
-      std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-      for (const LogRecord& record : buffer->records) {
-        if (!component.empty() && component != record.component) continue;
-        out.push_back(record);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const LogRecord& a, const LogRecord& b) { return a.seq < b.seq; });
-  if (out.size() > max_records)
-    out.erase(out.begin(),
-              out.end() - static_cast<std::ptrdiff_t>(max_records));
-  return out;
-}
-
 std::string render_log_metrics() {
   Logger& logger = Logger::global();
   std::string out;
@@ -307,28 +206,12 @@ std::string render_log_metrics() {
     out += to_string(level);
     out += "\"} " + std::to_string(logger.records_total(level)) + "\n";
   }
-  out +=
-      "# HELP cosched_log_dropped_total log records shed by rate limiting "
-      "or ring overwrite\n"
-      "# TYPE cosched_log_dropped_total counter\n"
-      "cosched_log_dropped_total " +
-      std::to_string(logger.dropped_records()) + "\n";
   return out;
 }
 
 void Logger::reset() {
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex_);
-    for (const auto& buffer : buffers_) {
-      std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
-      buffer->records.clear();
-      buffer->next = 0;
-      buffer->dropped = 0;
-    }
-  }
   for (auto& counter : records_by_level_)
     counter.store(0, std::memory_order_relaxed);
-  rate_limited_.store(0, std::memory_order_relaxed);
   epoch_ = std::chrono::steady_clock::now();
 }
 

@@ -10,32 +10,26 @@
 // JSON object per line (`--log-json`).
 //
 // Hot-path discipline mirrors trace.hpp:
-//   * per-thread ring buffers — recording takes one thread-local lookup
-//     and a short per-buffer lock shared only with drainers; a full ring
-//     overwrites the oldest record and bumps a dropped counter;
-//   * a global token bucket (records/second + burst) sheds log floods
-//     before they reach the rings or the sink — shed records count into
-//     dropped_records() too, so the drop is observable;
 //   * level filtering is one relaxed atomic load; records below the
-//     threshold are neither counted nor stored;
+//     threshold are neither counted nor rendered;
+//   * an accepted record costs one relaxed counter bump, plus one render
+//     and file append when a sink is open;
 //   * compile-time kill switch: -DCOSCHED_OBS_DISABLED turns the
 //     COSCHED_LOG macro into a no-op with zero residue in that TU (the
 //     same define compiles out spans and the alert engine).
 //
-// Sinks: by default records only live in the rings (collect() serves
-// /debug and tests). set_sink_path() additionally appends every accepted
-// record to a file as it is recorded — the production tail -f surface.
+// Sink: set_sink_path() appends every accepted record to a file as it is
+// recorded — the production tail -f surface (`--log-out`). Without a sink
+// records are only counted.
 //
 // Accounting for /metrics: records_total(level) feeds
-// cosched_log_records_total{level}; dropped_records() feeds
-// cosched_log_dropped_total.
+// cosched_log_records_total{level}.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -75,8 +69,6 @@ struct LogRecord {
   std::string message;
   double wall_us = 0.0;        ///< microseconds since the logger epoch
   std::uint64_t trace_id = 0;  ///< current trace context at record time
-  std::uint64_t seq = 0;       ///< process-global record order
-  std::int32_t tid = 0;        ///< logger-assigned thread index
   std::vector<LogField> fields;
 };
 
@@ -101,93 +93,45 @@ class Logger {
   }
 
   /// One JSON object per line instead of logfmt text (sink rendering and
-  /// render() only; ring storage is structured either way).
+  /// render()).
   void set_json(bool json) { json_.store(json, std::memory_order_relaxed); }
   bool json() const { return json_.load(std::memory_order_relaxed); }
-
-  /// Ring capacity per thread buffer; shrinking keeps existing records
-  /// until reset().
-  void set_max_records_per_thread(std::size_t n) {
-    max_records_per_thread_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-  }
-  std::size_t max_records_per_thread() const {
-    return max_records_per_thread_.load(std::memory_order_relaxed);
-  }
-
-  /// Token bucket: at most `rate_per_second` sustained records with bursts
-  /// of `burst`. rate <= 0 disables rate limiting (the default).
-  void set_rate_limit(double rate_per_second, double burst);
 
   /// Appends accepted records to `path` as they are recorded (creating
   /// missing parent directories). Empty path closes the sink. False (with
   /// a stderr warning) when the file cannot be opened.
   bool set_sink_path(const std::string& path);
 
-  /// Records one structured record. No-op below the level threshold;
-  /// counted into dropped_records() when the token bucket is empty.
+  /// Records one structured record. No-op below the level threshold.
   void log(LogLevel level, const char* component, std::string message,
            std::vector<LogField> fields = {});
 
   /// Accepted records at `level` since construction/reset().
   std::uint64_t records_total(LogLevel level) const;
-  /// Records shed by ring overwrite or rate limiting (monotonic until
-  /// reset()).
-  std::uint64_t dropped_records() const;
-  /// Records currently buffered across all rings.
-  std::uint64_t buffered_records() const;
-
-  /// Copies buffered records, ascending by seq, at most `max_records`
-  /// newest ones. Empty `component` matches all.
-  std::vector<LogRecord> collect(const std::string& component = {},
-                                 std::size_t max_records = SIZE_MAX) const;
 
   /// Renders one record the way the sink would (logfmt or JSON, per
   /// set_json()); newline-free.
   std::string render(const LogRecord& record) const;
 
-  /// Drops buffered records and zeroes the counters; the epoch restarts
-  /// and seq keeps climbing (collect() cursors stay monotonic).
+  /// Zeroes the counters and restarts the epoch.
   void reset();
 
  private:
-  struct ThreadBuffer {
-    std::int32_t tid = 0;
-    mutable std::mutex mutex;
-    std::vector<LogRecord> records;  ///< ring storage
-    std::size_t next = 0;            ///< overwrite position once full
-    std::uint64_t dropped = 0;
-  };
-
-  ThreadBuffer& local_buffer();
-  bool take_token();
   void sink_write(const LogRecord& record);
 
   std::atomic<std::uint8_t> level_{
       static_cast<std::uint8_t>(LogLevel::Info)};
   std::atomic<bool> json_{false};
-  std::atomic<std::size_t> max_records_per_thread_{4096};
-  std::atomic<std::uint64_t> next_seq_{0};
   std::atomic<std::uint64_t> records_by_level_[4] = {};
-  std::atomic<std::uint64_t> rate_limited_{0};
-  std::uint64_t id_ = 0;  ///< unique per Logger: thread-local cache key
   std::chrono::steady_clock::time_point epoch_;
-
-  mutable std::mutex bucket_mutex_;
-  double rate_per_second_ = 0.0;  ///< <= 0: unlimited
-  double burst_ = 0.0;
-  double tokens_ = 0.0;
-  std::chrono::steady_clock::time_point bucket_refill_;
 
   mutable std::mutex sink_mutex_;
   std::FILE* sink_ = nullptr;
-
-  mutable std::mutex registry_mutex_;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
 };
 
 /// Prometheus exposition lines of the global logger's accounting
-/// (cosched_log_records_total{level="..."} + cosched_log_dropped_total),
-/// appended to /metrics by the RPC server and the shard router. Labeled
+/// (cosched_log_records_total{level="..."}), appended to /metrics by the
+/// RPC server and the shard router. Labeled
 /// families cannot ride the MetricsRegistry callback path, so they are
 /// hand-rendered like the router's own metrics.
 std::string render_log_metrics();

@@ -111,8 +111,8 @@ class MetricsRegistry {
   /// bucket counts are cumulative and end with le="+Inf", as the format
   /// requires. With `with_exemplars`, bucket lines whose bucket holds an
   /// exemplar gain the OpenMetrics ` # {trace_id="<16-hex>"} <value>`
-  /// suffix (the default stays off so pre-exemplar consumers — including
-  /// the byte-pinned telemetry frames — see unchanged bytes).
+  /// suffix (the default stays off so pre-exemplar consumers see unchanged
+  /// bytes).
   std::string render_prometheus(bool with_exemplars = false) const;
 
   /// True iff `name` satisfies the exposition charset and the repo's
@@ -153,8 +153,7 @@ struct PrometheusSample {
 bool parse_prometheus_text(const std::string& text,
                            std::vector<PrometheusSample>& out);
 
-/// 16-digit lowercase hex form of a trace id — the exemplar label value and
-/// (zero-padded to 32 digits) the OTLP traceId encoding.
+/// 16-digit lowercase hex form of a trace id — the exemplar label value.
 std::string trace_id_hex(std::uint64_t trace_id);
 
 /// Shortest decimal form that round-trips a double, integral values as

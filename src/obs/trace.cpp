@@ -256,54 +256,6 @@ std::uint64_t Tracer::event_count() const {
   return total;
 }
 
-Tracer::TelemetryBatch Tracer::collect_since(std::uint64_t min_seq,
-                                             const std::string& prefix,
-                                             std::size_t max_events) const {
-  TelemetryBatch batch;
-  batch.next_cursor = min_seq;
-  for (const auto& buffer : buffers_snapshot()) {
-    std::vector<Event> events;
-    std::int32_t tid = buffer->tid;
-    {
-      std::lock_guard<std::mutex> lock(buffer->mutex);
-      events = ordered_events(*buffer);
-    }
-    for (Event& e : events) {
-      if (e.seq < min_seq) continue;
-      if (!prefix.empty() &&
-          std::strncmp(e.name, prefix.c_str(), prefix.size()) != 0)
-        continue;
-      TelemetryEvent sample;
-      sample.name = e.name;
-      sample.phase = e.phase;
-      sample.wall_us = e.wall_us;
-      sample.virtual_time = e.virtual_time;
-      sample.value = e.value;
-      sample.tid = tid;
-      sample.depth = e.depth;
-      sample.trace_id = e.trace_id;
-      sample.seq = e.seq;
-      sample.args = std::move(e.args);
-      batch.events.push_back(std::move(sample));
-    }
-  }
-  std::sort(batch.events.begin(), batch.events.end(),
-            [](const TelemetryEvent& a, const TelemetryEvent& b) {
-              return a.seq < b.seq;
-            });
-  if (max_events > 0 && batch.events.size() > max_events) {
-    // Drop-oldest backpressure: a slow subscriber loses the oldest part of
-    // the backlog, never the freshest samples.
-    batch.dropped = batch.events.size() - max_events;
-    batch.events.erase(batch.events.begin(),
-                       batch.events.end() -
-                           static_cast<std::ptrdiff_t>(max_events));
-  }
-  if (!batch.events.empty())
-    batch.next_cursor = batch.events.back().seq + 1;
-  return batch;
-}
-
 std::string Tracer::dump_text() const {
   std::ostringstream out;
   for (const auto& buffer : buffers_snapshot()) {

@@ -24,8 +24,7 @@
 // is installed per thread (TraceContextScope); record() stamps the current
 // trace_id and a process-global sequence number onto every event. The
 // Chrome exporter emits flow events ("s"/"t"/"f") linking all spans of one
-// trace across threads, and collect_since() serves the streaming-telemetry
-// RPC with cursor-based, drop-oldest batches.
+// trace across threads.
 //
 // Two exporters:
 //  * export_chrome_json() — Chrome trace-event JSON ("X" complete spans,
@@ -89,29 +88,8 @@ class Tracer {
     double value = 0.0;      ///< Counter payload
     std::int32_t depth = 0;  ///< span nesting depth at record time
     std::uint64_t trace_id = 0;  ///< correlating request trace, 0 = none
-    std::uint64_t seq = 0;   ///< process-global record order (cursor key)
+    std::uint64_t seq = 0;   ///< process-global record order
     std::string args;        ///< optional "k=v ..." detail, may be empty
-  };
-
-  /// One telemetry-ready event copy (name materialised into a string so the
-  /// sample outlives the tracer / crosses the wire).
-  struct TelemetryEvent {
-    std::string name;
-    Phase phase = Phase::Instant;
-    double wall_us = 0.0;
-    Real virtual_time = -1.0;
-    double value = 0.0;
-    std::int32_t tid = 0;
-    std::int32_t depth = 0;
-    std::uint64_t trace_id = 0;
-    std::uint64_t seq = 0;
-    std::string args;
-  };
-
-  struct TelemetryBatch {
-    std::vector<TelemetryEvent> events;  ///< ascending seq
-    std::uint64_t next_cursor = 0;  ///< pass back as min_seq next time
-    std::uint64_t dropped = 0;  ///< matching events shed by max_events
   };
 
   Tracer();
@@ -125,7 +103,7 @@ class Tracer {
   /// Drops every buffered event, zeroes the dropped/sampled-out counters and
   /// re-stamps the epoch. Thread buffers stay registered (their tids are
   /// stable for the tracer's lifetime); the global sequence counter keeps
-  /// climbing so telemetry cursors stay monotonic across resets.
+  /// climbing, so event order stays total across resets.
   void reset();
 
   // ---- bounding ---------------------------------------------------------
@@ -191,20 +169,6 @@ class Tracer {
   void counter(const char* name, double value);
 
   std::uint64_t event_count() const;
-
-  /// Next global sequence number: the starting cursor for a telemetry
-  /// subscriber that only wants events recorded from "now" on.
-  std::uint64_t current_seq() const {
-    return next_seq_.load(std::memory_order_relaxed);
-  }
-
-  /// Copies events with seq >= min_seq whose name starts with `prefix`
-  /// (empty prefix matches all), ascending by seq, at most `max_events`
-  /// newest ones (older matches beyond the cap are counted in `dropped` —
-  /// drop-oldest backpressure for slow subscribers).
-  TelemetryBatch collect_since(std::uint64_t min_seq,
-                               const std::string& prefix,
-                               std::size_t max_events) const;
 
   /// Deterministic indented text dump (no wall times). Thread sections are
   /// ordered by tid — the registration order of the recording threads.

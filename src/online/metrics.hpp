@@ -28,8 +28,8 @@ inline constexpr const char* kQueueWaitMetricHelp =
 std::vector<Real> queue_wait_metric_edges();
 
 /// /metrics name of the wall-clock replan duration histogram. Observations
-/// carry the trace_id of the request that triggered the replan, so exemplar
-/// rendering and the tail sampler's latency policies see the same spans.
+/// carry the trace_id of the request that triggered the replan, so an
+/// exemplar names the trace whose online.replan span explains the bucket.
 inline constexpr const char* kReplanDurationMetricName =
     "cosched_replan_duration_seconds";
 inline constexpr const char* kReplanDurationMetricHelp =

@@ -11,7 +11,6 @@
 #include "core/degradation_models.hpp"
 #include "core/snapshot.hpp"
 #include "obs/log.hpp"
-#include "obs/tail_sampler.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
 #include "vm/migration.hpp"
@@ -429,9 +428,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   Problem problem;
   Solution fresh;
   bool have_fresh = false;
-  double fresh_solve_seconds = 0.0;
   {
-    WallTimer solve_timer;
     COSCHED_TRACE_SPAN(solve_span, "replan.fresh_solve", clock_.now());
     problem.machine = machine_by_cores(options_.cores);
     std::vector<Real> rates;
@@ -491,7 +488,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
         have_fresh = true;
         break;
     }
-    fresh_solve_seconds = solve_timer.seconds();
   }
 
   // ---- alignment: incumbent (running processes stay, everyone else
@@ -644,35 +640,9 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   record.stay_combined = stay_combined;
   record.combined = result.combined;
   record.degradation = result.degradation;
-  const double replan_seconds = timer.seconds();
-  const std::uint64_t replan_trace_id = Tracer::current_context().trace_id;
-  record.solve_wall_seconds = replan_seconds;
-  record.trace_id = replan_trace_id;
+  record.solve_wall_seconds = timer.seconds();
+  record.trace_id = Tracer::current_context().trace_id;
   metrics_.on_replan(std::move(record));
-
-  // Tail-sampler end-hooks: fed from the measured wall durations, not the
-  // tracer's head-sampling decision, so a slow replan reaches the tail
-  // policies even when its trace was head-sampled out.
-  TailSampler& tail = TailSampler::global();
-  if (tail.active()) {
-    CompletedSpan solve_done;
-    solve_done.name = "replan.fresh_solve";
-    solve_done.trace_id = replan_trace_id;
-    solve_done.duration_us = fresh_solve_seconds * 1e6;
-    solve_done.virtual_time = clock_.now();
-    solve_done.args = std::string("solver=") + to_string(options_.solver);
-    tail.observe(std::move(solve_done));
-
-    CompletedSpan replan_done;
-    replan_done.name = "online.replan";
-    replan_done.trace_id = replan_trace_id;
-    replan_done.duration_us = replan_seconds * 1e6;
-    replan_done.virtual_time = clock_.now();
-    replan_done.args = std::string("reason=") + reason +
-                       " solver=" + to_string(options_.solver) +
-                       " admitted=" + TextTable::fmt_int(admit);
-    tail.observe(std::move(replan_done));
-  }
 }
 
 }  // namespace cosched

@@ -69,9 +69,6 @@ RpcError CoschedClient::attempt(MessageType type,
   RpcError error;
   sent = false;
 
-  // A live telemetry stream owns the connection; a unary call tears it
-  // down and reconnects so the framing cannot desynchronize.
-  if (streaming_) disconnect();
   if (!ensure_connected(error)) return error;
 
   RequestEnvelope request;
@@ -270,144 +267,6 @@ RpcError CoschedClient::drain(DrainResponse& out) {
   if (!decode_drain_response(r, out) || !r.complete()) {
     error.kind = RpcErrorKind::Protocol;
     error.message = "undecodable Drain response body";
-  }
-  return error;
-}
-
-RpcError CoschedClient::subscribe_telemetry(
-    const TelemetrySubscribeRequest& request, TelemetrySubscribeAck& ack) {
-  RpcError error;
-  if (streaming_) disconnect();  // one stream per connection
-  if (!ensure_connected(error)) return error;
-
-  RequestEnvelope envelope;
-  envelope.type = MessageType::SubscribeTelemetry;
-  envelope.request_id = next_request_id_++;
-  envelope.trace_id =
-      trace_id_ != 0
-          ? trace_id_
-          : SplitMix64(options_.jitter_seed ^ envelope.request_id).next() | 1;
-  WireWriter w;
-  encode_telemetry_subscribe_request(w, request);
-  envelope.body = w.take();
-
-  Deadline deadline = Deadline::after(options_.request_timeout_seconds);
-  FrameStatus frame_status =
-      write_frame(socket_, encode_request(envelope), deadline);
-  if (frame_status != FrameStatus::Ok) {
-    disconnect();
-    error.kind = RpcErrorKind::Transport;
-    error.frame = frame_status;
-    error.message = std::string("sending subscription failed (") +
-                    to_string(frame_status) + ")";
-    return error;
-  }
-
-  std::vector<std::uint8_t> reply;
-  frame_status =
-      read_frame(socket_, reply, deadline, options_.max_frame_bytes);
-  if (frame_status != FrameStatus::Ok) {
-    disconnect();
-    error.kind = frame_status == FrameStatus::BadMagic ||
-                         frame_status == FrameStatus::Oversized
-                     ? RpcErrorKind::Protocol
-                     : RpcErrorKind::Transport;
-    error.frame = frame_status;
-    error.message = std::string("reading subscription ack failed (") +
-                    to_string(frame_status) + ")";
-    return error;
-  }
-
-  ResponseEnvelope response;
-  if (!decode_response(reply, response) ||
-      response.type != MessageType::SubscribeTelemetry ||
-      response.request_id != envelope.request_id) {
-    disconnect();
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "undecodable subscription ack";
-    return error;
-  }
-  if (response.status != RpcStatus::Ok) {
-    error.kind = RpcErrorKind::Application;
-    error.app = response.status;
-    error.message = response.error;
-    return error;
-  }
-  WireReader r(response.body);
-  if (!decode_telemetry_subscribe_ack(r, ack) || !r.complete()) {
-    disconnect();
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "undecodable subscription ack body";
-    return error;
-  }
-  last_trace_id_ = response.trace_id;
-  streaming_ = true;
-  stream_request_id_ = envelope.request_id;
-  return error;
-}
-
-RpcError CoschedClient::read_telemetry_frame(TelemetryFrame& out,
-                                             double timeout_seconds) {
-  RpcError error;
-  if (!streaming_) {
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "no telemetry stream on this connection";
-    return error;
-  }
-  std::vector<std::uint8_t> payload;
-  FrameStatus frame_status =
-      read_frame(socket_, payload, Deadline::after(timeout_seconds),
-                 options_.max_frame_bytes);
-  if (frame_status != FrameStatus::Ok) {
-    if (frame_status != FrameStatus::Timeout) disconnect();
-    error.kind = frame_status == FrameStatus::Timeout ||
-                         frame_status == FrameStatus::Closed
-                     ? RpcErrorKind::Transport
-                     : RpcErrorKind::Protocol;
-    error.frame = frame_status;
-    error.message = std::string("reading telemetry frame failed (") +
-                    to_string(frame_status) + ")";
-    return error;
-  }
-  ResponseEnvelope envelope;
-  if (!decode_response(payload, envelope) ||
-      envelope.type != MessageType::SubscribeTelemetry ||
-      envelope.request_id != stream_request_id_ ||
-      envelope.status != RpcStatus::Ok) {
-    disconnect();
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "telemetry stream desynchronized";
-    return error;
-  }
-  WireReader r(envelope.body);
-  if (!decode_telemetry_frame(r, out) || !r.complete()) {
-    disconnect();
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "undecodable telemetry frame";
-    return error;
-  }
-  if (out.last) disconnect();  // server ends the stream after this frame
-  return error;
-}
-
-RpcError CoschedClient::stop_telemetry() {
-  RpcError error;
-  if (!streaming_) {
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "no telemetry stream on this connection";
-    return error;
-  }
-  // Any client frame asks the server to finish; an empty payload is the
-  // conventional "unsubscribe".
-  FrameStatus frame_status =
-      write_frame(socket_, {},
-                  Deadline::after(options_.request_timeout_seconds));
-  if (frame_status != FrameStatus::Ok) {
-    disconnect();
-    error.kind = RpcErrorKind::Transport;
-    error.frame = frame_status;
-    error.message = std::string("sending unsubscribe failed (") +
-                    to_string(frame_status) + ")";
   }
   return error;
 }

@@ -89,31 +89,14 @@ class CoschedClient {
   /// Trace id stamped on subsequent requests. 0 (the default) lets the
   /// client derive a deterministic per-request id from the jitter seed; a
   /// nonzero id is used as-is, so a caller can follow its own request
-  /// through the server's spans and telemetry stream.
+  /// through the server's spans.
   void set_trace_id(std::uint64_t trace_id) { trace_id_ = trace_id; }
   /// Effective trace id of the last completed call, as echoed by the
   /// server.
   std::uint64_t last_trace_id() const { return last_trace_id_; }
 
-  // ---- streaming telemetry ----------------------------------------------
-  /// Starts a SubscribeTelemetry stream on this connection. After an Ok
-  /// return the connection is dedicated to the stream: drain frames with
-  /// read_telemetry_frame(); any unary call tears the stream down first.
-  RpcError subscribe_telemetry(const TelemetrySubscribeRequest& request,
-                               TelemetrySubscribeAck& ack);
-  /// Blocks for the next pushed frame. When `out.last` is true the server
-  /// has ended the stream and the connection is closed.
-  RpcError read_telemetry_frame(TelemetryFrame& out, double timeout_seconds);
-  /// Polite unsubscribe: asks the server for one final frame (marked
-  /// `last`). Keep reading until it arrives.
-  RpcError stop_telemetry();
-
   bool connected() const { return socket_.valid(); }
-  bool streaming() const { return streaming_; }
-  void disconnect() {
-    socket_.close();
-    streaming_ = false;
-  }
+  void disconnect() { socket_.close(); }
 
  private:
   /// One full call: connect if needed, send, receive, validate envelope.
@@ -135,8 +118,6 @@ class CoschedClient {
   std::uint64_t next_request_id_ = 1;
   std::uint64_t trace_id_ = 0;       ///< explicit id; 0 = derive per call
   std::uint64_t last_trace_id_ = 0;  ///< effective id of the last call
-  bool streaming_ = false;
-  std::uint64_t stream_request_id_ = 0;  ///< envelope echo check for frames
 };
 
 }  // namespace cosched

@@ -1,7 +1,5 @@
 #include "rpc/protocol.hpp"
 
-#include "obs/trace.hpp"
-
 namespace cosched {
 
 const char* to_string(MessageType type) {
@@ -13,7 +11,6 @@ const char* to_string(MessageType type) {
     case MessageType::Drain: return "Drain";
     case MessageType::Shutdown: return "Shutdown";
     case MessageType::TraceDump: return "TraceDump";
-    case MessageType::SubscribeTelemetry: return "SubscribeTelemetry";
     case MessageType::QueryJobTimeline: return "QueryJobTimeline";
     case MessageType::GetAlerts: return "GetAlerts";
   }
@@ -21,8 +18,10 @@ const char* to_string(MessageType type) {
 }
 
 bool valid_message_type(std::uint8_t raw) {
+  constexpr std::uint8_t kRetired = 8;  // the deleted telemetry stream
   return raw >= static_cast<std::uint8_t>(MessageType::SubmitJob) &&
-         raw <= static_cast<std::uint8_t>(MessageType::GetAlerts);
+         raw <= static_cast<std::uint8_t>(MessageType::GetAlerts) &&
+         raw != kRetired;
 }
 
 const char* to_string(RpcStatus status) {
@@ -265,11 +264,6 @@ void encode_metrics_response(WireWriter& w, const MetricsResponse& response) {
   w.real(response.queue_wait_seconds_sum);
   w.real(response.queue_wait_seconds_p99);
   w.u64(response.tracer_dropped_events);
-  w.u64(response.tail_considered);
-  w.u64(response.tail_kept);
-  w.u64(response.tail_dropped);
-  w.u64(response.tail_pending);
-  w.u64(response.tail_retained_spans);
   w.u64(response.latency_exemplar_trace_id);
   w.real(response.latency_exemplar_seconds);
   w.i32(response.shard_id);
@@ -326,11 +320,6 @@ bool decode_metrics_response(WireReader& r, MetricsResponse& response) {
   response.queue_wait_seconds_sum = r.real();
   response.queue_wait_seconds_p99 = r.real();
   response.tracer_dropped_events = r.u64();
-  response.tail_considered = r.u64();
-  response.tail_kept = r.u64();
-  response.tail_dropped = r.u64();
-  response.tail_pending = r.u64();
-  response.tail_retained_spans = r.u64();
   response.latency_exemplar_trace_id = r.u64();
   response.latency_exemplar_seconds = r.real();
   response.shard_id = r.i32();
@@ -396,102 +385,6 @@ void encode_drain_response(WireWriter& w, const DrainResponse& response) {
 bool decode_drain_response(WireReader& r, DrainResponse& response) {
   response.completions = r.u64();
   response.virtual_now = r.real();
-  return r.ok();
-}
-
-// ---- streaming telemetry -------------------------------------------------
-
-void encode_telemetry_subscribe_request(
-    WireWriter& w, const TelemetrySubscribeRequest& request) {
-  w.u32(request.interval_ms);
-  w.u32(request.max_frames);
-  w.u32(request.max_spans_per_frame);
-  w.str(request.prefix);
-}
-
-bool decode_telemetry_subscribe_request(WireReader& r,
-                                        TelemetrySubscribeRequest& request) {
-  request.interval_ms = r.u32();
-  request.max_frames = r.u32();
-  request.max_spans_per_frame = r.u32();
-  request.prefix = r.str();
-  return r.ok();
-}
-
-void encode_telemetry_subscribe_ack(WireWriter& w,
-                                    const TelemetrySubscribeAck& ack) {
-  w.u32(ack.interval_ms);
-  w.u32(ack.max_spans_per_frame);
-}
-
-bool decode_telemetry_subscribe_ack(WireReader& r,
-                                    TelemetrySubscribeAck& ack) {
-  ack.interval_ms = r.u32();
-  ack.max_spans_per_frame = r.u32();
-  return r.ok();
-}
-
-void encode_telemetry_frame(WireWriter& w, const TelemetryFrame& frame) {
-  w.u64(frame.frame_seq);
-  w.boolean(frame.last);
-  w.u64(frame.dropped_spans);
-  w.u32(static_cast<std::uint32_t>(frame.metrics.size()));
-  for (const TelemetryMetricSample& m : frame.metrics) {
-    w.str(m.name);
-    w.real(m.value);
-  }
-  w.u32(static_cast<std::uint32_t>(frame.spans.size()));
-  for (const TelemetrySpanSample& s : frame.spans) {
-    w.str(s.name);
-    w.u8(s.phase);
-    w.u64(s.trace_id);
-    w.u64(s.seq);
-    w.i32(s.tid);
-    w.i32(s.depth);
-    w.real(s.wall_us);
-    w.real(s.virtual_time);
-    w.real(s.value);
-    w.str(s.args);
-  }
-  w.str(frame.sampling_mode);
-}
-
-bool decode_telemetry_frame(WireReader& r, TelemetryFrame& frame) {
-  frame.frame_seq = r.u64();
-  frame.last = r.boolean();
-  frame.dropped_spans = r.u64();
-  std::uint32_t metrics = r.u32();
-  if (!r.ok() || metrics > r.remaining()) return false;
-  frame.metrics.clear();
-  frame.metrics.reserve(metrics);
-  for (std::uint32_t i = 0; i < metrics; ++i) {
-    TelemetryMetricSample m;
-    m.name = r.str();
-    m.value = r.real();
-    frame.metrics.push_back(std::move(m));
-  }
-  std::uint32_t spans = r.u32();
-  if (!r.ok() || spans > r.remaining()) return false;
-  frame.spans.clear();
-  frame.spans.reserve(spans);
-  for (std::uint32_t i = 0; i < spans; ++i) {
-    TelemetrySpanSample s;
-    s.name = r.str();
-    s.phase = r.u8();
-    s.trace_id = r.u64();
-    s.seq = r.u64();
-    s.tid = r.i32();
-    s.depth = r.i32();
-    s.wall_us = r.real();
-    s.virtual_time = r.real();
-    s.value = r.real();
-    s.args = r.str();
-    if (!r.ok() ||
-        s.phase > static_cast<std::uint8_t>(Tracer::Phase::Counter))
-      return false;
-    frame.spans.push_back(std::move(s));
-  }
-  frame.sampling_mode = r.str();
   return r.ok();
 }
 

@@ -31,7 +31,7 @@ namespace cosched {
 /// RemoteShard, benches) is built from this tree, so all of them rebuild
 /// together. Bump kProtocolVersion on any change to an envelope or body
 /// layout; every decoder reads the full current layout or fails.
-inline constexpr std::uint16_t kProtocolVersion = 8;
+inline constexpr std::uint16_t kProtocolVersion = 9;
 
 enum class MessageType : std::uint8_t {
   SubmitJob = 1,
@@ -41,7 +41,8 @@ enum class MessageType : std::uint8_t {
   Drain = 5,
   Shutdown = 6,
   TraceDump = 7,  ///< the server's structured trace, text + Chrome JSON
-  SubscribeTelemetry = 8,  ///< server-push metrics + span stream
+  // 8 is retired (was a server-push telemetry stream); valid_message_type
+  // rejects it.
   QueryJobTimeline = 9,  ///< decision-journal events of one job
   GetAlerts = 10,  ///< alert rule states (router: fleet fan-in)
 };
@@ -162,11 +163,6 @@ struct MetricsResponse {
   Real queue_wait_seconds_sum = 0.0;      ///< virtual seconds waited, total
   Real queue_wait_seconds_p99 = 0.0;      ///< interpolated from buckets
   std::uint64_t tracer_dropped_events = 0;  ///< ring overwrites since reset
-  std::uint64_t tail_considered = 0;   ///< root spans observed by the sampler
-  std::uint64_t tail_kept = 0;         ///< spans retained (all reasons)
-  std::uint64_t tail_dropped = 0;      ///< spans rejected by every policy
-  std::uint64_t tail_pending = 0;      ///< spans parked awaiting a verdict
-  std::uint64_t tail_retained_spans = 0;  ///< retained ring residency
   /// Newest request-latency exemplar: the trace behind a recent
   /// cosched_rpc_request_seconds observation (0 = none yet).
   std::uint64_t latency_exemplar_trace_id = 0;
@@ -200,58 +196,6 @@ struct TraceDumpResponse {
 struct DrainResponse {
   std::uint64_t completions = 0;
   Real virtual_now = 0.0;
-};
-
-// ---- streaming telemetry -------------------------------------------------
-// SubscribeTelemetry turns the connection into a server-push stream: the
-// server acks with a TelemetrySubscribeAck body, then sends one Ok response
-// envelope per TelemetryFrame every interval until the subscriber
-// disconnects, sends any frame back (polite unsubscribe — the server
-// answers with one final frame marked `last`), max_frames is reached, or
-// the server stops.
-
-struct TelemetrySubscribeRequest {
-  std::uint32_t interval_ms = 500;  ///< frame cadence; clamped to >= 10
-  std::uint32_t max_frames = 0;     ///< 0 = stream until disconnect
-  std::uint32_t max_spans_per_frame = 0;  ///< 0 = server default (512)
-  std::string prefix;  ///< span/metric name prefix filter; empty = all
-};
-
-struct TelemetrySubscribeAck {
-  std::uint32_t interval_ms = 0;          ///< effective, after clamping
-  std::uint32_t max_spans_per_frame = 0;  ///< effective per-frame cap
-};
-
-/// One sampled span/instant/counter event, name materialised.
-struct TelemetrySpanSample {
-  std::string name;
-  std::uint8_t phase = 0;  ///< Tracer::Phase raw value
-  std::uint64_t trace_id = 0;
-  std::uint64_t seq = 0;
-  std::int32_t tid = 0;
-  std::int32_t depth = 0;
-  Real wall_us = 0.0;
-  Real virtual_time = -1.0;
-  Real value = 0.0;
-  std::string args;
-};
-
-/// One metric sample from the Prometheus exposition ("name{labels}").
-struct TelemetryMetricSample {
-  std::string name;
-  Real value = 0.0;
-};
-
-struct TelemetryFrame {
-  std::uint64_t frame_seq = 0;
-  bool last = false;  ///< final frame of a clean unsubscribe / shutdown
-  std::uint64_t dropped_spans = 0;  ///< shed by per-subscriber backpressure
-  std::vector<TelemetryMetricSample> metrics;
-  std::vector<TelemetrySpanSample> spans;
-  /// Which sampling configuration produced the spans in this frame, so
-  /// consumers can interpret gaps — e.g. "head:1-in-64" or
-  /// "head:1-in-64,tail(slow-replans)".
-  std::string sampling_mode;
 };
 
 struct ShutdownResponse {
@@ -327,18 +271,6 @@ bool decode_trace_dump_response(WireReader& r, TraceDumpResponse& response);
 
 void encode_drain_response(WireWriter& w, const DrainResponse& response);
 bool decode_drain_response(WireReader& r, DrainResponse& response);
-
-void encode_telemetry_subscribe_request(
-    WireWriter& w, const TelemetrySubscribeRequest& request);
-bool decode_telemetry_subscribe_request(WireReader& r,
-                                        TelemetrySubscribeRequest& request);
-
-void encode_telemetry_subscribe_ack(WireWriter& w,
-                                    const TelemetrySubscribeAck& ack);
-bool decode_telemetry_subscribe_ack(WireReader& r, TelemetrySubscribeAck& ack);
-
-void encode_telemetry_frame(WireWriter& w, const TelemetryFrame& frame);
-bool decode_telemetry_frame(WireReader& r, TelemetryFrame& frame);
 
 void encode_journal_event(WireWriter& w, const JournalEvent& event);
 bool decode_journal_event(WireReader& r, JournalEvent& event);

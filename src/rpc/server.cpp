@@ -1,32 +1,14 @@
 #include "rpc/server.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <utility>
 
 #include "obs/log.hpp"
-#include "obs/tail_sampler.hpp"
 #include "obs/trace.hpp"
 #include "online/metrics.hpp"
 #include "util/timer.hpp"
 
 namespace cosched {
-
-namespace {
-
-/// Frame-level sampling-mode label advertised to telemetry subscribers:
-/// the head-based rate plus the tail policies, e.g.
-/// "head:1-in-64,tail(slow-replans)".
-std::string sampling_mode_label() {
-  std::uint64_t every = Tracer::global().sample_every();
-  std::string label =
-      every <= 1 ? "head:all" : "head:1-in-" + std::to_string(every);
-  std::string tail = TailSampler::global().mode_label();
-  if (!tail.empty()) label += "," + tail;
-  return label;
-}
-
-}  // namespace
 
 CoschedServer::CoschedServer(ServerOptions options)
     : SessionCore(options, "rpc.request", 0xC05C4EDB00C5ULL),
@@ -179,35 +161,6 @@ void CoschedServer::register_observability() {
   cb("cosched_tracer_buffered_events",
      "trace events currently resident across thread rings", "gauge",
      [] { return static_cast<double>(Tracer::global().event_count()); });
-  cb("cosched_tail_considered_spans_total",
-     "root spans observed by the tail sampler", "counter", [] {
-       return static_cast<double>(TailSampler::global().stats().considered);
-     });
-  cb("cosched_tail_kept_spans_total",
-     "root spans retained by the tail sampler (all keep reasons)",
-     "counter",
-     [] { return static_cast<double>(TailSampler::global().stats().kept()); });
-  cb("cosched_tail_dropped_spans_total",
-     "root spans rejected by every tail policy", "counter", [] {
-       return static_cast<double>(TailSampler::global().stats().dropped);
-     });
-  cb("cosched_tail_pending_spans",
-     "spans parked in the tail sampler's bounded pending window", "gauge",
-     [] { return static_cast<double>(TailSampler::global().pending()); });
-  cb("cosched_tail_retained_spans",
-     "spans resident in the tail sampler's bounded retained ring", "gauge",
-     [] { return static_cast<double>(TailSampler::global().retained()); });
-  cb("cosched_telemetry_subscribers", "live SubscribeTelemetry streams",
-     "gauge", [this] {
-       return static_cast<double>(
-           telemetry_subscribers_.load(std::memory_order_relaxed));
-     });
-  cb("cosched_telemetry_frames_total", "telemetry frames pushed", "counter",
-     [this] { return static_cast<double>(stats().telemetry_frames); });
-  cb("cosched_telemetry_dropped_spans_total",
-     "span samples shed by per-subscriber backpressure", "counter", [this] {
-       return static_cast<double>(stats().telemetry_dropped_spans);
-     });
 }
 
 void CoschedServer::unregister_observability() {
@@ -219,180 +172,9 @@ void CoschedServer::unregister_observability() {
   // nothing it references dies with us).
 }
 
-bool CoschedServer::take_over(Socket& socket,
-                              const RequestEnvelope& request) {
-  if (request.type != MessageType::SubscribeTelemetry) return false;
-  serve_telemetry(socket, request);
-  return true;
-}
-
-void CoschedServer::request_done(const ResponseEnvelope& response,
-                                 std::uint64_t trace_id,
+void CoschedServer::request_done(std::uint64_t trace_id,
                                  const WallTimer& timer) {
   if (request_latency_) request_latency_->observe(timer.seconds(), trace_id);
-  if (TailSampler::global().active()) {
-    // Tail end-hook: report the finished root span with its measured
-    // duration — the keep/drop decision happens *now*, when slowness is
-    // known, independent of the head sampler's recording decision.
-    CompletedSpan root;
-    root.name = "rpc.request";
-    root.trace_id = trace_id;
-    root.duration_us = timer.seconds() * 1e6;
-    root.error = response.status != RpcStatus::Ok;
-    root.args = std::string("type=") + to_string(response.type);
-    TailSampler::global().observe(std::move(root));
-  }
-}
-
-void CoschedServer::serve_telemetry(Socket& socket,
-                                    const RequestEnvelope& request) {
-  ResponseEnvelope ack;
-  ack.type = request.type;
-  ack.request_id = request.request_id;
-
-  TelemetrySubscribeRequest sub;
-  WireReader reader(request.body);
-  if (!decode_telemetry_subscribe_request(reader, sub) ||
-      !reader.complete()) {
-    ack.status = RpcStatus::BadRequest;
-    ack.error = "malformed SubscribeTelemetry body";
-    write_frame(socket, encode_response(ack),
-                Deadline::after(options_.idle_poll_seconds));
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests_failed;
-    return;
-  }
-
-  const double interval_seconds =
-      static_cast<double>(std::max<std::uint32_t>(sub.interval_ms, 10)) /
-      1000.0;
-  const std::size_t max_spans =
-      sub.max_spans_per_frame == 0 ? 512 : sub.max_spans_per_frame;
-  std::uint64_t trace_id =
-      request.trace_id != 0 ? request.trace_id : next_trace_id();
-
-  TelemetrySubscribeAck ack_body;
-  ack_body.interval_ms =
-      static_cast<std::uint32_t>(interval_seconds * 1000.0);
-  ack_body.max_spans_per_frame = static_cast<std::uint32_t>(max_spans);
-  WireWriter ack_writer;
-  encode_telemetry_subscribe_ack(ack_writer, ack_body);
-  ack.trace_id = trace_id;
-  ack.status = RpcStatus::Ok;
-  ack.body = ack_writer.take();
-  if (write_frame(socket, encode_response(ack),
-                  Deadline::after(options_.request_deadline_seconds)) !=
-      FrameStatus::Ok)
-    return;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests_ok;
-  }
-
-  telemetry_subscribers_.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t cursor = Tracer::global().current_seq();
-  std::uint64_t frame_seq = 0;
-  std::vector<std::uint8_t> inbound;
-
-  auto send_frame = [&](bool last) -> bool {
-    TelemetryFrame frame;
-    frame.frame_seq = frame_seq++;
-    frame.last = last;
-    // Subscribers learn which sampling configuration produced the span
-    // stream (the label travels per frame: knobs can change mid-stream).
-    frame.sampling_mode = sampling_mode_label();
-    std::vector<PrometheusSample> samples;
-    if (parse_prometheus_text(MetricsRegistry::global().render_prometheus(),
-                              samples)) {
-      frame.metrics.reserve(samples.size());
-      for (PrometheusSample& s : samples) {
-        TelemetryMetricSample m;
-        m.name = s.labels.empty() ? std::move(s.name)
-                                  : s.name + "{" + s.labels + "}";
-        m.value = s.value;
-        frame.metrics.push_back(std::move(m));
-      }
-    }
-    Tracer::TelemetryBatch batch =
-        Tracer::global().collect_since(cursor, sub.prefix, max_spans);
-    cursor = batch.next_cursor;
-    frame.dropped_spans = batch.dropped;
-    frame.spans.reserve(batch.events.size());
-    for (Tracer::TelemetryEvent& e : batch.events) {
-      TelemetrySpanSample s;
-      s.name = std::move(e.name);
-      s.phase = static_cast<std::uint8_t>(e.phase);
-      s.trace_id = e.trace_id;
-      s.seq = e.seq;
-      s.tid = e.tid;
-      s.depth = e.depth;
-      s.wall_us = e.wall_us;
-      s.virtual_time = e.virtual_time;
-      s.value = e.value;
-      s.args = std::move(e.args);
-      frame.spans.push_back(std::move(s));
-    }
-    ResponseEnvelope push;
-    push.type = request.type;
-    push.request_id = request.request_id;
-    push.trace_id = trace_id;
-    push.status = RpcStatus::Ok;
-    WireWriter body;
-    encode_telemetry_frame(body, frame);
-    push.body = body.take();
-    // A subscriber that cannot drain a frame within one interval (plus the
-    // poll slack) is dropped — per-subscriber buffering stays bounded at
-    // one in-flight frame.
-    bool ok = write_frame(socket, encode_response(push),
-                          Deadline::after(interval_seconds +
-                                          options_.idle_poll_seconds)) ==
-              FrameStatus::Ok;
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (ok) ++stats_.telemetry_frames;
-    stats_.telemetry_dropped_spans += batch.dropped;
-    return ok;
-  };
-
-  bool running = true;
-  while (running) {
-    // Pace one interval, watching the stop flag and the subscriber socket
-    // (a frame from the client = polite unsubscribe; EOF/garbage = gone).
-    Deadline tick = Deadline::after(interval_seconds);
-    bool unsubscribe = false;
-    bool disconnected = false;
-    while (!tick.expired()) {
-      if (stopping()) {
-        unsubscribe = true;
-        break;
-      }
-      double slice =
-          std::min(options_.idle_poll_seconds,
-                   static_cast<double>(tick.remaining_ms()) / 1000.0);
-      if (socket.wait_readable(Deadline::after(slice)) != NetStatus::Ok)
-        continue;  // timeout: keep pacing
-      FrameStatus in = read_frame(socket, inbound,
-                                  Deadline::after(options_.idle_poll_seconds),
-                                  options_.max_frame_bytes);
-      if (in == FrameStatus::Ok) {
-        unsubscribe = true;  // any client frame ends the stream cleanly
-      } else {
-        disconnected = true;  // EOF or a broken stream
-        if (in != FrameStatus::Closed) {
-          std::lock_guard<std::mutex> lock(stats_mutex_);
-          ++stats_.malformed_frames;
-        }
-      }
-      break;
-    }
-    if (disconnected) break;
-    if (unsubscribe) {
-      send_frame(true);  // best-effort final frame
-      break;
-    }
-    bool last = sub.max_frames != 0 && frame_seq + 1 >= sub.max_frames;
-    if (!send_frame(last) || last) running = false;
-  }
-  telemetry_subscribers_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 ResponseEnvelope CoschedServer::dispatch(const RequestEnvelope& request,
@@ -543,13 +325,6 @@ ResponseEnvelope CoschedServer::dispatch(const RequestEnvelope& request,
         reply.queue_wait_seconds_p99 = queue_wait.quantile(0.99);
       }
       reply.tracer_dropped_events = Tracer::global().dropped_events();
-      TailSampler& tail = TailSampler::global();
-      TailSamplerStats tail_stats = tail.stats();
-      reply.tail_considered = tail_stats.considered;
-      reply.tail_kept = tail_stats.kept();
-      reply.tail_dropped = tail_stats.dropped;
-      reply.tail_pending = tail.pending();
-      reply.tail_retained_spans = tail.retained();
       // Shard/fan-in block of a single instance: its identity and its
       // spillover signals. A standalone server fronts no shards, so the
       // per-shard list stays empty and the router accounting zero.
@@ -595,11 +370,6 @@ ResponseEnvelope CoschedServer::dispatch(const RequestEnvelope& request,
                     : 0.0);
       break;
     }
-    case MessageType::SubscribeTelemetry:
-      // Streamed on the connection level (take_over); reaching the unary
-      // dispatcher means the caller misrouted it.
-      return rpc_failure(RpcStatus::BadRequest,
-                         "SubscribeTelemetry is a streaming request");
   }
   ResponseEnvelope response;
   response.body = body.take();

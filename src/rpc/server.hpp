@@ -10,14 +10,12 @@
 // (`request_deadline_seconds`), checked before dispatch and used as the
 // timeout of the scheduler-thread command — an expired budget turns into an
 // RpcStatus::DeadlineExpired response, never a stuck worker. On top of the
-// core it serves SubscribeTelemetry streams and feeds every finished
-// request to the latency histogram and the tail sampler.
+// core it feeds every finished request to the latency histogram.
 //
 // Drain is forwarded to the service — admissions stop, queued jobs finish,
 // the fleet empties.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -50,15 +48,8 @@ class CoschedServer : public SessionCore {
   /// Decodes, dispatches and encodes one request.
   ResponseEnvelope dispatch(const RequestEnvelope& request,
                             std::uint64_t trace_id) override;
-  bool take_over(Socket& socket, const RequestEnvelope& request) override;
-  /// Latency histogram observation (with its exemplar) and the tail
-  /// sampler's end-hook.
-  void request_done(const ResponseEnvelope& response, std::uint64_t trace_id,
-                    const WallTimer& timer) override;
-  /// Turns the connection into a server-push telemetry stream
-  /// (SubscribeTelemetry); returns when the subscriber leaves, max_frames is
-  /// reached or the server stops.
-  void serve_telemetry(Socket& socket, const RequestEnvelope& request);
+  /// Latency histogram observation (with its exemplar).
+  void request_done(std::uint64_t trace_id, const WallTimer& timer) override;
   /// Registers the callback metrics bridging server/cache state into the
   /// process registry; unregister_observability() drops them (stop()).
   void register_observability();
@@ -71,7 +62,6 @@ class CoschedServer : public SessionCore {
   HistogramMetric* request_latency_ = nullptr;
   HistogramMetric* queue_wait_metric_ = nullptr;
   std::vector<std::string> callback_names_;
-  std::atomic<std::int64_t> telemetry_subscribers_{0};
 };
 
 }  // namespace cosched

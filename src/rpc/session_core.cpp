@@ -218,9 +218,6 @@ void SessionCore::serve_connection(Socket socket) {
                              "malformed request envelope");
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.malformed_frames;
-    } else if (request.version == kProtocolVersion &&
-               take_over(socket, request)) {
-      return;  // the front door owned the connection until it ended
     } else {
       // Correlation: adopt the client's trace_id or mint one, latch the
       // head-based sampling decision, and keep the context installed for
@@ -246,7 +243,7 @@ void SessionCore::serve_connection(Socket socket) {
         socket, encode_response(response),
         Deadline::after(options_.request_deadline_seconds +
                         options_.idle_poll_seconds));
-    request_done(response, trace_id, request_timer);
+    request_done(trace_id, request_timer);
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       if (response.status == RpcStatus::Ok)

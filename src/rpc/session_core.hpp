@@ -75,8 +75,6 @@ struct ServerStats {
   std::uint64_t requests_ok = 0;
   std::uint64_t requests_failed = 0;  ///< non-Ok responses sent
   std::uint64_t malformed_frames = 0;  ///< bad magic / oversized / truncated
-  std::uint64_t telemetry_frames = 0;  ///< SubscribeTelemetry frames pushed
-  std::uint64_t telemetry_dropped_spans = 0;  ///< shed by backpressure
 };
 
 /// A non-Ok reply; the session core fills in the envelope's echo fields.
@@ -125,17 +123,8 @@ class SessionCore {
   /// request_id and trace_id on the returned envelope.
   virtual ResponseEnvelope dispatch(const RequestEnvelope& request,
                                     std::uint64_t trace_id) = 0;
-  /// Lets the front door take the connection over for `request` (a
-  /// streaming exchange); true ends the session once it returns.
-  virtual bool take_over(Socket& socket, const RequestEnvelope& request) {
-    (void)socket;
-    (void)request;
-    return false;
-  }
   /// Runs after each reply has been written (`timer` started on receipt).
-  virtual void request_done(const ResponseEnvelope& response,
-                            std::uint64_t trace_id, const WallTimer& timer) {
-    (void)response;
+  virtual void request_done(std::uint64_t trace_id, const WallTimer& timer) {
     (void)trace_id;
     (void)timer;
   }

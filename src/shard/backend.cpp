@@ -84,8 +84,8 @@ RpcStatus LocalShard::metrics(MetricsResponse& out, std::string& error) {
     return RpcStatus::DeadlineExpired;
   }
   // Scheduler counters + the load fields. The observability fields (A*
-  // counters, RPC latency, tail sampler) describe a CoschedServer process,
-  // which an in-process shard does not run — they stay zero.
+  // counters, RPC latency) describe a CoschedServer process, which an
+  // in-process shard does not run — they stay zero.
   out = MetricsResponse{};
   out.virtual_now = outcome.virtual_now;
   out.arrivals = outcome.arrivals;

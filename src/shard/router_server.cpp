@@ -291,12 +291,6 @@ ResponseEnvelope RouterServer::dispatch(const RequestEnvelope& request,
       encode_alerts_response(body, collect_alerts());
       break;
     }
-    case MessageType::SubscribeTelemetry: {
-      // Streaming is a per-shard concern: in an RPC-addressable deployment
-      // subscribe to the shard servers directly.
-      return rpc_failure(RpcStatus::BadRequest,
-                         "SubscribeTelemetry is not served by the router");
-    }
   }
   ResponseEnvelope response;
   response.body = body.take();

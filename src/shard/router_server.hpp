@@ -8,10 +8,7 @@
 // carry the routed shard, and GetMetrics answers the fan-in block with the
 // per-shard health entries.
 //
-// Deliberately simpler than CoschedServer: no telemetry streaming
-// (SubscribeTelemetry answers BadRequest — subscribe to the shards' own
-// servers in an RPC-addressable deployment) and no per-request tail
-// sampling. The HTTP side door serves the *fleet* view:
+// The HTTP side door serves the *fleet* view:
 // ShardRouter::render_prometheus() — router counters, per-shard gauges and
 // the merged latency histogram — instead of the process registry, /healthz
 // answers the health fan-in (JSON breakdown, 503 when every shard is down)

@@ -1,6 +1,6 @@
-// Shared raw-wire helpers for the RPC, router and telemetry tests: the
-// exact bytes a peer of any protocol version would put on the wire, and
-// the job fields admission must refuse.
+// Shared raw-wire helpers for the RPC and router tests: the exact bytes a
+// peer of any protocol version would put on the wire, and the job fields
+// admission must refuse.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -48,7 +48,7 @@ inline ResponseEnvelope raw_exchange(
   return raw_exchange(raw, version, type, request_id, body);
 }
 
-/// v1 and v7 peers (the oldest wire and the last before the current one)
+/// v1 and v8 peers (the oldest wire and the last before the current one)
 /// get VersionMismatch answered in the current version, and the session
 /// stays open: a current-version request on the same socket is served.
 inline void expect_old_versions_refused(std::uint16_t port) {
@@ -56,7 +56,7 @@ inline void expect_old_versions_refused(std::uint16_t port) {
   Socket raw = Socket::connect_to("127.0.0.1", port, Deadline::after(2.0),
                                   net);
   ASSERT_EQ(net, NetStatus::Ok);
-  for (std::uint16_t version : {std::uint16_t{1}, std::uint16_t{7}}) {
+  for (std::uint16_t version : {std::uint16_t{1}, std::uint16_t{8}}) {
     ResponseEnvelope refused =
         raw_exchange(raw, version, MessageType::GetMetrics, version);
     EXPECT_EQ(refused.status, RpcStatus::VersionMismatch) << "v" << version;

@@ -1,9 +1,11 @@
-// Shared factories for search/IP/baseline tests.
+// Shared factories for search/IP/baseline tests, and the global-tracer
+// reset the observability tests share.
 #pragma once
 
 #include "core/builders.hpp"
 #include "core/degradation_models.hpp"
 #include "core/problem.hpp"
+#include "obs/trace.hpp"
 
 namespace cosched::testhelpers {
 
@@ -41,6 +43,18 @@ inline Problem random_pc_problem(std::int32_t serial,
   spec.parallel_with_comm = true;
   spec.seed = seed;
   return build_synthetic_problem(spec);
+}
+
+/// Restores the global tracer to its out-of-the-box state; the tracer is a
+/// process singleton, so every test that touches it cleans up through this.
+inline void reset_global_tracer() {
+  Tracer& tracer = Tracer::global();
+  tracer.set_enabled(false);
+  tracer.set_max_events_per_thread(65536);
+  tracer.set_sample_every(1);
+  tracer.set_always_keep({});
+  Tracer::clear_current_context();
+  tracer.reset();
 }
 
 }  // namespace cosched::testhelpers

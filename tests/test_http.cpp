@@ -2,9 +2,11 @@
 // (src/obs/http), the live CoschedServer's /metrics and /healthz routes —
 // the acceptance criterion that GET /metrics serves valid Prometheus text
 // including cosched_cache_hits_total and cosched_rpc_request_seconds —
-// the TraceDump RPC, and the GetMetrics observability fields.
+// the tracer's drop/sampling counters and the replan exemplar that leads
+// to its trace, the TraceDump RPC, and the GetMetrics observability fields.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -17,9 +19,12 @@
 #include "rpc/client.hpp"
 #include "rpc/protocol.hpp"
 #include "rpc/server.hpp"
+#include "test_helpers.hpp"
 
 namespace cosched {
 namespace {
+
+using testhelpers::reset_global_tracer;
 
 /// One-shot raw HTTP exchange; returns the full response (status line,
 /// headers and body) or empty on transport failure.
@@ -339,11 +344,162 @@ TEST(TraceDumpRpc, ReturnsServerSideSpans) {
   tracer.reset();
 }
 
+// One client-supplied trace id is visible on the replan phase spans, the
+// solver's search spans and the Chrome export's flow events.
+TEST(TraceDumpRpc, ClientTraceIdReachesReplanAndSolverSpans) {
+  reset_global_tracer();
+  Tracer::global().set_enabled(true);
+
+  CoschedServer server(observable_server_options());
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+
+  constexpr std::uint64_t kTraceId = 777001;
+  ClientOptions client_options;
+  client_options.port = server.port();
+  CoschedClient client(client_options);
+  client.set_trace_id(kTraceId);
+  for (const TraceJob& job : small_jobs(41).jobs) {
+    SubmitJobResponse reply;
+    ASSERT_TRUE(client.submit_job(job, reply).ok());
+  }
+  EXPECT_EQ(client.last_trace_id(), kTraceId);  // the server echoes the id
+
+  // Server-side spans: replan phases and solver searches carry the id.
+  TraceDumpResponse dump;
+  ASSERT_TRUE(client.trace_dump(dump).ok());
+  const std::string tag = " trace=777001";
+  for (const char* name :
+       {"span online.replan", "span replan.admission", "span replan.commit",
+        "span astar.search"}) {
+    std::size_t at = dump.text.find(name);
+    ASSERT_NE(at, std::string::npos) << name << "\n" << dump.text;
+    std::size_t eol = dump.text.find('\n', at);
+    EXPECT_NE(dump.text.substr(at, eol - at).find(tag), std::string::npos)
+        << name << " line lacks the client trace id:\n"
+        << dump.text.substr(at, eol - at);
+  }
+  // Chrome export: spans stamped with the id plus flow events linking the
+  // RPC request to the solver work for Perfetto's arrows.
+  EXPECT_NE(dump.chrome_json.find("\"trace_id\":777001"), std::string::npos);
+  EXPECT_NE(dump.chrome_json.find("\"cat\":\"flow\""), std::string::npos);
+  EXPECT_NE(dump.chrome_json.find("\"ph\":\"s\""), std::string::npos);
+  EXPECT_NE(dump.chrome_json.find("\"bp\":\"e\""), std::string::npos);
+
+  server.stop();
+  reset_global_tracer();
+}
+
+// "Which trace is behind this slow replan bucket?": a replan-duration
+// exemplar on /metrics names a trace whose online.replan span the server's
+// TraceDump holds.
+TEST(HttpMetrics, ReplanExemplarLeadsToItsReplanSpan) {
+  reset_global_tracer();
+  Tracer::global().set_enabled(true);
+
+  CoschedServer server(observable_server_options());
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+
+  constexpr std::uint64_t kTraceId = 424242;
+  ClientOptions client_options;
+  client_options.port = server.port();
+  CoschedClient client(client_options);
+  client.set_trace_id(kTraceId);
+  for (const TraceJob& job : small_jobs(43).jobs) {
+    SubmitJobResponse reply;
+    ASSERT_TRUE(client.submit_job(job, reply).ok());
+  }
+
+  std::string response =
+      raw_http(server.http_port(), "GET /metrics HTTP/1.0\r\n\r\n");
+  ASSERT_EQ(response.rfind("HTTP/1.0 200", 0), 0u) << response;
+  std::vector<PrometheusSample> samples;
+  ASSERT_TRUE(parse_prometheus_text(http_body(response), samples));
+  std::uint64_t exemplar_trace = 0;
+  for (const PrometheusSample& s : samples) {
+    if (s.name != "cosched_replan_duration_seconds_bucket" || !s.has_exemplar)
+      continue;
+    // exemplar_labels is `trace_id="<16 hex>"`.
+    std::size_t open = s.exemplar_labels.find('"');
+    std::size_t close = s.exemplar_labels.rfind('"');
+    ASSERT_NE(open, close) << s.exemplar_labels;
+    exemplar_trace = std::strtoull(
+        s.exemplar_labels.substr(open + 1, close - open - 1).c_str(), nullptr,
+        16);
+    if (exemplar_trace == kTraceId) break;
+  }
+  ASSERT_EQ(exemplar_trace, kTraceId) << "no replan exemplar of this traffic";
+
+  TraceDumpResponse dump;
+  ASSERT_TRUE(client.trace_dump(dump).ok());
+  const std::string tag = " trace=" + std::to_string(exemplar_trace);
+  bool found = false;
+  for (std::size_t at = dump.text.find("span online.replan");
+       at != std::string::npos && !found;
+       at = dump.text.find("span online.replan", at + 1)) {
+    std::size_t eol = dump.text.find('\n', at);
+    found = dump.text.substr(at, eol - at).find(tag) != std::string::npos;
+  }
+  EXPECT_TRUE(found) << "no online.replan span tagged" << tag << "\n"
+                     << dump.text;
+
+  server.stop();
+  reset_global_tracer();
+}
+
+// Under a long-lived configuration (small rings, heavy head sampling, an
+// always-keep category) /metrics reports the ring overwrites and the
+// sampled-out traces, and the always-keep spans survive the sampling.
+TEST(HttpMetrics, TracerDropAndSampledOutCountersReachMetrics) {
+  reset_global_tracer();
+  Tracer& tracer = Tracer::global();
+  tracer.set_enabled(true);
+  tracer.set_max_events_per_thread(16);
+  tracer.set_sample_every(1000000);  // effectively: drop every trace
+  tracer.set_always_keep({"replan."});
+
+  CoschedServer server(observable_server_options());
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  ClientOptions client_options;
+  client_options.port = server.port();
+  CoschedClient client(client_options);
+  for (const TraceJob& job : small_jobs(44, 16).jobs) {
+    SubmitJobResponse reply;
+    ASSERT_TRUE(client.submit_job(job, reply).ok());
+  }
+
+  std::string response =
+      raw_http(server.http_port(), "GET /metrics HTTP/1.0\r\n\r\n");
+  ASSERT_EQ(response.rfind("HTTP/1.0 200", 0), 0u) << response;
+  std::vector<PrometheusSample> samples;
+  ASSERT_TRUE(parse_prometheus_text(http_body(response), samples));
+  double dropped = -1.0;
+  double sampled_out = -1.0;
+  for (const PrometheusSample& s : samples) {
+    if (s.name == "cosched_tracer_dropped_events_total") dropped = s.value;
+    if (s.name == "cosched_tracer_sampled_out_traces_total")
+      sampled_out = s.value;
+  }
+  EXPECT_GT(dropped, 0.0);
+  EXPECT_GT(sampled_out, 0.0);
+
+  TraceDumpResponse dump;
+  ASSERT_TRUE(client.trace_dump(dump).ok());
+  EXPECT_NE(dump.text.find("span replan."), std::string::npos) << dump.text;
+  EXPECT_EQ(dump.text.find("span rpc.request"), std::string::npos)
+      << dump.text;
+
+  server.stop();
+  reset_global_tracer();
+}
+
 // --------------------------------------------------- GetMetrics on the wire
 
-// GetMetrics carries the tail-sampler accounting and the newest
-// request-latency exemplar, whose trace id must refer to a real request.
-TEST(ProtocolWire, MetricsCarryTailBlockAndLatencyExemplar) {
+// GetMetrics carries the newest request-latency exemplar, whose trace id
+// must refer to a real request.
+TEST(ProtocolWire, MetricsCarryLatencyExemplar) {
   CoschedServer server(observable_server_options());
   std::string error;
   ASSERT_TRUE(server.start(error)) << error;
@@ -358,9 +514,7 @@ TEST(ProtocolWire, MetricsCarryTailBlockAndLatencyExemplar) {
 
   MetricsResponse metrics;
   ASSERT_TRUE(client.get_metrics(metrics).ok());
-  // Tail sampler not configured in this test: counters are present (zero),
-  // but the latency exemplar reflects the traffic above.
-  EXPECT_EQ(metrics.tail_considered, 0u);
+  // The latency exemplar reflects the traffic above.
   EXPECT_NE(metrics.latency_exemplar_trace_id, 0u);
   EXPECT_GE(metrics.latency_exemplar_seconds, 0.0);
 

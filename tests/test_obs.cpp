@@ -1,6 +1,7 @@
 // Tests for the observability layer (src/obs): the relocated Histogram's
 // invalid-sample accounting, quantiles and merging; Tracer span nesting,
-// thread-merge determinism and the Chrome trace-event exporter; the metrics
+// thread-merge determinism, the Chrome trace-event exporter, the bounded
+// per-thread rings and head-based trace sampling; the metrics
 // registry's Prometheus round-trip; cache counters against a hand-computed
 // sequence; and the acceptance criterion — an HA*-backed replan traced end
 // to end shows the admission -> fresh_solve -> alignment -> commit
@@ -24,9 +25,12 @@
 #include "obs/trace.hpp"
 #include "online/journal.hpp"
 #include "online/scheduler.hpp"
+#include "test_helpers.hpp"
 
 namespace cosched {
 namespace {
+
+using testhelpers::reset_global_tracer;
 
 // ------------------------------------------------------------ histogram
 
@@ -259,6 +263,104 @@ TEST(ObsTracer, SpansStartedWhileDisabledRecordNothing) {
   tracer.reset();
 }
 
+TEST(ObsTracer, EventCountPlateausAndDropsAreCounted) {
+  Tracer tracer;
+  tracer.set_enabled(true);
+  tracer.set_max_events_per_thread(64);
+
+  for (int i = 0; i < 200; ++i) tracer.counter("tick", i);
+  EXPECT_EQ(tracer.event_count(), 64u);  // plateau at the ring capacity
+  EXPECT_EQ(tracer.dropped_events(), 200u - 64u);
+
+  // Sustained load: the plateau holds, only the drop counter moves.
+  for (int i = 200; i < 300; ++i) tracer.counter("tick", i);
+  EXPECT_EQ(tracer.event_count(), 64u);
+  EXPECT_EQ(tracer.dropped_events(), 300u - 64u);
+
+  // The ring keeps the *newest* events, oldest-first: the survivors are
+  // samples 236..299 in record order.
+  std::istringstream dump(tracer.dump_text());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(dump, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 1u + 64u);  // thread header + one line per event
+  EXPECT_EQ(lines[1], "count tick = 236.000");
+  EXPECT_EQ(lines.back(), "count tick = 299.000");
+
+  // reset() empties the ring and zeroes drops.
+  tracer.reset();
+  EXPECT_EQ(tracer.event_count(), 0u);
+  EXPECT_EQ(tracer.dropped_events(), 0u);
+
+  // Capacity 0 clamps to 1 instead of dividing by zero somewhere dark.
+  tracer.set_max_events_per_thread(0);
+  EXPECT_EQ(tracer.max_events_per_thread(), 1u);
+}
+
+// -------------------------------------------------- head-based sampling
+
+TEST(ObsTracer, DeterministicPerTraceDecisionsAtTheConfiguredRate) {
+  Tracer tracer;
+  tracer.set_enabled(true);
+  tracer.set_sample_every(4);
+  tracer.set_sample_seed(123);
+
+  int sampled = 0;
+  for (std::uint64_t id = 1; id <= 64; ++id) {
+    TraceContext first = tracer.make_context(id);
+    TraceContext second = tracer.make_context(id);
+    EXPECT_EQ(first.sampled, second.sampled);  // decision is pure in id
+    if (first.sampled) ++sampled;
+  }
+  // ~1-in-4 of 64 ids; the hash is uniform enough that the count cannot
+  // collapse to "all" or "none".
+  EXPECT_GE(sampled, 4);
+  EXPECT_LE(sampled, 40);
+  EXPECT_GT(tracer.sampled_out_traces(), 0u);
+
+  // trace_id 0 ("no trace") and rate 1 are always sampled.
+  EXPECT_TRUE(tracer.make_context(0).sampled);
+  tracer.set_sample_every(1);
+  for (std::uint64_t id = 1; id <= 8; ++id)
+    EXPECT_TRUE(tracer.make_context(id).sampled);
+}
+
+TEST(ObsTracer, SampledOutTracesRecordNothingExceptAlwaysKeep) {
+  reset_global_tracer();
+  Tracer& tracer = Tracer::global();
+  tracer.set_enabled(true);
+  tracer.set_sample_every(1000000);  // effectively: drop every trace
+  tracer.set_sample_seed(7);
+  tracer.set_always_keep({"replan."});
+
+  std::uint64_t dropped_id = 0;
+  for (std::uint64_t id = 1; id <= 64 && dropped_id == 0; ++id)
+    if (!tracer.make_context(id).sampled) dropped_id = id;
+  ASSERT_NE(dropped_id, 0u) << "no sampled-out id found in 64 tries";
+
+  {
+    TraceContextScope scope(tracer.make_context(dropped_id));
+    { TraceSpan invisible("online.other"); }
+    tracer.instant("other.tick");
+    tracer.counter("other.widgets", 1.0);
+    EXPECT_EQ(tracer.event_count(), 0u);  // the whole trace vanished
+
+    // Always-keep prefixes survive even inside a dropped trace.
+    { TraceSpan kept("replan.commit"); }
+    tracer.instant("replan.tick");
+    EXPECT_EQ(tracer.event_count(), 3u);  // begin + end + instant
+  }
+
+  // A sampled trace records everything again.
+  tracer.set_sample_every(1);
+  {
+    TraceContextScope scope(tracer.make_context(99));
+    { TraceSpan visible("online.other"); }
+    EXPECT_EQ(tracer.event_count(), 5u);
+  }
+
+  reset_global_tracer();
+}
+
 // ------------------------------------------------------------- registry
 
 TEST(ObsRegistry, ValidNameEnforcesConventionAndCharset) {
@@ -478,7 +580,7 @@ TEST(ObsExemplars, MergedHistogramRenderIsBytePinned) {
 
 // The OpenMetrics round-trip: render with exemplars, parse, recover the
 // trace ids — and the default render stays byte-identical to pre-exemplar
-// output so v1..v3 consumers (and the telemetry frames) see no change.
+// output so pre-exemplar consumers see no change.
 TEST(ObsExemplars, OpenMetricsRenderRoundTripsThroughTheParser) {
   MetricsRegistry reg;
   HistogramMetric& latency =
@@ -748,77 +850,49 @@ TEST(ObsLogger, LevelThresholdFiltersBeforeCounting) {
   EXPECT_EQ(logger.records_total(LogLevel::Info), 0u);
   EXPECT_EQ(logger.records_total(LogLevel::Warn), 1u);
   EXPECT_EQ(logger.records_total(LogLevel::Error), 1u);
-  EXPECT_EQ(logger.dropped_records(), 0u);  // filtered != dropped
-  EXPECT_EQ(logger.buffered_records(), 2u);
 }
 
-TEST(ObsLogger, RingOverwritesOldestAndCountsDrops) {
-  Logger logger;
-  logger.set_level(LogLevel::Debug);
-  logger.set_max_records_per_thread(4);
-  for (int i = 0; i < 10; ++i)
-    logger.log(LogLevel::Info, "ring", "msg " + std::to_string(i));
-
-  EXPECT_EQ(logger.buffered_records(), 4u);
-  EXPECT_EQ(logger.dropped_records(), 6u);
-  EXPECT_EQ(logger.records_total(LogLevel::Info), 10u);  // accepted, then shed
-
-  std::vector<LogRecord> records = logger.collect();
-  ASSERT_EQ(records.size(), 4u);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].message, "msg " + std::to_string(6 + i));
-    if (i > 0) {
-      EXPECT_GT(records[i].seq, records[i - 1].seq);
-    }
+/// Reads every line of `path`, then removes the file.
+std::vector<std::string> read_and_remove(const std::string& path) {
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
   }
-
-  // collect() honors the component filter and the newest-N cap.
-  logger.log(LogLevel::Info, "other", "different component");
-  EXPECT_EQ(logger.collect("other").size(), 1u);
-  EXPECT_EQ(logger.collect("ring").size(), 3u);  // one slot overwritten
-  EXPECT_EQ(logger.collect("", 2).size(), 2u);
-}
-
-TEST(ObsLogger, TokenBucketShedsFloodObservably) {
-  Logger logger;
-  logger.set_level(LogLevel::Debug);
-  // Burst of 3, effectively no refill: exactly 3 records pass.
-  logger.set_rate_limit(1e-9, 3.0);
-  for (int i = 0; i < 10; ++i) logger.log(LogLevel::Info, "flood", "x");
-  EXPECT_EQ(logger.records_total(LogLevel::Info), 3u);
-  EXPECT_EQ(logger.buffered_records(), 3u);
-  EXPECT_EQ(logger.dropped_records(), 7u);
-
-  // rate <= 0 turns limiting back off.
-  logger.set_rate_limit(0.0, 0.0);
-  logger.log(LogLevel::Info, "flood", "y");
-  EXPECT_EQ(logger.records_total(LogLevel::Info), 4u);
+  std::remove(path.c_str());
+  return lines;
 }
 
 TEST(ObsLogger, RecordsCarryTheCurrentTraceContext) {
-  Logger logger;
-  logger.set_level(LogLevel::Debug);
+  const std::string path = "logger_trace_context_test.log";
   {
-    TraceContextScope scope(Tracer::global().make_context(0xAB));
-    logger.log(LogLevel::Info, "rpc", "correlated");
+    Logger logger;
+    logger.set_level(LogLevel::Debug);
+    ASSERT_TRUE(logger.set_sink_path(path));
+    {
+      TraceContextScope scope(Tracer::global().make_context(0xAB));
+      logger.log(LogLevel::Info, "rpc", "correlated");
+    }
+    logger.log(LogLevel::Info, "rpc", "uncorrelated");
+    logger.set_sink_path("");  // close, flush
   }
-  logger.log(LogLevel::Info, "rpc", "uncorrelated");
-  std::vector<LogRecord> records = logger.collect();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(records[0].trace_id, 0xABu);
-  EXPECT_EQ(records[1].trace_id, 0u);
+  std::vector<std::string> lines = read_and_remove(path);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("rpc correlated trace=171"), std::string::npos)
+      << lines[0];
+  EXPECT_EQ(lines[1].find("trace="), std::string::npos) << lines[1];
 }
 
 TEST(ObsLogger, RendersLogfmtAndJsonLines) {
   Logger logger;
-  logger.set_level(LogLevel::Debug);
-  logger.log(LogLevel::Warn, "router", "submit spilled",
-             {log_kv("job", std::int64_t{17}), log_kv("tenant", "acme"),
-              log_kv("ok", true)});
-  std::vector<LogRecord> records = logger.collect();
-  ASSERT_EQ(records.size(), 1u);
+  LogRecord record;
+  record.level = LogLevel::Warn;
+  record.component = "router";
+  record.message = "submit spilled";
+  record.fields = {log_kv("job", std::int64_t{17}), log_kv("tenant", "acme"),
+                   log_kv("ok", true)};
 
-  std::string text = logger.render(records[0]);
+  std::string text = logger.render(record);
   EXPECT_NE(text.find(" warn router submit spilled"), std::string::npos)
       << text;
   EXPECT_NE(text.find("job=17"), std::string::npos);
@@ -827,7 +901,7 @@ TEST(ObsLogger, RendersLogfmtAndJsonLines) {
   EXPECT_EQ(text.find('\n'), std::string::npos);
 
   logger.set_json(true);
-  std::string json = logger.render(records[0]);
+  std::string json = logger.render(record);
   EXPECT_NE(json.find("\"level\":\"warn\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"component\":\"router\""), std::string::npos);
   EXPECT_NE(json.find("\"message\":\"submit spilled\""), std::string::npos);
@@ -846,15 +920,10 @@ TEST(ObsLogger, SinkAppendsRenderedLines) {
     logger.log(LogLevel::Error, "sink", "second");
     logger.set_sink_path("");  // close, flush
   }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
+  std::vector<std::string> lines = read_and_remove(path);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_NE(lines[0].find("info sink first"), std::string::npos) << lines[0];
   EXPECT_NE(lines[1].find("error sink second"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 TEST(ObsLogger, ParseLogLevelRoundTrips) {
@@ -889,7 +958,6 @@ TEST(ObsLogger, MacroAndMetricsRideTheGlobalLogger) {
       << page;
   EXPECT_NE(page.find("cosched_log_records_total{level=\"error\"} 0"),
             std::string::npos);
-  EXPECT_NE(page.find("cosched_log_dropped_total 0"), std::string::npos);
   logger.reset();
 }
 

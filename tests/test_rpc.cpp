@@ -41,6 +41,23 @@ TEST(Protocol, RequestEnvelopeRoundTrips) {
   EXPECT_EQ(got.body, request.body);
 }
 
+TEST(Protocol, EnvelopeTraceIdRoundTrips) {
+  RequestEnvelope request;
+  request.type = MessageType::SubmitJob;
+  request.request_id = 5;
+  request.trace_id = 0xABCDEF;
+  RequestEnvelope decoded;
+  ASSERT_TRUE(decode_request(encode_request(request), decoded));
+  EXPECT_EQ(decoded.trace_id, 0xABCDEFu);
+
+  ResponseEnvelope response;
+  response.request_id = 5;
+  response.trace_id = 0x1234;
+  ResponseEnvelope out;
+  ASSERT_TRUE(decode_response(encode_response(response), out));
+  EXPECT_EQ(out.trace_id, 0x1234u);
+}
+
 TEST(Protocol, ResponseEnvelopeRoundTrips) {
   ResponseEnvelope response;
   response.type = MessageType::Drain;
@@ -566,7 +583,7 @@ TEST(ProtocolStrict, MetricsBodyCutAtAnOldBlockEndIsRejected) {
   WireWriter w;
   encode_metrics_response(w, response);
   std::vector<std::uint8_t> bytes = w.take();
-  ASSERT_EQ(bytes.size(), 296u);  // empty CSV, no shard entries
+  ASSERT_EQ(bytes.size(), 256u);  // empty CSV, no shard entries
   {
     WireReader r(bytes);
     MetricsResponse got;
@@ -574,15 +591,48 @@ TEST(ProtocolStrict, MetricsBodyCutAtAnOldBlockEndIsRejected) {
     EXPECT_TRUE(r.complete());
     EXPECT_EQ(got.shard_id, 2);
   }
-  // Where the v1..v5 bodies ended: after deterministic_csv, the A*/RPC
-  // block, the queue-wait/tracer block, the tail/exemplar block and the
+  // Where older bodies ended: after deterministic_csv, the A*/RPC block,
+  // the queue-wait/tracer block, the latency-exemplar block and the
   // shard/fan-in block.
-  for (std::size_t end : {92u, 164u, 196u, 252u, 292u}) {
+  for (std::size_t end : {92u, 164u, 196u, 212u, 252u}) {
     std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + end);
     WireReader r(cut);
     MetricsResponse got;
     EXPECT_FALSE(decode_metrics_response(r, got)) << "cut at " << end;
   }
+}
+
+// Message type 8 (a retired server-push stream) lies inside the
+// SubmitJob..GetAlerts range but names no request: a current-version peer
+// sending it gets BadRequest instead of a cast to a missing enumerator, and
+// the session survives to serve the next request.
+TEST(ProtocolStrict, RetiredMessageTypeIsBadRequest) {
+  EXPECT_TRUE(valid_message_type(7));
+  EXPECT_FALSE(valid_message_type(8));
+  EXPECT_TRUE(valid_message_type(9));
+
+  CoschedServer server(loopback_options());
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  NetStatus net = NetStatus::Ok;
+  Socket raw = Socket::connect_to("127.0.0.1", server.port(),
+                                  Deadline::after(2.0), net);
+  ASSERT_EQ(net, NetStatus::Ok);
+
+  ResponseEnvelope refused = raw_exchange(
+      raw, kProtocolVersion, static_cast<MessageType>(8), 81);
+  EXPECT_EQ(refused.status, RpcStatus::BadRequest);
+  EXPECT_EQ(refused.error, "malformed request envelope");
+  EXPECT_TRUE(refused.body.empty());
+
+  ResponseEnvelope served =
+      raw_exchange(raw, kProtocolVersion, MessageType::GetMetrics, 82);
+  EXPECT_EQ(served.status, RpcStatus::Ok) << served.error;
+  EXPECT_EQ(served.request_id, 82u);
+  WireReader r(served.body);
+  MetricsResponse metrics;
+  EXPECT_TRUE(decode_metrics_response(r, metrics) && r.complete());
+  server.stop();
 }
 
 // The same for the SubmitJob ack: shard_id is part of the layout, not an
