@@ -91,8 +91,11 @@ int main(int argc, char** argv) {
   base.machines = static_cast<std::int32_t>(machines);
   base.migration_cost = 0.05;
   // One polish pass, shared by every policy: enough local search to make
-  // migration costs bite, little enough that the fresh solver's placement
-  // quality still shows through in the comparison.
+  // migration costs bite. Replans that admit into a running fleet repair
+  // it with that polish whatever the solver, so the solvers differ only in
+  // the fallback replans (cold fleet, admissions larger than a machine,
+  // pure rebalances), and one pass keeps their placement quality visible
+  // there.
   base.replan_passes = 1;
 
   std::cout << "trace: " << trace.job_count() << " jobs ("

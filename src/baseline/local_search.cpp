@@ -1,40 +1,19 @@
 #include "baseline/local_search.hpp"
 
+#include "vm/migration.hpp"
+
 namespace cosched {
 
 LocalSearchResult improve_by_swaps(const Problem& problem, Solution start,
                                    std::uint64_t max_passes) {
-  validate_solution(problem, start);
+  // The migration swap engine with nothing to migrate: migration cost 0
+  // prices swaps by Eq. 13 degradation alone.
+  SwapEngine engine(problem, start, start, 0.0);
   LocalSearchResult result;
-  result.solution = std::move(start);
+  result.passes = engine.run(max_passes);
+  result.swaps_applied = engine.swaps_applied();
+  result.solution = engine.take_placement();
   result.objective = evaluate_solution(problem, result.solution).total;
-
-  const std::size_t m = result.solution.machines.size();
-  const std::size_t u = static_cast<std::size_t>(problem.u());
-
-  for (result.passes = 0; result.passes < max_passes; ++result.passes) {
-    bool improved = false;
-    for (std::size_t a = 0; a < m; ++a) {
-      for (std::size_t b = a + 1; b < m; ++b) {
-        for (std::size_t i = 0; i < u; ++i) {
-          for (std::size_t j = 0; j < u; ++j) {
-            auto& ma = result.solution.machines[a];
-            auto& mb = result.solution.machines[b];
-            std::swap(ma[i], mb[j]);
-            Real obj = evaluate_solution(problem, result.solution).total;
-            if (obj < result.objective - kObjectiveEps) {
-              result.objective = obj;
-              ++result.swaps_applied;
-              improved = true;
-            } else {
-              std::swap(ma[i], mb[j]);  // revert
-            }
-          }
-        }
-      }
-    }
-    if (!improved) break;
-  }
   result.solution.canonicalize();
   return result;
 }

@@ -1,7 +1,9 @@
 // Pairwise-swap local search: repeatedly exchanges two processes between
 // machines while the Eq. 13 objective improves. An extra baseline (not in
 // the paper) that brackets how much of the OA*/HA* gain simple hill
-// climbing recovers.
+// climbing recovers. It runs on the migration swap engine (SwapEngine,
+// vm/migration.hpp) with migration cost 0: one delta-evaluated swap loop
+// serves both.
 #pragma once
 
 #include <cstdint>

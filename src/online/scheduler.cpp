@@ -165,7 +165,8 @@ void OnlineScheduler::advance_to(Real t) {
 }
 
 void OnlineScheduler::refresh_degradations() {
-  COSCHED_EXPECTS(problem_ != nullptr);
+  COSCHED_EXPECTS(last_replan_ != nullptr);
+  const DegradationModel& model = *last_replan_->problem.full_model;
   std::vector<ProcessId> co;
   for (const auto& machine : machines_) {
     for (std::int64_t gid : machine) {
@@ -176,7 +177,7 @@ void OnlineScheduler::refresh_degradations() {
         if (other == gid) continue;
         co.push_back(procs_[static_cast<std::size_t>(other)].local_id);
       }
-      p.degradation = problem_->full_model->degradation(p.local_id, co);
+      p.degradation = model.degradation(p.local_id, co);
     }
   }
 }
@@ -190,7 +191,7 @@ void OnlineScheduler::begin() {
   procs_.clear();
   pending_.clear();
   machines_.assign(static_cast<std::size_t>(options_.machines), {});
-  problem_.reset();
+  last_replan_.reset();
   local_to_gid_.clear();
   remaining_arrivals_ = 0;
   last_replan_time_ = -kInfinity;
@@ -222,7 +223,7 @@ void OnlineScheduler::arm_tick() {
   tick_armed_ = true;
 }
 
-bool OnlineScheduler::step_one(Real limit) {
+bool OnlineScheduler::step(Real limit) {
   // Next process completion, if any: min over live processes of
   // now + remaining * (1 + d); ties broken by the smaller global id.
   Real next_finish = kInfinity;
@@ -259,7 +260,7 @@ bool OnlineScheduler::step_one(Real limit) {
 }
 
 void OnlineScheduler::pump(Real limit) {
-  while (step_one(limit)) {
+  while (step(limit)) {
   }
 }
 
@@ -370,10 +371,22 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
       live_process_count() > 0;
   if (admit == 0 && !pure_rebalance) return;
 
+  // Repair, not re-solve: the incumbent with the admitted processes in its
+  // free slots is polished by migration-aware swaps. The configured solver
+  // runs only when there is nothing to repair — a cold fleet, a pure
+  // rebalance, or an admission larger than one machine.
+  std::int32_t admitted_procs = 0;
+  for (std::int32_t k = 0; k < admit; ++k)
+    admitted_procs += pending_sizes[static_cast<std::size_t>(k)];
+  const bool fresh_solve = live_process_count() == 0 || admit == 0 ||
+                           admitted_procs > static_cast<std::int32_t>(
+                                                options_.cores);
+  const char* planner = fresh_solve ? to_string(options_.solver) : "repair";
+
   WallTimer timer;
   COSCHED_TRACE_SPAN(replan_span, "online.replan", clock_.now(),
                      std::string("reason=") + reason +
-                         " solver=" + to_string(options_.solver));
+                         " solver=" + planner);
 
   // Decision journal: one fleet-level event per fired replan, then one
   // per admitted job — all stamped with the trace that triggered us.
@@ -423,9 +436,12 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     pending_.erase(pending_.begin(), pending_.begin() + admit);
   }
 
-  // ---- build the replan Problem over all live processes, then the fresh
-  // candidate from the pluggable solver ----------------------------------
-  Problem problem;
+  // ---- build the replan Problem over all live processes, then (only
+  // when there is nothing to repair) the fresh candidate from the
+  // pluggable solver --------------------------------------------------------
+  auto input = std::make_unique<ReplanInput>();
+  Problem& problem = input->problem;
+  input->fresh_solve = fresh_solve;
   Solution fresh;
   bool have_fresh = false;
   {
@@ -470,34 +486,37 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     problem.full_model = model;
     problem.check();
 
-    switch (options_.solver) {
-      case OnlineSolverKind::HAStar: {
-        SearchResult res = solve_hastar(problem);
-        if (res.found) {
-          fresh = std::move(res.solution);
-          have_fresh = true;
+    if (fresh_solve) {
+      switch (options_.solver) {
+        case OnlineSolverKind::HAStar: {
+          SearchResult res = solve_hastar(problem);
+          if (res.found) {
+            fresh = std::move(res.solution);
+            have_fresh = true;
+          }
+          break;
         }
-        break;
+        case OnlineSolverKind::PgGreedy:
+          fresh = solve_pg_greedy(problem);
+          have_fresh = true;
+          break;
+        case OnlineSolverKind::Random:
+          fresh = solve_random(problem, rng_);
+          have_fresh = true;
+          break;
       }
-      case OnlineSolverKind::PgGreedy:
-        fresh = solve_pg_greedy(problem);
-        have_fresh = true;
-        break;
-      case OnlineSolverKind::Random:
-        fresh = solve_random(problem, rng_);
-        have_fresh = true;
-        break;
     }
   }
 
-  // ---- alignment: incumbent (running processes stay, everyone else
-  // fills slots) versus the fresh candidate, migration-cost-aware --------
+  // ---- alignment: the incumbent (running processes stay, everyone else
+  // fills slots) polished by migration-aware swaps, against the fresh
+  // candidate when one was solved -----------------------------------------
   Real stay_combined = 0.0;
   ReplanResult result;
   {
     COSCHED_TRACE_SPAN(alignment_span, "replan.alignment", clock_.now());
     const std::size_t u = options_.cores;
-    Solution incumbent;
+    Solution& incumbent = input->incumbent;
     incumbent.machines.resize(machines_.size());
     for (std::size_t m = 0; m < machines_.size(); ++m)
       for (std::int64_t gid : machines_[m])
@@ -523,7 +542,8 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     ReplanOptions replan_options;
     replan_options.migration_cost = options_.migration_cost;
     replan_options.max_passes = options_.replan_passes;
-    replan_options.move_weight = std::move(move_weight);
+    replan_options.move_weight = move_weight;
+    input->move_weight = std::move(move_weight);
     result = replan_with_migrations(
         problem, incumbent, have_fresh ? &fresh : nullptr, replan_options);
   }
@@ -552,7 +572,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     }
     std::sort(machines_[m].begin(), machines_[m].end());
   }
-  problem_ = std::make_unique<Problem>(std::move(problem));
+  last_replan_ = std::move(input);
   last_replan_time_ = clock_.now();
 
   // Per-job attribution: the placement every admitted job got (machine,
@@ -589,7 +609,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     placed.kind = JournalEventKind::Placement;
     placed.time = clock_.now();
     placed.trace_id = decision_trace;
-    placed.policy = to_string(options_.solver);
+    placed.policy = planner;
     placed.machine = first_machine(job_id);
     placed.candidates = options_.machines;
     placed.degradation_delta = decision_delta;
@@ -614,7 +634,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     migrated.kind = JournalEventKind::Migration;
     migrated.time = clock_.now();
     migrated.trace_id = decision_trace;
-    migrated.policy = to_string(options_.solver);
+    migrated.policy = planner;
     migrated.machine = first_machine(job_id);
     migrated.candidates = options_.machines;
     migrated.degradation_delta = decision_delta;
@@ -623,8 +643,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     journal_.append(std::move(migrated));
   }
   COSCHED_LOG(LogLevel::Info, "online", "replan committed",
-              {log_kv("reason", reason), log_kv("solver",
-                                                to_string(options_.solver)),
+              {log_kv("reason", reason), log_kv("solver", planner),
                log_kv("admitted", static_cast<std::int64_t>(admit)),
                log_kv("migrations",
                       static_cast<std::int64_t>(result.migrations)),
@@ -634,7 +653,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
 
   ReplanRecord record;
   record.time = clock_.now();
-  record.solver = to_string(options_.solver);
+  record.solver = planner;
   record.admitted = admit;
   record.migrations = result.migrations;
   record.stay_combined = stay_combined;

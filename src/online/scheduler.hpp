@@ -8,11 +8,18 @@
 //  * arrivals queue until the AdmissionPolicy fires; a replan admits
 //    pending jobs FIFO into free cores and pads the rest with idle
 //    processes, so every solve sees a standard multiple-of-u Problem;
-//  * each replan composes a pluggable fresh-schedule solver (HA* — beam
-//    mode at scale —, PG greedy, or random) with replan_with_migrations,
-//    trading Eq. 13 degradation against the cost of moving already-running
-//    processes (newly admitted jobs and idle slots move free, via the
-//    weighted move_weight extension);
+//  * each replan repairs rather than re-solves: the incumbent placement,
+//    with the admitted processes in its free slots, is polished by
+//    replan_with_migrations' delta-evaluated swaps, trading Eq. 13
+//    degradation against the cost of moving already-running processes
+//    (newly admitted jobs and idle slots move free, via the weighted
+//    move_weight extension). The pluggable fresh-schedule solver (HA* —
+//    beam mode at scale —, PG greedy, or random) runs only when there is
+//    nothing to repair: no process was running, the replan admits nothing
+//    (a threshold-trigger rebalance), or it admits more processes than one
+//    machine holds. Its schedule is then aligned and polished the same way.
+//    The replans table and the journal name the planner: the solver, or
+//    "repair" when none ran;
 //  * each replan evaluates the closed-form synthetic contention model
 //    directly — a few nanoseconds per query, so nothing is memoized; the
 //    oracle-cache counters (oracle_cache()) stay only for the wire and the
@@ -36,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "core/objective.hpp"
 #include "core/oracle_cache.hpp"
 #include "core/problem.hpp"
 #include "online/admission.hpp"
@@ -70,6 +78,16 @@ struct OnlineSchedulerOptions {
   /// Decision-journal ring capacity (admissions, placements, migrations);
   /// oldest events are evicted (and counted) past this bound.
   std::size_t journal_capacity = 65536;
+};
+
+/// What one replan decided from, in the local ids of its Problem.
+struct ReplanInput {
+  Problem problem;                ///< every live process + idle padding
+  /// Running processes where they run; admitted processes and idle
+  /// padding in the free slots. A repair polishes this placement.
+  Solution incumbent;
+  std::vector<Real> move_weight;  ///< 1 = was running (moving it costs)
+  bool fresh_solve = false;       ///< the configured solver ran
 };
 
 /// Lifecycle of a submitted job as seen by status queries.
@@ -135,6 +153,10 @@ class OnlineScheduler {
   /// only moves when an occurrence is processed, so pump(t) followed by
   /// pump(t') is byte-identical to pump(t').
   void pump(Real limit);
+  /// Processes the single next due occurrence if its virtual time is
+  /// <= limit; returns false when there is none. One occurrence fires at
+  /// most one replan, so stepping observes every replan (last_replan()).
+  bool step(Real limit);
   /// Drains: processes everything until no work is outstanding.
   void finish();
   /// Virtual time of the next due occurrence (process completion or queued
@@ -169,13 +191,15 @@ class OnlineScheduler {
   JobStatusView job_status(std::int64_t job_id) const;
   /// Fleet-wide placement/degradation snapshot at the current clock.
   ServiceSnapshot service_snapshot() const;
+  /// Inputs of the most recent replan (null before the first one), so a
+  /// committed decision can be re-solved against other planners.
+  const ReplanInput* last_replan() const { return last_replan_.get(); }
 
  private:
   struct JobState;
   struct ProcState;
 
   // Simulation steps (see scheduler.cpp).
-  bool step_one(Real limit);
   void advance_to(Real t);
   void handle_arrival(std::int64_t job_id);
   void handle_process_finish(std::int64_t proc_gid);
@@ -211,7 +235,7 @@ class OnlineScheduler {
 
   // Current problem context (rebuilt at each replan): local <-> global maps
   // and the model used for rate re-evaluation between replans.
-  std::unique_ptr<Problem> problem_;
+  std::unique_ptr<ReplanInput> last_replan_;
   std::vector<std::int64_t> local_to_gid_;  ///< -1 for idle padding
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "astar/search.hpp"
-#include "vm/hungarian.hpp"
 
 namespace cosched {
 namespace {
@@ -52,33 +51,6 @@ std::int32_t total_processes(const Solution& s) {
   return n;
 }
 
-struct MoveStats {
-  std::int32_t moved = 0;     ///< moved processes with weight > 0
-  Real moved_weight = 0.0;    ///< summed weight of moved processes
-};
-
-/// Migration statistics under the best (weighted-overlap) machine
-/// relabeling of `fresh` onto `old_placement`.
-MoveStats move_stats(const Solution& old_placement, const Solution& fresh,
-                     std::span<const Real> weights) {
-  auto w = overlap_matrix(old_placement, fresh, weights);
-  auto assignment = solve_assignment_max(w);
-  auto fresh_machine = machine_index(fresh);
-  MoveStats stats;
-  for (std::size_t a = 0; a < old_placement.machines.size(); ++a) {
-    auto kept_group = assignment[a];
-    for (ProcessId p : old_placement.machines[a]) {
-      if (fresh_machine[static_cast<std::size_t>(p)] == kept_group) continue;
-      Real wp = weight_of(weights, p);
-      if (wp > 0.0) {
-        ++stats.moved;
-        stats.moved_weight += wp;
-      }
-    }
-  }
-  return stats;
-}
-
 }  // namespace
 
 Solution align_to_placement(const Solution& old_placement, Solution fresh) {
@@ -111,8 +83,207 @@ std::int32_t min_migrations(const Solution& old_placement,
 
 Real weighted_migrations(const Solution& old_placement, const Solution& fresh,
                          std::span<const Real> move_weight) {
-  return move_stats(old_placement, fresh, move_weight).moved_weight;
+  auto w = overlap_matrix(old_placement, fresh, move_weight);
+  auto assignment = solve_assignment_max(w);
+  auto fresh_machine = machine_index(fresh);
+  Real moved = 0.0;
+  for (std::size_t a = 0; a < old_placement.machines.size(); ++a)
+    for (ProcessId p : old_placement.machines[a])
+      if (fresh_machine[static_cast<std::size_t>(p)] != assignment[a])
+        moved += weight_of(move_weight, p);
+  return moved;
 }
+
+// ------------------------------------------------------------ SwapEngine
+
+SwapEngine::SwapEngine(const Problem& problem, const Solution& reference,
+                       Solution start, Real migration_cost,
+                       std::span<const Real> move_weight)
+    : problem_(problem),
+      model_(*problem.full_model),
+      work_(std::move(start)),
+      migration_cost_(migration_cost) {
+  problem.check();
+  validate_solution(problem, work_);
+  COSCHED_EXPECTS(migration_cost >= 0.0);
+  const std::size_t n = static_cast<std::size_t>(problem.n());
+  const std::size_t m = work_.machines.size();
+  const std::size_t u = static_cast<std::size_t>(problem.u());
+
+  job_of_.resize(n);
+  for (std::size_t p = 0; p < n; ++p)
+    job_of_[p] = problem.batch.job_of(static_cast<ProcessId>(p));
+  co_.reserve(u);
+  saved_d_.resize(2 * u);
+  d_.assign(n, 0.0);
+  for (const auto& machine : work_.machines)
+    for (std::size_t slot = 0; slot < u; ++slot)
+      d_[static_cast<std::size_t>(machine[slot])] =
+          degradation_at(machine, slot);
+  // Summed in job order, exactly as evaluate_solution does.
+  const std::size_t jobs = static_cast<std::size_t>(problem.batch.job_count());
+  contrib_.resize(jobs);
+  stamp_.assign(jobs, 0);
+  for (std::size_t j = 0; j < jobs; ++j) {
+    contrib_[j] = contribution(static_cast<JobId>(j));
+    degradation_ += contrib_[j];
+  }
+
+  if (migration_cost_ > 0.0) {
+    validate_solution(problem, reference);
+    if (!move_weight.empty()) COSCHED_EXPECTS(move_weight.size() == n);
+    home_ = machine_index(reference);
+    const auto current = machine_index(work_);
+    weight_.resize(n);
+    overlap_.assign(m * m, 0.0);
+    for (std::size_t p = 0; p < n; ++p) {
+      weight_[p] = weight_of(move_weight, static_cast<ProcessId>(p));
+      total_weight_ += weight_[p];
+      overlap_[static_cast<std::size_t>(home_[p]) * m +
+               static_cast<std::size_t>(current[p])] += weight_[p];
+    }
+    assignment_.resize(m);
+    charge_ = migration_cost_ * (total_weight_ - kept_weight());
+  }
+}
+
+Real SwapEngine::degradation_at(const std::vector<ProcessId>& machine,
+                                std::size_t slot) {
+  co_.clear();
+  for (std::size_t k = 0; k < machine.size(); ++k)
+    if (k != slot) co_.push_back(machine[k]);
+  return model_.degradation(machine[slot], co_);
+}
+
+Real SwapEngine::contribution(JobId job_id) const {
+  const Job& job = problem_.batch.job(job_id);
+  Real contrib = 0.0;
+  if (job.kind == JobKind::Imaginary) return contrib;
+  if (job.is_parallel()) {
+    for (ProcessId p : job.processes)
+      contrib = std::max(contrib, d_[static_cast<std::size_t>(p)]);
+  } else {
+    for (ProcessId p : job.processes)
+      contrib += d_[static_cast<std::size_t>(p)];
+  }
+  return contrib;
+}
+
+void SwapEngine::move_overlap(ProcessId p, std::size_t from, std::size_t to) {
+  const Real w = weight_[static_cast<std::size_t>(p)];
+  if (w == 0.0) return;
+  const std::size_t row =
+      static_cast<std::size_t>(home_[static_cast<std::size_t>(p)]) *
+      work_.machines.size();
+  saved_overlap_.emplace_back(row + from, overlap_[row + from]);
+  overlap_[row + from] -= w;
+  saved_overlap_.emplace_back(row + to, overlap_[row + to]);
+  overlap_[row + to] += w;
+}
+
+Real SwapEngine::kept_weight() {
+  return solver_.solve_max(overlap_, work_.machines.size(), assignment_);
+}
+
+bool SwapEngine::swap(std::size_t a, std::size_t i, std::size_t b,
+                      std::size_t j, bool force) {
+  COSCHED_EXPECTS(a != b && a < work_.machines.size() &&
+                  b < work_.machines.size());
+  auto& ma = work_.machines[a];
+  auto& mb = work_.machines[b];
+  const std::size_t u = ma.size();
+  COSCHED_EXPECTS(i < u && j < u);
+  const ProcessId p = ma[i];
+  const ProcessId q = mb[j];
+  std::swap(ma[i], mb[j]);
+
+  // Only the two touched machines change degradations.
+  for (std::size_t k = 0; k < u; ++k) {
+    saved_d_[k] = d_[static_cast<std::size_t>(ma[k])];
+    saved_d_[u + k] = d_[static_cast<std::size_t>(mb[k])];
+  }
+  for (std::size_t k = 0; k < u; ++k)
+    d_[static_cast<std::size_t>(ma[k])] = degradation_at(ma, k);
+  for (std::size_t k = 0; k < u; ++k)
+    d_[static_cast<std::size_t>(mb[k])] = degradation_at(mb, k);
+
+  // ... and only the jobs with a process on them change contributions.
+  ++epoch_;
+  touched_.clear();
+  Real delta = 0.0;
+  auto touch = [&](ProcessId x) {
+    const JobId job = job_of_[static_cast<std::size_t>(x)];
+    if (stamp_[static_cast<std::size_t>(job)] == epoch_) return;
+    stamp_[static_cast<std::size_t>(job)] = epoch_;
+    const Real c = contribution(job);
+    touched_.emplace_back(job, c);
+    delta += c - contrib_[static_cast<std::size_t>(job)];
+  };
+  for (ProcessId x : ma) touch(x);
+  for (ProcessId x : mb) touch(x);
+  const Real degradation = degradation_ + delta;
+  const Real target = combined() - kObjectiveEps;
+
+  Real charge = 0.0;
+  if (migration_cost_ > 0.0) {
+    saved_overlap_.clear();
+    move_overlap(p, a, b);
+    move_overlap(q, b, a);
+    // The charge is never negative: a swap whose degradation alone does
+    // not beat the target cannot be accepted, so skip the assignment.
+    if (force || degradation < target)
+      charge = migration_cost_ * (total_weight_ - kept_weight());
+  }
+
+  if (!force && !(degradation + charge < target)) {
+    for (std::size_t k = 0; k < u; ++k) {
+      d_[static_cast<std::size_t>(ma[k])] = saved_d_[k];
+      d_[static_cast<std::size_t>(mb[k])] = saved_d_[u + k];
+    }
+    for (auto it = saved_overlap_.rbegin(); it != saved_overlap_.rend(); ++it)
+      overlap_[it->first] = it->second;
+    std::swap(ma[i], mb[j]);
+    return false;
+  }
+
+  for (const auto& [job, c] : touched_)
+    contrib_[static_cast<std::size_t>(job)] = c;
+  // Re-summed in job order, so the tracked objective never drifts from
+  // evaluate_solution.
+  degradation_ = 0.0;
+  for (Real c : contrib_) degradation_ += c;
+  charge_ = charge;
+  ++swaps_applied_;
+  return true;
+}
+
+bool SwapEngine::try_swap(std::size_t a, std::size_t i, std::size_t b,
+                          std::size_t j) {
+  return swap(a, i, b, j, false);
+}
+
+void SwapEngine::apply_swap(std::size_t a, std::size_t i, std::size_t b,
+                            std::size_t j) {
+  swap(a, i, b, j, true);
+}
+
+std::uint64_t SwapEngine::run(std::uint64_t max_passes) {
+  const std::size_t m = work_.machines.size();
+  const std::size_t u = static_cast<std::size_t>(problem_.u());
+  std::uint64_t passes = 0;
+  for (; passes < max_passes; ++passes) {
+    bool improved = false;
+    for (std::size_t a = 0; a < m; ++a)
+      for (std::size_t b = a + 1; b < m; ++b)
+        for (std::size_t i = 0; i < u; ++i)
+          for (std::size_t j = 0; j < u; ++j)
+            improved |= try_swap(a, i, b, j);
+    if (!improved) break;
+  }
+  return passes;
+}
+
+// ------------------------------------------------------------- replanning
 
 ReplanResult replan_with_migrations(const Problem& problem,
                                     const Solution& current,
@@ -134,60 +305,52 @@ ReplanResult replan_with_migrations(const Problem& problem,
   if (!weights.empty())
     COSCHED_EXPECTS(weights.size() ==
                     static_cast<std::size_t>(problem.n()));
+  const auto home = machine_index(current);
 
-  auto combined_of = [&](const Solution& aligned) {
+  // Every candidate is machine-aligned to `current`, so the processes it
+  // moves are the ones off their old machine index.
+  auto result_of = [&](Solution aligned) {
     ReplanResult r;
-    r.placement = aligned;
     r.degradation = evaluate_solution(problem, aligned).total;
-    MoveStats moves = move_stats(current, aligned, weights);
-    r.migrations = moves.moved;
-    r.migration_charge = options.migration_cost * moves.moved_weight;
+    Real moved_weight = 0.0;
+    for (std::size_t a = 0; a < aligned.machines.size(); ++a)
+      for (ProcessId p : aligned.machines[a]) {
+        if (home[static_cast<std::size_t>(p)] == static_cast<std::int32_t>(a))
+          continue;
+        Real wp = weight_of(weights, p);
+        if (wp > 0.0) {
+          ++r.migrations;
+          moved_weight += wp;
+        }
+      }
+    r.migration_charge = options.migration_cost * moved_weight;
     r.combined = r.degradation + r.migration_charge;
+    r.placement = std::move(aligned);
     return r;
   };
 
   // Candidate 1: stay put.
-  ReplanResult best = combined_of(current);
+  ReplanResult best = result_of(current);
 
   // Candidate 2: the fresh schedule (HA* unless the caller plugged in
   // another solver), machine-aligned to the old placement so its migration
   // charge is minimal.
   if (fresh != nullptr) {
     ReplanResult cand =
-        combined_of(align_to_placement(current, *fresh, weights));
-    if (cand.combined < best.combined) best = cand;
+        result_of(align_to_placement(current, *fresh, weights));
+    if (cand.combined < best.combined) best = std::move(cand);
   }
 
-  // Candidate 3: migration-aware local search from the best so far —
-  // first-improvement swaps under the combined objective. Machine identity
-  // is positional here, so migration deltas are exact per swap.
-  Solution work = best.placement;
-  const std::size_t m = work.machines.size();
-  const std::size_t u = static_cast<std::size_t>(problem.u());
-  Real work_combined = best.combined;
-  for (std::uint64_t pass = 0; pass < options.max_passes; ++pass) {
-    bool improved = false;
-    for (std::size_t a = 0; a < m; ++a) {
-      for (std::size_t b = a + 1; b < m; ++b) {
-        for (std::size_t i = 0; i < u; ++i) {
-          for (std::size_t j = 0; j < u; ++j) {
-            std::swap(work.machines[a][i], work.machines[b][j]);
-            ReplanResult cand = combined_of(work);
-            if (cand.combined < work_combined - kObjectiveEps) {
-              work_combined = cand.combined;
-              improved = true;
-            } else {
-              std::swap(work.machines[a][i], work.machines[b][j]);
-            }
-          }
-        }
-      }
-    }
-    if (!improved) break;
-  }
-  {
-    ReplanResult cand = combined_of(work);
-    if (cand.combined < best.combined) best = cand;
+  // Candidate 3: migration-aware swap search from the best so far. Its
+  // charge is relabel-invariant, so the swaps leave machine labels
+  // anywhere; aligning again makes the committed moves the counted ones.
+  SwapEngine engine(problem, current, best.placement, options.migration_cost,
+                    weights);
+  engine.run(options.max_passes);
+  if (engine.swaps_applied() > 0) {
+    ReplanResult cand = result_of(
+        align_to_placement(current, engine.take_placement(), weights));
+    if (cand.combined < best.combined) best = std::move(cand);
   }
   return best;
 }

@@ -15,6 +15,7 @@
 
 #include "core/objective.hpp"
 #include "core/problem.hpp"
+#include "vm/hungarian.hpp"
 
 namespace cosched {
 
@@ -51,6 +52,83 @@ struct ReplanOptions {
   std::vector<Real> move_weight;
 };
 
+/// First-improvement pairwise-swap search with delta evaluation, under
+///   combined = Eq. 13 degradation + migration_cost × moved weight,
+/// where the moved weight is that of the best machine relabeling of the
+/// placement onto `reference` (weighted_migrations), so the charge does
+/// not depend on where the swaps leave the machine labels.
+///
+/// A swap is priced incrementally: only the two touched machines are
+/// re-evaluated, and only the jobs with a process on them are
+/// re-aggregated (Σ for serial jobs, the Eq. 13 max for parallel ones).
+/// The machine-overlap matrix is updated in O(1) per swap, and the
+/// relabeling assignment runs only when the swap's degradation alone
+/// already beats the current combined objective — the charge is never
+/// negative, so that filter rejects nothing the full objective would
+/// accept. With migration_cost 0 no assignment runs at all.
+class SwapEngine {
+ public:
+  SwapEngine(const Problem& problem, const Solution& reference,
+             Solution start, Real migration_cost,
+             std::span<const Real> move_weight = {});
+
+  /// Swaps placement()[a][i] with placement()[b][j] (a != b) if that
+  /// improves combined() by more than kObjectiveEps; returns whether it did.
+  bool try_swap(std::size_t a, std::size_t i, std::size_t b, std::size_t j);
+  /// Applies the swap whatever it costs.
+  void apply_swap(std::size_t a, std::size_t i, std::size_t b,
+                  std::size_t j);
+  /// First-improvement passes over every (machine pair, slot pair) until a
+  /// pass improves nothing or `max_passes` passes ran. Returns the number
+  /// of passes that improved.
+  std::uint64_t run(std::uint64_t max_passes);
+
+  /// Positional: machine labels are wherever the swaps left them.
+  const Solution& placement() const { return work_; }
+  Solution take_placement() { return std::move(work_); }
+  Real degradation() const { return degradation_; }
+  Real migration_charge() const { return charge_; }
+  Real combined() const { return degradation_ + charge_; }
+  std::uint64_t swaps_applied() const { return swaps_applied_; }
+
+ private:
+  bool swap(std::size_t a, std::size_t i, std::size_t b, std::size_t j,
+            bool force);
+  Real degradation_at(const std::vector<ProcessId>& machine,
+                      std::size_t slot);
+  Real contribution(JobId job) const;
+  void move_overlap(ProcessId p, std::size_t from, std::size_t to);
+  Real kept_weight();
+
+  const Problem& problem_;
+  const DegradationModel& model_;
+  Solution work_;
+  Real migration_cost_ = 0.0;
+
+  std::vector<JobId> job_of_;          ///< per process
+  std::vector<Real> d_;                ///< per-process degradation
+  std::vector<Real> contrib_;          ///< per-job Eq. 13 contribution
+  Real degradation_ = 0.0;             ///< Σ contrib_
+  Real charge_ = 0.0;                  ///< migration_cost × moved weight
+  std::uint64_t swaps_applied_ = 0;
+
+  // Relabel-invariant migration pricing (only when migration_cost > 0).
+  std::vector<std::int32_t> home_;     ///< reference machine per process
+  std::vector<Real> weight_;           ///< move weight per process
+  Real total_weight_ = 0.0;
+  std::vector<Real> overlap_;          ///< [home * m + current] weight
+  std::vector<std::int32_t> assignment_;
+  AssignmentSolver solver_;
+
+  // Per-swap scratch, reused.
+  std::vector<ProcessId> co_;
+  std::vector<Real> saved_d_;
+  std::vector<std::pair<std::size_t, Real>> saved_overlap_;
+  std::vector<std::pair<JobId, Real>> touched_;
+  std::vector<std::uint64_t> stamp_;   ///< per job: last swap that touched
+  std::uint64_t epoch_ = 0;
+};
+
 struct ReplanResult {
   Solution placement;          ///< machine-aligned to the old placement
   Real degradation = 0.0;      ///< Eq. 13 objective of the placement
@@ -63,9 +141,12 @@ struct ReplanResult {
 /// search over process swaps under the combined objective, compares against
 /// a migration-aligned fresh schedule, and returns the better of the two.
 /// Never returns anything worse (combined-objective-wise) than keeping
-/// `current`. The fresh candidate is solved with HA* internally; the
-/// `fresh` overload takes a precomputed candidate instead (nullptr = none),
-/// which is how the online service plugs in alternative solvers.
+/// `current`. The returned placement is aligned to `current`, so the
+/// processes it moves by position are exactly the `migrations` it reports.
+/// The fresh candidate is solved with HA* internally; the `fresh` overload
+/// takes a precomputed candidate instead (nullptr = none: a pure repair of
+/// `current`), which is how the online service plugs in alternative
+/// solvers or skips the fresh solve.
 ReplanResult replan_with_migrations(const Problem& problem,
                                     const Solution& current,
                                     const ReplanOptions& options = {});

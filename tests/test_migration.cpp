@@ -7,6 +7,7 @@
 
 #include "astar/search.hpp"
 #include "baseline/random_schedule.hpp"
+#include "cache/machine_config.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 #include "vm/hungarian.hpp"
@@ -15,6 +16,7 @@
 namespace cosched {
 namespace {
 
+using testhelpers::random_pe_problem;
 using testhelpers::random_serial_problem;
 
 // -------------------------------------------------------------- Hungarian
@@ -242,6 +244,214 @@ TEST(Replan, MigrationCountShrinksAsCostGrows) {
       EXPECT_GE(r.degradation + 1e-9, prev_degradation) << "cost " << cost;
     prev_migrations = r.migrations;
     prev_degradation = r.degradation;
+  }
+}
+
+// Positional moved weight: processes off their old machine index.
+Real positional_moved_weight(const Solution& old_placement,
+                             const Solution& placement,
+                             std::span<const Real> weights) {
+  Real moved = 0.0;
+  for (std::size_t a = 0; a < placement.machines.size(); ++a)
+    for (ProcessId p : placement.machines[a])
+      if (old_placement.machine_of(p) != static_cast<std::int32_t>(a))
+        moved += weights.empty() ? 1.0 : weights[static_cast<std::size_t>(p)];
+  return moved;
+}
+
+// The bug this pins: the swap search leaves machine labels wherever its
+// swaps put them, while its charge is that of the best relabeling. The
+// committed placement must be aligned, so that what moves by position is
+// exactly what the result charges and counts.
+TEST(Replan, CommittedPlacementIsAlignedToCurrent) {
+  for (std::uint64_t seed = 80; seed < 90; ++seed) {
+    Problem p = random_pe_problem(9, {3, 2}, 4, seed);
+    Rng rng(seed);
+    Solution current = solve_random(p, rng);
+    ReplanOptions opt;
+    opt.migration_cost = 0.03;
+    opt.move_weight.assign(static_cast<std::size_t>(p.n()), 1.0);
+    for (std::int32_t i = 0; i < p.n(); i += 3)
+      opt.move_weight[static_cast<std::size_t>(i)] = 0.0;
+    for (bool with_fresh : {false, true}) {
+      ReplanResult r = with_fresh ? replan_with_migrations(p, current, opt)
+                                  : replan_with_migrations(p, current,
+                                                           nullptr, opt);
+      validate_solution(p, r.placement);
+      EXPECT_NEAR(positional_moved_weight(current, r.placement,
+                                          opt.move_weight),
+                  r.migration_charge / opt.migration_cost, 1e-9)
+          << "seed " << seed << " fresh " << with_fresh;
+      // Weights are 0/1, so the count is the moved weight too.
+      EXPECT_NEAR(r.migration_charge, opt.migration_cost * r.migrations,
+                  1e-12);
+      EXPECT_NEAR(r.degradation, evaluate_solution(p, r.placement).total,
+                  1e-12);
+    }
+  }
+}
+
+// ------------------------------------------------------------ SwapEngine
+
+/// d(i, S) = a_i * Σ_{c in S} b_c on integers: exact ties by construction.
+class LinearPressureModel final : public DegradationModel {
+ public:
+  LinearPressureModel(std::vector<Real> a, std::vector<Real> b)
+      : a_(std::move(a)), b_(std::move(b)) {}
+  Real degradation(ProcessId i, std::span<const ProcessId> co) const override {
+    Real pressure = 0.0;
+    for (ProcessId c : co) pressure += b_[static_cast<std::size_t>(c)];
+    return a_[static_cast<std::size_t>(i)] * pressure;
+  }
+
+ private:
+  std::vector<Real> a_, b_;
+};
+
+void expect_tracks_full_evaluation(const Problem& p, const SwapEngine& engine,
+                                   const Solution& reference, Real cost,
+                                   std::span<const Real> weights,
+                                   const std::string& where) {
+  validate_solution(p, engine.placement());
+  EXPECT_NEAR(engine.degradation(),
+              evaluate_solution(p, engine.placement()).total, 1e-9)
+      << where;
+  EXPECT_NEAR(engine.migration_charge(),
+              cost * weighted_migrations(reference, engine.placement(),
+                                         weights),
+              1e-9)
+      << where;
+}
+
+// Serial jobs, PE jobs and idle padding under random swap sequences: after
+// every swap the delta-tracked objective equals a full re-evaluation.
+TEST(SwapEngine, TrackedObjectiveMatchesFullEvaluation) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    // 7 + 3 + 2 + 4 = 16 processes on u = 4 (no padding) or 5 + 3 + 2 = 10
+    // padded to 12 (two idle slots), alternating.
+    Problem p = seed % 2 ? random_pe_problem(7, {3, 2, 4}, 4, seed)
+                         : random_pe_problem(5, {3, 2}, 4, seed);
+    Rng rng(seed * 7 + 1);
+    Solution reference = solve_random(p, rng);
+    Solution start = solve_random(p, rng);
+    std::vector<Real> weights(static_cast<std::size_t>(p.n()));
+    for (Real& w : weights) w = static_cast<Real>(rng.uniform(3));  // 0..2
+    const Real cost = seed % 3 == 0 ? 0.0 : 0.04;
+    SwapEngine engine(p, reference, start, cost, weights);
+    expect_tracks_full_evaluation(p, engine, reference, cost, weights,
+                                  "start seed " + std::to_string(seed));
+    const std::size_t m = start.machines.size();
+    const std::size_t u = static_cast<std::size_t>(p.u());
+    for (int step = 0; step < 40; ++step) {
+      std::size_t a = rng.uniform(m);
+      std::size_t b = (a + 1 + rng.uniform(m - 1)) % m;
+      std::size_t i = rng.uniform(u);
+      std::size_t j = rng.uniform(u);
+      if (step % 2 == 0) {
+        engine.apply_swap(a, i, b, j);
+      } else {
+        engine.try_swap(a, i, b, j);
+      }
+      expect_tracks_full_evaluation(
+          p, engine, reference, cost, weights,
+          "seed " + std::to_string(seed) + " step " + std::to_string(step));
+    }
+  }
+}
+
+// A parallel job's Eq. 13 max: moving one of two tied holders away keeps
+// the max, moving the other drops it to the next process.
+TEST(SwapEngine, ParallelMaxFollowsItsHolderThroughTies) {
+  Problem p;
+  p.machine = machine_by_cores(2);
+  p.batch.add_job("pe", JobKind::ParallelNoComm, 3);  // processes 0, 1, 2
+  for (int k = 0; k < 3; ++k)
+    p.batch.add_job("s" + std::to_string(k), JobKind::Serial, 1);  // 3..5
+  for (int k = 0; k < 4; ++k)
+    p.batch.add_job("idle" + std::to_string(k), JobKind::Imaginary, 1);
+  ASSERT_EQ(p.n(), 10);
+  auto model = std::make_shared<LinearPressureModel>(
+      std::vector<Real>{1, 1, 1, 1, 1, 1, 0, 0, 0, 0},
+      std::vector<Real>{1, 1, 1, 3, 3, 1, 0, 0, 0, 0});
+  p.contention_model = model;
+  p.full_model = model;
+  // {0,3} {1,4} {2,5}: d0 = d1 = 3 tie for the PE max, d2 = 1.
+  Solution start;
+  start.machines = {{0, 3}, {1, 4}, {2, 5}, {6, 7}, {8, 9}};
+  SwapEngine engine(p, start, start, 0.0);
+  EXPECT_EQ(engine.degradation(), 3.0 + (1.0 + 1.0 + 1.0));
+  expect_tracks_full_evaluation(p, engine, start, 0.0, {}, "start");
+
+  engine.apply_swap(0, 1, 3, 0);  // 3 <-> idle 6: holder 0 drops to 0
+  EXPECT_EQ(engine.placement().machines[0], (std::vector<ProcessId>{0, 6}));
+  EXPECT_EQ(engine.degradation(), 3.0 + (0.0 + 1.0 + 1.0));  // d1 keeps 3
+  expect_tracks_full_evaluation(p, engine, start, 0.0, {}, "first holder");
+
+  engine.apply_swap(1, 1, 4, 0);  // 4 <-> idle 8: the other holder drops
+  EXPECT_EQ(engine.degradation(), 1.0 + (0.0 + 0.0 + 1.0));  // max is d2
+  expect_tracks_full_evaluation(p, engine, start, 0.0, {}, "second holder");
+
+  // Pairing serial 3 with serial 4 prices both at 3 and is rejected.
+  EXPECT_FALSE(engine.try_swap(3, 1, 4, 0));
+  EXPECT_EQ(engine.degradation(), 2.0);
+  expect_tracks_full_evaluation(p, engine, start, 0.0, {}, "rejected");
+}
+
+/// The unfiltered reference: the same first-improvement loop, each swap
+/// priced by full evaluation plus the relabel-invariant migration charge.
+Solution full_evaluation_swap_loop(const Problem& p, const Solution& reference,
+                                   Solution work, Real cost,
+                                   std::span<const Real> weights,
+                                   std::uint64_t max_passes) {
+  auto combined_of = [&](const Solution& s) {
+    return evaluate_solution(p, s).total +
+           cost * weighted_migrations(reference, s, weights);
+  };
+  const std::size_t m = work.machines.size();
+  const std::size_t u = static_cast<std::size_t>(p.u());
+  Real current = combined_of(work);
+  for (std::uint64_t pass = 0; pass < max_passes; ++pass) {
+    bool improved = false;
+    for (std::size_t a = 0; a < m; ++a)
+      for (std::size_t b = a + 1; b < m; ++b)
+        for (std::size_t i = 0; i < u; ++i)
+          for (std::size_t j = 0; j < u; ++j) {
+            std::swap(work.machines[a][i], work.machines[b][j]);
+            Real cand = combined_of(work);
+            if (cand < current - kObjectiveEps) {
+              current = cand;
+              improved = true;
+            } else {
+              std::swap(work.machines[a][i], work.machines[b][j]);
+            }
+          }
+    if (!improved) break;
+  }
+  return work;
+}
+
+// Skipping the assignment for swaps whose degradation alone cannot win is
+// exact: the filtered delta loop walks the same swaps as full evaluation.
+TEST(SwapEngine, FilteredLoopMatchesFullEvaluationLoop) {
+  for (std::uint64_t seed = 100; seed < 156; ++seed) {
+    Problem p = seed % 2 ? random_pe_problem(6, {3, 2}, 4, seed)
+                         : random_serial_problem(12, 2 << (seed % 3), seed);
+    Rng rng(seed);
+    Solution reference = solve_random(p, rng);
+    // Half the instances repair the reference itself, half start elsewhere.
+    Solution start = seed % 4 < 2 ? reference : solve_random(p, rng);
+    std::vector<Real> weights(static_cast<std::size_t>(p.n()));
+    for (Real& w : weights) w = 0.5 * static_cast<Real>(rng.uniform(4));
+    const Real cost = 0.01 * static_cast<Real>(1 + seed % 5);
+    const std::uint64_t passes = 3;
+    SwapEngine engine(p, reference, start, cost, weights);
+    engine.run(passes);
+    Solution expected = full_evaluation_swap_loop(p, reference, start, cost,
+                                                  weights, passes);
+    EXPECT_EQ(engine.placement().machines, expected.machines)
+        << "seed " << seed;
+    expect_tracks_full_evaluation(p, engine, reference, cost, weights,
+                                  "seed " + std::to_string(seed));
   }
 }
 

@@ -13,7 +13,9 @@
 #include <sstream>
 #include <vector>
 
+#include "baseline/brute_force.hpp"
 #include "online/scheduler.hpp"
+#include "vm/migration.hpp"
 
 namespace cosched {
 namespace {
@@ -348,6 +350,135 @@ TEST(OnlineService, ThresholdTriggerAlsoDrainsTheQueue) {
   // The max-wait backstop bounds queue waits for every trigger family.
   EXPECT_LE(service.metrics().queue_wait().max(),
             options.admission.max_wait + 1e-9);
+}
+
+// Committed moves equal reported migrations: the processes the journal's
+// Migration events name (one "p<gid>:m<a>->m<b>" token each) are exactly
+// the `migrations` the replans table reports.
+TEST(OnlineService, JournalMigrationsEqualReportedMigrations) {
+  std::uint64_t total = 0;
+  for (std::uint64_t seed : {3u, 4u, 5u}) {
+    OnlineSchedulerOptions options;
+    options.cores = 4;
+    options.machines = 3;
+    options.admission.every_k = 1;
+    OnlineScheduler service(options);
+    service.run(small_trace(seed, 30));
+    std::uint64_t journaled = 0;
+    for (const JournalEvent& event :
+         service.journal().tail(service.journal().size())) {
+      if (event.kind != JournalEventKind::Migration) continue;
+      std::istringstream tokens(event.detail);
+      std::string token;
+      while (tokens >> token) ++journaled;
+    }
+    std::uint64_t reported = 0;
+    for (const ReplanRecord& r : service.metrics().replan_records())
+      reported += static_cast<std::uint64_t>(r.migrations);
+    EXPECT_EQ(journaled, reported) << "seed " << seed;
+    EXPECT_EQ(service.metrics().migrations(), reported) << "seed " << seed;
+    total += reported;
+  }
+  EXPECT_GT(total, 0u);  // the traces do migrate
+}
+
+// ------------------------------------------------------- replan oracle
+
+struct OracleStats {
+  std::uint64_t replans = 0;
+  std::uint64_t checked = 0;  ///< replans re-solved against the oracles
+  std::uint64_t repairs = 0;
+  std::uint64_t worse = 0;    ///< repairs strictly worse than fresh
+  Real gap_sum = 0.0;         ///< Σ (repair − fresh-then-polish) combined
+  Real gap_max = -kInfinity;
+  Real fresh_sum = 0.0;       ///< Σ fresh-then-polish combined
+};
+
+/// Steps `trace` one occurrence at a time. After each step that committed
+/// a replan: the brute-force optimum is no worse than the committed
+/// degradation, and a repair is compared against a fresh HA* solve
+/// polished the same way, on the same incumbent.
+OracleStats run_replan_oracle(const OnlineSchedulerOptions& options,
+                              const WorkloadTrace& trace) {
+  OracleStats stats;
+  OnlineScheduler service(options);
+  service.begin();
+  for (const TraceJob& job : trace.jobs) service.submit(job);
+  std::size_t seen = 0;
+  while (service.step(kInfinity)) {
+    const auto& records = service.metrics().replan_records();
+    if (records.size() == seen) continue;
+    EXPECT_EQ(records.size(), seen + 1);
+    seen = records.size();
+    const ReplanRecord& committed = records.back();
+    const ReplanInput& input = *service.last_replan();
+    ++stats.checked;
+    EXPECT_EQ(committed.solver == "repair", !input.fresh_solve);
+    EXPECT_LE(solve_brute_force(input.problem).objective,
+              committed.degradation + 1e-9)
+        << "t=" << committed.time;
+    if (input.fresh_solve) continue;
+    ReplanOptions replan_options;
+    replan_options.migration_cost = options.migration_cost;
+    replan_options.max_passes = options.replan_passes;
+    replan_options.move_weight = input.move_weight;
+    ReplanResult fresh =
+        replan_with_migrations(input.problem, input.incumbent, replan_options);
+    const Real gap = committed.combined - fresh.combined;
+    ++stats.repairs;
+    if (gap > 1e-12) ++stats.worse;
+    stats.gap_sum += gap;
+    stats.fresh_sum += fresh.combined;
+    stats.gap_max = std::max(stats.gap_max, gap);
+  }
+  service.finish();
+  for (const ReplanRecord& r : service.metrics().replan_records())
+    EXPECT_LE(r.combined, r.stay_combined + 1e-12) << "t=" << r.time;
+  stats.replans = service.metrics().replans();
+  return stats;
+}
+
+// Repair's safety net on fleets small enough for brute force: 3×4-core and
+// 4×2-core, four seeded traces each (seeds fixed before measuring).
+TEST(ReplanOracle, RepairsStayWithinAStatedGapOfFreshSolves) {
+  struct Fleet {
+    std::uint32_t cores;
+    std::int32_t machines;
+    std::int32_t max_parallel;
+  };
+  OracleStats all;
+  for (const Fleet& fleet : {Fleet{4, 3, 4}, Fleet{2, 4, 2}}) {
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      TraceSpec spec;
+      spec.job_count = 24;
+      spec.mean_interarrival = 1.5;
+      spec.work_lo = 4.0;
+      spec.work_hi = 12.0;
+      spec.parallel_fraction = 0.3;
+      spec.max_parallel_processes = fleet.max_parallel;
+      spec.seed = seed;
+      OnlineSchedulerOptions options;
+      options.cores = fleet.cores;
+      options.machines = fleet.machines;
+      options.admission.every_k = 1;
+      OracleStats stats = run_replan_oracle(options, generate_trace(spec));
+      all.replans += stats.replans;
+      all.checked += stats.checked;
+      all.repairs += stats.repairs;
+      all.worse += stats.worse;
+      all.gap_sum += stats.gap_sum;
+      all.fresh_sum += stats.fresh_sum;
+      all.gap_max = std::max(all.gap_max, stats.gap_max);
+    }
+  }
+  // Measured: 192 replans, 184 of them repairs, 12 of those strictly worse
+  // than fresh-then-polish. Gap = repair combined − fresh combined: mean
+  // 0.0017 over the 184 repairs (fresh averages 0.548, so 0.3 %), max
+  // 0.100. The bounds sit about 1.5× above the measured values.
+  ASSERT_GT(all.repairs, 0u);
+  const Real gap_mean = all.gap_sum / static_cast<Real>(all.repairs);
+  EXPECT_LE(gap_mean, 0.005);
+  EXPECT_LE(all.gap_max, 0.15);
 }
 
 // ------------------------------------------------- open-world interface
