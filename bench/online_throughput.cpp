@@ -10,12 +10,23 @@
 //   online_frontier.csv   — HA* vs random across migration costs: how much
 //     degradation each solver buys per unit of migration budget.
 //
-// Exit code is nonzero if an HA*-backed policy fails to dominate the
-// random baseline on degradation at the same migration budget.
+// Replans that admit into a running fleet repair the incumbent whatever
+// the configured solver, so the policies' degradations mostly measure the
+// repair, not the solver. The dominance check therefore compares the
+// solvers themselves: every replan's Problem of the policy and frontier
+// runs (those where a policy's solver ran — cold fleets, threshold-trigger
+// rebalances — and the repaired ones) is solved by HA* and by the random
+// baseline.
+// Exit code is nonzero unless HA*'s mean Eq. 13 degradation over those
+// Problems is no worse than random's, with at least one Problem on which
+// the two differ (so the check cannot pass on trivial Problems alone).
+#include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "astar/search.hpp"
+#include "baseline/random_schedule.hpp"
 #include "harness/experiment.hpp"
 #include "obs/trace.hpp"
 #include "online/scheduler.hpp"
@@ -35,11 +46,22 @@ struct PolicyResult {
   double solve_wall_seconds = 0.0;
 };
 
+/// Runs the trace (exactly run(trace), stepped so every replan's input is
+/// seen) and appends each replan's Problem to `problems`.
 PolicyResult run_policy(const WorkloadTrace& trace,
                         const OnlineSchedulerOptions& options,
-                        std::string label) {
+                        std::string label, std::vector<Problem>& problems) {
   OnlineScheduler service(options);
-  service.run(trace);
+  service.begin();
+  for (const TraceJob& job : trace.jobs) service.submit(job);
+  std::size_t seen = 0;
+  while (service.step(kInfinity)) {
+    const std::size_t replans = service.metrics().replan_records().size();
+    if (replans == seen) continue;
+    seen = replans;
+    problems.push_back(service.last_replan()->problem);
+  }
+  service.finish();
   const SchedulerMetrics& m = service.metrics();
   PolicyResult r;
   r.label = std::move(label);
@@ -92,10 +114,9 @@ int main(int argc, char** argv) {
   base.migration_cost = 0.05;
   // One polish pass, shared by every policy: enough local search to make
   // migration costs bite. Replans that admit into a running fleet repair
-  // it with that polish whatever the solver, so the solvers differ only in
-  // the fallback replans (cold fleet, admissions larger than a machine,
-  // pure rebalances), and one pass keeps their placement quality visible
-  // there.
+  // it (greedy fill, then that polish) whatever the solver, so the solvers
+  // differ only where they run — cold fleets and pure rebalances — and one
+  // pass keeps their placement quality visible there.
   base.replan_passes = 1;
 
   std::cout << "trace: " << trace.job_count() << " jobs ("
@@ -118,8 +139,7 @@ int main(int argc, char** argv) {
   TextTable policy_table({"policy", "solver", "trigger", "jobs/sec",
                           "mean degradation", "mean queue wait",
                           "migrations/replan", "replans", "solve seconds"});
-  Real hastar_everyk_degradation = -1.0;
-  Real random_everyk_degradation = -1.0;
+  std::vector<Problem> problems;  ///< every replan's Problem, in run order
   WallTimer total;
   for (const Config& c : configs) {
     OnlineSchedulerOptions options = base;
@@ -127,7 +147,7 @@ int main(int argc, char** argv) {
     options.admission.trigger = c.trigger;
     std::string label =
         std::string(to_string(c.solver)) + "+" + to_string(c.trigger);
-    PolicyResult r = run_policy(trace, options, label);
+    PolicyResult r = run_policy(trace, options, label, problems);
     policy_table.add_row(
         {r.label, to_string(c.solver), to_string(c.trigger),
          TextTable::fmt(r.virtual_jobs_per_sec),
@@ -136,12 +156,6 @@ int main(int argc, char** argv) {
          TextTable::fmt(r.migrations_per_replan),
          TextTable::fmt_int(static_cast<std::int64_t>(r.replans)),
          TextTable::fmt(r.solve_wall_seconds, 3)});
-    if (c.trigger == ReplanTrigger::EveryKArrivals) {
-      if (c.solver == OnlineSolverKind::HAStar)
-        hastar_everyk_degradation = r.mean_degradation;
-      if (c.solver == OnlineSolverKind::Random)
-        random_everyk_degradation = r.mean_degradation;
-    }
   }
   std::cout << policy_table.render() << "\n";
   write_csv(out_dir, "online_throughput", policy_table);
@@ -156,7 +170,7 @@ int main(int argc, char** argv) {
       options.solver = solver;
       options.admission.trigger = ReplanTrigger::EveryKArrivals;
       options.migration_cost = cost;
-      PolicyResult r = run_policy(trace, options, "frontier");
+      PolicyResult r = run_policy(trace, options, "frontier", problems);
       frontier.add_row({to_string(solver), TextTable::fmt(cost, 2),
                         TextTable::fmt(r.mean_degradation),
                         TextTable::fmt(r.migrations_per_replan)});
@@ -173,17 +187,40 @@ int main(int argc, char** argv) {
       std::cout << "wrote " << trace_out << "\n";
   }
 
-  if (hastar_everyk_degradation < 0.0 || random_everyk_degradation < 0.0 ||
-      hastar_everyk_degradation > random_everyk_degradation + 1e-9) {
-    std::cerr << "FAIL: HA*-backed policy does not dominate random on "
-                 "degradation at equal migration budget ("
-              << hastar_everyk_degradation << " vs "
-              << random_everyk_degradation << ")\n";
+  // ---- solver dominance on the Problems the solvers actually saw -------
+  Rng rng(seed);
+  Real hastar_sum = 0.0;
+  Real random_sum = 0.0;
+  std::size_t unsolved = 0;
+  std::size_t differing = 0;  ///< Problems where the two objectives differ
+  for (const Problem& problem : problems) {
+    SearchResult hastar = solve_hastar(problem);
+    if (!hastar.found) {
+      ++unsolved;
+      continue;
+    }
+    const Real h = evaluate_solution(problem, hastar.solution).total;
+    const Real r = evaluate_solution(problem, solve_random(problem, rng)).total;
+    hastar_sum += h;
+    random_sum += r;
+    if (std::abs(h - r) > 1e-9) ++differing;
+  }
+  const std::size_t compared = problems.size() - unsolved;
+  const Real hastar_mean =
+      compared ? hastar_sum / static_cast<Real>(compared) : 0.0;
+  const Real random_mean =
+      compared ? random_sum / static_cast<Real>(compared) : 0.0;
+  std::cout << "solver check over " << compared << " replan Problems ("
+            << differing << " where the solvers differ, "
+            << unsolved << " HA* found nothing): hastar mean degradation "
+            << TextTable::fmt(hastar_mean) << ", random "
+            << TextTable::fmt(random_mean) << "\n";
+  if (unsolved > 0 || differing == 0 || hastar_mean > random_mean + 1e-9) {
+    std::cerr << "FAIL: HA* does not dominate random on the replan "
+                 "Problems\n";
     return 1;
   }
-  std::cout << "check: hastar mean degradation "
-            << TextTable::fmt(hastar_everyk_degradation)
-            << " <= random " << TextTable::fmt(random_everyk_degradation)
-            << " at equal migration budget -- OK\n";
+  std::cout << "check: hastar " << TextTable::fmt(hastar_mean)
+            << " <= random " << TextTable::fmt(random_mean) << " -- OK\n";
   return 0;
 }

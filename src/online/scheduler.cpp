@@ -190,6 +190,7 @@ void OnlineScheduler::begin() {
   jobs_.clear();
   procs_.clear();
   pending_.clear();
+  live_jobs_.clear();
   machines_.assign(static_cast<std::size_t>(options_.machines), {});
   last_replan_.reset();
   local_to_gid_.clear();
@@ -311,6 +312,8 @@ void OnlineScheduler::handle_process_finish(std::int64_t proc_gid) {
   JobState& job = jobs_[static_cast<std::size_t>(p.job)];
   COSCHED_EXPECTS(job.unfinished > 0);
   if (--job.unfinished == 0) {
+    live_jobs_.erase(
+        std::lower_bound(live_jobs_.begin(), live_jobs_.end(), p.job));
     job.finish_time = clock_.now();
     Real slowdown = (clock_.now() - job.admit_time) / job.spec.work;
     metrics_.on_completion(slowdown);
@@ -371,16 +374,18 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
       live_process_count() > 0;
   if (admit == 0 && !pure_rebalance) return;
 
-  // Repair, not re-solve: the incumbent with the admitted processes in its
-  // free slots is polished by migration-aware swaps. The configured solver
-  // runs only when there is nothing to repair — a cold fleet, a pure
-  // rebalance, or an admission larger than one machine.
+  // Repair, not re-solve: the admitted processes are greedily seated in the
+  // incumbent's free slots and the result is polished by migration-aware
+  // swaps. The configured solver runs only when there is nothing to repair
+  // — a cold fleet or a pure rebalance — or when a batch of jobs takes
+  // every free slot: the fill then has no idle slot to choose, and the
+  // swap polish alone is where the replan oracle measured repair losing.
   std::int32_t admitted_procs = 0;
   for (std::int32_t k = 0; k < admit; ++k)
     admitted_procs += pending_sizes[static_cast<std::size_t>(k)];
-  const bool fresh_solve = live_process_count() == 0 || admit == 0 ||
-                           admitted_procs > static_cast<std::int32_t>(
-                                                options_.cores);
+  const bool fresh_solve =
+      live_process_count() == 0 || admit == 0 ||
+      (admit > 1 && admitted_procs == free_slot_count());
   const char* planner = fresh_solve ? to_string(options_.solver) : "repair";
 
   WallTimer timer;
@@ -420,6 +425,9 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
         procs_.push_back(p);
         job.procs.push_back(gid);
       }
+      live_jobs_.insert(
+          std::upper_bound(live_jobs_.begin(), live_jobs_.end(), job_id),
+          job_id);
       Real wait = clock_.now() - job.spec.arrival_time;
       metrics_.on_admission(wait);
       JournalEvent admitted;
@@ -450,9 +458,8 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     std::vector<Real> rates;
     std::vector<Real> sens;
     local_to_gid_.clear();
-    for (std::size_t job_id = 0; job_id < jobs_.size(); ++job_id) {
-      JobState& job = jobs_[job_id];
-      if (job.admit_time < 0.0 || job.unfinished == 0) continue;
+    for (std::int64_t job_id : live_jobs_) {
+      const JobState& job = jobs_[static_cast<std::size_t>(job_id)];
       std::int32_t live_procs = 0;
       for (std::int64_t gid : job.procs)
         if (procs_[static_cast<std::size_t>(gid)].live) ++live_procs;
@@ -509,8 +516,9 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   }
 
   // ---- alignment: the incumbent (running processes stay, everyone else
-  // fills slots) polished by migration-aware swaps, against the fresh
-  // candidate when one was solved -----------------------------------------
+  // fills slots in machine order) is repaired — admitted processes seated
+  // greedily, then migration-aware swaps — or, when the solver ran,
+  // compared with the fresh candidate and polished ------------------------
   Real stay_combined = 0.0;
   ReplanResult result;
   {
@@ -522,20 +530,21 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
       for (std::int64_t gid : machines_[m])
         incumbent.machines[m].push_back(
             procs_[static_cast<std::size_t>(gid)].local_id);
-    std::vector<ProcessId> fill;
+    std::vector<ProcessId> free_movers;
     std::vector<Real> move_weight(local_to_gid_.size(), 0.0);
     for (std::size_t local = 0; local < local_to_gid_.size(); ++local) {
       std::int64_t gid = local_to_gid_[local];
       if (gid >= 0 && procs_[static_cast<std::size_t>(gid)].machine >= 0) {
         move_weight[local] = 1.0;  // previously running: moving it costs
       } else {
-        fill.push_back(static_cast<ProcessId>(local));
+        free_movers.push_back(static_cast<ProcessId>(local));
       }
     }
-    std::size_t next_fill = 0;
+    std::size_t next_free = 0;
     for (auto& machine : incumbent.machines)
-      while (machine.size() < u) machine.push_back(fill[next_fill++]);
-    COSCHED_ENSURES(next_fill == fill.size());
+      while (machine.size() < u)
+        machine.push_back(free_movers[next_free++]);
+    COSCHED_ENSURES(next_free == free_movers.size());
 
     stay_combined = evaluate_solution(problem, incumbent).total;
 
@@ -543,6 +552,11 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     replan_options.migration_cost = options_.migration_cost;
     replan_options.max_passes = options_.replan_passes;
     replan_options.move_weight = move_weight;
+    if (!fresh_solve)
+      for (std::int64_t job_id : admitted_ids)
+        for (std::int64_t gid : jobs_[static_cast<std::size_t>(job_id)].procs)
+          replan_options.fill.push_back(
+              procs_[static_cast<std::size_t>(gid)].local_id);
     input->move_weight = std::move(move_weight);
     result = replan_with_migrations(
         problem, incumbent, have_fresh ? &fresh : nullptr, replan_options);
@@ -553,11 +567,14 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   // degradations come straight off the core snapshot accessor instead of a
   // per-machine re-query loop.
   COSCHED_TRACE_SPAN(commit_span, "replan.commit", clock_.now());
-  // Pre-commit machine of every process: the commit loop overwrites it,
-  // and the delta is what the journal's migration events report.
-  std::vector<std::int32_t> prev_machine(procs_.size(), -1);
-  for (std::size_t i = 0; i < procs_.size(); ++i)
-    prev_machine[i] = procs_[i].machine;
+  // Pre-commit machine of every live process, by local id: the commit loop
+  // overwrites it, and the delta is what the journal's migration events
+  // report.
+  std::vector<std::int32_t> prev_machine(local_to_gid_.size(), -1);
+  for (std::size_t local = 0; local < local_to_gid_.size(); ++local)
+    if (local_to_gid_[local] >= 0)
+      prev_machine[local] =
+          procs_[static_cast<std::size_t>(local_to_gid_[local])].machine;
   ScheduleSnapshot adopted = snapshot_schedule(problem, result.placement);
   for (std::size_t m = 0; m < machines_.size(); ++m) {
     machines_[m].clear();
@@ -618,14 +635,16 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     journal_.append(std::move(placed));
   }
   std::map<std::int64_t, std::string> moved;  // job -> "p3:m0->m2 ..."
-  for (std::size_t i = 0; i < prev_machine.size(); ++i) {
-    const ProcState& p = procs_[i];
-    if (prev_machine[i] < 0 || !p.live || p.machine == prev_machine[i])
-      continue;
+  // Local ids run in ascending job id, then ascending gid within a job.
+  for (std::size_t local = 0; local < prev_machine.size(); ++local) {
+    if (prev_machine[local] < 0) continue;  // idle slot or just admitted
+    const std::int64_t gid = local_to_gid_[local];
+    const ProcState& p = procs_[static_cast<std::size_t>(gid)];
+    if (p.machine == prev_machine[local]) continue;
     std::string& detail = moved[p.job];
     if (!detail.empty()) detail += " ";
-    detail += "p" + std::to_string(i) + ":m" +
-              std::to_string(prev_machine[i]) + "->m" +
+    detail += "p" + std::to_string(gid) + ":m" +
+              std::to_string(prev_machine[local]) + "->m" +
               std::to_string(p.machine);
   }
   for (auto& [job_id, detail] : moved) {

@@ -8,16 +8,19 @@
 //  * arrivals queue until the AdmissionPolicy fires; a replan admits
 //    pending jobs FIFO into free cores and pads the rest with idle
 //    processes, so every solve sees a standard multiple-of-u Problem;
-//  * each replan repairs rather than re-solves: the incumbent placement,
-//    with the admitted processes in its free slots, is polished by
+//  * each replan repairs rather than re-solves: every admitted process, in
+//    FIFO job order, takes the free slot that raises the Eq. 13 objective
+//    least (SwapEngine::fill), and the placement is then polished by
 //    replan_with_migrations' delta-evaluated swaps, trading Eq. 13
 //    degradation against the cost of moving already-running processes
 //    (newly admitted jobs and idle slots move free, via the weighted
-//    move_weight extension). The pluggable fresh-schedule solver (HA* —
-//    beam mode at scale —, PG greedy, or random) runs only when there is
-//    nothing to repair: no process was running, the replan admits nothing
-//    (a threshold-trigger rebalance), or it admits more processes than one
-//    machine holds. Its schedule is then aligned and polished the same way.
+//    move_weight extension). Admissions of any size are repaired. The
+//    pluggable fresh-schedule solver (HA* — beam mode at scale —, PG
+//    greedy, or random) runs only when there is nothing to repair — no
+//    process was running (a cold fleet), or the replan admits nothing (a
+//    threshold-trigger rebalance) — or when a batch of more than one job
+//    takes every free slot, leaving the fill no idle slot to choose. Its
+//    schedule is then aligned and polished the same way.
 //    The replans table and the journal name the planner: the solver, or
 //    "repair" when none ran;
 //  * each replan evaluates the closed-form synthetic contention model
@@ -84,7 +87,8 @@ struct OnlineSchedulerOptions {
 struct ReplanInput {
   Problem problem;                ///< every live process + idle padding
   /// Running processes where they run; admitted processes and idle
-  /// padding in the free slots. A repair polishes this placement.
+  /// padding in the free slots, in machine order. A repair greedily
+  /// re-seats the admitted processes among the free slots, then polishes.
   Solution incumbent;
   std::vector<Real> move_weight;  ///< 1 = was running (moving it costs)
   bool fresh_solve = false;       ///< the configured solver ran
@@ -228,6 +232,7 @@ class OnlineScheduler {
   std::vector<JobState> jobs_;           ///< indexed by global job id
   std::vector<ProcState> procs_;         ///< indexed by global process id
   std::vector<std::int64_t> pending_;    ///< FIFO of pending job ids
+  std::vector<std::int64_t> live_jobs_;  ///< admitted, unfinished; ascending
   std::vector<std::vector<std::int64_t>> machines_;  ///< live proc gids
   std::int64_t remaining_arrivals_ = 0;
   Real last_replan_time_ = -kInfinity;

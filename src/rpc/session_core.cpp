@@ -239,10 +239,10 @@ void SessionCore::serve_connection(Socket socket) {
       response.trace_id = trace_id;
     }
 
-    FrameStatus write_status = write_frame(
-        socket, encode_response(response),
-        Deadline::after(options_.request_deadline_seconds +
-                        options_.idle_poll_seconds));
+    // Observed and counted before the reply leaves: a client holding the
+    // reply then always finds its request in /metrics and the stats. The
+    // service time so excludes the socket write.
+    std::vector<std::uint8_t> reply = encode_response(response);
     request_done(trace_id, request_timer);
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -251,6 +251,10 @@ void SessionCore::serve_connection(Socket socket) {
       else
         ++stats_.requests_failed;
     }
+    FrameStatus write_status = write_frame(
+        socket, reply,
+        Deadline::after(options_.request_deadline_seconds +
+                        options_.idle_poll_seconds));
     if (write_status != FrameStatus::Ok) return;  // peer went away mid-reply
     if (response.status == RpcStatus::Ok &&
         response.type == MessageType::Shutdown) {

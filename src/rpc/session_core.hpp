@@ -123,7 +123,8 @@ class SessionCore {
   /// request_id and trace_id on the returned envelope.
   virtual ResponseEnvelope dispatch(const RequestEnvelope& request,
                                     std::uint64_t trace_id) = 0;
-  /// Runs after each reply has been written (`timer` started on receipt).
+  /// Runs once each reply is encoded, before it is written (`timer`
+  /// started on receipt), so the client never holds an unobserved reply.
   virtual void request_done(std::uint64_t trace_id, const WallTimer& timer) {
     (void)trace_id;
     (void)timer;

@@ -1,6 +1,7 @@
 #include "vm/migration.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "astar/search.hpp"
 
@@ -185,8 +186,8 @@ Real SwapEngine::kept_weight() {
   return solver_.solve_max(overlap_, work_.machines.size(), assignment_);
 }
 
-bool SwapEngine::swap(std::size_t a, std::size_t i, std::size_t b,
-                      std::size_t j, bool force) {
+SwapEngine::Staged SwapEngine::stage(std::size_t a, std::size_t i,
+                                     std::size_t b, std::size_t j) {
   COSCHED_EXPECTS(a != b && a < work_.machines.size() &&
                   b < work_.machines.size());
   auto& ma = work_.machines[a];
@@ -206,6 +207,10 @@ bool SwapEngine::swap(std::size_t a, std::size_t i, std::size_t b,
     d_[static_cast<std::size_t>(ma[k])] = degradation_at(ma, k);
   for (std::size_t k = 0; k < u; ++k)
     d_[static_cast<std::size_t>(mb[k])] = degradation_at(mb, k);
+  Real load_delta = 0.0;
+  for (std::size_t k = 0; k < u; ++k)
+    load_delta += (d_[static_cast<std::size_t>(ma[k])] - saved_d_[k]) +
+                  (d_[static_cast<std::size_t>(mb[k])] - saved_d_[u + k]);
 
   // ... and only the jobs with a process on them change contributions.
   ++epoch_;
@@ -221,31 +226,31 @@ bool SwapEngine::swap(std::size_t a, std::size_t i, std::size_t b,
   };
   for (ProcessId x : ma) touch(x);
   for (ProcessId x : mb) touch(x);
-  const Real degradation = degradation_ + delta;
-  const Real target = combined() - kObjectiveEps;
 
-  Real charge = 0.0;
   if (migration_cost_ > 0.0) {
     saved_overlap_.clear();
     move_overlap(p, a, b);
     move_overlap(q, b, a);
-    // The charge is never negative: a swap whose degradation alone does
-    // not beat the target cannot be accepted, so skip the assignment.
-    if (force || degradation < target)
-      charge = migration_cost_ * (total_weight_ - kept_weight());
   }
+  return {degradation_ + delta, load_delta};
+}
 
-  if (!force && !(degradation + charge < target)) {
-    for (std::size_t k = 0; k < u; ++k) {
-      d_[static_cast<std::size_t>(ma[k])] = saved_d_[k];
-      d_[static_cast<std::size_t>(mb[k])] = saved_d_[u + k];
-    }
-    for (auto it = saved_overlap_.rbegin(); it != saved_overlap_.rend(); ++it)
-      overlap_[it->first] = it->second;
-    std::swap(ma[i], mb[j]);
-    return false;
+void SwapEngine::unstage(std::size_t a, std::size_t i, std::size_t b,
+                         std::size_t j) {
+  auto& ma = work_.machines[a];
+  auto& mb = work_.machines[b];
+  const std::size_t u = ma.size();
+  for (std::size_t k = 0; k < u; ++k) {
+    d_[static_cast<std::size_t>(ma[k])] = saved_d_[k];
+    d_[static_cast<std::size_t>(mb[k])] = saved_d_[u + k];
   }
+  for (auto it = saved_overlap_.rbegin(); it != saved_overlap_.rend(); ++it)
+    overlap_[it->first] = it->second;
+  saved_overlap_.clear();
+  std::swap(ma[i], mb[j]);
+}
 
+void SwapEngine::commit(Real charge) {
   for (const auto& [job, c] : touched_)
     contrib_[static_cast<std::size_t>(job)] = c;
   // Re-summed in job order, so the tracked objective never drifts from
@@ -254,6 +259,22 @@ bool SwapEngine::swap(std::size_t a, std::size_t i, std::size_t b,
   for (Real c : contrib_) degradation_ += c;
   charge_ = charge;
   ++swaps_applied_;
+}
+
+bool SwapEngine::swap(std::size_t a, std::size_t i, std::size_t b,
+                      std::size_t j, bool force) {
+  const Real degradation = stage(a, i, b, j).degradation;
+  const Real target = combined() - kObjectiveEps;
+  // The charge is never negative: a swap whose degradation alone does not
+  // beat the target cannot be accepted, so skip the assignment.
+  Real charge = 0.0;
+  if (migration_cost_ > 0.0 && (force || degradation < target))
+    charge = migration_cost_ * (total_weight_ - kept_weight());
+  if (!force && !(degradation + charge < target)) {
+    unstage(a, i, b, j);
+    return false;
+  }
+  commit(charge);
   return true;
 }
 
@@ -265,6 +286,73 @@ bool SwapEngine::try_swap(std::size_t a, std::size_t i, std::size_t b,
 void SwapEngine::apply_swap(std::size_t a, std::size_t i, std::size_t b,
                             std::size_t j) {
   swap(a, i, b, j, true);
+}
+
+bool SwapEngine::moves_free(ProcessId p) const {
+  return migration_cost_ == 0.0 || weight_[static_cast<std::size_t>(p)] == 0.0;
+}
+
+std::uint64_t SwapEngine::fill(std::span<const ProcessId> admitted) {
+  const std::size_t m = work_.machines.size();
+  const std::size_t u = static_cast<std::size_t>(problem_.u());
+  auto idle = [&](ProcessId q) {
+    return problem_.batch.job(job_of_[static_cast<std::size_t>(q)]).kind ==
+               JobKind::Imaginary &&
+           moves_free(q);
+  };
+  auto slot_of = [&](ProcessId p) {
+    for (std::size_t a = 0; a < m; ++a) {
+      const auto& machine = work_.machines[a];
+      const auto it = std::find(machine.begin(), machine.end(), p);
+      if (it != machine.end())
+        return std::pair{a, static_cast<std::size_t>(it - machine.begin())};
+    }
+    COSCHED_ENSURES(false);  // validate_solution placed every process
+    return std::pair{m, u};
+  };
+  for (ProcessId p : admitted) {
+    COSCHED_EXPECTS(p >= 0 && p < problem_.n());
+    COSCHED_EXPECTS(moves_free(p));
+  }
+  // A swap between two free movers leaves the machine-overlap matrix, and
+  // so the charge, as it is: the objective changes by the degradation only.
+  // Every move lowers (Eq. 13, summed degradation) lexicographically, so
+  // the passes end.
+  std::uint64_t moves = 0;
+  for (bool moved = true; moved;) {
+    moved = false;
+    for (ProcessId p : admitted) {
+      const auto [a, i] = slot_of(p);
+      // Lexicographic: the Eq. 13 objective first, then the summed
+      // per-process degradation. The second key crosses the plateaus of a
+      // parallel job's max: moving a process that does not hold its job's
+      // max leaves Eq. 13 as it is, but frees the way for the holder.
+      Staged best{degradation_, 0.0};
+      std::size_t best_b = m;
+      std::size_t best_j = 0;
+      for (std::size_t b = 0; b < m; ++b) {
+        if (b == a) continue;
+        for (std::size_t j = 0; j < u; ++j) {
+          if (!idle(work_.machines[b][j])) continue;
+          const Staged cand = stage(a, i, b, j);
+          unstage(a, i, b, j);
+          if (cand.degradation < best.degradation - kObjectiveEps ||
+              (cand.degradation <= best.degradation &&
+               cand.load_delta < best.load_delta - kObjectiveEps)) {
+            best = cand;
+            best_b = b;
+            best_j = j;
+          }
+        }
+      }
+      if (best_b == m) continue;
+      stage(a, i, best_b, best_j);
+      commit(charge_);
+      ++moves;
+      moved = true;
+    }
+  }
+  return moves;
 }
 
 std::uint64_t SwapEngine::run(std::uint64_t max_passes) {
@@ -341,11 +429,13 @@ ReplanResult replan_with_migrations(const Problem& problem,
     if (cand.combined < best.combined) best = std::move(cand);
   }
 
-  // Candidate 3: migration-aware swap search from the best so far. Its
-  // charge is relabel-invariant, so the swaps leave machine labels
-  // anywhere; aligning again makes the committed moves the counted ones.
+  // Candidate 3: migration-aware swap search from the best so far, after
+  // the greedy fill of options.fill. Its charge is relabel-invariant, so
+  // the swaps leave machine labels anywhere; aligning again makes the
+  // committed moves the counted ones.
   SwapEngine engine(problem, current, best.placement, options.migration_cost,
                     weights);
+  engine.fill(options.fill);
   engine.run(options.max_passes);
   if (engine.swaps_applied() > 0) {
     ReplanResult cand = result_of(

@@ -50,6 +50,10 @@ struct ReplanOptions {
   /// weight-0 processes relocate freely — how the online service marks
   /// newly admitted jobs and idle padding slots.
   std::vector<Real> move_weight;
+  /// Processes the swap search first places greedily, in this order
+  /// (SwapEngine::fill) — how a repair seats newly admitted processes.
+  /// Each must move free (move weight 0, or migration_cost 0).
+  std::vector<ProcessId> fill;
 };
 
 /// First-improvement pairwise-swap search with delta evaluation, under
@@ -78,6 +82,16 @@ class SwapEngine {
   /// Applies the swap whatever it costs.
   void apply_swap(std::size_t a, std::size_t i, std::size_t b,
                   std::size_t j);
+  /// Greedy fill: each process of `admitted`, in order, swaps with the idle
+  /// slot (free-moving Imaginary padding on another machine) that lowers
+  /// combined() most — a best-improvement pass over its swaps with idle
+  /// padding. Both sides move free, so only the degradation changes; a swap
+  /// that leaves it equal is taken when it lowers the summed per-process
+  /// degradation, which crosses the plateaus of a parallel job's max.
+  /// Passes repeat until none moves a process, so on return no such single
+  /// swap improves combined(). Every admitted process must move free.
+  /// Returns the number of swaps applied.
+  std::uint64_t fill(std::span<const ProcessId> admitted);
   /// First-improvement passes over every (machine pair, slot pair) until a
   /// pass improves nothing or `max_passes` passes ran. Returns the number
   /// of passes that improved.
@@ -94,6 +108,17 @@ class SwapEngine {
  private:
   bool swap(std::size_t a, std::size_t i, std::size_t b, std::size_t j,
             bool force);
+  struct Staged {
+    Real degradation;  ///< Eq. 13 objective after the swap
+    Real load_delta;   ///< change of the summed per-process degradation
+  };
+  /// Swaps the two slots and re-prices what they touch (the two machines'
+  /// degradations, the jobs on them, the overlap matrix). commit() or
+  /// unstage() must follow.
+  Staged stage(std::size_t a, std::size_t i, std::size_t b, std::size_t j);
+  void unstage(std::size_t a, std::size_t i, std::size_t b, std::size_t j);
+  void commit(Real charge);
+  bool moves_free(ProcessId p) const;
   Real degradation_at(const std::vector<ProcessId>& machine,
                       std::size_t slot);
   Real contribution(JobId job) const;
@@ -137,9 +162,10 @@ struct ReplanResult {
   Real combined = 0.0;         ///< degradation + migration_charge
 };
 
-/// Replans an existing placement: starts from `current`, applies a local
-/// search over process swaps under the combined objective, compares against
-/// a migration-aligned fresh schedule, and returns the better of the two.
+/// Replans an existing placement: takes the better of `current` and a
+/// migration-aligned fresh schedule, seats `options.fill` greedily in it
+/// (SwapEngine::fill), applies a local search over process swaps under the
+/// combined objective, and returns the best placement seen.
 /// Never returns anything worse (combined-objective-wise) than keeping
 /// `current`. The returned placement is aligned to `current`, so the
 /// processes it moves by position are exactly the `migrations` it reports.

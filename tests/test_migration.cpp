@@ -455,5 +455,68 @@ TEST(SwapEngine, FilteredLoopMatchesFullEvaluationLoop) {
   }
 }
 
+// The greedy fill over serial, PE and idle-padded instances (2 to 6 idle
+// slots): the tracked objective stays exact, running (weight-1) processes
+// keep their slots, the charge stays 0, and on return no admitted process
+// has a swap with an idle slot on another machine that lowers Eq. 13.
+TEST(SwapEngine, GreedyFillIsPricedExactlyAndEndsAtAnIdleSwapOptimum) {
+  std::uint64_t moves = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Problem p = seed % 3 == 0   ? random_serial_problem(9, 4, seed)
+                : seed % 3 == 1 ? random_pe_problem(5, {3, 2}, 4, seed)
+                                : random_pe_problem(5, {3, 2}, 8, seed);
+    Rng rng(seed * 11 + 3);
+    const Solution start = solve_random(p, rng);
+    std::vector<Real> weights(static_cast<std::size_t>(p.n()), 0.0);
+    std::vector<ProcessId> admitted;
+    for (ProcessId q = 0; q < p.n(); ++q) {
+      if (p.batch.job(p.batch.job_of(q)).kind == JobKind::Imaginary) continue;
+      if (rng.uniform(2) == 0)
+        admitted.push_back(q);
+      else
+        weights[static_cast<std::size_t>(q)] = 1.0;
+    }
+    const Real cost = seed % 4 == 0 ? 0.0 : 0.05;
+    SwapEngine engine(p, start, start, cost, weights);
+    moves += engine.fill(admitted);
+    const std::string where = "seed " + std::to_string(seed);
+    expect_tracks_full_evaluation(p, engine, start, cost, weights, where);
+    EXPECT_EQ(engine.migration_charge(), 0.0) << where;
+    EXPECT_LE(engine.degradation(),
+              evaluate_solution(p, start).total + 1e-12)
+        << where;
+
+    const Solution& filled = engine.placement();
+    for (std::size_t a = 0; a < filled.machines.size(); ++a)
+      for (std::size_t i = 0; i < filled.machines[a].size(); ++i)
+        if (weights[static_cast<std::size_t>(start.machines[a][i])] > 0.0) {
+          EXPECT_EQ(filled.machines[a][i], start.machines[a][i])
+              << where << ": a running process moved";
+        }
+
+    for (std::size_t a = 0; a < filled.machines.size(); ++a)
+      for (std::size_t i = 0; i < filled.machines[a].size(); ++i) {
+        const ProcessId q = filled.machines[a][i];
+        if (std::find(admitted.begin(), admitted.end(), q) == admitted.end())
+          continue;
+        for (std::size_t b = 0; b < filled.machines.size(); ++b) {
+          if (b == a) continue;
+          for (std::size_t j = 0; j < filled.machines[b].size(); ++j) {
+            const ProcessId r = filled.machines[b][j];
+            if (p.batch.job(p.batch.job_of(r)).kind != JobKind::Imaginary)
+              continue;
+            Solution swapped = filled;
+            std::swap(swapped.machines[a][i], swapped.machines[b][j]);
+            EXPECT_GE(evaluate_solution(p, swapped).total,
+                      engine.degradation() - kObjectiveEps)
+                << where << ": process " << q << " would gain from idle "
+                << r;
+          }
+        }
+      }
+  }
+  EXPECT_GT(moves, 0u);  // the instances exercise the fill
+}
+
 }  // namespace
 }  // namespace cosched

@@ -388,6 +388,7 @@ struct OracleStats {
   std::uint64_t replans = 0;
   std::uint64_t checked = 0;  ///< replans re-solved against the oracles
   std::uint64_t repairs = 0;
+  std::uint64_t wide_repairs = 0;  ///< admitted more than one machine holds
   std::uint64_t worse = 0;    ///< repairs strictly worse than fresh
   Real gap_sum = 0.0;         ///< Σ (repair − fresh-then-polish) combined
   Real gap_max = -kInfinity;
@@ -426,6 +427,14 @@ OracleStats run_replan_oracle(const OnlineSchedulerOptions& options,
         replan_with_migrations(input.problem, input.incumbent, replan_options);
     const Real gap = committed.combined - fresh.combined;
     ++stats.repairs;
+    std::int32_t admitted_procs = 0;
+    for (ProcessId p = 0; p < input.problem.n(); ++p)
+      if (input.move_weight[static_cast<std::size_t>(p)] == 0.0 &&
+          input.problem.batch.job(input.problem.batch.job_of(p)).kind !=
+              JobKind::Imaginary)
+        ++admitted_procs;
+    if (admitted_procs > static_cast<std::int32_t>(options.cores))
+      ++stats.wide_repairs;
     if (gap > 1e-12) ++stats.worse;
     stats.gap_sum += gap;
     stats.fresh_sum += fresh.combined;
@@ -439,46 +448,58 @@ OracleStats run_replan_oracle(const OnlineSchedulerOptions& options,
 }
 
 // Repair's safety net on fleets small enough for brute force: 3×4-core and
-// 4×2-core, four seeded traces each (seeds fixed before measuring).
+// 4×2-core, four seeded traces each (seeds fixed before measuring), with
+// single-job admissions (every_k 1) and batched ones (every_k 2 and 4),
+// whose admissions can exceed what one machine holds.
 TEST(ReplanOracle, RepairsStayWithinAStatedGapOfFreshSolves) {
   struct Fleet {
     std::uint32_t cores;
     std::int32_t machines;
     std::int32_t max_parallel;
   };
-  OracleStats all;
-  for (const Fleet& fleet : {Fleet{4, 3, 4}, Fleet{2, 4, 2}}) {
-    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-      TraceSpec spec;
-      spec.job_count = 24;
-      spec.mean_interarrival = 1.5;
-      spec.work_lo = 4.0;
-      spec.work_hi = 12.0;
-      spec.parallel_fraction = 0.3;
-      spec.max_parallel_processes = fleet.max_parallel;
-      spec.seed = seed;
-      OnlineSchedulerOptions options;
-      options.cores = fleet.cores;
-      options.machines = fleet.machines;
-      options.admission.every_k = 1;
-      OracleStats stats = run_replan_oracle(options, generate_trace(spec));
-      all.replans += stats.replans;
-      all.checked += stats.checked;
-      all.repairs += stats.repairs;
-      all.worse += stats.worse;
-      all.gap_sum += stats.gap_sum;
-      all.fresh_sum += stats.fresh_sum;
-      all.gap_max = std::max(all.gap_max, stats.gap_max);
+  for (std::int32_t every_k : {1, 2, 4}) {
+    OracleStats all;
+    for (const Fleet& fleet : {Fleet{4, 3, 4}, Fleet{2, 4, 2}}) {
+      for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        TraceSpec spec;
+        spec.job_count = 24;
+        spec.mean_interarrival = 1.5;
+        spec.work_lo = 4.0;
+        spec.work_hi = 12.0;
+        spec.parallel_fraction = 0.3;
+        spec.max_parallel_processes = fleet.max_parallel;
+        spec.seed = seed;
+        OnlineSchedulerOptions options;
+        options.cores = fleet.cores;
+        options.machines = fleet.machines;
+        options.admission.every_k = every_k;
+        OracleStats stats = run_replan_oracle(options, generate_trace(spec));
+        all.replans += stats.replans;
+        all.checked += stats.checked;
+        all.repairs += stats.repairs;
+        all.wide_repairs += stats.wide_repairs;
+        all.worse += stats.worse;
+        all.gap_sum += stats.gap_sum;
+        all.fresh_sum += stats.fresh_sum;
+        all.gap_max = std::max(all.gap_max, stats.gap_max);
+      }
     }
+    // Measured (gap = repair combined − fresh-then-polish combined, over
+    // the repairs): every_k 1: 192 replans, 184 repairs, 9 strictly worse,
+    // mean 0.0017 (fresh averages 0.550), max 0.065. every_k 2: 134
+    // replans, 106 repairs, 6 worse, mean −0.0012, max 0.089. every_k 4:
+    // 96 replans, 60 repairs, 5 worse, mean 0.0020, max 0.077. Seating the
+    // admitted processes FIFO instead of greedily measured max 0.100 /
+    // 0.277 / 0.063; repairing batches that take every free slot as well
+    // measured max 0.168 at every_k 2.
+    ASSERT_GT(all.repairs, 0u) << "every_k " << every_k;
+    if (every_k > 1) {  // batches larger than one machine are repaired
+      EXPECT_GT(all.wide_repairs, 0u) << "every_k " << every_k;
+    }
+    const Real gap_mean = all.gap_sum / static_cast<Real>(all.repairs);
+    EXPECT_LE(gap_mean, 0.005) << "every_k " << every_k;
+    EXPECT_LE(all.gap_max, 0.15) << "every_k " << every_k;
   }
-  // Measured: 192 replans, 184 of them repairs, 12 of those strictly worse
-  // than fresh-then-polish. Gap = repair combined − fresh combined: mean
-  // 0.0017 over the 184 repairs (fresh averages 0.548, so 0.3 %), max
-  // 0.100. The bounds sit about 1.5× above the measured values.
-  ASSERT_GT(all.repairs, 0u);
-  const Real gap_mean = all.gap_sum / static_cast<Real>(all.repairs);
-  EXPECT_LE(gap_mean, 0.005);
-  EXPECT_LE(all.gap_max, 0.15);
 }
 
 // ------------------------------------------------- open-world interface

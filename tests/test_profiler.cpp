@@ -191,7 +191,8 @@ TEST_F(ProfiledSpan, MidSpanTogglesKeepBothSidesPaired) {
 // The acceptance pin behind /debug/profile: on a replayed workload every
 // replan has a replan.fresh_solve phase (Problem build, plus the solver
 // when one runs), and the HA* search sits inside it exactly as often as a
-// replan found nothing to repair — the rest are repairs of the incumbent.
+// replan ran its solver (a cold fleet, or a batch taking every free slot)
+// — the rest are repairs of the incumbent.
 TEST(Profiler, FreshSolveRunsOnlyWhenThereIsNothingToRepair) {
   Profiler& profiler = Profiler::global();
   profiler.reset();
