@@ -128,7 +128,10 @@ void tenantize(std::vector<WorkloadTrace>& traces) {
   int k = 0;
   for (WorkloadTrace& trace : traces)
     for (TraceJob& job : trace.jobs)
-      job.name = "t" + std::to_string(k++ % kTenants) + "/" + job.name;
+      job.name = std::string("t")
+                     .append(std::to_string(k++ % kTenants))
+                     .append("/")
+                     .append(job.name);
 }
 
 struct RouterRunResult {

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   TextTable table(headers);
 
   for (std::int32_t procs : {8, 12, 16}) {
-    for (const std::string& flavour : {"se", "pe", "pc"}) {
+    for (const char* flavour : {"se", "pe", "pc"}) {
       Problem p = make_problem(procs, flavour, trace);
       std::vector<std::string> row{std::to_string(procs) + "(" + flavour +
                                    ")"};

@@ -1,7 +1,7 @@
 // online_service: the event-driven co-scheduling service end to end — jobs
 // arrive over virtual time, queue under an admission policy, get placed by
-// HA*-backed migration-aware replans on a fixed fleet, and complete at
-// contention-stretched rates.
+// migration-aware repairs of the running placement on a fixed fleet, and
+// complete at contention-stretched rates.
 //
 // Prints the first decision-journal events, the replan history and the
 // service metrics. Everything is a pure function of the seed: run it twice
@@ -25,7 +25,6 @@ int main() {
   OnlineSchedulerOptions options;
   options.cores = 4;
   options.machines = 6;  // 24 cores serving ~40 concurrent processes' worth
-  options.solver = OnlineSolverKind::HAStar;
   options.admission.trigger = ReplanTrigger::EveryKArrivals;
   options.admission.every_k = 4;
   options.migration_cost = 0.05;
@@ -55,8 +54,9 @@ int main() {
                "at every replan (a few ns per query; nothing is memoized).\n";
 
   std::cout << "\nReading: arrivals batch up under the every-k policy, and\n"
-               "each replan packs the batch around the jobs already running,\n"
-               "scoring every candidate node against the model itself.\n";
+               "each replan seats the batch in the free slots around the jobs\n"
+               "already running, then swaps processes while that pays for\n"
+               "its migrations.\n";
   return service.metrics().completions() ==
       static_cast<std::uint64_t>(trace.job_count()) ? 0 : 1;
 }

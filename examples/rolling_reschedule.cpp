@@ -24,12 +24,11 @@ int main() {
   OnlineSchedulerOptions base;
   base.cores = 4;
   base.machines = 5;
-  base.solver = OnlineSolverKind::HAStar;
   base.admission.trigger = ReplanTrigger::EveryKArrivals;
 
   std::cout << "Rolling rescheduling: " << trace.job_count()
             << " jobs streamed onto " << base.machines << " machines x "
-            << base.cores << " cores, HA* replans at five migration prices\n\n";
+            << base.cores << " cores, repaired at five migration prices\n\n";
 
   TextTable table({"migration cost", "mean degradation", "migrations",
                    "migrations/replan", "replans"});

@@ -78,8 +78,13 @@ std::vector<TraceJob> build_jobs(const ShapeSpec& spec, std::int32_t count) {
         std::lower_bound(tenant_cdf.begin(), tenant_cdf.end(), u) -
         tenant_cdf.begin());
     if (tenant >= tenant_cdf.size()) tenant = tenant_cdf.size() - 1;
-    job.name = "t" + std::to_string(tenant) + "/" + spec.name_prefix +
-               std::to_string(i);
+    // Appended piecewise: "t" + std::to_string(...) trips GCC 12's
+    // false-positive -Wrestrict.
+    job.name = "t";
+    job.name += std::to_string(tenant);
+    job.name += "/";
+    job.name += spec.name_prefix;
+    job.name += std::to_string(i);
     jobs.push_back(std::move(job));
   }
   return jobs;

@@ -5,7 +5,7 @@
 // is also a profiler phase, accumulated into a per-thread tree of (phase
 // path -> call count, total wall time), merged across threads at render
 // time. The phases are the span taxonomy (online.replan ->
-// replan.fresh_solve -> astar.search -> ...), so a flamegraph of the
+// replan.alignment, astar.search -> ...), so a flamegraph of the
 // profile and a Perfetto view of a trace describe the same shapes.
 //
 // Cost model, because this runs continuously in production servers:

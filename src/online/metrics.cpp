@@ -81,14 +81,13 @@ TextTable SchedulerMetrics::histogram_table() const {
 }
 
 TextTable SchedulerMetrics::replans_table(bool include_wall_times) const {
-  std::vector<std::string> headers{"time",     "solver",      "admitted",
-                                   "migrations", "stay combined", "combined",
-                                   "degradation"};
+  std::vector<std::string> headers{"time",          "admitted", "migrations",
+                                   "stay combined", "combined", "degradation"};
   if (include_wall_times) headers.push_back("solve seconds");
   TextTable table(std::move(headers));
   for (const ReplanRecord& r : replans_log_) {
     std::vector<std::string> row{
-        TextTable::fmt(r.time, 3), r.solver, TextTable::fmt_int(r.admitted),
+        TextTable::fmt(r.time, 3), TextTable::fmt_int(r.admitted),
         TextTable::fmt_int(r.migrations), TextTable::fmt(r.stay_combined),
         TextTable::fmt(r.combined), TextTable::fmt(r.degradation)};
     if (include_wall_times)

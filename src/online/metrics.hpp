@@ -39,7 +39,6 @@ std::vector<Real> replan_duration_metric_edges();
 /// One replan, as the service saw it.
 struct ReplanRecord {
   Real time = 0.0;
-  std::string solver;          ///< solver that produced the fresh candidate
   std::int32_t admitted = 0;   ///< jobs placed by this replan
   std::int32_t migrations = 0; ///< previously running processes that moved
   Real stay_combined = 0.0;    ///< combined objective of not replanning

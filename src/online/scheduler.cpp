@@ -4,9 +4,7 @@
 #include <limits>
 #include <map>
 
-#include "astar/search.hpp"
-#include "baseline/pg_greedy.hpp"
-#include "baseline/random_schedule.hpp"
+#include "baseline/local_search.hpp"
 #include "cache/machine_config.hpp"
 #include "core/degradation_models.hpp"
 #include "core/snapshot.hpp"
@@ -16,15 +14,6 @@
 #include "vm/migration.hpp"
 
 namespace cosched {
-
-const char* to_string(OnlineSolverKind kind) {
-  switch (kind) {
-    case OnlineSolverKind::HAStar: return "hastar";
-    case OnlineSolverKind::PgGreedy: return "pg";
-    case OnlineSolverKind::Random: return "random";
-  }
-  return "?";
-}
 
 const char* to_string(JobPhase phase) {
   switch (phase) {
@@ -53,9 +42,7 @@ struct OnlineScheduler::ProcState {
 };
 
 OnlineScheduler::OnlineScheduler(OnlineSchedulerOptions options)
-    : options_(options),
-      policy_(options.admission),
-      rng_(options.seed) {
+    : options_(options), policy_(options.admission) {
   COSCHED_EXPECTS(options_.machines >= 1);
   COSCHED_EXPECTS(options_.migration_cost >= 0.0);
   machine_by_cores(options_.cores);  // validates the core count
@@ -366,7 +353,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     pending_sizes.push_back(jobs_[static_cast<std::size_t>(id)].spec.processes);
   std::int32_t admit =
       AdmissionPolicy::admit_fifo(pending_sizes, free_slot_count());
-  // A replan that admits nothing is only worth its solver cost for the
+  // A replan that admits nothing is only worth its cost for the
   // threshold trigger (rebalancing a degraded placement, cooldown-limited).
   bool pure_rebalance =
       allow_pure_rebalance &&
@@ -374,24 +361,21 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
       live_process_count() > 0;
   if (admit == 0 && !pure_rebalance) return;
 
-  // Repair, not re-solve: the admitted processes are greedily seated in the
-  // incumbent's free slots and the result is polished by migration-aware
-  // swaps. The configured solver runs only when there is nothing to repair
-  // — a cold fleet or a pure rebalance — or when a batch of jobs takes
-  // every free slot: the fill then has no idle slot to choose, and the
-  // swap polish alone is where the replan oracle measured repair losing.
+  // Every replan is a repair: the admitted processes are greedily seated
+  // in the incumbent's free slots and the result is polished by
+  // migration-aware swaps. When a batch of jobs takes every free slot the
+  // fill has no idle slot to choose, and the polish alone is where the
+  // replan oracle measured repair losing (two parallel jobs split across a
+  // machine pair), so a migration-blind swap descent from the incumbent is
+  // offered as a second start.
   std::int32_t admitted_procs = 0;
   for (std::int32_t k = 0; k < admit; ++k)
     admitted_procs += pending_sizes[static_cast<std::size_t>(k)];
-  const bool fresh_solve =
-      live_process_count() == 0 || admit == 0 ||
-      (admit > 1 && admitted_procs == free_slot_count());
-  const char* planner = fresh_solve ? to_string(options_.solver) : "repair";
+  const bool fills_fleet = admit > 1 && admitted_procs == free_slot_count();
 
   WallTimer timer;
   COSCHED_TRACE_SPAN(replan_span, "online.replan", clock_.now(),
-                     std::string("reason=") + reason +
-                         " solver=" + planner);
+                     std::string("reason=") + reason);
 
   // Decision journal: one fleet-level event per fired replan, then one
   // per admitted job — all stamped with the trace that triggered us.
@@ -444,16 +428,12 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     pending_.erase(pending_.begin(), pending_.begin() + admit);
   }
 
-  // ---- build the replan Problem over all live processes, then (only
-  // when there is nothing to repair) the fresh candidate from the
-  // pluggable solver --------------------------------------------------------
+  // ---- build the replan Problem over all live processes (the span keeps
+  // its historical name: the benchmark and CI's profile check read it) ---
   auto input = std::make_unique<ReplanInput>();
   Problem& problem = input->problem;
-  input->fresh_solve = fresh_solve;
-  Solution fresh;
-  bool have_fresh = false;
   {
-    COSCHED_TRACE_SPAN(solve_span, "replan.fresh_solve", clock_.now());
+    COSCHED_TRACE_SPAN(build_span, "replan.fresh_solve", clock_.now());
     problem.machine = machine_by_cores(options_.cores);
     std::vector<Real> rates;
     std::vector<Real> sens;
@@ -492,33 +472,11 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     problem.contention_model = model;
     problem.full_model = model;
     problem.check();
-
-    if (fresh_solve) {
-      switch (options_.solver) {
-        case OnlineSolverKind::HAStar: {
-          SearchResult res = solve_hastar(problem);
-          if (res.found) {
-            fresh = std::move(res.solution);
-            have_fresh = true;
-          }
-          break;
-        }
-        case OnlineSolverKind::PgGreedy:
-          fresh = solve_pg_greedy(problem);
-          have_fresh = true;
-          break;
-        case OnlineSolverKind::Random:
-          fresh = solve_random(problem, rng_);
-          have_fresh = true;
-          break;
-      }
-    }
   }
 
   // ---- alignment: the incumbent (running processes stay, everyone else
   // fills slots in machine order) is repaired — admitted processes seated
-  // greedily, then migration-aware swaps — or, when the solver ran,
-  // compared with the fresh candidate and polished ------------------------
+  // greedily, then migration-aware swaps ----------------------------------
   Real stay_combined = 0.0;
   ReplanResult result;
   {
@@ -552,14 +510,16 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     replan_options.migration_cost = options_.migration_cost;
     replan_options.max_passes = options_.replan_passes;
     replan_options.move_weight = move_weight;
-    if (!fresh_solve)
-      for (std::int64_t job_id : admitted_ids)
-        for (std::int64_t gid : jobs_[static_cast<std::size_t>(job_id)].procs)
-          replan_options.fill.push_back(
-              procs_[static_cast<std::size_t>(gid)].local_id);
+    for (std::int64_t job_id : admitted_ids)
+      for (std::int64_t gid : jobs_[static_cast<std::size_t>(job_id)].procs)
+        replan_options.fill.push_back(
+            procs_[static_cast<std::size_t>(gid)].local_id);
     input->move_weight = std::move(move_weight);
-    result = replan_with_migrations(
-        problem, incumbent, have_fresh ? &fresh : nullptr, replan_options);
+    Solution descent;
+    if (fills_fleet) descent = improve_by_swaps(problem, incumbent).solution;
+    result = replan_with_migrations(problem, incumbent,
+                                    fills_fleet ? &descent : nullptr,
+                                    replan_options);
   }
 
   // ---- commit the placement -------------------------------------------
@@ -626,7 +586,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     placed.kind = JournalEventKind::Placement;
     placed.time = clock_.now();
     placed.trace_id = decision_trace;
-    placed.policy = planner;
+    placed.policy = "repair";  // the one online planner
     placed.machine = first_machine(job_id);
     placed.candidates = options_.machines;
     placed.degradation_delta = decision_delta;
@@ -653,7 +613,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     migrated.kind = JournalEventKind::Migration;
     migrated.time = clock_.now();
     migrated.trace_id = decision_trace;
-    migrated.policy = planner;
+    migrated.policy = "repair";
     migrated.machine = first_machine(job_id);
     migrated.candidates = options_.machines;
     migrated.degradation_delta = decision_delta;
@@ -662,7 +622,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     journal_.append(std::move(migrated));
   }
   COSCHED_LOG(LogLevel::Info, "online", "replan committed",
-              {log_kv("reason", reason), log_kv("solver", planner),
+              {log_kv("reason", reason),
                log_kv("admitted", static_cast<std::int64_t>(admit)),
                log_kv("migrations",
                       static_cast<std::int64_t>(result.migrations)),
@@ -672,7 +632,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
 
   ReplanRecord record;
   record.time = clock_.now();
-  record.solver = planner;
   record.admitted = admit;
   record.migrations = result.migrations;
   record.stay_combined = stay_combined;

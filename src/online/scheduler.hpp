@@ -2,27 +2,27 @@
 //
 // A fixed fleet of M identical u-core machines serves a stream of arriving
 // jobs (WorkloadTrace). The service owns a virtual clock, a pending-job
-// queue and the current placement, and turns the repo's one-shot solvers
-// into an online scheduler:
+// queue and the current placement, and keeps that placement good by local
+// repair under the paper's Eq. 13 objective:
 //
 //  * arrivals queue until the AdmissionPolicy fires; a replan admits
 //    pending jobs FIFO into free cores and pads the rest with idle
-//    processes, so every solve sees a standard multiple-of-u Problem;
-//  * each replan repairs rather than re-solves: every admitted process, in
-//    FIFO job order, takes the free slot that raises the Eq. 13 objective
-//    least (SwapEngine::fill), and the placement is then polished by
-//    replan_with_migrations' delta-evaluated swaps, trading Eq. 13
-//    degradation against the cost of moving already-running processes
-//    (newly admitted jobs and idle slots move free, via the weighted
-//    move_weight extension). Admissions of any size are repaired. The
-//    pluggable fresh-schedule solver (HA* — beam mode at scale —, PG
-//    greedy, or random) runs only when there is nothing to repair — no
-//    process was running (a cold fleet), or the replan admits nothing (a
-//    threshold-trigger rebalance) — or when a batch of more than one job
-//    takes every free slot, leaving the fill no idle slot to choose. Its
-//    schedule is then aligned and polished the same way.
-//    The replans table and the journal name the planner: the solver, or
-//    "repair" when none ran;
+//    processes, so every replan sees a standard multiple-of-u Problem;
+//  * every replan is a repair: starting from the incumbent (running
+//    processes where they run, everyone else free to move), every admitted
+//    process, in FIFO job order, takes the free slot that raises the
+//    Eq. 13 objective least (SwapEngine::fill), and the placement is then
+//    polished by replan_with_migrations' delta-evaluated swaps, trading
+//    Eq. 13 degradation against the cost of moving already-running
+//    processes (newly admitted jobs and idle slots move free, via the
+//    weighted move_weight extension). A cold fleet is the same fill from an
+//    incumbent in which every process moves free; a threshold-trigger
+//    rebalance that admits nothing is the polish alone. When a batch of
+//    more than one job takes every free slot the fill has no idle slot to
+//    choose, so a migration-blind swap descent from the incumbent
+//    (improve_by_swaps) is offered as a second starting point. No solver
+//    runs on the online path: HA* stays the paper's offline co-scheduler
+//    and the reference the replan oracle measures repairs against;
 //  * each replan evaluates the closed-form synthetic contention model
 //    directly — a few nanoseconds per query, so nothing is memoized; the
 //    oracle-cache counters (oracle_cache()) stay only for the wire and the
@@ -54,19 +54,12 @@
 #include "online/journal.hpp"
 #include "online/metrics.hpp"
 #include "online/trace.hpp"
-#include "util/rng.hpp"
 
 namespace cosched {
-
-/// Which solver produces the fresh candidate schedule at each replan.
-enum class OnlineSolverKind { HAStar, PgGreedy, Random };
-
-const char* to_string(OnlineSolverKind kind);
 
 struct OnlineSchedulerOptions {
   std::uint32_t cores = 4;     ///< u of every machine (2, 4 or 8)
   std::int32_t machines = 8;   ///< fixed fleet size M
-  OnlineSolverKind solver = OnlineSolverKind::HAStar;
   AdmissionOptions admission;
   /// Degradation-units charged per moved running process (Eq. 13 vs
   /// migration trade-off of each replan).
@@ -77,7 +70,6 @@ struct OnlineSchedulerOptions {
   /// S-curve capacity of the synthetic contention model; 0 = the builders'
   /// convention 0.45 * (u - 1).
   Real synthetic_capacity = 0.0;
-  std::uint64_t seed = 0xC05EDULL;  ///< Random-solver draws
   /// Decision-journal ring capacity (admissions, placements, migrations);
   /// oldest events are evicted (and counted) past this bound.
   std::size_t journal_capacity = 65536;
@@ -91,7 +83,6 @@ struct ReplanInput {
   /// re-seats the admitted processes among the free slots, then polishes.
   Solution incumbent;
   std::vector<Real> move_weight;  ///< 1 = was running (moving it costs)
-  bool fresh_solve = false;       ///< the configured solver ran
 };
 
 /// Lifecycle of a submitted job as seen by status queries.
@@ -221,7 +212,6 @@ class OnlineScheduler {
 
   OnlineSchedulerOptions options_;
   AdmissionPolicy policy_;
-  Rng rng_;
 
   VirtualClock clock_;
   EventQueue queue_;

@@ -171,8 +171,9 @@ struct ReplanResult {
 /// processes it moves by position are exactly the `migrations` it reports.
 /// The fresh candidate is solved with HA* internally; the `fresh` overload
 /// takes a precomputed candidate instead (nullptr = none: a pure repair of
-/// `current`), which is how the online service plugs in alternative
-/// solvers or skips the fresh solve.
+/// `current`). The online service repairs, passing a candidate only when a
+/// batch takes every free slot (a migration-blind swap descent); the HA*
+/// overload is the offline planner and the replan oracle's reference.
 ReplanResult replan_with_migrations(const Problem& problem,
                                     const Solution& current,
                                     const ReplanOptions& options = {});

@@ -139,7 +139,8 @@ Problem tiny_problem(std::vector<Real> rates, std::uint32_t cores) {
   Problem p;
   p.machine = machine_by_cores(cores);
   for (std::size_t i = 0; i < rates.size(); ++i)
-    p.batch.add_job("j" + std::to_string(i), JobKind::Serial, 1);
+    p.batch.add_job(std::string("j").append(std::to_string(i)),
+                    JobKind::Serial, 1);
   p.batch.pad_to_multiple(static_cast<std::int32_t>(cores));
   while (rates.size() < static_cast<std::size_t>(p.batch.process_count()))
     rates.push_back(0.0);

