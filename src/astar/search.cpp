@@ -1,6 +1,7 @@
 #include "astar/search.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <queue>
 #include <unordered_map>
@@ -158,8 +159,14 @@ class Engine {
                       options_.heuristic != HeuristicKind::Strategy1);
       level_stats_ = LevelStats::build_approx(eval_, options_.h_weight_mode);
     } else {
-      level_stats_ = LevelStats::build_exact(eval_, options_.h_weight_mode,
-                                             options_.max_stats_nodes);
+      // HA* keeps λ = 0: fitted multipliers would change its schedules.
+      const HeuristicKind kind =
+          options_.heuristic_search &&
+                  options_.heuristic == HeuristicKind::Lagrangian
+              ? HeuristicKind::Strategy2
+              : options_.heuristic;
+      level_stats_ = LevelStats::build_exact(
+          eval_, options_.h_weight_mode, options_.max_stats_nodes, kind);
     }
     stats_.precompute_seconds = timer.seconds();
     out.precompute_seconds = stats_.precompute_seconds;
@@ -296,10 +303,10 @@ class Engine {
     std::int32_t k = remaining / u_;
     std::vector<ProcessId> unscheduled;
     rec.scheduled.collect_clear(unscheduled);
-    if (options_.heuristic == HeuristicKind::Strategy2)
-      return level_stats_.strategy2_h(unscheduled, k);
-    // Strategy 1 from the root: all levels qualify (level > -1).
-    return level_stats_.strategy1_h(-1, k);
+    if (options_.heuristic == HeuristicKind::Strategy1)
+      return level_stats_.strategy1_h(-1, k);  // all levels are > -1
+    // Strategy 2 is the Lagrangian bound at λ = 0.
+    return level_stats_.lagrangian_h(unscheduled, k);
   }
 
   void expand(std::int32_t idx) {
@@ -330,13 +337,19 @@ class Engine {
     Real h1 = 0.0;
     if (options_.heuristic == HeuristicKind::Strategy1 && remaining_after > 0)
       h1 = level_stats_.strategy1_h(lead, k_rem);
+    // Strategy 2 / Lagrangian: the pool's reduced level minima sorted, and
+    // the pool's λ and multiplier mass (all 0 for Strategy 2).
     std::vector<std::pair<Real, ProcessId>> s2_sorted;
-    if (options_.heuristic == HeuristicKind::Strategy2 &&
+    Real pool_lambda = 0.0, pool_mass = 0.0;
+    if ((options_.heuristic == HeuristicKind::Strategy2 ||
+         options_.heuristic == HeuristicKind::Lagrangian) &&
         remaining_after > 0) {
       s2_sorted.reserve(pool.size());
       for (ProcessId p : pool) {
+        pool_lambda += level_stats_.multiplier(p);
+        pool_mass += std::abs(level_stats_.multiplier(p));
         if (p + u_ > n_) continue;
-        Real w = level_stats_.min_level_weight(p);
+        Real w = level_stats_.min_reduced_weight(p);
         if (w < kInfinity) s2_sorted.emplace_back(w, p);
       }
       std::sort(s2_sorted.begin(), s2_sorted.end());
@@ -415,10 +428,19 @@ class Engine {
       switch (options_.heuristic) {
         case HeuristicKind::None: return 0.0;
         case HeuristicKind::Strategy1: return h1;
-        case HeuristicKind::Strategy2: {
-          // Sum the k_rem smallest level minima over ids unscheduled after
-          // taking `node` (walk the sorted cache, skipping node members).
-          Real h = 0.0;
+        case HeuristicKind::Strategy2:
+        case HeuristicKind::Lagrangian: {
+          // λ of the ids unscheduled after taking `node`, plus the k_rem
+          // smallest reduced level minima over them (walk the sorted cache,
+          // skipping node members); LevelStats::lagrangian_h's slack and
+          // floor.
+          Real lambda = pool_lambda, mass = pool_mass;
+          for (ProcessId m : node)
+            if (m != lead) {
+              lambda -= level_stats_.multiplier(m);
+              mass -= std::abs(level_stats_.multiplier(m));
+            }
+          Real h = lambda;
           std::int32_t taken = 0;
           for (const auto& [w, p] : s2_sorted) {
             bool in_node = false;
@@ -431,7 +453,7 @@ class Engine {
             h += w;
             if (++taken == k_rem) break;
           }
-          return h;
+          return std::max(0.0, h - LevelStats::kRoundingSlack * mass);
         }
       }
       return 0.0;

@@ -5,14 +5,10 @@
 
 #include "core/node_eval.hpp"
 #include "core/objective.hpp"
+#include "graph/level_stats.hpp"  // HeuristicKind
 #include "graph/node_enumerator.hpp"
 
 namespace cosched {
-
-/// h(v) estimation strategy (paper Section III-D). None turns the search
-/// into Dijkstra over valid paths — exactly the O-SVP algorithm of the
-/// authors' earlier work [33], used as a baseline in Tables III/IV.
-enum class HeuristicKind { None, Strategy1, Strategy2 };
 
 /// How subpaths over the same process set are dismissed (Section III-C1).
 enum class DismissPolicy {
@@ -32,7 +28,10 @@ struct SearchOptions {
   /// only (OA*-PE)?
   bool use_comm_model = true;
 
-  HeuristicKind heuristic = HeuristicKind::Strategy2;
+  /// h(v). The default, Lagrangian, is the paper's Strategy 2 over
+  /// multiplier-reduced node weights (DESIGN.md §"h(v)"); HA* and
+  /// approximate statistics run it with λ = 0, i.e. as Strategy 2.
+  HeuristicKind heuristic = HeuristicKind::Lagrangian;
   HWeightMode h_weight_mode = HWeightMode::Admissible;
   DismissPolicy dismiss = DismissPolicy::PaperMinDistance;
 

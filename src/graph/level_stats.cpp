@@ -1,14 +1,60 @@
 #include "graph/level_stats.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <span>
 
 #include "util/combinatorics.hpp"
 
 namespace cosched {
 
+namespace {
+
+/// Walks every node of every level — leads ascending, co-runner sets in
+/// lexicographic order within a level — calling
+/// `visit(lead, node, λ(node))`. λ(node) is kept as prefix sums, so a step
+/// of the walk costs O(1) amortized.
+template <class Visit>
+void walk_levels(std::int32_t n, std::int32_t u,
+                 const std::vector<Real>& lambda, Visit&& visit) {
+  const auto width = static_cast<std::size_t>(u);
+  std::vector<ProcessId> node(width);
+  std::vector<Real> prefix(width);
+  auto refill_from = [&](std::size_t j) {
+    for (; j < width; ++j) {
+      node[j] = node[j - 1] + 1;
+      prefix[j] = prefix[j - 1] + lambda[static_cast<std::size_t>(node[j])];
+    }
+  };
+  for (ProcessId lead = 0; lead + u <= n; ++lead) {
+    node[0] = lead;
+    prefix[0] = lambda[static_cast<std::size_t>(lead)];
+    refill_from(1);
+    while (true) {
+      visit(lead, std::span<const ProcessId>(node), prefix[width - 1]);
+      // Advance the rightmost co-runner not yet at its last id.
+      std::size_t j = width - 1;
+      while (j >= 1 && node[j] == n - static_cast<ProcessId>(width - j)) --j;
+      if (j < 1) break;
+      ++node[j];
+      prefix[j] = prefix[j - 1] + lambda[static_cast<std::size_t>(node[j])];
+      refill_from(j + 1);
+    }
+  }
+}
+
+/// Steps of subgradient ascent per exact Lagrangian build, and the number of
+/// non-improving steps after which the Polyak step factor halves.
+constexpr std::int32_t kSubgradientSteps = 300;
+constexpr std::int32_t kStallSteps = 10;
+
+}  // namespace
+
 LevelStats LevelStats::build_exact(const NodeEvaluator& eval,
                                    HWeightMode mode,
-                                   std::uint64_t max_nodes) {
+                                   std::uint64_t max_nodes,
+                                   HeuristicKind kind) {
   const Problem& problem = eval.problem();
   const std::int32_t n = problem.n();
   const std::int32_t u = problem.u();
@@ -22,29 +68,138 @@ LevelStats LevelStats::build_exact(const NodeEvaluator& eval,
   stats.u_ = u;
   stats.total_nodes_ = total;
   stats.min_level_weight_.assign(static_cast<std::size_t>(n), kInfinity);
-  stats.sorted_nodes_.reserve(static_cast<std::size_t>(total));
+  stats.lambda_.assign(static_cast<std::size_t>(n), 0.0);
+  const bool sorted = kind == HeuristicKind::Strategy1;
+  const bool lagrangian = kind == HeuristicKind::Lagrangian;
+  if (sorted) stats.sorted_nodes_.reserve(static_cast<std::size_t>(total));
+  std::vector<Real> weights;
+  if (lagrangian) weights.reserve(static_cast<std::size_t>(total));
 
-  std::vector<ProcessId> node(static_cast<std::size_t>(u));
-  // Levels exist for lead in [0, n-u].
-  for (ProcessId lead = 0; lead + u <= n; ++lead) {
-    std::vector<std::int32_t> pool;
-    pool.reserve(static_cast<std::size_t>(n - lead - 1));
-    for (ProcessId p = lead + 1; p < n; ++p) pool.push_back(p);
-    for_each_combination(
-        pool, static_cast<std::size_t>(u - 1),
-        [&](const std::vector<std::int32_t>& comb) {
-          node[0] = lead;
-          for (std::size_t j = 0; j < comb.size(); ++j) node[j + 1] = comb[j];
-          Real w = eval.h_weight(node, mode);
-          auto& mw = stats.min_level_weight_[static_cast<std::size_t>(lead)];
-          if (w < mw) mw = w;
-          stats.sorted_nodes_.emplace_back(static_cast<float>(w), lead);
-          return true;
-        });
-  }
-  std::sort(stats.sorted_nodes_.begin(), stats.sorted_nodes_.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  walk_levels(n, u, stats.lambda_,
+              [&](ProcessId lead, std::span<const ProcessId> node, Real) {
+                Real w = eval.h_weight(node, mode);
+                auto& mw =
+                    stats.min_level_weight_[static_cast<std::size_t>(lead)];
+                if (w < mw) mw = w;
+                if (sorted)
+                  stats.sorted_nodes_.emplace_back(static_cast<float>(w),
+                                                   lead);
+                if (lagrangian) weights.push_back(w);
+              });
+  if (sorted)
+    std::sort(stats.sorted_nodes_.begin(), stats.sorted_nodes_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+  stats.min_reduced_weight_ = stats.min_level_weight_;
+  if (lagrangian) stats.fit_multipliers(weights);
   return stats;
+}
+
+void LevelStats::fit_multipliers(const std::vector<Real>& weights) {
+  const auto n = static_cast<std::size_t>(n_);
+  const auto width = static_cast<std::size_t>(u_);
+  const auto levels = static_cast<std::size_t>(n_ - u_ + 1);
+  const auto k = static_cast<std::size_t>(n_ / u_);
+
+  std::vector<Real> lambda(n, 0.0);
+
+  // Target of the Polyak steps: the weight of a greedy partition, in which
+  // each lowest free lead takes its cheapest node of free processes. A
+  // lead's choice only touches larger ids, so it is committed when the walk
+  // leaves the lead's level.
+  Real upper = 0.0;
+  {
+    std::vector<bool> used(n, false);
+    std::vector<ProcessId> pick(width);
+    Real pick_w = kInfinity;
+    auto commit = [&] {
+      if (pick_w == kInfinity) return;
+      for (ProcessId p : pick) used[static_cast<std::size_t>(p)] = true;
+      upper += pick_w;
+      pick_w = kInfinity;
+    };
+    std::size_t pos = 0;
+    ProcessId level = -1;
+    walk_levels(n_, u_, lambda,
+                [&](ProcessId lead, std::span<const ProcessId> node, Real) {
+                  const Real w = weights[pos++];
+                  if (lead != level) {
+                    commit();
+                    level = lead;
+                  }
+                  for (ProcessId p : node)
+                    if (used[static_cast<std::size_t>(p)]) return;
+                  if (w < pick_w) {
+                    pick_w = w;
+                    std::copy(node.begin(), node.end(), pick.begin());
+                  }
+                });
+    commit();
+  }
+
+  // Per-level minimum reduced weight and the node attaining it.
+  std::vector<Real> level_min(levels);
+  std::vector<ProcessId> argmin(levels * width);
+  std::vector<std::size_t> order(levels);
+  std::vector<std::int32_t> cover(n);
+  Real best_bound = -kInfinity;
+  Real theta = 2.0;
+  std::int32_t stall = 0;
+  const Real tolerance = 1e-9 * std::max<Real>(1.0, std::abs(upper));
+  for (std::int32_t step = 0; step < kSubgradientSteps; ++step) {
+    std::fill(level_min.begin(), level_min.end(), kInfinity);
+    std::size_t pos = 0;
+    walk_levels(n_, u_, lambda,
+                [&](ProcessId lead, std::span<const ProcessId> node,
+                    Real node_lambda) {
+                  const Real r = weights[pos++] - node_lambda;
+                  const auto l = static_cast<std::size_t>(lead);
+                  if (r < level_min[l]) {
+                    level_min[l] = r;
+                    std::copy(node.begin(), node.end(),
+                              argmin.begin() +
+                                  static_cast<std::ptrdiff_t>(l * width));
+                  }
+                });
+    // The root bound: λ(N) + the k smallest level minima (ties by lead).
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::nth_element(order.begin(),
+                     order.begin() + static_cast<std::ptrdiff_t>(k - 1),
+                     order.end(), [&](std::size_t a, std::size_t b) {
+                       if (level_min[a] != level_min[b])
+                         return level_min[a] < level_min[b];
+                       return a < b;
+                     });
+    Real bound = 0.0;
+    for (Real l : lambda) bound += l;
+    for (std::size_t i = 0; i < k; ++i) bound += level_min[order[i]];
+
+    if (bound > best_bound) {
+      best_bound = bound;
+      lambda_ = lambda;
+      min_reduced_weight_.assign(level_min.begin(), level_min.end());
+      min_reduced_weight_.resize(n, kInfinity);
+      stall = 0;
+    } else if (++stall == kStallSteps) {
+      theta *= 0.5;
+      stall = 0;
+    }
+    if (best_bound >= upper - tolerance) break;
+
+    // Subgradient: 1 − (times process i is covered by the chosen nodes).
+    std::fill(cover.begin(), cover.end(), 0);
+    for (std::size_t i = 0; i < k; ++i)
+      for (std::size_t j = 0; j < width; ++j)
+        ++cover[static_cast<std::size_t>(argmin[order[i] * width + j])];
+    Real norm2 = 0.0;
+    for (std::int32_t c : cover)
+      norm2 += static_cast<Real>((1 - c) * (1 - c));
+    // The chosen nodes partition N: the bound is a schedule's weight, hence
+    // the optimum.
+    if (norm2 == 0.0) break;
+    const Real t = theta * (upper - bound) / norm2;
+    for (std::size_t i = 0; i < n; ++i)
+      lambda[i] += t * static_cast<Real>(1 - cover[i]);
+  }
 }
 
 LevelStats LevelStats::build_approx(const NodeEvaluator& eval,
@@ -101,6 +256,8 @@ LevelStats LevelStats::build_approx(const NodeEvaluator& eval,
     stats.min_level_weight_[static_cast<std::size_t>(lead)] =
         eval.h_weight(node, mode);
   }
+  stats.lambda_.assign(static_cast<std::size_t>(n), 0.0);
+  stats.min_reduced_weight_ = stats.min_level_weight_;
   return stats;
 }
 
@@ -109,14 +266,19 @@ Real LevelStats::min_level_weight(ProcessId lead) const {
   return min_level_weight_[static_cast<std::size_t>(lead)];
 }
 
-Real LevelStats::strategy2_h(const std::vector<ProcessId>& unscheduled,
-                             std::int32_t k) const {
+namespace {
+
+/// Sum of the `k` smallest finite `per_lead` values over the ids of
+/// `unscheduled` that lead a level.
+Real sum_k_smallest(const std::vector<Real>& per_lead,
+                    const std::vector<ProcessId>& unscheduled, std::int32_t k,
+                    std::int32_t n, std::int32_t u) {
   if (k <= 0) return 0.0;
   thread_local std::vector<Real> weights;
   weights.clear();
   for (ProcessId p : unscheduled) {
-    if (p + u_ > n_) continue;  // cannot lead a level
-    Real w = min_level_weight_[static_cast<std::size_t>(p)];
+    if (p + u > n) continue;  // cannot lead a level
+    Real w = per_lead[static_cast<std::size_t>(p)];
     if (w < kInfinity) weights.push_back(w);
   }
   // Fewer candidate levels than remaining machines can only happen near the
@@ -131,8 +293,29 @@ Real LevelStats::strategy2_h(const std::vector<ProcessId>& unscheduled,
   return h;
 }
 
+}  // namespace
+
+Real LevelStats::strategy2_h(const std::vector<ProcessId>& unscheduled,
+                             std::int32_t k) const {
+  return sum_k_smallest(min_level_weight_, unscheduled, k, n_, u_);
+}
+
+Real LevelStats::lagrangian_h(const std::vector<ProcessId>& unscheduled,
+                              std::int32_t k) const {
+  if (k <= 0) return 0.0;
+  Real lambda = 0.0, mass = 0.0;
+  for (ProcessId p : unscheduled) {
+    lambda += multiplier(p);
+    mass += std::abs(multiplier(p));
+  }
+  const Real h = lambda +
+                 sum_k_smallest(min_reduced_weight_, unscheduled, k, n_, u_) -
+                 kRoundingSlack * mass;
+  return std::max(0.0, h);
+}
+
 Real LevelStats::strategy1_h(ProcessId level_gt, std::int32_t k) const {
-  COSCHED_EXPECTS(exact_);
+  COSCHED_EXPECTS(exact_ && sorted_nodes_.size() == total_nodes_);
   if (k <= 0) return 0.0;
   Real h = 0.0;
   std::int32_t taken = 0;

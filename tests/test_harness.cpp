@@ -5,9 +5,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <vector>
 
 #include "astar/search.hpp"
+#include "baseline/brute_force.hpp"
 #include "graph/level_stats.hpp"
 #include "harness/experiment.hpp"
 #include "test_helpers.hpp"
@@ -15,6 +17,8 @@
 namespace cosched {
 namespace {
 
+using testhelpers::random_pc_problem;
+using testhelpers::random_pe_problem;
 using testhelpers::random_serial_problem;
 
 // ------------------------------------------------------------- ArgParser
@@ -108,7 +112,8 @@ TEST(LevelStats, ExactMinimaMatchBruteEnumeration) {
 TEST(LevelStats, Strategy1SumsGloballyCheapestBeyondLevel) {
   Problem p = random_serial_problem(8, 2, 8);
   NodeEvaluator eval(p, *p.full_model);
-  LevelStats stats = LevelStats::build_exact(eval, HWeightMode::Admissible);
+  LevelStats stats = LevelStats::build_exact(
+      eval, HWeightMode::Admissible, 20'000'000, HeuristicKind::Strategy1);
   // k = 0 -> 0; monotone in k; taking from later levels only can't be
   // cheaper than from all levels.
   EXPECT_DOUBLE_EQ(stats.strategy1_h(-1, 0), 0.0);
@@ -149,6 +154,60 @@ TEST(LevelStats, Strategy2TakesKSmallestUnscheduledMinima) {
   Real expected = minima[0] + minima[1] + minima[2] + minima[3];
   EXPECT_NEAR(h_all4, expected, 1e-12);
   EXPECT_DOUBLE_EQ(stats.strategy2_h(unscheduled, 0), 0.0);
+}
+
+TEST(LevelStats, LagrangianRootBoundLiesBetweenStrategy2AndOptimum) {
+  // Serial, PE and PC batches under Eq. 13 with admissible h-weights: the
+  // fitted bound at the root never exceeds the brute-force optimum and
+  // never falls below Strategy 2, its own λ = 0 instance (less the rounding
+  // slack, far below the tolerance).
+  std::vector<Problem> problems;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    problems.push_back(random_serial_problem(12, 4, seed));
+    problems.push_back(random_serial_problem(10, 2, seed + 10));
+    problems.push_back(random_pe_problem(4, {3, 3}, 2, seed + 20));
+    problems.push_back(random_pc_problem(2, {3, 3}, 4, seed + 30));
+  }
+  std::int32_t tighter = 0;
+  for (const Problem& p : problems) {
+    NodeEvaluator eval(p, *p.full_model);
+    LevelStats s2 = LevelStats::build_exact(eval, HWeightMode::Admissible);
+    LevelStats lagrangian = LevelStats::build_exact(
+        eval, HWeightMode::Admissible, 20'000'000, HeuristicKind::Lagrangian);
+    std::vector<ProcessId> all(static_cast<std::size_t>(p.n()));
+    std::iota(all.begin(), all.end(), 0);
+    const std::int32_t k = p.n() / p.u();
+    const Real h2 = s2.strategy2_h(all, k);
+    const Real h = lagrangian.lagrangian_h(all, k);
+    const Real optimum = solve_brute_force(p).objective;
+    EXPECT_GE(h, h2 - 1e-9) << "n=" << p.n() << " u=" << p.u();
+    EXPECT_LE(h, optimum) << "n=" << p.n() << " u=" << p.u();
+    if (h > h2 + 1e-9) ++tighter;
+  }
+  EXPECT_GE(tighter, 6) << "the multipliers should tighten most roots";
+}
+
+TEST(LevelStats, LagrangianWithZeroMultipliersIsStrategy2BitForBit) {
+  // Builds that do not fit λ (Strategy 2 exact, approximate) carry λ = 0,
+  // and there the Lagrangian bound is Strategy 2 exactly.
+  Problem p = random_serial_problem(12, 4, 5);
+  NodeEvaluator eval(p, *p.full_model);
+  for (const LevelStats& stats :
+       {LevelStats::build_exact(eval, HWeightMode::Admissible),
+        LevelStats::build_approx(eval, HWeightMode::Admissible)}) {
+    for (ProcessId q = 0; q < p.n(); ++q) {
+      EXPECT_EQ(stats.multiplier(q), 0.0);
+      EXPECT_EQ(stats.min_reduced_weight(q), stats.min_level_weight(q));
+    }
+    for (std::int32_t skip = 0; skip < p.n(); skip += 3) {
+      std::vector<ProcessId> unscheduled;
+      for (ProcessId q = skip; q < p.n(); ++q) unscheduled.push_back(q);
+      for (std::int32_t k = 0; k <= 3; ++k)
+        EXPECT_EQ(stats.lagrangian_h(unscheduled, k),
+                  stats.strategy2_h(unscheduled, k))
+            << "skip=" << skip << " k=" << k;
+    }
+  }
 }
 
 TEST(LevelStats, ApproxBuildProvidesFiniteEstimates) {

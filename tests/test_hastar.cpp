@@ -238,6 +238,30 @@ TEST(HaStar, OftenExactAtPaperScales) {
   EXPECT_LT(total_gap / count, 0.15);
 }
 
+TEST(HaStar, DefaultHeuristicRunsAsStrategy2) {
+  // HA* runs the default Lagrangian bound with λ = 0, i.e. as Strategy 2:
+  // the same schedule and the same work, on exact and approximate stats.
+  for (std::uint64_t max_stats_nodes : {5'000'000ull, 100ull}) {
+    Problem p = random_serial_problem(20, 4, 36);
+    SearchOptions s2;
+    s2.heuristic = HeuristicKind::Strategy2;
+    s2.max_stats_nodes = max_stats_nodes;
+    SearchOptions defaults;
+    defaults.max_stats_nodes = max_stats_nodes;
+    auto a = solve_hastar(p, defaults);
+    auto b = solve_hastar(p, s2);
+    ASSERT_TRUE(a.found && b.found);
+    EXPECT_EQ(a.objective, b.objective);
+    EXPECT_EQ(a.solution.machines, b.solution.machines);
+    EXPECT_EQ(a.stats.expanded, b.stats.expanded);
+    EXPECT_EQ(a.stats.generated, b.stats.generated);
+    EXPECT_EQ(a.stats.dismissed, b.stats.dismissed);
+    EXPECT_EQ(a.stats.visited_paths, b.stats.visited_paths);
+    EXPECT_EQ(a.stats.beam_pruned, b.stats.beam_pruned);
+    EXPECT_EQ(a.stats.heuristic_evals, b.stats.heuristic_evals);
+  }
+}
+
 TEST(HaStar, MerCapOneIsPureGreedy) {
   Problem p = random_serial_problem(16, 4, 31);
   SearchOptions opt;

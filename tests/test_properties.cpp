@@ -41,8 +41,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CrossSolverAgreement,
 class HeuristicAdmissibility : public ::testing::TestWithParam<int> {};
 
 TEST_P(HeuristicAdmissibility, S2LowerBoundsTrueRemainingCost) {
-  // For random prefixes of the optimal path, strategy-2 h must never exceed
-  // the true cost of the remaining suffix (serial-only instances).
+  // For random prefixes of the optimal path, neither strategy-2 h nor the
+  // Lagrangian bound may exceed the true cost of the remaining suffix
+  // (serial-only instances).
   const int seed = GetParam();
   Problem p = random_serial_problem(12, 4,
                                     static_cast<std::uint64_t>(seed) + 500);
@@ -50,6 +51,8 @@ TEST_P(HeuristicAdmissibility, S2LowerBoundsTrueRemainingCost) {
   ASSERT_TRUE(opt.found);
   NodeEvaluator eval(p, *p.full_model);
   LevelStats stats = LevelStats::build_exact(eval, HWeightMode::Admissible);
+  LevelStats lagrangian = LevelStats::build_exact(
+      eval, HWeightMode::Admissible, 20'000'000, HeuristicKind::Lagrangian);
 
   // Walk the optimal path; at each prefix compare h to the true suffix cost.
   std::vector<Real> node_costs;
@@ -65,6 +68,8 @@ TEST_P(HeuristicAdmissibility, S2LowerBoundsTrueRemainingCost) {
         static_cast<std::int32_t>(unscheduled.size()) / p.u();
     Real h = stats.strategy2_h(unscheduled, k_rem);
     EXPECT_LE(h, suffix_cost + 1e-9)
+        << "prefix " << k << " seed " << seed;
+    EXPECT_LE(lagrangian.lagrangian_h(unscheduled, k_rem), suffix_cost + 1e-9)
         << "prefix " << k << " seed " << seed;
     for (ProcessId q : opt.solution.machines[k])
       scheduled[static_cast<std::size_t>(q)] = true;

@@ -66,13 +66,18 @@ TEST_P(OaStarParallelOptimality, MatchesBruteForceWithParetoDismissal) {
           ? random_pc_problem(serial, {psize, psize}, cores, 99)
           : random_pe_problem(serial, {psize, psize}, cores, 99);
   auto brute = solve_brute_force(p);
-  SearchOptions opt;
-  opt.dismiss = DismissPolicy::ParetoDominance;  // exact for parallel jobs
-  auto oastar = solve_oastar(p, opt);
-  expect_valid(p, oastar);
-  EXPECT_NEAR(oastar.objective, brute.objective, 1e-9);
-  auto ev = evaluate_solution(p, oastar.solution);
-  EXPECT_NEAR(ev.total, oastar.objective, 1e-9);
+  for (HeuristicKind heuristic :
+       {HeuristicKind::Strategy2, HeuristicKind::Lagrangian}) {
+    SCOPED_TRACE(static_cast<int>(heuristic));
+    SearchOptions opt;
+    opt.heuristic = heuristic;
+    opt.dismiss = DismissPolicy::ParetoDominance;  // exact for parallel jobs
+    auto oastar = solve_oastar(p, opt);
+    expect_valid(p, oastar);
+    EXPECT_NEAR(oastar.objective, brute.objective, 1e-9);
+    auto ev = evaluate_solution(p, oastar.solution);
+    EXPECT_NEAR(ev.total, oastar.objective, 1e-9);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, OaStarParallelOptimality,
@@ -106,36 +111,49 @@ TEST(OaStarParallel, PaperDismissalIsNearOptimalButNotExact) {
 // ----------------------------------------------------------- h(v) behavior
 
 TEST(Heuristics, BothStrategiesReachTheSameOptimum) {
+  // Strategy 1 against Strategy 2 and against its Lagrangian form.
   for (std::uint64_t seed : {11u, 12u, 13u}) {
     Problem p = random_serial_problem(12, 4, seed);
     SearchOptions s1;
     s1.heuristic = HeuristicKind::Strategy1;
-    SearchOptions s2;
-    s2.heuristic = HeuristicKind::Strategy2;
     auto r1 = solve_oastar(p, s1);
-    auto r2 = solve_oastar(p, s2);
-    ASSERT_TRUE(r1.found && r2.found);
-    EXPECT_NEAR(r1.objective, r2.objective, 1e-9);
+    ASSERT_TRUE(r1.found);
+    for (HeuristicKind heuristic :
+         {HeuristicKind::Strategy2, HeuristicKind::Lagrangian}) {
+      SearchOptions s2;
+      s2.heuristic = heuristic;
+      auto r2 = solve_oastar(p, s2);
+      ASSERT_TRUE(r2.found);
+      EXPECT_NEAR(r1.objective, r2.objective, 1e-9)
+          << "seed " << seed << " heuristic " << static_cast<int>(heuristic);
+    }
   }
 }
 
 TEST(Heuristics, Strategy2PrunesMoreThanStrategy1) {
   // The paper's Table IV headline: Strategy 2 visits fewer paths. Per-
-  // instance the two can land close, so compare aggregates over seeds.
-  std::uint64_t s1_paths = 0, s2_paths = 0;
+  // instance the two can land close, so compare aggregates over seeds. The
+  // Lagrangian form prunes more than both.
+  std::uint64_t s1_paths = 0, s2_paths = 0, lagrangian_paths = 0;
   for (std::uint64_t seed : {42u, 43u, 44u, 45u}) {
     Problem p = random_serial_problem(16, 4, seed);
     SearchOptions s1;
     s1.heuristic = HeuristicKind::Strategy1;
-    SearchOptions s2;
-    s2.heuristic = HeuristicKind::Strategy2;
     auto r1 = solve_oastar(p, s1);
-    auto r2 = solve_oastar(p, s2);
-    EXPECT_NEAR(r1.objective, r2.objective, 1e-9) << "seed " << seed;
     s1_paths += r1.stats.visited_paths;
-    s2_paths += r2.stats.visited_paths;
+    for (HeuristicKind heuristic :
+         {HeuristicKind::Strategy2, HeuristicKind::Lagrangian}) {
+      SearchOptions s2;
+      s2.heuristic = heuristic;
+      auto r2 = solve_oastar(p, s2);
+      EXPECT_NEAR(r1.objective, r2.objective, 1e-9)
+          << "seed " << seed << " heuristic " << static_cast<int>(heuristic);
+      (heuristic == HeuristicKind::Strategy2 ? s2_paths : lagrangian_paths) +=
+          r2.stats.visited_paths;
+    }
   }
   EXPECT_LT(s2_paths, s1_paths);
+  EXPECT_LT(lagrangian_paths, s2_paths);
 }
 
 TEST(Heuristics, OsvpVisitsAtLeastAsManyPathsAsOaStar) {
@@ -283,6 +301,7 @@ TEST(SearchMechanics, TieOrderAndWorkArePinned) {
        {DismissPolicy::PaperMinDistance, DismissPolicy::ParetoDominance}) {
     SCOPED_TRACE(static_cast<int>(dismiss));
     SearchOptions opt;
+    opt.heuristic = HeuristicKind::Strategy2;  // the paper's h(v)
     opt.dismiss = dismiss;
     auto r = solve_oastar(p, opt);
     ASSERT_TRUE(r.found);
@@ -292,6 +311,32 @@ TEST(SearchMechanics, TieOrderAndWorkArePinned) {
     EXPECT_EQ(r.stats.generated, 407u);
     EXPECT_EQ(r.stats.dismissed, 107u);
     EXPECT_EQ(r.stats.visited_paths, 301u);
+  }
+
+  // The Lagrangian bound keeps λ = 0 on the landscape above (its zero-
+  // weight nodes cover every process fractionally, so the relaxation is
+  // worth 0), so its second pin is a tie-free 16-process batch, where the
+  // fitted multipliers matter: the same optimum and schedule as Strategy 2
+  // with a fraction of its work.
+  Problem tie_free = random_serial_problem(16, 4, 22);
+  SearchOptions s2;
+  s2.heuristic = HeuristicKind::Strategy2;
+  auto reference = solve_oastar(tie_free, s2);
+  ASSERT_TRUE(reference.found);
+  for (DismissPolicy dismiss :
+       {DismissPolicy::PaperMinDistance, DismissPolicy::ParetoDominance}) {
+    SCOPED_TRACE(static_cast<int>(dismiss));
+    SearchOptions opt;
+    opt.heuristic = HeuristicKind::Lagrangian;
+    opt.dismiss = dismiss;
+    auto r = solve_oastar(tie_free, opt);
+    ASSERT_TRUE(r.found);
+    EXPECT_EQ(r.objective, reference.objective);
+    EXPECT_EQ(r.solution.machines, reference.solution.machines);
+    EXPECT_EQ(r.stats.expanded, 10u);
+    EXPECT_EQ(r.stats.generated, 1024u);
+    EXPECT_EQ(r.stats.dismissed, 23u);
+    EXPECT_EQ(r.stats.visited_paths, 1002u);
   }
 }
 
