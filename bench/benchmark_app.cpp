@@ -146,16 +146,13 @@ int main(int argc, char** argv) {
   // ---- SLO watchdog configuration ----------------------------------------
   // Embedded deployments run the servers' alert engine (--alerts 0 turns it
   // off); --alert-rules FILE replaces the default burn-rate guards, --slo
-  // FILE points them at that budget's p95, --tsdb-* size the store, and
-  // --fail-on-alert 1 makes the run exit 4 when the watchdog fired.
+  // FILE points them at that budget's p95, --tsdb-interval is the seconds
+  // between evaluations (at least 0.1), and --fail-on-alert 1 makes the run
+  // exit 4 when the watchdog fired.
   bool alerts_on = args.get_int("alerts", 1) != 0;
   bool fail_on_alert = args.get_int("fail-on-alert", 0) != 0;
   AlertEngineOptions alert_options;
   alert_options.scrape_interval_seconds = args.get_real("tsdb-interval", 1.0);
-  alert_options.tsdb.raw_capacity =
-      static_cast<std::size_t>(args.get_int("tsdb-raw", 600));
-  alert_options.tsdb.max_series =
-      static_cast<std::size_t>(args.get_int("tsdb-series", 1024));
   double alert_budget_ms = 900.0;
   {
     std::string rules_path = args.get_string("alert-rules", "");

@@ -4,6 +4,8 @@
 # Launches two CoschedServer shard processes (rpc_server --shard-id 0/1),
 # fronts them with a shard_router --remote deployment in a third process,
 # and drives the router with benchmark_app --connect. The run fails unless
+#   * a rule file asking for the removed threshold kind stops the router
+#     before it binds a port, with an error naming rules.0.kind,
 #   * the router's SLO watchdog, armed with a deliberately tight burn-rate
 #     rule, walks the full lifecycle under injected overload: /alerts shows
 #     the rule firing (fan-in entries for both shards stamped with their
@@ -108,6 +110,24 @@ cat >"$OUT_DIR/alert_rules_tight.json" <<'EOF'
   "resolved_hold_seconds": 60
 }]}
 EOF
+
+# The threshold rule kind is gone: a rule file that still asks for it must
+# stop the router before it binds a port, naming the offending field.
+cat >"$OUT_DIR/alert_rules_threshold.json" <<'EOF'
+{"rules": [{"name": "deep_queue", "kind": "threshold",
+  "metric": "cosched_rpc_queue_depth", "agg": "avg", "threshold": 32}]}
+EOF
+if timeout 20 "$BIN_EX/shard_router" --port "$ROUTER_PORT" --metrics-port -1 \
+  --alert-rules "$OUT_DIR/alert_rules_threshold.json" \
+  >/dev/null 2>"$OUT_DIR/remote_router_threshold.err"; then
+  echo "remote_shard_smoke: a threshold rule file was accepted" >&2
+  exit 1
+fi
+if ! grep -q 'rules\.0\.kind' "$OUT_DIR/remote_router_threshold.err"; then
+  echo "remote_shard_smoke: threshold rule error does not name rules.0.kind:" >&2
+  cat "$OUT_DIR/remote_router_threshold.err" >&2
+  exit 1
+fi
 
 "$BIN_EX/shard_router" --port "$ROUTER_PORT" \
   --remote "$HOST:$SHARD_A_PORT,$HOST:$SHARD_B_PORT" --remote-cores 16 \

@@ -148,15 +148,12 @@ int main(int argc, char** argv) {
 
   // SLO watchdog over the fleet page: --alerts 0 disables the router's
   // engine; --alert-rules FILE loads a rule set (default: burn-rate guards
-  // on the merged RPC latency histogram); --slo FILE points the default
-  // rules at that budget's p95; --tsdb-* size the embedded store. GET
-  // /alerts fans in remote shards' engines shard-labelled.
+  // on the router's submit latency histogram); --slo FILE points the default
+  // rules at that budget's p95; --tsdb-interval is the seconds between
+  // evaluations (at least 0.1). GET /alerts fans in remote shards' engines
+  // shard-labelled.
   options.enable_alerts = args.get_int("alerts", 1) != 0;
   options.alerts.scrape_interval_seconds = args.get_real("tsdb-interval", 1.0);
-  options.alerts.tsdb.raw_capacity =
-      static_cast<std::size_t>(args.get_int("tsdb-raw", 600));
-  options.alerts.tsdb.max_series =
-      static_cast<std::size_t>(args.get_int("tsdb-series", 1024));
   {
     std::string rules_path = args.get_string("alert-rules", "");
     if (!rules_path.empty()) {

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -15,12 +17,6 @@
 
 namespace cosched {
 namespace {
-
-double steady_now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// SplitMix64 — a deterministic per-tick trace id so a transition's log
 /// line, journal event and trace all carry the same correlator.
@@ -99,53 +95,16 @@ bool parse_alert_severity(const std::string& text, AlertSeverity& out) {
   return true;
 }
 
-const char* to_string(AlertAgg agg) {
-  switch (agg) {
-    case AlertAgg::Latest:
-      return "latest";
-    case AlertAgg::Avg:
-      return "avg";
-    case AlertAgg::Min:
-      return "min";
-    case AlertAgg::Max:
-      return "max";
-    case AlertAgg::Rate:
-      return "rate";
-    case AlertAgg::P50:
-      return "p50";
-    case AlertAgg::P95:
-      return "p95";
-    case AlertAgg::P99:
-      return "p99";
-  }
-  return "unknown";
-}
-
-bool parse_alert_agg(const std::string& text, AlertAgg& out) {
-  if (text == "latest") out = AlertAgg::Latest;
-  else if (text == "avg") out = AlertAgg::Avg;
-  else if (text == "min") out = AlertAgg::Min;
-  else if (text == "max") out = AlertAgg::Max;
-  else if (text == "rate") out = AlertAgg::Rate;
-  else if (text == "p50") out = AlertAgg::P50;
-  else if (text == "p95") out = AlertAgg::P95;
-  else if (text == "p99") out = AlertAgg::P99;
-  else return false;
-  return true;
-}
-
 // ---- rule files ------------------------------------------------------------
 
 namespace {
 
 const std::set<std::string>& known_rule_fields() {
   static const std::set<std::string> fields = {
-      "name",          "kind",         "severity",
-      "metric",        "agg",          "window_seconds",
-      "op",            "threshold",    "histogram",
-      "budget_ms",     "objective",    "fast_window_seconds",
-      "slow_window_seconds", "burn_factor", "for_seconds",
-      "clear_seconds", "resolved_hold_seconds"};
+      "name",          "kind",          "severity",
+      "histogram",     "budget_ms",     "objective",
+      "fast_window_seconds", "slow_window_seconds", "burn_factor",
+      "for_seconds",   "clear_seconds", "resolved_hold_seconds"};
   return fields;
 }
 
@@ -163,8 +122,26 @@ bool parse_alert_rules(const std::string& text, AlertRuleSet& out,
   if (!parse_flat_json(text, json, error)) return false;
   out.rules.clear();
 
+  // `kind` is optional; the one kind left is burn_rate. A removed kind
+  // ("threshold") is named before its fields trip the unknown-field check.
+  auto is_kind = [](const std::string& key) {
+    std::size_t dot = key.find('.', 6);
+    return key.compare(0, 6, "rules.") == 0 && dot != std::string::npos &&
+           key.compare(dot, std::string::npos, ".kind") == 0;
+  };
+  for (const auto& [key, value] : json.strings)
+    if (is_kind(key) && value != "burn_rate") {
+      error = key + ": '" + value + "' (want burn_rate)";
+      return false;
+    }
+  for (const auto& [key, value] : json.numbers)
+    if (is_kind(key)) {
+      error = key + ": must be the string \"burn_rate\"";
+      return false;
+    }
+
   // Reject unknown top-level keys and unknown per-rule fields up front, so
-  // a typo ("theshold") is a load error, not a silently inert rule.
+  // a typo ("budget_sm") is a load error, not a silently inert rule.
   auto check_key = [&](const std::string& key) {
     if (!key.empty() && key[0] == '_') return true;  // _note convention
     if (key.compare(0, 6, "rules.") != 0) {
@@ -204,70 +181,33 @@ bool parse_alert_rules(const std::string& text, AlertRuleSet& out,
       return rule_field_error(i, "name", "required and must be a non-empty string",
                               error);
 
-    std::string kind = json.string(prefix + "kind", "threshold");
-    if (kind == "threshold") {
-      rule.kind = AlertRule::Kind::Threshold;
-    } else if (kind == "burn_rate") {
-      rule.kind = AlertRule::Kind::BurnRate;
-    } else {
-      return rule_field_error(i, "kind",
-                              "'" + kind + "' (want threshold|burn_rate)", error);
-    }
-
     std::string severity = json.string(prefix + "severity", "warn");
     if (!parse_alert_severity(severity, rule.severity))
       return rule_field_error(
           i, "severity", "'" + severity + "' (want info|warn|critical)", error);
 
-    if (rule.kind == AlertRule::Kind::Threshold) {
-      rule.metric = json.string(prefix + "metric", "");
-      if (rule.metric.empty())
-        return rule_field_error(i, "metric",
-                                "required for threshold rules", error);
-      std::string agg = json.string(prefix + "agg", "avg");
-      if (!parse_alert_agg(agg, rule.agg))
-        return rule_field_error(
-            i, "agg", "'" + agg + "' (want latest|avg|min|max|rate|p50|p95|p99)",
-            error);
-      rule.window_seconds = json.number(prefix + "window_seconds", 60.0);
-      if (!(rule.window_seconds > 0.0))
-        return rule_field_error(i, "window_seconds", "must be > 0", error);
-      std::string op = json.string(prefix + "op", ">");
-      if (op == ">") rule.above = true;
-      else if (op == "<") rule.above = false;
-      else
-        return rule_field_error(i, "op", "'" + op + "' (want > or <)", error);
-      if (!json.has_number(prefix + "threshold"))
-        return rule_field_error(i, "threshold",
-                                "required for threshold rules", error);
-      rule.threshold = json.number(prefix + "threshold", 0.0);
-      if (!std::isfinite(rule.threshold))
-        return rule_field_error(i, "threshold", "must be finite", error);
-    } else {
-      rule.histogram = json.string(prefix + "histogram", "");
-      if (rule.histogram.empty())
-        return rule_field_error(i, "histogram",
-                                "required for burn_rate rules", error);
-      rule.budget_ms = json.number(prefix + "budget_ms", 900.0);
-      if (!(rule.budget_ms > 0.0))
-        return rule_field_error(i, "budget_ms", "must be > 0", error);
-      rule.objective = json.number(prefix + "objective", 0.95);
-      if (!(rule.objective > 0.0) || !(rule.objective < 1.0))
-        return rule_field_error(i, "objective",
-                                "must be inside (0, 1)", error);
-      rule.fast_window_seconds =
-          json.number(prefix + "fast_window_seconds", 10.0);
-      rule.slow_window_seconds =
-          json.number(prefix + "slow_window_seconds", 60.0);
-      if (!(rule.fast_window_seconds > 0.0))
-        return rule_field_error(i, "fast_window_seconds", "must be > 0", error);
-      if (!(rule.slow_window_seconds >= rule.fast_window_seconds))
-        return rule_field_error(i, "slow_window_seconds",
-                                "must be >= fast_window_seconds", error);
-      rule.burn_factor = json.number(prefix + "burn_factor", 6.0);
-      if (!(rule.burn_factor > 0.0))
-        return rule_field_error(i, "burn_factor", "must be > 0", error);
-    }
+    rule.histogram = json.string(prefix + "histogram", "");
+    if (rule.histogram.empty())
+      return rule_field_error(i, "histogram", "required", error);
+    rule.budget_ms = json.number(prefix + "budget_ms", 900.0);
+    if (!(rule.budget_ms > 0.0))
+      return rule_field_error(i, "budget_ms", "must be > 0", error);
+    rule.objective = json.number(prefix + "objective", 0.95);
+    if (!(rule.objective > 0.0) || !(rule.objective < 1.0))
+      return rule_field_error(i, "objective", "must be inside (0, 1)", error);
+    rule.fast_window_seconds = json.number(prefix + "fast_window_seconds", 10.0);
+    rule.slow_window_seconds = json.number(prefix + "slow_window_seconds", 60.0);
+    if (!(rule.fast_window_seconds > 0.0))
+      return rule_field_error(i, "fast_window_seconds", "must be > 0", error);
+    if (!(rule.slow_window_seconds >= rule.fast_window_seconds))
+      return rule_field_error(i, "slow_window_seconds",
+                              "must be >= fast_window_seconds", error);
+    if (!(rule.slow_window_seconds <= kMaxAlertWindowSeconds))
+      return rule_field_error(i, "slow_window_seconds", "must be <= 3600",
+                              error);
+    rule.burn_factor = json.number(prefix + "burn_factor", 6.0);
+    if (!(rule.burn_factor > 0.0))
+      return rule_field_error(i, "burn_factor", "must be > 0", error);
 
     rule.for_seconds = json.number(prefix + "for_seconds", 5.0);
     rule.clear_seconds = json.number(prefix + "clear_seconds", 5.0);
@@ -317,15 +257,15 @@ bool load_alert_rules(const std::string& path, AlertRuleSet& out,
   return true;
 }
 
-AlertRuleSet default_alert_rules(double p95_budget_ms) {
+AlertRuleSet default_alert_rules(double p95_budget_ms,
+                                 const std::string& histogram) {
   if (!(p95_budget_ms > 0.0)) p95_budget_ms = 900.0;
   AlertRuleSet set;
 
   AlertRule fast;
   fast.name = "rpc_latency_burn_fast";
-  fast.kind = AlertRule::Kind::BurnRate;
   fast.severity = AlertSeverity::Critical;
-  fast.histogram = "cosched_rpc_request_seconds";
+  fast.histogram = histogram;
   fast.budget_ms = p95_budget_ms;
   fast.objective = 0.95;
   fast.fast_window_seconds = 15.0;
@@ -338,9 +278,8 @@ AlertRuleSet default_alert_rules(double p95_budget_ms) {
 
   AlertRule slow;
   slow.name = "rpc_latency_burn_slow";
-  slow.kind = AlertRule::Kind::BurnRate;
   slow.severity = AlertSeverity::Warn;
-  slow.histogram = "cosched_rpc_request_seconds";
+  slow.histogram = histogram;
   slow.budget_ms = p95_budget_ms;
   slow.objective = 0.95;
   slow.fast_window_seconds = 60.0;
@@ -408,14 +347,19 @@ std::string render_alerts_json(const std::vector<AlertView>& views,
 // ---- engine ----------------------------------------------------------------
 
 AlertEngine::AlertEngine(AlertEngineOptions options)
-    : options_(std::move(options)), tsdb_(options_.tsdb) {
-  if (options_.scrape_interval_seconds <= 0.0)
-    options_.scrape_interval_seconds = 1.0;
+    : options_(std::move(options)) {
+  if (!(options_.scrape_interval_seconds >= kMinScrapeIntervalSeconds))
+    options_.scrape_interval_seconds = kMinScrapeIntervalSeconds;
   states_.reserve(options_.rules.rules.size());
   for (const AlertRule& rule : options_.rules.rules) {
     RuleState rs;
     rs.rule = rule;
     states_.push_back(std::move(rs));
+    // A window keeps what its longest rule looks back over, capped at the
+    // longest window a rule file may name.
+    double& keep = windows_[rule.histogram].keep_seconds;
+    keep = std::max({keep, rule.fast_window_seconds, rule.slow_window_seconds});
+    keep = std::min(keep, kMaxAlertWindowSeconds);
   }
 }
 
@@ -431,9 +375,64 @@ bool AlertEngine::tick_registry(const MetricsRegistry& registry, double now) {
   return tick(registry.render_prometheus(/*with_exemplars=*/false), now);
 }
 
+namespace {
+
+/// The numeric `le` of a bucket sample's label block, e.g. `le="0.25"` ->
+/// 0.25 and `le="+Inf"` -> +infinity.
+bool parse_le(const std::string& labels, double& out) {
+  std::size_t pos = labels.find("le=\"");
+  while (pos != std::string::npos && pos > 0 && labels[pos - 1] != ',')
+    pos = labels.find("le=\"", pos + 1);
+  if (pos == std::string::npos) return false;
+  pos += 4;
+  std::size_t end = labels.find('"', pos);
+  if (end == std::string::npos) return false;
+  std::string text = labels.substr(pos, end - pos);
+  if (text == "+Inf") {
+    out = std::numeric_limits<double>::infinity();
+    return true;
+  }
+  char* parse_end = nullptr;
+  out = std::strtod(text.c_str(), &parse_end);
+  return parse_end != text.c_str() && !std::isnan(out);
+}
+
+/// The cumulative count of edge `le` in `buckets` (ascending le).
+bool find_bucket(const std::vector<std::pair<double, double>>& buckets,
+                 double le, double& out) {
+  auto it = std::lower_bound(
+      buckets.begin(), buckets.end(), le,
+      [](const std::pair<double, double>& bucket, double key) {
+        return bucket.first < key;
+      });
+  if (it == buckets.end() || it->first != le) return false;
+  out = it->second;
+  return true;
+}
+
+}  // namespace
+
 bool AlertEngine::tick_impl(const std::string& exposition, double now) {
-  if (!tsdb_.scrape_text(exposition, now)) return false;
+  std::vector<PrometheusSample> samples;
+  if (!parse_prometheus_text(exposition, samples)) return false;
   std::lock_guard<std::mutex> lock(mutex_);
+  for (auto& [histogram, window] : windows_) {
+    const std::string bucket_name = histogram + "_bucket";
+    Snapshot snapshot;
+    snapshot.t = now;
+    for (const PrometheusSample& sample : samples) {
+      double le = 0.0;
+      if (sample.name == bucket_name && std::isfinite(sample.value) &&
+          parse_le(sample.labels, le))
+        snapshot.buckets.emplace_back(le, sample.value);
+    }
+    std::sort(snapshot.buckets.begin(), snapshot.buckets.end());
+    if (!snapshot.buckets.empty())
+      window.snapshots.push_back(std::move(snapshot));
+    while (!window.snapshots.empty() &&
+           window.snapshots.front().t < now - window.keep_seconds)
+      window.snapshots.pop_front();
+  }
   last_tick_ = now;
   ++tick_count_;
   // One deterministic trace id per tick: every transition this evaluation
@@ -444,73 +443,73 @@ bool AlertEngine::tick_impl(const std::string& exposition, double now) {
   return true;
 }
 
+// The windowed count of each bucket is the newest snapshot minus the
+// oldest snapshot inside [now - window, now]; a bucket that decreased
+// (process restart) restarts at its new value. The bad fraction is the
+// windowed mass strictly above `threshold`, interpolating inside the
+// straddling bucket; overflow mass (past every finite edge) is bad. False
+// when the window holds no samples — "no traffic" is not "all good".
+bool AlertEngine::bad_fraction_locked(const Window& window, double threshold,
+                                      double window_seconds, double now,
+                                      double& out) const {
+  const std::deque<Snapshot>& snapshots = window.snapshots;
+  auto first = std::find_if(
+      snapshots.begin(), snapshots.end(),
+      [&](const Snapshot& s) { return s.t >= now - window_seconds; });
+  if (first == snapshots.end()) return false;
+  std::vector<std::pair<double, double>> deltas;
+  deltas.reserve(snapshots.back().buckets.size());
+  for (const auto& [le, cum] : snapshots.back().buckets) {
+    // Baseline: the oldest windowed snapshot that carries this edge.
+    double base = cum;
+    for (auto it = first; it != snapshots.end(); ++it)
+      if (find_bucket(it->buckets, le, base)) break;
+    double delta = cum - base;
+    deltas.emplace_back(le, delta < 0.0 ? cum : delta);
+  }
+  double total = deltas.back().second;  // cumulative: the widest bucket
+  if (!(total > 0.0)) return false;
+  double prev_edge = 0.0;
+  double prev_cum = 0.0;
+  double cum_at_threshold = total;  // threshold beyond every finite edge
+  for (const auto& [le, cum] : deltas) {
+    if (!std::isfinite(le)) continue;
+    if (le >= threshold) {
+      double width = le - prev_edge;
+      double fraction =
+          width <= 0.0 ? 1.0
+                       : std::clamp((threshold - prev_edge) / width, 0.0, 1.0);
+      cum_at_threshold = prev_cum + fraction * (cum - prev_cum);
+      break;
+    }
+    prev_edge = le;
+    prev_cum = cum;
+  }
+  out = std::clamp((total - cum_at_threshold) / total, 0.0, 1.0);
+  return true;
+}
+
 bool AlertEngine::condition_locked(const RuleState& rs, double now,
                                    double& value, std::string& detail) const {
   const AlertRule& rule = rs.rule;
-  detail.clear();
-  if (rule.kind == AlertRule::Kind::BurnRate) {
-    double budget_seconds = rule.budget_ms / 1000.0;
-    double error_budget = std::max(1.0 - rule.objective, 1e-9);
-    double bad_fast = 0.0, total_fast = 0.0;
-    double bad_slow = 0.0, total_slow = 0.0;
-    bool fast_ok = tsdb_.histogram_bad_fraction(
-        rule.histogram, budget_seconds, rule.fast_window_seconds, now,
-        bad_fast, total_fast);
-    bool slow_ok = tsdb_.histogram_bad_fraction(
-        rule.histogram, budget_seconds, rule.slow_window_seconds, now,
-        bad_slow, total_slow);
-    double fast_burn = fast_ok ? bad_fast / error_budget : 0.0;
-    double slow_burn = slow_ok ? bad_slow / error_budget : 0.0;
-    value = fast_burn;
-    detail = "fast_burn=" + fmt(fast_burn) + " slow_burn=" + fmt(slow_burn) +
-             " budget_ms=" + fmt(rule.budget_ms) +
-             " objective=" + fmt(rule.objective);
-    // No traffic in either window means nothing is burning — the rule can
-    // only fire on evidence, and drained windows are how it resolves.
-    if (!fast_ok || !slow_ok) return false;
-    return fast_burn > rule.burn_factor && slow_burn > rule.burn_factor;
-  }
-
-  bool ok = false;
-  switch (rule.agg) {
-    case AlertAgg::Latest:
-      ok = tsdb_.latest(rule.metric, value);
-      break;
-    case AlertAgg::Avg:
-      ok = tsdb_.window_stat(rule.metric, rule.window_seconds, now,
-                             MetricsTsdb::Stat::Avg, value);
-      break;
-    case AlertAgg::Min:
-      ok = tsdb_.window_stat(rule.metric, rule.window_seconds, now,
-                             MetricsTsdb::Stat::Min, value);
-      break;
-    case AlertAgg::Max:
-      ok = tsdb_.window_stat(rule.metric, rule.window_seconds, now,
-                             MetricsTsdb::Stat::Max, value);
-      break;
-    case AlertAgg::Rate:
-      ok = tsdb_.counter_rate(rule.metric, rule.window_seconds, now, value);
-      break;
-    case AlertAgg::P50:
-      ok = tsdb_.histogram_quantile(rule.metric, 0.50, rule.window_seconds,
-                                    now, value);
-      break;
-    case AlertAgg::P95:
-      ok = tsdb_.histogram_quantile(rule.metric, 0.95, rule.window_seconds,
-                                    now, value);
-      break;
-    case AlertAgg::P99:
-      ok = tsdb_.histogram_quantile(rule.metric, 0.99, rule.window_seconds,
-                                    now, value);
-      break;
-  }
-  detail = "agg=" + std::string(to_string(rule.agg)) +
-           " window=" + fmt(rule.window_seconds) + "s";
-  if (!ok) {
-    value = 0.0;
-    return false;  // no data — a rule never fires on silence
-  }
-  return rule.above ? value > rule.threshold : value < rule.threshold;
+  const Window& window = windows_.at(rule.histogram);
+  double budget_seconds = rule.budget_ms / 1000.0;
+  double error_budget = std::max(1.0 - rule.objective, 1e-9);
+  double bad_fast = 0.0, bad_slow = 0.0;
+  bool fast_ok = bad_fraction_locked(window, budget_seconds,
+                                     rule.fast_window_seconds, now, bad_fast);
+  bool slow_ok = bad_fraction_locked(window, budget_seconds,
+                                     rule.slow_window_seconds, now, bad_slow);
+  double fast_burn = fast_ok ? bad_fast / error_budget : 0.0;
+  double slow_burn = slow_ok ? bad_slow / error_budget : 0.0;
+  value = fast_burn;
+  detail = "fast_burn=" + fmt(fast_burn) + " slow_burn=" + fmt(slow_burn) +
+           " budget_ms=" + fmt(rule.budget_ms) +
+           " objective=" + fmt(rule.objective);
+  // No traffic in either window means nothing is burning — the rule can
+  // only fire on evidence, and drained windows are how it resolves.
+  if (!fast_ok || !slow_ok) return false;
+  return fast_burn > rule.burn_factor && slow_burn > rule.burn_factor;
 }
 
 void AlertEngine::transition_locked(RuleState& rs, AlertState next, double now,
@@ -525,9 +524,7 @@ void AlertEngine::transition_locked(RuleState& rs, AlertState next, double now,
   ++transitions_[key];
   if (next == AlertState::Firing) ++fired_total_;
 
-  double threshold = rs.rule.kind == AlertRule::Kind::BurnRate
-                         ? rs.rule.burn_factor
-                         : rs.rule.threshold;
+  double threshold = rs.rule.burn_factor;
   COSCHED_LOG(next == AlertState::Firing ? LogLevel::Warn : LogLevel::Info,
               "alerts", "alert transition",
               {log_kv("rule", rs.rule.name),
@@ -608,9 +605,7 @@ std::vector<AlertView> AlertEngine::views() const {
     view.state = rs.state;
     view.severity = rs.rule.severity;
     view.value = rs.value;
-    view.threshold = rs.rule.kind == AlertRule::Kind::BurnRate
-                         ? rs.rule.burn_factor
-                         : rs.rule.threshold;
+    view.threshold = rs.rule.burn_factor;
     view.since_seconds = std::max(0.0, last_tick_ - rs.state_since);
     view.detail = rs.detail;
     out.push_back(std::move(view));
@@ -644,6 +639,14 @@ std::map<std::string, std::uint64_t> AlertEngine::transition_counts() const {
   return transitions_;
 }
 
+std::size_t AlertEngine::snapshot_count() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::size_t count = 0;
+  for (const auto& [histogram, window] : windows_)
+    count += window.snapshots.size();
+  return count;
+}
+
 bool AlertEngine::start_impl() {
   if (thread_.joinable()) return true;
   {
@@ -659,26 +662,29 @@ void AlertEngine::stop() {
     std::lock_guard<std::mutex> lock(stop_mutex_);
     stop_requested_ = true;
   }
+  stop_cv_.notify_all();
   if (thread_.joinable()) thread_.join();
 }
 
 void AlertEngine::thread_main() {
-  double next_tick = steady_now_seconds();
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(stop_mutex_);
-      if (stop_requested_) return;
-    }
-    double now = steady_now_seconds();
-    if (now >= next_tick) {
-      if (options_.exposition_source)
-        tick(options_.exposition_source(), now);
-      else
-        tick_registry(MetricsRegistry::global(), now);
-      next_tick = now + options_.scrape_interval_seconds;
-    }
-    // Sleep in short slices so stop() is responsive at any interval.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  using Clock = std::chrono::steady_clock;
+  // Capped so the deadline stays inside the clock's range at any interval.
+  const auto interval = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(
+          std::min(options_.scrape_interval_seconds, 1e9)));
+  std::unique_lock<std::mutex> lock(stop_mutex_);
+  while (!stop_requested_) {
+    lock.unlock();
+    Clock::time_point started = Clock::now();
+    double now =
+        std::chrono::duration<double>(started.time_since_epoch()).count();
+    if (options_.exposition_source)
+      tick(options_.exposition_source(), now);
+    else
+      tick_registry(MetricsRegistry::global(), now);
+    lock.lock();
+    stop_cv_.wait_until(lock, started + interval,
+                        [this] { return stop_requested_; });
   }
 }
 
@@ -697,7 +703,6 @@ std::string render_alert_metrics(const AlertEngine& engine) {
     out << "cosched_alert_transitions_total{rule=\"" << rule << "\",state=\""
         << state << "\"} " << count << "\n";
   }
-  out << render_tsdb_metrics(engine.tsdb());
   return out.str();
 }
 

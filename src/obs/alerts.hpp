@@ -1,19 +1,19 @@
-// Declarative alerting over the embedded time-series store — the layer
-// that turns five PRs of telemetry collection into a watchdog.
+// Declarative burn-rate alerting over the server's own latency
+// histograms — the layer that turns the telemetry into a watchdog.
 //
-// An AlertEngine owns a MetricsTsdb, periodically scrapes the live
-// MetricsRegistry into it, and evaluates a rule set on every tick. Two
-// rule kinds:
+// An AlertEngine periodically parses the live Prometheus exposition and
+// evaluates a rule set on every tick. A rule is the SRE multi-window
+// error-budget rule: "bad" is a latency histogram sample above budget_ms;
+// the burn rate is bad_fraction / (1 - objective), i.e. how many times
+// faster than sustainable the SLO's error budget is being spent. The rule
+// is in condition only when BOTH a fast window (reacts quickly, noisy
+// alone) and a slow window (confirms it is not a blip) exceed burn_factor.
 //
-//   * Threshold — an aggregation of one series over a window compared
-//     against a bound: `rate(cosched_router_spillovers_total) > 5 over
-//     60s`, `avg(cosched_rpc_queue_depth) > 32`, `p95(latency) > 0.9`.
-//   * BurnRate — the SRE multi-window error-budget rule. "Bad" is a
-//     latency histogram sample above budget_ms; the burn rate is
-//     bad_fraction / (1 - objective), i.e. how many times faster than
-//     sustainable the SLO's error budget is being spent. The rule fires
-//     only when BOTH a fast window (reacts quickly, noisy alone) and a
-//     slow window (confirms it is not a blip) exceed burn_factor.
+// History is a snapshot window per watched histogram: each tick keeps
+// only the `<histogram>_bucket{le=...}` samples of the histograms the
+// rules name and appends one (t, [(le, cumulative)]) snapshot; snapshots
+// older than the longest window on that histogram are dropped. Every
+// other series in the exposition is never stored.
 //
 // Each rule runs an inactive → pending → firing → resolved state machine:
 // a breach holds for for_seconds before firing (hysteresis against
@@ -37,16 +37,16 @@
 // untaken branch.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
-
-#include "obs/tsdb.hpp"
 
 namespace cosched {
 
@@ -75,36 +75,16 @@ enum class AlertSeverity : std::uint8_t { Info = 0, Warn, Critical };
 const char* to_string(AlertSeverity severity);
 bool parse_alert_severity(const std::string& text, AlertSeverity& out);
 
-/// Threshold aggregations over the query window.
-enum class AlertAgg : std::uint8_t {
-  Latest = 0,  ///< newest raw value (window ignored)
-  Avg,
-  Min,
-  Max,
-  Rate,  ///< counter increase per second
-  P50,   ///< histogram quantiles of the windowed bucket deltas;
-  P95,   ///< `metric` names the histogram base (no _bucket suffix)
-  P99,
-};
-
-const char* to_string(AlertAgg agg);
-bool parse_alert_agg(const std::string& text, AlertAgg& out);
+/// The longest window a rule may name; with the scrape interval's floor
+/// it bounds a snapshot window at 36,001 snapshots per watched histogram.
+inline constexpr double kMaxAlertWindowSeconds = 3600.0;
+/// The background tick's shortest interval.
+inline constexpr double kMinScrapeIntervalSeconds = 0.1;
 
 struct AlertRule {
-  enum class Kind : std::uint8_t { Threshold = 0, BurnRate };
-
   std::string name;
-  Kind kind = Kind::Threshold;
   AlertSeverity severity = AlertSeverity::Warn;
 
-  // -- threshold rules ---------------------------------------------------
-  std::string metric;  ///< series key, or histogram base for P50/P95/P99
-  AlertAgg agg = AlertAgg::Avg;
-  double window_seconds = 60.0;
-  bool above = true;  ///< op ">" fires above threshold, "<" below
-  double threshold = 0.0;
-
-  // -- burn-rate rules ---------------------------------------------------
   std::string histogram;     ///< latency histogram base name
   double budget_ms = 900.0;  ///< good = sample latency <= budget
   double objective = 0.95;   ///< SLO: fraction of samples that must be good
@@ -123,8 +103,9 @@ struct AlertRuleSet {
 };
 
 /// Loads a rule file (flat JSON: {"rules":[{...},...]}) with field-level
-/// validation — unknown keys, bad enums, non-positive windows and missing
-/// names all come back as "rules.N.field: why" in `error`.
+/// validation — unknown keys, bad enums, windows outside (0, 3600] and
+/// missing names all come back as "rules.N.field: why" in `error`. `kind`
+/// is optional and, when present, must be "burn_rate".
 bool load_alert_rules(const std::string& path, AlertRuleSet& out,
                       std::string& error);
 /// Same, from already-loaded text (tests).
@@ -132,10 +113,10 @@ bool parse_alert_rules(const std::string& text, AlertRuleSet& out,
                        std::string& error);
 
 /// The watchdog rules every server gets when no --alert-rules file is
-/// given: fast+slow burn-rate guards on the RPC latency histogram against
-/// `p95_budget_ms` (slo.json's p95 budget, 900 ms by default), plus an
-/// error-rate threshold on cosched_rpc_requests_errors if present.
-AlertRuleSet default_alert_rules(double p95_budget_ms);
+/// given: fast+slow burn-rate guards on `histogram` against
+/// `p95_budget_ms` (slo.json's p95 budget, 900 ms by default).
+AlertRuleSet default_alert_rules(double p95_budget_ms,
+                                 const std::string& histogram);
 
 /// Point-in-time view of one rule — what /alerts and GetAlerts serve.
 struct AlertView {
@@ -157,10 +138,10 @@ std::string render_alerts_json(const std::vector<AlertView>& views,
                                bool enabled);
 
 struct AlertEngineOptions {
-  TsdbOptions tsdb;
   AlertRuleSet rules;  ///< empty => caller decides (servers fall back to
                        ///< default_alert_rules)
-  double scrape_interval_seconds = 1.0;  ///< background tick cadence
+  /// Background tick cadence, at least kMinScrapeIntervalSeconds.
+  double scrape_interval_seconds = 1.0;
   /// What the background thread scrapes. Defaults to the process-global
   /// MetricsRegistry; a shard router points this at its fleet page so the
   /// rules see the *merged* latency histogram and the router counters.
@@ -180,9 +161,10 @@ class AlertEngine {
   /// start().
   void set_journal(DecisionJournal* journal);
 
-  /// One deterministic evaluation step: ingest `exposition` at `now`,
-  /// then run every rule's state machine. No-op (returns false) in a
-  /// COSCHED_OBS_DISABLED translation unit.
+  /// One deterministic evaluation step: snapshot the watched histograms of
+  /// `exposition` at `now`, then run every rule's state machine. Returns
+  /// false (and stores nothing) when the exposition does not parse; no-op
+  /// (returns false) in a COSCHED_OBS_DISABLED translation unit.
   bool tick(const std::string& exposition, double now) {
     if (kAlertsDisabled) return false;
     return tick_impl(exposition, now);
@@ -211,10 +193,21 @@ class AlertEngine {
   /// (rule, state) -> transition count, for the metrics family.
   std::map<std::string, std::uint64_t> transition_counts() const;
 
-  const MetricsTsdb& tsdb() const { return tsdb_; }
+  /// Snapshots currently retained across the watched histograms.
+  std::size_t snapshot_count() const;
   const AlertEngineOptions& options() const { return options_; }
 
  private:
+  /// One tick's cumulative (le, count) pairs of a histogram, ascending le.
+  struct Snapshot {
+    double t = 0.0;
+    std::vector<std::pair<double, double>> buckets;
+  };
+  struct Window {
+    double keep_seconds = 0.0;  ///< longest window of a rule on it
+    std::deque<Snapshot> snapshots;
+  };
+
   struct RuleState {
     AlertRule rule;
     AlertState state = AlertState::Inactive;
@@ -231,30 +224,34 @@ class AlertEngine {
   void evaluate_locked(RuleState& rs, double now, std::uint64_t trace_id);
   bool condition_locked(const RuleState& rs, double now, double& value,
                         std::string& detail) const;
+  bool bad_fraction_locked(const Window& window, double threshold,
+                           double window_seconds, double now,
+                           double& out) const;
   void transition_locked(RuleState& rs, AlertState next, double now,
                          std::uint64_t trace_id);
   void thread_main();
 
   AlertEngineOptions options_;
-  MetricsTsdb tsdb_;
   DecisionJournal* journal_ = nullptr;
 
   mutable std::mutex mutex_;
   std::vector<RuleState> states_;
+  std::map<std::string, Window> windows_;  ///< by histogram base name
   std::map<std::string, std::uint64_t> transitions_;  ///< "rule\x1fstate"
   std::uint64_t fired_total_ = 0;
   double last_tick_ = 0.0;
   std::uint64_t tick_count_ = 0;
 
   std::thread thread_;
-  mutable std::mutex stop_mutex_;
+  std::mutex stop_mutex_;
+  std::condition_variable stop_cv_;  ///< stop() wakes the sleeping thread
   bool stop_requested_ = false;
 };
 
 /// Prometheus exposition lines of one engine's families
-/// (cosched_alerts_firing, cosched_alert_transitions_total{rule,state})
-/// plus its store's cosched_tsdb_* accounting — appended to /metrics next
-/// to the log/journal families (labels cannot ride the registry path).
+/// (cosched_alerts_firing, cosched_alert_transitions_total{rule,state}) —
+/// appended to /metrics next to the log/journal families (labels cannot
+/// ride the registry path).
 std::string render_alert_metrics(const AlertEngine& engine);
 
 }  // namespace cosched

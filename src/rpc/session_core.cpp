@@ -110,7 +110,8 @@ void SessionCore::start_alerts(AlertEngineOptions alert_options,
                                DecisionJournal& journal) {
   if (!options_.enable_alerts || kAlertsDisabled) return;
   if (alert_options.rules.rules.empty())
-    alert_options.rules = default_alert_rules(options_.alert_budget_ms);
+    alert_options.rules = default_alert_rules(options_.alert_budget_ms,
+                                              "cosched_rpc_request_seconds");
   alerts_ = std::make_unique<AlertEngine>(std::move(alert_options));
   alerts_->set_journal(&journal);
   if (!alerts_->start()) alerts_.reset();

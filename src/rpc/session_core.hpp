@@ -58,9 +58,9 @@ struct SessionOptions {
   /// (Prometheus text format), /healthz, /alerts and /debug/* over HTTP/1.0.
   bool enable_http = true;
   std::uint16_t http_port = 0;  ///< 0 = ephemeral; read back with http_port()
-  /// SLO watchdog: scrape metrics into the embedded tsdb and evaluate alert
-  /// rules on a background tick (obs/alerts.hpp). When `alerts.rules` is
-  /// empty the default_alert_rules() against `alert_budget_ms` apply.
+  /// SLO watchdog: evaluate burn-rate alert rules over the metrics on a
+  /// background tick (obs/alerts.hpp). When `alerts.rules` is empty the
+  /// default_alert_rules() against `alert_budget_ms` apply.
   /// Compiled out under COSCHED_OBS_DISABLED regardless of this switch.
   bool enable_alerts = true;
   AlertEngineOptions alerts;
@@ -134,7 +134,8 @@ class SessionCore {
   /// prepare() adds its routes, then starts it.
   HttpEndpoint* open_http();
   /// Starts the watchdog (when enabled) over `alert_options`, defaulting
-  /// its rules to default_alert_rules(alert_budget_ms).
+  /// its rules to default_alert_rules(alert_budget_ms) on
+  /// cosched_rpc_request_seconds.
   void start_alerts(AlertEngineOptions alert_options, DecisionJournal& journal);
 
   bool stopping() const;

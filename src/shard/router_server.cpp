@@ -25,16 +25,11 @@ bool RouterServer::prepare(std::string& error) {
   // process's registry. Remote shards run their own engines and are fanned
   // in by collect_alerts().
   AlertEngineOptions alert_options = options_.alerts;
-  if (alert_options.rules.rules.empty()) {
-    alert_options.rules = default_alert_rules(options_.alert_budget_ms);
-    // The fleet page's latency histogram is the router-side submit
-    // latency (cosched_router_request_seconds) — cosched_rpc_request
-    // _seconds belongs to the shard processes and never appears here.
-    // Repoint the default burn rules at the family that exists.
-    for (AlertRule& rule : alert_options.rules.rules)
-      if (rule.histogram == "cosched_rpc_request_seconds")
-        rule.histogram = "cosched_router_request_seconds";
-  }
+  // The fleet page's latency histogram is the router-side submit latency;
+  // cosched_rpc_request_seconds belongs to the shard processes.
+  if (alert_options.rules.rules.empty())
+    alert_options.rules = default_alert_rules(
+        options_.alert_budget_ms, "cosched_router_request_seconds");
   ShardRouter* router = &router_;
   if (!alert_options.exposition_source)
     alert_options.exposition_source = [router] {

@@ -92,17 +92,17 @@ TEST(ObsAlertsDisabled, EngineRefusesToTickOrStart) {
   AlertEngineOptions options;
   AlertRule rule;
   rule.name = "never";
-  rule.metric = "cosched_depth";
-  rule.agg = AlertAgg::Latest;
-  rule.threshold = 0.0;
+  rule.histogram = "cosched_lat_seconds";
+  rule.burn_factor = 0.001;
   rule.for_seconds = 0.0;
   options.rules.rules.push_back(rule);
   AlertEngine engine(std::move(options));
-  EXPECT_FALSE(engine.tick("cosched_depth 10\n", 0.0));
+  EXPECT_FALSE(
+      engine.tick("cosched_lat_seconds_bucket{le=\"+Inf\"} 10\n", 0.0));
   EXPECT_FALSE(engine.start());
   EXPECT_FALSE(engine.running());
   EXPECT_EQ(engine.fired_total(), 0u);
-  EXPECT_EQ(engine.tsdb().stats().scrapes, 0u);
+  EXPECT_EQ(engine.snapshot_count(), 0u);
   EXPECT_EQ(engine.views().at(0).state, AlertState::Inactive);
 }
 
