@@ -15,10 +15,12 @@ using namespace cosched;
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
+  const std::int64_t trials = args.get_int("trials", 20);
+  const std::string out_dir = args.get_string("out-dir", "results");
+  args.reject_unread();
   print_experiment_header(
       "Ablation (this work)",
       "Paper min-distance dismissal vs exact Pareto dismissal, PE mixes");
-  const std::int64_t trials = args.get_int("trials", 20);
 
   TextTable table({"seed", "paper obj", "pareto obj", "gap %",
                    "paper paths", "pareto paths"});
@@ -64,7 +66,7 @@ int main(int argc, char** argv) {
             << " instances (worst gap " << TextTable::fmt(worst_gap, 2)
             << "%); Pareto dismissal is exact at the cost of a larger "
                "priority list.\n";
-  write_csv(args.get_string("out-dir", "results"), "ablation_dismissal",
+  write_csv(out_dir, "ablation_dismissal",
             table);
   return 0;
 }

@@ -1,20 +1,23 @@
-// benchmark_app: the production load-generation driver (src/loadgen).
+// benchmark_app: the RPC load driver (src/loadgen).
 //
-// One tool for every speed claim: open-loop (Poisson/uniform arrivals,
-// bounded async in-flight depth, late-send accounting) and closed-loop
-// (N streams + think time) generation, warm-up/measure/cool-down phases,
-// heavy-tailed and diurnal workload shapes, tenant key mixes for the shard
-// ring, a BENCH_*.json report sharing the rpc_loopback schema, an SLO gate
-// and a baseline regression gate. Replaces the measurement half of the old
-// rpc_loopback bench.
+// One tool for every speed claim: open-loop (Poisson arrivals, bounded
+// async in-flight depth, late-send accounting) and closed-loop (N streams)
+// generation, warm-up exclusion, tenant key mixes for the shard ring, a
+// BENCH_*.json report in the committed baselines' schema, an SLO gate and a
+// baseline regression gate.
 //
 //   # open loop, 20 rps Poisson offered at depth 8 against the embedded
 //   # single-scheduler deployment; first 20 requests are warm-up
 //   ./benchmark_app --mode open --rate 20 --requests 200 --depth 8 --warmup 20
 //
-//   # closed loop, 4 streams, sharded deployment, heavy-tailed sizes
-//   ./benchmark_app --mode closed --streams 4 --router --shards 4
-//                   --shape pareto --tenant-skew 1.1
+//   # closed loop, 2 streams over loopback, with a Chrome trace of the run
+//   ./benchmark_app --mode closed --streams 2 --requests 80 --warmup 10
+//                   --trace-out traces/loopback.json
+//
+//   # the same load through an embedded router over 2 local shards; exits 1
+//   # unless the router's metric fan-in holds
+//   ./benchmark_app --mode closed --streams 2 --router --shards 2
+//                   --tenant-skew 1.1
 //
 //   # CI gates: absolute SLO budgets and a committed-baseline comparison
 //   ./benchmark_app --slo slo.json --compare BENCH_rpc_loopback.json
@@ -24,16 +27,13 @@
 //   # smoke) and assert the router's metric fan-in over 2 shards
 //   ./benchmark_app --connect 127.0.0.1:7733 --expect-shards 2
 //
-// Hint presets (--hint latency|throughput) pick the concurrency and the
-// embedded scheduler's admission batching the way OpenVINO's benchmark_app
-// picks stream counts: latency = depth/streams 1 + replan every arrival,
-// throughput = depth/streams 8 + every-8 batching. Explicit flags override
-// the preset.
+// Every flag is read before the deployment starts; an unknown one exits 2
+// naming it, as does a bad numeric value.
 //
 // Exit codes: 0 ok; 1 infrastructure/correctness failure (errors, lost
-// completions, fan-in violation); 2 SLO budget violated; 3 baseline
-// regression; 4 --fail-on-alert and the deployment's SLO watchdog fired
-// during the run.
+// completions, fan-in violation); 2 SLO budget violated, or an unknown or
+// bad flag; 3 baseline regression; 4 --fail-on-alert and the deployment's
+// SLO watchdog fired during the run.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -48,6 +48,7 @@
 #include "obs/http.hpp"
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "rpc/client.hpp"
 #include "rpc/server.hpp"
 #include "shard/router.hpp"
@@ -69,6 +70,20 @@ struct Deployment {
   std::unique_ptr<CoschedServer> single;
   std::unique_ptr<ShardRouter> router;
   std::unique_ptr<RouterServer> router_server;
+
+  /// Starts the embedded server, if any, and records its ports.
+  bool start(std::string& error) {
+    if (router_server) {
+      if (!router_server->start(error)) return false;
+      port = router_server->port();
+      http_port = router_server->http_port();
+    } else if (single) {
+      if (!single->start(error)) return false;
+      port = single->port();
+      http_port = single->http_port();
+    }
+    return true;
+  }
 
   void stop() {
     if (router_server) router_server->stop();
@@ -112,22 +127,6 @@ bool fan_in_holds(const MetricsResponse& metrics, std::int64_t expect_shards,
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
 
-  // ---- hint presets (explicit flags override) ---------------------------
-  std::string hint = args.get_string("hint", "");
-  std::int64_t default_concurrency = 4;
-  std::int64_t default_every_k = 4;
-  if (hint == "latency") {
-    default_concurrency = 1;
-    default_every_k = 1;
-  } else if (hint == "throughput") {
-    default_concurrency = 8;
-    default_every_k = 8;
-  } else if (!hint.empty()) {
-    std::cerr << "benchmark_app: unknown --hint " << hint
-              << " (latency|throughput)\n";
-    return 1;
-  }
-
   // Structured logging: --log-level debug|info|warn|error|off filters the
   // global logger (the embedded deployment's scheduler shares it), --log-json
   // 1 switches to JSON lines, --log-out FILE appends accepted records.
@@ -163,16 +162,18 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    std::string slo_path = args.get_string("slo", "");
-    if (!slo_path.empty()) {
-      SloBudget budget;
-      std::string slo_error;
-      if (!load_slo_budget(slo_path, budget, slo_error)) {
-        std::cerr << "benchmark_app: --slo: " << slo_error << "\n";
-        return 1;
-      }
-      if (budget.p95_ms > 0.0) alert_budget_ms = budget.p95_ms;
+  }
+  // The --slo budget is both the watchdog's p95 and, after the run, the
+  // absolute SLO gate.
+  std::string slo_path = args.get_string("slo", "");
+  SloBudget slo_budget;
+  if (!slo_path.empty()) {
+    std::string slo_error;
+    if (!load_slo_budget(slo_path, slo_budget, slo_error)) {
+      std::cerr << "benchmark_app: --slo: " << slo_error << "\n";
+      return 1;
     }
+    if (slo_budget.p95_ms > 0.0) alert_budget_ms = slo_budget.p95_ms;
   }
 
   // ---- generator configuration ------------------------------------------
@@ -185,25 +186,20 @@ int main(int argc, char** argv) {
   LoadMode mode = mode_name == "open" ? LoadMode::Open : LoadMode::Closed;
   std::int64_t requests = args.get_int("requests", 200);
   std::int64_t warmup = args.get_int("warmup", requests / 10);
-  std::int64_t cooldown = args.get_int("cooldown", 0);
-  if (requests <= 0 || warmup < 0 || cooldown < 0 ||
-      warmup + cooldown >= requests) {
-    std::cerr << "benchmark_app: need warmup + cooldown < requests\n";
+  if (requests <= 0 || warmup < 0 || warmup >= requests) {
+    std::cerr << "benchmark_app: need 0 <= warmup < requests\n";
     return 1;
   }
 
   RunnerOptions runner_options;
   runner_options.mode = mode;
   runner_options.concurrency = static_cast<std::size_t>(
-      mode == LoadMode::Open
-          ? args.get_int("depth", default_concurrency)
-          : args.get_int("streams", default_concurrency));
-  runner_options.think_seconds = args.get_real("think-ms", 0.0) / 1000.0;
+      mode == LoadMode::Open ? args.get_int("depth", 4)
+                             : args.get_int("streams", 4));
   runner_options.warmup = static_cast<std::uint64_t>(warmup);
-  runner_options.cooldown = static_cast<std::uint64_t>(cooldown);
   // Simulated fleet load, decoupled from the RPC request rate: 0.5 jobs
-  // per virtual second is the aggregate rate rpc_loopback has always
-  // offered its 8-machine fleet (~27% utilization at mean work 17.5).
+  // per virtual second is the load the committed baselines were recorded
+  // at, ~27% utilization of the default 8-machine fleet at mean work 17.5.
   runner_options.virtual_rate = args.get_real("virtual-rate", 0.5);
   if (runner_options.concurrency < 1) {
     std::cerr << "benchmark_app: need --depth/--streams >= 1\n";
@@ -214,52 +210,34 @@ int main(int argc, char** argv) {
   arrival.rate_rps = args.get_real("rate", 20.0);
   arrival.count = static_cast<std::int32_t>(requests);
   arrival.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  std::string arrival_name = args.get_string("arrival", "poisson");
-  if (arrival_name == "poisson") {
-    arrival.process = ArrivalProcess::Poisson;
-  } else if (arrival_name == "uniform") {
-    arrival.process = ArrivalProcess::Uniform;
-  } else {
-    std::cerr << "benchmark_app: unknown --arrival " << arrival_name
-              << " (poisson|uniform)\n";
-    return 1;
-  }
-  Real diurnal_period = args.get_real("diurnal-period", 0.0);
-  if (diurnal_period > 0.0) {
-    arrival.diurnal.enabled = true;
-    arrival.diurnal.period_seconds = diurnal_period;
-    arrival.diurnal.amplitude = args.get_real("diurnal-amplitude", 0.6);
-  }
 
   ShapeSpec shape;
-  std::string shape_name = args.get_string("shape", "uniform");
-  if (shape_name == "uniform") {
-    shape.size = SizeDistribution::Uniform;
-  } else if (shape_name == "pareto") {
-    shape.size = SizeDistribution::Pareto;
-    shape.pareto_shape = args.get_real("pareto-shape", 1.5);
-    shape.pareto_scale = args.get_real("pareto-scale", 5.0);
-  } else {
-    std::cerr << "benchmark_app: unknown --shape " << shape_name
-              << " (uniform|pareto)\n";
-    return 1;
-  }
   shape.parallel_fraction = args.get_real("parallel", 0.2);
   shape.tenants = static_cast<std::int32_t>(args.get_int("tenants", 32));
   shape.tenant_skew = args.get_real("tenant-skew", 0.0);
   shape.seed = arrival.seed + 0x10AD;  // decorrelate sizes from arrivals
 
+  // ---- outputs and gates --------------------------------------------------
+  // Drain blocks until the whole backlog has run; give it minutes, not the
+  // per-request seconds.
+  Real drain_timeout = args.get_real("drain-timeout", 300.0);
+  std::string trace_out = args.get_string("trace-out", "");
+  std::string metrics_out = args.get_string("metrics-out", "");
+  std::string profile_out = args.get_string("profile-out", "");
+  std::string csv_dir = args.get_string("out", "results");
+  std::string bench_out =
+      args.get_string("bench-out", "BENCH_benchmark_app.json");
+  std::string compare_path = args.get_string("compare", "");
+  Real tolerance = args.get_real("tolerance", 0.25);
+
   // ---- deployment under test --------------------------------------------
-  print_experiment_header(
-      "benchmark_app",
-      "unified load generator: " + mode_name + " loop, " +
-          std::string(to_string(arrival.process)) + " arrivals, " +
-          shape_name + " sizes");
+  // --trace-out FILE records the whole run (client, RPC and scheduler
+  // spans) from before the deployment starts and writes a Chrome trace
+  // after drain.
+  if (!trace_out.empty()) Tracer::global().set_enabled(true);
 
   Deployment deployment;
   std::string connect = args.get_string("connect", "");
-  std::int64_t shards = args.get_int("shards", 4);
-  std::int64_t machines = args.get_int("machines", 8);
   if (!connect.empty()) {
     deployment.kind = "remote";
     if (!split_host_port(connect, deployment.host, deployment.port)) {
@@ -270,6 +248,8 @@ int main(int argc, char** argv) {
     deployment.expect_shards = args.get_int("expect-shards", 0);
   } else if (args.has("router")) {
     deployment.kind = "router";
+    std::int64_t shards = args.get_int("shards", 4);
+    std::int64_t machines = args.get_int("machines", 8);
     deployment.expect_shards = args.get_int("expect-shards", shards);
     RouterOptions router_options;
     router_options.shard_timeout_seconds = 300.0;  // per-shard drain budget
@@ -282,7 +262,7 @@ int main(int argc, char** argv) {
       service.scheduler.machines = static_cast<std::int32_t>(
           std::max<std::int64_t>(1, machines / shards));
       service.scheduler.admission.every_k =
-          static_cast<std::int32_t>(args.get_int("every-k", default_every_k));
+          static_cast<std::int32_t>(args.get_int("every-k", 4));
       deployment.router->add_local_shard(service);
     }
     RouterServerOptions options;
@@ -295,13 +275,6 @@ int main(int argc, char** argv) {
     options.alert_budget_ms = alert_budget_ms;
     deployment.router_server =
         std::make_unique<RouterServer>(*deployment.router, options);
-    std::string error;
-    if (!deployment.router_server->start(error)) {
-      std::cerr << "benchmark_app: router start: " << error << "\n";
-      return 1;
-    }
-    deployment.port = deployment.router_server->port();
-    deployment.http_port = deployment.router_server->http_port();
   } else {
     ServerOptions options;
     options.port = 0;
@@ -315,17 +288,23 @@ int main(int argc, char** argv) {
     options.service.scheduler.cores =
         static_cast<std::uint32_t>(args.get_int("cores", 4));
     options.service.scheduler.machines =
-        static_cast<std::int32_t>(machines);
+        static_cast<std::int32_t>(args.get_int("machines", 8));
     options.service.scheduler.admission.every_k =
-        static_cast<std::int32_t>(args.get_int("every-k", default_every_k));
+        static_cast<std::int32_t>(args.get_int("every-k", 4));
     deployment.single = std::make_unique<CoschedServer>(options);
+  }
+  args.reject_unread();
+
+  print_experiment_header("benchmark_app",
+                          "RPC load driver: " + mode_name + " loop against " +
+                              deployment.kind + " deployment");
+  {
     std::string error;
-    if (!deployment.single->start(error)) {
-      std::cerr << "benchmark_app: server start: " << error << "\n";
+    if (!deployment.start(error)) {
+      std::cerr << "benchmark_app: " << deployment.kind
+                << " start: " << error << "\n";
       return 1;
     }
-    deployment.port = deployment.single->port();
-    deployment.http_port = deployment.single->http_port();
   }
   runner_options.host = deployment.host;
   runner_options.port = deployment.port;
@@ -365,10 +344,9 @@ int main(int argc, char** argv) {
     ClientOptions client_options;
     client_options.host = deployment.host;
     client_options.port = deployment.port;
-    // Drain blocks until the whole backlog has run; give it minutes, not
-    // the per-request seconds, and never retry it (a second drain arriving
-    // while the first is mid-flight just queues more work).
-    client_options.request_timeout_seconds = args.get_real("drain-timeout", 300.0);
+    // Never retry the drain: a second one arriving while the first is
+    // mid-flight just queues more work.
+    client_options.request_timeout_seconds = drain_timeout;
     client_options.max_attempts = 1;
     CoschedClient client(client_options);
     DrainResponse drained;
@@ -410,7 +388,6 @@ int main(int argc, char** argv) {
     exit_code = 1;
   }
 
-  std::string metrics_out = args.get_string("metrics-out", "");
   if (!metrics_out.empty() && deployment.http_port != 0) {
     std::string exposition =
         http_get(deployment.host, deployment.http_port, "/metrics");
@@ -423,7 +400,6 @@ int main(int argc, char** argv) {
   // Embedded deployments are scraped through their own /debug/profile side
   // door (exercising the endpoint end to end); without one, fall back to
   // this process's profiler directly.
-  std::string profile_out = args.get_string("profile-out", "");
   if (!profile_out.empty()) {
     std::string collapsed;
     if (deployment.http_port != 0)
@@ -465,6 +441,8 @@ int main(int argc, char** argv) {
     }
   }
   deployment.stop();
+  if (!trace_out.empty() && Tracer::global().write_chrome_json(trace_out))
+    std::cout << "wrote " << trace_out << "\n";
 
   // ---- report ------------------------------------------------------------
   BenchReport report;
@@ -475,8 +453,6 @@ int main(int argc, char** argv) {
   report.requests_ok = result.measure.requests;
   report.requests_failed = result.total_errors();
   report.warmup_requests = result.warmup.requests + result.warmup.errors;
-  report.cooldown_requests =
-      result.cooldown.requests + result.cooldown.errors;
   report.late_sends = result.measure.late_sends;
   report.max_late_ms = result.measure.max_late_ms;
   report.offered_rps = result.offered_rps;
@@ -495,9 +471,6 @@ int main(int argc, char** argv) {
   table.add_row({"warm-up requests (excluded)",
                  TextTable::fmt_int(
                      static_cast<std::int64_t>(report.warmup_requests))});
-  table.add_row({"cool-down requests (excluded)",
-                 TextTable::fmt_int(
-                     static_cast<std::int64_t>(report.cooldown_requests))});
   table.add_row({"requests failed",
                  TextTable::fmt_int(
                      static_cast<std::int64_t>(report.requests_failed))});
@@ -516,17 +489,14 @@ int main(int argc, char** argv) {
   table.add_row({"jobs completed",
                  TextTable::fmt_int(static_cast<std::int64_t>(completions))});
   std::cout << table.render() << "\n";
-  write_csv(args.get_string("out", "results"), "benchmark_app", table);
+  write_csv(csv_dir, "benchmark_app", table);
 
-  std::string bench_out =
-      args.get_string("bench-out", "BENCH_benchmark_app.json");
   if (!bench_out.empty()) {
     if (write_text_file(bench_out, report.to_json()))
       std::cout << "wrote " << bench_out << "\n";
   }
 
   // ---- gates: committed-baseline regression, then absolute SLO -----------
-  std::string compare_path = args.get_string("compare", "");
   if (!compare_path.empty()) {
     FlatJson baseline_json;
     std::string error;
@@ -540,7 +510,6 @@ int main(int argc, char** argv) {
                 << compare_path << "\n";
       return 1;
     }
-    Real tolerance = args.get_real("tolerance", 0.25);
     CompareResult compared = compare_to_baseline(report, baseline, tolerance);
     std::cout << "baseline " << compare_path
               << (baseline.source_prefix.empty()
@@ -554,15 +523,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::string slo_path = args.get_string("slo", "");
   if (!slo_path.empty()) {
-    SloBudget budget;
-    std::string error;
-    if (!load_slo_budget(slo_path, budget, error)) {
-      std::cerr << "benchmark_app: --slo: " << error << "\n";
-      return 1;
-    }
-    SloVerdict verdict = evaluate_slo(budget, report);
+    SloVerdict verdict = evaluate_slo(slo_budget, report);
     std::cout << "SLO " << slo_path << ":\n" << verdict.describe();
     if (!verdict.pass) {
       std::cerr << "benchmark_app: SLO VIOLATED per " << slo_path << "\n";

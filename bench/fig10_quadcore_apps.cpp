@@ -14,6 +14,10 @@ using namespace cosched;
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
+  const std::size_t trace_length =
+      static_cast<std::size_t>(args.get_int("trace", 50000));
+  const std::string out_dir = args.get_string("out-dir", "results");
+  args.reject_unread();
   print_experiment_header(
       "Figure 10 (ICPP'15)",
       "Per-application degradation under OA*, HA*, PG — quad-core");
@@ -22,7 +26,7 @@ int main(int argc, char** argv) {
   spec.cores = 4;
   spec.serial_programs = {"BT", "CG", "EP", "FT", "IS", "LU",
                           "MG", "SP", "UA", "DC", "art", "ammp"};
-  spec.trace_length = static_cast<std::size_t>(args.get_int("trace", 50000));
+  spec.trace_length = trace_length;
   Problem p = build_catalog_problem(spec);
 
   auto oa = solve_oastar(p);
@@ -59,6 +63,6 @@ int main(int argc, char** argv) {
   std::cout << "\nHA* worse than OA* by " << TextTable::fmt(ha_vs_oa, 1)
             << "% (paper: 9.8%); HA* better than PG by "
             << TextTable::fmt(pg_vs_ha, 1) << "% (paper: 12.6%).\n";
-  write_csv(args.get_string("out-dir", "results"), "fig10", table);
+  write_csv(out_dir, "fig10", table);
   return 0;
 }

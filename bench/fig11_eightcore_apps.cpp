@@ -12,6 +12,10 @@ using namespace cosched;
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
+  const std::size_t trace_length =
+      static_cast<std::size_t>(args.get_int("trace", 50000));
+  const std::string out_dir = args.get_string("out-dir", "results");
+  args.reject_unread();
   print_experiment_header(
       "Figure 11 (ICPP'15)",
       "Per-application degradation under OA*, HA*, PG — 8-core");
@@ -21,7 +25,7 @@ int main(int argc, char** argv) {
   spec.serial_programs = npb_serial_names();  // 10
   for (const auto& s : spec_serial_names())   // +6 = 16 apps
     spec.serial_programs.push_back(s);
-  spec.trace_length = static_cast<std::size_t>(args.get_int("trace", 50000));
+  spec.trace_length = trace_length;
   Problem p = build_catalog_problem(spec);
 
   auto oa = solve_oastar(p);
@@ -56,6 +60,6 @@ int main(int argc, char** argv) {
   std::cout << "\nHA* worse than OA* by " << TextTable::fmt(ha_vs_oa, 1)
             << "% (paper: 4.6%); HA* better than PG by "
             << TextTable::fmt(pg_vs_ha, 1) << "% (paper: 14.6%).\n";
-  write_csv(args.get_string("out-dir", "results"), "fig11", table);
+  write_csv(out_dir, "fig11", table);
   return 0;
 }

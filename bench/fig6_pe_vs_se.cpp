@@ -16,16 +16,19 @@ using namespace cosched;
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
+  const std::int64_t pe_procs = args.get_int("pe-procs", 4);
+  const std::size_t trace_length =
+      static_cast<std::size_t>(args.get_int("trace", 50000));
+  const std::string out_dir = args.get_string("out-dir", "results");
+  args.reject_unread();
   print_experiment_header(
       "Figure 6 (ICPP'15)",
       "OA*-PE vs OA*-SE average degradation, PE + serial mixes");
-  const std::int64_t pe_procs = args.get_int("pe-procs", 4);
 
   for (std::uint32_t cores : {4u, 8u}) {
     CatalogProblemSpec spec;
     spec.cores = cores;
-    spec.trace_length =
-        static_cast<std::size_t>(args.get_int("trace", 50000));
+    spec.trace_length = trace_length;
     // Paper: each parallel program runs 10 processes; that makes exact OA*
     // instances large, so default to 4 per job on quad-core and 2 on
     // 8-core (u = 8 grows the graph as C(n,8); --pe-procs scales both).
@@ -70,8 +73,7 @@ int main(int argc, char** argv) {
     std::cout << "OA*-SE average is worse than OA*-PE by "
               << TextTable::fmt(gap, 1)
               << "% (paper: 31.9% quad / 34.8% 8-core)\n";
-    write_csv(args.get_string("out-dir", "results"),
-              "fig6_" + std::to_string(cores) + "core", table);
+    write_csv(out_dir, "fig6_" + std::to_string(cores) + "core", table);
   }
   return 0;
 }

@@ -22,13 +22,16 @@ int main(int argc, char** argv) {
   // (--pc-procs 11 for the full setting).
   const std::int32_t pc_procs =
       static_cast<std::int32_t>(args.get_int("pc-procs", 3));
+  const std::size_t trace_length =
+      static_cast<std::size_t>(args.get_int("trace", 50000));
+  const Real halo = args.get_real("halo", 1.0e6);
+  const std::string out_dir = args.get_string("out-dir", "results");
+  args.reject_unread();
 
   for (std::uint32_t cores : {4u, 8u}) {
     CatalogProblemSpec spec;
     spec.cores = cores;
-    spec.trace_length =
-        static_cast<std::size_t>(args.get_int("trace", 50000));
-    const Real halo = args.get_real("halo", 1.0e6);
+    spec.trace_length = trace_length;
     for (const auto& name : pc_program_names())
       spec.parallel_jobs.push_back({name, pc_procs, true, halo});
     spec.serial_programs = {"UA", "DC", "FT", "IS"};
@@ -67,8 +70,7 @@ int main(int argc, char** argv) {
     std::cout << "OA*-PE average is worse than OA*-PC by "
               << TextTable::fmt(gap, 1)
               << "% (paper: 36.1% quad / 39.5% 8-core)\n";
-    write_csv(args.get_string("out-dir", "results"),
-              "fig7_" + std::to_string(cores) + "core", table);
+    write_csv(out_dir, "fig7_" + std::to_string(cores) + "core", table);
   }
   return 0;
 }

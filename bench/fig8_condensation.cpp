@@ -30,6 +30,9 @@ int main(int argc, char** argv) {
       static_cast<std::int32_t>(args.get_int("jobs", 3));
   const std::int32_t max_ppj =
       static_cast<std::int32_t>(args.get_int("max-ppj", 6));
+  const Real point_limit = args.get_real("point-limit", 40.0);
+  const std::string out_dir = args.get_string("out-dir", "results");
+  args.reject_unread();
 
   TextTable table({"procs/job", "parallel procs", "serial jobs",
                    "time w/o condense (s)", "time w/ condense (s)",
@@ -46,7 +49,6 @@ int main(int argc, char** argv) {
     spec.seed = 88 + static_cast<std::uint64_t>(ppj);
     Problem p = build_synthetic_problem(spec);
 
-    const Real point_limit = args.get_real("point-limit", 40.0);
     auto run = [&](bool condense) {
       SearchOptions opt;
       opt.condense = condense;
@@ -78,6 +80,6 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper shape (Fig. 8): the gap between the two time "
                "columns widens as\nprocesses-per-job grows — condensation "
                "eliminates ever more symmetric nodes.\n";
-  write_csv(args.get_string("out-dir", "results"), "fig8", table);
+  write_csv(out_dir, "fig8", table);
   return 0;
 }

@@ -22,6 +22,8 @@ int main(int argc, char** argv) {
   const std::int32_t max_quad =
       static_cast<std::int32_t>(args.get_int("max-quad", 36));
   const Real time_limit = args.get_real("point-limit", 120.0);
+  const std::string out_dir = args.get_string("out-dir", "results");
+  args.reject_unread();
 
   for (auto [cores, max_jobs, fig] :
        {std::tuple{2u, max_dual, "9a"}, std::tuple{4u, max_quad, "9b"}}) {
@@ -50,8 +52,7 @@ int main(int argc, char** argv) {
     std::cout << "\n--- Fig. " << fig << ": " << cores
               << "-core machines ---\n"
               << table.render();
-    write_csv(args.get_string("out-dir", "results"),
-              std::string("fig") + fig, table);
+    write_csv(out_dir, std::string("fig") + fig, table);
   }
   std::cout << "\nPaper shape (Fig. 9): solving time grows steeply but "
                "remains tractable\n(seconds-to-minutes) through ~100 "

@@ -88,6 +88,7 @@ int main(int argc, char** argv) {
   // against exactly this configuration); --trace-out opts in and writes a
   // Chrome trace-event JSON loadable in Perfetto.
   const std::string trace_out = args.get_string("trace-out", "");
+  args.reject_unread();
   if (!trace_out.empty()) Tracer::global().set_enabled(true);
 
   print_experiment_header(

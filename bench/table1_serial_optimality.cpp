@@ -28,6 +28,10 @@ std::vector<std::string> job_mix(std::size_t count) {
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
+  const std::size_t trace_length =
+      static_cast<std::size_t>(args.get_int("trace", 50000));
+  const std::string out_dir = args.get_string("out-dir", "results");
+  args.reject_unread();
   print_experiment_header(
       "Table I (ICPP'15)",
       "IP vs OA* average degradation, serial jobs, dual & quad core");
@@ -40,8 +44,7 @@ int main(int argc, char** argv) {
       CatalogProblemSpec spec;
       spec.cores = cores;
       spec.serial_programs = job_mix(count);
-      spec.trace_length = static_cast<std::size_t>(
-          args.get_int("trace", 50000));
+      spec.trace_length = trace_length;
       Problem p = build_catalog_problem(spec);
 
       auto model = build_ip_model(p, *p.full_model,
@@ -67,6 +70,6 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper: OA* achieves the same degradation as the IP model "
                "in every cell\n(Table I); reproduced when the two columns "
                "match per machine type.\n";
-  write_csv(args.get_string("out-dir", "results"), "table1", table);
+  write_csv(out_dir, "table1", table);
   return 0;
 }

@@ -40,6 +40,10 @@ CatalogProblemSpec mix_spec(std::int32_t total_procs, std::uint32_t cores) {
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
+  const std::size_t trace_length =
+      static_cast<std::size_t>(args.get_int("trace", 50000));
+  const std::string out_dir = args.get_string("out-dir", "results");
+  args.reject_unread();
   print_experiment_header(
       "Table II (ICPP'15)",
       "IP vs OA*, mixed serial + parallel (PC) jobs, dual & quad core");
@@ -50,8 +54,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{TextTable::fmt_int(procs)};
     for (std::uint32_t cores : {2u, 4u}) {
       CatalogProblemSpec spec = mix_spec(procs, cores);
-      spec.trace_length =
-          static_cast<std::size_t>(args.get_int("trace", 50000));
+      spec.trace_length = trace_length;
       Problem p = build_catalog_problem(spec);
 
       auto model = build_ip_model(p, *p.full_model,
@@ -78,6 +81,6 @@ int main(int argc, char** argv) {
   std::cout << table.render();
   std::cout << "\nPaper: identical degradation for IP and OA* in every cell "
                "(Table II),\nverifying OA* optimality on mixed batches.\n";
-  write_csv(args.get_string("out-dir", "results"), "table2", table);
+  write_csv(out_dir, "table2", table);
   return 0;
 }

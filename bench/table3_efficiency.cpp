@@ -82,6 +82,8 @@ int main(int argc, char** argv) {
   const std::size_t trace =
       static_cast<std::size_t>(args.get_int("trace", 50000));
   const Real ip_limit = args.get_real("ip-limit", 20.0);
+  const std::string out_dir = args.get_string("out-dir", "results");
+  args.reject_unread();
 
   auto configs = ip_configs(ip_limit);
   std::vector<std::string> headers{"case"};
@@ -138,6 +140,6 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper shape: every MILP column is orders of magnitude "
                "slower than OA*;\nOA* is consistently faster than O-SVP "
                "(Table III).\n";
-  write_csv(args.get_string("out-dir", "results"), "table3", table);
+  write_csv(out_dir, "table3", table);
   return 0;
 }

@@ -21,6 +21,10 @@ using namespace cosched;
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
+  const std::int64_t max_jobs = args.get_int("max-jobs", 24);
+  const Real point_limit = args.get_real("point-limit", 90.0);
+  const std::string out_dir = args.get_string("out-dir", "results");
+  args.reject_unread();
   print_experiment_header(
       "Table IV (ICPP'15)",
       "h(v) Strategy 1 vs 2 vs Lagrangian vs O-SVP: time and visited paths");
@@ -28,8 +32,6 @@ int main(int argc, char** argv) {
   TextTable table({"jobs", "S1 time(s)", "S2 time(s)", "Lagr time(s)",
                    "O-SVP time(s)", "S1 paths", "S2 paths", "Lagr paths",
                    "O-SVP paths"});
-  std::int64_t max_jobs = args.get_int("max-jobs", 24);
-  const Real point_limit = args.get_real("point-limit", 90.0);
   for (std::int32_t jobs = 16; jobs <= max_jobs; jobs += 4) {
     SyntheticProblemSpec spec;
     spec.landscape = SyntheticLandscape::Smooth;  // the h(v)-pruning regime
@@ -77,6 +79,6 @@ int main(int argc, char** argv) {
                "magnitude fewer paths\nthan Strategy 1, which in turn beats "
                "O-SVP; same optimum everywhere. The\nLagrangian column is "
                "Strategy 2 over multiplier-reduced weights (DESIGN.md).\n";
-  write_csv(args.get_string("out-dir", "results"), "table4", table);
+  write_csv(out_dir, "table4", table);
   return 0;
 }

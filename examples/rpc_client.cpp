@@ -56,16 +56,19 @@ int main(int argc, char** argv) {
     return 1;
   };
 
+  // Each mode reads its own flags, then rejects any the run did not read
+  // (a flag belonging to another mode included).
   if (args.has("trace-dump") || args.has("trace-text")) {
+    std::string json_path = args.get_string("trace-dump", "");
+    std::string text_path = args.get_string("trace-text", "");
+    args.reject_unread();
     TraceDumpResponse reply;
     RpcError error = client.trace_dump(reply);
     if (!error.ok()) return fail("trace-dump", error);
     std::cout << "trace dump: " << reply.event_count << " events, tracing "
               << (reply.enabled ? "enabled" : "disabled") << "\n";
-    std::string json_path = args.get_string("trace-dump", "");
     if (!json_path.empty() && !spill_to_file(json_path, reply.chrome_json))
       return 1;
-    std::string text_path = args.get_string("trace-text", "");
     if (!text_path.empty() && !spill_to_file(text_path, reply.text))
       return 1;
     return 0;
@@ -73,6 +76,7 @@ int main(int argc, char** argv) {
 
   if (args.has("status")) {
     std::int64_t id = args.get_int("status", 0);
+    args.reject_unread();
     JobStatusResponse reply;
     RpcError error = client.query_job_status(id, reply);
     if (!error.ok()) return fail("status", error);
@@ -98,6 +102,7 @@ int main(int argc, char** argv) {
     // degradation delta), migrations, completion — each with the trace id
     // that resolves into the replan span of a --trace-dump.
     std::int64_t id = args.get_int("timeline", 0);
+    args.reject_unread();
     JobTimelineResponse reply;
     RpcError error = client.query_job_timeline(id, reply);
     if (!error.ok()) return fail("timeline", error);
@@ -111,6 +116,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.has("snapshot")) {
+    args.reject_unread();
     ServiceSnapshot snap;
     RpcError error = client.query_snapshot(snap);
     if (!error.ok()) return fail("snapshot", error);
@@ -130,6 +136,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.has("metrics")) {
+    args.reject_unread();
     MetricsResponse reply;
     RpcError error = client.get_metrics(reply);
     if (!error.ok()) return fail("metrics", error);
@@ -146,6 +153,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.has("drain")) {
+    args.reject_unread();
     DrainResponse reply;
     RpcError error = client.drain(reply);
     if (!error.ok()) return fail("drain", error);
@@ -156,6 +164,7 @@ int main(int argc, char** argv) {
   }
 
   if (args.has("shutdown")) {
+    args.reject_unread();
     ShutdownResponse reply;
     RpcError error = client.shutdown_server(reply);
     if (!error.ok()) return fail("shutdown", error);
@@ -171,8 +180,9 @@ int main(int argc, char** argv) {
   spec.job_count = static_cast<std::int32_t>(args.get_int("jobs", 10));
   spec.parallel_fraction = args.get_real("parallel", 0.2);
   spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  WorkloadTrace trace = generate_trace(spec);
   std::string name_prefix = args.get_string("name-prefix", "");
+  args.reject_unread();
+  WorkloadTrace trace = generate_trace(spec);
   if (!name_prefix.empty())
     for (TraceJob& job : trace.jobs) job.name = name_prefix + job.name;
 

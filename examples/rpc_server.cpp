@@ -121,6 +121,11 @@ int main(int argc, char** argv) {
   options.service.scheduler.admission.every_k =
       static_cast<std::int32_t>(args.get_int("every-k", 2, 1, kMaxCount));
   options.service.scheduler.admission.max_wait = args.get_real("max-wait", 8.0);
+  std::string out_dir = args.get_string("out", "results/rpc_server");
+  // --profile-out FILE drops the lifetime collapsed-stack profile (the same
+  // text /debug/profile serves live) for flamegraph.pl / speedscope.
+  std::string profile_out = args.get_string("profile-out", "");
+  args.reject_unread();
 
   CoschedServer server(options);
   std::string error;
@@ -158,14 +163,10 @@ int main(int argc, char** argv) {
               << metrics.replans << " replans, virtual time "
               << TextTable::fmt(metrics.virtual_now, 2) << "\n";
   }
-  std::string out_dir = args.get_string("out", "results/rpc_server");
   for (const std::string& path :
        server.service().write_metrics_csvs(out_dir, "service"))
     std::cout << "wrote " << path << "\n";
 
-  // --profile-out FILE drops the lifetime collapsed-stack profile (the same
-  // text /debug/profile serves live) for flamegraph.pl / speedscope.
-  std::string profile_out = args.get_string("profile-out", "");
   if (!profile_out.empty() && Profiler::global().write_collapsed(profile_out))
     std::cout << "wrote " << profile_out << "\n";
   return 0;

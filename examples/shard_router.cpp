@@ -175,6 +175,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --profile-out FILE drops the router process's collapsed-stack profile
+  // (what /debug/profile serves live) for flamegraph tooling.
+  std::string profile_out = args.get_string("profile-out", "");
+  args.reject_unread();
+
   RouterServer server(router, options);
   std::string error;
   if (!server.start(error)) {
@@ -185,8 +190,7 @@ int main(int argc, char** argv) {
   std::cout << "cosched shard_router listening on " << options.host << ":"
             << server.port() << "\n"
             << "  fleet: " << shard_count << " shards x "
-            << args.get_int("machines-per-shard", 2) << " machines x "
-            << args.get_int("cores", 4) << " cores\n";
+            << machines_per_shard << " machines x " << cores << " cores\n";
   if (server.http_port() != 0) {
     std::cout << "  fleet metrics: curl http://" << options.host << ":"
               << server.http_port() << "/metrics\n";
@@ -217,9 +221,6 @@ int main(int argc, char** argv) {
                 << TextTable::fmt(entry.virtual_now, 2) << "\n";
   }
   server.stop();
-  // --profile-out FILE drops the router process's collapsed-stack profile
-  // (what /debug/profile serves live) for flamegraph tooling.
-  std::string profile_out = args.get_string("profile-out", "");
   if (!profile_out.empty() && Profiler::global().write_collapsed(profile_out))
     std::cout << "wrote " << profile_out << "\n";
   return 0;

@@ -25,21 +25,26 @@ ArgParser::ArgParser(int argc, char** argv) {
   }
 }
 
-bool ArgParser::has(const std::string& name) const {
+const std::string* ArgParser::find(const std::string& name) const {
+  read_.insert(name);
   for (const auto& [k, v] : args_)
-    if (k == name) return true;
-  return false;
+    if (k == name) return &v;
+  return nullptr;
+}
+
+bool ArgParser::has(const std::string& name) const {
+  return find(name) != nullptr;
 }
 
 std::string ArgParser::get_string(const std::string& name,
                                   const std::string& fallback) const {
-  for (const auto& [k, v] : args_)
-    if (k == name) return v;
-  return fallback;
+  const std::string* value = find(name);
+  return value != nullptr ? *value : fallback;
 }
 
 template <typename T>
 T ArgParser::get_number(const std::string& name, T fallback) const {
+  read_.insert(name);
   for (const auto& [k, v] : args_) {
     if (k != name || v.empty()) continue;
     T value{};
@@ -66,12 +71,31 @@ Real ArgParser::get_real(const std::string& name, Real fallback) const {
   return get_number(name, fallback);
 }
 
-void bad_value(const std::string& flag, const std::string& text) {
-  std::cerr << "bad value for --" << flag << ": " << text << "\n";
+namespace {
+
+/// The one exit path for unusable command lines.
+[[noreturn]] void exit_usage() {
   std::cout.flush();
   // _Exit, not exit: a binary may already run service threads that static
   // destructors would pull the globals out from under.
   std::_Exit(2);
+}
+
+}  // namespace
+
+void ArgParser::reject_unread() const {
+  bool unread = false;
+  for (const auto& [k, v] : args_) {
+    if (read_.count(k) != 0) continue;
+    std::cerr << "unknown flag --" << k << "\n";
+    unread = true;
+  }
+  if (unread) exit_usage();
+}
+
+void bad_value(const std::string& flag, const std::string& text) {
+  std::cerr << "bad value for --" << flag << ": " << text << "\n";
+  exit_usage();
 }
 
 bool split_host_port(const std::string& address, std::string& host,

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -12,8 +13,10 @@
 
 namespace cosched {
 
-/// Minimal "--name value" / "--flag" parser. Unknown flags are ignored so
-/// every bench accepts at least --scale and --out-dir.
+/// Minimal "--name value" / "--flag" parser. Every getter and has() records
+/// the name it was asked for; reject_unread(), called once after the last
+/// read, fails the run on any flag nothing asked for, so a misspelt or
+/// removed flag is never silently ignored.
 class ArgParser {
  public:
   ArgParser(int argc, char** argv);
@@ -30,11 +33,18 @@ class ArgParser {
                        std::int64_t lo, std::int64_t hi) const;
   Real get_real(const std::string& name, Real fallback) const;
 
+  /// Prints "unknown flag --<name>" for every given flag no getter or has()
+  /// asked for and exits with status 2, like bad_value(). A flag read only
+  /// on a path the run did not take counts as unread.
+  void reject_unread() const;
+
  private:
   template <typename T>
   T get_number(const std::string& name, T fallback) const;
+  const std::string* find(const std::string& name) const;
 
   std::vector<std::pair<std::string, std::string>> args_;
+  mutable std::set<std::string> read_;
 };
 
 /// Bounds for get_int(): a TCP port, and a count (cores, machines,

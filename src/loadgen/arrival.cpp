@@ -6,67 +6,19 @@
 
 namespace cosched {
 
-const char* to_string(ArrivalProcess process) {
-  switch (process) {
-    case ArrivalProcess::Poisson: return "poisson";
-    case ArrivalProcess::Uniform: return "uniform";
-  }
-  return "?";
-}
-
-namespace {
-
-constexpr Real kTwoPi = 6.283185307179586476925286766559;
-
-/// Cumulative intensity Lambda(t) = integral of r(s) ds over [0, t].
-Real cumulative_intensity(const ArrivalSpec& spec, Real t) {
-  Real base = spec.rate_rps * t;
-  if (!spec.diurnal.enabled || spec.diurnal.amplitude <= 0.0) return base;
-  const Real period = spec.diurnal.period_seconds;
-  return base + spec.rate_rps * spec.diurnal.amplitude * period / kTwoPi *
-                    (1.0 - std::cos(kTwoPi * t / period));
-}
-
-/// Inverts the (strictly increasing) cumulative intensity by bisection.
-/// r(t) >= rate * (1 - amplitude) > 0 bounds the answer from above.
-Real invert_intensity(const ArrivalSpec& spec, Real target) {
-  Real amplitude =
-      spec.diurnal.enabled ? spec.diurnal.amplitude : 0.0;
-  Real floor_rate = spec.rate_rps * (1.0 - amplitude);
-  Real hi = target / floor_rate + 1.0;
-  Real lo = 0.0;
-  for (int i = 0; i < 80; ++i) {
-    Real mid = 0.5 * (lo + hi);
-    if (cumulative_intensity(spec, mid) < target)
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return 0.5 * (lo + hi);
-}
-
-}  // namespace
-
 std::vector<Real> build_arrival_schedule(const ArrivalSpec& spec) {
   COSCHED_EXPECTS(spec.count >= 0);
   COSCHED_EXPECTS(spec.rate_rps > 0.0);
-  COSCHED_EXPECTS(spec.diurnal.amplitude >= 0.0 &&
-                  spec.diurnal.amplitude < 1.0);
-  COSCHED_EXPECTS(!spec.diurnal.enabled || spec.diurnal.period_seconds > 0.0);
 
   Rng rng(spec.seed);
   std::vector<Real> schedule;
   schedule.reserve(static_cast<std::size_t>(spec.count));
-  // Unit-rate event positions, warped through the inverse intensity. For a
-  // constant rate the warp degenerates to u / rate; keeping one code path
-  // means the diurnal curve is exercised by every test of the plain one.
+  // Unit-rate event positions (a running sum of Exp(1) draws) scaled to
+  // the offered rate.
   Real u = 0.0;
   for (std::int32_t k = 0; k < spec.count; ++k) {
-    if (spec.process == ArrivalProcess::Poisson)
-      u += -std::log(1.0 - rng.uniform01());
-    else
-      u += 1.0;
-    schedule.push_back(invert_intensity(spec, u));
+    u += -std::log(1.0 - rng.uniform01());
+    schedule.push_back(u / spec.rate_rps);
   }
   return schedule;
 }

@@ -4,26 +4,14 @@
 
 namespace cosched {
 
-const char* to_string(LoadPhase phase) {
-  switch (phase) {
-    case LoadPhase::Warmup: return "warmup";
-    case LoadPhase::Measure: return "measure";
-    case LoadPhase::Cooldown: return "cooldown";
-  }
-  return "?";
-}
-
-PhaseController::PhaseController(std::uint64_t total, std::uint64_t warmup,
-                                 std::uint64_t cooldown)
-    : total_(total), warmup_(warmup), cooldown_(cooldown) {
-  COSCHED_EXPECTS(warmup + cooldown <= total);
+PhaseController::PhaseController(std::uint64_t total, std::uint64_t warmup)
+    : total_(total), warmup_(warmup) {
+  COSCHED_EXPECTS(warmup <= total);
 }
 
 LoadPhase PhaseController::classify(std::uint64_t index) const {
   COSCHED_EXPECTS(index < total_);
-  if (index < warmup_) return LoadPhase::Warmup;
-  if (index < total_ - cooldown_) return LoadPhase::Measure;
-  return LoadPhase::Cooldown;
+  return index < warmup_ ? LoadPhase::Warmup : LoadPhase::Measure;
 }
 
 std::vector<Real> loadgen_latency_edges_ms() {

@@ -1,13 +1,12 @@
-// Warm-up / measure / cool-down phase control.
+// Warm-up / measure phase control.
 //
 // The first requests of any run hit cold caches, fresh connections and an
 // empty scheduler — folding them into the latency report biases every
-// percentile (the warm-up contamination bug the old rpc_loopback had). The
-// controller classifies each request by its global submission index:
-// [0, warmup) is Warmup, [warmup, total - cooldown) is Measure, the rest is
-// Cooldown. Only Measure samples reach the report; warm-up and cool-down
-// requests are still *sent* (they keep the service loaded so the measure
-// window sees steady state), just not measured.
+// percentile. The controller classifies each request by its global
+// submission index: [0, warmup) is Warmup, the rest is Measure. Only
+// Measure samples reach the report; warm-up requests are still *sent* (they
+// bring the service to steady state for the measure window), just not
+// measured.
 //
 // PhaseStats is the accumulator one worker keeps per phase; merge() folds
 // workers together. It carries the send/finish extremes so the measure
@@ -22,34 +21,27 @@
 
 namespace cosched {
 
-enum class LoadPhase { Warmup, Measure, Cooldown };
-
-const char* to_string(LoadPhase phase);
+enum class LoadPhase { Warmup, Measure };
 
 class PhaseController {
  public:
-  /// `warmup + cooldown <= total`; an empty measure window is legal (a
-  /// pure warm-up run) but usually a configuration mistake the caller
-  /// should surface.
-  PhaseController(std::uint64_t total, std::uint64_t warmup,
-                  std::uint64_t cooldown);
+  /// `warmup <= total`; an empty measure window is legal (a pure warm-up
+  /// run) but usually a configuration mistake the caller should surface.
+  PhaseController(std::uint64_t total, std::uint64_t warmup);
 
   LoadPhase classify(std::uint64_t index) const;
 
   std::uint64_t total() const { return total_; }
   std::uint64_t warmup_count() const { return warmup_; }
-  std::uint64_t cooldown_count() const { return cooldown_; }
-  std::uint64_t measure_count() const { return total_ - warmup_ - cooldown_; }
+  std::uint64_t measure_count() const { return total_ - warmup_; }
 
  private:
   std::uint64_t total_;
   std::uint64_t warmup_;
-  std::uint64_t cooldown_;
 };
 
-/// Latency bucket edges shared by every loadgen consumer (milliseconds) —
-/// the same edges bench/rpc_loopback has always used, so merged reports
-/// and /metrics stay comparable.
+/// Latency bucket edges shared by every loadgen consumer (milliseconds), so
+/// merged reports, the committed baselines and /metrics stay comparable.
 std::vector<Real> loadgen_latency_edges_ms();
 
 /// One worker's accumulator for one phase.

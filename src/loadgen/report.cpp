@@ -29,7 +29,6 @@ std::string BenchReport::to_json() const {
        << "  \"requests_ok\": " << requests_ok << ",\n"
        << "  \"requests_failed\": " << requests_failed << ",\n"
        << "  \"warmup_requests\": " << warmup_requests << ",\n"
-       << "  \"cooldown_requests\": " << cooldown_requests << ",\n"
        << "  \"late_sends\": " << late_sends << ",\n"
        << "  \"max_late_ms\": " << max_late_ms << ",\n"
        << "  \"offered_rps\": " << offered_rps << ",\n"

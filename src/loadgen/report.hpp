@@ -1,12 +1,12 @@
 // BENCH_*.json report writing and baseline comparison.
 //
-// The JSON schema is a strict superset of what bench/rpc_loopback has
-// always written — clients, requests_ok/failed, wall_seconds,
+// The JSON schema is a strict superset of the committed loopback baseline
+// (BENCH_rpc_loopback.json) — clients, requests_ok/failed, wall_seconds,
 // throughput_rps, latency_ms{mean,p50,p95,p99,max} — so committed history
-// stays diffable. New fields: mode (open/closed), deployment, offered_rps,
-// achieved_rps (== throughput_rps, kept under both names), warm-up /
-// cool-down request counts (excluded from every latency figure) and
-// late-send accounting for the open-loop generator.
+// stays diffable. Beyond it: mode (open/closed), deployment, offered_rps,
+// achieved_rps (== throughput_rps, kept under both names), the warm-up
+// request count (excluded from every latency figure) and late-send
+// accounting for the open-loop generator.
 //
 // compare_to_baseline() is the CI regression gate: achieved throughput may
 // not drop more than `tolerance` below the baseline, and p95/p99 may not
@@ -45,7 +45,6 @@ struct BenchReport {
   std::uint64_t requests_ok = 0;      ///< measure phase only
   std::uint64_t requests_failed = 0;  ///< any phase
   std::uint64_t warmup_requests = 0;
-  std::uint64_t cooldown_requests = 0;
   std::uint64_t late_sends = 0;
   Real max_late_ms = 0.0;
   Real offered_rps = 0.0;  ///< 0 in closed mode (no offered rate exists)

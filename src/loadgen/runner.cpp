@@ -10,17 +10,8 @@
 
 namespace cosched {
 
-const char* to_string(LoadMode mode) {
-  switch (mode) {
-    case LoadMode::Open: return "open";
-    case LoadMode::Closed: return "closed";
-  }
-  return "?";
-}
-
 LoadRunner::LoadRunner(RunnerOptions options) : options_(std::move(options)) {
   COSCHED_EXPECTS(options_.concurrency >= 1);
-  COSCHED_EXPECTS(options_.think_seconds >= 0.0);
   COSCHED_EXPECTS(options_.late_threshold_ms >= 0.0);
   COSCHED_EXPECTS(options_.virtual_rate >= 0.0);
 }
@@ -30,7 +21,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 struct WorkerStats {
-  PhaseStats phases[3];  ///< indexed by LoadPhase
+  PhaseStats phases[2];  ///< indexed by LoadPhase
 
   PhaseStats& of(LoadPhase phase) {
     return phases[static_cast<int>(phase)];
@@ -112,10 +103,6 @@ void worker_main(const RunnerOptions& options,
     } else {
       ++bucket.errors;
     }
-
-    if (!open && options.think_seconds > 0.0)
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(options.think_seconds));
   }
 }
 
@@ -128,7 +115,7 @@ LoadResult LoadRunner::run(const std::vector<TraceJob>& jobs,
 
   LoadResult result;
   if (jobs.empty()) return result;
-  PhaseController phases(jobs.size(), options_.warmup, options_.cooldown);
+  PhaseController phases(jobs.size(), options_.warmup);
 
   std::size_t worker_count = std::min(options_.concurrency, jobs.size());
   std::vector<WorkerStats> stats(worker_count);
@@ -146,7 +133,6 @@ LoadResult LoadRunner::run(const std::vector<TraceJob>& jobs,
   for (WorkerStats& w : stats) {
     result.warmup.merge(w.of(LoadPhase::Warmup));
     result.measure.merge(w.of(LoadPhase::Measure));
-    result.cooldown.merge(w.of(LoadPhase::Cooldown));
   }
   result.offered_rps = open ? schedule_offered_rps(schedule) : 0.0;
   return result;

@@ -12,13 +12,13 @@
 //    generator itself was the bottleneck and offered_rps overstates what
 //    was actually applied.
 //  * Closed loop: `concurrency` independent streams, each submitting its
-//    next request when the previous reply lands (plus optional think time)
-//    — the classic N-user model, useful for capacity probing but blind to
-//    queueing collapse by construction.
+//    next request when the previous reply lands — the classic N-user model,
+//    useful for capacity probing but blind to queueing collapse by
+//    construction.
 //
-// Every request is classified by the phase controller (warm-up / measure /
-// cool-down on the global submission index); only Measure samples land in
-// the reported histogram. Results are deterministic in shape (same jobs,
+// Every request is classified by the phase controller (warm-up / measure
+// on the global submission index); only Measure samples land in the
+// reported histogram. Results are deterministic in shape (same jobs,
 // same schedule, same phase split) though latencies are, of course, real
 // wall-clock measurements.
 #pragma once
@@ -35,8 +35,6 @@ namespace cosched {
 
 enum class LoadMode { Open, Closed };
 
-const char* to_string(LoadMode mode);
-
 struct RunnerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
@@ -44,10 +42,7 @@ struct RunnerOptions {
   /// Open loop: async in-flight depth (connection count). Closed loop:
   /// number of client streams.
   std::size_t concurrency = 4;
-  /// Closed loop: pause between a reply and the stream's next request.
-  Real think_seconds = 0.0;
   std::uint64_t warmup = 0;
-  std::uint64_t cooldown = 0;
   /// A send this many ms behind its schedule slot counts as late.
   Real late_threshold_ms = 1.0;
   double request_timeout_seconds = 10.0;
@@ -59,7 +54,7 @@ struct RunnerOptions {
   /// would stamp a 30 jobs/virtual-second arrival storm that saturates any
   /// fleet and turns every replan into a dense full-fleet solve. A positive
   /// value rescales: open-loop schedules are warped so their mean virtual
-  /// rate is `virtual_rate` (preserving the Poisson/diurnal shape), closed
+  /// rate is `virtual_rate` (preserving the Poisson shape), closed
   /// streams stamp index / virtual_rate. 0 stamps real seconds unscaled
   /// (wall-clock servers, or when the coupling is the point).
   Real virtual_rate = 0.0;
@@ -68,17 +63,14 @@ struct RunnerOptions {
 struct LoadResult {
   PhaseStats warmup;
   PhaseStats measure;
-  PhaseStats cooldown;
   /// Mean rate of the schedule (open loop); 0 in closed mode, where no
   /// offered rate exists independently of the service.
   Real offered_rps = 0.0;
 
   std::uint64_t total_requests() const {
-    return warmup.requests + measure.requests + cooldown.requests;
+    return warmup.requests + measure.requests;
   }
-  std::uint64_t total_errors() const {
-    return warmup.errors + measure.errors + cooldown.errors;
-  }
+  std::uint64_t total_errors() const { return warmup.errors + measure.errors; }
   /// Measure-phase completions over the measure window.
   Real achieved_rps() const {
     Real window = measure.window_seconds();

@@ -7,14 +7,6 @@
 
 namespace cosched {
 
-const char* to_string(SizeDistribution distribution) {
-  switch (distribution) {
-    case SizeDistribution::Uniform: return "uniform";
-    case SizeDistribution::Pareto: return "pareto";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Cumulative Zipf weights over `tenants` ranks: weight(r) = (r+1)^-skew.
@@ -35,8 +27,6 @@ std::vector<Real> zipf_cdf(std::int32_t tenants, Real skew) {
 std::vector<TraceJob> build_jobs(const ShapeSpec& spec, std::int32_t count) {
   COSCHED_EXPECTS(count >= 0);
   COSCHED_EXPECTS(spec.work_lo > 0.0 && spec.work_lo <= spec.work_hi);
-  COSCHED_EXPECTS(spec.pareto_shape > 0.0 && spec.pareto_scale > 0.0);
-  COSCHED_EXPECTS(spec.work_cap >= spec.pareto_scale);
   COSCHED_EXPECTS(spec.miss_rate_lo >= 0.0 &&
                   spec.miss_rate_lo <= spec.miss_rate_hi &&
                   spec.miss_rate_hi <= 1.0);
@@ -52,15 +42,7 @@ std::vector<TraceJob> build_jobs(const ShapeSpec& spec, std::int32_t count) {
   jobs.reserve(static_cast<std::size_t>(count));
   for (std::int32_t i = 0; i < count; ++i) {
     TraceJob job;
-    if (spec.size == SizeDistribution::Uniform) {
-      job.work = rng.uniform_real(spec.work_lo, spec.work_hi);
-    } else {
-      // Inverse-CDF Pareto draw; u in (0, 1] avoids the pole at 0.
-      Real u = 1.0 - rng.uniform01();
-      job.work = std::min(spec.work_cap,
-                          spec.pareto_scale *
-                              std::pow(u, -1.0 / spec.pareto_shape));
-    }
+    job.work = rng.uniform_real(spec.work_lo, spec.work_hi);
     job.miss_rate = rng.uniform_real(spec.miss_rate_lo, spec.miss_rate_hi);
     // Same sensitivity convention as generate_trace: correlated with cache
     // pressure plus an independent component.

@@ -5,14 +5,8 @@
 // key baked into the job name. Tenant keys matter because the shard
 // router's consistent hash admits on them: a skewed (Zipfian) tenant mix
 // produces the hot-shard imbalance its spillover policy exists for, while
-// skew 0 spreads tenants evenly.
-//
-// Size distributions follow the two regimes the co-scheduling literature
-// cares about: uniform (the source paper's methodology) and heavy-tailed
-// Pareto in the style of the high-throughput mixes of Aupy et al.,
-// "Co-Scheduling Algorithms for High-Throughput Workload Execution" —
-// a few elephants dominating many mice, the shape that breaks schedulers
-// tuned on uniform work.
+// skew 0 spreads tenants evenly. Job sizes are uniform, the source paper's
+// methodology.
 #pragma once
 
 #include <cstdint>
@@ -24,23 +18,10 @@
 
 namespace cosched {
 
-enum class SizeDistribution {
-  Uniform,  ///< work ~ U[work_lo, work_hi] (paper methodology)
-  Pareto,   ///< work ~ pareto_scale * U^(-1/pareto_shape), capped
-};
-
-const char* to_string(SizeDistribution distribution);
-
 struct ShapeSpec {
-  SizeDistribution size = SizeDistribution::Uniform;
+  /// work ~ U[work_lo, work_hi].
   Real work_lo = 5.0;
   Real work_hi = 30.0;
-  /// Pareto tail index; <= 1 has infinite mean, 1 < shape < 2 infinite
-  /// variance — 1.5 is the conventional "heavy but integrable" default.
-  Real pareto_shape = 1.5;
-  Real pareto_scale = 5.0;  ///< minimum work (the distribution's x_m)
-  /// Hard cap so one astronomically unlucky draw cannot wedge a CI run.
-  Real work_cap = 600.0;
   /// Paper methodology: cache miss rates uniform in [15%, 75%].
   Real miss_rate_lo = 0.15;
   Real miss_rate_hi = 0.75;

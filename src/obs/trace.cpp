@@ -104,8 +104,6 @@ std::uint64_t Tracer::sampled_out_traces() const {
 TraceContext Tracer::make_context(std::uint64_t trace_id) {
   TraceContext context;
   context.trace_id = trace_id;
-  context.parent_span_id =
-      next_span_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   std::uint64_t n = sample_every_.load(std::memory_order_relaxed);
   std::uint64_t seed = sample_seed_.load(std::memory_order_relaxed);
   context.sampled =

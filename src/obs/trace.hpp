@@ -20,7 +20,7 @@
 // replan commits. The raw begin_span/end_span API bypasses sampling; only
 // the TraceSpan/macro layer and instant()/counter() consult it.
 //
-// Request correlation: a TraceContext{trace_id, parent_span_id, sampled}
+// Request correlation: a TraceContext{trace_id, sampled}
 // is installed per thread (TraceContextScope); record() stamps the current
 // trace_id and a process-global sequence number onto every event. The
 // Chrome exporter emits flow events ("s"/"t"/"f") linking all spans of one
@@ -67,12 +67,9 @@
 namespace cosched {
 
 /// Per-request trace identity. trace_id == 0 means "no trace" (events are
-/// recorded unconditionally, stamped with trace_id 0). parent_span_id is a
-/// server-assigned id for the request's root span, carried so exporters and
-/// remote peers can attach children without inspecting buffers.
+/// recorded unconditionally, stamped with trace_id 0).
 struct TraceContext {
   std::uint64_t trace_id = 0;
-  std::uint64_t parent_span_id = 0;
   bool sampled = true;  ///< head-based decision, latched at make_context()
 };
 
@@ -208,7 +205,6 @@ class Tracer {
   std::atomic<std::uint64_t> sample_every_{1};
   std::atomic<std::uint64_t> sample_seed_{0x5eed0c05c4ed0001ULL};
   std::atomic<std::uint64_t> next_seq_{0};
-  std::atomic<std::uint64_t> next_span_id_{0};
   std::atomic<std::uint64_t> sampled_out_traces_{0};
   mutable std::mutex always_keep_mutex_;
   std::vector<std::string> always_keep_;

@@ -32,6 +32,7 @@ TEST(ArgParser, ParsesSpaceAndEqualsForms) {
   EXPECT_FALSE(args.has("missing"));
   EXPECT_EQ(args.get_int("missing", 7), 7);
   EXPECT_EQ(args.get_string("missing", "dflt"), "dflt");
+  args.reject_unread();  // returns: every given flag was read
 }
 
 TEST(ArgParser, FlagFollowedByFlagHasEmptyValue) {
@@ -62,6 +63,21 @@ TEST(ArgParserDeathTest, BadNumericValuesExitWithStatus2) {
               "bad value for --scale: 0.5x");
   EXPECT_EXIT(args.get_real("rate", 0.0), ::testing::ExitedWithCode(2),
               "bad value for --rate: fast");
+}
+
+// A flag nothing read — misspelt, removed, or belonging to a path the run
+// did not take — ends the process with status 2 and names the flag, the
+// same way a bad value does.
+TEST(ArgParserDeathTest, UnreadFlagExitsWithStatus2) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"prog", "--requests", "80", "--shape", "pareto"};
+  ArgParser args(5, const_cast<char**>(argv));
+  EXPECT_EQ(args.get_int("requests", 0), 80);
+  EXPECT_EXIT(args.reject_unread(), ::testing::ExitedWithCode(2),
+              "unknown flag --shape");
+  // Reading it afterwards is what clears it.
+  EXPECT_EQ(args.get_string("shape", ""), "pareto");
+  args.reject_unread();
 }
 
 TEST(SplitHostPort, AcceptsOnlyWholePortsInRange) {

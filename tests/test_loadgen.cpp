@@ -22,7 +22,6 @@ namespace {
 
 TEST(Arrival, DeterministicInSeed) {
   ArrivalSpec spec;
-  spec.process = ArrivalProcess::Poisson;
   spec.rate_rps = 25.0;
   spec.count = 200;
   spec.seed = 42;
@@ -37,33 +36,18 @@ TEST(Arrival, DeterministicInSeed) {
 }
 
 TEST(Arrival, StrictlyIncreasingFromNonNegativeStart) {
-  for (ArrivalProcess process :
-       {ArrivalProcess::Poisson, ArrivalProcess::Uniform}) {
-    ArrivalSpec spec;
-    spec.process = process;
-    spec.rate_rps = 50.0;
-    spec.count = 500;
-    std::vector<Real> schedule = build_arrival_schedule(spec);
-    ASSERT_EQ(schedule.size(), 500u) << to_string(process);
-    EXPECT_GE(schedule.front(), 0.0);
-    for (std::size_t i = 1; i < schedule.size(); ++i)
-      ASSERT_GT(schedule[i], schedule[i - 1]) << to_string(process);
-  }
-}
-
-TEST(Arrival, UniformSpacingIsExact) {
   ArrivalSpec spec;
-  spec.process = ArrivalProcess::Uniform;
-  spec.rate_rps = 10.0;
-  spec.count = 50;
+  spec.rate_rps = 50.0;
+  spec.count = 500;
   std::vector<Real> schedule = build_arrival_schedule(spec);
+  ASSERT_EQ(schedule.size(), 500u);
+  EXPECT_GE(schedule.front(), 0.0);
   for (std::size_t i = 1; i < schedule.size(); ++i)
-    EXPECT_NEAR(schedule[i] - schedule[i - 1], 0.1, 1e-9);
+    ASSERT_GT(schedule[i], schedule[i - 1]);
 }
 
 TEST(Arrival, PoissonMeanRateConverges) {
   ArrivalSpec spec;
-  spec.process = ArrivalProcess::Poisson;
   spec.rate_rps = 40.0;
   spec.count = 4000;
   spec.seed = 7;
@@ -72,32 +56,6 @@ TEST(Arrival, PoissonMeanRateConverges) {
   // 4000 exponential draws: the empirical rate should sit within a few
   // percent of the target (sigma of the mean interarrival ~ 1.6%).
   EXPECT_NEAR(offered, 40.0, 40.0 * 0.05);
-}
-
-TEST(Arrival, DiurnalModulatesLocalRateButKeepsMean) {
-  ArrivalSpec spec;
-  spec.process = ArrivalProcess::Uniform;  // no sampling noise
-  spec.rate_rps = 100.0;
-  spec.count = 6000;  // exactly one 60 s period at rate 100
-  spec.diurnal.enabled = true;
-  spec.diurnal.period_seconds = 60.0;
-  spec.diurnal.amplitude = 0.8;
-  std::vector<Real> schedule = build_arrival_schedule(spec);
-
-  // Mean over the whole period is preserved...
-  EXPECT_NEAR(schedule_offered_rps(schedule), 100.0, 3.0);
-
-  // ...but the first quarter-period (sin > 0, peak load) must hold many
-  // more arrivals than the third quarter (sin < 0, trough).
-  auto count_between = [&](Real lo, Real hi) {
-    std::int64_t n = 0;
-    for (Real t : schedule)
-      if (t >= lo && t < hi) ++n;
-    return n;
-  };
-  std::int64_t peak = count_between(0.0, 15.0);
-  std::int64_t trough = count_between(30.0, 45.0);
-  EXPECT_GT(peak, trough * 2);
 }
 
 TEST(Arrival, OfferedRpsEdgeCases) {
@@ -110,7 +68,6 @@ TEST(Arrival, OfferedRpsEdgeCases) {
 
 TEST(Shapes, DeterministicAndWithinUniformBounds) {
   ShapeSpec spec;
-  spec.size = SizeDistribution::Uniform;
   spec.work_lo = 5.0;
   spec.work_hi = 30.0;
   spec.seed = 11;
@@ -126,28 +83,6 @@ TEST(Shapes, DeterministicAndWithinUniformBounds) {
     EXPECT_LE(a[i].miss_rate, 0.75);
     EXPECT_EQ(a[i].arrival_time, 0.0);  // pairing is the runner's job
   }
-}
-
-TEST(Shapes, ParetoIsHeavyTailedAndCapped) {
-  ShapeSpec spec;
-  spec.size = SizeDistribution::Pareto;
-  spec.pareto_shape = 1.5;
-  spec.pareto_scale = 5.0;
-  spec.work_cap = 600.0;
-  spec.seed = 3;
-  std::vector<TraceJob> jobs = build_jobs(spec, 5000);
-  Real max_work = 0.0;
-  std::int64_t elephants = 0;
-  for (const TraceJob& job : jobs) {
-    ASSERT_GE(job.work, 5.0);     // x_m is the distribution's minimum
-    ASSERT_LE(job.work, 600.0);   // cap holds
-    max_work = std::max(max_work, job.work);
-    if (job.work > 50.0) ++elephants;
-  }
-  // P(X > 10 x_m) = 10^-1.5 ~ 3.2%: 5000 draws must contain elephants,
-  // and at least one far beyond anything uniform [5, 30] could produce.
-  EXPECT_GT(elephants, 50);
-  EXPECT_GT(max_work, 100.0);
 }
 
 TEST(Shapes, TenantMixUniformAndSkewed) {
@@ -187,27 +122,24 @@ TEST(Shapes, TenantMixUniformAndSkewed) {
 // ---- phase control ---------------------------------------------------------
 
 TEST(Phase, ClassifiesByGlobalIndex) {
-  PhaseController phases(10, 3, 2);
+  PhaseController phases(10, 3);
   EXPECT_EQ(phases.classify(0), LoadPhase::Warmup);
   EXPECT_EQ(phases.classify(2), LoadPhase::Warmup);
   EXPECT_EQ(phases.classify(3), LoadPhase::Measure);
-  EXPECT_EQ(phases.classify(7), LoadPhase::Measure);
-  EXPECT_EQ(phases.classify(8), LoadPhase::Cooldown);
-  EXPECT_EQ(phases.classify(9), LoadPhase::Cooldown);
-  EXPECT_EQ(phases.measure_count(), 5u);
+  EXPECT_EQ(phases.classify(9), LoadPhase::Measure);
+  EXPECT_EQ(phases.measure_count(), 7u);
 }
 
-TEST(Phase, NoWarmupNoCooldown) {
-  PhaseController phases(4, 0, 0);
+TEST(Phase, NoWarmupMeasuresEverything) {
+  PhaseController phases(4, 0);
   for (std::uint64_t i = 0; i < 4; ++i)
     EXPECT_EQ(phases.classify(i), LoadPhase::Measure);
 }
 
 TEST(Phase, EmptyMeasureWindowIsLegal) {
-  PhaseController phases(4, 2, 2);
+  PhaseController phases(4, 4);
   EXPECT_EQ(phases.measure_count(), 0u);
-  EXPECT_EQ(phases.classify(1), LoadPhase::Warmup);
-  EXPECT_EQ(phases.classify(2), LoadPhase::Cooldown);
+  EXPECT_EQ(phases.classify(3), LoadPhase::Warmup);
 }
 
 TEST(Phase, StatsMergeAndWindow) {

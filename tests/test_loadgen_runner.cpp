@@ -2,7 +2,6 @@
 // over loopback. Net-labelled — these open sockets.
 #include <gtest/gtest.h>
 
-#include "loadgen/arrival.hpp"
 #include "loadgen/runner.hpp"
 #include "loadgen/shapes.hpp"
 #include "rpc/client.hpp"
@@ -10,6 +9,15 @@
 
 namespace cosched {
 namespace {
+
+/// `count` evenly spaced send offsets at `rate_rps`: no arrival variance,
+/// so each test controls exactly how far ahead of the service it runs.
+std::vector<Real> evenly_spaced(std::int32_t count, Real rate_rps) {
+  std::vector<Real> schedule;
+  for (std::int32_t k = 1; k <= count; ++k)
+    schedule.push_back(static_cast<Real>(k) / rate_rps);
+  return schedule;
+}
 
 /// A small virtual-time server every test drives; each replan stays cheap
 /// (few machines, every-k admission) so the suite runs in seconds.
@@ -47,34 +55,27 @@ class LoadRunnerTest : public ::testing::Test {
   std::unique_ptr<CoschedServer> server_;
 };
 
-TEST_F(LoadRunnerTest, OpenLoopExcludesWarmupAndCooldown) {
+TEST_F(LoadRunnerTest, OpenLoopExcludesWarmup) {
   ShapeSpec shape;
   shape.work_lo = 1.0;
   shape.work_hi = 4.0;
   std::vector<TraceJob> jobs = build_jobs(shape, 40);
-
-  ArrivalSpec arrival;
-  arrival.process = ArrivalProcess::Uniform;
-  arrival.rate_rps = 100.0;  // 0.4 s of traffic
-  arrival.count = 40;
-  std::vector<Real> schedule = build_arrival_schedule(arrival);
+  std::vector<Real> schedule = evenly_spaced(40, 100.0);  // 0.4 s of traffic
 
   RunnerOptions options;
   options.port = server_->port();
   options.mode = LoadMode::Open;
   options.concurrency = 4;
   options.warmup = 8;
-  options.cooldown = 4;
   options.virtual_rate = 0.5;
   LoadResult result = LoadRunner(options).run(jobs, schedule);
 
   // Every request ran exactly once and landed in the right phase bucket.
   EXPECT_EQ(result.total_errors(), 0u);
   EXPECT_EQ(result.warmup.requests, 8u);
-  EXPECT_EQ(result.measure.requests, 28u);
-  EXPECT_EQ(result.cooldown.requests, 4u);
+  EXPECT_EQ(result.measure.requests, 32u);
   // Only measure-phase samples reach the reported histogram.
-  EXPECT_EQ(result.measure.latency_ms.count(), 28u);
+  EXPECT_EQ(result.measure.latency_ms.count(), 32u);
   EXPECT_GT(result.offered_rps, 0.0);
   EXPECT_GT(result.achieved_rps(), 0.0);
   // The server really accepted all 40 (warm-up is sent, just not measured).
@@ -117,11 +118,7 @@ TEST_F(LoadRunnerTest, OverdrivenOpenLoopReportsLateSends) {
   // backlog grows by one round trip per send. The generator must *report*
   // it (late sends), not hide it by silently stretching the schedule —
   // that is the coordinated-omission contract.
-  ArrivalSpec arrival;
-  arrival.process = ArrivalProcess::Uniform;
-  arrival.rate_rps = 1e6;
-  arrival.count = 96;
-  std::vector<Real> schedule = build_arrival_schedule(arrival);
+  std::vector<Real> schedule = evenly_spaced(96, 1e6);
 
   RunnerOptions options;
   options.port = server_->port();
@@ -133,8 +130,7 @@ TEST_F(LoadRunnerTest, OverdrivenOpenLoopReportsLateSends) {
 
   EXPECT_EQ(result.total_errors(), 0u);
   EXPECT_EQ(result.total_requests(), 96u);
-  std::uint64_t late = result.warmup.late_sends + result.measure.late_sends +
-                       result.cooldown.late_sends;
+  std::uint64_t late = result.warmup.late_sends + result.measure.late_sends;
   EXPECT_GT(late, 12u);  // the backlog passes 0.5 ms within a few dozen sends
   EXPECT_GT(result.measure.max_late_ms, 0.5);
   EXPECT_EQ(drain_completions(), 96u);
