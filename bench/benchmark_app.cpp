@@ -127,20 +127,9 @@ bool fan_in_holds(const MetricsResponse& metrics, std::int64_t expect_shards,
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
 
-  // Structured logging: --log-level debug|info|warn|error|off filters the
-  // global logger (the embedded deployment's scheduler shares it), --log-json
-  // 1 switches to JSON lines, --log-out FILE appends accepted records.
-  {
-    std::string level_text = args.get_string("log-level", "warn");
-    LogLevel level = LogLevel::Warn;
-    if (!parse_log_level(level_text, level))
-      std::cerr << "benchmark_app: unknown --log-level '" << level_text
-                << "' (want debug|info|warn|error|off)\n";
-    Logger::global().set_level(level);
-    Logger::global().set_json(args.get_int("log-json", 0) != 0);
-    std::string log_out = args.get_string("log-out", "");
-    if (!log_out.empty()) Logger::global().set_sink_path(log_out);
-  }
+  // Structured logging (--log-level, --log-json, --log-out) for the global
+  // logger, which the embedded deployment's scheduler shares.
+  read_log_flags(args, LogLevel::Warn);
 
   // ---- SLO watchdog configuration ----------------------------------------
   // Embedded deployments run the servers' alert engine (--alerts 0 turns it

@@ -10,13 +10,11 @@
 // CSVs under --out (directory is created if missing).
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "harness/experiment.hpp"
 #include "loadgen/slo.hpp"
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
-#include "obs/trace.hpp"
 #include "rpc/server.hpp"
 
 int main(int argc, char** argv) {
@@ -43,45 +41,8 @@ int main(int argc, char** argv) {
   options.enable_http = metrics_port >= 0;
   if (options.enable_http)
     options.http_port = static_cast<std::uint16_t>(metrics_port);
-  // Tracer knobs mirror the acceptance configuration: --trace 1 enables
-  // recording, --trace-ring bounds each thread's ring, --trace-sample-every
-  // keeps 1-in-N traces head-based (deterministic under --trace-seed), and
-  // --trace-keep is a comma-separated list of span-name prefixes recorded
-  // even for sampled-out traces.
-  if (args.get_int("trace", 0) != 0) Tracer::global().set_enabled(true);
-  Tracer::global().set_max_events_per_thread(
-      static_cast<std::size_t>(args.get_int("trace-ring", 4096)));
-  Tracer::global().set_sample_every(
-      static_cast<std::uint64_t>(args.get_int("trace-sample-every", 1)));
-  Tracer::global().set_sample_seed(
-      static_cast<std::uint64_t>(args.get_int("trace-seed", 0)));
-  {
-    std::string keep = args.get_string("trace-keep", "");
-    std::vector<std::string> prefixes;
-    std::size_t start = 0;
-    while (start < keep.size()) {
-      std::size_t comma = keep.find(',', start);
-      if (comma == std::string::npos) comma = keep.size();
-      if (comma > start) prefixes.push_back(keep.substr(start, comma - start));
-      start = comma + 1;
-    }
-    if (!prefixes.empty())
-      Tracer::global().set_always_keep(std::move(prefixes));
-  }
-  // Structured logging: --log-level debug|info|warn|error|off filters the
-  // global logger, --log-json 1 switches the sink to JSON lines, --log-out
-  // FILE appends every accepted record to a file (the tail -f surface).
-  {
-    std::string level_text = args.get_string("log-level", "info");
-    LogLevel level = LogLevel::Info;
-    if (!parse_log_level(level_text, level))
-      std::cerr << "rpc_server: unknown --log-level '" << level_text
-                << "' (want debug|info|warn|error|off)\n";
-    Logger::global().set_level(level);
-    Logger::global().set_json(args.get_int("log-json", 0) != 0);
-    std::string log_out = args.get_string("log-out", "");
-    if (!log_out.empty()) Logger::global().set_sink_path(log_out);
-  }
+  read_trace_flags(args);
+  read_log_flags(args, LogLevel::Info);
 
   // SLO watchdog: --alerts 0 disables the engine; --alert-rules FILE loads
   // a declarative rule set (default: fast+slow burn-rate guards on the RPC

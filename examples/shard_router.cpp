@@ -43,7 +43,6 @@
 #include "loadgen/slo.hpp"
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
-#include "obs/trace.hpp"
 #include "shard/router.hpp"
 #include "shard/router_server.hpp"
 
@@ -81,26 +80,10 @@ int main(int argc, char** argv) {
   if (shard_count < 1) shard_count = 1;
   // --trace 1: record router request spans (and forward trace ids to the
   // shards) so TraceDump answers the merged fabric timeline.
-  if (args.get_int("trace", 0) != 0) Tracer::global().set_enabled(true);
-  Tracer::global().set_max_events_per_thread(
-      static_cast<std::size_t>(args.get_int("trace-ring", 4096)));
+  read_trace_flags(args);
   std::vector<ClientOptions> remotes = parse_remotes(
       args.get_string("remote", ""), args.get_real("remote-timeout", 60.0));
-
-  // Structured logging: --log-level debug|info|warn|error|off filters the
-  // global logger, --log-json 1 switches the sink to JSON lines, --log-out
-  // FILE appends every accepted record to a file (the tail -f surface).
-  {
-    std::string level_text = args.get_string("log-level", "info");
-    LogLevel level = LogLevel::Info;
-    if (!parse_log_level(level_text, level))
-      std::cerr << "shard_router: unknown --log-level '" << level_text
-                << "' (want debug|info|warn|error|off)\n";
-    Logger::global().set_level(level);
-    Logger::global().set_json(args.get_int("log-json", 0) != 0);
-    std::string log_out = args.get_string("log-out", "");
-    if (!log_out.empty()) Logger::global().set_sink_path(log_out);
-  }
+  read_log_flags(args, LogLevel::Info);
 
   RouterOptions router_options;
   router_options.vnodes_per_shard =

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <iostream>
 
+#include "obs/trace.hpp"
+
 namespace cosched {
 
 ArgParser::ArgParser(int argc, char** argv) {
@@ -96,6 +98,22 @@ void ArgParser::reject_unread() const {
 void bad_value(const std::string& flag, const std::string& text) {
   std::cerr << "bad value for --" << flag << ": " << text << "\n";
   exit_usage();
+}
+
+void read_log_flags(const ArgParser& args, LogLevel default_level) {
+  std::string text = args.get_string("log-level", to_string(default_level));
+  LogLevel level = default_level;
+  if (!parse_log_level(text, level)) bad_value("log-level", text);
+  Logger::global().set_level(level);
+  Logger::global().set_json(args.get_int("log-json", 0) != 0);
+  std::string log_out = args.get_string("log-out", "");
+  if (!log_out.empty()) Logger::global().set_sink_path(log_out);
+}
+
+void read_trace_flags(const ArgParser& args) {
+  if (args.get_int("trace", 0) != 0) Tracer::global().set_enabled(true);
+  Tracer::global().set_max_events_per_thread(
+      static_cast<std::size_t>(args.get_int("trace-ring", 4096, 1, kMaxCount)));
 }
 
 bool split_host_port(const std::string& address, std::string& host,

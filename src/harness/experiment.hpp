@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/log.hpp"
 #include "util/common.hpp"
 #include "util/table.hpp"
 
@@ -56,6 +57,17 @@ inline constexpr std::int64_t kMaxCount =
 /// Reports an unusable flag value as "bad value for --<flag>: <text>" on
 /// stderr and exits with status 2.
 [[noreturn]] void bad_value(const std::string& flag, const std::string& text);
+
+/// The logging flags every server and the load driver share, applied to
+/// Logger::global(): --log-level debug|info|warn|error|off (default
+/// `default_level`; any other value exits through bad_value()), --log-json 1
+/// for JSON lines, --log-out FILE to append every accepted record.
+void read_log_flags(const ArgParser& args, LogLevel default_level);
+
+/// The servers' tracer flags, applied to Tracer::global(): --trace 1
+/// enables recording, --trace-ring N (at least 1, default 4096) bounds each
+/// thread's event ring.
+void read_trace_flags(const ArgParser& args);
 
 /// Splits "host:port". False unless a colon is present and the port is a
 /// whole number in [1, 65535].

@@ -438,7 +438,7 @@ bool AlertEngine::tick_impl(const std::string& exposition, double now) {
   // One deterministic trace id per tick: every transition this evaluation
   // emits (log record, journal event) carries the same correlator.
   std::uint64_t trace_id = mix64(0xa1e7ULL ^ tick_count_);
-  TraceContextScope scope(Tracer::global().make_context(trace_id));
+  TraceContextScope scope(TraceContext{trace_id});
   for (RuleState& rs : states_) evaluate_locked(rs, now, trace_id);
   return true;
 }

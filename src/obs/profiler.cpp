@@ -1,14 +1,11 @@
 #include "obs/profiler.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
-#include <sstream>
 
 #include "util/common.hpp"
 
@@ -160,30 +157,19 @@ std::string Profiler::render_collapsed() const {
   return out;
 }
 
-std::string Profiler::render_text() const {
-  std::ostringstream out;
-  for (const NodeView& view : snapshot()) {
-    for (int d = 0; d < view.depth; ++d) out << "  ";
-    char ms[32];
-    std::snprintf(ms, sizeof(ms), "%.3f",
-                  static_cast<double>(view.total_ns) / 1e6);
-    char self_ms[32];
-    std::snprintf(self_ms, sizeof(self_ms), "%.3f",
-                  static_cast<double>(view.self_ns) / 1e6);
-    out << view.name << " count=" << view.count << " total_ms=" << ms
-        << " self_ms=" << self_ms << "\n";
-  }
-  return out.str();
+bool Profiler::write_collapsed(const std::string& path) const {
+  return write_export_file(path, render_collapsed(), "profile");
 }
 
-bool Profiler::write_collapsed(const std::string& path) const {
+bool write_export_file(const std::string& path, const std::string& content,
+                       const char* what) {
   namespace fs = std::filesystem;
   fs::path target(path);
   if (target.has_parent_path()) {
     std::error_code ec;
     fs::create_directories(target.parent_path(), ec);
     if (ec) {
-      std::cerr << "warning: cannot create profile directory "
+      std::cerr << "warning: cannot create " << what << " directory "
                 << target.parent_path().string() << ": " << ec.message()
                 << "\n";
       return false;
@@ -191,10 +177,10 @@ bool Profiler::write_collapsed(const std::string& path) const {
   }
   std::ofstream out(path);
   if (!out) {
-    std::cerr << "warning: cannot write profile file " << path << "\n";
+    std::cerr << "warning: cannot write " << what << " file " << path << "\n";
     return false;
   }
-  out << render_collapsed();
+  out << content;
   return true;
 }
 

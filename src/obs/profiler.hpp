@@ -66,11 +66,7 @@ class Profiler {
   /// node, in snapshot() order — feed straight into flamegraph.pl.
   std::string render_collapsed() const;
 
-  /// Human-oriented indented tree with counts and milliseconds.
-  std::string render_text() const;
-
-  /// Writes render_collapsed() to `path`, creating missing parent
-  /// directories. False (with a stderr warning) on I/O failure.
+  /// Writes render_collapsed() to `path` through write_export_file().
   bool write_collapsed(const std::string& path) const;
 
   // ---- hot-path entry points (TraceSpan is the intended caller) ----------
@@ -104,5 +100,12 @@ class Profiler {
   mutable std::mutex registry_mutex_;
   std::vector<std::shared_ptr<ThreadTree>> trees_;
 };
+
+/// The file sink of both exporters (Profiler::write_collapsed,
+/// Tracer::write_chrome_json): writes `content` to `path`, creating missing
+/// parent directories. False, with a "warning: cannot ... <what> ..." line
+/// on stderr, on I/O failure.
+bool write_export_file(const std::string& path, const std::string& content,
+                       const char* what);
 
 }  // namespace cosched

@@ -4,13 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <iostream>
 #include <map>
 #include <sstream>
-
-#include "util/rng.hpp"
 
 namespace cosched {
 
@@ -74,7 +69,6 @@ void Tracer::reset() {
     buffer->dropped = 0;
     buffer->depth = 0;
   }
-  sampled_out_traces_.store(0, std::memory_order_relaxed);
   epoch_ = std::chrono::steady_clock::now();
 }
 
@@ -87,56 +81,12 @@ std::uint64_t Tracer::dropped_events() const {
   return total;
 }
 
-void Tracer::set_always_keep(std::vector<std::string> prefixes) {
-  std::lock_guard<std::mutex> lock(always_keep_mutex_);
-  always_keep_ = std::move(prefixes);
-}
-
-std::vector<std::string> Tracer::always_keep() const {
-  std::lock_guard<std::mutex> lock(always_keep_mutex_);
-  return always_keep_;
-}
-
-std::uint64_t Tracer::sampled_out_traces() const {
-  return sampled_out_traces_.load(std::memory_order_relaxed);
-}
-
-TraceContext Tracer::make_context(std::uint64_t trace_id) {
-  TraceContext context;
-  context.trace_id = trace_id;
-  std::uint64_t n = sample_every_.load(std::memory_order_relaxed);
-  std::uint64_t seed = sample_seed_.load(std::memory_order_relaxed);
-  context.sampled =
-      trace_id == 0 || n <= 1 || SplitMix64(seed ^ trace_id).next() % n == 0;
-  if (!context.sampled)
-    sampled_out_traces_.fetch_add(1, std::memory_order_relaxed);
-  return context;
-}
-
 const TraceContext& Tracer::current_context() {
   return current_context_slot();
 }
 
 void Tracer::set_current_context(const TraceContext& context) {
   current_context_slot() = context;
-}
-
-void Tracer::clear_current_context() {
-  current_context_slot() = TraceContext{};
-}
-
-bool Tracer::matches_always_keep(const char* name) const {
-  std::lock_guard<std::mutex> lock(always_keep_mutex_);
-  for (const std::string& prefix : always_keep_) {
-    if (std::strncmp(name, prefix.c_str(), prefix.size()) == 0) return true;
-  }
-  return false;
-}
-
-bool Tracer::should_record(const char* name) const {
-  const TraceContext& context = current_context_slot();
-  if (context.trace_id == 0 || context.sampled) return true;
-  return matches_always_keep(name);
 }
 
 Tracer::ThreadBuffer& Tracer::local_buffer() {
@@ -200,20 +150,8 @@ void Tracer::end_span(std::chrono::steady_clock::time_point at) {
   record(buffer, std::move(event), at);
 }
 
-void Tracer::instant(const char* name, Real virtual_time, std::string args) {
-  if (!enabled() || !should_record(name)) return;
-  ThreadBuffer& buffer = local_buffer();
-  Event event;
-  event.name = name;
-  event.phase = Phase::Instant;
-  event.virtual_time = virtual_time;
-  event.depth = buffer.depth;
-  event.args = std::move(args);
-  record(buffer, std::move(event), std::chrono::steady_clock::now());
-}
-
 void Tracer::counter(const char* name, double value) {
-  if (!enabled() || !should_record(name)) return;
+  if (!enabled()) return;
   ThreadBuffer& buffer = local_buffer();
   Event event;
   event.name = name;
@@ -269,7 +207,6 @@ std::string Tracer::dump_text() const {
       for (std::int32_t d = 0; d < e.depth; ++d) out << "  ";
       switch (e.phase) {
         case Phase::Begin: out << "span " << e.name; break;
-        case Phase::Instant: out << "mark " << e.name; break;
         case Phase::Counter:
           out << "count " << e.name << " = " << fmt_double(e.value);
           break;
@@ -379,11 +316,6 @@ std::string Tracer::export_chrome_json() const {
             flows[e.trace_id].push_back(
                 FlowPoint{e.wall_us, buffer->tid, e.seq, e.name});
           break;
-        case Phase::Instant:
-          common_fields(json, e, 'i', buffer->tid);
-          json += ",\"s\":\"t\"";
-          args_fields(json, e);
-          break;
         case Phase::Counter:
           common_fields(json, e, 'C', buffer->tid);
           json += ",\"args\":{\"value\":" + fmt_double(e.value) + "}";
@@ -470,7 +402,7 @@ std::vector<std::string> chrome_records(const std::string& json) {
 
 std::string namespace_trace_text(const std::string& text,
                                  const std::string& prefix) {
-  static const char* kKeywords[] = {"thread ", "span ", "mark ", "count "};
+  static const char* kKeywords[] = {"thread ", "span ", "count "};
   std::string out;
   out.reserve(text.size() + prefix.size() * 32);
   std::size_t pos = 0;
@@ -532,25 +464,7 @@ std::string merge_chrome_traces(const std::vector<std::string>& parts) {
 }
 
 bool Tracer::write_chrome_json(const std::string& path) const {
-  namespace fs = std::filesystem;
-  fs::path target(path);
-  if (target.has_parent_path()) {
-    std::error_code ec;
-    fs::create_directories(target.parent_path(), ec);
-    if (ec) {
-      std::cerr << "warning: cannot create trace directory "
-                << target.parent_path().string() << ": " << ec.message()
-                << "\n";
-      return false;
-    }
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "warning: cannot write trace file " << path << "\n";
-    return false;
-  }
-  out << export_chrome_json();
-  return true;
+  return write_export_file(path, export_chrome_json(), "trace");
 }
 
 }  // namespace cosched

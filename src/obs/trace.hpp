@@ -1,35 +1,28 @@
 // Structured tracing for the co-scheduling stack.
 //
-// A Tracer collects spans (begin/end pairs), instants and counter samples
-// into per-thread buffers; nothing is shared on the hot path beyond one
-// relaxed atomic load when tracing is runtime-disabled. Each event carries
-// a wall-clock stamp (microseconds since the tracer epoch, steady clock)
-// and, when the caller is inside the virtual-time simulation, a virtual
+// A Tracer collects spans (begin/end pairs) and counter samples into
+// per-thread buffers; nothing is shared on the hot path beyond one relaxed
+// atomic load when tracing is runtime-disabled. Each event carries a
+// wall-clock stamp (microseconds since the tracer epoch, steady clock) and,
+// when the caller is inside the virtual-time simulation, a virtual
 // timestamp too — so a replan trace lines up both against real solver cost
 // and against the simulated fleet.
 //
 // Long-lived-server safety: each thread buffer is a fixed-capacity ring
 // (set_max_events_per_thread); once full, the oldest event is overwritten
 // and a per-buffer dropped counter is bumped (surfaced via
-// dropped_events(), exported to /metrics by CoschedServer). On top of the
-// ring, head-based trace sampling keeps 1-in-N *traces*: make_context()
-// decides sampled-or-not once per trace_id with a seeded deterministic
-// hash, and every span/instant/counter recorded while that context is
-// current inherits the decision. Always-keep name prefixes
-// (set_always_keep) override sampling for critical categories such as
-// replan commits. The raw begin_span/end_span API bypasses sampling; only
-// the TraceSpan/macro layer and instant()/counter() consult it.
+// dropped_events(), exported to /metrics by CoschedServer).
 //
-// Request correlation: a TraceContext{trace_id, sampled}
-// is installed per thread (TraceContextScope); record() stamps the current
-// trace_id and a process-global sequence number onto every event. The
-// Chrome exporter emits flow events ("s"/"t"/"f") linking all spans of one
-// trace across threads.
+// Request correlation: a TraceContext{trace_id} is installed per thread
+// (TraceContextScope); record() stamps the current trace_id and a
+// process-global sequence number onto every event. The Chrome exporter
+// emits flow events ("s"/"t"/"f") linking all spans of one trace across
+// threads.
 //
 // Two exporters:
 //  * export_chrome_json() — Chrome trace-event JSON ("X" complete spans,
-//    "i" instants, "C" counters, flow events), loadable in chrome://tracing
-//    / Perfetto, sorted by (timestamp, tid, seq);
+//    "C" counters, flow events), loadable in chrome://tracing / Perfetto,
+//    sorted by (timestamp, tid, seq);
 //  * dump_text() — a wall-time-free indented dump, deterministic for a
 //    deterministic event sequence (threads in registration order, events in
 //    record order), which is what the tests byte-compare.
@@ -39,9 +32,8 @@
 // every span name is also a /debug/profile path. The two runtime switches
 // (Tracer::set_enabled, Profiler::set_enabled) are latched independently at
 // construction — spans started while a switch is off record nothing there,
-// even if it is turned on before they close — and profiling ignores head
-// sampling. One clock read opens the span and one closes it, shared by
-// both consumers.
+// even if it is turned on before they close. One clock read opens the span
+// and one closes it, shared by both consumers.
 //
 // Compile-time kill switch: defining COSCHED_OBS_DISABLED in a TU turns
 // every COSCHED_TRACE_* macro in that TU into a no-op with zero residue
@@ -67,19 +59,18 @@
 namespace cosched {
 
 /// Per-request trace identity. trace_id == 0 means "no trace" (events are
-/// recorded unconditionally, stamped with trace_id 0).
+/// stamped with trace_id 0).
 struct TraceContext {
   std::uint64_t trace_id = 0;
-  bool sampled = true;  ///< head-based decision, latched at make_context()
 };
 
 class Tracer {
  public:
-  enum class Phase : std::uint8_t { Begin, End, Instant, Counter };
+  enum class Phase : std::uint8_t { Begin, End, Counter };
 
   struct Event {
     const char* name = "";   ///< static string; not owned
-    Phase phase = Phase::Instant;
+    Phase phase = Phase::Begin;
     double wall_us = 0.0;    ///< microseconds since the tracer epoch
     Real virtual_time = -1.0;  ///< virtual seconds; < 0 = not stamped
     double value = 0.0;      ///< Counter payload
@@ -97,10 +88,10 @@ class Tracer {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_release); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Drops every buffered event, zeroes the dropped/sampled-out counters and
-  /// re-stamps the epoch. Thread buffers stay registered (their tids are
-  /// stable for the tracer's lifetime); the global sequence counter keeps
-  /// climbing, so event order stays total across resets.
+  /// Drops every buffered event, zeroes the dropped counters and re-stamps
+  /// the epoch. Thread buffers stay registered (their tids are stable for
+  /// the tracer's lifetime); the global sequence counter keeps climbing,
+  /// so event order stays total across resets.
   void reset();
 
   // ---- bounding ---------------------------------------------------------
@@ -109,48 +100,13 @@ class Tracer {
   void set_max_events_per_thread(std::size_t n) {
     max_events_per_thread_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
   }
-  std::size_t max_events_per_thread() const {
-    return max_events_per_thread_.load(std::memory_order_relaxed);
-  }
   /// Events overwritten by the ring, summed across threads (monotonic until
   /// reset()).
   std::uint64_t dropped_events() const;
 
-  // ---- head-based trace sampling ---------------------------------------
-  /// Keep 1-in-`n` traces (n <= 1 keeps everything). Runtime-adjustable;
-  /// applies to contexts created by subsequent make_context() calls.
-  void set_sample_every(std::uint64_t n) {
-    sample_every_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
-  }
-  std::uint64_t sample_every() const {
-    return sample_every_.load(std::memory_order_relaxed);
-  }
-  /// Seed for the deterministic trace_id -> keep/drop hash.
-  void set_sample_seed(std::uint64_t seed) {
-    sample_seed_.store(seed, std::memory_order_relaxed);
-  }
-  /// Span-name prefixes recorded even inside sampled-out traces (e.g.
-  /// "online.replan" keeps replan commit evidence under heavy sampling).
-  void set_always_keep(std::vector<std::string> prefixes);
-  std::vector<std::string> always_keep() const;
-  /// Traces whose events were suppressed by sampling (monotonic until
-  /// reset()).
-  std::uint64_t sampled_out_traces() const;
-
-  /// Builds the context for a new trace: assigns a root span id and latches
-  /// the head-based sampling decision for `trace_id`. Deterministic for a
-  /// fixed (seed, rate, trace_id).
-  TraceContext make_context(std::uint64_t trace_id);
-
   // ---- per-thread current context --------------------------------------
   static const TraceContext& current_context();
   static void set_current_context(const TraceContext& context);
-  static void clear_current_context();
-
-  /// False iff the current thread's context is sampled-out and `name` does
-  /// not match an always-keep prefix. The macro layer checks this so whole
-  /// spans vanish for dropped traces.
-  bool should_record(const char* name) const;
 
   // ---- recording (the macros below are the intended entry points) -------
   /// `at` stamps the event; TraceSpan passes the clock read it shares with
@@ -161,8 +117,6 @@ class Tracer {
                       std::chrono::steady_clock::now());
   void end_span(std::chrono::steady_clock::time_point at =
                     std::chrono::steady_clock::now());
-  void instant(const char* name, Real virtual_time = -1.0,
-               std::string args = {});
   void counter(const char* name, double value);
 
   std::uint64_t event_count() const;
@@ -176,8 +130,7 @@ class Tracer {
   /// request -> solver arrows.
   std::string export_chrome_json() const;
 
-  /// Writes export_chrome_json() to `path`, creating missing parent
-  /// directories. False (with a stderr warning) on I/O failure.
+  /// Writes export_chrome_json() to `path` through write_export_file().
   bool write_chrome_json(const std::string& path) const;
 
  private:
@@ -196,18 +149,12 @@ class Tracer {
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_snapshot() const;
   /// Ring contents oldest-first. Caller must hold `buffer.mutex`.
   static std::vector<Event> ordered_events(const ThreadBuffer& buffer);
-  bool matches_always_keep(const char* name) const;
 
   std::atomic<bool> enabled_{false};
   std::uint64_t id_ = 0;  ///< unique per Tracer: thread-local cache key
   std::chrono::steady_clock::time_point epoch_;
   std::atomic<std::size_t> max_events_per_thread_{65536};
-  std::atomic<std::uint64_t> sample_every_{1};
-  std::atomic<std::uint64_t> sample_seed_{0x5eed0c05c4ed0001ULL};
   std::atomic<std::uint64_t> next_seq_{0};
-  std::atomic<std::uint64_t> sampled_out_traces_{0};
-  mutable std::mutex always_keep_mutex_;
-  std::vector<std::string> always_keep_;
   mutable std::mutex registry_mutex_;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
 };
@@ -217,7 +164,7 @@ class Tracer {
 // merges it with the local one. These helpers understand exactly the two
 // formats the exporters above produce — nothing more general.
 
-/// Namespaces a dump_text() dump: prefixes every span/mark/count name and
+/// Namespaces a dump_text() dump: prefixes every span/count name and
 /// every thread id with `prefix` (e.g. "shard0/"), so a merged dump keeps
 /// shard provenance readable and collision-free.
 std::string namespace_trace_text(const std::string& text,
@@ -225,7 +172,7 @@ std::string namespace_trace_text(const std::string& text,
 
 /// Namespaces an export_chrome_json() array for merging: rewrites pid 1 to
 /// `pid` (Perfetto shows each process as its own track group) and prefixes
-/// span/instant/counter names with `prefix`. Flow events are left untouched
+/// span/counter names with `prefix`. Flow events are left untouched
 /// on purpose — Perfetto binds flows by (cat, name, id), and an unchanged
 /// "trace"/"flow" pair with a shared trace id is what draws the
 /// router -> shard arrow across process tracks.
@@ -257,17 +204,14 @@ class TraceContextScope {
 };
 
 /// RAII phase scope: a trace span and a profiler phase under one name.
-/// Latches both decisions at construction — profiling on, and tracing on
-/// with the current trace head-sampled in (or `name` always-kept) — so
-/// enter/leave and begin/end always pair even if a switch is toggled
-/// mid-span.
+/// Latches both runtime switches at construction, so enter/leave and
+/// begin/end always pair even if a switch is toggled mid-span.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, Real virtual_time = -1.0,
                      std::string args = {})
       : profiled_(Profiler::global().enabled()),
-        traced_(Tracer::global().enabled() &&
-                Tracer::global().should_record(name)) {
+        traced_(Tracer::global().enabled()) {
     if (!profiled_ && !traced_) return;
     if (profiled_) Profiler::global().enter(name);
     start_ = std::chrono::steady_clock::now();
@@ -297,17 +241,13 @@ class TraceSpan {
 
 // ---- macros ---------------------------------------------------------------
 // COSCHED_TRACE_SPAN(var, name[, virtual_time[, args]]) — RAII span and
-// profiler phase bound to the enclosing scope. COSCHED_TRACE_INSTANT /
-// COSCHED_TRACE_COUNTER record single events. All of them vanish entirely
-// (no-ops, no tracer or profiler reference) in TUs compiled with
-// -DCOSCHED_OBS_DISABLED.
+// profiler phase bound to the enclosing scope. COSCHED_TRACE_COUNTER
+// records one counter sample. Both vanish entirely (no-ops, no tracer or
+// profiler reference) in TUs compiled with -DCOSCHED_OBS_DISABLED.
 #ifdef COSCHED_OBS_DISABLED
 
 #define COSCHED_TRACE_SPAN(var, ...) \
   do {                               \
-  } while (0)
-#define COSCHED_TRACE_INSTANT(...) \
-  do {                             \
   } while (0)
 #define COSCHED_TRACE_COUNTER(name, value) \
   do {                                     \
@@ -316,11 +256,6 @@ class TraceSpan {
 #else
 
 #define COSCHED_TRACE_SPAN(var, ...) ::cosched::TraceSpan var(__VA_ARGS__)
-#define COSCHED_TRACE_INSTANT(...)                        \
-  do {                                                    \
-    if (::cosched::Tracer::global().enabled())            \
-      ::cosched::Tracer::global().instant(__VA_ARGS__);   \
-  } while (0)
 #define COSCHED_TRACE_COUNTER(name, value)                      \
   do {                                                          \
     if (::cosched::Tracer::global().enabled())                  \

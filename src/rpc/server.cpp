@@ -154,10 +154,6 @@ void CoschedServer::register_observability() {
   cb("cosched_tracer_dropped_events_total",
      "trace events overwritten by the per-thread rings", "counter",
      [] { return static_cast<double>(Tracer::global().dropped_events()); });
-  cb("cosched_tracer_sampled_out_traces_total",
-     "traces suppressed by head-based sampling", "counter", [] {
-       return static_cast<double>(Tracer::global().sampled_out_traces());
-     });
   cb("cosched_tracer_buffered_events",
      "trace events currently resident across thread rings", "gauge",
      [] { return static_cast<double>(Tracer::global().event_count()); });

@@ -220,13 +220,12 @@ void SessionCore::serve_connection(Socket socket) {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.malformed_frames;
     } else {
-      // Correlation: adopt the client's trace_id or mint one, latch the
-      // head-based sampling decision, and keep the context installed for
-      // the whole dispatch — the scheduler command queue re-installs it on
-      // the scheduler thread, so replan and solver spans inherit it.
+      // Correlation: adopt the client's trace_id or mint one, and keep the
+      // context installed for the whole dispatch — the scheduler command
+      // queue re-installs it on the scheduler thread, so replan and solver
+      // spans inherit it.
       trace_id = request.trace_id != 0 ? request.trace_id : next_trace_id();
-      TraceContext context = Tracer::global().make_context(trace_id);
-      TraceContextScope trace_scope(context);
+      TraceContextScope trace_scope(TraceContext{trace_id});
       COSCHED_TRACE_SPAN(request_span, span_name_, -1.0,
                          std::string("type=") + to_string(request.type) +
                              span_suffix_);

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <random>
 #include <string>
 #include <thread>
 
@@ -16,9 +15,12 @@
 #include "obs/alerts.hpp"
 #include "obs/metrics_registry.hpp"
 #include "online/journal.hpp"
+#include "test_helpers.hpp"
 
 namespace cosched {
 namespace {
+
+using testhelpers::for_each_mutation;
 
 // ---- rule files ------------------------------------------------------------
 
@@ -615,7 +617,7 @@ TEST(AlertState, EnumRoundTrips) {
 // checked to reach both answers.
 
 /// The rule file examples/remote_shard_smoke.sh arms the router with.
-const char kSmokeRules[] = R"({"rules": [{
+const std::string kSmokeRules = R"({"rules": [{
   "name": "smoke_latency_burn",
   "kind": "burn_rate",
   "severity": "critical",
@@ -631,7 +633,7 @@ const char kSmokeRules[] = R"({"rules": [{
 }]}
 )";
 
-const char kTwoRules[] = R"({"_note": "two rules",
+const std::string kTwoRules = R"({"_note": "two rules",
   "rules": [
     {"name": "fast", "histogram": "cosched_rpc_request_seconds",
      "budget_ms": 900, "fast_window_seconds": 15, "slow_window_seconds": 60,
@@ -642,7 +644,7 @@ const char kTwoRules[] = R"({"_note": "two rules",
   ]})";
 
 /// A copy of slo.json at the repository root.
-const char kSloJson[] = R"({
+const std::string kSloJson = R"({
   "_note": "Absolute SLO budgets for the committed loopback configuration (closed loop, 2 streams, 40 jobs each, virtual-time 8x4 fleet). Derived from BENCH_rpc_loopback.json with ~40% headroom for CI jitter; benchmark_app --slo slo.json exits 2 when any budget is violated.",
   "p50_ms": 100,
   "p95_ms": 900,
@@ -651,39 +653,6 @@ const char kSloJson[] = R"({
   "max_error_rate": 0
 }
 )";
-
-/// Runs `check` (true = the input was accepted) on every case and expects
-/// both accepted and refused cases.
-template <typename Check>
-void for_each_mutation(const std::string& text, std::uint64_t seed,
-                       Check check) {
-  std::size_t accepted = 0, cases = 0;
-  auto run = [&](const std::string& input) {
-    ++cases;
-    if (check(input)) ++accepted;
-  };
-  for (std::size_t cut = 0; cut <= text.size(); ++cut)
-    run(text.substr(0, cut));
-  static const char kSyntax[] = "{}[]\":,.-+e0123456789 \n\\{=}#";
-  std::mt19937_64 rng(seed);
-  for (int round = 0; round < 500; ++round) {
-    std::string mutated = text;
-    int edits = 1 + static_cast<int>(rng() % 4);
-    for (int e = 0; e < edits; ++e) {
-      std::size_t at = rng() % (mutated.size() + 1);
-      char byte = rng() % 2 == 0
-                      ? kSyntax[rng() % (sizeof kSyntax - 1)]
-                      : static_cast<char>(rng() % 256);
-      if (rng() % 2 == 0 && at < mutated.size())
-        mutated[at] = static_cast<char>(mutated[at] ^ (byte == 0 ? 1 : byte));
-      else
-        mutated.insert(at, 1, byte);
-    }
-    run(mutated);
-  }
-  EXPECT_GT(accepted, 0u);
-  EXPECT_LT(accepted, cases);
-}
 
 bool check_rule_text(const std::string& text) {
   AlertRuleSet rules;

@@ -1,6 +1,12 @@
-// Shared factories for search/IP/baseline tests, and the global-tracer
-// reset the observability tests share.
+// Shared factories for search/IP/baseline tests, the global-tracer reset
+// the observability tests share, and the seeded input mutator of the
+// hardened-input tests.
 #pragma once
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <random>
 
 #include "core/builders.hpp"
 #include "core/degradation_models.hpp"
@@ -51,10 +57,46 @@ inline void reset_global_tracer() {
   Tracer& tracer = Tracer::global();
   tracer.set_enabled(false);
   tracer.set_max_events_per_thread(65536);
-  tracer.set_sample_every(1);
-  tracer.set_always_keep({});
-  Tracer::clear_current_context();
+  Tracer::set_current_context(TraceContext{});
   tracer.reset();
+}
+
+/// Seeded mutation of a valid input: runs `check` (true = the input was
+/// accepted) on every prefix of `input`, then on 500 copies carrying 1-4
+/// random byte flips or insertions, and expects both accepted and refused
+/// cases. `Buffer` is std::string or std::vector<std::uint8_t>; the same
+/// seed yields the same cases for either.
+template <typename Buffer, typename Check>
+void for_each_mutation(const Buffer& input, std::uint64_t seed, Check check) {
+  using Byte = typename Buffer::value_type;
+  std::size_t accepted = 0, cases = 0;
+  auto run = [&](const Buffer& candidate) {
+    ++cases;
+    if (check(candidate)) ++accepted;
+  };
+  for (std::size_t cut = 0; cut <= input.size(); ++cut)
+    run(Buffer(input.begin(),
+               input.begin() + static_cast<std::ptrdiff_t>(cut)));
+  static const char kSyntax[] = "{}[]\":,.-+e0123456789 \n\\{=}#";
+  std::mt19937_64 rng(seed);
+  for (int round = 0; round < 500; ++round) {
+    Buffer mutated = input;
+    int edits = 1 + static_cast<int>(rng() % 4);
+    for (int e = 0; e < edits; ++e) {
+      std::size_t at = rng() % (mutated.size() + 1);
+      Byte byte = rng() % 2 == 0
+                      ? static_cast<Byte>(kSyntax[rng() % (sizeof kSyntax - 1)])
+                      : static_cast<Byte>(rng() % 256);
+      if (rng() % 2 == 0 && at < mutated.size())
+        mutated[at] = static_cast<Byte>(mutated[at] ^ (byte == 0 ? 1 : byte));
+      else
+        mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(at),
+                       byte);
+    }
+    run(mutated);
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, cases);
 }
 
 }  // namespace cosched::testhelpers

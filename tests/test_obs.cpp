@@ -31,8 +31,6 @@
 namespace cosched {
 namespace {
 
-using testhelpers::reset_global_tracer;
-
 // ------------------------------------------------------------ histogram
 
 TEST(ObsHistogram, InvalidSamplesAreDroppedAndCounted) {
@@ -177,13 +175,11 @@ TEST(ObsHistogram, MergeEdgeCases) {
 
 // --------------------------------------------------------------- tracer
 
-// Record one fixed sequence into `tracer`: a nested span pair with an
-// instant and a counter on the calling thread, then one span on a second
-// (joined) thread.
+// Record one fixed sequence into `tracer`: a nested span pair with a
+// counter on the calling thread, then one span on a second (joined) thread.
 void record_fixture(Tracer& tracer) {
   tracer.set_enabled(true);
   tracer.begin_span("outer", 1.5, "k=v");
-  tracer.instant("tick");
   tracer.begin_span("inner");
   tracer.counter("widgets", 3.0);
   tracer.end_span();
@@ -202,7 +198,6 @@ TEST(ObsTracer, DumpTextShowsNestingAndMergedThreadsDeterministically) {
   const std::string expected =
       "thread 0\n"
       "span outer @vt=1.500 [k=v]\n"
-      "  mark tick\n"
       "  span inner\n"
       "    count widgets = 3.000\n"
       "thread 1\n"
@@ -214,7 +209,7 @@ TEST(ObsTracer, DumpTextShowsNestingAndMergedThreadsDeterministically) {
   Tracer again;
   record_fixture(again);
   EXPECT_EQ(again.dump_text(), expected);
-  EXPECT_EQ(again.event_count(), 8u);  // 3 begins + 3 ends + instant + counter
+  EXPECT_EQ(again.event_count(), 7u);  // 3 begins + 3 ends + counter
 
   again.reset();
   EXPECT_EQ(again.event_count(), 0u);
@@ -232,7 +227,6 @@ TEST(ObsTracer, ChromeJsonIsStructuredAndTimeOrdered) {
   EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\":"), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(json.find("\"virtual_time\":1.500"), std::string::npos);
   EXPECT_NE(json.find("\"detail\":\"k=v\""), std::string::npos);
@@ -242,7 +236,7 @@ TEST(ObsTracer, ChromeJsonIsStructuredAndTimeOrdered) {
   for (std::size_t at = json.find("\"ts\":"); at != std::string::npos;
        at = json.find("\"ts\":", at + 1))
     stamps.push_back(std::strtod(json.c_str() + at + 5, nullptr));
-  ASSERT_GE(stamps.size(), 5u);
+  ASSERT_GE(stamps.size(), 4u);
   for (std::size_t i = 1; i < stamps.size(); ++i)
     EXPECT_GE(stamps[i], stamps[i - 1]);
 }
@@ -256,7 +250,7 @@ TEST(ObsTracer, SpansStartedWhileDisabledRecordNothing) {
     // Enabling mid-span must not produce a dangling End event: TraceSpan
     // latches the decision at construction.
     tracer.set_enabled(true);
-    COSCHED_TRACE_INSTANT("visible");
+    COSCHED_TRACE_COUNTER("visible", 1.0);
   }
   tracer.set_enabled(false);
   EXPECT_EQ(tracer.event_count(), 1u);
@@ -294,72 +288,9 @@ TEST(ObsTracer, EventCountPlateausAndDropsAreCounted) {
 
   // Capacity 0 clamps to 1 instead of dividing by zero somewhere dark.
   tracer.set_max_events_per_thread(0);
-  EXPECT_EQ(tracer.max_events_per_thread(), 1u);
-}
-
-// -------------------------------------------------- head-based sampling
-
-TEST(ObsTracer, DeterministicPerTraceDecisionsAtTheConfiguredRate) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  tracer.set_sample_every(4);
-  tracer.set_sample_seed(123);
-
-  int sampled = 0;
-  for (std::uint64_t id = 1; id <= 64; ++id) {
-    TraceContext first = tracer.make_context(id);
-    TraceContext second = tracer.make_context(id);
-    EXPECT_EQ(first.sampled, second.sampled);  // decision is pure in id
-    if (first.sampled) ++sampled;
-  }
-  // ~1-in-4 of 64 ids; the hash is uniform enough that the count cannot
-  // collapse to "all" or "none".
-  EXPECT_GE(sampled, 4);
-  EXPECT_LE(sampled, 40);
-  EXPECT_GT(tracer.sampled_out_traces(), 0u);
-
-  // trace_id 0 ("no trace") and rate 1 are always sampled.
-  EXPECT_TRUE(tracer.make_context(0).sampled);
-  tracer.set_sample_every(1);
-  for (std::uint64_t id = 1; id <= 8; ++id)
-    EXPECT_TRUE(tracer.make_context(id).sampled);
-}
-
-TEST(ObsTracer, SampledOutTracesRecordNothingExceptAlwaysKeep) {
-  reset_global_tracer();
-  Tracer& tracer = Tracer::global();
-  tracer.set_enabled(true);
-  tracer.set_sample_every(1000000);  // effectively: drop every trace
-  tracer.set_sample_seed(7);
-  tracer.set_always_keep({"replan."});
-
-  std::uint64_t dropped_id = 0;
-  for (std::uint64_t id = 1; id <= 64 && dropped_id == 0; ++id)
-    if (!tracer.make_context(id).sampled) dropped_id = id;
-  ASSERT_NE(dropped_id, 0u) << "no sampled-out id found in 64 tries";
-
-  {
-    TraceContextScope scope(tracer.make_context(dropped_id));
-    { TraceSpan invisible("online.other"); }
-    tracer.instant("other.tick");
-    tracer.counter("other.widgets", 1.0);
-    EXPECT_EQ(tracer.event_count(), 0u);  // the whole trace vanished
-
-    // Always-keep prefixes survive even inside a dropped trace.
-    { TraceSpan kept("replan.commit"); }
-    tracer.instant("replan.tick");
-    EXPECT_EQ(tracer.event_count(), 3u);  // begin + end + instant
-  }
-
-  // A sampled trace records everything again.
-  tracer.set_sample_every(1);
-  {
-    TraceContextScope scope(tracer.make_context(99));
-    { TraceSpan visible("online.other"); }
-    EXPECT_EQ(tracer.event_count(), 5u);
-  }
-
-  reset_global_tracer();
+  for (int i = 0; i < 3; ++i) tracer.counter("tick", i);
+  EXPECT_EQ(tracer.event_count(), 1u);
+  EXPECT_EQ(tracer.dropped_events(), 2u);
 }
 
 // ------------------------------------------------------------- registry
@@ -770,12 +701,10 @@ TEST(ObsTraceMerge, TextNamespacePrefixesEveryNameAndThread) {
   const std::string dump =
       "thread 0\n"
       "  span online.replan @vt=4 trace=9\n"
-      "    mark replan.commit\n"
       "  count rpc.queue_depth = 3\n";
   EXPECT_EQ(namespace_trace_text(dump, "shard0/"),
             "thread shard0/0\n"
             "  span shard0/online.replan @vt=4 trace=9\n"
-            "    mark shard0/replan.commit\n"
             "  count shard0/rpc.queue_depth = 3\n");
 }
 
@@ -821,7 +750,7 @@ TEST(ObsTraceMerge, RealExportsSurviveNamespacingAndMerge) {
   // export namespaced as a shard — exactly what the TraceDump fan-in does.
   Tracer tracer;
   tracer.set_enabled(true);
-  TraceContextScope scope(tracer.make_context(0x77));
+  TraceContextScope scope(TraceContext{0x77});
   tracer.begin_span("rpc.request");
   tracer.begin_span("online.replan", 2.0);
   tracer.end_span();
@@ -879,7 +808,7 @@ TEST(ObsLogger, RecordsCarryTheCurrentTraceContext) {
     logger.set_level(LogLevel::Debug);
     ASSERT_TRUE(logger.set_sink_path(path));
     {
-      TraceContextScope scope(Tracer::global().make_context(0xAB));
+      TraceContextScope scope(TraceContext{0xAB});
       logger.log(LogLevel::Info, "rpc", "correlated");
     }
     logger.log(LogLevel::Info, "rpc", "uncorrelated");
