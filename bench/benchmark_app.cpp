@@ -134,36 +134,12 @@ int main(int argc, char** argv) {
   // ---- SLO watchdog configuration ----------------------------------------
   // Embedded deployments run the servers' alert engine (--alerts 0 turns it
   // off); --alert-rules FILE replaces the default burn-rate guards, --slo
-  // FILE points them at that budget's p95, --tsdb-interval is the seconds
-  // between evaluations (at least 0.1), and --fail-on-alert 1 makes the run
-  // exit 4 when the watchdog fired.
-  bool alerts_on = args.get_int("alerts", 1) != 0;
+  // FILE points them at that budget's p95 (and gates the run against the
+  // whole budget afterwards), --tsdb-interval is the seconds between
+  // evaluations (at least 0.1), and --fail-on-alert 1 makes the run exit 4
+  // when the watchdog fired.
+  AlertFlags alert_flags = read_alert_flags(args, "benchmark_app");
   bool fail_on_alert = args.get_int("fail-on-alert", 0) != 0;
-  AlertEngineOptions alert_options;
-  alert_options.scrape_interval_seconds = args.get_real("tsdb-interval", 1.0);
-  double alert_budget_ms = 900.0;
-  {
-    std::string rules_path = args.get_string("alert-rules", "");
-    if (!rules_path.empty()) {
-      std::string rules_error;
-      if (!load_alert_rules(rules_path, alert_options.rules, rules_error)) {
-        std::cerr << "benchmark_app: --alert-rules: " << rules_error << "\n";
-        return 1;
-      }
-    }
-  }
-  // The --slo budget is both the watchdog's p95 and, after the run, the
-  // absolute SLO gate.
-  std::string slo_path = args.get_string("slo", "");
-  SloBudget slo_budget;
-  if (!slo_path.empty()) {
-    std::string slo_error;
-    if (!load_slo_budget(slo_path, slo_budget, slo_error)) {
-      std::cerr << "benchmark_app: --slo: " << slo_error << "\n";
-      return 1;
-    }
-    if (slo_budget.p95_ms > 0.0) alert_budget_ms = slo_budget.p95_ms;
-  }
 
   // ---- generator configuration ------------------------------------------
   std::string mode_name = args.get_string("mode", "open");
@@ -259,9 +235,9 @@ int main(int argc, char** argv) {
     options.worker_threads =
         std::max<std::size_t>(runner_options.concurrency, 2);
     options.request_deadline_seconds = 300.0;  // drain outlives 10 s easily
-    options.enable_alerts = alerts_on;
-    options.alerts = alert_options;
-    options.alert_budget_ms = alert_budget_ms;
+    options.enable_alerts = alert_flags.enabled;
+    options.alerts = alert_flags.engine;
+    options.alert_budget_ms = alert_flags.budget_ms;
     deployment.router_server =
         std::make_unique<RouterServer>(*deployment.router, options);
   } else {
@@ -270,9 +246,9 @@ int main(int argc, char** argv) {
     options.worker_threads =
         std::max<std::size_t>(runner_options.concurrency, 2);
     options.request_deadline_seconds = 300.0;  // drain outlives 10 s easily
-    options.enable_alerts = alerts_on;
-    options.alerts = alert_options;
-    options.alert_budget_ms = alert_budget_ms;
+    options.enable_alerts = alert_flags.enabled;
+    options.alerts = alert_flags.engine;
+    options.alert_budget_ms = alert_flags.budget_ms;
     options.service.wall_clock = false;
     options.service.scheduler.cores =
         static_cast<std::uint32_t>(args.get_int("cores", 4));
@@ -512,11 +488,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!slo_path.empty()) {
-    SloVerdict verdict = evaluate_slo(slo_budget, report);
-    std::cout << "SLO " << slo_path << ":\n" << verdict.describe();
+  if (!alert_flags.slo_path.empty()) {
+    SloVerdict verdict = evaluate_slo(alert_flags.slo, report);
+    std::cout << "SLO " << alert_flags.slo_path << ":\n"
+              << verdict.describe();
     if (!verdict.pass) {
-      std::cerr << "benchmark_app: SLO VIOLATED per " << slo_path << "\n";
+      std::cerr << "benchmark_app: SLO VIOLATED per " << alert_flags.slo_path
+                << "\n";
       if (exit_code == 0) exit_code = 2;
     }
   }

@@ -233,7 +233,7 @@ echo "remote_shard_smoke: watchdog fired under overload and resolved after"
 # routed request and completion.
 "$BIN_BENCH/benchmark_app" --mode open --rate 20 --requests 60 --warmup 10 \
   --depth 4 --tenants 8 --connect "$HOST:$ROUTER_PORT" --expect-shards 2 \
-  --bench-out "$OUT_DIR/BENCH_remote_smoke.json"
+  --out "$OUT_DIR" --bench-out "$OUT_DIR/BENCH_remote_smoke.json"
 BENCH_STATUS=$?
 
 "$BIN_EX/rpc_client" --port "$ROUTER_PORT" \

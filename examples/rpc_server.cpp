@@ -10,9 +10,9 @@
 // CSVs under --out (directory is created if missing).
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "harness/experiment.hpp"
-#include "loadgen/slo.hpp"
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
 #include "rpc/server.hpp"
@@ -49,28 +49,10 @@ int main(int argc, char** argv) {
   // latency histogram); --slo FILE points the default rules at that
   // budget's p95; --tsdb-interval is the seconds between evaluations
   // (at least 0.1). GET /alerts (text, ?format=json) serves the state.
-  options.enable_alerts = args.get_int("alerts", 1) != 0;
-  options.alerts.scrape_interval_seconds = args.get_real("tsdb-interval", 1.0);
-  {
-    std::string rules_path = args.get_string("alert-rules", "");
-    if (!rules_path.empty()) {
-      std::string rules_error;
-      if (!load_alert_rules(rules_path, options.alerts.rules, rules_error)) {
-        std::cerr << "rpc_server: --alert-rules: " << rules_error << "\n";
-        return 1;
-      }
-    }
-    std::string slo_path = args.get_string("slo", "");
-    if (!slo_path.empty()) {
-      SloBudget budget;
-      std::string slo_error;
-      if (!load_slo_budget(slo_path, budget, slo_error)) {
-        std::cerr << "rpc_server: --slo: " << slo_error << "\n";
-        return 1;
-      }
-      if (budget.p95_ms > 0.0) options.alert_budget_ms = budget.p95_ms;
-    }
-  }
+  AlertFlags alert_flags = read_alert_flags(args, "rpc_server");
+  options.enable_alerts = alert_flags.enabled;
+  options.alerts = std::move(alert_flags.engine);
+  options.alert_budget_ms = alert_flags.budget_ms;
 
   options.service.wall_clock = args.get_int("virtual", 0) == 0;
   options.service.wall_time_scale = args.get_real("wall-scale", 4.0);

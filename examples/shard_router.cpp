@@ -37,10 +37,10 @@
 // returns the merged, shard-namespaced fabric timeline.
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hpp"
-#include "loadgen/slo.hpp"
 #include "obs/log.hpp"
 #include "obs/profiler.hpp"
 #include "shard/router.hpp"
@@ -84,13 +84,20 @@ int main(int argc, char** argv) {
   std::vector<ClientOptions> remotes = parse_remotes(
       args.get_string("remote", ""), args.get_real("remote-timeout", 60.0));
   read_log_flags(args, LogLevel::Info);
+  // SLO watchdog over the fleet page: --alerts 0 disables the router's
+  // engine; --alert-rules FILE loads a rule set (default: burn-rate guards
+  // on the router's submit latency histogram); --slo FILE points the default
+  // rules at that budget's p95; --tsdb-interval is the seconds between
+  // evaluations (at least 0.1). GET /alerts fans in remote shards' engines
+  // shard-labelled. Read before any shard starts, so a bad file exits
+  // with nothing running.
+  AlertFlags alert_flags = read_alert_flags(args, "shard_router");
 
   RouterOptions router_options;
   router_options.vnodes_per_shard =
       static_cast<std::int32_t>(args.get_int("vnodes", 64));
   router_options.spill_queue_depth =
       static_cast<std::size_t>(args.get_int("spill-depth", 64));
-  router_options.spill_replan_p95_seconds = args.get_real("spill-p95", 0.0);
   router_options.shard_timeout_seconds = args.get_real("shard-timeout", 30.0);
   ShardRouter router(router_options);
 
@@ -129,34 +136,9 @@ int main(int argc, char** argv) {
   if (options.enable_http)
     options.http_port = static_cast<std::uint16_t>(metrics_port);
 
-  // SLO watchdog over the fleet page: --alerts 0 disables the router's
-  // engine; --alert-rules FILE loads a rule set (default: burn-rate guards
-  // on the router's submit latency histogram); --slo FILE points the default
-  // rules at that budget's p95; --tsdb-interval is the seconds between
-  // evaluations (at least 0.1). GET /alerts fans in remote shards' engines
-  // shard-labelled.
-  options.enable_alerts = args.get_int("alerts", 1) != 0;
-  options.alerts.scrape_interval_seconds = args.get_real("tsdb-interval", 1.0);
-  {
-    std::string rules_path = args.get_string("alert-rules", "");
-    if (!rules_path.empty()) {
-      std::string rules_error;
-      if (!load_alert_rules(rules_path, options.alerts.rules, rules_error)) {
-        std::cerr << "shard_router: --alert-rules: " << rules_error << "\n";
-        return 1;
-      }
-    }
-    std::string slo_path = args.get_string("slo", "");
-    if (!slo_path.empty()) {
-      SloBudget budget;
-      std::string slo_error;
-      if (!load_slo_budget(slo_path, budget, slo_error)) {
-        std::cerr << "shard_router: --slo: " << slo_error << "\n";
-        return 1;
-      }
-      if (budget.p95_ms > 0.0) options.alert_budget_ms = budget.p95_ms;
-    }
-  }
+  options.enable_alerts = alert_flags.enabled;
+  options.alerts = std::move(alert_flags.engine);
+  options.alert_budget_ms = alert_flags.budget_ms;
 
   // --profile-out FILE drops the router process's collapsed-stack profile
   // (what /debug/profile serves live) for flamegraph tooling.

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "loadgen/slo.hpp"
+#include "obs/alerts.hpp"
 #include "obs/log.hpp"
 #include "util/common.hpp"
 #include "util/table.hpp"
@@ -68,6 +70,23 @@ void read_log_flags(const ArgParser& args, LogLevel default_level);
 /// enables recording, --trace-ring N (at least 1, default 4096) bounds each
 /// thread's event ring.
 void read_trace_flags(const ArgParser& args);
+
+/// The SLO watchdog flags the servers and the load driver share.
+struct AlertFlags {
+  bool enabled = true;          ///< --alerts 0 disables the engine
+  AlertEngineOptions engine;    ///< --tsdb-interval, --alert-rules FILE
+  double budget_ms = 900.0;     ///< default rules' budget: the --slo p95
+  std::string slo_path;         ///< --slo FILE ("" when not given)
+  SloBudget slo;                ///< its budget, loaded
+};
+
+/// Reads --alerts (default 1), --tsdb-interval (seconds between
+/// evaluations, default 1), --alert-rules FILE (a declarative rule set
+/// replacing the default burn-rate guards) and --slo FILE (its p95, when
+/// set, becomes the default rules' budget). A file that does not load
+/// prints "<program>: --alert-rules: <why>" (or --slo) and exits with
+/// status 1.
+AlertFlags read_alert_flags(const ArgParser& args, const std::string& program);
 
 /// Splits "host:port". False unless a colon is present and the port is a
 /// whole number in [1, 65535].

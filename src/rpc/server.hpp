@@ -1,29 +1,30 @@
 // CoschedServer — TCP front door of the online co-scheduling service.
 //
-// The accept loop, worker pool and framed session loop are the shared
-// SessionCore (rpc/session_core.hpp); this class is its dispatcher onto one
-// LiveSchedulerService (1 scheduler thread, FIFO commands):
+// The accept loop, worker pool, framed session loop and the request
+// dispatcher are the shared SessionCore (rpc/session_core.hpp); this class
+// supplies its verbs from one in-process LocalShard — the same
+// LiveSchedulerService -> RpcStatus mapping a router's local shards use
+// (1 scheduler thread, FIFO commands):
 //
-//   session workers ──> handle_request ──> LiveSchedulerService
+//   session workers ──> SessionCore::dispatch ──> LocalShard ──> service
 //
-// Every request gets a fresh server-side deadline
-// (`request_deadline_seconds`), checked before dispatch and used as the
-// timeout of the scheduler-thread command — an expired budget turns into an
+// Every scheduler command is bounded by the request deadline
+// (`request_deadline_seconds`; a drain gets ten times that, since it runs
+// the queued work to completion): an expired budget turns into an
 // RpcStatus::DeadlineExpired response, never a stuck worker. On top of the
-// core it feeds every finished request to the latency histogram.
-//
-// Drain is forwarded to the service — admissions stop, queued jobs finish,
-// the fleet empties.
+// core it feeds every finished request to the latency histogram, reports
+// that histogram and the admission queue wait in GetMetrics, and serves
+// /metrics and /healthz from the process registry and its watchdog.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "obs/metrics_registry.hpp"
 #include "online/live_service.hpp"
 #include "rpc/session_core.hpp"
+#include "shard/backend.hpp"
 
 namespace cosched {
 
@@ -40,23 +41,43 @@ class CoschedServer : public SessionCore {
   explicit CoschedServer(ServerOptions options);
   ~CoschedServer() override;
 
-  LiveSchedulerService& service() { return *service_; }
+  LiveSchedulerService& service() { return shard_.service(); }
 
  private:
   bool prepare(std::string& error) override;
   void stopped() override;
-  /// Decodes, dispatches and encodes one request.
-  ResponseEnvelope dispatch(const RequestEnvelope& request,
-                            std::uint64_t trace_id) override;
   /// Latency histogram observation (with its exemplar).
   void request_done(std::uint64_t trace_id, const WallTimer& timer) override;
+
+  RpcStatus submit(const TraceJob& job, SubmitJobResponse& out,
+                   std::string& error, std::uint64_t trace_id) override {
+    (void)trace_id;  // installed as the thread's trace context by the core
+    return shard_.submit(job, out, error);
+  }
+  RpcStatus job_status(std::int64_t job_id, JobStatusResponse& out,
+                       std::string& error) override {
+    return shard_.job_status(job_id, out, error);
+  }
+  RpcStatus job_timeline(std::int64_t job_id, JobTimelineResponse& out,
+                         std::string& error) override {
+    return shard_.job_timeline(job_id, out, error);
+  }
+  RpcStatus snapshot(ServiceSnapshot& out, std::string& error) override {
+    return shard_.snapshot(out, error);
+  }
+  /// The shard's counters plus this process's A* counters, request
+  /// latency and admission queue wait.
+  RpcStatus metrics(MetricsResponse& out, std::string& error) override;
+  RpcStatus drain(DrainResponse& out, std::string& error) override {
+    return shard_.drain(out, error);
+  }
+
   /// Registers the callback metrics bridging server/cache state into the
   /// process registry; unregister_observability() drops them (stop()).
   void register_observability();
   void unregister_observability();
 
-  const std::int32_t shard_id_;
-  std::unique_ptr<LiveSchedulerService> service_;
+  LocalShard shard_;
   /// Cached at start(): workers observe without touching the registry map
   /// (whose mutex the /metrics render holds while sampling callbacks).
   HistogramMetric* request_latency_ = nullptr;

@@ -1,12 +1,39 @@
 #include "rpc/session_core.hpp"
 
+#include <charconv>
 #include <utility>
 
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
+#include "shard/backend.hpp"
 #include "util/rng.hpp"
 
 namespace cosched {
+namespace {
+
+/// A whole decimal int64: "5x", "" and out-of-range text are refused.
+bool parse_job_id(const std::string& text, std::int64_t& id) {
+  const char* end = text.data() + text.size();
+  auto [stop, ec] = std::from_chars(text.data(), end, id);
+  return ec == std::errc() && stop == end;
+}
+
+AlertView alert_view(const AlertEntry& entry) {
+  AlertView view;
+  view.shard_id = entry.shard_id;
+  view.rule = entry.rule;
+  alert_state_from(entry.state, view.state);
+  view.severity = entry.severity <= 2
+                      ? static_cast<AlertSeverity>(entry.severity)
+                      : AlertSeverity::Warn;
+  view.value = entry.value;
+  view.threshold = entry.threshold;
+  view.since_seconds = entry.since_seconds;
+  view.detail = entry.detail;
+  return view;
+}
+
+}  // namespace
 
 ResponseEnvelope rpc_failure(RpcStatus status, std::string error) {
   ResponseEnvelope response;
@@ -16,10 +43,16 @@ ResponseEnvelope rpc_failure(RpcStatus status, std::string error) {
 }
 
 SessionCore::SessionCore(const SessionOptions& options, const char* span_name,
-                         std::uint64_t trace_seed)
-    : options_(options), span_name_(span_name), trace_seed_(trace_seed) {
+                         std::uint64_t trace_seed, std::int32_t shard_id)
+    : options_(options),
+      span_name_(span_name),
+      trace_seed_(trace_seed),
+      shard_id_(shard_id) {
   COSCHED_EXPECTS(options_.worker_threads >= 1);
   COSCHED_EXPECTS(options_.max_connections >= 1);
+  // Shard-addressable servers tag the request span with their shard id, so
+  // a merged fleet dump attributes every span to its shard.
+  if (shard_id_ >= 0) span_suffix_ = " shard=" + std::to_string(shard_id_);
 }
 
 bool SessionCore::start(std::string& error) {
@@ -90,7 +123,7 @@ ServerStats SessionCore::stats() const {
   return stats_;
 }
 
-HttpEndpoint* SessionCore::open_http() {
+HttpEndpoint* SessionCore::open_http(const DecisionJournal& journal) {
   if (!options_.enable_http) return nullptr;
   HttpOptions http_options;
   http_options.host = options_.host;
@@ -101,6 +134,54 @@ HttpEndpoint* SessionCore::open_http() {
     // Collapsed-stack ("folded") format: one "path self_us" line per
     // phase, ready for flamegraph.pl / speedscope.
     body = Profiler::global().render_collapsed();
+    return true;
+  });
+  // Text by default, ?format=json for machines.
+  http_->handle("/alerts", [this](const std::string& target,
+                                  std::string& body,
+                                  std::string& content_type) {
+    AlertsResponse alerts = collect_alerts();
+    std::vector<AlertView> views;
+    views.reserve(alerts.alerts.size());
+    for (const AlertEntry& entry : alerts.alerts)
+      views.push_back(alert_view(entry));
+    if (http_query_param(target, "format") == "json") {
+      body = render_alerts_json(views, alerts.engine_enabled);
+      content_type = "application/json";
+    } else {
+      body = render_alerts_text(views, alerts.engine_enabled);
+    }
+    return true;
+  });
+  http_->handle("/debug/events", [this, &journal](const std::string& target,
+                                                  std::string& body,
+                                                  std::string&) {
+    // ?job=<id> is that job's timeline from the job_timeline verb (a
+    // router resolves the global id on its owning shard); absent or empty,
+    // the newest 256 events of the door's own journal (the firehose).
+    const std::string job_param = http_query_param(target, "job");
+    if (job_param.empty()) {
+      for (const JournalEvent& event : journal.tail(256))
+        body += render_journal_event(event) + "\n";
+      return true;
+    }
+    std::int64_t id = 0;
+    if (!parse_job_id(job_param, id)) {
+      body = "bad job id: " + job_param + "\n";
+      return true;
+    }
+    JobTimelineResponse reply;
+    std::string error;
+    RpcStatus status = job_timeline(id, reply, error);
+    if (status != RpcStatus::Ok) {
+      body = std::string(to_string(status)) + ": " + error + "\n";
+      return true;
+    }
+    body = "job=" + std::to_string(id) +
+           " events=" + std::to_string(reply.events.size()) +
+           " truncated=" + (reply.truncated ? "1" : "0") + "\n";
+    for (const JournalEvent& event : reply.events)
+      body += render_journal_event(event) + "\n";
     return true;
   });
   return http_.get();
@@ -115,6 +196,142 @@ void SessionCore::start_alerts(AlertEngineOptions alert_options,
   alerts_ = std::make_unique<AlertEngine>(std::move(alert_options));
   alerts_->set_journal(&journal);
   if (!alerts_->start()) alerts_.reset();
+}
+
+AlertsResponse SessionCore::collect_alerts() {
+  AlertsResponse fleet = local_alerts(alerts_.get(), shard_id_);
+  for (ShardBackend* shard : remote_shards()) {
+    AlertsResponse remote;
+    std::string shard_error;
+    if (shard->alerts(remote, shard_error) != RpcStatus::Ok) continue;
+    for (AlertEntry& entry : remote.alerts) {
+      entry.shard_id = shard->shard_id();
+      if (entry.state == static_cast<std::uint8_t>(AlertState::Firing))
+        ++fleet.firing;
+      fleet.alerts.push_back(std::move(entry));
+    }
+  }
+  return fleet;
+}
+
+TraceDumpResponse SessionCore::collect_trace_dump() {
+  // Local shards share this process's tracer, so the local dump covers
+  // them. Flow events keep their name/id so the shared trace ids draw the
+  // router -> shard arrows. A remote shard that cannot answer is skipped:
+  // a partial trace beats no trace.
+  const Tracer& tracer = Tracer::global();
+  TraceDumpResponse reply;
+  reply.enabled = tracer.enabled();
+  reply.event_count = tracer.event_count();
+  reply.text = tracer.dump_text();
+  std::vector<std::string> chrome_parts;
+  chrome_parts.push_back(tracer.export_chrome_json());
+  for (ShardBackend* shard : remote_shards()) {
+    TraceDumpResponse remote;
+    std::string shard_error;
+    if (shard->trace_dump(remote, shard_error) != RpcStatus::Ok) continue;
+    const std::string prefix = "shard" + std::to_string(shard->shard_id()) + "/";
+    reply.event_count += remote.event_count;
+    reply.text += namespace_trace_text(remote.text, prefix);
+    chrome_parts.push_back(
+        namespace_chrome_trace(remote.chrome_json, shard->shard_id() + 2, prefix));
+  }
+  reply.chrome_json = chrome_parts.size() == 1
+                          ? std::move(chrome_parts.front())
+                          : merge_chrome_traces(chrome_parts);
+  return reply;
+}
+
+ResponseEnvelope SessionCore::dispatch(const RequestEnvelope& request,
+                                       std::uint64_t trace_id) {
+  // The per-request budget also bounds every scheduler command the verbs
+  // issue; one already spent is reported, not worked through.
+  if (Deadline::after(options_.request_deadline_seconds).expired())
+    return rpc_failure(RpcStatus::DeadlineExpired,
+                       "request budget exhausted before dispatch");
+  WireReader reader(request.body);
+  TraceJob job;
+  std::int64_t job_id = 0;
+  bool decoded = true;
+  switch (request.type) {
+    case MessageType::SubmitJob:
+      decoded = decode_trace_job(reader, job);
+      break;
+    case MessageType::QueryJobStatus:
+    case MessageType::QueryJobTimeline:
+      job_id = reader.i64();
+      break;
+    default:
+      break;  // every other request has an empty body
+  }
+  if (!decoded || !reader.complete())
+    return rpc_failure(RpcStatus::BadRequest,
+                       std::string("malformed ") + to_string(request.type) +
+                           " body");
+
+  WireWriter body;
+  std::string error;
+  RpcStatus status = RpcStatus::Ok;
+  switch (request.type) {
+    case MessageType::SubmitJob: {
+      SubmitJobResponse reply;
+      status = submit(job, reply, error, trace_id);
+      if (status == RpcStatus::Ok) encode_submit_response(body, reply);
+      break;
+    }
+    case MessageType::QueryJobStatus: {
+      JobStatusResponse reply;
+      status = job_status(job_id, reply, error);
+      if (status == RpcStatus::Ok) encode_status_response(body, reply);
+      break;
+    }
+    case MessageType::QueryJobTimeline: {
+      JobTimelineResponse reply;
+      status = job_timeline(job_id, reply, error);
+      if (status == RpcStatus::Ok) encode_timeline_response(body, reply);
+      break;
+    }
+    case MessageType::QueryScheduleSnapshot: {
+      ServiceSnapshot reply;
+      status = snapshot(reply, error);
+      if (status == RpcStatus::Ok) encode_service_snapshot(body, reply);
+      break;
+    }
+    case MessageType::GetMetrics: {
+      MetricsResponse reply;
+      status = metrics(reply, error);
+      if (status != RpcStatus::Ok) break;
+      ServerStats session = stats();
+      reply.rpc_requests_ok = session.requests_ok;
+      reply.rpc_requests_failed = session.requests_failed;
+      reply.tracer_dropped_events = Tracer::global().dropped_events();
+      encode_metrics_response(body, reply);
+      break;
+    }
+    case MessageType::Drain: {
+      DrainResponse reply;
+      status = drain(reply, error);
+      if (status == RpcStatus::Ok) encode_drain_response(body, reply);
+      break;
+    }
+    case MessageType::Shutdown: {
+      // virtual_now; 0 when the door cannot answer its metrics in time.
+      MetricsResponse reply;
+      body.real(metrics(reply, error) == RpcStatus::Ok ? reply.virtual_now
+                                                       : 0.0);
+      break;
+    }
+    case MessageType::TraceDump:
+      encode_trace_dump_response(body, collect_trace_dump());
+      break;
+    case MessageType::GetAlerts:
+      encode_alerts_response(body, collect_alerts());
+      break;
+  }
+  if (status != RpcStatus::Ok) return rpc_failure(status, std::move(error));
+  ResponseEnvelope response;
+  response.body = body.take();
+  return response;
 }
 
 void SessionCore::close_side_doors() {

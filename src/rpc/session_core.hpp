@@ -1,10 +1,14 @@
-// SessionCore — the TCP plumbing shared by both RPC front doors
-// (CoschedServer and RouterServer).
+// SessionCore — the TCP plumbing and the one request dispatcher shared by
+// both RPC front doors (CoschedServer and RouterServer).
 //
 //   accept thread ──> connection queue ──> N session workers
 //                                             │  (frame <-> envelope)
 //                                             v
-//                                     dispatch() of the front door
+//                                     dispatch(): decode body, check the
+//                                     budget, call a verb, encode the reply
+//                                             │
+//                                             v
+//                                     the front door's verbs
 //
 // The accept loop enforces the connection cap: when `max_connections`
 // sessions are queued or active, new connections are closed immediately
@@ -15,6 +19,18 @@
 // (or mint one), open the request span and profiler phase, dispatch, write
 // the reply. A frame that is not a valid envelope is answered BadRequest;
 // broken framing drops the connection (both counted as malformed).
+//
+// dispatch() is the only place a request body is decoded and a reply body
+// encoded. A request whose server-side budget (`request_deadline_seconds`)
+// is already spent is answered DeadlineExpired; a body with missing or
+// trailing bytes is answered BadRequest. The job-facing messages go to the
+// front door's verbs (submit, job_status, job_timeline, snapshot, metrics,
+// drain), whose RpcStatus and error text travel back unchanged. The
+// process-level messages are answered here: TraceDump and GetAlerts from
+// this process's tracer and watchdog plus every remote shard's
+// (remote_shards()), and GetMetrics gets the session counters and tracer
+// drops on top of the door's metrics verb. The HTTP side door's /alerts
+// and /debug/events are registered here too, from the same verbs.
 //
 // Shutdown paths: an Ok reply to an RPC Shutdown request trips the latch
 // wait() blocks on, as does stop().
@@ -38,6 +54,8 @@
 #include "util/timer.hpp"
 
 namespace cosched {
+
+class ShardBackend;
 
 /// Knobs shared by both front doors.
 struct SessionOptions {
@@ -109,20 +127,19 @@ class SessionCore {
 
  protected:
   /// `span_name` names the request span and profiler phase (a literal);
-  /// `trace_seed` keeps minted trace ids distinct between front doors.
+  /// `trace_seed` keeps minted trace ids distinct between front doors;
+  /// `shard_id` (-1 = none) stamps the door's own alert entries and, when
+  /// set, tags every request span " shard=<id>".
   SessionCore(const SessionOptions& options, const char* span_name,
-              std::uint64_t trace_seed);
+              std::uint64_t trace_seed, std::int32_t shard_id);
 
-  /// Front-door setup between bind and launch (watchdog, side door,
-  /// metric callbacks). False (with `error` filled) aborts start(), which
-  /// then closes the side door and the watchdog.
+  /// Front-door setup between bind and launch: the watchdog
+  /// (start_alerts) and the door's own /metrics and /healthz routes on
+  /// open_http(). False (with `error` filled) aborts start(), which then
+  /// closes the side door and the watchdog.
   virtual bool prepare(std::string& error) = 0;
   /// Teardown after stop() has joined every session thread.
   virtual void stopped() {}
-  /// Answers one current-version request. The core stamps type,
-  /// request_id and trace_id on the returned envelope.
-  virtual ResponseEnvelope dispatch(const RequestEnvelope& request,
-                                    std::uint64_t trace_id) = 0;
   /// Runs once each reply is encoded, before it is written (`timer`
   /// started on receipt), so the client never holds an unobserved reply.
   virtual void request_done(std::uint64_t trace_id, const WallTimer& timer) {
@@ -130,29 +147,58 @@ class SessionCore {
     (void)timer;
   }
 
-  /// Creates the HTTP side door (when enabled) with /debug/profile routed;
-  /// prepare() adds its routes, then starts it.
-  HttpEndpoint* open_http();
+  // ---- the verbs a front door serves -------------------------------------
+  // Each answers Ok with `out` filled, or a status with `error` filled.
+  // `trace_id` is the request's effective id (also the thread's context).
+  virtual RpcStatus submit(const TraceJob& job, SubmitJobResponse& out,
+                           std::string& error, std::uint64_t trace_id) = 0;
+  virtual RpcStatus job_status(std::int64_t job_id, JobStatusResponse& out,
+                               std::string& error) = 0;
+  virtual RpcStatus job_timeline(std::int64_t job_id,
+                                 JobTimelineResponse& out,
+                                 std::string& error) = 0;
+  virtual RpcStatus snapshot(ServiceSnapshot& out, std::string& error) = 0;
+  /// The door's half of GetMetrics; dispatch() adds the session half
+  /// (rpc_requests_ok/failed, tracer_dropped_events).
+  virtual RpcStatus metrics(MetricsResponse& out, std::string& error) = 0;
+  virtual RpcStatus drain(DrainResponse& out, std::string& error) = 0;
+  /// The shards behind this door that run in another process, whose trace
+  /// dumps and alert states TraceDump, GetAlerts and /alerts fan in. A
+  /// single server fronts none.
+  virtual std::vector<ShardBackend*> remote_shards() { return {}; }
+
+  /// Creates the HTTP side door (when enabled) with /debug/profile, /alerts
+  /// and /debug/events routed (the bare /debug/events tail reads
+  /// `journal`); prepare() adds its routes, then starts it.
+  HttpEndpoint* open_http(const DecisionJournal& journal);
   /// Starts the watchdog (when enabled) over `alert_options`, defaulting
   /// its rules to default_alert_rules(alert_budget_ms) on
   /// cosched_rpc_request_seconds.
   void start_alerts(AlertEngineOptions alert_options, DecisionJournal& journal);
+  /// The door's own alert states (stamped shard_id) plus every remote
+  /// shard's, stamped with its shard id. A remote shard that cannot answer
+  /// is skipped: a partial fan-in beats none, and the failure shows in
+  /// cosched_shard_rpc_errors_total.
+  AlertsResponse collect_alerts();
 
-  bool stopping() const;
   std::size_t active_sessions() const;
   std::size_t queued_connections() const;
-  /// Deterministic nonzero trace id for requests that did not bring one.
-  std::uint64_t next_trace_id();
 
   const SessionOptions options_;
-  /// Appended to the request span's "type=<message>" arguments.
-  std::string span_suffix_;
   std::unique_ptr<HttpEndpoint> http_;
   std::unique_ptr<AlertEngine> alerts_;
-  mutable std::mutex stats_mutex_;
-  ServerStats stats_;
 
  private:
+  bool stopping() const;
+  /// Deterministic nonzero trace id for requests that did not bring one.
+  std::uint64_t next_trace_id();
+  /// Decodes, budget-checks and answers one current-version request. The
+  /// caller stamps type, request_id and trace_id on the returned envelope.
+  ResponseEnvelope dispatch(const RequestEnvelope& request,
+                            std::uint64_t trace_id);
+  /// This process's trace dump merged with every remote shard's,
+  /// namespaced "shard<k>/" on its own Perfetto pid.
+  TraceDumpResponse collect_trace_dump();
   void accept_main();
   void worker_main();
   void serve_connection(Socket socket);
@@ -160,6 +206,9 @@ class SessionCore {
 
   const char* span_name_;
   std::uint64_t trace_seed_;
+  const std::int32_t shard_id_;
+  /// Appended to the request span's "type=<message>" arguments.
+  std::string span_suffix_;
   Socket listener_;
   std::uint16_t port_ = 0;
 
@@ -172,6 +221,8 @@ class SessionCore {
   bool started_ = false;
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<std::uint64_t> trace_id_counter_{0};
+  mutable std::mutex stats_mutex_;
+  ServerStats stats_;
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;

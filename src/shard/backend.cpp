@@ -6,6 +6,16 @@ namespace cosched {
 
 // ---- LocalShard -----------------------------------------------------------
 
+namespace {
+
+constexpr const char* kNoAnswer = "scheduler did not answer within the budget";
+
+std::string no_job(std::int64_t job_id) {
+  return "no job with id " + std::to_string(job_id);
+}
+
+}  // namespace
+
 LocalShard::LocalShard(std::int32_t shard_id, LiveServiceOptions options,
                        double command_timeout_seconds)
     : shard_id_(shard_id),
@@ -16,22 +26,24 @@ RpcStatus LocalShard::submit(const TraceJob& job, SubmitJobResponse& out,
                              std::string& error) {
   SubmitOutcome outcome;
   if (!service_.submit(job, outcome, timeout_)) {
-    error = "shard command queue timeout";
+    error = kNoAnswer;
     return RpcStatus::DeadlineExpired;
   }
   switch (outcome.error) {
     case SubmitError::Draining:
-      error = "shard is draining";
+      error = "service is draining; admissions stopped";
       return RpcStatus::Draining;
     case SubmitError::Invalid:
-      error = "job rejected by shard";
+      error = "job rejected (processes in [1, " +
+              std::to_string(service_.total_cores()) + "], " +
+              kTraceJobDomain + ")";
       return RpcStatus::InvalidJob;
     case SubmitError::None:
       break;
   }
   out.job_id = outcome.job_id;
   out.virtual_now = outcome.virtual_now;
-  out.status = outcome.status;
+  out.status = std::move(outcome.status);
   out.shard_id = shard_id_;
   return RpcStatus::Ok;
 }
@@ -40,13 +52,17 @@ RpcStatus LocalShard::job_status(std::int64_t job_id, JobStatusResponse& out,
                                  std::string& error) {
   StatusOutcome outcome;
   if (!service_.job_status(job_id, outcome, timeout_)) {
-    error = "shard command queue timeout";
+    error = kNoAnswer;
     return RpcStatus::DeadlineExpired;
   }
-  out.found = outcome.found;
+  if (!outcome.found) {
+    error = no_job(job_id);
+    return RpcStatus::UnknownJob;
+  }
+  out.found = true;
   out.virtual_now = outcome.virtual_now;
-  out.status = outcome.status;
-  return outcome.found ? RpcStatus::Ok : RpcStatus::UnknownJob;
+  out.status = std::move(outcome.status);
+  return RpcStatus::Ok;
 }
 
 RpcStatus LocalShard::job_timeline(std::int64_t job_id,
@@ -54,24 +70,24 @@ RpcStatus LocalShard::job_timeline(std::int64_t job_id,
                                    std::string& error) {
   TimelineOutcome outcome;
   if (!service_.job_timeline(job_id, outcome, timeout_)) {
-    error = "shard command queue timeout";
+    error = kNoAnswer;
     return RpcStatus::DeadlineExpired;
   }
+  if (!outcome.found) {
+    error = no_job(job_id);
+    return RpcStatus::UnknownJob;
+  }
   out.job_id = job_id;
-  out.found = outcome.found;
+  out.found = true;
   out.truncated = outcome.timeline.truncated;
   out.virtual_now = outcome.virtual_now;
   out.events = std::move(outcome.timeline.events);
-  if (!outcome.found) {
-    error = "no job with id " + std::to_string(job_id);
-    return RpcStatus::UnknownJob;
-  }
   return RpcStatus::Ok;
 }
 
 RpcStatus LocalShard::snapshot(ServiceSnapshot& out, std::string& error) {
   if (!service_.snapshot(out, timeout_)) {
-    error = "shard command queue timeout";
+    error = kNoAnswer;
     return RpcStatus::DeadlineExpired;
   }
   return RpcStatus::Ok;
@@ -80,12 +96,11 @@ RpcStatus LocalShard::snapshot(ServiceSnapshot& out, std::string& error) {
 RpcStatus LocalShard::metrics(MetricsResponse& out, std::string& error) {
   MetricsOutcome outcome;
   if (!service_.metrics(outcome, timeout_)) {
-    error = "shard command queue timeout";
+    error = kNoAnswer;
     return RpcStatus::DeadlineExpired;
   }
-  // Scheduler counters + the load fields. The observability fields (A*
-  // counters, RPC latency) describe a CoschedServer process, which an
-  // in-process shard does not run — they stay zero.
+  // Scheduler counters + the load fields. The process-level fields (A*
+  // counters, RPC latency, session counters) are the front door's to add.
   out = MetricsResponse{};
   out.virtual_now = outcome.virtual_now;
   out.arrivals = outcome.arrivals;
@@ -95,7 +110,7 @@ RpcStatus LocalShard::metrics(MetricsResponse& out, std::string& error) {
   out.migrations = outcome.migrations;
   out.running_mean_degradation = outcome.running_mean_degradation;
   out.cache = outcome.cache;
-  out.deterministic_csv = outcome.deterministic_csv;
+  out.deterministic_csv = std::move(outcome.deterministic_csv);
   out.shard_id = shard_id_;
   LoadProbe probe = service_.load();
   out.command_queue_depth = probe.queue_depth;
@@ -108,7 +123,7 @@ RpcStatus LocalShard::drain(DrainResponse& out, std::string& error) {
   // Drain runs every queued job to completion — give it an order of
   // magnitude more budget than a unary command.
   if (!service_.drain(outcome, timeout_ * 10.0)) {
-    error = "shard drain timeout";
+    error = "drain did not finish within the budget";
     return RpcStatus::DeadlineExpired;
   }
   out.completions = outcome.completions;
@@ -124,8 +139,13 @@ RemoteShard::RemoteShard(std::int32_t shard_id, ClientOptions options,
       total_cores_(total_cores),
       client_(std::move(options)) {}
 
-RpcStatus RemoteShard::fold(const RpcError& rpc, RpcStatus app_status,
-                            std::string& error) {
+template <typename Call>
+RpcStatus RemoteShard::call(std::string& error, Call&& client_call) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Forward the calling thread's trace id; 0 (no context on this thread —
+  // e.g. a background load refresh) lets the client derive its own.
+  client_.set_trace_id(Tracer::current_context().trace_id);
+  RpcError rpc = client_call();
   if (rpc.ok()) return RpcStatus::Ok;
   switch (rpc.kind) {
     case RpcErrorKind::Transport:
@@ -143,72 +163,52 @@ RpcStatus RemoteShard::fold(const RpcError& rpc, RpcStatus app_status,
   error = rpc.describe();
   // Application verdicts pass through; transport/protocol failures become
   // ServerError — the shard is unreachable, not wrong.
-  return rpc.kind == RpcErrorKind::Application ? app_status
+  return rpc.kind == RpcErrorKind::Application ? rpc.app
                                                : RpcStatus::ServerError;
-}
-
-void RemoteShard::forward_trace_locked() {
-  // 0 (no context on this thread — e.g. a background load refresh) lets
-  // the client derive its own per-request id, as before.
-  client_.set_trace_id(Tracer::current_context().trace_id);
 }
 
 RpcStatus RemoteShard::submit(const TraceJob& job, SubmitJobResponse& out,
                               std::string& error) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  forward_trace_locked();
-  RpcError rpc = client_.submit_job(job, out);
-  RpcStatus status = fold(rpc, rpc.app, error);
+  RpcStatus status =
+      call(error, [&] { return client_.submit_job(job, out); });
   if (status == RpcStatus::Ok && out.shard_id < 0) out.shard_id = shard_id_;
   return status;
 }
 
 RpcStatus RemoteShard::job_status(std::int64_t job_id, JobStatusResponse& out,
                                   std::string& error) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  forward_trace_locked();
-  RpcError rpc = client_.query_job_status(job_id, out);
-  return fold(rpc, rpc.app, error);
+  return call(error, [&] { return client_.query_job_status(job_id, out); });
 }
 
 RpcStatus RemoteShard::job_timeline(std::int64_t job_id,
                                     JobTimelineResponse& out,
                                     std::string& error) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  forward_trace_locked();
-  RpcError rpc = client_.query_job_timeline(job_id, out);
-  return fold(rpc, rpc.app, error);
+  return call(error,
+              [&] { return client_.query_job_timeline(job_id, out); });
 }
 
 RpcStatus RemoteShard::snapshot(ServiceSnapshot& out, std::string& error) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  forward_trace_locked();
-  RpcError rpc = client_.query_snapshot(out);
-  return fold(rpc, rpc.app, error);
+  return call(error, [&] { return client_.query_snapshot(out); });
 }
 
 RpcStatus RemoteShard::metrics(MetricsResponse& out, std::string& error) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  forward_trace_locked();
-  RpcError rpc = client_.get_metrics(out);
-  RpcStatus status = fold(rpc, rpc.app, error);
-  if (status == RpcStatus::Ok) {
-    if (out.shard_id < 0) out.shard_id = shard_id_;
-    cached_load_.queue_depth =
-        static_cast<std::size_t>(out.command_queue_depth);
-    cached_load_.arrivals = out.arrivals;
-    cached_load_.completions = out.completions;
-    cached_load_.virtual_now = out.virtual_now;
-    cached_load_.replan_p95_seconds = out.replan_p95_seconds;
-  }
-  return status;
+  return call(error, [&] {
+    RpcError rpc = client_.get_metrics(out);
+    if (rpc.ok()) {
+      if (out.shard_id < 0) out.shard_id = shard_id_;
+      cached_load_.queue_depth =
+          static_cast<std::size_t>(out.command_queue_depth);
+      cached_load_.arrivals = out.arrivals;
+      cached_load_.completions = out.completions;
+      cached_load_.virtual_now = out.virtual_now;
+      cached_load_.replan_p95_seconds = out.replan_p95_seconds;
+    }
+    return rpc;
+  });
 }
 
 RpcStatus RemoteShard::drain(DrainResponse& out, std::string& error) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  forward_trace_locked();
-  RpcError rpc = client_.drain(out);
-  return fold(rpc, rpc.app, error);
+  return call(error, [&] { return client_.drain(out); });
 }
 
 LoadProbe RemoteShard::load() {
@@ -228,17 +228,11 @@ bool RemoteShard::probe(std::string& error) {
 }
 
 RpcStatus RemoteShard::trace_dump(TraceDumpResponse& out, std::string& error) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  forward_trace_locked();
-  RpcError rpc = client_.trace_dump(out);
-  return fold(rpc, rpc.app, error);
+  return call(error, [&] { return client_.trace_dump(out); });
 }
 
 RpcStatus RemoteShard::alerts(AlertsResponse& out, std::string& error) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  forward_trace_locked();
-  RpcError rpc = client_.get_alerts(out);
-  return fold(rpc, rpc.app, error);
+  return call(error, [&] { return client_.get_alerts(out); });
 }
 
 ShardRpcErrors RemoteShard::rpc_errors() const {

@@ -1,14 +1,17 @@
 // ShardBackend — the router's uniform view of one scheduler shard.
 //
 // A shard is one LiveSchedulerService with its own scheduler thread, its
-// own virtual clock and its own metrics; the router only needs five verbs
-// (submit / job_status / snapshot / metrics / drain) plus a cheap load
-// probe for the spillover policy. Two deployments hide behind the
-// interface:
+// own virtual clock and its own metrics; the router only needs six verbs
+// (submit / job_status / job_timeline / snapshot / metrics / drain) plus a
+// cheap load probe for the spillover policy. Two deployments hide behind
+// the interface:
 //
 //  * LocalShard — owns the service in-process. This is the default and the
 //    deterministic one: no sockets, results are a pure function of the
-//    routed submission sequence.
+//    routed submission sequence. It is also the one mapping from
+//    LiveSchedulerService outcomes to RpcStatus and error text: a
+//    CoschedServer serves its requests through a LocalShard too, with the
+//    request deadline as the command budget.
 //  * RemoteShard — speaks the RPC protocol to a CoschedServer started
 //    elsewhere with ServerOptions::shard_id set (the RPC-addressable
 //    deployment). Calls are serialized on one connection; the load probe
@@ -26,7 +29,8 @@
 // request timeline), every folded failure is counted by error kind
 // (transport / protocol / application — surfaced as
 // cosched_shard_rpc_errors_total and the GetMetrics health block), and
-// probe()/trace_dump() feed the router's /healthz and TraceDump fan-in.
+// probe()/trace_dump()/alerts() feed the router's /healthz, TraceDump and
+// GetAlerts fan-in.
 #pragma once
 
 #include <atomic>
@@ -68,7 +72,7 @@ class ShardBackend {
   virtual RpcStatus snapshot(ServiceSnapshot& out, std::string& error) = 0;
   /// Fills the shard's own counters plus the load fields (queue depth,
   /// replan p95). The fan-in `shards` vector stays empty — nesting routers
-  /// is not a thing.
+  /// is not a thing. A LocalShard leaves the process-level fields zero.
   virtual RpcStatus metrics(MetricsResponse& out, std::string& error) = 0;
   virtual RpcStatus drain(DrainResponse& out, std::string& error) = 0;
 
@@ -107,7 +111,9 @@ class ShardBackend {
   virtual ShardRpcErrors rpc_errors() const { return {}; }
 };
 
-/// In-process shard: owns the service and its scheduler thread.
+/// In-process shard: owns the service and its scheduler thread. Every
+/// command waits at most `command_timeout_seconds` (a drain ten times
+/// that) for the scheduler thread.
 class LocalShard : public ShardBackend {
  public:
   LocalShard(std::int32_t shard_id, LiveServiceOptions options,
@@ -168,15 +174,13 @@ class RemoteShard : public ShardBackend {
   ShardRpcErrors rpc_errors() const override;
 
  private:
-  /// Folds an RpcError into (status, error) and counts the failure by
-  /// kind; transport/protocol failures become ServerError so the router
-  /// can answer something structured.
-  RpcStatus fold(const RpcError& rpc, RpcStatus app_status,
-                 std::string& error);
-  /// Stamps the calling thread's current trace id onto the next client
-  /// call, so the shard's spans join the router-assigned trace. Caller
-  /// holds mutex_.
-  void forward_trace_locked();
+  /// Runs one client call under the connection lock, stamping the calling
+  /// thread's current trace id on it (so the shard's spans join the
+  /// router-assigned trace), and folds its RpcError into (status, error):
+  /// application verdicts pass through, transport/protocol failures become
+  /// ServerError; every failure is counted by kind.
+  template <typename Call>
+  RpcStatus call(std::string& error, Call&& client_call);
 
   std::int32_t shard_id_;
   std::int32_t total_cores_;

@@ -138,13 +138,9 @@ std::size_t ShardRouter::route_for_submit(const std::string& job_name) {
 
   // Spillover check — probes are read outside the lock (they are
   // lock-light by design; see LoadProbe).
-  LoadProbe target_probe = probe_of(ring_target);
-  bool queue_hot = options_.spill_queue_depth > 0 &&
-                   target_probe.queue_depth > options_.spill_queue_depth;
-  bool replan_hot =
-      options_.spill_replan_p95_seconds > 0.0 &&
-      target_probe.replan_p95_seconds > options_.spill_replan_p95_seconds;
-  if (!queue_hot && !replan_hot) return ring_target;
+  if (options_.spill_queue_depth == 0 ||
+      probe_of(ring_target).queue_depth <= options_.spill_queue_depth)
+    return ring_target;
 
   std::vector<LoadProbe> probes(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) probes[i] = probe_of(i);
@@ -214,22 +210,30 @@ RpcStatus ShardRouter::submit(const TraceJob& job, SubmitJobResponse& out,
   return status;
 }
 
-RpcStatus ShardRouter::job_timeline(std::int64_t global_id,
-                                    JobTimelineResponse& out,
-                                    std::string& error) {
+RpcStatus ShardRouter::locate(std::int64_t global_id, std::size_t& shard,
+                              std::int64_t& local_id,
+                              std::string& error) const {
   if (shards_.empty()) {
     error = "router has no shards";
     return RpcStatus::ServerError;
   }
-  if (global_id < 0) {
-    error = "negative job id";
-    return RpcStatus::UnknownJob;
-  }
+  if (global_id < 0) return RpcStatus::UnknownJob;
   std::int64_t n = static_cast<std::int64_t>(shards_.size());
-  std::size_t shard = static_cast<std::size_t>(global_id % n);
-  std::int64_t local_id = global_id / n;
-  RpcStatus status =
-      shards_[shard].backend->job_timeline(local_id, out, error);
+  shard = static_cast<std::size_t>(global_id % n);
+  local_id = global_id / n;
+  return RpcStatus::Ok;
+}
+
+RpcStatus ShardRouter::job_timeline(std::int64_t global_id,
+                                    JobTimelineResponse& out,
+                                    std::string& error) {
+  std::size_t shard = 0;
+  std::int64_t local_id = 0;
+  RpcStatus status = locate(global_id, shard, local_id, error);
+  if (status == RpcStatus::Ok)
+    status = shards_[shard].backend->job_timeline(local_id, out, error);
+  if (status == RpcStatus::UnknownJob)
+    error = "no job with id " + std::to_string(global_id);
   if (status != RpcStatus::Ok) return status;
   out.job_id = global_id;
   for (JournalEvent& event : out.events) {
@@ -248,19 +252,14 @@ RpcStatus ShardRouter::job_timeline(std::int64_t global_id,
 RpcStatus ShardRouter::job_status(std::int64_t global_id,
                                   JobStatusResponse& out,
                                   std::string& error) {
-  if (shards_.empty()) {
-    error = "router has no shards";
-    return RpcStatus::ServerError;
-  }
-  if (global_id < 0) {
-    error = "negative job id";
-    return RpcStatus::UnknownJob;
-  }
-  std::int64_t n = static_cast<std::int64_t>(shards_.size());
-  std::size_t shard = static_cast<std::size_t>(global_id % n);
-  std::int64_t local_id = global_id / n;
-  RpcStatus status = shards_[shard].backend->job_status(local_id, out, error);
-  if (out.found) rewrite_view_global(out.status, shard);
+  std::size_t shard = 0;
+  std::int64_t local_id = 0;
+  RpcStatus status = locate(global_id, shard, local_id, error);
+  if (status == RpcStatus::Ok)
+    status = shards_[shard].backend->job_status(local_id, out, error);
+  if (status == RpcStatus::UnknownJob)
+    error = "no job with id " + std::to_string(global_id);
+  if (status == RpcStatus::Ok) rewrite_view_global(out.status, shard);
   return status;
 }
 

@@ -13,9 +13,8 @@
 //    virtual-node ring (HashRing). Same key → same shard, across runs and
 //    processes, no coordination.
 //  * Spillover is the load-aware exception: when the ring shard's command
-//    queue is deeper than `spill_queue_depth` or its replan p95 exceeds
-//    `spill_replan_p95_seconds`, the key is re-homed to the least-loaded
-//    shard and the remap is recorded — later jobs of the key stick to the
+//    queue is deeper than `spill_queue_depth`, the key is re-homed to the
+//    least-loaded shard and the remap is recorded — later jobs of the key stick to the
 //    new shard and QueryJobStatus still resolves (ids carry the shard).
 //  * Job ids are global: global = local * shard_count + shard_index, so an
 //    id alone names its shard; no lookup table, ids stay dense per shard.
@@ -51,12 +50,9 @@ namespace cosched {
 
 struct RouterOptions {
   std::int32_t vnodes_per_shard = 64;
-  /// Spillover triggers: ring shard's command-queue depth strictly above
-  /// this (0 disables)...
+  /// Spillover trigger: ring shard's command-queue depth strictly above
+  /// this (0 disables).
   std::size_t spill_queue_depth = 64;
-  /// ...or its replan p95 strictly above this many wall seconds (<= 0
-  /// disables).
-  Real spill_replan_p95_seconds = 0.0;
   /// Remap table cap. At the cap new spillovers are refused (the key stays
   /// on its ring shard) — bounded memory beats unbounded stickiness.
   std::size_t max_remap_entries = 4096;
@@ -207,6 +203,10 @@ class ShardRouter {
   std::size_t least_loaded_shard_locked(
       const std::vector<LoadProbe>& probes) const;
   void rewrite_view_global(JobStatusView& view, std::size_t shard_index) const;
+  /// Owning shard and shard-local id of a global job id: UnknownJob for a
+  /// negative id, ServerError for a router without shards.
+  RpcStatus locate(std::int64_t global_id, std::size_t& shard,
+                   std::int64_t& local_id, std::string& error) const;
 
   std::int64_t to_global(std::int64_t local_id, std::size_t shard) const {
     return local_id < 0 ? local_id

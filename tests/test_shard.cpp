@@ -69,8 +69,7 @@ WorkloadTrace tenant_trace(std::uint64_t seed, std::int32_t jobs = 24,
 
 RouterOptions ring_only_router() {
   RouterOptions options;
-  options.spill_queue_depth = 0;        // spillover off:
-  options.spill_replan_p95_seconds = 0; // routing = pure consistent hashing
+  options.spill_queue_depth = 0;  // spillover off: pure consistent hashing
   return options;
 }
 
