@@ -76,8 +76,7 @@ int main(int argc, char** argv) {
   using namespace cosched;
   ArgParser args(argc, argv);
 
-  std::int64_t shard_count = args.get_int("shards", 4);
-  if (shard_count < 1) shard_count = 1;
+  std::int64_t shard_count = args.get_int("shards", 4, 1, kMaxCount);
   // --trace 1: record router request spans (and forward trace ids to the
   // shards) so TraceDump answers the merged fabric timeline.
   read_trace_flags(args);
@@ -95,9 +94,10 @@ int main(int argc, char** argv) {
 
   RouterOptions router_options;
   router_options.vnodes_per_shard =
-      static_cast<std::int32_t>(args.get_int("vnodes", 64));
+      static_cast<std::int32_t>(args.get_int("vnodes", 64, 1, kMaxCount));
+  // 0 disables spillover.
   router_options.spill_queue_depth =
-      static_cast<std::size_t>(args.get_int("spill-depth", 64));
+      static_cast<std::size_t>(args.get_int("spill-depth", 64, 0, kMaxCount));
   router_options.shard_timeout_seconds = args.get_real("shard-timeout", 30.0);
   ShardRouter router(router_options);
 
@@ -108,7 +108,8 @@ int main(int argc, char** argv) {
   if (!remotes.empty()) {
     shard_count = static_cast<std::int64_t>(remotes.size());
     std::int32_t cores_per_remote = static_cast<std::int32_t>(
-        args.get_int("remote-cores", machines_per_shard * cores));
+        args.get_int("remote-cores", machines_per_shard * cores, 1,
+                     kMaxCount));
     for (ClientOptions& remote : remotes)
       router.add_remote_shard(std::move(remote), cores_per_remote);
   } else {

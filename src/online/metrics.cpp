@@ -23,6 +23,12 @@ SchedulerMetrics::SchedulerMetrics()
       registry_replan_duration_(&MetricsRegistry::global().histogram(
           kReplanDurationMetricName, kReplanDurationMetricHelp,
           replan_duration_metric_edges())),
+      registry_swaps_priced_(&MetricsRegistry::global().counter(
+          "cosched_repair_swaps_priced_total",
+          "candidate swaps the replan repair priced")),
+      registry_assignments_(&MetricsRegistry::global().counter(
+          "cosched_repair_assignments_total",
+          "relabeling assignments (Hungarian solves) the replan repair ran")),
       slowdown_({1.1, 1.25, 1.5, 2.0, 3.0, 5.0}),
       migrations_per_replan_({0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0}) {}
 
@@ -33,6 +39,8 @@ void SchedulerMetrics::on_replan(ReplanRecord record) {
   solve_wall_seconds_ += record.solve_wall_seconds;
   registry_replan_duration_->observe(
       static_cast<Real>(record.solve_wall_seconds), record.trace_id);
+  registry_swaps_priced_->inc(record.swaps_priced);
+  registry_assignments_->inc(record.assignments);
   replans_log_.push_back(std::move(record));
 }
 

@@ -44,6 +44,8 @@ struct ReplanRecord {
   Real stay_combined = 0.0;    ///< combined objective of not replanning
   Real combined = 0.0;         ///< combined objective of the chosen placement
   Real degradation = 0.0;      ///< Eq. 13 part of `combined`
+  std::uint64_t swaps_priced = 0;  ///< repair swaps priced (registry-only)
+  std::uint64_t assignments = 0;   ///< repair Hungarian solves (registry-only)
   double solve_wall_seconds = 0.0;  ///< wall clock; excluded from
                                     ///< deterministic tables
   std::uint64_t trace_id = 0;  ///< trace behind the triggering request;
@@ -128,6 +130,9 @@ class SchedulerMetrics {
   /// Wall-clock replan duration, registry-only (wall time stays out of the
   /// deterministic histograms above). Observations carry the trace_id.
   HistogramMetric* registry_replan_duration_ = nullptr;
+  /// Repair work per replan, flushed once per replan into the registry.
+  Counter* registry_swaps_priced_ = nullptr;
+  Counter* registry_assignments_ = nullptr;
   Histogram slowdown_;
   Histogram migrations_per_replan_;
   std::vector<ReplanRecord> replans_log_;

@@ -637,6 +637,8 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   record.stay_combined = stay_combined;
   record.combined = result.combined;
   record.degradation = result.degradation;
+  record.swaps_priced = result.swaps_priced;
+  record.assignments = result.assignments;
   record.solve_wall_seconds = timer.seconds();
   record.trace_id = Tracer::current_context().trace_id;
   metrics_.on_replan(std::move(record));

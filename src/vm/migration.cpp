@@ -112,8 +112,11 @@ SwapEngine::SwapEngine(const Problem& problem, const Solution& reference,
   const std::size_t u = static_cast<std::size_t>(problem.u());
 
   job_of_.resize(n);
-  for (std::size_t p = 0; p < n; ++p)
+  imaginary_.resize(n);
+  for (std::size_t p = 0; p < n; ++p) {
     job_of_[p] = problem.batch.job_of(static_cast<ProcessId>(p));
+    imaginary_[p] = problem.batch.job(job_of_[p]).kind == JobKind::Imaginary;
+  }
   co_.reserve(u);
   saved_d_.resize(2 * u);
   d_.assign(n, 0.0);
@@ -137,19 +140,36 @@ SwapEngine::SwapEngine(const Problem& problem, const Solution& reference,
     const auto current = machine_index(work_);
     weight_.resize(n);
     overlap_.assign(m * m, 0.0);
+    bool aligned = true;
     for (std::size_t p = 0; p < n; ++p) {
       weight_[p] = weight_of(move_weight, static_cast<ProcessId>(p));
+      COSCHED_EXPECTS(weight_[p] >= 0.0);
       total_weight_ += weight_[p];
       overlap_[static_cast<std::size_t>(home_[p]) * m +
                static_cast<std::size_t>(current[p])] += weight_[p];
+      if (weight_[p] != 0.0 && home_[p] != current[p]) aligned = false;
     }
     assignment_.resize(m);
-    charge_ = migration_cost_ * (total_weight_ - kept_weight());
+    // Every weighted process at home: the overlap matrix is diagonal, so
+    // the identity is the best relabeling, and its kept weight summed in
+    // row order is what the Hungarian would return.
+    Real kept = 0.0;
+    if (aligned) {
+      for (std::size_t h = 0; h < m; ++h) kept += overlap_[h * m + h];
+    } else {
+      kept = kept_weight();
+    }
+    charge_ = charge_of(kept);
   }
+  idle_.resize(n);
+  for (std::size_t p = 0; p < n; ++p)
+    idle_[p] = imaginary_[p] && moves_free(static_cast<ProcessId>(p));
 }
 
 Real SwapEngine::degradation_at(const std::vector<ProcessId>& machine,
                                 std::size_t slot) {
+  // An imaginary process suffers nothing (the DegradationModel contract).
+  if (imaginary(machine[slot])) return 0.0;
   co_.clear();
   for (std::size_t k = 0; k < machine.size(); ++k)
     if (k != slot) co_.push_back(machine[k]);
@@ -183,7 +203,23 @@ void SwapEngine::move_overlap(ProcessId p, std::size_t from, std::size_t to) {
 }
 
 Real SwapEngine::kept_weight() {
+  ++assignments_;
   return solver_.solve_max(overlap_, work_.machines.size(), assignment_);
+}
+
+Real SwapEngine::kept_weight_bound() const {
+  // Σ_h max_c overlap[h][c], summed in row order like solve_max's total:
+  // each term is at least the one the assignment picks for row h, and
+  // rounded addition is monotone, so the bound is at least kept_weight().
+  const std::size_t m = work_.machines.size();
+  Real bound = 0.0;
+  for (std::size_t h = 0; h < m; ++h) {
+    Real row_max = 0.0;
+    for (std::size_t c = 0; c < m; ++c)
+      row_max = std::max(row_max, overlap_[h * m + c]);
+    bound += row_max;
+  }
+  return bound;
 }
 
 SwapEngine::Staged SwapEngine::stage(std::size_t a, std::size_t i,
@@ -197,6 +233,7 @@ SwapEngine::Staged SwapEngine::stage(std::size_t a, std::size_t i,
   const ProcessId p = ma[i];
   const ProcessId q = mb[j];
   std::swap(ma[i], mb[j]);
+  ++swaps_priced_;
 
   // Only the two touched machines change degradations.
   for (std::size_t k = 0; k < u; ++k) {
@@ -266,11 +303,21 @@ bool SwapEngine::swap(std::size_t a, std::size_t i, std::size_t b,
   const Real degradation = stage(a, i, b, j).degradation;
   const Real target = combined() - kObjectiveEps;
   // The charge is never negative: a swap whose degradation alone does not
-  // beat the target cannot be accepted, so skip the assignment.
+  // beat the target cannot be accepted, so skip the assignment. Nor can
+  // one that misses it under the charge of the row-maximum bound, which is
+  // at most the exact charge (subtraction, scaling by a cost >= 0 and
+  // addition all round monotonically).
   Real charge = 0.0;
-  if (migration_cost_ > 0.0 && (force || degradation < target))
-    charge = migration_cost_ * (total_weight_ - kept_weight());
-  if (!force && !(degradation + charge < target)) {
+  bool accept = force || degradation < target;
+  if (migration_cost_ > 0.0 && accept) {
+    if (force || degradation + charge_of(kept_weight_bound()) < target) {
+      charge = charge_of(kept_weight());
+      accept = force || degradation + charge < target;
+    } else {
+      accept = false;
+    }
+  }
+  if (!accept) {
     unstage(a, i, b, j);
     return false;
   }
@@ -295,11 +342,6 @@ bool SwapEngine::moves_free(ProcessId p) const {
 std::uint64_t SwapEngine::fill(std::span<const ProcessId> admitted) {
   const std::size_t m = work_.machines.size();
   const std::size_t u = static_cast<std::size_t>(problem_.u());
-  auto idle = [&](ProcessId q) {
-    return problem_.batch.job(job_of_[static_cast<std::size_t>(q)]).kind ==
-               JobKind::Imaginary &&
-           moves_free(q);
-  };
   auto slot_of = [&](ProcessId p) {
     for (std::size_t a = 0; a < m; ++a) {
       const auto& machine = work_.machines[a];
@@ -332,8 +374,19 @@ std::uint64_t SwapEngine::fill(std::span<const ProcessId> admitted) {
       std::size_t best_j = 0;
       for (std::size_t b = 0; b < m; ++b) {
         if (b == a) continue;
+        // An idle slot whose run of imaginary slots on b already had one
+        // priced stages bit-identical values (see run()) and so never wins
+        // the strict comparisons below. The load delta adds a's and b's
+        // slot-k terms pairwise, so the run also needs a's terms to be 0
+        // over it: a's slots hold imaginary processes or p's own slot.
+        bool run_priced = false;
         for (std::size_t j = 0; j < u; ++j) {
-          if (!idle(work_.machines[b][j])) continue;
+          const ProcessId q = work_.machines[b][j];
+          const bool zero_terms =
+              imaginary(q) && (j == i || imaginary(work_.machines[a][j]));
+          if (!zero_terms) run_priced = false;
+          if (!idle(q) || run_priced) continue;
+          run_priced = zero_terms;
           const Staged cand = stage(a, i, b, j);
           unstage(a, i, b, j);
           if (cand.degradation < best.degradation - kObjectiveEps ||
@@ -358,14 +411,45 @@ std::uint64_t SwapEngine::fill(std::span<const ProcessId> admitted) {
 std::uint64_t SwapEngine::run(std::uint64_t max_passes) {
   const std::size_t m = work_.machines.size();
   const std::size_t u = static_cast<std::size_t>(problem_.u());
+  // Skipped without pricing, each because an equivalent swap was just
+  // rejected (DESIGN.md §"Online replans" has the proofs):
+  //  * two idle slots — nothing changes;
+  //  * an idle slot on b after another idle slot of the same run of
+  //    imaginary slots, priced against the same process on a since the
+  //    last swap taken — the two results differ only in which imaginary
+  //    process sits where, and every real process keeps its co-runners in
+  //    the same order;
+  //  * likewise an idle slot on a after another idle slot of its run on a,
+  //    while no swap has been taken in this (a, b) block.
   std::uint64_t passes = 0;
   for (; passes < max_passes; ++passes) {
     bool improved = false;
     for (std::size_t a = 0; a < m; ++a)
-      for (std::size_t b = a + 1; b < m; ++b)
-        for (std::size_t i = 0; i < u; ++i)
-          for (std::size_t j = 0; j < u; ++j)
-            improved |= try_swap(a, i, b, j);
+      for (std::size_t b = a + 1; b < m; ++b) {
+        const auto& ma = work_.machines[a];
+        const auto& mb = work_.machines[b];
+        bool block_taken = false;
+        bool a_run_priced = false;
+        for (std::size_t i = 0; i < u; ++i) {
+          if (!imaginary(ma[i])) a_run_priced = false;
+          if (idle(ma[i]) && !block_taken) {
+            if (a_run_priced) continue;
+            a_run_priced = true;
+          }
+          bool b_run_priced = false;
+          for (std::size_t j = 0; j < u; ++j) {
+            if (!imaginary(mb[j])) b_run_priced = false;
+            if (idle(mb[j])) {
+              if (idle(ma[i]) || b_run_priced) continue;
+              b_run_priced = true;
+            }
+            if (try_swap(a, i, b, j)) {
+              improved = block_taken = true;
+              b_run_priced = false;
+            }
+          }
+        }
+      }
     if (!improved) break;
   }
   return passes;
@@ -423,9 +507,11 @@ ReplanResult replan_with_migrations(const Problem& problem,
   // Candidate 2: the fresh schedule (HA* unless the caller plugged in
   // another solver), machine-aligned to the old placement so its migration
   // charge is minimal.
+  std::uint64_t alignments = 0;
   if (fresh != nullptr) {
     ReplanResult cand =
         result_of(align_to_placement(current, *fresh, weights));
+    ++alignments;
     if (cand.combined < best.combined) best = std::move(cand);
   }
 
@@ -440,8 +526,11 @@ ReplanResult replan_with_migrations(const Problem& problem,
   if (engine.swaps_applied() > 0) {
     ReplanResult cand = result_of(
         align_to_placement(current, engine.take_placement(), weights));
+    ++alignments;
     if (cand.combined < best.combined) best = std::move(cand);
   }
+  best.swaps_priced = engine.swaps_priced();
+  best.assignments = engine.assignments() + alignments;
   return best;
 }
 

@@ -66,10 +66,19 @@ struct ReplanOptions {
 /// re-evaluated, and only the jobs with a process on them are
 /// re-aggregated (Σ for serial jobs, the Eq. 13 max for parallel ones).
 /// The machine-overlap matrix is updated in O(1) per swap, and the
-/// relabeling assignment runs only when the swap's degradation alone
-/// already beats the current combined objective — the charge is never
-/// negative, so that filter rejects nothing the full objective would
-/// accept. With migration_cost 0 no assignment runs at all.
+/// relabeling assignment runs only when the swap can still win: its
+/// degradation beats the current combined objective alone and also plus
+/// the charge of the row-maximum bound on the kept weight (a charge never
+/// above the exact one). The constructor runs none on an aligned start
+/// (every weighted process on its reference machine), and with
+/// migration_cost 0 none runs at all.
+///
+/// Idle slots (Imaginary processes that move free) are interchangeable:
+/// by the DegradationModel contract an imaginary process suffers nothing
+/// and inflicts nothing, so the passes skip every swap whose outcome an
+/// already priced one decides (two idle slots; a second idle slot in the
+/// same run of imaginary slots). DESIGN.md §"Online replans" proves each
+/// skip exact: the decisions are those of the full scan.
 class SwapEngine {
  public:
   SwapEngine(const Problem& problem, const Solution& reference,
@@ -104,6 +113,10 @@ class SwapEngine {
   Real migration_charge() const { return charge_; }
   Real combined() const { return degradation_ + charge_; }
   std::uint64_t swaps_applied() const { return swaps_applied_; }
+  /// Candidate swaps re-priced so far (applied ones included).
+  std::uint64_t swaps_priced() const { return swaps_priced_; }
+  /// Relabeling assignments (Hungarian solves) run so far.
+  std::uint64_t assignments() const { return assignments_; }
 
  private:
   bool swap(std::size_t a, std::size_t i, std::size_t b, std::size_t j,
@@ -119,11 +132,21 @@ class SwapEngine {
   void unstage(std::size_t a, std::size_t i, std::size_t b, std::size_t j);
   void commit(Real charge);
   bool moves_free(ProcessId p) const;
+  bool idle(ProcessId p) const {
+    return idle_[static_cast<std::size_t>(p)] != 0;
+  }
+  bool imaginary(ProcessId p) const {
+    return imaginary_[static_cast<std::size_t>(p)] != 0;
+  }
   Real degradation_at(const std::vector<ProcessId>& machine,
                       std::size_t slot);
   Real contribution(JobId job) const;
   void move_overlap(ProcessId p, std::size_t from, std::size_t to);
+  Real charge_of(Real kept) const {
+    return migration_cost_ * (total_weight_ - kept);
+  }
   Real kept_weight();
+  Real kept_weight_bound() const;
 
   const Problem& problem_;
   const DegradationModel& model_;
@@ -131,11 +154,15 @@ class SwapEngine {
   Real migration_cost_ = 0.0;
 
   std::vector<JobId> job_of_;          ///< per process
+  std::vector<char> imaginary_;        ///< per process: Imaginary job
+  std::vector<char> idle_;             ///< per process: imaginary, moves free
   std::vector<Real> d_;                ///< per-process degradation
   std::vector<Real> contrib_;          ///< per-job Eq. 13 contribution
   Real degradation_ = 0.0;             ///< Σ contrib_
   Real charge_ = 0.0;                  ///< migration_cost × moved weight
   std::uint64_t swaps_applied_ = 0;
+  std::uint64_t swaps_priced_ = 0;
+  std::uint64_t assignments_ = 0;
 
   // Relabel-invariant migration pricing (only when migration_cost > 0).
   std::vector<std::int32_t> home_;     ///< reference machine per process
@@ -160,6 +187,8 @@ struct ReplanResult {
   std::int32_t migrations = 0; ///< processes with weight > 0 that moved
   Real migration_charge = 0.0; ///< migration_cost × total moved weight
   Real combined = 0.0;         ///< degradation + migration_charge
+  std::uint64_t swaps_priced = 0;  ///< candidate swaps the search priced
+  std::uint64_t assignments = 0;   ///< Hungarian solves, alignments included
 };
 
 /// Replans an existing placement: takes the better of `current` and a

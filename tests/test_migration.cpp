@@ -8,6 +8,7 @@
 #include "astar/search.hpp"
 #include "baseline/random_schedule.hpp"
 #include "cache/machine_config.hpp"
+#include "core/builders.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 #include "vm/hungarian.hpp"
@@ -399,12 +400,26 @@ TEST(SwapEngine, ParallelMaxFollowsItsHolderThroughTies) {
   expect_tracks_full_evaluation(p, engine, start, 0.0, {}, "rejected");
 }
 
+bool is_imaginary(const Problem& p, ProcessId q) {
+  return p.batch.job(p.batch.job_of(q)).kind == JobKind::Imaginary;
+}
+
+/// What full_evaluation_swap_loop priced.
+struct LoopCounts {
+  std::uint64_t swaps = 0;       ///< every swap it priced
+  std::uint64_t idle_pairs = 0;  ///< ... of two weight-0 imaginary processes
+};
+
 /// The unfiltered reference: the same first-improvement loop, each swap
 /// priced by full evaluation plus the relabel-invariant migration charge.
 Solution full_evaluation_swap_loop(const Problem& p, const Solution& reference,
                                    Solution work, Real cost,
                                    std::span<const Real> weights,
-                                   std::uint64_t max_passes) {
+                                   std::uint64_t max_passes,
+                                   LoopCounts* counts = nullptr) {
+  auto idle = [&](ProcessId q) {
+    return is_imaginary(p, q) && weights[static_cast<std::size_t>(q)] == 0.0;
+  };
   auto combined_of = [&](const Solution& s) {
     return evaluate_solution(p, s).total +
            cost * weighted_migrations(reference, s, weights);
@@ -418,6 +433,11 @@ Solution full_evaluation_swap_loop(const Problem& p, const Solution& reference,
       for (std::size_t b = a + 1; b < m; ++b)
         for (std::size_t i = 0; i < u; ++i)
           for (std::size_t j = 0; j < u; ++j) {
+            if (counts) {
+              ++counts->swaps;
+              if (idle(work.machines[a][i]) && idle(work.machines[b][j]))
+                ++counts->idle_pairs;
+            }
             std::swap(work.machines[a][i], work.machines[b][j]);
             Real cand = combined_of(work);
             if (cand < current - kObjectiveEps) {
@@ -432,29 +452,92 @@ Solution full_evaluation_swap_loop(const Problem& p, const Solution& reference,
   return work;
 }
 
-// Skipping the assignment for swaps whose degradation alone cannot win is
-// exact: the filtered delta loop walks the same swaps as full evaluation.
+/// 2 to 6 idle slots: 13 or 14 real processes on quad cores, or 10 to 12 on
+/// 8 cores.
+Problem idle_padded_problem(std::uint64_t seed) {
+  const auto extra =
+      static_cast<std::int32_t>(seed % 2 ? seed % 4 / 2 : seed % 3);
+  return seed % 2 ? random_pe_problem(8 + extra, {3, 2}, 4, seed)
+                  : random_pe_problem(5 + extra, {3, 2}, 8, seed);
+}
+
+/// `placement` with its free movers (weight 0) shuffled among their slots:
+/// every weighted process stays on its machine.
+Solution shuffle_free_movers(Solution placement, std::span<const Real> weights,
+                             Rng& rng) {
+  std::vector<std::pair<std::size_t, std::size_t>> slots;
+  for (std::size_t a = 0; a < placement.machines.size(); ++a)
+    for (std::size_t i = 0; i < placement.machines[a].size(); ++i)
+      if (weights[static_cast<std::size_t>(placement.machines[a][i])] == 0.0)
+        slots.emplace_back(a, i);
+  for (std::size_t k = slots.size(); k > 1; --k) {
+    const auto [a, i] = slots[k - 1];
+    const auto [b, j] = slots[rng.uniform(k)];
+    std::swap(placement.machines[a][i], placement.machines[b][j]);
+  }
+  return placement;
+}
+
+// Skipping the assignment for swaps whose degradation alone, or under the
+// row-maximum bound on the kept weight, cannot win is exact, and so are the
+// idle-slot skips: the filtered delta loop walks the same swaps as full
+// evaluation. Instances from seed 156 on carry 2 to 6 weight-0 idle slots
+// and start aligned (every weighted process at home) two times in three,
+// where the constructor prices the charge without an assignment. There are
+// 400 of them: fewer missed a skip that ignored the swaps taken in its
+// (a, b) block.
 TEST(SwapEngine, FilteredLoopMatchesFullEvaluationLoop) {
-  for (std::uint64_t seed = 100; seed < 156; ++seed) {
-    Problem p = seed % 2 ? random_pe_problem(6, {3, 2}, 4, seed)
-                         : random_serial_problem(12, 2 << (seed % 3), seed);
+  std::uint64_t priced = 0;
+  LoopCounts full;
+  for (std::uint64_t seed = 100; seed < 556; ++seed) {
+    const bool padded = seed >= 156;
+    Problem p = padded     ? idle_padded_problem(seed)
+                : seed % 2 ? random_pe_problem(6, {3, 2}, 4, seed)
+                           : random_serial_problem(12, 2 << (seed % 3), seed);
     Rng rng(seed);
     Solution reference = solve_random(p, rng);
-    // Half the instances repair the reference itself, half start elsewhere.
-    Solution start = seed % 4 < 2 ? reference : solve_random(p, rng);
     std::vector<Real> weights(static_cast<std::size_t>(p.n()));
-    for (Real& w : weights) w = 0.5 * static_cast<Real>(rng.uniform(4));
+    for (ProcessId q = 0; q < p.n(); ++q)
+      weights[static_cast<std::size_t>(q)] =
+          padded && is_imaginary(p, q)
+              ? 0.0
+              : 0.5 * static_cast<Real>(rng.uniform(4));
+    // Unpadded: half the instances repair the reference itself, half start
+    // elsewhere. Padded: the reference, an aligned shuffle of it, or
+    // elsewhere.
+    Solution start = reference;
+    if (padded && seed % 3 == 1)
+      start = shuffle_free_movers(reference, weights, rng);
+    else if (padded ? seed % 3 == 2 : seed % 4 >= 2)
+      start = solve_random(p, rng);
     const Real cost = 0.01 * static_cast<Real>(1 + seed % 5);
     const std::uint64_t passes = 3;
     SwapEngine engine(p, reference, start, cost, weights);
+    if (padded && seed % 3 != 2) {
+      EXPECT_EQ(engine.assignments(), 0u) << "seed " << seed;
+    }
+    expect_tracks_full_evaluation(p, engine, reference, cost, weights,
+                                  "start seed " + std::to_string(seed));
     engine.run(passes);
-    Solution expected = full_evaluation_swap_loop(p, reference, start, cost,
-                                                  weights, passes);
+    const std::uint64_t priced_before = full.swaps;
+    Solution expected = full_evaluation_swap_loop(
+        p, reference, start, cost, weights, passes, padded ? &full : nullptr);
     EXPECT_EQ(engine.placement().machines, expected.machines)
         << "seed " << seed;
     expect_tracks_full_evaluation(p, engine, reference, cost, weights,
                                   "seed " + std::to_string(seed));
+    if (padded) {
+      priced += engine.swaps_priced();
+      EXPECT_LE(engine.swaps_priced(), full.swaps - priced_before)
+          << "seed " << seed;
+    }
   }
+  // The padded instances exercise the skips: the engine walks the same
+  // swaps, so it skips every idle pair the reference priced, and twins.
+  EXPECT_GT(full.idle_pairs, 400u);
+  EXPECT_LT(priced, full.swaps - full.idle_pairs)
+      << priced << " of " << full.swaps << " (" << full.idle_pairs
+      << " idle pairs)";
 }
 
 // The greedy fill over serial, PE and idle-padded instances (2 to 6 idle
@@ -518,6 +601,161 @@ TEST(SwapEngine, GreedyFillIsPricedExactlyAndEndsAtAnIdleSwapOptimum) {
       }
   }
   EXPECT_GT(moves, 0u);  // the instances exercise the fill
+}
+
+/// The unfiltered greedy fill: the same passes, every idle slot on another
+/// machine priced by full evaluation under the same lexicographic rule
+/// (Eq. 13, then the summed per-process degradation). `priced` counts the
+/// swaps it priced.
+Solution full_evaluation_fill(const Problem& p, Solution work,
+                              std::span<const ProcessId> admitted,
+                              std::span<const Real> weights, Real cost,
+                              std::uint64_t& priced) {
+  auto idle = [&](ProcessId q) {
+    return is_imaginary(p, q) &&
+           (cost == 0.0 || weights[static_cast<std::size_t>(q)] == 0.0);
+  };
+  auto load_of = [&](const Evaluation& ev) {
+    Real load = 0.0;
+    for (Real d : ev.per_process) load += d;
+    return load;
+  };
+  const std::size_t m = work.machines.size();
+  for (bool moved = true; moved;) {
+    moved = false;
+    for (ProcessId x : admitted) {
+      std::size_t a = 0, i = 0;
+      for (std::size_t k = 0; k < m; ++k)
+        for (std::size_t s = 0; s < work.machines[k].size(); ++s)
+          if (work.machines[k][s] == x) a = k, i = s;
+      const Evaluation now = evaluate_solution(p, work);
+      const Real now_load = load_of(now);
+      Real best_eq13 = now.total, best_load = 0.0;
+      std::size_t best_b = m, best_j = 0;
+      for (std::size_t b = 0; b < m; ++b) {
+        if (b == a) continue;
+        for (std::size_t j = 0; j < work.machines[b].size(); ++j) {
+          if (!idle(work.machines[b][j])) continue;
+          ++priced;
+          std::swap(work.machines[a][i], work.machines[b][j]);
+          const Evaluation ev = evaluate_solution(p, work);
+          std::swap(work.machines[a][i], work.machines[b][j]);
+          const Real load = load_of(ev) - now_load;
+          if (ev.total < best_eq13 - kObjectiveEps ||
+              (ev.total <= best_eq13 && load < best_load - kObjectiveEps)) {
+            best_eq13 = ev.total;
+            best_load = load;
+            best_b = b;
+            best_j = j;
+          }
+        }
+      }
+      if (best_b == m) continue;
+      std::swap(work.machines[a][i], work.machines[best_b][best_j]);
+      moved = true;
+    }
+  }
+  return work;
+}
+
+// Pricing one idle slot per run of interchangeable ones is exact: on
+// idle-padded instances (2 to 6 idle slots, admitted processes on random
+// slots) the fill makes the moves of a reference that prices every idle
+// slot by full evaluation.
+TEST(SwapEngine, FillMatchesAFillThatPricesEveryIdleSlot) {
+  std::uint64_t moves = 0, priced = 0, reference_priced = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Problem p = idle_padded_problem(seed);
+    Rng rng(seed * 13 + 5);
+    const Solution start = solve_random(p, rng);
+    std::vector<Real> weights(static_cast<std::size_t>(p.n()), 0.0);
+    std::vector<ProcessId> admitted;
+    for (ProcessId q = 0; q < p.n(); ++q) {
+      if (is_imaginary(p, q)) continue;
+      if (rng.uniform(3) == 0)
+        admitted.push_back(q);
+      else
+        weights[static_cast<std::size_t>(q)] = 1.0;
+    }
+    const Real cost = seed % 4 == 0 ? 0.0 : 0.05;
+    SwapEngine engine(p, start, start, cost, weights);
+    const std::uint64_t engine_moves = engine.fill(admitted);
+    std::uint64_t full = 0;
+    const Solution expected =
+        full_evaluation_fill(p, start, admitted, weights, cost, full);
+    EXPECT_EQ(engine.placement().machines, expected.machines)
+        << "seed " << seed;
+    // Both walk the same passes; the engine stages each move once more to
+    // apply it.
+    EXPECT_LE(engine.swaps_priced() - engine_moves, full) << "seed " << seed;
+    moves += engine_moves;
+    priced += engine.swaps_priced() - engine_moves;
+    reference_priced += full;
+  }
+  EXPECT_GT(moves, 0u);
+  EXPECT_LT(priced, reference_priced);  // the skip fires
+}
+
+// Imaginary processes contribute nothing under every model the library
+// builds: a padding process suffers 0, and a real process's degradation is
+// bit-identical with any padding in its co-runner list, wherever it sits.
+// SwapEngine skips idle-slot swaps on this contract. (TabularDegradationModel
+// keys entries by co-runner id: a table honours it only if its entries do.)
+TEST(DegradationModelContract, ImaginaryProcessesContributeNothing) {
+  std::vector<Problem> problems;
+  for (auto landscape : {SyntheticLandscape::Threshold,
+                         SyntheticLandscape::Smooth,
+                         SyntheticLandscape::Bilinear}) {
+    SyntheticProblemSpec spec;
+    spec.cores = 4;
+    spec.serial_jobs = 6;
+    spec.parallel_job_sizes = {3};
+    spec.landscape = landscape;
+    spec.seed = 7;
+    problems.push_back(build_synthetic_problem(spec));
+  }
+  problems.push_back(testhelpers::random_pc_problem(3, {4}, 4, 11));
+  SdcSyntheticSpec sdc;
+  sdc.serial_jobs = 5;
+  sdc.parallel_job_sizes = {2};
+  sdc.parallel_with_comm = true;
+  sdc.accesses = 20000.0;
+  sdc.seed = 3;
+  problems.push_back(build_sdc_synthetic_problem(sdc));
+  for (std::size_t k = 0; k < problems.size(); ++k) {
+    const Problem& p = problems[k];
+    const DegradationModel& model = *p.full_model;
+    std::vector<ProcessId> real, pad;
+    for (ProcessId q = 0; q < p.n(); ++q)
+      (is_imaginary(p, q) ? pad : real).push_back(q);
+    ASSERT_GE(pad.size(), 1u) << "problem " << k;
+    ASSERT_GE(real.size(), 4u) << "problem " << k;
+    Rng rng(k + 1);
+    for (int trial = 0; trial < 200; ++trial) {
+      // Up to three real co-runners of a real process, in random order.
+      std::vector<ProcessId> pool = real;
+      std::vector<ProcessId> co;
+      const ProcessId self = pool[rng.uniform(pool.size())];
+      std::erase(pool, self);
+      const std::size_t count = rng.uniform(4);
+      for (std::size_t c = 0; c < count; ++c) {
+        const std::size_t at = rng.uniform(pool.size());
+        co.push_back(pool[at]);
+        pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+      const Real bare = model.degradation(self, co);
+      std::vector<ProcessId> padded = co;
+      for (ProcessId q : pad)
+        if (rng.uniform(2) == 0)
+          padded.insert(padded.begin() + static_cast<std::ptrdiff_t>(
+                                             rng.uniform(padded.size() + 1)),
+                        q);
+      EXPECT_EQ(model.degradation(self, padded), bare)
+          << "problem " << k << " trial " << trial;
+      for (ProcessId q : pad)
+        EXPECT_EQ(model.degradation(q, co), 0.0) << "problem " << k;
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "baseline/brute_force.hpp"
 #include "online/scheduler.hpp"
+#include "test_helpers.hpp"
 #include "vm/migration.hpp"
 
 namespace cosched {
@@ -137,6 +138,37 @@ TEST(Trace, LoadRejectsOutOfDomainFields) {
   // CRLF line ends are not junk.
   std::stringstream crlf("0.0,job0,SE,1,10.0,0.4,0.7\r\n");
   EXPECT_EQ(load_trace(crlf).job_count(), 1);
+}
+
+// A mutated replay trace either loads into jobs the service would admit
+// (fields in the model's domain, a valid process count) or is refused with
+// std::invalid_argument naming its line; nothing else escapes load_trace.
+TEST(TraceInputMutation, SavedTrace) {
+  TraceSpec spec;
+  spec.job_count = 6;
+  spec.parallel_fraction = 0.4;
+  spec.seed = 29;
+  std::stringstream saved;
+  save_trace(generate_trace(spec), saved);
+  testhelpers::for_each_mutation(saved.str(), 0x7eace1, [](const std::string&
+                                                              text) {
+    std::istringstream in(text);
+    try {
+      const WorkloadTrace trace = load_trace(in);
+      for (const TraceJob& job : trace.jobs) {
+        EXPECT_TRUE(trace_job_fields_valid(job)) << text;
+        EXPECT_GE(job.processes, 1) << text;
+        if (job.kind == JobKind::Serial) {
+          EXPECT_EQ(job.processes, 1) << text;
+        }
+      }
+      return true;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("trace"), std::string::npos)
+          << e.what();
+      return false;
+    }
+  });
 }
 
 // ------------------------------------------------------------ events
@@ -312,6 +344,26 @@ TEST(OnlineService, ReplansNeverWorseThanStaying) {
       EXPECT_GE(r.migrations, 0);
     }
   }
+}
+
+// Each replan flushes its repair's work into the registry once: the
+// counters grow by exactly what the replan records carry.
+TEST(OnlineService, ReplansFlushRepairCountersOnce) {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  Counter& priced = reg.counter("cosched_repair_swaps_priced_total", "");
+  Counter& assignments = reg.counter("cosched_repair_assignments_total", "");
+  const std::uint64_t priced_before = priced.value();
+  const std::uint64_t assignments_before = assignments.value();
+  OnlineScheduler service(small_service_options());
+  service.run(small_trace(7));
+  std::uint64_t priced_sum = 0, assignments_sum = 0;
+  for (const ReplanRecord& r : service.metrics().replan_records()) {
+    priced_sum += r.swaps_priced;
+    assignments_sum += r.assignments;
+  }
+  EXPECT_GT(priced_sum, 0u);
+  EXPECT_EQ(priced.value() - priced_before, priced_sum);
+  EXPECT_EQ(assignments.value() - assignments_before, assignments_sum);
 }
 
 TEST(OnlineService, PlacementRespectsCoreCapacity) {
