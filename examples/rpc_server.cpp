@@ -9,6 +9,7 @@
 // (deterministic replay mode). On exit the scheduler metrics are written as
 // CSVs under --out (directory is created if missing).
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -97,15 +98,20 @@ int main(int argc, char** argv) {
 
   server.wait();
 
-  MetricsOutcome metrics;
-  bool have_metrics = server.service().metrics(metrics, 5.0);
+  std::string final_state;
+  bool have_final_state = server.service().call(
+      [](OnlineScheduler& scheduler) {
+        const SchedulerMetrics& m = scheduler.metrics();
+        std::ostringstream line;
+        line << "final state: " << m.completions() << " jobs completed, "
+             << m.replans() << " replans, virtual time "
+             << TextTable::fmt(scheduler.now(), 2);
+        return line.str();
+      },
+      final_state, 5.0);
   server.stop();
 
-  if (have_metrics) {
-    std::cout << "\nfinal state: " << metrics.completions << " jobs completed, "
-              << metrics.replans << " replans, virtual time "
-              << TextTable::fmt(metrics.virtual_now, 2) << "\n";
-  }
+  if (have_final_state) std::cout << "\n" << final_state << "\n";
   for (const std::string& path :
        server.service().write_metrics_csvs(out_dir, "service"))
     std::cout << "wrote " << path << "\n";

@@ -157,7 +157,7 @@ class Engine {
       // would silently lose its optimality guarantee — refuse instead.
       COSCHED_EXPECTS(options_.heuristic_search &&
                       options_.heuristic != HeuristicKind::Strategy1);
-      level_stats_ = LevelStats::build_approx(eval_, options_.h_weight_mode);
+      level_stats_ = LevelStats::build_approx(eval_);
     } else {
       // HA* keeps λ = 0: fitted multipliers would change its schedules.
       const HeuristicKind kind =
@@ -165,8 +165,8 @@ class Engine {
                   options_.heuristic == HeuristicKind::Lagrangian
               ? HeuristicKind::Strategy2
               : options_.heuristic;
-      level_stats_ = LevelStats::build_exact(
-          eval_, options_.h_weight_mode, options_.max_stats_nodes, kind);
+      level_stats_ =
+          LevelStats::build_exact(eval_, options_.max_stats_nodes, kind);
     }
     stats_.precompute_seconds = timer.seconds();
     out.precompute_seconds = stats_.precompute_seconds;
@@ -528,9 +528,8 @@ class Engine {
 
     if (options_.heuristic_search) {
       std::int32_t request = condense_ ? mer_cap_ * 2 : mer_cap_;
-      auto candidates =
-          k_best_valid_nodes(eval_, lead, pool, u_, request,
-                             options_.selection, options_.surrogate_overgen);
+      auto candidates = k_best_valid_nodes(eval_, lead, pool, u_, request,
+                                           CandidateSelection::Auto);
       std::int32_t attempted = 0;
       for (const auto& cand : candidates) {
         if (condensed_duplicate(cand.node)) continue;

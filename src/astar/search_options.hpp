@@ -32,7 +32,6 @@ struct SearchOptions {
   /// multiplier-reduced node weights (DESIGN.md §"h(v)"); HA* and
   /// approximate statistics run it with λ = 0, i.e. as Strategy 2.
   HeuristicKind heuristic = HeuristicKind::Lagrangian;
-  HWeightMode h_weight_mode = HWeightMode::Admissible;
   DismissPolicy dismiss = DismissPolicy::PaperMinDistance;
 
   /// Communication-aware process condensation (Section III-E).
@@ -50,8 +49,6 @@ struct SearchOptions {
   /// list, whereas a beam costs a predictable m × width × mer_cap node
   /// evaluations (the Fig. 12/13 regime).
   std::int32_t beam_width = 0;
-  CandidateSelection selection = CandidateSelection::Auto;
-  std::size_t surrogate_overgen = 4;
 
   /// Exact level statistics are built only when C(n,u) fits this budget;
   /// beyond it HA* falls back to approximate stats and Strategy1 (which

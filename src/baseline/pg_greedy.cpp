@@ -83,50 +83,4 @@ Solution solve_pg_greedy(const Problem& problem) {
   return solve_pg_greedy(problem, *problem.full_model);
 }
 
-Solution solve_pg_greedy_balanced(const Problem& problem,
-                                  const DegradationModel& model) {
-  problem.check();
-  const std::int32_t n = problem.n();
-  const std::int32_t u = problem.u();
-  const std::int32_t m = problem.machine_count();
-
-  auto pair_d = pairwise_damage(problem, model);
-  auto order = impolite_order(problem, pair_d);
-
-  Solution s;
-  s.machines.assign(static_cast<std::size_t>(m), {});
-  for (std::int32_t j = 0; j < m; ++j)
-    s.machines[static_cast<std::size_t>(j)].push_back(
-        order[static_cast<std::size_t>(j)]);
-
-  // Remaining processes go, impolite first, to the open machine with the
-  // smallest pairwise-cost increase (suffered + inflicted).
-  for (std::int32_t idx = m; idx < n; ++idx) {
-    ProcessId p = order[static_cast<std::size_t>(idx)];
-    std::int32_t best_machine = -1;
-    Real best_cost = kInfinity;
-    for (std::int32_t j = 0; j < m; ++j) {
-      const auto& members = s.machines[static_cast<std::size_t>(j)];
-      if (static_cast<std::int32_t>(members.size()) >= u) continue;
-      Real cost = 0.0;
-      for (ProcessId q : members)
-        cost +=
-            pair_d[static_cast<std::size_t>(p)][static_cast<std::size_t>(q)] +
-            pair_d[static_cast<std::size_t>(q)][static_cast<std::size_t>(p)];
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_machine = j;
-      }
-    }
-    COSCHED_ENSURES(best_machine >= 0);
-    s.machines[static_cast<std::size_t>(best_machine)].push_back(p);
-  }
-  s.canonicalize();
-  return s;
-}
-
-Solution solve_pg_greedy_balanced(const Problem& problem) {
-  return solve_pg_greedy_balanced(problem, *problem.full_model);
-}
-
 }  // namespace cosched

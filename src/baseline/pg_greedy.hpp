@@ -7,12 +7,6 @@
 // and fills the remaining slots with the most polite processes — pairing
 // "friendly" with "unfriendly" jobs exactly as [18] describes, without
 // consulting the degradation model during placement.
-//
-// solve_pg_greedy_balanced (PG+) is a strengthened variant of our own: it
-// keeps the politeness order but places each process on the open machine
-// with the smallest pairwise-cost increase. It is not part of the paper's
-// evaluation; the ablation bench quantifies how much of the HA*-PG gap a
-// smarter greedy recovers.
 #pragma once
 
 #include "core/objective.hpp"
@@ -24,10 +18,5 @@ namespace cosched {
 Solution solve_pg_greedy(const Problem& problem,
                          const DegradationModel& model);
 Solution solve_pg_greedy(const Problem& problem);
-
-/// PG+ — politeness order + min-increment placement. Deterministic.
-Solution solve_pg_greedy_balanced(const Problem& problem,
-                                  const DegradationModel& model);
-Solution solve_pg_greedy_balanced(const Problem& problem);
 
 }  // namespace cosched

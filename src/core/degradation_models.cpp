@@ -10,9 +10,7 @@ namespace cosched {
 // ---------------------------------------------------------------- Tabular --
 
 TabularDegradationModel::TabularDegradationModel(std::int32_t num_processes)
-    : n_(num_processes),
-      pressure_(static_cast<std::size_t>(num_processes), 0.0),
-      solo_time_(static_cast<std::size_t>(num_processes), 1.0) {
+    : n_(num_processes) {
   COSCHED_EXPECTS(num_processes >= 1);
 }
 
@@ -22,17 +20,6 @@ void TabularDegradationModel::set(ProcessId i, std::vector<ProcessId> co,
   COSCHED_EXPECTS(d >= 0.0);
   std::sort(co.begin(), co.end());
   table_[{i, std::move(co)}] = d;
-}
-
-void TabularDegradationModel::set_pressure(ProcessId i, Real pressure) {
-  COSCHED_EXPECTS(i >= 0 && i < n_);
-  pressure_[static_cast<std::size_t>(i)] = pressure;
-}
-
-void TabularDegradationModel::set_solo_time(ProcessId i, Real t) {
-  COSCHED_EXPECTS(i >= 0 && i < n_);
-  COSCHED_EXPECTS(t > 0.0);
-  solo_time_[static_cast<std::size_t>(i)] = t;
 }
 
 Real TabularDegradationModel::degradation(
@@ -46,12 +33,12 @@ Real TabularDegradationModel::degradation(
 
 Real TabularDegradationModel::solo_time(ProcessId i) const {
   COSCHED_EXPECTS(i >= 0 && i < n_);
-  return solo_time_[static_cast<std::size_t>(i)];
+  return 1.0;
 }
 
 Real TabularDegradationModel::pressure(ProcessId i) const {
   COSCHED_EXPECTS(i >= 0 && i < n_);
-  return pressure_[static_cast<std::size_t>(i)];
+  return 0.0;
 }
 
 // -------------------------------------------------------------- Synthetic --

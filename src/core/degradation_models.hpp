@@ -26,17 +26,14 @@
 
 namespace cosched {
 
-/// Explicit table of degradations; unspecified entries default to 0.
+/// Explicit table of degradations; unspecified entries default to 0. Every
+/// process has solo time 1 and pressure 0: the table is the whole model.
 class TabularDegradationModel final : public DegradationModel {
  public:
   explicit TabularDegradationModel(std::int32_t num_processes);
 
   /// Sets d(i, co). `co` is copied and sorted; order does not matter.
   void set(ProcessId i, std::vector<ProcessId> co, Real d);
-
-  /// Sets the heuristic pressure surrogate of process i.
-  void set_pressure(ProcessId i, Real pressure);
-  void set_solo_time(ProcessId i, Real t);
 
   Real degradation(ProcessId i, std::span<const ProcessId> co) const override;
   Real solo_time(ProcessId i) const override;
@@ -45,8 +42,6 @@ class TabularDegradationModel final : public DegradationModel {
  private:
   std::int32_t n_;
   std::map<std::pair<ProcessId, std::vector<ProcessId>>, Real> table_;
-  std::vector<Real> pressure_;
-  std::vector<Real> solo_time_;
 };
 
 /// Closed-form contention model from per-process miss rates:

@@ -25,13 +25,9 @@ Real NodeEvaluator::weight(std::span<const ProcessId> node) const {
   return weight(node, scratch);
 }
 
-Real NodeEvaluator::h_weight(std::span<const ProcessId> node,
-                             HWeightMode mode) const {
+Real NodeEvaluator::h_weight(std::span<const ProcessId> node) const {
   thread_local std::vector<Real> scratch;
-  Real full = weight(node, scratch);
-  if (mode == HWeightMode::PaperFull) return full;
-  // Admissible: drop parallel processes' contributions.
-  Real w = full;
+  Real w = weight(node, scratch);
   for (std::size_t i = 0; i < node.size(); ++i)
     if (problem_->batch.is_parallel_process(node[i])) w -= scratch[i];
   return w;

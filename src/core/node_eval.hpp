@@ -16,15 +16,6 @@
 
 namespace cosched {
 
-/// How h(v) accounts for parallel processes inside candidate nodes.
-enum class HWeightMode {
-  /// Parallel processes count 0: provably admissible (DESIGN.md §3).
-  Admissible,
-  /// Parallel processes count their full d, as the paper describes. Tighter,
-  /// not admissible in general when parallel jobs are present.
-  PaperFull,
-};
-
 class NodeEvaluator {
  public:
   NodeEvaluator(const Problem& problem, const DegradationModel& model)
@@ -40,8 +31,10 @@ class NodeEvaluator {
   /// Node weight only.
   Real weight(std::span<const ProcessId> node) const;
 
-  /// Weight for heuristic purposes under `mode`.
-  Real h_weight(std::span<const ProcessId> node, HWeightMode mode) const;
+  /// Weight for heuristic purposes: parallel processes count 0 (their
+  /// job's maximum may lie elsewhere), which keeps h(v) admissible
+  /// (DESIGN.md §"h(v)").
+  Real h_weight(std::span<const ProcessId> node) const;
 
  private:
   const Problem* problem_;

@@ -52,7 +52,6 @@ constexpr std::int32_t kStallSteps = 10;
 }  // namespace
 
 LevelStats LevelStats::build_exact(const NodeEvaluator& eval,
-                                   HWeightMode mode,
                                    std::uint64_t max_nodes,
                                    HeuristicKind kind) {
   const Problem& problem = eval.problem();
@@ -77,7 +76,7 @@ LevelStats LevelStats::build_exact(const NodeEvaluator& eval,
 
   walk_levels(n, u, stats.lambda_,
               [&](ProcessId lead, std::span<const ProcessId> node, Real) {
-                Real w = eval.h_weight(node, mode);
+                Real w = eval.h_weight(node);
                 auto& mw =
                     stats.min_level_weight_[static_cast<std::size_t>(lead)];
                 if (w < mw) mw = w;
@@ -202,8 +201,7 @@ void LevelStats::fit_multipliers(const std::vector<Real>& weights) {
   }
 }
 
-LevelStats LevelStats::build_approx(const NodeEvaluator& eval,
-                                    HWeightMode mode) {
+LevelStats LevelStats::build_approx(const NodeEvaluator& eval) {
   const Problem& problem = eval.problem();
   const DegradationModel& model = eval.model();
   const std::int32_t n = problem.n();
@@ -254,7 +252,7 @@ LevelStats LevelStats::build_approx(const NodeEvaluator& eval,
     COSCHED_ENSURES(static_cast<std::int32_t>(node.size()) == u);
     std::sort(node.begin(), node.end());
     stats.min_level_weight_[static_cast<std::size_t>(lead)] =
-        eval.h_weight(node, mode);
+        eval.h_weight(node);
   }
   stats.lambda_.assign(static_cast<std::size_t>(n), 0.0);
   stats.min_reduced_weight_ = stats.min_level_weight_;

@@ -41,18 +41,18 @@ class LevelStats {
   /// cost. Zero multipliers subtract nothing.
   static constexpr Real kRoundingSlack = 1e-12;
 
-  /// Exact enumeration. `mode` controls how parallel processes count in the
-  /// h-weight (see HWeightMode). Aborts with ContractViolation if the graph
-  /// exceeds `max_nodes` (guards against accidental blow-up). `kind` names
-  /// the bound the caller reads: Strategy1 additionally keeps every node
-  /// weight sorted; Lagrangian fits the multipliers (otherwise λ = 0).
-  static LevelStats build_exact(const NodeEvaluator& eval, HWeightMode mode,
+  /// Exact enumeration over NodeEvaluator::h_weight. Aborts with
+  /// ContractViolation if the graph exceeds `max_nodes` (guards against
+  /// accidental blow-up). `kind` names the bound the caller reads: Strategy1
+  /// additionally keeps every node weight sorted; Lagrangian fits the
+  /// multipliers (otherwise λ = 0).
+  static LevelStats build_exact(const NodeEvaluator& eval,
                                 std::uint64_t max_nodes = 20'000'000,
                                 HeuristicKind kind = HeuristicKind::Strategy2);
 
   /// Greedy approximation: the minimum weight of level i is estimated by the
   /// node {i} ∪ {u-1 lowest-pressure ids > i}. λ = 0.
-  static LevelStats build_approx(const NodeEvaluator& eval, HWeightMode mode);
+  static LevelStats build_approx(const NodeEvaluator& eval);
 
   bool exact() const { return exact_; }
   std::uint64_t total_nodes() const { return total_nodes_; }

@@ -32,7 +32,6 @@ class PhaseController {
   LoadPhase classify(std::uint64_t index) const;
 
   std::uint64_t total() const { return total_; }
-  std::uint64_t warmup_count() const { return warmup_; }
   std::uint64_t measure_count() const { return total_ - warmup_; }
 
  private:

@@ -14,6 +14,7 @@
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "online/journal.hpp"
+#include "util/json.hpp"
 
 namespace cosched {
 namespace {
@@ -28,30 +29,6 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 
 std::string fmt(double v) { return format_prometheus_value(v); }
-
-void append_json_escaped(std::ostream& out, const std::string& text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20)
-          out << ' ';
-        else
-          out << c;
-    }
-  }
-}
 
 }  // namespace
 
@@ -321,6 +298,11 @@ std::string render_alerts_text(const std::vector<AlertView>& views,
 
 std::string render_alerts_json(const std::vector<AlertView>& views,
                                bool enabled) {
+  auto escaped = [](const std::string& text) {
+    std::string json;
+    append_json_escaped(json, text);
+    return json;
+  };
   std::ostringstream out;
   std::size_t firing = 0;
   for (const AlertView& view : views)
@@ -330,15 +312,13 @@ std::string render_alerts_json(const std::vector<AlertView>& views,
   for (std::size_t i = 0; i < views.size(); ++i) {
     const AlertView& view = views[i];
     if (i > 0) out << ",";
-    out << "{\"rule\":\"";
-    append_json_escaped(out, view.rule);
-    out << "\",\"shard\":" << view.shard_id << ",\"state\":\""
+    out << "{\"rule\":\"" << escaped(view.rule)
+        << "\",\"shard\":" << view.shard_id << ",\"state\":\""
         << to_string(view.state) << "\",\"severity\":\""
         << to_string(view.severity) << "\",\"value\":" << fmt(view.value)
         << ",\"threshold\":" << fmt(view.threshold)
-        << ",\"since_seconds\":" << fmt(view.since_seconds) << ",\"detail\":\"";
-    append_json_escaped(out, view.detail);
-    out << "\"}";
+        << ",\"since_seconds\":" << fmt(view.since_seconds)
+        << ",\"detail\":\"" << escaped(view.detail) << "\"}";
   }
   out << "]}";
   return out.str();

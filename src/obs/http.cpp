@@ -11,6 +11,11 @@ namespace {
 
 constexpr std::size_t kMaxRequestBytes = 8 * 1024;
 constexpr std::size_t kMaxRequestLineBytes = 4 * 1024;
+constexpr int kBacklog = 8;
+/// Accept-loop poll slice; responsiveness of stop(), nothing else.
+constexpr double kIdlePollSeconds = 0.2;
+/// Per-connection budget for reading the request and writing the reply.
+constexpr double kRequestTimeoutSeconds = 5.0;
 
 std::string status_line(int code) {
   switch (code) {
@@ -106,7 +111,7 @@ bool HttpEndpoint::start(std::string& error) {
 
   NetStatus status = NetStatus::Ok;
   listener_ = Socket::listen_on(options_.host, options_.port,
-                                options_.backlog, status);
+                                kBacklog, status);
   if (status != NetStatus::Ok) {
     error = std::string("cannot listen on ") + options_.host + ": " +
             to_string(status);
@@ -128,7 +133,7 @@ void HttpEndpoint::serve_main() {
   while (!stopping_.load(std::memory_order_acquire)) {
     NetStatus status = NetStatus::Ok;
     Socket conn = listener_.accept_connection(
-        Deadline::after(options_.idle_poll_seconds), status);
+        Deadline::after(kIdlePollSeconds), status);
     if (status == NetStatus::Timeout) continue;
     if (status != NetStatus::Ok) {
       if (stopping_.load(std::memory_order_acquire)) return;
@@ -139,7 +144,7 @@ void HttpEndpoint::serve_main() {
 }
 
 void HttpEndpoint::serve_connection(Socket socket) {
-  Deadline deadline = Deadline::after(options_.request_timeout_seconds);
+  Deadline deadline = Deadline::after(kRequestTimeoutSeconds);
   // Read until the end of the request head (or the cap, or the budget).
   std::string request;
   char chunk[1024];

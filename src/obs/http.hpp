@@ -34,11 +34,6 @@ namespace cosched {
 struct HttpOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back with port()
-  int backlog = 8;
-  /// Accept-loop poll slice; responsiveness of stop(), nothing else.
-  double idle_poll_seconds = 0.2;
-  /// Per-connection budget for reading the request and writing the reply.
-  double request_timeout_seconds = 5.0;
 };
 
 /// Return the response body for a request-target. Routes are matched on

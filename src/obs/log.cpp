@@ -4,30 +4,10 @@
 #include <filesystem>
 
 #include "obs/trace.hpp"
+#include "util/json.hpp"
 
 namespace cosched {
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 std::string format_real(double v) {
   char buf[32];
@@ -149,19 +129,19 @@ std::string Logger::render(const LogRecord& record) const {
     out += ",\"level\":\"";
     out += to_string(record.level);
     out += "\",\"component\":\"";
-    append_escaped(out, record.component);
+    append_json_escaped(out, record.component);
     out += "\",\"message\":\"";
-    append_escaped(out, record.message);
+    append_json_escaped(out, record.message);
     out += "\"";
     if (record.trace_id != 0)
       out += ",\"trace_id\":" + std::to_string(record.trace_id);
     for (const LogField& field : record.fields) {
       out += ",\"";
-      append_escaped(out, field.key);
+      append_json_escaped(out, field.key);
       out += "\":";
       if (field.quoted) {
         out += "\"";
-        append_escaped(out, field.value);
+        append_json_escaped(out, field.value);
         out += "\"";
       } else {
         out += field.value;

@@ -7,32 +7,11 @@
 #include <map>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace cosched {
 
 namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-void append_json_escaped(std::string& out, const char* s) {
-  for (; *s; ++s) {
-    char c = *s;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 std::string fmt_double(double v) {
   char buf[32];

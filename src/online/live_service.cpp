@@ -82,102 +82,31 @@ Real LiveSchedulerService::wall_virtual_now() const {
   return options_.wall_time_scale * static_cast<Real>(elapsed.count());
 }
 
-std::future<LiveSchedulerService::CommandResult> LiveSchedulerService::enqueue(
-    Command command) {
-  command.trace = Tracer::current_context();
-  std::future<CommandResult> future = command.promise.get_future();
+void LiveSchedulerService::enqueue(
+    std::function<void(OnlineScheduler&)> run) {
+  Command command{std::move(run), Tracer::current_context()};
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    // After stop the command is dropped; its dying promise breaks the
-    // future and await() reports failure.
     if (!stop_requested_) commands_.push_back(std::move(command));
   }
   wake_.notify_all();
-  return future;
-}
-
-bool LiveSchedulerService::await(std::future<CommandResult>& future,
-                                 CommandResult& result,
-                                 double timeout_seconds) {
-  try {
-    if (timeout_seconds >= 0.0 &&
-        future.wait_for(std::chrono::duration<double>(timeout_seconds)) !=
-            std::future_status::ready)
-      return false;
-    result = future.get();
-    return true;
-  } catch (const std::future_error&) {
-    return false;  // service stopped before the command ran
-  }
 }
 
 bool LiveSchedulerService::submit(const TraceJob& spec, SubmitOutcome& out,
                                   double timeout_seconds) {
-  Command command;
-  command.kind = CommandKind::Submit;
-  command.job = spec;
-  auto future = enqueue(std::move(command));
-  CommandResult result;
-  if (!await(future, result, timeout_seconds)) return false;
-  out = std::move(result.submit);
-  return true;
-}
-
-bool LiveSchedulerService::job_status(std::int64_t job_id, StatusOutcome& out,
-                                      double timeout_seconds) {
-  Command command;
-  command.kind = CommandKind::Status;
-  command.job_id = job_id;
-  auto future = enqueue(std::move(command));
-  CommandResult result;
-  if (!await(future, result, timeout_seconds)) return false;
-  out = std::move(result.status);
-  return true;
-}
-
-bool LiveSchedulerService::job_timeline(std::int64_t job_id,
-                                        TimelineOutcome& out,
-                                        double timeout_seconds) {
-  Command command;
-  command.kind = CommandKind::Timeline;
-  command.job_id = job_id;
-  auto future = enqueue(std::move(command));
-  CommandResult result;
-  if (!await(future, result, timeout_seconds)) return false;
-  out = std::move(result.timeline);
-  return true;
-}
-
-bool LiveSchedulerService::snapshot(ServiceSnapshot& out,
-                                    double timeout_seconds) {
-  Command command;
-  command.kind = CommandKind::Snapshot;
-  auto future = enqueue(std::move(command));
-  CommandResult result;
-  if (!await(future, result, timeout_seconds)) return false;
-  out = std::move(result.snapshot);
-  return true;
-}
-
-bool LiveSchedulerService::metrics(MetricsOutcome& out,
-                                   double timeout_seconds) {
-  Command command;
-  command.kind = CommandKind::Metrics;
-  auto future = enqueue(std::move(command));
-  CommandResult result;
-  if (!await(future, result, timeout_seconds)) return false;
-  out = std::move(result.metrics);
-  return true;
+  return call([this, spec](OnlineScheduler&) { return admit(spec); }, out,
+              timeout_seconds);
 }
 
 bool LiveSchedulerService::drain(DrainOutcome& out, double timeout_seconds) {
-  Command command;
-  command.kind = CommandKind::Drain;
-  auto future = enqueue(std::move(command));
-  CommandResult result;
-  if (!await(future, result, timeout_seconds)) return false;
-  out = std::move(result.drain);
-  return true;
+  return call(
+      [this](OnlineScheduler& scheduler) {
+        draining_.store(true, std::memory_order_release);
+        scheduler.finish();
+        return DrainOutcome{scheduler.metrics().completions(),
+                            scheduler.now()};
+      },
+      out, timeout_seconds);
 }
 
 void LiveSchedulerService::thread_main() {
@@ -188,7 +117,10 @@ void LiveSchedulerService::thread_main() {
       Command command = std::move(commands_.front());
       commands_.pop_front();
       lock.unlock();
-      execute(command);
+      {
+        TraceContextScope trace_scope(command.trace);
+        command.run(scheduler_);
+      }
       refresh_load_probe();
       lock.lock();
       continue;
@@ -221,86 +153,35 @@ void LiveSchedulerService::thread_main() {
   }
 }
 
-void LiveSchedulerService::execute(Command& command) {
-  TraceContextScope trace_scope(command.trace);
-  CommandResult result;
-  switch (command.kind) {
-    case CommandKind::Submit: {
-      SubmitOutcome& out = result.submit;
-      if (draining_.load(std::memory_order_acquire)) {
-        out.error = SubmitError::Draining;
-        out.virtual_now = scheduler_.now();
-        break;
-      }
-      const TraceJob& job = command.job;
-      if (job.processes < 1 || job.processes > total_cores_ ||
-          !trace_job_fields_valid(job)) {
-        out.error = SubmitError::Invalid;
-        out.virtual_now = scheduler_.now();
-        break;
-      }
-      TraceJob spec = job;
-      if (options_.wall_clock) {
-        Real target = wall_virtual_now();
-        scheduler_.pump(target);
-        spec.arrival_time = target;
-      }
-      std::int64_t id = scheduler_.submit(spec);
-      // The scheduler may have clamped the arrival up to "now"; process
-      // the arrival (and everything due before it) right away, so the
-      // response already reflects an admission if the trigger fired.
-      Real arrival = scheduler_.job_status(id).arrival_time;
-      scheduler_.pump(arrival);
-      out.error = SubmitError::None;
-      out.job_id = id;
-      out.virtual_now = scheduler_.now();
-      out.status = scheduler_.job_status(id);
-      break;
-    }
-    case CommandKind::Status: {
-      StatusOutcome& out = result.status;
-      out.virtual_now = scheduler_.now();
-      if (command.job_id >= 0 && command.job_id < scheduler_.job_count()) {
-        out.found = true;
-        out.status = scheduler_.job_status(command.job_id);
-      }
-      break;
-    }
-    case CommandKind::Timeline: {
-      TimelineOutcome& out = result.timeline;
-      out.virtual_now = scheduler_.now();
-      if (command.job_id >= 0 && command.job_id < scheduler_.job_count()) {
-        out.found = true;
-        out.timeline = scheduler_.job_timeline(command.job_id);
-      }
-      break;
-    }
-    case CommandKind::Snapshot:
-      result.snapshot = scheduler_.service_snapshot();
-      break;
-    case CommandKind::Metrics: {
-      MetricsOutcome& out = result.metrics;
-      const SchedulerMetrics& m = scheduler_.metrics();
-      out.virtual_now = scheduler_.now();
-      out.arrivals = m.arrivals();
-      out.admissions = m.admissions();
-      out.completions = m.completions();
-      out.replans = m.replans();
-      out.migrations = m.migrations();
-      out.running_mean_degradation = m.running_mean_degradation();
-      out.cache = scheduler_.oracle_cache().stats();
-      out.deterministic_csv = m.render_deterministic_csv();
-      break;
-    }
-    case CommandKind::Drain: {
-      draining_.store(true, std::memory_order_release);
-      scheduler_.finish();
-      result.drain.completions = scheduler_.metrics().completions();
-      result.drain.virtual_now = scheduler_.now();
-      break;
-    }
+SubmitOutcome LiveSchedulerService::admit(const TraceJob& job) {
+  SubmitOutcome out;
+  if (draining_.load(std::memory_order_acquire)) {
+    out.error = SubmitError::Draining;
+    out.virtual_now = scheduler_.now();
+    return out;
   }
-  command.promise.set_value(std::move(result));
+  if (job.processes < 1 || job.processes > total_cores_ ||
+      !trace_job_fields_valid(job)) {
+    out.error = SubmitError::Invalid;
+    out.virtual_now = scheduler_.now();
+    return out;
+  }
+  TraceJob spec = job;
+  if (options_.wall_clock) {
+    Real target = wall_virtual_now();
+    scheduler_.pump(target);
+    spec.arrival_time = target;
+  }
+  std::int64_t id = scheduler_.submit(spec);
+  // The scheduler may have clamped the arrival up to "now"; process the
+  // arrival (and everything due before it) right away, so the response
+  // already reflects an admission if the trigger fired.
+  Real arrival = scheduler_.job_status(id).arrival_time;
+  scheduler_.pump(arrival);
+  out.job_id = id;
+  out.virtual_now = scheduler_.now();
+  out.status = scheduler_.job_status(id);
+  return out;
 }
 
 }  // namespace cosched

@@ -4,14 +4,14 @@
 // function of the submission sequence). The RPC server, however, fields
 // requests on a pool of worker threads. This class is the bridge:
 //
-//  * every mutation or read is a Command pushed onto a thread-safe queue;
-//  * one dedicated scheduler thread pops commands in FIFO order and runs
-//    them against the scheduler — so the event loop, the replans and the
-//    metrics see a single serialized submission sequence, exactly like a
-//    trace replay;
+//  * every mutation or read is a closure pushed onto a thread-safe queue
+//    (call()); one dedicated scheduler thread pops the closures in FIFO
+//    order and runs them against the scheduler — so the event loop, the
+//    replans and the metrics see a single serialized submission sequence,
+//    exactly like a trace replay;
 //  * callers block on a future with their request's remaining deadline;
 //    a caller that gives up (timeout) does not cancel the command — it
-//    still executes in order, the result is just dropped;
+//    still runs in order, its result is just dropped;
 //  * in wall-clock mode the thread additionally advances virtual time to
 //    scale * (wall seconds since start) whenever it wakes, sleeping until
 //    the next scheduled occurrence — admission triggers, completions and
@@ -20,15 +20,23 @@
 //    arrival times) or drain push it — a mix submitted in arrival order
 //    replays byte-identically to OnlineScheduler::run on the same mix.
 //
+// The service knows two verbs of its own, submit() and drain(), because
+// they carry its admission rules (the drain flag, the job-size check, the
+// wall-clock arrival stamp). Every read is a closure its caller passes to
+// call(); LocalShard (shard/backend.hpp) builds the wire responses that way.
+//
 // Drain mode stops admissions (new submissions are rejected) but finishes
 // every queued job and replan before reporting back.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -67,37 +75,9 @@ struct SubmitOutcome {
   JobStatusView status;
 };
 
-struct StatusOutcome {
-  bool found = false;
-  Real virtual_now = 0.0;
-  JobStatusView status;
-};
-
-struct MetricsOutcome {
-  Real virtual_now = 0.0;
-  std::uint64_t arrivals = 0;
-  std::uint64_t admissions = 0;
-  std::uint64_t completions = 0;
-  std::uint64_t replans = 0;
-  std::uint64_t migrations = 0;
-  Real running_mean_degradation = 0.0;
-  DegradationCache::Stats cache;
-  /// The byte-comparable artifact (summary + histograms + replans).
-  std::string deterministic_csv;
-};
-
 struct DrainOutcome {
   std::uint64_t completions = 0;
   Real virtual_now = 0.0;
-};
-
-/// Decision-journal slice of one job (see online/journal.hpp). `found` is
-/// false for job ids the scheduler has never issued; an evicted-but-known
-/// job comes back found with timeline.truncated set.
-struct TimelineOutcome {
-  bool found = false;
-  Real virtual_now = 0.0;
-  JobTimeline timeline;
 };
 
 /// Cheap, lock-light load snapshot of one service instance — the signal the
@@ -131,18 +111,23 @@ class LiveSchedulerService {
   LiveSchedulerService& operator=(const LiveSchedulerService&) = delete;
 
   // All calls are thread-safe. `timeout_seconds` < 0 waits forever; on
-  // timeout the call returns false and the outcome is untouched (the
-  // command still executes on the scheduler thread).
+  // timeout the call returns false and `out` is untouched (the command
+  // still runs on the scheduler thread).
   bool submit(const TraceJob& spec, SubmitOutcome& out,
               double timeout_seconds);
-  bool job_status(std::int64_t job_id, StatusOutcome& out,
-                  double timeout_seconds);
-  bool job_timeline(std::int64_t job_id, TimelineOutcome& out,
-                    double timeout_seconds);
-  bool snapshot(ServiceSnapshot& out, double timeout_seconds);
-  bool metrics(MetricsOutcome& out, double timeout_seconds);
   /// Stops admissions, then runs every queued job to completion.
   bool drain(DrainOutcome& out, double timeout_seconds);
+
+  /// Runs `read(OnlineScheduler&)` on the scheduler thread, in queue order
+  /// with every other command, and moves what it returns into `out`. The
+  /// queued command owns the promise that carries the result, so a caller
+  /// that times out returns at once and the command still runs later.
+  /// `read` must therefore capture only by value: by then the caller's
+  /// stack is gone. Returns false on timeout or when the service stopped
+  /// before the command ran. An exception from `read` ends the process, as
+  /// one from the scheduler always has: its state after a throw is unknown.
+  template <class Result, class Read>
+  bool call(Read read, Result& out, double timeout_seconds);
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
   std::int32_t total_cores() const { return total_cores_; }
@@ -177,33 +162,20 @@ class LiveSchedulerService {
                                               const std::string& prefix);
 
  private:
-  enum class CommandKind { Submit, Status, Timeline, Snapshot, Metrics, Drain };
-
-  struct CommandResult {
-    SubmitOutcome submit;
-    StatusOutcome status;
-    TimelineOutcome timeline;
-    ServiceSnapshot snapshot;
-    MetricsOutcome metrics;
-    DrainOutcome drain;
-  };
-
   struct Command {
-    CommandKind kind = CommandKind::Snapshot;
-    TraceJob job;
-    std::int64_t job_id = -1;
-    /// Caller's trace context, captured at enqueue() and re-installed on
-    /// the scheduler thread — replan/solver spans triggered by this
-    /// command inherit the originating request's trace_id.
+    std::function<void(OnlineScheduler&)> run;
+    /// Caller's trace context, captured at enqueue and re-installed on the
+    /// scheduler thread — replan/solver spans triggered by this command
+    /// inherit the originating request's trace_id.
     TraceContext trace;
-    std::promise<CommandResult> promise;
   };
 
-  std::future<CommandResult> enqueue(Command command);
-  static bool await(std::future<CommandResult>& future, CommandResult& result,
-                    double timeout_seconds);
+  /// Queues `run`. After stop() the command is dropped, which breaks the
+  /// promise it owns and fails the waiting call().
+  void enqueue(std::function<void(OnlineScheduler&)> run);
   void thread_main();
-  void execute(Command& command);
+  /// The submit command: admission rules, then the arrival itself.
+  SubmitOutcome admit(const TraceJob& job);
   /// Refreshes the LoadProbe atomics from the scheduler's metrics. Runs on
   /// the scheduler thread only, after each executed command.
   void refresh_load_probe();
@@ -234,5 +206,25 @@ class LiveSchedulerService {
 
   std::thread thread_;
 };
+
+template <class Result, class Read>
+bool LiveSchedulerService::call(Read read, Result& out,
+                                double timeout_seconds) {
+  auto promise = std::make_shared<std::promise<Result>>();
+  std::future<Result> future = promise->get_future();
+  enqueue([promise, read = std::move(read)](OnlineScheduler& scheduler) {
+    promise->set_value(read(scheduler));
+  });
+  try {
+    if (timeout_seconds >= 0.0 &&
+        future.wait_for(std::chrono::duration<double>(timeout_seconds)) !=
+            std::future_status::ready)
+      return false;
+    out = future.get();
+    return true;
+  } catch (const std::future_error&) {
+    return false;  // service stopped before the command ran
+  }
+}
 
 }  // namespace cosched

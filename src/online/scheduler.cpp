@@ -463,9 +463,9 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
       sens.push_back(0.0);
     }
 
-    Real capacity = options_.synthetic_capacity > 0.0
-                        ? options_.synthetic_capacity
-                        : 0.45 * static_cast<Real>(options_.cores - 1);
+    // S-curve capacity, the builders' convention: the mean miss rate of the
+    // paper's [0.15, 0.75] range times the u - 1 co-runners.
+    Real capacity = 0.45 * static_cast<Real>(options_.cores - 1);
     auto model = std::make_shared<SyntheticDegradationModel>(
         std::move(rates), std::move(sens), capacity,
         SyntheticLandscape::Threshold);

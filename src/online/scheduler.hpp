@@ -67,9 +67,6 @@ struct OnlineSchedulerOptions {
   /// Swap-improvement passes of the migration-aware local search per
   /// replan. Small on purpose: the online loop replans often.
   std::uint64_t replan_passes = 3;
-  /// S-curve capacity of the synthetic contention model; 0 = the builders'
-  /// convention 0.45 * (u - 1).
-  Real synthetic_capacity = 0.0;
   /// Decision-journal ring capacity (admissions, placements, migrations);
   /// oldest events are evicted (and counted) past this bound.
   std::size_t journal_capacity = 65536;

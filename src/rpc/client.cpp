@@ -96,7 +96,7 @@ RpcError CoschedClient::attempt(MessageType type,
   }
 
   std::vector<std::uint8_t> reply;
-  frame_status = read_frame(socket_, reply, deadline, options_.max_frame_bytes);
+  frame_status = read_frame(socket_, reply, deadline);
   if (frame_status != FrameStatus::Ok) {
     socket_.close();
     // Undecodable framing is a protocol bug, not a flaky wire.

@@ -39,7 +39,6 @@ struct ClientOptions {
   double backoff_max_seconds = 0.5;
   /// Jitter draws are seeded, so a test's retry schedule is reproducible.
   std::uint64_t jitter_seed = 0x5EED;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
 enum class RpcErrorKind {
@@ -95,7 +94,6 @@ class CoschedClient {
   /// server.
   std::uint64_t last_trace_id() const { return last_trace_id_; }
 
-  bool connected() const { return socket_.valid(); }
   void disconnect() { socket_.close(); }
 
  private:

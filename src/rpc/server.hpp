@@ -2,9 +2,10 @@
 //
 // The accept loop, worker pool, framed session loop and the request
 // dispatcher are the shared SessionCore (rpc/session_core.hpp); this class
-// supplies its verbs from one in-process LocalShard — the same
-// LiveSchedulerService -> RpcStatus mapping a router's local shards use
-// (1 scheduler thread, FIFO commands):
+// supplies its verbs from one in-process LocalShard — the same mapping from
+// the scheduler to wire responses and RpcStatus a router's local shards use.
+// LocalShard's reads are closures the service runs on its one scheduler
+// thread, in FIFO order with the submissions:
 //
 //   session workers ──> SessionCore::dispatch ──> LocalShard ──> service
 //

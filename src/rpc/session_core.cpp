@@ -11,6 +11,11 @@
 namespace cosched {
 namespace {
 
+constexpr int kBacklog = 16;
+/// How long a worker blocks waiting for the next frame before re-checking
+/// the stop flag. Purely a responsiveness knob.
+constexpr double kIdlePollSeconds = 0.2;
+
 /// A whole decimal int64: "5x", "" and out-of-range text are refused.
 bool parse_job_id(const std::string& text, std::int64_t& id) {
   const char* end = text.data() + text.size();
@@ -58,7 +63,7 @@ SessionCore::SessionCore(const SessionOptions& options, const char* span_name,
 bool SessionCore::start(std::string& error) {
   NetStatus status = NetStatus::Ok;
   listener_ = Socket::listen_on(options_.host, options_.port,
-                                options_.backlog, status);
+                                kBacklog, status);
   if (status != NetStatus::Ok) {
     error = std::string("cannot listen on ") + options_.host + ": " +
             to_string(status);
@@ -101,7 +106,7 @@ void SessionCore::stop() {
   }
   wake_.notify_all();
   finished_.notify_all();
-  // The accept loop and the sessions poll with idle_poll_seconds slices and
+  // The accept loop and the sessions poll with kIdlePollSeconds slices and
   // re-check the stop flag, so joining here is bounded; the listener is only
   // closed once no thread can be inside poll() on it.
   if (accept_thread_.joinable()) accept_thread_.join();
@@ -373,7 +378,7 @@ void SessionCore::accept_main() {
     if (stopping()) return;
     NetStatus status = NetStatus::Ok;
     Socket conn = listener_.accept_connection(
-        Deadline::after(options_.idle_poll_seconds), status);
+        Deadline::after(kIdlePollSeconds), status);
     if (status == NetStatus::Timeout) continue;
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) return;       // listener closed by stop()
@@ -415,8 +420,7 @@ void SessionCore::serve_connection(Socket socket) {
   std::vector<std::uint8_t> payload;
   while (!stopping()) {
     FrameStatus frame_status =
-        read_frame(socket, payload, Deadline::after(options_.idle_poll_seconds),
-                   options_.max_frame_bytes);
+        read_frame(socket, payload, Deadline::after(kIdlePollSeconds));
     if (frame_status == FrameStatus::Timeout) continue;  // idle connection
     if (frame_status == FrameStatus::Closed) return;     // clean disconnect
     if (frame_status != FrameStatus::Ok) {
@@ -471,7 +475,7 @@ void SessionCore::serve_connection(Socket socket) {
     FrameStatus write_status = write_frame(
         socket, reply,
         Deadline::after(options_.request_deadline_seconds +
-                        options_.idle_poll_seconds));
+                        kIdlePollSeconds));
     if (write_status != FrameStatus::Ok) return;  // peer went away mid-reply
     if (response.status == RpcStatus::Ok &&
         response.type == MessageType::Shutdown) {

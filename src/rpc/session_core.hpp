@@ -61,17 +61,12 @@ class ShardBackend;
 struct SessionOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; read back with port()
-  int backlog = 16;
   std::size_t worker_threads = 2;
   /// Connection cap: sessions beyond this are refused at accept time.
   std::size_t max_connections = 32;
   /// Server-side budget per request, seconds. <= 0 expires immediately
   /// (useful only for testing the DeadlineExpired path).
   double request_deadline_seconds = 10.0;
-  /// How long a worker blocks waiting for the next frame before re-checking
-  /// the stop flag. Purely a responsiveness knob.
-  double idle_poll_seconds = 0.2;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Observability side door: a second listening port serving GET /metrics
   /// (Prometheus text format), /healthz, /alerts and /debug/* over HTTP/1.0.
   bool enable_http = true;

@@ -50,43 +50,57 @@ RpcStatus LocalShard::submit(const TraceJob& job, SubmitJobResponse& out,
 
 RpcStatus LocalShard::job_status(std::int64_t job_id, JobStatusResponse& out,
                                  std::string& error) {
-  StatusOutcome outcome;
-  if (!service_.job_status(job_id, outcome, timeout_)) {
+  auto read = [job_id](OnlineScheduler& scheduler) {
+    JobStatusResponse response;
+    response.virtual_now = scheduler.now();
+    if (job_id >= 0 && job_id < scheduler.job_count()) {
+      response.found = true;
+      response.status = scheduler.job_status(job_id);
+    }
+    return response;
+  };
+  if (!service_.call(read, out, timeout_)) {
     error = kNoAnswer;
     return RpcStatus::DeadlineExpired;
   }
-  if (!outcome.found) {
+  if (!out.found) {
     error = no_job(job_id);
     return RpcStatus::UnknownJob;
   }
-  out.found = true;
-  out.virtual_now = outcome.virtual_now;
-  out.status = std::move(outcome.status);
   return RpcStatus::Ok;
 }
 
 RpcStatus LocalShard::job_timeline(std::int64_t job_id,
                                    JobTimelineResponse& out,
                                    std::string& error) {
-  TimelineOutcome outcome;
-  if (!service_.job_timeline(job_id, outcome, timeout_)) {
+  auto read = [job_id](OnlineScheduler& scheduler) {
+    JobTimelineResponse response;
+    response.job_id = job_id;
+    response.virtual_now = scheduler.now();
+    if (job_id >= 0 && job_id < scheduler.job_count()) {
+      JobTimeline timeline = scheduler.job_timeline(job_id);
+      response.found = true;
+      response.truncated = timeline.truncated;
+      response.events = std::move(timeline.events);
+    }
+    return response;
+  };
+  if (!service_.call(read, out, timeout_)) {
     error = kNoAnswer;
     return RpcStatus::DeadlineExpired;
   }
-  if (!outcome.found) {
+  if (!out.found) {
     error = no_job(job_id);
     return RpcStatus::UnknownJob;
   }
-  out.job_id = job_id;
-  out.found = true;
-  out.truncated = outcome.timeline.truncated;
-  out.virtual_now = outcome.virtual_now;
-  out.events = std::move(outcome.timeline.events);
   return RpcStatus::Ok;
 }
 
 RpcStatus LocalShard::snapshot(ServiceSnapshot& out, std::string& error) {
-  if (!service_.snapshot(out, timeout_)) {
+  auto read = [](OnlineScheduler& scheduler) {
+    return scheduler.service_snapshot();
+  };
+  if (!service_.call(read, out, timeout_)) {
     error = kNoAnswer;
     return RpcStatus::DeadlineExpired;
   }
@@ -94,23 +108,26 @@ RpcStatus LocalShard::snapshot(ServiceSnapshot& out, std::string& error) {
 }
 
 RpcStatus LocalShard::metrics(MetricsResponse& out, std::string& error) {
-  MetricsOutcome outcome;
-  if (!service_.metrics(outcome, timeout_)) {
+  // Scheduler counters + the load fields. The process-level fields (A*
+  // counters, RPC latency, session counters) are the front door's to add.
+  auto read = [](OnlineScheduler& scheduler) {
+    const SchedulerMetrics& m = scheduler.metrics();
+    MetricsResponse response;
+    response.virtual_now = scheduler.now();
+    response.arrivals = m.arrivals();
+    response.admissions = m.admissions();
+    response.completions = m.completions();
+    response.replans = m.replans();
+    response.migrations = m.migrations();
+    response.running_mean_degradation = m.running_mean_degradation();
+    response.cache = scheduler.oracle_cache().stats();
+    response.deterministic_csv = m.render_deterministic_csv();
+    return response;
+  };
+  if (!service_.call(read, out, timeout_)) {
     error = kNoAnswer;
     return RpcStatus::DeadlineExpired;
   }
-  // Scheduler counters + the load fields. The process-level fields (A*
-  // counters, RPC latency, session counters) are the front door's to add.
-  out = MetricsResponse{};
-  out.virtual_now = outcome.virtual_now;
-  out.arrivals = outcome.arrivals;
-  out.admissions = outcome.admissions;
-  out.completions = outcome.completions;
-  out.replans = outcome.replans;
-  out.migrations = outcome.migrations;
-  out.running_mean_degradation = outcome.running_mean_degradation;
-  out.cache = outcome.cache;
-  out.deterministic_csv = std::move(outcome.deterministic_csv);
   out.shard_id = shard_id_;
   LoadProbe probe = service_.load();
   out.command_queue_depth = probe.queue_depth;
@@ -214,12 +231,6 @@ RpcStatus RemoteShard::drain(DrainResponse& out, std::string& error) {
 LoadProbe RemoteShard::load() {
   std::lock_guard<std::mutex> lock(mutex_);
   return cached_load_;
-}
-
-void RemoteShard::refresh_load() {
-  MetricsResponse ignored;
-  std::string error;
-  metrics(ignored, error);  // side effect: cached_load_ update
 }
 
 bool RemoteShard::probe(std::string& error) {

@@ -8,15 +8,19 @@
 //
 //  * LocalShard — owns the service in-process. This is the default and the
 //    deterministic one: no sockets, results are a pure function of the
-//    routed submission sequence. It is also the one mapping from
-//    LiveSchedulerService outcomes to RpcStatus and error text: a
+//    routed submission sequence. It is also the one mapping from the
+//    scheduler to the wire: its four reads are closures that the service
+//    runs on the scheduler thread (LiveSchedulerService::call) and that
+//    build JobStatusResponse, JobTimelineResponse, ServiceSnapshot and
+//    MetricsResponse directly; submit and drain map the service's own
+//    outcomes. Every RpcStatus and error text comes from here. A
 //    CoschedServer serves its requests through a LocalShard too, with the
 //    request deadline as the command budget.
 //  * RemoteShard — speaks the RPC protocol to a CoschedServer started
 //    elsewhere with ServerOptions::shard_id set (the RPC-addressable
 //    deployment). Calls are serialized on one connection; the load probe
 //    is the cached fan-in block of the last GetMetrics, refreshed by
-//    refresh_load().
+//    metrics() and probe().
 //
 // Every verb reports an RpcStatus so the router front door can forward
 // shard verdicts (Draining, InvalidJob, UnknownJob, ...) unchanged; local
@@ -77,12 +81,9 @@ class ShardBackend {
   virtual RpcStatus drain(DrainResponse& out, std::string& error) = 0;
 
   /// Spillover signal. Local shards answer live (lock-light atomics);
-  /// remote shards answer from the snapshot cached by the last metrics()/
-  /// refresh_load() round-trip.
+  /// remote shards answer from the snapshot cached by the last metrics()
+  /// or probe() round-trip.
   virtual LoadProbe load() = 0;
-  /// Forces a probe refresh. No-op for local shards (always live); one
-  /// GetMetrics round-trip for remote ones.
-  virtual void refresh_load() {}
 
   /// Liveness probe for the router's health fan-in. Local shards are up by
   /// construction (their scheduler thread lives in this process); remote
@@ -162,7 +163,6 @@ class RemoteShard : public ShardBackend {
   RpcStatus metrics(MetricsResponse& out, std::string& error) override;
   RpcStatus drain(DrainResponse& out, std::string& error) override;
   LoadProbe load() override;
-  void refresh_load() override;
 
   /// One GetMetrics round-trip; false (with the fold error) when the shard
   /// server is unreachable or answers garbage.

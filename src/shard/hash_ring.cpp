@@ -21,17 +21,6 @@ void HashRing::add_shard(std::int32_t shard_id) {
   }
 }
 
-void HashRing::remove_shard(std::int32_t shard_id) {
-  auto member = std::lower_bound(shards_.begin(), shards_.end(), shard_id);
-  if (member == shards_.end() || *member != shard_id) return;
-  shards_.erase(member);
-  points_.erase(std::remove_if(points_.begin(), points_.end(),
-                               [shard_id](const Point& point) {
-                                 return point.shard == shard_id;
-                               }),
-                points_.end());
-}
-
 std::int32_t HashRing::shard_for(std::uint64_t key_hash) const {
   if (points_.empty()) return -1;
   // First point at or after the hash; wrap to the smallest point when the

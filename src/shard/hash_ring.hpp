@@ -6,11 +6,9 @@
 // key's hash. Virtual nodes smooth the arc lengths so K keys over N shards
 // land near-uniformly (the classic consistent-hashing construction), and
 // membership changes stay local: adding a shard steals only the keys whose
-// arcs its new points split (~K/N in expectation), removing one reassigns
-// only *its* keys — every other key keeps its shard. That ≤K/N remap bound
-// is what makes scale-out cheap: a fleet resize does not reshuffle the
-// world, and the router's QueryJobStatus routing stays valid for every
-// unmoved key.
+// arcs its new points split (~K/N in expectation) — every other key keeps
+// its shard. That ≤K/N remap bound is what makes scale-out cheap: a fleet
+// resize does not reshuffle the world.
 //
 // Everything is deterministic: points are derived from (shard id, vnode
 // index) with SplitMix64 and keys hash with FNV-1a + a SplitMix64
@@ -32,9 +30,6 @@ class HashRing {
 
   /// Adds `shard_id`'s virtual nodes. Adding a present shard is a no-op.
   void add_shard(std::int32_t shard_id);
-  /// Removes `shard_id`'s virtual nodes. Removing an absent shard is a
-  /// no-op.
-  void remove_shard(std::int32_t shard_id);
 
   /// Owner of `key_hash`: the shard of the first ring point at or after it
   /// (wrapping). -1 when the ring is empty.

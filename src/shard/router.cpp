@@ -7,6 +7,7 @@
 
 #include "obs/log.hpp"
 #include "obs/metrics_registry.hpp"
+#include "util/json.hpp"
 
 namespace cosched {
 namespace {
@@ -23,28 +24,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Minimal JSON string escaping for health error messages.
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -594,12 +573,6 @@ std::string ShardRouter::render_prometheus() {
   out << render_log_metrics();
   out << render_journal_metrics(journal_);
   return out.str();
-}
-
-void ShardRouter::refresh_remote_loads() {
-  for (auto& slot : shards_) {
-    if (!slot.backend->is_local()) slot.backend->refresh_load();
-  }
 }
 
 void ShardRouter::set_load_probe_override(std::size_t index,

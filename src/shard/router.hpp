@@ -173,10 +173,6 @@ class ShardRouter {
   /// health verdicts, hence non-const.
   std::string render_prometheus();
 
-  /// Refreshes cached load probes of remote shards (one GetMetrics each).
-  /// Local shards are always live.
-  void refresh_remote_loads();
-
   /// Test hook: pins shard `index`'s load probe to `probe` so spillover
   /// decisions become deterministic. Pass `enabled = false` to go back to
   /// the live probe.

@@ -65,16 +65,6 @@ namespace detail {
 /// when comparing objective values produced along different code paths.
 inline constexpr Real kObjectiveEps = 1e-9;
 
-inline bool approx_equal(Real a, Real b, Real eps = 1e-9) {
-  Real diff = a > b ? a - b : b - a;
-  Real scale = 1.0;
-  Real aa = a < 0 ? -a : a;
-  Real bb = b < 0 ? -b : b;
-  if (aa > scale) scale = aa;
-  if (bb > scale) scale = bb;
-  return diff <= eps * scale;
-}
-
 /// Parses all of `text` (surrounding whitespace allowed) as a T. False on
 /// an empty or partly numeric text and on integers outside T's range. Reals
 /// keep strtod's spellings of nan/inf: callers check their own domain.

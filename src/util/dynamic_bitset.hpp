@@ -39,10 +39,6 @@ class DynamicBitset {
     words_[pos >> 6] &= ~(1ULL << (pos & 63));
   }
 
-  void clear_all() {
-    for (auto& w : words_) w = 0;
-  }
-
   /// Number of set bits.
   std::size_t count() const {
     std::size_t c = 0;

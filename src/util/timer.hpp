@@ -24,12 +24,4 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// Runs `fn` and returns its wall-clock duration in seconds.
-template <typename Fn>
-double timed_seconds(Fn&& fn) {
-  WallTimer t;
-  fn();
-  return t.seconds();
-}
-
 }  // namespace cosched

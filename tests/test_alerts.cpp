@@ -580,6 +580,21 @@ TEST(AlertRender, TextAndJson) {
   EXPECT_NE(json.find("\"state\":\"firing\""), std::string::npos);
 }
 
+// /alerts writes rule names and details as JSON strings: control bytes
+// become \u00XX escapes (\r by name), never a bare byte or a blank.
+TEST(AlertRender, JsonEscapesControlCharacters) {
+  AlertView view;
+  view.rule = "burn\x01\r\x1f";
+  view.detail = "say \"hi\"\\";
+  std::string json = render_alerts_json({view}, true);
+  EXPECT_NE(json.find("\"rule\":\"burn\\u0001\\r\\u001f\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"detail\":\"say \\\"hi\\\"\\\\\""),
+            std::string::npos)
+      << json;
+}
+
 TEST(AlertRender, EngineMetricsFamilies) {
   AlertEngineOptions options = burn_options();
   options.rules.rules[0].for_seconds = 0.0;

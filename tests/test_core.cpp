@@ -263,13 +263,9 @@ TEST(NodeEvaluator, HWeightDropsParallelInAdmissibleMode) {
   p.full_model = m;
   NodeEvaluator eval(p, *m);
   std::vector<ProcessId> mixed_node{0, 2};  // parallel + serial
-  Real admissible = eval.h_weight(mixed_node, HWeightMode::Admissible);
-  Real full = eval.h_weight(mixed_node, HWeightMode::PaperFull);
-  EXPECT_LT(admissible, full);
-  EXPECT_DOUBLE_EQ(full, eval.weight(mixed_node));
+  EXPECT_LT(eval.h_weight(mixed_node), eval.weight(mixed_node));
   std::vector<ProcessId> serial_node{2, 3};
-  EXPECT_DOUBLE_EQ(eval.h_weight(serial_node, HWeightMode::Admissible),
-                   eval.weight(serial_node));
+  EXPECT_DOUBLE_EQ(eval.h_weight(serial_node), eval.weight(serial_node));
 }
 
 // ----------------------------------------------------------------- builders

@@ -148,7 +148,7 @@ TEST(WriteCsv, RoundTripsTableContents) {
 TEST(LevelStats, ExactMinimaMatchBruteEnumeration) {
   Problem p = random_serial_problem(10, 2, 7);
   NodeEvaluator eval(p, *p.full_model);
-  LevelStats stats = LevelStats::build_exact(eval, HWeightMode::Admissible);
+  LevelStats stats = LevelStats::build_exact(eval);
   EXPECT_TRUE(stats.exact());
   EXPECT_EQ(stats.total_nodes(), 45u);  // C(10,2)
 
@@ -165,7 +165,7 @@ TEST(LevelStats, Strategy1SumsGloballyCheapestBeyondLevel) {
   Problem p = random_serial_problem(8, 2, 8);
   NodeEvaluator eval(p, *p.full_model);
   LevelStats stats = LevelStats::build_exact(
-      eval, HWeightMode::Admissible, 20'000'000, HeuristicKind::Strategy1);
+      eval, 20'000'000, HeuristicKind::Strategy1);
   // k = 0 -> 0; monotone in k; taking from later levels only can't be
   // cheaper than from all levels.
   EXPECT_DOUBLE_EQ(stats.strategy1_h(-1, 0), 0.0);
@@ -180,7 +180,7 @@ TEST(LevelStats, Strategy1SumsGloballyCheapestBeyondLevel) {
   for (ProcessId a = 0; a < p.n(); ++a)
     for (ProcessId b = a + 1; b < p.n(); ++b) {
       std::vector<ProcessId> node{a, b};
-      weights.push_back(eval.h_weight(node, HWeightMode::Admissible));
+      weights.push_back(eval.h_weight(node));
     }
   std::sort(weights.begin(), weights.end());
   Real brute = 0.0;
@@ -195,7 +195,7 @@ TEST(LevelStats, Strategy1SumsGloballyCheapestBeyondLevel) {
 TEST(LevelStats, Strategy2TakesKSmallestUnscheduledMinima) {
   Problem p = random_serial_problem(8, 2, 9);
   NodeEvaluator eval(p, *p.full_model);
-  LevelStats stats = LevelStats::build_exact(eval, HWeightMode::Admissible);
+  LevelStats stats = LevelStats::build_exact(eval);
   std::vector<ProcessId> unscheduled{0, 1, 2, 3, 4, 5, 6, 7};
   Real h_all4 = stats.strategy2_h(unscheduled, 4);
   // Sum of the 4 smallest minima over levels 0..6 (7 can't lead: 7+2>8).
@@ -223,9 +223,9 @@ TEST(LevelStats, LagrangianRootBoundLiesBetweenStrategy2AndOptimum) {
   std::int32_t tighter = 0;
   for (const Problem& p : problems) {
     NodeEvaluator eval(p, *p.full_model);
-    LevelStats s2 = LevelStats::build_exact(eval, HWeightMode::Admissible);
+    LevelStats s2 = LevelStats::build_exact(eval);
     LevelStats lagrangian = LevelStats::build_exact(
-        eval, HWeightMode::Admissible, 20'000'000, HeuristicKind::Lagrangian);
+        eval, 20'000'000, HeuristicKind::Lagrangian);
     std::vector<ProcessId> all(static_cast<std::size_t>(p.n()));
     std::iota(all.begin(), all.end(), 0);
     const std::int32_t k = p.n() / p.u();
@@ -245,8 +245,7 @@ TEST(LevelStats, LagrangianWithZeroMultipliersIsStrategy2BitForBit) {
   Problem p = random_serial_problem(12, 4, 5);
   NodeEvaluator eval(p, *p.full_model);
   for (const LevelStats& stats :
-       {LevelStats::build_exact(eval, HWeightMode::Admissible),
-        LevelStats::build_approx(eval, HWeightMode::Admissible)}) {
+       {LevelStats::build_exact(eval), LevelStats::build_approx(eval)}) {
     for (ProcessId q = 0; q < p.n(); ++q) {
       EXPECT_EQ(stats.multiplier(q), 0.0);
       EXPECT_EQ(stats.min_reduced_weight(q), stats.min_level_weight(q));
@@ -265,7 +264,7 @@ TEST(LevelStats, LagrangianWithZeroMultipliersIsStrategy2BitForBit) {
 TEST(LevelStats, ApproxBuildProvidesFiniteEstimates) {
   Problem p = random_serial_problem(40, 4, 10);
   NodeEvaluator eval(p, *p.full_model);
-  LevelStats stats = LevelStats::build_approx(eval, HWeightMode::Admissible);
+  LevelStats stats = LevelStats::build_approx(eval);
   EXPECT_FALSE(stats.exact());
   for (ProcessId lead = 0; lead + 4 <= 40; ++lead) {
     Real w = stats.min_level_weight(lead);
@@ -278,7 +277,7 @@ TEST(LevelStats, ExactBuildRefusesOversizedGraphs) {
   Problem p = random_serial_problem(40, 4, 11);
   NodeEvaluator eval(p, *p.full_model);
   EXPECT_THROW(
-      LevelStats::build_exact(eval, HWeightMode::Admissible, /*max=*/1000),
+      LevelStats::build_exact(eval, /*max=*/1000),
       ContractViolation);
 }
 

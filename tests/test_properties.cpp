@@ -50,9 +50,9 @@ TEST_P(HeuristicAdmissibility, S2LowerBoundsTrueRemainingCost) {
   auto opt = solve_oastar(p);
   ASSERT_TRUE(opt.found);
   NodeEvaluator eval(p, *p.full_model);
-  LevelStats stats = LevelStats::build_exact(eval, HWeightMode::Admissible);
+  LevelStats stats = LevelStats::build_exact(eval);
   LevelStats lagrangian = LevelStats::build_exact(
-      eval, HWeightMode::Admissible, 20'000'000, HeuristicKind::Lagrangian);
+      eval, 20'000'000, HeuristicKind::Lagrangian);
 
   // Walk the optimal path; at each prefix compare h to the true suffix cost.
   std::vector<Real> node_costs;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <map>
 #include <sstream>
 #include <string>
@@ -75,6 +76,45 @@ RouterOptions ring_only_router() {
 
 void build_fleet(ShardRouter& router, int shards) {
   for (int i = 0; i < shards; ++i) router.add_local_shard(shard_service());
+}
+
+// ------------------------------------------------------- command budget
+
+// A command that outlives its caller's budget still runs, in queue order.
+// The scheduler thread is held by a call() that waits on a future the test
+// owns; a submit queued behind it times out as DeadlineExpired, and once
+// the hold is released the submit lands. Every closure passed to call()
+// captures only by value (`held` is a shared_future copy): a caller that
+// times out returns while its command is still queued, so a closure that
+// referenced the caller's stack would run against a dead frame.
+TEST(LocalShard, TimedOutCommandStillRunsInQueueOrder) {
+  LocalShard shard(0, shard_service(), /*command_timeout_seconds=*/0.05);
+  auto job_count = [](OnlineScheduler& scheduler) {
+    return scheduler.job_count();
+  };
+  std::int64_t before = -1;
+  ASSERT_TRUE(shard.service().call(job_count, before, 30.0));
+
+  std::promise<void> release;
+  std::shared_future<void> held = release.get_future().share();
+  bool unused = false;
+  EXPECT_FALSE(shard.service().call(
+      [held](OnlineScheduler&) {
+        held.wait();
+        return true;
+      },
+      unused, 0.0));
+
+  TraceJob job = tenant_trace(1, 1).jobs.front();
+  SubmitJobResponse ack;
+  std::string error;
+  EXPECT_EQ(shard.submit(job, ack, error), RpcStatus::DeadlineExpired);
+  EXPECT_EQ(error, "scheduler did not answer within the budget");
+
+  release.set_value();
+  std::int64_t after = -1;
+  ASSERT_TRUE(shard.service().call(job_count, after, 30.0));
+  EXPECT_EQ(after, before + 1);
 }
 
 // ------------------------------------------------------------- routing
