@@ -8,17 +8,39 @@
 // zero value once the reader has failed, and decoders check ok() at the
 // end. This keeps "peer sent garbage" on the error-status path rather than
 // the exception path.
+//
+// Both classes also share one field-list surface, so a message layout is
+// written once as a function template over the writer or the reader (see
+// rpc/protocol.hpp):
+//   io(a, b, ...)          each field at the width of its C++ type
+//                          (WireScalar); a reader fills the fields
+//   io.enumeration(e, max) an enum as u8; a reader fails on raw > max
+//   io.bounded(v, max)     a u8; a reader fails on v > max
+//   io.list(items, fn)     u32 count, then fn(item) per element; a reader
+//                          fails on a count above remaining() before it
+//                          allocates (every element takes at least a byte)
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/common.hpp"
 
 namespace cosched {
+
+/// The field types a layout may name; each travels at its own width.
+template <class T>
+concept WireScalar =
+    std::same_as<T, std::uint8_t> || std::same_as<T, std::uint16_t> ||
+    std::same_as<T, std::uint32_t> || std::same_as<T, std::uint64_t> ||
+    std::same_as<T, std::int32_t> || std::same_as<T, std::int64_t> ||
+    std::same_as<T, Real> || std::same_as<T, bool> ||
+    std::same_as<T, std::string>;
 
 class WireWriter {
  public:
@@ -43,7 +65,34 @@ class WireWriter {
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 
+  // ---- field-list surface --------------------------------------------
+  template <WireScalar... T>
+  void operator()(const T&... fields) {
+    (put(fields), ...);
+  }
+  template <class E>
+  void enumeration(E value, E /*max*/) {
+    u8(static_cast<std::uint8_t>(value));
+  }
+  void bounded(std::uint8_t value, std::uint8_t /*max*/) { u8(value); }
+  template <class T, class Fn>
+  void list(const std::vector<T>& items, Fn&& each) {
+    u32(static_cast<std::uint32_t>(items.size()));
+    for (const T& item : items) each(item);
+  }
+
  private:
+  template <WireScalar T>
+  void put(const T& v) {
+    if constexpr (std::same_as<T, bool>)
+      boolean(v);
+    else if constexpr (std::same_as<T, Real>)
+      real(v);
+    else if constexpr (std::same_as<T, std::string>)
+      str(v);
+    else
+      append_be(static_cast<std::make_unsigned_t<T>>(v), sizeof(T));
+  }
   void append_be(std::uint64_t v, int width) {
     for (int i = width - 1; i >= 0; --i)
       buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -82,7 +131,45 @@ class WireReader {
   bool ok() const { return !failed_; }
   std::size_t remaining() const { return size_ - pos_; }
 
+  // ---- field-list surface (mirrors WireWriter's) -------------------------
+  template <WireScalar... T>
+  void operator()(T&... fields) {
+    (get(fields), ...);
+  }
+  template <class E>
+  void enumeration(E& value, E max) {
+    std::uint8_t raw = u8();
+    if (raw > static_cast<std::uint8_t>(max))
+      failed_ = true;
+    else
+      value = static_cast<E>(raw);
+  }
+  void bounded(std::uint8_t& value, std::uint8_t max) {
+    value = u8();
+    if (value > max) failed_ = true;
+  }
+  template <class T, class Fn>
+  void list(std::vector<T>& items, Fn&& each) {
+    std::uint32_t n = u32();
+    if (n > remaining()) failed_ = true;
+    if (failed_) return;
+    items.clear();
+    items.reserve(n);
+    for (std::uint32_t i = 0; i < n && !failed_; ++i) each(items.emplace_back());
+  }
+
  private:
+  template <WireScalar T>
+  void get(T& v) {
+    if constexpr (std::same_as<T, bool>)
+      v = boolean();
+    else if constexpr (std::same_as<T, Real>)
+      v = real();
+    else if constexpr (std::same_as<T, std::string>)
+      v = str();
+    else
+      v = static_cast<T>(read_be(sizeof(T)));
+  }
   std::uint64_t read_be(int width) {
     if (failed_ || static_cast<std::size_t>(width) > size_ - pos_) {
       failed_ = true;

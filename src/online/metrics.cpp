@@ -88,12 +88,16 @@ TextTable SchedulerMetrics::histogram_table() const {
   return table;
 }
 
-TextTable SchedulerMetrics::replans_table(bool include_wall_times) const {
+TextTable SchedulerMetrics::replans_table(bool include_wall_times,
+                                          std::size_t newest) const {
   std::vector<std::string> headers{"time",          "admitted", "migrations",
                                    "stay combined", "combined", "degradation"};
   if (include_wall_times) headers.push_back("solve seconds");
   TextTable table(std::move(headers));
-  for (const ReplanRecord& r : replans_log_) {
+  std::size_t first =
+      replans_log_.size() > newest ? replans_log_.size() - newest : 0;
+  for (std::size_t i = first; i < replans_log_.size(); ++i) {
+    const ReplanRecord& r = replans_log_[i];
     std::vector<std::string> row{
         TextTable::fmt(r.time, 3), TextTable::fmt_int(r.admitted),
         TextTable::fmt_int(r.migrations), TextTable::fmt(r.stay_combined),
@@ -107,7 +111,7 @@ TextTable SchedulerMetrics::replans_table(bool include_wall_times) const {
 
 std::string SchedulerMetrics::render_deterministic_csv() const {
   return summary_table().render_csv() + histogram_table().render_csv() +
-         replans_table(false).render_csv();
+         replans_table(false, kCsvReplanRows).render_csv();
 }
 
 std::vector<std::string> SchedulerMetrics::write_csvs(

@@ -7,6 +7,7 @@
 // opt in via `include_wall_times`.
 #pragma once
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -102,11 +103,20 @@ class SchedulerMetrics {
   /// One histogram per row (metric, count, mean, max, buckets).
   /// Deterministic.
   TextTable histogram_table() const;
-  /// One replan per row. Deterministic unless `include_wall_times`.
-  TextTable replans_table(bool include_wall_times = false) const;
+  /// One replan per row, the newest `newest` of them (default: every
+  /// replan). Deterministic unless `include_wall_times`.
+  TextTable replans_table(
+      bool include_wall_times = false,
+      std::size_t newest = std::numeric_limits<std::size_t>::max()) const;
 
-  /// summary + histogram + replans CSVs concatenated, wall times excluded —
-  /// the byte-comparable artifact of the determinism tests.
+  /// Replan rows render_deterministic_csv carries: at ~34 bytes a row, the
+  /// full log of a long-lived server would outgrow the RPC frame cap.
+  static constexpr std::size_t kCsvReplanRows = 1024;
+
+  /// summary + histogram + the newest kCsvReplanRows replans as CSVs
+  /// concatenated, wall times excluded — the byte-comparable artifact of
+  /// the determinism tests and GetMetrics. The summary and histograms
+  /// cover every replan.
   std::string render_deterministic_csv() const;
 
   /// Writes <dir>/<prefix>_summary.csv, _histograms.csv and _replans.csv,

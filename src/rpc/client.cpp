@@ -164,124 +164,73 @@ RpcError CoschedClient::call(MessageType type,
   return error;
 }
 
+template <class Response>
+RpcError CoschedClient::request(MessageType type,
+                                const std::vector<std::uint8_t>& body,
+                                bool idempotent, Response& out) {
+  ResponseEnvelope envelope;
+  RpcError error = call(type, body, idempotent, envelope);
+  if (!error.ok()) return error;
+  WireReader r(envelope.body);
+  if (!decode(r, out) || !r.complete()) {
+    error.kind = RpcErrorKind::Protocol;
+    error.message = std::string("undecodable ") + to_string(type) +
+                    " response body";
+  }
+  return error;
+}
+
+namespace {
+
+std::vector<std::uint8_t> job_id_body(std::int64_t job_id) {
+  WireWriter w;
+  w(job_id);
+  return w.take();
+}
+
+}  // namespace
+
 RpcError CoschedClient::submit_job(const TraceJob& job,
                                    SubmitJobResponse& out) {
   WireWriter w;
-  encode_trace_job(w, job);
-  ResponseEnvelope envelope;
-  RpcError error = call(MessageType::SubmitJob, w.bytes(), false, envelope);
-  if (!error.ok()) return error;
-  WireReader r(envelope.body);
-  if (!decode_submit_response(r, out) || !r.complete()) {
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "undecodable SubmitJob response body";
-  }
-  return error;
+  encode(w, job);
+  return request(MessageType::SubmitJob, w.bytes(), false, out);
 }
 
 RpcError CoschedClient::query_job_status(std::int64_t job_id,
                                          JobStatusResponse& out) {
-  WireWriter w;
-  w.i64(job_id);
-  ResponseEnvelope envelope;
-  RpcError error = call(MessageType::QueryJobStatus, w.bytes(), true, envelope);
-  if (!error.ok()) return error;
-  WireReader r(envelope.body);
-  if (!decode_status_response(r, out) || !r.complete()) {
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "undecodable QueryJobStatus response body";
-  }
-  return error;
+  return request(MessageType::QueryJobStatus, job_id_body(job_id), true, out);
 }
 
 RpcError CoschedClient::query_job_timeline(std::int64_t job_id,
                                            JobTimelineResponse& out) {
-  WireWriter w;
-  w.i64(job_id);
-  ResponseEnvelope envelope;
-  RpcError error =
-      call(MessageType::QueryJobTimeline, w.bytes(), true, envelope);
-  if (!error.ok()) return error;
-  WireReader r(envelope.body);
-  if (!decode_timeline_response(r, out) || !r.complete()) {
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "undecodable QueryJobTimeline response body";
-  }
-  return error;
+  return request(MessageType::QueryJobTimeline, job_id_body(job_id), true,
+                 out);
 }
 
 RpcError CoschedClient::query_snapshot(ServiceSnapshot& out) {
-  ResponseEnvelope envelope;
-  RpcError error = call(MessageType::QueryScheduleSnapshot, {}, true, envelope);
-  if (!error.ok()) return error;
-  WireReader r(envelope.body);
-  if (!decode_service_snapshot(r, out) || !r.complete()) {
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "undecodable QueryScheduleSnapshot response body";
-  }
-  return error;
+  return request(MessageType::QueryScheduleSnapshot, {}, true, out);
 }
 
 RpcError CoschedClient::get_metrics(MetricsResponse& out) {
-  ResponseEnvelope envelope;
-  RpcError error = call(MessageType::GetMetrics, {}, true, envelope);
-  if (!error.ok()) return error;
-  WireReader r(envelope.body);
-  if (!decode_metrics_response(r, out) || !r.complete()) {
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "undecodable GetMetrics response body";
-  }
-  return error;
+  return request(MessageType::GetMetrics, {}, true, out);
 }
 
 RpcError CoschedClient::get_alerts(AlertsResponse& out) {
-  ResponseEnvelope envelope;
-  RpcError error = call(MessageType::GetAlerts, {}, true, envelope);
-  if (!error.ok()) return error;
-  WireReader r(envelope.body);
-  if (!decode_alerts_response(r, out) || !r.complete()) {
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "undecodable GetAlerts response body";
-  }
-  return error;
+  return request(MessageType::GetAlerts, {}, true, out);
 }
 
 RpcError CoschedClient::trace_dump(TraceDumpResponse& out) {
-  ResponseEnvelope envelope;
-  RpcError error = call(MessageType::TraceDump, {}, true, envelope);
-  if (!error.ok()) return error;
-  WireReader r(envelope.body);
-  if (!decode_trace_dump_response(r, out) || !r.complete()) {
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "undecodable TraceDump response body";
-  }
-  return error;
+  return request(MessageType::TraceDump, {}, true, out);
 }
 
 RpcError CoschedClient::drain(DrainResponse& out) {
   // Drain is idempotent: repeating it cannot admit or lose work.
-  ResponseEnvelope envelope;
-  RpcError error = call(MessageType::Drain, {}, true, envelope);
-  if (!error.ok()) return error;
-  WireReader r(envelope.body);
-  if (!decode_drain_response(r, out) || !r.complete()) {
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "undecodable Drain response body";
-  }
-  return error;
+  return request(MessageType::Drain, {}, true, out);
 }
 
 RpcError CoschedClient::shutdown_server(ShutdownResponse& out) {
-  ResponseEnvelope envelope;
-  RpcError error = call(MessageType::Shutdown, {}, false, envelope);
-  if (!error.ok()) return error;
-  WireReader r(envelope.body);
-  out.virtual_now = r.real();
-  if (!r.complete()) {
-    error.kind = RpcErrorKind::Protocol;
-    error.message = "undecodable Shutdown response body";
-  }
-  return error;
+  return request(MessageType::Shutdown, {}, false, out);
 }
 
 }  // namespace cosched

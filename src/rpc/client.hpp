@@ -101,6 +101,11 @@ class CoschedClient {
   /// Retries per the taxonomy above until attempts run out.
   RpcError call(MessageType type, const std::vector<std::uint8_t>& body,
                 bool idempotent, ResponseEnvelope& out);
+  /// call(), then decode the Ok reply's body as `Response`; a body that
+  /// does not decode exactly is a Protocol error.
+  template <class Response>
+  RpcError request(MessageType type, const std::vector<std::uint8_t>& body,
+                   bool idempotent, Response& out);
   /// Single attempt. `sent` reports whether any request bytes may have
   /// reached the server (gates retry of non-idempotent calls).
   RpcError attempt(MessageType type, const std::vector<std::uint8_t>& body,

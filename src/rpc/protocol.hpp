@@ -13,10 +13,14 @@
 // detect desynchronized streams. Bodies reuse the bounds-checked big-endian
 // wire encoding (net/wire.hpp); Reals travel as IEEE-754 bit patterns, which
 // is what makes the RPC submission path byte-identical to trace replay.
+// Each body type's layout is written once, as a field list both the
+// encoder and the decoder run (see "layouts" below).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "net/wire.hpp"
@@ -245,41 +249,148 @@ struct AlertsResponse {
 /// `shard_id`; `engine` may be null (watchdog disabled or compiled out).
 AlertsResponse local_alerts(const AlertEngine* engine, std::int32_t shard_id);
 
-// Field-level encoders shared by client and server. Decoders return false
-// on malformed input and leave the output in an unspecified state.
-void encode_trace_job(WireWriter& w, const TraceJob& job);
-bool decode_trace_job(WireReader& r, TraceJob& job);
+// ---- layouts ---------------------------------------------------------------
+// Each body type's wire layout is one field list, `layout(io, message)`,
+// run by WireWriter to encode and by WireReader to decode (net/wire.hpp),
+// so the two directions cannot drift apart. `M` is the message type, const
+// when encoding. Field order is the wire order; a reader enforces each
+// enumeration's and bounded byte's maximum and each list's count.
 
-void encode_job_status_view(WireWriter& w, const JobStatusView& view);
-bool decode_job_status_view(WireReader& r, JobStatusView& view);
+template <class M, class T>
+concept MessageOf = std::same_as<std::remove_const_t<M>, T>;
 
-void encode_service_snapshot(WireWriter& w, const ServiceSnapshot& snapshot);
-bool decode_service_snapshot(WireReader& r, ServiceSnapshot& snapshot);
+template <class Io, MessageOf<TraceJob> M>
+void layout(Io& io, M& job) {
+  io(job.arrival_time, job.name);
+  io.enumeration(job.kind, JobKind::Imaginary);
+  io(job.processes, job.work, job.miss_rate, job.sensitivity);
+}
 
-void encode_submit_response(WireWriter& w, const SubmitJobResponse& response);
-bool decode_submit_response(WireReader& r, SubmitJobResponse& response);
+template <class Io, MessageOf<JobStatusView> M>
+void layout(Io& io, M& view) {
+  io(view.id, view.name);
+  io.enumeration(view.phase, JobPhase::Finished);
+  io(view.arrival_time, view.admit_time, view.finish_time, view.work);
+  io.list(view.procs, [&](auto& proc) {
+    io(proc.gid, proc.machine, proc.degradation, proc.remaining_work);
+  });
+}
 
-void encode_status_response(WireWriter& w, const JobStatusResponse& response);
-bool decode_status_response(WireReader& r, JobStatusResponse& response);
+template <class Io, MessageOf<ServiceSnapshot> M>
+void layout(Io& io, M& snapshot) {
+  io(snapshot.now, snapshot.pending_jobs, snapshot.free_slots,
+     snapshot.completions, snapshot.live_degradation_sum,
+     snapshot.mean_live_degradation);
+  io.list(snapshot.machines, [&](auto& machine) {
+    io.list(machine,
+            [&](auto& proc) { io(proc.gid, proc.job, proc.degradation); });
+  });
+}
 
-void encode_metrics_response(WireWriter& w, const MetricsResponse& response);
-bool decode_metrics_response(WireReader& r, MetricsResponse& response);
+template <class Io, MessageOf<SubmitJobResponse> M>
+void layout(Io& io, M& response) {
+  io(response.job_id, response.virtual_now);
+  layout(io, response.status);
+  io(response.shard_id);
+}
 
-void encode_trace_dump_response(WireWriter& w,
-                                const TraceDumpResponse& response);
-bool decode_trace_dump_response(WireReader& r, TraceDumpResponse& response);
+template <class Io, MessageOf<JobStatusResponse> M>
+void layout(Io& io, M& response) {
+  io(response.found, response.virtual_now);
+  layout(io, response.status);
+}
 
-void encode_drain_response(WireWriter& w, const DrainResponse& response);
-bool decode_drain_response(WireReader& r, DrainResponse& response);
+template <class Io, MessageOf<MetricsResponse> M>
+void layout(Io& io, M& r) {
+  // Wire order predates the struct's grouping: deterministic_csv sits
+  // between cache.evictions and cache.compactions.
+  io(r.virtual_now, r.arrivals, r.admissions, r.completions, r.replans,
+     r.migrations, r.running_mean_degradation, r.cache.hits, r.cache.misses,
+     r.cache.entries, r.cache.evictions, r.deterministic_csv,
+     r.cache.compactions, r.astar_searches, r.astar_expansions,
+     r.astar_heuristic_evals, r.rpc_requests_ok, r.rpc_requests_failed,
+     r.rpc_request_count, r.rpc_request_seconds_sum,
+     r.rpc_request_seconds_p99, r.queue_wait_count, r.queue_wait_seconds_sum,
+     r.queue_wait_seconds_p99, r.tracer_dropped_events,
+     r.latency_exemplar_trace_id, r.latency_exemplar_seconds, r.shard_id,
+     r.command_queue_depth, r.replan_p95_seconds, r.router_spillovers,
+     r.router_remapped_keys);
+  io.list(r.shards, [&](auto& shard) {
+    io(shard.shard_id, shard.requests, shard.arrivals, shard.admissions,
+       shard.completions, shard.replans, shard.migrations, shard.virtual_now,
+       shard.queue_depth, shard.replan_p95_seconds);
+  });
+  io.list(r.shard_health, [&](auto& health) {
+    io(health.shard_id, health.up, health.transport_errors,
+       health.protocol_errors, health.application_errors);
+  });
+}
 
-void encode_journal_event(WireWriter& w, const JournalEvent& event);
-bool decode_journal_event(WireReader& r, JournalEvent& event);
+template <class Io, MessageOf<TraceDumpResponse> M>
+void layout(Io& io, M& response) {
+  io(response.enabled, response.event_count, response.text,
+     response.chrome_json);
+}
 
-void encode_timeline_response(WireWriter& w,
-                              const JobTimelineResponse& response);
-bool decode_timeline_response(WireReader& r, JobTimelineResponse& response);
+template <class Io, MessageOf<DrainResponse> M>
+void layout(Io& io, M& response) {
+  io(response.completions, response.virtual_now);
+}
 
-void encode_alerts_response(WireWriter& w, const AlertsResponse& response);
-bool decode_alerts_response(WireReader& r, AlertsResponse& response);
+template <class Io, MessageOf<ShutdownResponse> M>
+void layout(Io& io, M& response) {
+  io(response.virtual_now);
+}
+
+template <class Io, MessageOf<JournalEvent> M>
+void layout(Io& io, M& event) {
+  io(event.job_id);
+  io.enumeration(event.kind,
+                 static_cast<JournalEventKind>(kJournalEventKinds - 1));
+  io(event.time, event.trace_id, event.seq, event.policy, event.machine,
+     event.candidates, event.degradation_delta);
+  io.list(event.co_runners, [&](auto& co) { io(co); });
+  io(event.detail);
+}
+
+template <class Io, MessageOf<JobTimelineResponse> M>
+void layout(Io& io, M& response) {
+  io(response.job_id, response.found, response.truncated,
+     response.virtual_now);
+  io.list(response.events, [&](auto& event) { layout(io, event); });
+}
+
+template <class Io, MessageOf<AlertsResponse> M>
+void layout(Io& io, M& response) {
+  io(response.engine_enabled, response.firing);
+  io.list(response.alerts, [&](auto& entry) {
+    io(entry.shard_id, entry.rule);
+    // The state machine has 4 states and 3 severities; anything else is a
+    // corrupted body, not a future extension (those append fields).
+    io.bounded(entry.state, static_cast<std::uint8_t>(AlertState::Resolved));
+    io.bounded(entry.severity,
+               static_cast<std::uint8_t>(AlertSeverity::Critical));
+    io(entry.value, entry.threshold, entry.since_seconds, entry.detail);
+  });
+}
+
+/// Appends `message`'s layout to `w`.
+template <class M>
+void encode(WireWriter& w, const M& message) {
+  layout(w, message);
+}
+
+/// Reads `message`'s layout from `r`; false on malformed input, leaving
+/// `message` unspecified. Callers check r.complete() for trailing bytes.
+template <class M>
+bool decode(WireReader& r, M& message) {
+  layout(r, message);
+  return r.ok();
+}
+
+/// The SubmitJob request body; perfbench calls it by this name.
+inline void encode_trace_job(WireWriter& w, const TraceJob& job) {
+  encode(w, job);
+}
 
 }  // namespace cosched

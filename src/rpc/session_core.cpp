@@ -257,19 +257,18 @@ ResponseEnvelope SessionCore::dispatch(const RequestEnvelope& request,
   WireReader reader(request.body);
   TraceJob job;
   std::int64_t job_id = 0;
-  bool decoded = true;
   switch (request.type) {
     case MessageType::SubmitJob:
-      decoded = decode_trace_job(reader, job);
+      decode(reader, job);
       break;
     case MessageType::QueryJobStatus:
     case MessageType::QueryJobTimeline:
-      job_id = reader.i64();
+      reader(job_id);
       break;
     default:
       break;  // every other request has an empty body
   }
-  if (!decoded || !reader.complete())
+  if (!reader.complete())
     return rpc_failure(RpcStatus::BadRequest,
                        std::string("malformed ") + to_string(request.type) +
                            " body");
@@ -281,25 +280,25 @@ ResponseEnvelope SessionCore::dispatch(const RequestEnvelope& request,
     case MessageType::SubmitJob: {
       SubmitJobResponse reply;
       status = submit(job, reply, error, trace_id);
-      if (status == RpcStatus::Ok) encode_submit_response(body, reply);
+      if (status == RpcStatus::Ok) encode(body, reply);
       break;
     }
     case MessageType::QueryJobStatus: {
       JobStatusResponse reply;
       status = job_status(job_id, reply, error);
-      if (status == RpcStatus::Ok) encode_status_response(body, reply);
+      if (status == RpcStatus::Ok) encode(body, reply);
       break;
     }
     case MessageType::QueryJobTimeline: {
       JobTimelineResponse reply;
       status = job_timeline(job_id, reply, error);
-      if (status == RpcStatus::Ok) encode_timeline_response(body, reply);
+      if (status == RpcStatus::Ok) encode(body, reply);
       break;
     }
     case MessageType::QueryScheduleSnapshot: {
       ServiceSnapshot reply;
       status = snapshot(reply, error);
-      if (status == RpcStatus::Ok) encode_service_snapshot(body, reply);
+      if (status == RpcStatus::Ok) encode(body, reply);
       break;
     }
     case MessageType::GetMetrics: {
@@ -310,27 +309,29 @@ ResponseEnvelope SessionCore::dispatch(const RequestEnvelope& request,
       reply.rpc_requests_ok = session.requests_ok;
       reply.rpc_requests_failed = session.requests_failed;
       reply.tracer_dropped_events = Tracer::global().dropped_events();
-      encode_metrics_response(body, reply);
+      encode(body, reply);
       break;
     }
     case MessageType::Drain: {
       DrainResponse reply;
       status = drain(reply, error);
-      if (status == RpcStatus::Ok) encode_drain_response(body, reply);
+      if (status == RpcStatus::Ok) encode(body, reply);
       break;
     }
     case MessageType::Shutdown: {
       // virtual_now; 0 when the door cannot answer its metrics in time.
-      MetricsResponse reply;
-      body.real(metrics(reply, error) == RpcStatus::Ok ? reply.virtual_now
-                                                       : 0.0);
+      MetricsResponse metrics_reply;
+      ShutdownResponse reply;
+      if (metrics(metrics_reply, error) == RpcStatus::Ok)
+        reply.virtual_now = metrics_reply.virtual_now;
+      encode(body, reply);
       break;
     }
     case MessageType::TraceDump:
-      encode_trace_dump_response(body, collect_trace_dump());
+      encode(body, collect_trace_dump());
       break;
     case MessageType::GetAlerts:
-      encode_alerts_response(body, collect_alerts());
+      encode(body, collect_alerts());
       break;
   }
   if (status != RpcStatus::Ok) return rpc_failure(status, std::move(error));
@@ -464,6 +465,19 @@ void SessionCore::serve_connection(Socket socket) {
     // reply then always finds its request in /metrics and the stats. The
     // service time so excludes the socket write.
     std::vector<std::uint8_t> reply = encode_response(response);
+    if (reply.size() > kDefaultMaxFrameBytes) {
+      // The client's read_frame refuses a frame past the cap and drops the
+      // connection; an error it can read keeps the session usable.
+      std::string error = "reply of ";
+      error += std::to_string(reply.size());
+      error += " bytes exceeds the ";
+      error += std::to_string(kDefaultMaxFrameBytes);
+      error += "-byte frame cap";
+      response.status = RpcStatus::ServerError;
+      response.error = std::move(error);
+      response.body.clear();
+      reply = encode_response(response);
+    }
     request_done(trace_id, request_timer);
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);

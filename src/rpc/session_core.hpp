@@ -18,10 +18,13 @@
 // than kProtocolVersion with VersionMismatch, adopt the client's trace id
 // (or mint one), open the request span and profiler phase, dispatch, write
 // the reply. A frame that is not a valid envelope is answered BadRequest;
-// broken framing drops the connection (both counted as malformed).
+// broken framing drops the connection (both counted as malformed). An
+// encoded reply larger than kDefaultMaxFrameBytes, which the client's
+// read_frame would refuse, is replaced by a ServerError naming its size;
+// the connection stays open.
 //
 // dispatch() is the only place a request body is decoded and a reply body
-// encoded. A request whose server-side budget (`request_deadline_seconds`)
+// encoded, both through the message layouts of rpc/protocol.hpp. A request whose server-side budget (`request_deadline_seconds`)
 // is already spent is answered DeadlineExpired; a body with missing or
 // trailing bytes is answered BadRequest. The job-facing messages go to the
 // front door's verbs (submit, job_status, job_timeline, snapshot, metrics,

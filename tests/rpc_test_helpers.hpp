@@ -69,7 +69,7 @@ inline void expect_old_versions_refused(std::uint16_t port) {
   EXPECT_EQ(served.status, RpcStatus::Ok) << served.error;
   WireReader r(served.body);
   MetricsResponse metrics;
-  EXPECT_TRUE(decode_metrics_response(r, metrics) && r.complete());
+  EXPECT_TRUE(decode(r, metrics) && r.complete());
 }
 
 /// Well-formed SubmitJob bodies whose fields fall outside the model's

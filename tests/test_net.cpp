@@ -1,16 +1,20 @@
 // Tests for the transport layer (src/net): wire serialization round-trips,
 // framing integrity, and fault injection — truncated frames, bad magic,
-// oversized declarations, deadline expiry — over real loopback sockets.
+// oversized declarations, deadline expiry, seeded byte mutations of whole
+// frames — over real loopback sockets.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <cstring>
 #include <limits>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
+#include "test_helpers.hpp"
 
 namespace cosched {
 namespace {
@@ -297,6 +301,69 @@ TEST(Frame, ManyFramesBackToBack) {
   EXPECT_EQ(read_frame(lb.server, got, Deadline::after(2.0)),
             FrameStatus::Closed);
   writer.join();
+}
+
+// ------------------------------------------------------------ frame mutation
+
+/// read_frame over a fresh socket pair that carries `stream` and then EOF.
+/// The writer has closed, so every outcome must be a definite FrameStatus:
+/// never a wait for more bytes, never a crash. True when a frame came out.
+bool reads_a_frame(const std::vector<std::uint8_t>& stream,
+                   std::set<FrameStatus>& seen) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    ADD_FAILURE() << "socketpair failed";
+    return false;
+  }
+  Socket writer(fds[0]);
+  Socket reader(fds[1]);
+  EXPECT_EQ(writer.send_all(stream.data(), stream.size(), Deadline::after(2.0)),
+            NetStatus::Ok);
+  writer.close();
+  std::vector<std::uint8_t> payload;
+  FrameStatus status = read_frame(reader, payload, Deadline::after(2.0));
+  seen.insert(status);
+  EXPECT_NE(status, FrameStatus::Timeout);
+  EXPECT_NE(status, FrameStatus::Error);
+  if (status != FrameStatus::Ok) return false;
+  EXPECT_LE(payload.size() + 8, stream.size());
+  return true;
+}
+
+std::vector<std::uint8_t> frame_of(const std::vector<std::uint8_t>& payload) {
+  WireWriter w;
+  w.u32(kFrameMagic);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.bytes_raw(payload);
+  return w.take();
+}
+
+TEST(FrameMutation, EveryMutatedFrameEndsInAFrameStatus) {
+  WireWriter body;
+  body.u16(9);
+  body.u8(1);
+  body.u64(41);
+  body.str("tenantA/lu.C.4");
+  std::vector<std::uint8_t> two_frames = frame_of(body.bytes());
+  std::vector<std::uint8_t> second = frame_of({7, 7, 7});
+  two_frames.insert(two_frames.end(), second.begin(), second.end());
+  const std::vector<std::uint8_t> inputs[] = {
+      frame_of({}), frame_of(body.bytes()), two_frames};
+  std::set<FrameStatus> seen;
+  std::uint64_t seed = 0xf7a3e100;
+  for (const std::vector<std::uint8_t>& input : inputs) {
+    ASSERT_TRUE(reads_a_frame(input, seen));
+    testhelpers::for_each_mutation(
+        input, ++seed,
+        [&](const std::vector<std::uint8_t>& stream) {
+          return reads_a_frame(stream, seen);
+        });
+  }
+  // The mutations reach every outcome a peer's bytes can produce.
+  for (FrameStatus status : {FrameStatus::Ok, FrameStatus::Closed,
+                             FrameStatus::Truncated, FrameStatus::BadMagic,
+                             FrameStatus::Oversized})
+    EXPECT_EQ(seen.count(status), 1u) << to_string(status);
 }
 
 }  // namespace

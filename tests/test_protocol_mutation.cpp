@@ -105,7 +105,7 @@ Bytes response_body(MessageType type) {
       reply.virtual_now = 3.0;
       reply.status = running_job();
       reply.shard_id = 1;
-      encode_submit_response(w, reply);
+      encode(w, reply);
       break;
     }
     case MessageType::QueryJobStatus: {
@@ -113,7 +113,7 @@ Bytes response_body(MessageType type) {
       reply.found = true;
       reply.virtual_now = 3.0;
       reply.status = running_job();
-      encode_status_response(w, reply);
+      encode(w, reply);
       break;
     }
     case MessageType::QueryScheduleSnapshot: {
@@ -123,7 +123,7 @@ Bytes response_body(MessageType type) {
       snapshot.free_slots = 2;
       snapshot.machines = {
           {{14, 7, 0.25}}, {}, {{15, 7, 0.5}, {16, 8, 0.1}}};
-      encode_service_snapshot(w, snapshot);
+      encode(w, snapshot);
       break;
     }
     case MessageType::GetMetrics: {
@@ -136,17 +136,17 @@ Bytes response_body(MessageType type) {
       reply.shards = {{0, 5, 5, 4, 2, 2, 1, 3.0, 0, 0.01},
                       {1, 4, 4, 4, 1, 2, 0, 2.0, 1, 0.02}};
       reply.shard_health = {{0, true, 0, 0, 0}, {1, false, 3, 1, 0}};
-      encode_metrics_response(w, reply);
+      encode(w, reply);
       break;
     }
     case MessageType::Drain:
-      encode_drain_response(w, DrainResponse{9, 40.0});
+      encode(w, DrainResponse{9, 40.0});
       break;
     case MessageType::Shutdown:
       w.real(40.0);
       break;
     case MessageType::TraceDump:
-      encode_trace_dump_response(w, trace_dump());
+      encode(w, trace_dump());
       break;
     case MessageType::QueryJobTimeline: {
       JournalEvent placed;
@@ -168,7 +168,7 @@ Bytes response_body(MessageType type) {
       reply.events = {placed, placed};
       reply.events[0].kind = JournalEventKind::Admission;
       reply.events[0].co_runners.clear();
-      encode_timeline_response(w, reply);
+      encode(w, reply);
       break;
     }
     case MessageType::GetAlerts: {
@@ -178,7 +178,7 @@ Bytes response_body(MessageType type) {
       reply.alerts = {
           {-1, "latency_burn", 2, 2, 14.5, 4.0, 3.0, "fast=14.5"},
           {0, "latency_burn", 0, 2, 0.0, 4.0, 60.0, ""}};
-      encode_alerts_response(w, reply);
+      encode(w, reply);
       break;
     }
   }
@@ -201,7 +201,7 @@ bool decode_whole_request(const Bytes& bytes) {
   WireReader r(request.body);
   if (request.type == MessageType::SubmitJob) {
     TraceJob job;
-    if (!decode_trace_job(r, job)) return false;
+    if (!decode(r, job)) return false;
     EXPECT_LE(static_cast<int>(job.kind),
               static_cast<int>(JobKind::Imaginary));
   } else if (request.type == MessageType::QueryJobStatus ||
@@ -223,29 +223,29 @@ bool decode_whole_response(const Bytes& bytes) {
   switch (response.type) {
     case MessageType::SubmitJob: {
       SubmitJobResponse reply;
-      if (!decode_submit_response(r, reply)) return false;
+      if (!decode(r, reply)) return false;
       expect_valid_status(reply.status);
       break;
     }
     case MessageType::QueryJobStatus: {
       JobStatusResponse reply;
-      if (!decode_status_response(r, reply)) return false;
+      if (!decode(r, reply)) return false;
       expect_valid_status(reply.status);
       break;
     }
     case MessageType::QueryScheduleSnapshot: {
       ServiceSnapshot snapshot;
-      if (!decode_service_snapshot(r, snapshot)) return false;
+      if (!decode(r, snapshot)) return false;
       break;
     }
     case MessageType::GetMetrics: {
       MetricsResponse reply;
-      if (!decode_metrics_response(r, reply)) return false;
+      if (!decode(r, reply)) return false;
       break;
     }
     case MessageType::Drain: {
       DrainResponse reply;
-      if (!decode_drain_response(r, reply)) return false;
+      if (!decode(r, reply)) return false;
       break;
     }
     case MessageType::Shutdown:
@@ -253,7 +253,7 @@ bool decode_whole_response(const Bytes& bytes) {
       break;
     case MessageType::TraceDump: {
       TraceDumpResponse dump;
-      if (!decode_trace_dump_response(r, dump)) return false;
+      if (!decode(r, dump)) return false;
       std::string text = namespace_trace_text(dump.text, "shard0/");
       EXPECT_GE(text.size(), dump.text.size());
       std::string merged = merge_chrome_traces(
@@ -265,14 +265,14 @@ bool decode_whole_response(const Bytes& bytes) {
     }
     case MessageType::QueryJobTimeline: {
       JobTimelineResponse reply;
-      if (!decode_timeline_response(r, reply)) return false;
+      if (!decode(r, reply)) return false;
       for (const JournalEvent& event : reply.events)
         EXPECT_LT(static_cast<std::size_t>(event.kind), kJournalEventKinds);
       break;
     }
     case MessageType::GetAlerts: {
       AlertsResponse reply;
-      if (!decode_alerts_response(r, reply)) return false;
+      if (!decode(r, reply)) return false;
       break;
     }
   }

@@ -13,11 +13,13 @@
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "obs/alerts.hpp"
+#include "obs/trace.hpp"
 #include "online/scheduler.hpp"
 #include "rpc/client.hpp"
 #include "rpc/protocol.hpp"
 #include "rpc/server.hpp"
 #include "rpc_test_helpers.hpp"
+#include "test_helpers.hpp"
 
 namespace cosched {
 namespace {
@@ -101,7 +103,7 @@ TEST(Protocol, TraceJobRoundTripsBitForBit) {
   encode_trace_job(w, job);
   WireReader r(w.bytes());
   TraceJob got;
-  ASSERT_TRUE(decode_trace_job(r, got));
+  ASSERT_TRUE(decode(r, got));
   EXPECT_TRUE(r.complete());
   EXPECT_EQ(got.arrival_time, job.arrival_time);
   EXPECT_EQ(got.name, job.name);
@@ -125,10 +127,10 @@ TEST(Protocol, SnapshotRoundTrips) {
   snapshot.machines[2].push_back({8, 3, 0.75});
   snapshot.machines[2].push_back({9, 4, 0.5});
   WireWriter w;
-  encode_service_snapshot(w, snapshot);
+  encode(w, snapshot);
   WireReader r(w.bytes());
   ServiceSnapshot got;
-  ASSERT_TRUE(decode_service_snapshot(r, got));
+  ASSERT_TRUE(decode(r, got));
   EXPECT_TRUE(r.complete());
   EXPECT_EQ(got.now, snapshot.now);
   ASSERT_EQ(got.machines.size(), 3u);
@@ -143,14 +145,14 @@ TEST(Protocol, JobStatusViewRejectsLyingProcCount) {
   WireWriter w;
   JobStatusView view;
   view.id = 1;
-  encode_job_status_view(w, view);
+  encode(w, view);
   std::vector<std::uint8_t> bytes = w.take();
   // Overwrite the proc-count field (last 4 bytes) with a huge claim.
   bytes[bytes.size() - 1] = 0xFF;
   bytes[bytes.size() - 2] = 0xFF;
   WireReader r(bytes);
   JobStatusView got;
-  EXPECT_FALSE(decode_job_status_view(r, got));
+  EXPECT_FALSE(decode(r, got));
 }
 
 // ------------------------------------------------------------ loopback
@@ -560,6 +562,96 @@ TEST(RpcFaults, ConnectionCapRefusesTheOverflow) {
   server.stop();
 }
 
+// A reply the client's read_frame would refuse (past kDefaultMaxFrameBytes)
+// is answered ServerError naming its size, and the session stays usable:
+// the next request on the same connection is served.
+TEST(RpcFaults, OverCapReplyIsAServerErrorAndTheSessionStays) {
+  testhelpers::reset_global_tracer();
+  Tracer& tracer = Tracer::global();
+  tracer.set_enabled(true);
+  // 2,048 spans with 600-byte details: the dump's text and Chrome JSON
+  // together carry about 2.5 MB.
+  const std::string detail(600, 'x');
+  for (int i = 0; i < 2048; ++i) {
+    tracer.begin_span("test.padding", -1.0, detail);
+    tracer.end_span();
+  }
+  tracer.set_enabled(false);
+
+  CoschedServer server(loopback_options());
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  CoschedClient client(client_for(server));
+  TraceDumpResponse dump;
+  RpcError refused = client.trace_dump(dump);
+  EXPECT_EQ(refused.kind, RpcErrorKind::Application) << refused.describe();
+  EXPECT_EQ(refused.app, RpcStatus::ServerError);
+  EXPECT_EQ(refused.message.rfind("reply of ", 0), 0u) << refused.message;
+  const std::string cap_text = " bytes exceeds the " +
+                               std::to_string(kDefaultMaxFrameBytes) +
+                               "-byte frame cap";
+  ASSERT_GE(refused.message.size(), cap_text.size());
+  EXPECT_EQ(refused.message.substr(refused.message.size() - cap_text.size()),
+            cap_text);
+
+  MetricsResponse metrics;
+  RpcError served = client.get_metrics(metrics);
+  EXPECT_TRUE(served.ok()) << served.describe();
+  EXPECT_EQ(metrics.rpc_requests_failed, 1u);
+  EXPECT_EQ(server.stats().accepted_connections, 1u);
+  server.stop();
+  testhelpers::reset_global_tracer();
+}
+
+// GetMetrics' deterministic CSV carries the newest kCsvReplanRows replans,
+// so a long-lived server's reply stays under the frame cap; the summary
+// still counts every replan.
+TEST(RpcLoopback, MetricsCsvCarriesTheNewestReplans) {
+  ServerOptions options = loopback_options();
+  options.service.scheduler.admission.every_k = 1;
+  WorkloadTrace trace = small_trace(23, 1100);
+  OnlineSchedulerOptions fleet = small_fleet();
+  fleet.admission.every_k = 1;
+  OnlineScheduler reference(fleet);
+  reference.run(trace);
+  ASSERT_GT(reference.metrics().replans(), SchedulerMetrics::kCsvReplanRows);
+
+  CoschedServer server(options);
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  CoschedClient client(client_for(server));
+  for (const TraceJob& job : trace.jobs) {
+    SubmitJobResponse reply;
+    RpcError rpc_error = client.submit_job(job, reply);
+    ASSERT_TRUE(rpc_error.ok()) << rpc_error.describe();
+  }
+  DrainResponse drained;
+  ASSERT_TRUE(client.drain(drained).ok());
+  MetricsResponse metrics;
+  RpcError rpc_error = client.get_metrics(metrics);
+  ASSERT_TRUE(rpc_error.ok()) << rpc_error.describe();
+  server.stop();
+
+  EXPECT_EQ(metrics.replans, reference.metrics().replans());
+  EXPECT_EQ(metrics.deterministic_csv,
+            reference.metrics().render_deterministic_csv());
+  // The replans table is the last CSV: its header, then one line per row.
+  const std::string header = "time,admitted,migrations,";
+  std::size_t at = metrics.deterministic_csv.rfind(header);
+  ASSERT_NE(at, std::string::npos);
+  std::string rows = metrics.deterministic_csv.substr(at);
+  std::size_t lines = 0;
+  for (char c : rows) lines += c == '\n';
+  EXPECT_EQ(lines, 1 + SchedulerMetrics::kCsvReplanRows);
+  // Those rows are the tail of the full table; the summary counts all.
+  std::string full = reference.metrics().replans_table().render_csv();
+  EXPECT_EQ(full.substr(full.size() - (rows.size() - rows.find('\n') - 1)),
+            rows.substr(rows.find('\n') + 1));
+  EXPECT_NE(metrics.deterministic_csv.find(
+                "replans," + std::to_string(metrics.replans) + "\n"),
+            std::string::npos);
+}
+
 // ------------------------------------------------ one wire version
 
 // Any version other than kProtocolVersion is refused with VersionMismatch
@@ -581,13 +673,13 @@ TEST(ProtocolStrict, MetricsBodyCutAtAnOldBlockEndIsRejected) {
   response.arrivals = 3;
   response.shard_id = 2;
   WireWriter w;
-  encode_metrics_response(w, response);
+  encode(w, response);
   std::vector<std::uint8_t> bytes = w.take();
   ASSERT_EQ(bytes.size(), 256u);  // empty CSV, no shard entries
   {
     WireReader r(bytes);
     MetricsResponse got;
-    ASSERT_TRUE(decode_metrics_response(r, got));
+    ASSERT_TRUE(decode(r, got));
     EXPECT_TRUE(r.complete());
     EXPECT_EQ(got.shard_id, 2);
   }
@@ -598,7 +690,7 @@ TEST(ProtocolStrict, MetricsBodyCutAtAnOldBlockEndIsRejected) {
     std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + end);
     WireReader r(cut);
     MetricsResponse got;
-    EXPECT_FALSE(decode_metrics_response(r, got)) << "cut at " << end;
+    EXPECT_FALSE(decode(r, got)) << "cut at " << end;
   }
 }
 
@@ -631,7 +723,7 @@ TEST(ProtocolStrict, RetiredMessageTypeIsBadRequest) {
   EXPECT_EQ(served.request_id, 82u);
   WireReader r(served.body);
   MetricsResponse metrics;
-  EXPECT_TRUE(decode_metrics_response(r, metrics) && r.complete());
+  EXPECT_TRUE(decode(r, metrics) && r.complete());
   server.stop();
 }
 
@@ -643,19 +735,19 @@ TEST(ProtocolStrict, SubmitAckWithoutShardIdIsRejected) {
   ack.shard_id = 1;
   ack.status.procs.push_back({});
   WireWriter w;
-  encode_submit_response(w, ack);
+  encode(w, ack);
   std::vector<std::uint8_t> bytes = w.take();
   {
     WireReader r(bytes);
     SubmitJobResponse got;
-    ASSERT_TRUE(decode_submit_response(r, got));
+    ASSERT_TRUE(decode(r, got));
     EXPECT_TRUE(r.complete());
     EXPECT_EQ(got.shard_id, 1);
   }
   bytes.resize(bytes.size() - 4);
   WireReader r(bytes);
   SubmitJobResponse got;
-  EXPECT_FALSE(decode_submit_response(r, got));
+  EXPECT_FALSE(decode(r, got));
 }
 
 // A shard-deployed server carries its shard identity in both the SubmitJob
@@ -714,10 +806,10 @@ TEST(ShardWire, MetricsFanInBlockRoundTrips) {
   response.shards = {a, b};
 
   WireWriter w;
-  encode_metrics_response(w, response);
+  encode(w, response);
   WireReader r(w.bytes());
   MetricsResponse got;
-  ASSERT_TRUE(decode_metrics_response(r, got));
+  ASSERT_TRUE(decode(r, got));
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(got.command_queue_depth, 7u);
   EXPECT_EQ(got.replan_p95_seconds, 0.25);
@@ -735,7 +827,7 @@ TEST(ShardWire, MetricsFanInBlockRoundTrips) {
   bytes.resize(bytes.size() - 8);
   WireReader truncated(bytes);
   MetricsResponse bad;
-  EXPECT_FALSE(decode_metrics_response(truncated, bad));
+  EXPECT_FALSE(decode(truncated, bad));
 }
 
 // Round-trip of the health block — per-shard liveness and the per-kind
@@ -756,10 +848,10 @@ TEST(ShardWire, HealthBlockRoundTrips) {
   response.shard_health = {a, b};
 
   WireWriter w;
-  encode_metrics_response(w, response);
+  encode(w, response);
   WireReader r(w.bytes());
   MetricsResponse got;
-  ASSERT_TRUE(decode_metrics_response(r, got));
+  ASSERT_TRUE(decode(r, got));
   EXPECT_EQ(r.remaining(), 0u);
   ASSERT_EQ(got.shard_health.size(), 2u);
   EXPECT_EQ(got.shard_health[0].shard_id, 0);
@@ -776,7 +868,7 @@ TEST(ShardWire, HealthBlockRoundTrips) {
   bytes.resize(bytes.size() - 4);
   WireReader truncated(bytes);
   MetricsResponse bad;
-  EXPECT_FALSE(decode_metrics_response(truncated, bad));
+  EXPECT_FALSE(decode(truncated, bad));
 }
 
 // ------------------------------------------------ decision-journal wire
@@ -796,11 +888,11 @@ TEST(TimelineWire, JournalEventAndResponseRoundTrip) {
   event.detail = "batch=4";
 
   WireWriter w;
-  encode_journal_event(w, event);
+  encode(w, event);
   WireReader r(w.bytes());
   JournalEvent got;
   got.co_runners = {99};  // decoder must reset, not append
-  ASSERT_TRUE(decode_journal_event(r, got));
+  ASSERT_TRUE(decode(r, got));
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(got.job_id, 17);
   EXPECT_EQ(got.kind, JournalEventKind::Placement);
@@ -821,10 +913,10 @@ TEST(TimelineWire, JournalEventAndResponseRoundTrip) {
   reply.virtual_now = 30.0;
   reply.events = {event, event};
   WireWriter rw;
-  encode_timeline_response(rw, reply);
+  encode(rw, reply);
   WireReader rr(rw.bytes());
   JobTimelineResponse round;
-  ASSERT_TRUE(decode_timeline_response(rr, round));
+  ASSERT_TRUE(decode(rr, round));
   EXPECT_EQ(rr.remaining(), 0u);
   EXPECT_EQ(round.job_id, 17);
   EXPECT_TRUE(round.truncated);
@@ -838,7 +930,7 @@ TEST(TimelineWire, JournalEventAndResponseRoundTrip) {
   bytes.resize(bytes.size() - 6);
   WireReader truncated(bytes);
   JobTimelineResponse bad;
-  EXPECT_FALSE(decode_timeline_response(truncated, bad));
+  EXPECT_FALSE(decode(truncated, bad));
 
   // An undecodable event kind is rejected too.
   JournalEventKind kind;
@@ -951,11 +1043,11 @@ TEST(AlertWire, AlertsResponseRoundTripsAndRejectsCorruption) {
   reply.alerts = {fast, quiet};
 
   WireWriter w;
-  encode_alerts_response(w, reply);
+  encode(w, reply);
   WireReader r(w.bytes());
   AlertsResponse got;
   got.alerts.push_back({});  // decoder must reset, not append
-  ASSERT_TRUE(decode_alerts_response(r, got));
+  ASSERT_TRUE(decode(r, got));
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_TRUE(got.engine_enabled);
   EXPECT_EQ(got.firing, 1u);
@@ -975,22 +1067,22 @@ TEST(AlertWire, AlertsResponseRoundTripsAndRejectsCorruption) {
   std::vector<std::uint8_t> bytes = w.bytes();
   bytes.resize(bytes.size() - 4);
   WireReader truncated(bytes);
-  EXPECT_FALSE(decode_alerts_response(truncated, got));
+  EXPECT_FALSE(decode(truncated, got));
 
   // Out-of-range state / severity bytes are corruption, not extensions.
   AlertsResponse bad_state = reply;
   bad_state.alerts[0].state = 9;
   WireWriter ws;
-  encode_alerts_response(ws, bad_state);
+  encode(ws, bad_state);
   WireReader rs(ws.bytes());
-  EXPECT_FALSE(decode_alerts_response(rs, got));
+  EXPECT_FALSE(decode(rs, got));
 
   AlertsResponse bad_severity = reply;
   bad_severity.alerts[1].severity = 7;
   WireWriter wv;
-  encode_alerts_response(wv, bad_severity);
+  encode(wv, bad_severity);
   WireReader rv(wv.bytes());
-  EXPECT_FALSE(decode_alerts_response(rv, got));
+  EXPECT_FALSE(decode(rv, got));
 }
 
 // GetAlerts takes no body: trailing bytes are a malformed request, answered

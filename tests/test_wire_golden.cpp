@@ -202,31 +202,31 @@ Bytes response_body(MessageType type) {
   WireWriter w;
   switch (type) {
     case MessageType::SubmitJob:
-      encode_submit_response(w, submit_response());
+      encode(w, submit_response());
       break;
     case MessageType::QueryJobStatus:
-      encode_status_response(w, status_response());
+      encode(w, status_response());
       break;
     case MessageType::QueryScheduleSnapshot:
-      encode_service_snapshot(w, service_snapshot());
+      encode(w, service_snapshot());
       break;
     case MessageType::GetMetrics:
-      encode_metrics_response(w, metrics_response());
+      encode(w, metrics_response());
       break;
     case MessageType::Drain:
-      encode_drain_response(w, DrainResponse{9, 40.5});
+      encode(w, DrainResponse{9, 40.5});
       break;
     case MessageType::Shutdown:
-      w.real(42.5);
+      encode(w, ShutdownResponse{42.5});
       break;
     case MessageType::TraceDump:
-      encode_trace_dump_response(w, trace_dump_response());
+      encode(w, trace_dump_response());
       break;
     case MessageType::QueryJobTimeline:
-      encode_timeline_response(w, timeline_response());
+      encode(w, timeline_response());
       break;
     case MessageType::GetAlerts:
-      encode_alerts_response(w, alerts_response());
+      encode(w, alerts_response());
       break;
   }
   return w.take();
@@ -253,28 +253,29 @@ TEST(WireGolden, EveryMessageLayout) {
   body("TraceJob",
        [](WireWriter& w) { encode_trace_job(w, trace_job()); });
   body("JobStatusView",
-       [](WireWriter& w) { encode_job_status_view(w, job_status_view()); });
+       [](WireWriter& w) { encode(w, job_status_view()); });
   body("ServiceSnapshot",
-       [](WireWriter& w) { encode_service_snapshot(w, service_snapshot()); });
+       [](WireWriter& w) { encode(w, service_snapshot()); });
   body("SubmitJobResponse",
-       [](WireWriter& w) { encode_submit_response(w, submit_response()); });
+       [](WireWriter& w) { encode(w, submit_response()); });
   body("JobStatusResponse",
-       [](WireWriter& w) { encode_status_response(w, status_response()); });
+       [](WireWriter& w) { encode(w, status_response()); });
   body("MetricsResponse",
-       [](WireWriter& w) { encode_metrics_response(w, metrics_response()); });
+       [](WireWriter& w) { encode(w, metrics_response()); });
   body("TraceDumpResponse", [](WireWriter& w) {
-    encode_trace_dump_response(w, trace_dump_response());
+    encode(w, trace_dump_response());
   });
   body("DrainResponse",
-       [](WireWriter& w) { encode_drain_response(w, DrainResponse{9, 40.5}); });
-  body("ShutdownResponse", [](WireWriter& w) { w.real(42.5); });
+       [](WireWriter& w) { encode(w, DrainResponse{9, 40.5}); });
+  body("ShutdownResponse",
+       [](WireWriter& w) { encode(w, ShutdownResponse{42.5}); });
   body("JournalEvent",
-       [](WireWriter& w) { encode_journal_event(w, journal_event()); });
+       [](WireWriter& w) { encode(w, journal_event()); });
   body("JobTimelineResponse", [](WireWriter& w) {
-    encode_timeline_response(w, timeline_response());
+    encode(w, timeline_response());
   });
   body("AlertsResponse",
-       [](WireWriter& w) { encode_alerts_response(w, alerts_response()); });
+       [](WireWriter& w) { encode(w, alerts_response()); });
   std::uint64_t id = 100;
   for (MessageType type : kEveryType) {
     RequestEnvelope request;
