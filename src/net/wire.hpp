@@ -155,7 +155,8 @@ class WireReader {
     if (failed_) return;
     items.clear();
     items.reserve(n);
-    for (std::uint32_t i = 0; i < n && !failed_; ++i) each(items.emplace_back());
+    for (std::uint32_t i = 0; i < n && !failed_; ++i)
+      each(items.emplace_back());
   }
 
  private:

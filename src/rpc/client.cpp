@@ -5,6 +5,15 @@
 #include <thread>
 
 namespace cosched {
+namespace {
+
+std::vector<std::uint8_t> job_id_body(std::int64_t job_id) {
+  WireWriter w;
+  w(job_id);
+  return w.take();
+}
+
+}  // namespace
 
 const char* to_string(RpcErrorKind kind) {
   switch (kind) {
@@ -179,16 +188,6 @@ RpcError CoschedClient::request(MessageType type,
   }
   return error;
 }
-
-namespace {
-
-std::vector<std::uint8_t> job_id_body(std::int64_t job_id) {
-  WireWriter w;
-  w(job_id);
-  return w.take();
-}
-
-}  // namespace
 
 RpcError CoschedClient::submit_job(const TraceJob& job,
                                    SubmitJobResponse& out) {

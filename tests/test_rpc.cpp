@@ -5,6 +5,7 @@
 // retry budgets, connection caps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -587,9 +588,9 @@ TEST(RpcFaults, OverCapReplyIsAServerErrorAndTheSessionStays) {
   EXPECT_EQ(refused.kind, RpcErrorKind::Application) << refused.describe();
   EXPECT_EQ(refused.app, RpcStatus::ServerError);
   EXPECT_EQ(refused.message.rfind("reply of ", 0), 0u) << refused.message;
-  const std::string cap_text = " bytes exceeds the " +
-                               std::to_string(kDefaultMaxFrameBytes) +
-                               "-byte frame cap";
+  std::string cap_text = " bytes exceeds the ";
+  cap_text += std::to_string(kDefaultMaxFrameBytes);
+  cap_text += "-byte frame cap";
   ASSERT_GE(refused.message.size(), cap_text.size());
   EXPECT_EQ(refused.message.substr(refused.message.size() - cap_text.size()),
             cap_text);
@@ -607,11 +608,11 @@ TEST(RpcFaults, OverCapReplyIsAServerErrorAndTheSessionStays) {
 // so a long-lived server's reply stays under the frame cap; the summary
 // still counts every replan.
 TEST(RpcLoopback, MetricsCsvCarriesTheNewestReplans) {
-  ServerOptions options = loopback_options();
-  options.service.scheduler.admission.every_k = 1;
-  WorkloadTrace trace = small_trace(23, 1100);
   OnlineSchedulerOptions fleet = small_fleet();
   fleet.admission.every_k = 1;
+  ServerOptions options = loopback_options();
+  options.service.scheduler = fleet;
+  WorkloadTrace trace = small_trace(23, 1100);
   OnlineScheduler reference(fleet);
   reference.run(trace);
   ASSERT_GT(reference.metrics().replans(), SchedulerMetrics::kCsvReplanRows);
@@ -640,15 +641,16 @@ TEST(RpcLoopback, MetricsCsvCarriesTheNewestReplans) {
   std::size_t at = metrics.deterministic_csv.rfind(header);
   ASSERT_NE(at, std::string::npos);
   std::string rows = metrics.deterministic_csv.substr(at);
-  std::size_t lines = 0;
-  for (char c : rows) lines += c == '\n';
-  EXPECT_EQ(lines, 1 + SchedulerMetrics::kCsvReplanRows);
+  rows.erase(0, rows.find('\n') + 1);
+  EXPECT_EQ(std::count(rows.begin(), rows.end(), '\n'),
+            static_cast<std::ptrdiff_t>(SchedulerMetrics::kCsvReplanRows));
   // Those rows are the tail of the full table; the summary counts all.
   std::string full = reference.metrics().replans_table().render_csv();
-  EXPECT_EQ(full.substr(full.size() - (rows.size() - rows.find('\n') - 1)),
-            rows.substr(rows.find('\n') + 1));
-  EXPECT_NE(metrics.deterministic_csv.find(
-                "replans," + std::to_string(metrics.replans) + "\n"),
+  ASSERT_LT(rows.size(), full.size());
+  EXPECT_EQ(full.substr(full.size() - rows.size()), rows);
+  std::string summary_row = "replans,";
+  summary_row += std::to_string(metrics.replans);
+  EXPECT_NE(metrics.deterministic_csv.find(summary_row + "\n"),
             std::string::npos);
 }
 

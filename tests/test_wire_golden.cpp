@@ -180,56 +180,38 @@ AlertsResponse alerts_response() {
   return reply;
 }
 
-Bytes encoded(void (*encode_into)(WireWriter&)) {
+template <class M>
+Bytes bytes_of(const M& message) {
   WireWriter w;
-  encode_into(w);
+  encode(w, message);
   return w.take();
 }
 
 /// The body each request type carries.
 Bytes request_body(MessageType type) {
+  if (type == MessageType::SubmitJob) return bytes_of(trace_job());
   WireWriter w;
-  if (type == MessageType::SubmitJob)
-    encode_trace_job(w, trace_job());
-  else if (type == MessageType::QueryJobStatus ||
-           type == MessageType::QueryJobTimeline)
+  if (type == MessageType::QueryJobStatus ||
+      type == MessageType::QueryJobTimeline)
     w.i64(7);
   return w.take();
 }
 
 /// The body each response type carries on an Ok answer.
 Bytes response_body(MessageType type) {
-  WireWriter w;
   switch (type) {
-    case MessageType::SubmitJob:
-      encode(w, submit_response());
-      break;
-    case MessageType::QueryJobStatus:
-      encode(w, status_response());
-      break;
+    case MessageType::SubmitJob: return bytes_of(submit_response());
+    case MessageType::QueryJobStatus: return bytes_of(status_response());
     case MessageType::QueryScheduleSnapshot:
-      encode(w, service_snapshot());
-      break;
-    case MessageType::GetMetrics:
-      encode(w, metrics_response());
-      break;
-    case MessageType::Drain:
-      encode(w, DrainResponse{9, 40.5});
-      break;
-    case MessageType::Shutdown:
-      encode(w, ShutdownResponse{42.5});
-      break;
-    case MessageType::TraceDump:
-      encode(w, trace_dump_response());
-      break;
-    case MessageType::QueryJobTimeline:
-      encode(w, timeline_response());
-      break;
-    case MessageType::GetAlerts:
-      encode(w, alerts_response());
-      break;
+      return bytes_of(service_snapshot());
+    case MessageType::GetMetrics: return bytes_of(metrics_response());
+    case MessageType::Drain: return bytes_of(DrainResponse{9, 40.5});
+    case MessageType::Shutdown: return bytes_of(ShutdownResponse{42.5});
+    case MessageType::TraceDump: return bytes_of(trace_dump_response());
+    case MessageType::QueryJobTimeline: return bytes_of(timeline_response());
+    case MessageType::GetAlerts: return bytes_of(alerts_response());
   }
-  return w.take();
+  return {};
 }
 
 struct Golden {
@@ -246,36 +228,20 @@ TEST(WireGolden, EveryMessageLayout) {
       MessageType::Shutdown,   MessageType::TraceDump,
       MessageType::QueryJobTimeline, MessageType::GetAlerts,
   };
-  std::vector<std::pair<std::string, Bytes>> cases;
-  auto body = [&](const char* name, void (*encode_into)(WireWriter&)) {
-    cases.emplace_back(name, encoded(encode_into));
+  std::vector<std::pair<std::string, Bytes>> cases = {
+      {"TraceJob", bytes_of(trace_job())},
+      {"JobStatusView", bytes_of(job_status_view())},
+      {"ServiceSnapshot", bytes_of(service_snapshot())},
+      {"SubmitJobResponse", bytes_of(submit_response())},
+      {"JobStatusResponse", bytes_of(status_response())},
+      {"MetricsResponse", bytes_of(metrics_response())},
+      {"TraceDumpResponse", bytes_of(trace_dump_response())},
+      {"DrainResponse", bytes_of(DrainResponse{9, 40.5})},
+      {"ShutdownResponse", bytes_of(ShutdownResponse{42.5})},
+      {"JournalEvent", bytes_of(journal_event())},
+      {"JobTimelineResponse", bytes_of(timeline_response())},
+      {"AlertsResponse", bytes_of(alerts_response())},
   };
-  body("TraceJob",
-       [](WireWriter& w) { encode_trace_job(w, trace_job()); });
-  body("JobStatusView",
-       [](WireWriter& w) { encode(w, job_status_view()); });
-  body("ServiceSnapshot",
-       [](WireWriter& w) { encode(w, service_snapshot()); });
-  body("SubmitJobResponse",
-       [](WireWriter& w) { encode(w, submit_response()); });
-  body("JobStatusResponse",
-       [](WireWriter& w) { encode(w, status_response()); });
-  body("MetricsResponse",
-       [](WireWriter& w) { encode(w, metrics_response()); });
-  body("TraceDumpResponse", [](WireWriter& w) {
-    encode(w, trace_dump_response());
-  });
-  body("DrainResponse",
-       [](WireWriter& w) { encode(w, DrainResponse{9, 40.5}); });
-  body("ShutdownResponse",
-       [](WireWriter& w) { encode(w, ShutdownResponse{42.5}); });
-  body("JournalEvent",
-       [](WireWriter& w) { encode(w, journal_event()); });
-  body("JobTimelineResponse", [](WireWriter& w) {
-    encode(w, timeline_response());
-  });
-  body("AlertsResponse",
-       [](WireWriter& w) { encode(w, alerts_response()); });
   std::uint64_t id = 100;
   for (MessageType type : kEveryType) {
     RequestEnvelope request;
