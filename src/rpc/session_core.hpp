@@ -24,9 +24,10 @@
 // the connection stays open.
 //
 // dispatch() is the only place a request body is decoded and a reply body
-// encoded, both through the message layouts of rpc/protocol.hpp. A request whose server-side budget (`request_deadline_seconds`)
-// is already spent is answered DeadlineExpired; a body with missing or
-// trailing bytes is answered BadRequest. The job-facing messages go to the
+// encoded, both through the message layouts of rpc/protocol.hpp. A request
+// whose server-side budget (`request_deadline_seconds`) is already spent
+// is answered DeadlineExpired; a body with missing or trailing bytes is
+// answered BadRequest. The job-facing messages go to the
 // front door's verbs (submit, job_status, job_timeline, snapshot, metrics,
 // drain), whose RpcStatus and error text travel back unchanged. The
 // process-level messages are answered here: TraceDump and GetAlerts from
