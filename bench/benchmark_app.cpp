@@ -46,7 +46,6 @@
 #include "loadgen/shapes.hpp"
 #include "loadgen/slo.hpp"
 #include "obs/http.hpp"
-#include "obs/log.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "rpc/client.hpp"
@@ -127,15 +126,11 @@ bool fan_in_holds(const MetricsResponse& metrics, std::int64_t expect_shards,
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
 
-  // Structured logging (--log-level, --log-json, --log-out) for the global
-  // logger, which the embedded deployment's scheduler shares.
-  read_log_flags(args, LogLevel::Warn);
-
   // ---- SLO watchdog configuration ----------------------------------------
   // Embedded deployments run the servers' alert engine (--alerts 0 turns it
   // off); --alert-rules FILE replaces the default burn-rate guards, --slo
   // FILE points them at that budget's p95 (and gates the run against the
-  // whole budget afterwards), --tsdb-interval is the seconds between
+  // whole budget afterwards), --alert-interval is the seconds between
   // evaluations (at least 0.1), and --fail-on-alert 1 makes the run exit 4
   // when the watchdog fired.
   AlertFlags alert_flags = read_alert_flags(args, "benchmark_app");

@@ -132,7 +132,7 @@ fi
 "$BIN_EX/shard_router" --port "$ROUTER_PORT" \
   --remote "$HOST:$SHARD_A_PORT,$HOST:$SHARD_B_PORT" --remote-cores 16 \
   --shard-timeout 300 --metrics-port "$ROUTER_HTTP_PORT" --trace 1 \
-  --alert-rules "$OUT_DIR/alert_rules_tight.json" --tsdb-interval 0.5 \
+  --alert-rules "$OUT_DIR/alert_rules_tight.json" --alert-interval 0.5 \
   >"$OUT_DIR/remote_router.log" 2>&1 &
 PIDS+=($!)
 wait_port "$ROUTER_PORT" || exit 1

@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "harness/experiment.hpp"
-#include "obs/log.hpp"
 #include "obs/profiler.hpp"
 #include "rpc/server.hpp"
 
@@ -43,12 +42,11 @@ int main(int argc, char** argv) {
   if (options.enable_http)
     options.http_port = static_cast<std::uint16_t>(metrics_port);
   read_trace_flags(args);
-  read_log_flags(args, LogLevel::Info);
 
   // SLO watchdog: --alerts 0 disables the engine; --alert-rules FILE loads
   // a declarative rule set (default: fast+slow burn-rate guards on the RPC
   // latency histogram); --slo FILE points the default rules at that
-  // budget's p95; --tsdb-interval is the seconds between evaluations
+  // budget's p95; --alert-interval is the seconds between evaluations
   // (at least 0.1). GET /alerts (text, ?format=json) serves the state.
   AlertFlags alert_flags = read_alert_flags(args, "rpc_server");
   options.enable_alerts = alert_flags.enabled;

@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
-#include "obs/log.hpp"
 #include "obs/profiler.hpp"
 #include "shard/router.hpp"
 #include "shard/router_server.hpp"
@@ -82,11 +81,10 @@ int main(int argc, char** argv) {
   read_trace_flags(args);
   std::vector<ClientOptions> remotes = parse_remotes(
       args.get_string("remote", ""), args.get_real("remote-timeout", 60.0));
-  read_log_flags(args, LogLevel::Info);
   // SLO watchdog over the fleet page: --alerts 0 disables the router's
   // engine; --alert-rules FILE loads a rule set (default: burn-rate guards
   // on the router's submit latency histogram); --slo FILE points the default
-  // rules at that budget's p95; --tsdb-interval is the seconds between
+  // rules at that budget's p95; --alert-interval is the seconds between
   // evaluations (at least 0.1). GET /alerts fans in remote shards' engines
   // shard-labelled. Read before any shard starts, so a bad file exits
   // with nothing running.

@@ -100,16 +100,6 @@ void bad_value(const std::string& flag, const std::string& text) {
   exit_usage();
 }
 
-void read_log_flags(const ArgParser& args, LogLevel default_level) {
-  std::string text = args.get_string("log-level", to_string(default_level));
-  LogLevel level = default_level;
-  if (!parse_log_level(text, level)) bad_value("log-level", text);
-  Logger::global().set_level(level);
-  Logger::global().set_json(args.get_int("log-json", 0) != 0);
-  std::string log_out = args.get_string("log-out", "");
-  if (!log_out.empty()) Logger::global().set_sink_path(log_out);
-}
-
 void read_trace_flags(const ArgParser& args) {
   if (args.get_int("trace", 0) != 0) Tracer::global().set_enabled(true);
   Tracer::global().set_max_events_per_thread(
@@ -120,7 +110,7 @@ AlertFlags read_alert_flags(const ArgParser& args,
                             const std::string& program) {
   AlertFlags flags;
   flags.enabled = args.get_int("alerts", 1) != 0;
-  flags.engine.scrape_interval_seconds = args.get_real("tsdb-interval", 1.0);
+  flags.engine.scrape_interval_seconds = args.get_real("alert-interval", 1.0);
   std::string error;
   std::string rules_path = args.get_string("alert-rules", "");
   if (!rules_path.empty() &&

@@ -10,7 +10,6 @@
 
 #include "loadgen/slo.hpp"
 #include "obs/alerts.hpp"
-#include "obs/log.hpp"
 #include "util/common.hpp"
 #include "util/table.hpp"
 
@@ -60,12 +59,6 @@ inline constexpr std::int64_t kMaxCount =
 /// stderr and exits with status 2.
 [[noreturn]] void bad_value(const std::string& flag, const std::string& text);
 
-/// The logging flags every server and the load driver share, applied to
-/// Logger::global(): --log-level debug|info|warn|error|off (default
-/// `default_level`; any other value exits through bad_value()), --log-json 1
-/// for JSON lines, --log-out FILE to append every accepted record.
-void read_log_flags(const ArgParser& args, LogLevel default_level);
-
 /// The servers' tracer flags, applied to Tracer::global(): --trace 1
 /// enables recording, --trace-ring N (at least 1, default 4096) bounds each
 /// thread's event ring.
@@ -74,13 +67,13 @@ void read_trace_flags(const ArgParser& args);
 /// The SLO watchdog flags the servers and the load driver share.
 struct AlertFlags {
   bool enabled = true;          ///< --alerts 0 disables the engine
-  AlertEngineOptions engine;    ///< --tsdb-interval, --alert-rules FILE
+  AlertEngineOptions engine;    ///< --alert-interval, --alert-rules FILE
   double budget_ms = 900.0;     ///< default rules' budget: the --slo p95
   std::string slo_path;         ///< --slo FILE ("" when not given)
   SloBudget slo;                ///< its budget, loaded
 };
 
-/// Reads --alerts (default 1), --tsdb-interval (seconds between
+/// Reads --alerts (default 1), --alert-interval (seconds between
 /// evaluations, default 1), --alert-rules FILE (a declarative rule set
 /// replacing the default burn-rate guards) and --slo FILE (its p95, when
 /// set, becomes the default rules' budget). A file that does not load

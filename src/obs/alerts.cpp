@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "loadgen/flat_json.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "online/journal.hpp"
@@ -19,8 +18,8 @@
 namespace cosched {
 namespace {
 
-/// SplitMix64 — a deterministic per-tick trace id so a transition's log
-/// line, journal event and trace all carry the same correlator.
+/// SplitMix64 — a deterministic per-tick trace id so a transition's journal
+/// event and trace carry the same correlator.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -351,7 +350,6 @@ void AlertEngine::set_journal(DecisionJournal* journal) {
 }
 
 bool AlertEngine::tick_registry(const MetricsRegistry& registry, double now) {
-  if (kAlertsDisabled) return false;
   return tick(registry.render_prometheus(/*with_exemplars=*/false), now);
 }
 
@@ -392,7 +390,8 @@ bool find_bucket(const std::vector<std::pair<double, double>>& buckets,
 
 }  // namespace
 
-bool AlertEngine::tick_impl(const std::string& exposition, double now) {
+bool AlertEngine::tick(const std::string& exposition, double now) {
+  if (kAlertsDisabled) return false;
   std::vector<PrometheusSample> samples;
   if (!parse_prometheus_text(exposition, samples)) return false;
   std::lock_guard<std::mutex> lock(mutex_);
@@ -416,7 +415,7 @@ bool AlertEngine::tick_impl(const std::string& exposition, double now) {
   last_tick_ = now;
   ++tick_count_;
   // One deterministic trace id per tick: every transition this evaluation
-  // emits (log record, journal event) carries the same correlator.
+  // emits (journal event, trace context) carries the same correlator.
   std::uint64_t trace_id = mix64(0xa1e7ULL ^ tick_count_);
   TraceContextScope scope(TraceContext{trace_id});
   for (RuleState& rs : states_) evaluate_locked(rs, now, trace_id);
@@ -504,14 +503,6 @@ void AlertEngine::transition_locked(RuleState& rs, AlertState next, double now,
   ++transitions_[key];
   if (next == AlertState::Firing) ++fired_total_;
 
-  double threshold = rs.rule.burn_factor;
-  COSCHED_LOG(next == AlertState::Firing ? LogLevel::Warn : LogLevel::Info,
-              "alerts", "alert transition",
-              {log_kv("rule", rs.rule.name),
-               log_kv("from", to_string(previous)),
-               log_kv("to", to_string(next)), log_kv("value", rs.value),
-               log_kv("threshold", threshold),
-               log_kv("severity", to_string(rs.rule.severity))});
   if (journal_ != nullptr) {
     JournalEvent event;
     event.job_id = -1;  // fleet-level, like batch triggers
@@ -521,7 +512,7 @@ void AlertEngine::transition_locked(RuleState& rs, AlertState next, double now,
     event.policy = rs.rule.name;
     event.detail = std::string("state=") + to_string(next) +
                    " from=" + to_string(previous) + " value=" + fmt(rs.value) +
-                   " threshold=" + fmt(threshold) +
+                   " threshold=" + fmt(rs.rule.burn_factor) +
                    " severity=" + to_string(rs.rule.severity);
     journal_->append(std::move(event));
   }
@@ -627,7 +618,8 @@ std::size_t AlertEngine::snapshot_count() const {
   return count;
 }
 
-bool AlertEngine::start_impl() {
+bool AlertEngine::start() {
+  if (kAlertsDisabled) return false;
   if (thread_.joinable()) return true;
   {
     std::lock_guard<std::mutex> lock(stop_mutex_);

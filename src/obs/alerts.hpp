@@ -19,22 +19,22 @@
 // a breach holds for for_seconds before firing (hysteresis against
 // flapping), a firing rule must stay clear for clear_seconds before
 // resolving, and a resolved rule rests resolved_hold_seconds before
-// returning to inactive. Every transition is logged (COSCHED_LOG),
-// journalled (JournalEventKind::Alert, job_id = -1, the rule name as the
-// policy) under a per-tick trace id — so the log line, the journal event
-// and a TraceDump all correlate — and counted into
-// cosched_alert_transitions_total{rule,state}; the instantaneous firing
-// count is cosched_alerts_firing.
+// returning to inactive. Every transition is journalled
+// (JournalEventKind::Alert, job_id = -1, the rule name as the policy) under
+// a per-tick trace id — so the journal event and a TraceDump correlate —
+// and counted into cosched_alert_transitions_total{rule,state}; the
+// instantaneous firing count is cosched_alerts_firing.
 //
 // Determinism: tick(now) takes an explicit clock and an injectable
 // exposition, so tests drive the full lifecycle without sleeping. The
 // background thread (start/stop) just calls tick on the wall clock.
 //
 // COSCHED_OBS_DISABLED (the one observability kill switch, shared with
-// spans and logging) compiles the watchdog out of a translation unit:
-// kAlertsDisabled flips, AlertEngine::start() refuses to spawn the scrape
-// thread and tick() no-ops, so a build with the define pays only an
-// untaken branch.
+// spans) compiles the watchdog out of a build: kAlertsDisabled flips,
+// AlertEngine::start() refuses to spawn the scrape thread and tick()
+// no-ops, so a build with the define pays only an untaken branch. Those
+// branches live in alerts.cpp, so the engine follows how that file was
+// built and no function has two different inline definitions.
 #pragma once
 
 #include <condition_variable>
@@ -53,10 +53,12 @@ namespace cosched {
 class DecisionJournal;
 class MetricsRegistry;
 
+// Not `inline`: a namespace-scope constexpr has internal linkage, so TUs
+// built with and without the define each hold their own constant.
 #ifdef COSCHED_OBS_DISABLED
-inline constexpr bool kAlertsDisabled = true;
+constexpr bool kAlertsDisabled = true;
 #else
-inline constexpr bool kAlertsDisabled = false;
+constexpr bool kAlertsDisabled = false;
 #endif
 
 enum class AlertState : std::uint8_t {
@@ -164,21 +166,15 @@ class AlertEngine {
   /// One deterministic evaluation step: snapshot the watched histograms of
   /// `exposition` at `now`, then run every rule's state machine. Returns
   /// false (and stores nothing) when the exposition does not parse; no-op
-  /// (returns false) in a COSCHED_OBS_DISABLED translation unit.
-  bool tick(const std::string& exposition, double now) {
-    if (kAlertsDisabled) return false;
-    return tick_impl(exposition, now);
-  }
+  /// (returns false) in a COSCHED_OBS_DISABLED build.
+  bool tick(const std::string& exposition, double now);
   /// tick() on a fresh render of `registry`.
   bool tick_registry(const MetricsRegistry& registry, double now);
 
   /// Spawns the background scrape-and-evaluate thread over the global
   /// registry at options().scrape_interval_seconds. Returns false (and
-  /// stays stopped) in a COSCHED_OBS_DISABLED translation unit.
-  bool start() {
-    if (kAlertsDisabled) return false;
-    return start_impl();
-  }
+  /// stays stopped) in a COSCHED_OBS_DISABLED build.
+  bool start();
   void stop();
   bool running() const { return thread_.joinable(); }
 
@@ -219,8 +215,6 @@ class AlertEngine {
     std::string detail;
   };
 
-  bool tick_impl(const std::string& exposition, double now);
-  bool start_impl();
   void evaluate_locked(RuleState& rs, double now, std::uint64_t trace_id);
   bool condition_locked(const RuleState& rs, double now, double& value,
                         std::string& detail) const;
@@ -250,7 +244,7 @@ class AlertEngine {
 
 /// Prometheus exposition lines of one engine's families
 /// (cosched_alerts_firing, cosched_alert_transitions_total{rule,state}) —
-/// appended to /metrics next to the log/journal families (labels cannot
+/// appended to /metrics next to the journal families (labels cannot
 /// ride the registry path).
 std::string render_alert_metrics(const AlertEngine& engine);
 

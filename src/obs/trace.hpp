@@ -37,8 +37,8 @@
 //
 // Compile-time kill switch: defining COSCHED_OBS_DISABLED in a TU turns
 // every COSCHED_TRACE_* macro in that TU into a no-op with zero residue
-// (no Tracer or Profiler call, no guard object); the same define compiles
-// out COSCHED_LOG (obs/log.hpp) and the alert engine (obs/alerts.hpp).
+// (no Tracer or Profiler call, no guard object). Defined where
+// obs/alerts.cpp is compiled, it also compiles out the alert engine.
 //
 // Span names must be string literals (or otherwise outlive the tracer):
 // events store the pointer, not a copy, to keep recording allocation-free

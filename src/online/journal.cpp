@@ -19,12 +19,6 @@ const char* to_string(JournalEventKind kind) {
   return "?";
 }
 
-bool journal_event_kind_from(std::uint8_t raw, JournalEventKind& out) {
-  if (raw >= kJournalEventKinds) return false;
-  out = static_cast<JournalEventKind>(raw);
-  return true;
-}
-
 DecisionJournal::DecisionJournal(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 

@@ -46,7 +46,6 @@ enum class JournalEventKind : std::uint8_t {
 inline constexpr std::size_t kJournalEventKinds = 7;
 
 const char* to_string(JournalEventKind kind);
-bool journal_event_kind_from(std::uint8_t raw, JournalEventKind& out);
 
 struct JournalEvent {
   std::int64_t job_id = -1;  ///< -1 = fleet-level event (batch trigger)

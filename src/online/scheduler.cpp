@@ -8,7 +8,6 @@
 #include "cache/machine_config.hpp"
 #include "core/degradation_models.hpp"
 #include "core/snapshot.hpp"
-#include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
 #include "vm/migration.hpp"
@@ -621,14 +620,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     migrated.detail = std::move(detail);
     journal_.append(std::move(migrated));
   }
-  COSCHED_LOG(LogLevel::Info, "online", "replan committed",
-              {log_kv("reason", reason),
-               log_kv("admitted", static_cast<std::int64_t>(admit)),
-               log_kv("migrations",
-                      static_cast<std::int64_t>(result.migrations)),
-               log_kv("combined", static_cast<double>(result.combined)),
-               log_kv("delta", static_cast<double>(decision_delta)),
-               log_kv("virtual_now", static_cast<double>(clock_.now()))});
 
   ReplanRecord record;
   record.time = clock_.now();

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/log.hpp"
 #include "obs/trace.hpp"
 #include "online/metrics.hpp"
 #include "util/timer.hpp"
@@ -27,10 +26,9 @@ bool CoschedServer::prepare(std::string& error) {
     http->handle("/metrics", [this](const std::string&, std::string& body,
                                     std::string& content_type) {
       // Exemplars ride on the side door: a Grafana heatmap cell links
-      // straight to the trace behind it. The labeled log/journal families
-      // are hand-rendered (the registry callbacks are label-free).
+      // straight to the trace behind it. The labeled journal families are
+      // hand-rendered (the registry callbacks are label-free).
       body = MetricsRegistry::global().render_prometheus(true);
-      body += render_log_metrics();
       body += render_journal_metrics(service().journal());
       if (alerts_) body += render_alert_metrics(*alerts_);
       content_type = "text/plain; version=0.0.4; charset=utf-8";

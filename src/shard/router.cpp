@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "obs/log.hpp"
 #include "obs/metrics_registry.hpp"
 #include "util/json.hpp"
 
@@ -179,11 +178,6 @@ RpcStatus ShardRouter::submit(const TraceJob& job, SubmitJobResponse& out,
       event.detail = "ring_shard=" + std::to_string(ring_target) +
                      " tenant=" + tenant_key(job.name);
       journal_.append(std::move(event));
-      COSCHED_LOG(LogLevel::Info, "router", "submit spilled off ring shard",
-                  {log_kv("job", out.job_id),
-                   log_kv("ring_shard", static_cast<std::int64_t>(ring_target)),
-                   log_kv("shard", static_cast<std::int64_t>(shard)),
-                   log_kv("tenant", tenant_key(job.name))});
     }
   }
   return status;
@@ -569,8 +563,7 @@ std::string ShardRouter::render_prometheus() {
          "all shards merged.\n";
   render_prometheus_histogram(out, "cosched_router_request_seconds", fleet,
                               /*with_exemplars=*/true);
-  // Labeled log/journal accounting (the router's own spillover journal).
-  out << render_log_metrics();
+  // Labeled journal accounting (the router's own spillover journal).
   out << render_journal_metrics(journal_);
   return out.str();
 }

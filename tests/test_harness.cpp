@@ -80,18 +80,8 @@ TEST(ArgParserDeathTest, UnreadFlagExitsWithStatus2) {
   args.reject_unread();
 }
 
-// The logging and tracer flags every server shares exit the same way: an
-// unknown --log-level instead of running on at the default level, and a
-// --trace-ring below 1 instead of a cast to an unbounded ring.
-TEST(ArgParserDeathTest, UnknownLogLevelExitsWithStatus2) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const char* argv[] = {"prog", "--log-level", "verbose"};
-  ArgParser args(3, const_cast<char**>(argv));
-  EXPECT_EXIT(read_log_flags(args, LogLevel::Warn),
-              ::testing::ExitedWithCode(2),
-              "bad value for --log-level: verbose");
-}
-
+// The tracer flags every server shares exit the same way: a --trace-ring
+// below 1 instead of a cast to an unbounded ring.
 TEST(ArgParserDeathTest, TraceRingBelowOneExitsWithStatus2) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   for (const char* ring : {"-1", "0"}) {
@@ -100,20 +90,6 @@ TEST(ArgParserDeathTest, TraceRingBelowOneExitsWithStatus2) {
     EXPECT_EXIT(read_trace_flags(args), ::testing::ExitedWithCode(2),
                 std::string("bad value for --trace-ring: ") + ring);
   }
-}
-
-// Without --log-level the binary's own default applies; a valid level
-// overrides it.
-TEST(ObsFlags, LogLevelDefaultsToTheBinarysLevel) {
-  Logger& logger = Logger::global();
-  const char* bare[] = {"prog"};
-  read_log_flags(ArgParser(1, const_cast<char**>(bare)), LogLevel::Warn);
-  EXPECT_FALSE(logger.enabled(LogLevel::Info));
-  EXPECT_TRUE(logger.enabled(LogLevel::Warn));
-  const char* debug[] = {"prog", "--log-level", "debug"};
-  read_log_flags(ArgParser(3, const_cast<char**>(debug)), LogLevel::Warn);
-  EXPECT_TRUE(logger.enabled(LogLevel::Debug));
-  logger.set_level(LogLevel::Info);
 }
 
 TEST(SplitHostPort, AcceptsOnlyWholePortsInRange) {

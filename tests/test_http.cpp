@@ -3,9 +3,11 @@
 // the acceptance criterion that GET /metrics serves valid Prometheus text
 // including cosched_cache_hits_total and cosched_rpc_request_seconds —
 // the tracer's drop/sampling counters and the replan exemplar that leads
-// to its trace, the TraceDump RPC, and the GetMetrics observability fields.
+// to its trace, the TraceDump RPC, the GetMetrics observability fields, and
+// one trace id leading to both the replan's spans and the job's Placement.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "obs/http.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
+#include "online/journal.hpp"
 #include "online/trace.hpp"
 #include "rpc/client.hpp"
 #include "rpc/protocol.hpp"
@@ -457,6 +460,65 @@ TEST(HttpMetrics, ReplanExemplarLeadsToItsReplanSpan) {
   }
   EXPECT_TRUE(found) << "no online.replan span tagged" << tag << "\n"
                      << dump.text;
+
+  server.stop();
+  reset_global_tracer();
+}
+
+// The decision journal is the one event record, so one trace id must explain
+// a placement end to end: a SubmitJob sent under a known id leads to the
+// replan's phase spans in TraceDump, and to the job's Placement event —
+// that id, a finite Eq. 6/13 degradation delta — in GetJobTimeline and on
+// the side door's /debug/events?job=.
+TEST(Explainability, TraceIdLeadsToReplanSpansAndPlacement) {
+  reset_global_tracer();
+  Tracer::global().set_enabled(true);
+
+  ServerOptions options = observable_server_options();
+  options.service.scheduler.admission.every_k = 1;  // this submit replans
+  CoschedServer server(options);
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+
+  constexpr std::uint64_t kTraceId = 515151;
+  ClientOptions client_options;
+  client_options.port = server.port();
+  CoschedClient client(client_options);
+  client.set_trace_id(kTraceId);
+  SubmitJobResponse ack;
+  ASSERT_TRUE(client.submit_job(small_jobs(47, 1).jobs.at(0), ack).ok());
+  ASSERT_EQ(client.last_trace_id(), kTraceId);
+
+  TraceDumpResponse dump;
+  ASSERT_TRUE(client.trace_dump(dump).ok());
+  const std::string tag = " trace=" + std::to_string(kTraceId);
+  for (const char* name : {"span online.replan", "span replan.alignment"}) {
+    std::size_t at = dump.text.find(name);
+    ASSERT_NE(at, std::string::npos) << name << "\n" << dump.text;
+    std::size_t eol = dump.text.find('\n', at);
+    EXPECT_NE(dump.text.substr(at, eol - at).find(tag), std::string::npos)
+        << dump.text.substr(at, eol - at);
+  }
+
+  JobTimelineResponse timeline;
+  ASSERT_TRUE(client.query_job_timeline(ack.job_id, timeline).ok());
+  ASSERT_TRUE(timeline.found);
+  const JournalEvent* placement = nullptr;
+  for (const JournalEvent& event : timeline.events)
+    if (event.kind == JournalEventKind::Placement) placement = &event;
+  ASSERT_NE(placement, nullptr) << "no Placement event for the job";
+  EXPECT_EQ(placement->trace_id, kTraceId);
+  EXPECT_TRUE(std::isfinite(placement->degradation_delta));
+  EXPECT_GE(placement->machine, 0);
+
+  std::string response = raw_http(
+      server.http_port(),
+      "GET /debug/events?job=" + std::to_string(ack.job_id) +
+          " HTTP/1.0\r\n\r\n");
+  ASSERT_EQ(response.rfind("HTTP/1.0 200", 0), 0u) << response;
+  EXPECT_NE(http_body(response).find(render_journal_event(*placement) + "\n"),
+            std::string::npos)
+      << http_body(response);
 
   server.stop();
   reset_global_tracer();

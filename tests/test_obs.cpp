@@ -9,9 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -21,7 +19,6 @@
 
 #include "astar/search.hpp"
 #include "obs/histogram.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
 #include "online/journal.hpp"
@@ -766,137 +763,6 @@ TEST(ObsTraceMerge, RealExportsSurviveNamespacingAndMerge) {
   EXPECT_EQ(occurrences(merged, "\"cat\":\"flow\""),
             2 * occurrences(json, "\"cat\":\"flow\""));
   EXPECT_EQ(merged.find("\"name\":\"shard0/trace\""), std::string::npos);
-}
-
-
-// ------------------------------------------------------------ logger
-
-TEST(ObsLogger, LevelThresholdFiltersBeforeCounting) {
-  Logger logger;
-  logger.set_level(LogLevel::Warn);
-  EXPECT_FALSE(logger.enabled(LogLevel::Debug));
-  EXPECT_FALSE(logger.enabled(LogLevel::Info));
-  EXPECT_TRUE(logger.enabled(LogLevel::Warn));
-  EXPECT_TRUE(logger.enabled(LogLevel::Error));
-
-  logger.log(LogLevel::Debug, "test", "below threshold");
-  logger.log(LogLevel::Info, "test", "below threshold");
-  logger.log(LogLevel::Warn, "test", "kept");
-  logger.log(LogLevel::Error, "test", "kept too");
-
-  EXPECT_EQ(logger.records_total(LogLevel::Debug), 0u);
-  EXPECT_EQ(logger.records_total(LogLevel::Info), 0u);
-  EXPECT_EQ(logger.records_total(LogLevel::Warn), 1u);
-  EXPECT_EQ(logger.records_total(LogLevel::Error), 1u);
-}
-
-/// Reads every line of `path`, then removes the file.
-std::vector<std::string> read_and_remove(const std::string& path) {
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    for (std::string line; std::getline(in, line);) lines.push_back(line);
-  }
-  std::remove(path.c_str());
-  return lines;
-}
-
-TEST(ObsLogger, RecordsCarryTheCurrentTraceContext) {
-  const std::string path = "logger_trace_context_test.log";
-  {
-    Logger logger;
-    logger.set_level(LogLevel::Debug);
-    ASSERT_TRUE(logger.set_sink_path(path));
-    {
-      TraceContextScope scope(TraceContext{0xAB});
-      logger.log(LogLevel::Info, "rpc", "correlated");
-    }
-    logger.log(LogLevel::Info, "rpc", "uncorrelated");
-    logger.set_sink_path("");  // close, flush
-  }
-  std::vector<std::string> lines = read_and_remove(path);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("rpc correlated trace=171"), std::string::npos)
-      << lines[0];
-  EXPECT_EQ(lines[1].find("trace="), std::string::npos) << lines[1];
-}
-
-TEST(ObsLogger, RendersLogfmtAndJsonLines) {
-  Logger logger;
-  LogRecord record;
-  record.level = LogLevel::Warn;
-  record.component = "router";
-  record.message = "submit spilled";
-  record.fields = {log_kv("job", std::int64_t{17}), log_kv("tenant", "acme"),
-                   log_kv("ok", true)};
-
-  std::string text = logger.render(record);
-  EXPECT_NE(text.find(" warn router submit spilled"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("job=17"), std::string::npos);
-  EXPECT_NE(text.find("tenant=acme"), std::string::npos);
-  EXPECT_NE(text.find("ok=true"), std::string::npos);
-  EXPECT_EQ(text.find('\n'), std::string::npos);
-
-  logger.set_json(true);
-  std::string json = logger.render(record);
-  EXPECT_NE(json.find("\"level\":\"warn\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"component\":\"router\""), std::string::npos);
-  EXPECT_NE(json.find("\"message\":\"submit spilled\""), std::string::npos);
-  EXPECT_NE(json.find("\"job\":17"), std::string::npos);       // unquoted int
-  EXPECT_NE(json.find("\"tenant\":\"acme\""), std::string::npos);
-  EXPECT_NE(json.find("\"ok\":true"), std::string::npos);
-}
-
-TEST(ObsLogger, SinkAppendsRenderedLines) {
-  std::string path = "logger_sink_test.log";
-  {
-    Logger logger;
-    logger.set_level(LogLevel::Debug);
-    ASSERT_TRUE(logger.set_sink_path(path));
-    logger.log(LogLevel::Info, "sink", "first");
-    logger.log(LogLevel::Error, "sink", "second");
-    logger.set_sink_path("");  // close, flush
-  }
-  std::vector<std::string> lines = read_and_remove(path);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("info sink first"), std::string::npos) << lines[0];
-  EXPECT_NE(lines[1].find("error sink second"), std::string::npos);
-}
-
-TEST(ObsLogger, ParseLogLevelRoundTrips) {
-  LogLevel level = LogLevel::Info;
-  EXPECT_TRUE(parse_log_level("debug", level));
-  EXPECT_EQ(level, LogLevel::Debug);
-  EXPECT_TRUE(parse_log_level("off", level));
-  EXPECT_EQ(level, LogLevel::Off);
-  EXPECT_FALSE(parse_log_level("verbose", level));
-  EXPECT_EQ(level, LogLevel::Off);  // untouched on failure
-  for (LogLevel l : {LogLevel::Debug, LogLevel::Info, LogLevel::Warn,
-                     LogLevel::Error, LogLevel::Off}) {
-    LogLevel parsed = LogLevel::Info;
-    EXPECT_TRUE(parse_log_level(to_string(l), parsed));
-    EXPECT_EQ(parsed, l);
-  }
-}
-
-TEST(ObsLogger, MacroAndMetricsRideTheGlobalLogger) {
-  Logger& logger = Logger::global();
-  logger.reset();
-  logger.set_level(LogLevel::Info);
-  COSCHED_LOG(LogLevel::Debug, "macro", "filtered out");
-  COSCHED_LOG(LogLevel::Info, "macro", "kept",
-              {log_kv("n", std::int64_t{1})});
-  EXPECT_EQ(logger.records_total(LogLevel::Debug), 0u);
-  EXPECT_EQ(logger.records_total(LogLevel::Info), 1u);
-
-  std::string page = render_log_metrics();
-  EXPECT_NE(page.find("cosched_log_records_total{level=\"info\"} 1"),
-            std::string::npos)
-      << page;
-  EXPECT_NE(page.find("cosched_log_records_total{level=\"error\"} 0"),
-            std::string::npos);
-  logger.reset();
 }
 
 // ------------------------------------------------------------ journal

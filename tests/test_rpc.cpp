@@ -934,9 +934,15 @@ TEST(TimelineWire, JournalEventAndResponseRoundTrip) {
   JobTimelineResponse bad;
   EXPECT_FALSE(decode(truncated, bad));
 
-  // An undecodable event kind is rejected too.
-  JournalEventKind kind;
-  EXPECT_FALSE(journal_event_kind_from(200, kind));
+  // An undecodable event kind is rejected too: the kind is the u8 right
+  // after the i64 job id, bounded by the layout's enumeration().
+  std::vector<std::uint8_t> bad_kind = w.bytes();
+  ASSERT_EQ(bad_kind[sizeof(std::int64_t)],
+            static_cast<std::uint8_t>(JournalEventKind::Placement));
+  bad_kind[sizeof(std::int64_t)] = 200;
+  WireReader kind_reader(bad_kind);
+  JournalEvent unknown;
+  EXPECT_FALSE(decode(kind_reader, unknown));
 }
 
 // The end-to-end explainability loop: a job submitted over TCP answers a
