@@ -14,8 +14,8 @@
 #   * every request succeeds,
 #   * the router's GetMetrics fan-in reports exactly 2 shards whose summed
 #     counters equal the fleet totals (checked by --expect-shards),
-#   * a raw version-8 envelope gets VersionMismatch from a shard process and
-#     from the router, on a session that stays open,
+#   * a raw version-9 envelope gets VersionMismatch from a shard process and
+#     from the router, on a session that stays open (version 10 is served),
 #   * a TraceDump against the router returns the merged fabric timeline:
 #     a correlated batch's trace id appears both on the router's request
 #     span and on a shard's replan span (namespaced shard<k>/, on its own
@@ -238,7 +238,6 @@ BENCH_STATUS=$?
 
 "$BIN_EX/rpc_client" --port "$ROUTER_PORT" \
   --trace-dump "$OUT_DIR/remote_trace_merged.json" \
-  --trace-text "$OUT_DIR/remote_trace_merged.txt" \
   || { echo "remote_shard_smoke: trace dump failed" >&2; exit 1; }
 
 # The merged timeline: router span and shard replan span share the id, the
@@ -248,7 +247,7 @@ python3 - "$OUT_DIR" "$TRACE_ID" "$SHARD_A_PORT" "$ROUTER_PORT" <<'EOF' || exit 
 import re, socket, struct, sys
 out_dir, trace_id = sys.argv[1], sys.argv[2]
 
-# One wire version: a raw CSC1 frame carrying a version-8 GetMetrics
+# One wire version: a raw CSC1 frame carrying a version-9 GetMetrics
 # envelope must be answered VersionMismatch by a shard process and by the
 # router alike, with the session left open (a current-version GetMetrics on
 # the same connection is then served).
@@ -268,16 +267,19 @@ def exchange(conn, version, request_id):
     return status
 for name, port in (('shard', sys.argv[3]), ('router', sys.argv[4])):
     with socket.create_connection(('127.0.0.1', int(port)), timeout=30) as c:
-        assert exchange(c, 8, 80) == 1, f'{name}: v8 not VersionMismatch'
-        assert exchange(c, 9, 90) == 0, f'{name}: session not kept open'
-print('OK: v8 envelope refused with VersionMismatch by shard and router')
+        assert exchange(c, 9, 90) == 1, f'{name}: v9 not VersionMismatch'
+        assert exchange(c, 10, 100) == 0, f'{name}: session not kept open'
+print('OK: v9 envelope refused with VersionMismatch by shard and router')
 
-text = open(f'{out_dir}/remote_trace_merged.txt').read()
-assert re.search(rf'span router\.request.*trace={trace_id}\b', text), \
-    'router span does not carry the batch trace id'
-assert re.search(rf'span shard\d+/online\.replan.*trace={trace_id}\b', text), \
-    'no shard replan span carries the batch trace id'
+# One record per line; a span carries its trace id in "args".
 chrome = open(f'{out_dir}/remote_trace_merged.json').read()
+def span_with_trace(name, trace):
+    return re.search(rf'{{"name":"{name}",[^\n]*"args":{{[^\n]*"trace_id":{trace}[,}}]',
+                     chrome)
+assert span_with_trace(r'router\.request', trace_id), \
+    'router span does not carry the batch trace id'
+assert span_with_trace(r'shard\d+/online\.replan', trace_id), \
+    'no shard replan span carries the batch trace id'
 assert re.search(r'"name":"shard\d+/online\.replan"', chrome), \
     'merged chrome trace lost the namespaced shard spans'
 flow_pids = set(re.findall(
@@ -327,9 +329,10 @@ for line in events:
 # must resolve into a replan span of the merged fabric TraceDump.
 placement = events[kinds.index('placement')]
 trace = re.search(r'trace=(\d+)', placement).group(1)
-merged = open(f'{out_dir}/remote_trace_merged.txt').read()
+merged = open(f'{out_dir}/remote_trace_merged.json').read()
 assert trace != '0' and re.search(
-    rf'span shard\d+/online\.replan.*trace={trace}\b', merged), \
+    rf'{{"name":"shard\d+/online\.replan",[^\n]*"args":{{[^\n]*"trace_id":{trace}[,}}]',
+    merged), \
     f'placement trace id {trace} does not resolve in the merged TraceDump'
 print(f'OK: job {job} explains itself across the process boundary '
       f'({len(events)} events, placement trace {trace})')

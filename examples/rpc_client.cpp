@@ -7,7 +7,7 @@
 //   ./rpc_client --port 7717 --metrics 1        # scheduler counters
 //   ./rpc_client --port 7717 --drain 1          # stop admissions, finish all
 //   ./rpc_client --port 7717 --shutdown 1       # stop the server
-//   ./rpc_client --port 7717 --trace-dump t.json --trace-text t.txt
+//   ./rpc_client --port 7717 --trace-dump t.json  # Chrome trace to a file
 //
 // Submissions use the same seeded generator as the benchmarks (--seed), so
 // a job mix is reproducible; each submission prints the placement and the
@@ -15,8 +15,8 @@
 // stamps every request with that trace id (against a router, the id is
 // forwarded to the shards — the handle for a stitched fabric timeline);
 // --trace-dump pulls the server's trace as Chrome JSON (merged and
-// shard-namespaced when the server is a router), --trace-text the
-// deterministic text form.
+// shard-namespaced when the server is a router) and prints how many of
+// the oldest records were left out to fit the frame cap.
 #include <fstream>
 #include <iostream>
 
@@ -58,18 +58,16 @@ int main(int argc, char** argv) {
 
   // Each mode reads its own flags, then rejects any the run did not read
   // (a flag belonging to another mode included).
-  if (args.has("trace-dump") || args.has("trace-text")) {
+  if (args.has("trace-dump")) {
     std::string json_path = args.get_string("trace-dump", "");
-    std::string text_path = args.get_string("trace-text", "");
     args.reject_unread();
     TraceDumpResponse reply;
     RpcError error = client.trace_dump(reply);
     if (!error.ok()) return fail("trace-dump", error);
     std::cout << "trace dump: " << reply.event_count << " events, tracing "
-              << (reply.enabled ? "enabled" : "disabled") << "\n";
+              << (reply.enabled ? "enabled" : "disabled") << ", "
+              << reply.omitted_events << " oldest records omitted\n";
     if (!json_path.empty() && !spill_to_file(json_path, reply.chrome_json))
-      return 1;
-    if (!text_path.empty() && !spill_to_file(text_path, reply.text))
       return 1;
     return 0;
   }

@@ -116,7 +116,7 @@ class Engine {
   }
 
  private:
-  /// One batched registry/trace update per solve: a map lookup and a few
+  /// One batched registry update per solve: a map lookup and a few
   /// relaxed adds, instead of contended increments inside the expansion
   /// loop (the "tracing compiled in but off costs nothing" budget).
   void flush_observability() {
@@ -136,13 +136,6 @@ class Engine {
         .inc(stats_.beam_pruned);
     reg.counter("cosched_astar_heuristic_evals_total", "h(v) evaluations")
         .inc(stats_.heuristic_evals);
-    COSCHED_TRACE_COUNTER("astar.expansions",
-                          static_cast<double>(stats_.expanded));
-    COSCHED_TRACE_COUNTER("astar.heuristic_evals",
-                          static_cast<double>(stats_.heuristic_evals));
-    if (beam_mode_)
-      COSCHED_TRACE_COUNTER("astar.beam_pruned",
-                            static_cast<double>(stats_.beam_pruned));
   }
 
   void prepare_level_stats(SearchStats& out) {

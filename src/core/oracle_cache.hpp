@@ -16,8 +16,6 @@
 
 #include <cstdint>
 
-#include "util/common.hpp"
-
 namespace cosched {
 
 /// Counter view of the (retired) degradation-oracle cache. Always zero.
@@ -29,11 +27,6 @@ class DegradationCache {
     std::uint64_t entries = 0;
     std::uint64_t evictions = 0;
     std::uint64_t compactions = 0;
-    Real hit_rate() const {
-      std::uint64_t total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<Real>(hits) /
-                                    static_cast<Real>(total);
-    }
   };
   Stats stats() const { return {}; }
 };

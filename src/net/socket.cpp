@@ -279,11 +279,6 @@ NetStatus Socket::recv_some(void* data, std::size_t max_len,
   }
 }
 
-NetStatus Socket::wait_readable(const Deadline& deadline) {
-  if (!valid()) return NetStatus::Closed;
-  return poll_fd(fd_, POLLIN, deadline);
-}
-
 std::uint16_t Socket::local_port() const {
   if (!valid()) return 0;
   sockaddr_in addr;

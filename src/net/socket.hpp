@@ -93,10 +93,6 @@ class Socket {
   NetStatus recv_some(void* data, std::size_t max_len, std::size_t& received,
                       const Deadline& deadline);
 
-  /// Waits until the socket is readable. NetStatus::Ok means "poll says
-  /// readable" — a subsequent recv may still return 0 (peer closed).
-  NetStatus wait_readable(const Deadline& deadline);
-
   /// Local port (after listen_on/connect); 0 on error.
   std::uint16_t local_port() const;
 

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <sstream>
 
 #include "util/json.hpp"
 
@@ -113,7 +112,7 @@ void Tracer::begin_span(const char* name, Real virtual_time,
   event.name = name;
   event.phase = Phase::Begin;
   event.virtual_time = virtual_time;
-  event.depth = buffer.depth++;
+  ++buffer.depth;
   event.args = std::move(args);
   record(buffer, std::move(event), at);
 }
@@ -125,19 +124,8 @@ void Tracer::end_span(std::chrono::steady_clock::time_point at) {
   COSCHED_EXPECTS(buffer.depth > 0);
   Event event;
   event.phase = Phase::End;
-  event.depth = --buffer.depth;
+  --buffer.depth;
   record(buffer, std::move(event), at);
-}
-
-void Tracer::counter(const char* name, double value) {
-  if (!enabled()) return;
-  ThreadBuffer& buffer = local_buffer();
-  Event event;
-  event.name = name;
-  event.phase = Phase::Counter;
-  event.value = value;
-  event.depth = buffer.depth;
-  record(buffer, std::move(event), std::chrono::steady_clock::now());
 }
 
 std::vector<std::shared_ptr<Tracer::ThreadBuffer>> Tracer::buffers_snapshot()
@@ -169,35 +157,6 @@ std::uint64_t Tracer::event_count() const {
     total += buffer->events.size();
   }
   return total;
-}
-
-std::string Tracer::dump_text() const {
-  std::ostringstream out;
-  for (const auto& buffer : buffers_snapshot()) {
-    std::vector<Event> events;
-    {
-      std::lock_guard<std::mutex> lock(buffer->mutex);
-      events = ordered_events(*buffer);
-    }
-    if (events.empty()) continue;
-    out << "thread " << buffer->tid << "\n";
-    for (const Event& e : events) {
-      if (e.phase == Phase::End) continue;
-      for (std::int32_t d = 0; d < e.depth; ++d) out << "  ";
-      switch (e.phase) {
-        case Phase::Begin: out << "span " << e.name; break;
-        case Phase::Counter:
-          out << "count " << e.name << " = " << fmt_double(e.value);
-          break;
-        case Phase::End: break;
-      }
-      if (e.virtual_time >= 0.0) out << " @vt=" << fmt_double(e.virtual_time);
-      if (e.trace_id != 0) out << " trace=" << e.trace_id;
-      if (!e.args.empty()) out << " [" << e.args << "]";
-      out << "\n";
-    }
-  }
-  return out.str();
 }
 
 std::string Tracer::export_chrome_json() const {
@@ -284,24 +243,13 @@ std::string Tracer::export_chrome_json() const {
       record.tid = buffer->tid;
       record.seq = e.seq;
       std::string& json = record.json;
-      switch (e.phase) {
-        case Phase::Begin:
-          common_fields(json, e, duration[i] >= 0.0 ? 'X' : 'B',
-                        buffer->tid);
-          if (duration[i] >= 0.0)
-            json += ",\"dur\":" + fmt_double(duration[i]);
-          args_fields(json, e);
-          if (e.trace_id != 0)
-            flows[e.trace_id].push_back(
-                FlowPoint{e.wall_us, buffer->tid, e.seq, e.name});
-          break;
-        case Phase::Counter:
-          common_fields(json, e, 'C', buffer->tid);
-          json += ",\"args\":{\"value\":" + fmt_double(e.value) + "}";
-          break;
-        case Phase::End: break;
-      }
+      common_fields(json, e, duration[i] >= 0.0 ? 'X' : 'B', buffer->tid);
+      if (duration[i] >= 0.0) json += ",\"dur\":" + fmt_double(duration[i]);
+      args_fields(json, e);
       json += "}";
+      if (e.trace_id != 0)
+        flows[e.trace_id].push_back(
+            FlowPoint{e.wall_us, buffer->tid, e.seq, e.name});
       records.push_back(std::move(record));
     }
   }
@@ -379,32 +327,6 @@ std::vector<std::string> chrome_records(const std::string& json) {
 
 }  // namespace
 
-std::string namespace_trace_text(const std::string& text,
-                                 const std::string& prefix) {
-  static const char* kKeywords[] = {"thread ", "span ", "count "};
-  std::string out;
-  out.reserve(text.size() + prefix.size() * 32);
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    std::string line = text.substr(pos, end - pos);
-    std::size_t indent = 0;
-    while (indent < line.size() && line[indent] == ' ') ++indent;
-    for (const char* keyword : kKeywords) {
-      std::size_t n = std::strlen(keyword);
-      if (line.compare(indent, n, keyword) == 0) {
-        line.insert(indent + n, prefix);
-        break;
-      }
-    }
-    out += line;
-    out += '\n';
-    pos = end + 1;
-  }
-  return out;
-}
-
 std::string namespace_chrome_trace(const std::string& json, int pid,
                                    const std::string& prefix) {
   const std::string pid_field = "\"pid\":1,";
@@ -428,14 +350,36 @@ std::string namespace_chrome_trace(const std::string& json, int pid,
   return out;
 }
 
-std::string merge_chrome_traces(const std::vector<std::string>& parts) {
+std::string merge_chrome_traces(const std::vector<std::string>& parts,
+                                std::size_t max_bytes,
+                                std::uint64_t& omitted) {
+  // Each part's records are time-ordered, so its oldest is at `first`. The
+  // array is "[" plus each record with its two-byte joint (",\n", or "]\n"
+  // after the last).
+  std::vector<std::vector<std::string>> records;
+  std::vector<std::size_t> first(parts.size(), 0);
+  std::vector<std::size_t> bytes(parts.size(), 0);
+  std::size_t total = 1;
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    records.push_back(chrome_records(parts[p]));
+    for (const std::string& record : records[p]) bytes[p] += record.size() + 2;
+    total += bytes[p];
+  }
+  omitted = 0;
+  while (total > max_bytes) {
+    std::size_t largest = static_cast<std::size_t>(
+        std::max_element(bytes.begin(), bytes.end()) - bytes.begin());
+    if (bytes[largest] == 0) break;
+    std::size_t cost = records[largest][first[largest]++].size() + 2;
+    bytes[largest] -= cost;
+    total -= cost;
+    ++omitted;
+  }
   std::string out = "[";
-  bool first = true;
-  for (const std::string& part : parts) {
-    for (std::string& record : chrome_records(part)) {
-      if (!first) out += ",\n";
-      first = false;
-      out += record;
+  for (std::size_t p = 0; p < records.size(); ++p) {
+    for (std::size_t r = first[p]; r < records[p].size(); ++r) {
+      if (out.size() > 1) out += ",\n";
+      out += records[p][r];
     }
   }
   out += "]\n";

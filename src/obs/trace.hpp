@@ -1,12 +1,13 @@
 // Structured tracing for the co-scheduling stack.
 //
-// A Tracer collects spans (begin/end pairs) and counter samples into
-// per-thread buffers; nothing is shared on the hot path beyond one relaxed
-// atomic load when tracing is runtime-disabled. Each event carries a
-// wall-clock stamp (microseconds since the tracer epoch, steady clock) and,
-// when the caller is inside the virtual-time simulation, a virtual
-// timestamp too — so a replan trace lines up both against real solver cost
-// and against the simulated fleet.
+// A Tracer collects spans (begin/end pairs) into per-thread buffers;
+// nothing is shared on the hot path beyond one relaxed atomic load when
+// tracing is runtime-disabled. Each event carries a wall-clock stamp
+// (microseconds since the tracer epoch, steady clock) and, when the caller
+// is inside the virtual-time simulation, a virtual timestamp too — so a
+// replan trace lines up both against real solver cost and against the
+// simulated fleet. Solver work counts are not trace events: they live in
+// the cosched_astar_* registry counters.
 //
 // Long-lived-server safety: each thread buffer is a fixed-capacity ring
 // (set_max_events_per_thread); once full, the oldest event is overwritten
@@ -19,13 +20,12 @@
 // emits flow events ("s"/"t"/"f") linking all spans of one trace across
 // threads.
 //
-// Two exporters:
-//  * export_chrome_json() — Chrome trace-event JSON ("X" complete spans,
-//    "C" counters, flow events), loadable in chrome://tracing / Perfetto,
-//    sorted by (timestamp, tid, seq);
-//  * dump_text() — a wall-time-free indented dump, deterministic for a
-//    deterministic event sequence (threads in registration order, events in
-//    record order), which is what the tests byte-compare.
+// One exporter: export_chrome_json() renders Chrome trace-event JSON ("X"
+// complete spans, "B" for spans still open, flow events), loadable in
+// chrome://tracing / Perfetto, sorted by (timestamp, tid, seq). Everything
+// but the "ts" and "dur" wall times is deterministic for a deterministic
+// event sequence: names, tids (thread registration order), record order
+// and args.
 //
 // TraceSpan is the one phase scope of the codebase: besides the trace
 // begin/end pair it feeds the continuous Profiler (obs/profiler.hpp), so
@@ -36,9 +36,9 @@
 // and one closes it, shared by both consumers.
 //
 // Compile-time kill switch: defining COSCHED_OBS_DISABLED in a TU turns
-// every COSCHED_TRACE_* macro in that TU into a no-op with zero residue
-// (no Tracer or Profiler call, no guard object). Defined where
-// obs/alerts.cpp is compiled, it also compiles out the alert engine.
+// COSCHED_TRACE_SPAN in that TU into a no-op with zero residue (no Tracer
+// or Profiler call, no guard object). Defined where obs/alerts.cpp is
+// compiled, it also compiles out the alert engine.
 //
 // Span names must be string literals (or otherwise outlive the tracer):
 // events store the pointer, not a copy, to keep recording allocation-free
@@ -66,15 +66,13 @@ struct TraceContext {
 
 class Tracer {
  public:
-  enum class Phase : std::uint8_t { Begin, End, Counter };
+  enum class Phase : std::uint8_t { Begin, End };
 
   struct Event {
     const char* name = "";   ///< static string; not owned
     Phase phase = Phase::Begin;
     double wall_us = 0.0;    ///< microseconds since the tracer epoch
     Real virtual_time = -1.0;  ///< virtual seconds; < 0 = not stamped
-    double value = 0.0;      ///< Counter payload
-    std::int32_t depth = 0;  ///< span nesting depth at record time
     std::uint64_t trace_id = 0;  ///< correlating request trace, 0 = none
     std::uint64_t seq = 0;   ///< process-global record order
     std::string args;        ///< optional "k=v ..." detail, may be empty
@@ -82,7 +80,7 @@ class Tracer {
 
   Tracer();
 
-  /// Process-wide tracer used by the COSCHED_TRACE_* macros.
+  /// Process-wide tracer used by COSCHED_TRACE_SPAN.
   static Tracer& global();
 
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_release); }
@@ -117,13 +115,8 @@ class Tracer {
                       std::chrono::steady_clock::now());
   void end_span(std::chrono::steady_clock::time_point at =
                     std::chrono::steady_clock::now());
-  void counter(const char* name, double value);
 
   std::uint64_t event_count() const;
-
-  /// Deterministic indented text dump (no wall times). Thread sections are
-  /// ordered by tid — the registration order of the recording threads.
-  std::string dump_text() const;
 
   /// Chrome trace-event JSON array, sorted by (wall ts, tid, seq). Spans of
   /// a shared trace_id additionally emit flow events so Perfetto draws the
@@ -136,7 +129,7 @@ class Tracer {
  private:
   struct ThreadBuffer {
     std::int32_t tid = 0;
-    std::int32_t depth = 0;        ///< touched only by the owning thread
+    std::int32_t depth = 0;        ///< open spans; touched only by the owner
     mutable std::mutex mutex;      ///< guards ring state against exporters
     std::vector<Event> events;     ///< ring storage, capped at capacity
     std::size_t next = 0;          ///< overwrite position once full
@@ -161,18 +154,12 @@ class Tracer {
 
 // ---- cross-process dump merging -------------------------------------------
 // The router's TraceDump fan-in pulls each remote shard's own dump and
-// merges it with the local one. These helpers understand exactly the two
-// formats the exporters above produce — nothing more general.
-
-/// Namespaces a dump_text() dump: prefixes every span/count name and
-/// every thread id with `prefix` (e.g. "shard0/"), so a merged dump keeps
-/// shard provenance readable and collision-free.
-std::string namespace_trace_text(const std::string& text,
-                                 const std::string& prefix);
+// merges it with the local one. These helpers understand exactly the array
+// shape export_chrome_json() produces — nothing more general.
 
 /// Namespaces an export_chrome_json() array for merging: rewrites pid 1 to
 /// `pid` (Perfetto shows each process as its own track group) and prefixes
-/// span/counter names with `prefix`. Flow events are left untouched
+/// span names with `prefix`. Flow events are left untouched
 /// on purpose — Perfetto binds flows by (cat, name, id), and an unchanged
 /// "trace"/"flow" pair with a shared trace id is what draws the
 /// router -> shard arrow across process tracks.
@@ -180,10 +167,15 @@ std::string namespace_chrome_trace(const std::string& json, int pid,
                                    const std::string& prefix);
 
 /// Concatenates export_chrome_json() arrays (typically one local + N
-/// namespaced remote ones) into one loadable array. Timestamps keep their
-/// per-process epochs — cross-process skew is cosmetic; the flow events
-/// carry the causality.
-std::string merge_chrome_traces(const std::vector<std::string>& parts);
+/// namespaced remote ones) into one loadable array of at most `max_bytes`
+/// bytes (never less than the empty "[]\n"): while it would be longer, the
+/// largest part gives up its oldest record, and `omitted` counts the
+/// records left out. Timestamps keep
+/// their per-process epochs — cross-process skew is cosmetic; the flow
+/// events carry the causality.
+std::string merge_chrome_traces(const std::vector<std::string>& parts,
+                                std::size_t max_bytes,
+                                std::uint64_t& omitted);
 
 /// Installs `context` as the calling thread's current trace context for the
 /// scope's lifetime, restoring the previous one on exit. Used by the RPC
@@ -241,25 +233,17 @@ class TraceSpan {
 
 // ---- macros ---------------------------------------------------------------
 // COSCHED_TRACE_SPAN(var, name[, virtual_time[, args]]) — RAII span and
-// profiler phase bound to the enclosing scope. COSCHED_TRACE_COUNTER
-// records one counter sample. Both vanish entirely (no-ops, no tracer or
-// profiler reference) in TUs compiled with -DCOSCHED_OBS_DISABLED.
+// profiler phase bound to the enclosing scope. It vanishes entirely (a
+// no-op, no tracer or profiler reference) in TUs compiled with
+// -DCOSCHED_OBS_DISABLED.
 #ifdef COSCHED_OBS_DISABLED
 
 #define COSCHED_TRACE_SPAN(var, ...) \
   do {                               \
   } while (0)
-#define COSCHED_TRACE_COUNTER(name, value) \
-  do {                                     \
-  } while (0)
 
 #else
 
 #define COSCHED_TRACE_SPAN(var, ...) ::cosched::TraceSpan var(__VA_ARGS__)
-#define COSCHED_TRACE_COUNTER(name, value)                      \
-  do {                                                          \
-    if (::cosched::Tracer::global().enabled())                  \
-      ::cosched::Tracer::global().counter((name), (value));     \
-  } while (0)
 
 #endif  // COSCHED_OBS_DISABLED

@@ -79,7 +79,7 @@ class CoschedClient {
   /// The SLO watchdog's alert rule states (router: fleet fan-in,
   /// shard-labelled).
   RpcError get_alerts(AlertsResponse& out);
-  /// The server's structured trace (text dump + Chrome JSON).
+  /// The server's span trace as Chrome JSON, cut to fit the frame cap.
   RpcError trace_dump(TraceDumpResponse& out);
   RpcError drain(DrainResponse& out);
   RpcError shutdown_server(ShutdownResponse& out);

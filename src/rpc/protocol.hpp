@@ -35,7 +35,7 @@ namespace cosched {
 /// RemoteShard, benches) is built from this tree, so all of them rebuild
 /// together. Bump kProtocolVersion on any change to an envelope or body
 /// layout; every decoder reads the full current layout or fails.
-inline constexpr std::uint16_t kProtocolVersion = 9;
+inline constexpr std::uint16_t kProtocolVersion = 10;
 
 enum class MessageType : std::uint8_t {
   SubmitJob = 1,
@@ -44,7 +44,7 @@ enum class MessageType : std::uint8_t {
   GetMetrics = 4,
   Drain = 5,
   Shutdown = 6,
-  TraceDump = 7,  ///< the server's structured trace, text + Chrome JSON
+  TraceDump = 7,  ///< the server's span trace as Chrome JSON
   // 8 is retired (was a server-push telemetry stream); valid_message_type
   // rejects it.
   QueryJobTimeline = 9,  ///< decision-journal events of one job
@@ -193,7 +193,8 @@ struct MetricsResponse {
 struct TraceDumpResponse {
   bool enabled = false;          ///< tracer runtime switch at dump time
   std::uint64_t event_count = 0;
-  std::string text;              ///< deterministic indented dump
+  /// Oldest Chrome records left out so the reply fits the frame cap.
+  std::uint64_t omitted_events = 0;
   std::string chrome_json;       ///< Chrome trace-event JSON array
 };
 
@@ -328,7 +329,7 @@ void layout(Io& io, M& r) {
 
 template <class Io, MessageOf<TraceDumpResponse> M>
 void layout(Io& io, M& response) {
-  io(response.enabled, response.event_count, response.text,
+  io(response.enabled, response.event_count, response.omitted_events,
      response.chrome_json);
 }
 

@@ -228,7 +228,6 @@ TraceDumpResponse SessionCore::collect_trace_dump() {
   TraceDumpResponse reply;
   reply.enabled = tracer.enabled();
   reply.event_count = tracer.event_count();
-  reply.text = tracer.dump_text();
   std::vector<std::string> chrome_parts;
   chrome_parts.push_back(tracer.export_chrome_json());
   for (ShardBackend* shard : remote_shards()) {
@@ -237,13 +236,21 @@ TraceDumpResponse SessionCore::collect_trace_dump() {
     if (shard->trace_dump(remote, shard_error) != RpcStatus::Ok) continue;
     const std::string prefix = "shard" + std::to_string(shard->shard_id()) + "/";
     reply.event_count += remote.event_count;
-    reply.text += namespace_trace_text(remote.text, prefix);
+    reply.omitted_events += remote.omitted_events;
     chrome_parts.push_back(
         namespace_chrome_trace(remote.chrome_json, shard->shard_id() + 2, prefix));
   }
-  reply.chrome_json = chrome_parts.size() == 1
-                          ? std::move(chrome_parts.front())
-                          : merge_chrome_traces(chrome_parts);
+  // The encoded reply must fit the frame cap: what the envelope and the
+  // other fields take is left for the JSON, whose oldest records go first.
+  ResponseEnvelope envelope;
+  WireWriter fixed;
+  encode(fixed, reply);
+  const std::size_t budget = kDefaultMaxFrameBytes -
+                             encode_response(envelope).size() -
+                             fixed.take().size();
+  std::uint64_t omitted = 0;
+  reply.chrome_json = merge_chrome_traces(chrome_parts, budget, omitted);
+  reply.omitted_events += omitted;
   return reply;
 }
 

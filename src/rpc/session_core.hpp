@@ -33,8 +33,10 @@
 // process-level messages are answered here: TraceDump and GetAlerts from
 // this process's tracer and watchdog plus every remote shard's
 // (remote_shards()), and GetMetrics gets the session counters and tracer
-// drops on top of the door's metrics verb. The HTTP side door's /alerts
-// and /debug/events are registered here too, from the same verbs.
+// drops on top of the door's metrics verb. TraceDump fits its reply under
+// the frame cap by leaving out the oldest Chrome records (the largest
+// part's first) and counts them in omitted_events. The HTTP side door's
+// /alerts and /debug/events are registered here too, from the same verbs.
 //
 // Shutdown paths: an Ok reply to an RPC Shutdown request trips the latch
 // wait() blocks on, as does stop().
@@ -196,7 +198,8 @@ class SessionCore {
   ResponseEnvelope dispatch(const RequestEnvelope& request,
                             std::uint64_t trace_id);
   /// This process's trace dump merged with every remote shard's,
-  /// namespaced "shard<k>/" on its own Perfetto pid.
+  /// namespaced "shard<k>/" on its own Perfetto pid, cut to fit the frame
+  /// cap.
   TraceDumpResponse collect_trace_dump();
   void accept_main();
   void worker_main();

@@ -56,7 +56,8 @@ inline void expect_old_versions_refused(std::uint16_t port) {
   Socket raw = Socket::connect_to("127.0.0.1", port, Deadline::after(2.0),
                                   net);
   ASSERT_EQ(net, NetStatus::Ok);
-  for (std::uint16_t version : {std::uint16_t{1}, std::uint16_t{8}}) {
+  for (std::uint16_t version :
+       {std::uint16_t{1}, std::uint16_t{8}, std::uint16_t{9}}) {
     ResponseEnvelope refused =
         raw_exchange(raw, version, MessageType::GetMetrics, version);
     EXPECT_EQ(refused.status, RpcStatus::VersionMismatch) << "v" << version;

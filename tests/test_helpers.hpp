@@ -1,12 +1,15 @@
 // Shared factories for search/IP/baseline tests, the global-tracer reset
-// the observability tests share, and the seeded input mutator of the
-// hardened-input tests.
+// and Chrome-trace readers the observability tests share, and the seeded
+// input mutator of the hardened-input tests.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "core/builders.hpp"
 #include "core/degradation_models.hpp"
@@ -59,6 +62,63 @@ inline void reset_global_tracer() {
   tracer.set_max_events_per_thread(65536);
   Tracer::set_current_context(TraceContext{});
   tracer.reset();
+}
+
+/// The records of an export_chrome_json() array (or a merge of such
+/// arrays), split on the exporter's ",\n" joints.
+inline std::vector<std::string> chrome_records(const std::string& json) {
+  std::vector<std::string> records;
+  if (json.size() < 3) return records;
+  std::string body = json.substr(1, json.rfind(']') - 1);
+  for (std::size_t pos = 0; pos < body.size();) {
+    std::size_t end = body.find(",\n", pos);
+    if (end == std::string::npos) end = body.size();
+    records.push_back(body.substr(pos, end - pos));
+    pos = end + 2;
+  }
+  return records;
+}
+
+/// The number after `"key":` in a Chrome record; -1 when it is absent.
+inline double chrome_number(const std::string& record, const std::string& key) {
+  std::size_t at = record.find("\"" + key + "\":");
+  return at == std::string::npos
+             ? -1.0
+             : std::strtod(record.c_str() + at + key.size() + 3, nullptr);
+}
+
+/// `json` without its wall-clock fields ("ts", "dur"). What is left —
+/// names, tids, args and record order — is deterministic for a
+/// deterministic event sequence.
+inline std::string without_wall_times(std::string json) {
+  // Erases every `"ts":<n>,` ("ts" is never last in a record) and every
+  // `,"dur":<n>`.
+  for (const std::string key : {"\"ts\":", ",\"dur\":"}) {
+    for (std::size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at)) {
+      std::size_t end = json.find_first_of(",}", at + key.size());
+      if (key == "\"ts\":") ++end;
+      json.erase(at, end - at);
+    }
+  }
+  return json;
+}
+
+/// True when `json` holds a span named exactly `name` whose args carry
+/// `trace_id`.
+inline bool span_carries_trace(const std::string& json,
+                               const std::string& name,
+                               std::uint64_t trace_id) {
+  const std::string id = "\"trace_id\":" + std::to_string(trace_id);
+  for (const std::string& record : chrome_records(json)) {
+    if (record.rfind("{\"name\":\"" + name + "\",", 0) != 0) continue;
+    for (std::size_t at = record.find(id); at != std::string::npos;
+         at = record.find(id, at + 1)) {
+      char next = record[at + id.size()];
+      if (next == ',' || next == '}') return true;
+    }
+  }
+  return false;
 }
 
 /// Seeded mutation of a valid input: runs `check` (true = the input was

@@ -172,13 +172,12 @@ TEST(ObsHistogram, MergeEdgeCases) {
 
 // --------------------------------------------------------------- tracer
 
-// Record one fixed sequence into `tracer`: a nested span pair with a
-// counter on the calling thread, then one span on a second (joined) thread.
+// Record one fixed sequence into `tracer`: a nested span pair on the
+// calling thread, then one span on a second (joined) thread.
 void record_fixture(Tracer& tracer) {
   tracer.set_enabled(true);
   tracer.begin_span("outer", 1.5, "k=v");
   tracer.begin_span("inner");
-  tracer.counter("widgets", 3.0);
   tracer.end_span();
   tracer.end_span();
   std::thread worker([&tracer] {
@@ -189,28 +188,40 @@ void record_fixture(Tracer& tracer) {
   tracer.set_enabled(false);
 }
 
-TEST(ObsTracer, DumpTextShowsNestingAndMergedThreadsDeterministically) {
+TEST(ObsTracer, ExportShowsNestingAndMergedThreadsDeterministically) {
   Tracer tracer;
   record_fixture(tracer);
+  // Threads by registration order (tid), spans in record order, args as
+  // recorded; only the wall times vary between runs.
   const std::string expected =
-      "thread 0\n"
-      "span outer @vt=1.500 [k=v]\n"
-      "  span inner\n"
-      "    count widgets = 3.000\n"
-      "thread 1\n"
-      "span worker\n";
-  EXPECT_EQ(tracer.dump_text(), expected);
+      "[{\"name\":\"outer\",\"cat\":\"cosched\",\"ph\":\"X\",\"pid\":1,"
+      "\"tid\":0,\"args\":{\"virtual_time\":1.500,\"detail\":\"k=v\"}},\n"
+      "{\"name\":\"inner\",\"cat\":\"cosched\",\"ph\":\"X\",\"pid\":1,"
+      "\"tid\":0},\n"
+      "{\"name\":\"worker\",\"cat\":\"cosched\",\"ph\":\"X\",\"pid\":1,"
+      "\"tid\":1}]\n";
+  std::string json = tracer.export_chrome_json();
+  EXPECT_EQ(testhelpers::without_wall_times(json), expected) << json;
+  // Nesting: inner's interval lies inside outer's (both stamps are
+  // rounded to 1 ns, hence the slack).
+  std::vector<std::string> records = testhelpers::chrome_records(json);
+  ASSERT_EQ(records.size(), 3u);
+  double outer_ts = testhelpers::chrome_number(records[0], "ts");
+  double inner_ts = testhelpers::chrome_number(records[1], "ts");
+  EXPECT_GE(inner_ts, outer_ts);
+  EXPECT_LE(inner_ts + testhelpers::chrome_number(records[1], "dur"),
+            outer_ts + testhelpers::chrome_number(records[0], "dur") + 0.002);
 
-  // Same sequence, fresh tracer: byte-identical dump (wall times never
-  // appear in the text form).
+  // Same sequence, fresh tracer: identical but for the wall times.
   Tracer again;
   record_fixture(again);
-  EXPECT_EQ(again.dump_text(), expected);
-  EXPECT_EQ(again.event_count(), 7u);  // 3 begins + 3 ends + counter
+  EXPECT_EQ(testhelpers::without_wall_times(again.export_chrome_json()),
+            expected);
+  EXPECT_EQ(again.event_count(), 6u);  // 3 begins + 3 ends
 
   again.reset();
   EXPECT_EQ(again.event_count(), 0u);
-  EXPECT_EQ(again.dump_text(), "");
+  EXPECT_EQ(again.export_chrome_json(), "[]\n");
 }
 
 TEST(ObsTracer, ChromeJsonIsStructuredAndTimeOrdered) {
@@ -224,7 +235,6 @@ TEST(ObsTracer, ChromeJsonIsStructuredAndTimeOrdered) {
   EXPECT_NE(json.find("\"name\":\"outer\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"dur\":"), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(json.find("\"virtual_time\":1.500"), std::string::npos);
   EXPECT_NE(json.find("\"detail\":\"k=v\""), std::string::npos);
 
@@ -233,7 +243,7 @@ TEST(ObsTracer, ChromeJsonIsStructuredAndTimeOrdered) {
   for (std::size_t at = json.find("\"ts\":"); at != std::string::npos;
        at = json.find("\"ts\":", at + 1))
     stamps.push_back(std::strtod(json.c_str() + at + 5, nullptr));
-  ASSERT_GE(stamps.size(), 4u);
+  ASSERT_EQ(stamps.size(), 3u);  // outer, inner, worker
   for (std::size_t i = 1; i < stamps.size(); ++i)
     EXPECT_GE(stamps[i], stamps[i - 1]);
 }
@@ -247,11 +257,15 @@ TEST(ObsTracer, SpansStartedWhileDisabledRecordNothing) {
     // Enabling mid-span must not produce a dangling End event: TraceSpan
     // latches the decision at construction.
     tracer.set_enabled(true);
-    COSCHED_TRACE_COUNTER("visible", 1.0);
+    COSCHED_TRACE_SPAN(visible, "visible");
   }
   tracer.set_enabled(false);
-  EXPECT_EQ(tracer.event_count(), 1u);
-  EXPECT_EQ(tracer.dump_text().find("never"), std::string::npos);
+  EXPECT_EQ(tracer.event_count(), 2u);
+  std::string json = tracer.export_chrome_json();
+  EXPECT_EQ(json.find("never"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"visible\",\"cat\":\"cosched\",\"ph\":\"X\""),
+            std::string::npos)
+      << json;
   tracer.reset();
 }
 
@@ -260,23 +274,32 @@ TEST(ObsTracer, EventCountPlateausAndDropsAreCounted) {
   tracer.set_enabled(true);
   tracer.set_max_events_per_thread(64);
 
-  for (int i = 0; i < 200; ++i) tracer.counter("tick", i);
+  // Each span is two events (begin, end); span i carries "i=<i>".
+  auto spans = [&tracer](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      tracer.begin_span("tick", -1.0, "i=" + std::to_string(i));
+      tracer.end_span();
+    }
+  };
+  spans(0, 100);
   EXPECT_EQ(tracer.event_count(), 64u);  // plateau at the ring capacity
   EXPECT_EQ(tracer.dropped_events(), 200u - 64u);
 
   // Sustained load: the plateau holds, only the drop counter moves.
-  for (int i = 200; i < 300; ++i) tracer.counter("tick", i);
+  spans(100, 150);
   EXPECT_EQ(tracer.event_count(), 64u);
   EXPECT_EQ(tracer.dropped_events(), 300u - 64u);
 
   // The ring keeps the *newest* events, oldest-first: the survivors are
-  // samples 236..299 in record order.
-  std::istringstream dump(tracer.dump_text());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(dump, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 1u + 64u);  // thread header + one line per event
-  EXPECT_EQ(lines[1], "count tick = 236.000");
-  EXPECT_EQ(lines.back(), "count tick = 299.000");
+  // events 236..299, spans 118..149 in record order.
+  std::vector<std::string> records =
+      testhelpers::chrome_records(tracer.export_chrome_json());
+  ASSERT_EQ(records.size(), 32u);
+  for (std::size_t k = 0; k < records.size(); ++k)
+    EXPECT_NE(records[k].find("\"detail\":\"i=" + std::to_string(118 + k) +
+                              "\""),
+              std::string::npos)
+        << records[k];
 
   // reset() empties the ring and zeroes drops.
   tracer.reset();
@@ -285,9 +308,9 @@ TEST(ObsTracer, EventCountPlateausAndDropsAreCounted) {
 
   // Capacity 0 clamps to 1 instead of dividing by zero somewhere dark.
   tracer.set_max_events_per_thread(0);
-  for (int i = 0; i < 3; ++i) tracer.counter("tick", i);
+  spans(0, 2);
   EXPECT_EQ(tracer.event_count(), 1u);
-  EXPECT_EQ(tracer.dropped_events(), 2u);
+  EXPECT_EQ(tracer.dropped_events(), 3u);
 }
 
 // ------------------------------------------------------------- registry
@@ -646,38 +669,63 @@ TEST(ObsEndToEnd, ReplanTraceShowsPhaseHierarchyAndAstarCounters) {
   options.admission.every_k = 2;
   OnlineScheduler service(options);
   service.run(generate_trace(spec));
-  std::string replan_dump = tracer.dump_text();
+  std::string replan_json = tracer.export_chrome_json();
 
   SearchResult solved =
       solve_hastar(testhelpers::random_pe_problem(4, {4}, 4, 11));
   ASSERT_TRUE(solved.found);
 
   tracer.set_enabled(false);
-  std::string dump = tracer.dump_text();
   std::string json = tracer.export_chrome_json();
   tracer.reset();
 
-  // Phase hierarchy, with indentation proving the nesting.
-  EXPECT_NE(dump.find("span online.replan"), std::string::npos);
-  EXPECT_NE(dump.find("\n  span replan.admission"), std::string::npos);
-  EXPECT_NE(dump.find("\n  span replan.fresh_solve"), std::string::npos);
-  EXPECT_NE(dump.find("\n  span replan.alignment"), std::string::npos);
-  EXPECT_NE(dump.find("\n  span replan.commit"), std::string::npos);
+  // Phase hierarchy: each phase's interval lies inside an online.replan
+  // span of its thread (stamps are rounded to 1 ns, hence the slack).
+  struct Interval {
+    std::string name;
+    double tid, begin, end;
+  };
+  std::vector<Interval> spans;
+  for (const std::string& record : testhelpers::chrome_records(json)) {
+    if (record.find("\"ph\":\"X\"") == std::string::npos) continue;
+    std::size_t open = record.find(':') + 2;  // records open {"name":"
+    double ts = testhelpers::chrome_number(record, "ts");
+    spans.push_back({record.substr(open, record.find('"', open) - open),
+                     testhelpers::chrome_number(record, "tid"), ts,
+                     ts + testhelpers::chrome_number(record, "dur")});
+  }
+  auto inside_a_replan = [&spans](const Interval& child) {
+    for (const Interval& parent : spans)
+      if (parent.name == "online.replan" && parent.tid == child.tid &&
+          parent.begin <= child.begin && child.end <= parent.end + 0.002)
+        return true;
+    return false;
+  };
+  for (const char* name : {"replan.admission", "replan.fresh_solve",
+                           "replan.alignment", "replan.commit"}) {
+    bool nested = false, seen = false;
+    for (const Interval& span : spans)
+      if (span.name == name) {
+        seen = true;
+        nested = nested || inside_a_replan(span);
+      }
+    EXPECT_TRUE(seen) << name;
+    EXPECT_TRUE(nested) << name << " never nested under online.replan";
+  }
   // No solver search runs on the online path; the direct solve's span is
   // there, at top level.
-  EXPECT_EQ(replan_dump.find("astar.search"), std::string::npos)
-      << replan_dump;
-  EXPECT_NE(dump.find("\nspan astar.search"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("variant=HA*"), std::string::npos);
-
-  // Chrome export carries the same span names as complete events.
-  for (const char* name :
-       {"online.replan", "replan.admission", "replan.fresh_solve",
-        "replan.alignment", "replan.commit", "astar.search",
-        "astar.expansions"})
-    EXPECT_NE(json.find(std::string("\"name\":\"") + name + "\""),
-              std::string::npos)
-        << name;
+  EXPECT_EQ(replan_json.find("astar.search"), std::string::npos)
+      << replan_json;
+  bool search_seen = false;
+  for (const Interval& span : spans)
+    if (span.name == "astar.search") {
+      search_seen = true;
+      EXPECT_FALSE(inside_a_replan(span));
+    }
+  EXPECT_TRUE(search_seen) << json;
+  EXPECT_NE(json.find("variant=HA*"), std::string::npos);
+  // Solver work counts live in the registry, not in the trace.
+  EXPECT_EQ(json.find("\"ph\":\"C\""), std::string::npos);
 
   // Non-zero HA* work was recorded in the registry.
   EXPECT_GT(searches.value(), searches_before);
@@ -692,17 +740,6 @@ std::size_t occurrences(const std::string& text, const std::string& needle) {
        at = text.find(needle, at + needle.size()))
     ++n;
   return n;
-}
-
-TEST(ObsTraceMerge, TextNamespacePrefixesEveryNameAndThread) {
-  const std::string dump =
-      "thread 0\n"
-      "  span online.replan @vt=4 trace=9\n"
-      "  count rpc.queue_depth = 3\n";
-  EXPECT_EQ(namespace_trace_text(dump, "shard0/"),
-            "thread shard0/0\n"
-            "  span shard0/online.replan @vt=4 trace=9\n"
-            "  count shard0/rpc.queue_depth = 3\n");
 }
 
 TEST(ObsTraceMerge, ChromeNamespaceMovesPidAndLeavesFlowNamesAlone) {
@@ -730,7 +767,9 @@ TEST(ObsTraceMerge, MergedArraysStayOneLoadableArray) {
   const std::string b =
       "[{\"name\":\"b\",\"pid\":2,\"tid\":0},\n"
       "{\"name\":\"c\",\"pid\":2,\"tid\":1}]\n";
-  std::string merged = merge_chrome_traces({a, b});
+  std::uint64_t omitted = 99;
+  std::string merged = merge_chrome_traces({a, b}, 1u << 20, omitted);
+  EXPECT_EQ(omitted, 0u);
   EXPECT_EQ(merged.rfind("[", 0), 0u);
   EXPECT_EQ(merged.substr(merged.size() - 2), "]\n");
   EXPECT_EQ(occurrences(merged, "{\"name\":\""), 3u) << merged;
@@ -739,7 +778,35 @@ TEST(ObsTraceMerge, MergedArraysStayOneLoadableArray) {
               std::string::npos)
         << merged;
   // Empty parts contribute nothing (and leave no stray separators).
-  EXPECT_EQ(merge_chrome_traces({"[]\n", a}), a);
+  EXPECT_EQ(merge_chrome_traces({"[]\n", a}, 1u << 20, omitted), a);
+}
+
+// The TraceDump bound: past `max_bytes` the largest part gives up its
+// oldest records first, the rest stay in order, and the cut is counted.
+TEST(ObsTraceMerge, CapTakesTheLargestPartsOldestRecordsFirst) {
+  const std::string small = "[{\"name\":\"s0\"}]\n";
+  const std::string large =
+      "[{\"name\":\"l0\",\"pad\":\"xxxxxxxxxxxxxxxx\"},\n"
+      "{\"name\":\"l1\",\"pad\":\"xxxxxxxxxxxxxxxx\"},\n"
+      "{\"name\":\"l2\",\"pad\":\"xxxxxxxxxxxxxxxx\"}]\n";
+  std::uint64_t omitted = 0;
+  const std::string whole = merge_chrome_traces({small, large}, 1u << 20,
+                                                omitted);
+  ASSERT_EQ(omitted, 0u);
+
+  std::string cut =
+      merge_chrome_traces({small, large}, whole.size() - 1, omitted);
+  EXPECT_EQ(omitted, 1u);
+  EXPECT_LT(cut.size(), whole.size());
+  EXPECT_EQ(cut.find("\"l0\""), std::string::npos) << cut;
+  for (const char* kept : {"\"s0\"", "\"l1\"", "\"l2\""})
+    EXPECT_NE(cut.find(kept), std::string::npos) << kept << cut;
+  EXPECT_LT(cut.find("\"l1\""), cut.find("\"l2\""));
+
+  // Once the parts are even, either may give; a budget below one record
+  // leaves a valid empty array.
+  EXPECT_EQ(merge_chrome_traces({small, large}, 3, omitted), "[]\n");
+  EXPECT_EQ(omitted, 4u);
 }
 
 TEST(ObsTraceMerge, RealExportsSurviveNamespacingAndMerge) {
@@ -753,8 +820,9 @@ TEST(ObsTraceMerge, RealExportsSurviveNamespacingAndMerge) {
   tracer.end_span();
   tracer.end_span();
   std::string json = tracer.export_chrome_json();
-  std::string merged =
-      merge_chrome_traces({json, namespace_chrome_trace(json, 2, "shard0/")});
+  std::uint64_t omitted = 0;
+  std::string merged = merge_chrome_traces(
+      {json, namespace_chrome_trace(json, 2, "shard0/")}, 1u << 20, omitted);
   // Both copies of each span survive, one per pid, flows unrenamed.
   EXPECT_NE(merged.find("\"name\":\"online.replan\""), std::string::npos);
   EXPECT_NE(merged.find("\"name\":\"shard0/online.replan\""),

@@ -1,6 +1,6 @@
 // Compile-time kill switch: this TU and the alert engine's source are built
 // with -DCOSCHED_OBS_DISABLED into a binary of their own (see
-// tests/CMakeLists.txt), so every COSCHED_TRACE_* macro must expand to a
+// tests/CMakeLists.txt), so COSCHED_TRACE_SPAN must expand to a
 // no-op — no events or profile phases recorded even with the runtime
 // switches on — and the alert engine must refuse to tick or spawn its
 // scrape thread. This is the overhead story for builds that want
@@ -26,12 +26,12 @@ TEST(ObsTracingDisabled, MacrosAreNoOpsEvenWhenRuntimeEnabled) {
 
   {
     COSCHED_TRACE_SPAN(span, "compiled.out", 1.0, "k=v");
-    COSCHED_TRACE_COUNTER("compiled.out.counter", 42.0);
+    COSCHED_TRACE_SPAN(nested, "compiled.out.nested");
   }
 
   tracer.set_enabled(false);
   EXPECT_EQ(tracer.event_count(), 0u);
-  EXPECT_EQ(tracer.dump_text(), "");
+  EXPECT_EQ(tracer.export_chrome_json(), "[]\n");
   tracer.reset();
 }
 
@@ -40,9 +40,9 @@ TEST(ObsTracingDisabled, MacrosAreNoOpsEvenWhenRuntimeEnabled) {
 TEST(ObsTracingDisabled, MacrosParseInBranchPositions) {
   bool flag = true;
   if (flag)
-    COSCHED_TRACE_COUNTER("then-branch", 1.0);
+    COSCHED_TRACE_SPAN(then_span, "then-branch");
   else
-    COSCHED_TRACE_COUNTER("else-branch", 1.0);
+    COSCHED_TRACE_SPAN(else_span, "else-branch");
   EXPECT_EQ(Tracer::global().event_count(), 0u);
 }
 

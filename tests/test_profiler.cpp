@@ -17,6 +17,7 @@
 #include "obs/trace.hpp"
 #include "online/scheduler.hpp"
 #include "online/trace.hpp"
+#include "test_helpers.hpp"
 
 namespace cosched {
 namespace {
@@ -121,8 +122,15 @@ TEST_F(ProfiledSpan, TracesWithProfilerOff) {
   Tracer::global().set_enabled(true);
   { COSCHED_TRACE_SPAN(span, "test.phase"); }
   EXPECT_EQ(Tracer::global().event_count(), 2u);
-  EXPECT_NE(Tracer::global().dump_text().find("\nspan test.phase\n"),
-            std::string::npos);
+  // One complete span, the whole array.
+  std::string json =
+      testhelpers::without_wall_times(Tracer::global().export_chrome_json());
+  EXPECT_EQ(json.rfind("[{\"name\":\"test.phase\",\"cat\":\"cosched\","
+                       "\"ph\":\"X\",\"pid\":1,\"tid\":",
+                       0),
+            0u)
+      << json;
+  EXPECT_EQ(testhelpers::chrome_records(json).size(), 1u) << json;
   EXPECT_EQ(Profiler::global().render_collapsed(), "");
 }
 
@@ -153,10 +161,16 @@ TEST_F(ProfiledSpan, MidSpanTogglesKeepBothSidesPaired) {
   ASSERT_EQ(nodes.count("after"), 1u) << profiler.render_collapsed();
   EXPECT_EQ(nodes["after"].depth, 0);
   EXPECT_EQ(tracer.event_count(), 4u);
-  // Both spans at depth 0: "after" is not indented under "opened.on".
-  EXPECT_NE(tracer.dump_text().find("\nspan opened.on\nspan after\n"),
-            std::string::npos)
-      << tracer.dump_text();
+  // Both spans at depth 0: "after" opens once "opened.on" has closed (the
+  // stamps are rounded to 1 ns, hence the slack).
+  std::string json = tracer.export_chrome_json();
+  std::vector<std::string> records = testhelpers::chrome_records(json);
+  ASSERT_EQ(records.size(), 2u) << json;
+  EXPECT_EQ(records[0].rfind("{\"name\":\"opened.on\",", 0), 0u) << json;
+  EXPECT_EQ(records[1].rfind("{\"name\":\"after\",", 0), 0u) << json;
+  EXPECT_GE(testhelpers::chrome_number(records[1], "ts") + 0.002,
+            testhelpers::chrome_number(records[0], "ts") +
+                testhelpers::chrome_number(records[0], "dur"));
 }
 
 // The acceptance pin behind /debug/profile: on a replayed workload every

@@ -567,24 +567,31 @@ TEST(RpcFaults, ConnectionCapRefusesTheOverflow) {
 // is answered ServerError naming its size, and the session stays usable:
 // the next request on the same connection is served.
 TEST(RpcFaults, OverCapReplyIsAServerErrorAndTheSessionStays) {
-  testhelpers::reset_global_tracer();
-  Tracer& tracer = Tracer::global();
-  tracer.set_enabled(true);
-  // 2,048 spans with 600-byte details: the dump's text and Chrome JSON
-  // together carry about 2.5 MB.
-  const std::string detail(600, 'x');
-  for (int i = 0; i < 2048; ++i) {
-    tracer.begin_span("test.padding", -1.0, detail);
-    tracer.end_span();
-  }
-  tracer.set_enabled(false);
+  // A job whose name fills the request frame to the cap: the SubmitJob
+  // reply echoes the name beside more fields than the request carries, so
+  // it cannot fit.
+  TraceJob job;
+  job.work = 8.0;
+  RequestEnvelope probe;
+  probe.type = MessageType::SubmitJob;
+  WireWriter body;
+  encode(body, job);
+  probe.body = body.take();
+  job.name.assign(kDefaultMaxFrameBytes - encode_request(probe).size(), 'n');
+  SubmitJobResponse echoed;
+  echoed.status.name = job.name;
+  WireWriter reply_body;
+  encode(reply_body, echoed);
+  ResponseEnvelope reply;
+  reply.body = reply_body.take();
+  ASSERT_GT(encode_response(reply).size(), kDefaultMaxFrameBytes);
 
   CoschedServer server(loopback_options());
   std::string error;
   ASSERT_TRUE(server.start(error)) << error;
   CoschedClient client(client_for(server));
-  TraceDumpResponse dump;
-  RpcError refused = client.trace_dump(dump);
+  SubmitJobResponse submitted;
+  RpcError refused = client.submit_job(job, submitted);
   EXPECT_EQ(refused.kind, RpcErrorKind::Application) << refused.describe();
   EXPECT_EQ(refused.app, RpcStatus::ServerError);
   EXPECT_EQ(refused.message.rfind("reply of ", 0), 0u) << refused.message;
@@ -600,6 +607,53 @@ TEST(RpcFaults, OverCapReplyIsAServerErrorAndTheSessionStays) {
   EXPECT_TRUE(served.ok()) << served.describe();
   EXPECT_EQ(metrics.rpc_requests_failed, 1u);
   EXPECT_EQ(server.stats().accepted_connections, 1u);
+  server.stop();
+}
+
+// TraceDump bounds itself: past the frame cap it answers with the newest
+// records that fit and counts the oldest ones it left out.
+TEST(RpcFaults, OverCapTraceDumpLeavesOutItsOldestRecords) {
+  testhelpers::reset_global_tracer();
+  Tracer& tracer = Tracer::global();
+  tracer.set_enabled(true);
+  // 2,048 spans with ~600-byte details: about 1.4 MB of Chrome JSON.
+  constexpr int kSpans = 2048;
+  for (int i = 0; i < kSpans; ++i) {
+    std::string detail = "i=" + std::to_string(i) + " ";
+    detail.resize(600, 'x');
+    tracer.begin_span("test.padding", -1.0, detail);
+    tracer.end_span();
+  }
+  tracer.set_enabled(false);
+
+  CoschedServer server(loopback_options());
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  CoschedClient client(client_for(server));
+  TraceDumpResponse dump;
+  RpcError served = client.trace_dump(dump);
+  ASSERT_TRUE(served.ok()) << served.describe();
+  EXPECT_LT(dump.chrome_json.size(), kDefaultMaxFrameBytes);
+  EXPECT_GT(dump.omitted_events, 0u);
+  // The padding spans are the only records (no trace id, no flows): the
+  // kept ones are exactly the newest, in order.
+  std::vector<std::string> records =
+      testhelpers::chrome_records(dump.chrome_json);
+  ASSERT_EQ(records.size() + dump.omitted_events,
+            static_cast<std::size_t>(kSpans));
+  for (std::size_t k = 0; k < records.size(); ++k)
+    ASSERT_NE(records[k].find("\"detail\":\"i=" +
+                              std::to_string(dump.omitted_events + k) + " "),
+              std::string::npos)
+        << k;
+  // Room is left for nothing more than the envelope: one more record
+  // would not have fit.
+  EXPECT_GT(dump.chrome_json.size() + records.front().size() + 2 + 64,
+            kDefaultMaxFrameBytes);
+
+  MetricsResponse metrics;
+  ASSERT_TRUE(client.get_metrics(metrics).ok());
+  EXPECT_EQ(metrics.rpc_requests_failed, 0u);
   server.stop();
   testhelpers::reset_global_tracer();
 }

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <future>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "shard/router.hpp"
 #include "shard/router_server.hpp"
 #include "rpc_test_helpers.hpp"
+#include "test_helpers.hpp"
 
 namespace cosched {
 namespace {
@@ -689,27 +689,24 @@ TEST(RouterObservability, TraceIdStitchesRouterAndShardTimelines) {
   tracer.set_enabled(false);
   ASSERT_TRUE(rpc.ok()) << rpc.describe();
   EXPECT_TRUE(dump.enabled);
+  EXPECT_EQ(dump.omitted_events, 0u);
 
-  // The router's own request span is in the local section of the merge...
-  EXPECT_NE(dump.text.find("span router.request"), std::string::npos)
-      << dump.text;
-  // ...and the shard's replan span sits in the namespaced remote section
-  // AND carries the client's id: the namespacing proves the fan-in pulled
-  // the remote dump, the id proves it crossed both wire hops (the shard's
+  // The router's own request span is in the local part of the merge...
+  EXPECT_TRUE(
+      testhelpers::span_carries_trace(dump.chrome_json, "router.request",
+                                      kTraceId))
+      << dump.chrome_json;
+  // ...and the shard's replan span sits in the namespaced remote part AND
+  // carries the client's id: the namespacing proves the fan-in pulled the
+  // remote dump, the id proves it crossed both wire hops (the shard's
   // scheduler thread replays the context captured from the forwarded RPC).
-  const std::string want_trace = "trace=" + std::to_string(kTraceId);
-  bool shard_replan_carries_id = false;
-  std::istringstream lines(dump.text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.find("span shard0/online.replan") != std::string::npos &&
-        line.find(want_trace) != std::string::npos)
-      shard_replan_carries_id = true;
-  }
-  EXPECT_TRUE(shard_replan_carries_id) << dump.text;
+  EXPECT_TRUE(testhelpers::span_carries_trace(
+      dump.chrome_json, "shard0/online.replan", kTraceId))
+      << dump.chrome_json;
   // The shard's request spans are tagged with its shard id.
-  EXPECT_NE(dump.text.find("span shard0/rpc.request"), std::string::npos);
-  EXPECT_NE(dump.text.find("shard=0]"), std::string::npos);
+  EXPECT_NE(dump.chrome_json.find("\"name\":\"shard0/rpc.request\""),
+            std::string::npos);
+  EXPECT_NE(dump.chrome_json.find(" shard=0\"}"), std::string::npos);
 
   // Merged Chrome export: shard records moved to pid 2 with namespaced
   // names, flow events kept their (cat, name, id) so Perfetto draws the

@@ -136,7 +136,7 @@ TraceDumpResponse trace_dump_response() {
   TraceDumpResponse dump;
   dump.enabled = true;
   dump.event_count = 3;
-  dump.text = "thread 0\nspan rpc.request trace=81\n";
+  dump.omitted_events = 4;
   dump.chrome_json = "[{\"name\":\"rpc.request\",\"ph\":\"X\"}]\n";
   return dump;
 }
@@ -274,31 +274,31 @@ TEST(WireGolden, EveryMessageLayout) {
       {"SubmitJobResponse", 139, 0xcca8cf121ed0dac9ull},
       {"JobStatusResponse", 128, 0xf8af1057afcf4a93ull},
       {"MetricsResponse", 490, 0x85f44d3fe503c95dull},
-      {"TraceDumpResponse", 86, 0x8902c69f9a2aab18ull},
+      {"TraceDumpResponse", 55, 0x990427e7763db9d8ull},
       {"DrainResponse", 16, 0x68761f3ade42843eull},
       {"ShutdownResponse", 8, 0xbbe3269a434ccc3eull},
       {"JournalEvent", 90, 0x794b8e216dc4f63bull},
       {"JobTimelineResponse", 194, 0x88c43dabc6c0505eull},
       {"AlertsResponse", 128, 0xac160dec69225c90ull},
-      {"request SubmitJob", 74, 0x00d8cf24400cc7faull},
-      {"response SubmitJob", 163, 0x6a13544c06844c4dull},
-      {"request QueryJobStatus", 27, 0x4d4ef381ecf780e4ull},
-      {"response QueryJobStatus", 152, 0x72674d5bed1386d4ull},
-      {"request QueryScheduleSnapshot", 19, 0x0ed1bf605f69601eull},
-      {"response QueryScheduleSnapshot", 152, 0x705dcd209f087458ull},
-      {"request GetMetrics", 19, 0x807aadc343057ddbull},
-      {"response GetMetrics", 514, 0x5f477247343842d8ull},
-      {"request Drain", 19, 0x5497a37bf83fb038ull},
-      {"response Drain", 40, 0xd6eca8962cd10eaeull},
-      {"request Shutdown", 19, 0x97f6dc9cb6d0280dull},
-      {"response Shutdown", 32, 0x89b1a3afced29d19ull},
-      {"request TraceDump", 19, 0xe581822eb7a1f81aull},
-      {"response TraceDump", 110, 0xfbb94779e62d99b2ull},
-      {"request QueryJobTimeline", 27, 0x2f7c52f7b6f8efc5ull},
-      {"response QueryJobTimeline", 218, 0xb948ddfa8e925b8aull},
-      {"request GetAlerts", 19, 0xe85dd4919b60ccd5ull},
-      {"response GetAlerts", 152, 0xfe93fa3c171cf4b7ull},
-      {"response error", 67, 0xb7aba0a8e0836f19ull},
+      {"request SubmitJob", 74, 0xfc9cdc9b3047654bull},
+      {"response SubmitJob", 163, 0x39272b25a1f34aeeull},
+      {"request QueryJobStatus", 27, 0xfc0c7f1b025d80dfull},
+      {"response QueryJobStatus", 152, 0x9a9564a3b0ac4ce5ull},
+      {"request QueryScheduleSnapshot", 19, 0x78c826b9353dee79ull},
+      {"response QueryScheduleSnapshot", 152, 0x53c8991c6000aad9ull},
+      {"request GetMetrics", 19, 0xf4d22ec1b2958530ull},
+      {"response GetMetrics", 514, 0x5b782cd214003109ull},
+      {"request Drain", 19, 0xe32695fe0c2a3b93ull},
+      {"response Drain", 40, 0xc6602b6015e90543ull},
+      {"request Shutdown", 19, 0xa7a1d887cb39416aull},
+      {"response Shutdown", 32, 0x8ac2b8476b6a3d6cull},
+      {"request TraceDump", 19, 0x149c06928119f7ddull},
+      {"response TraceDump", 79, 0x38b80769562ef855ull},
+      {"request QueryJobTimeline", 27, 0x75e8d935300f424aull},
+      {"response QueryJobTimeline", 218, 0x0235ddb27b30cb87ull},
+      {"request GetAlerts", 19, 0x814df0b94906ec5aull},
+      {"response GetAlerts", 152, 0xe7e836cc36f24b6eull},
+      {"response error", 67, 0x58158ccb4dab5f36ull},
   };
   ASSERT_EQ(cases.size(), std::size(kGolden));
   for (std::size_t i = 0; i < cases.size(); ++i) {
