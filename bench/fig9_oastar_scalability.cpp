@@ -15,8 +15,8 @@ int main(int argc, char** argv) {
                           "OA* solving time vs number of serial processes");
   // Paper sweeps 12..120 (dual) and 12..96 (quad). Defaults stop at the
   // largest points that solve within the point limit (EXPERIMENTS.md): the
-  // next ones, dual n = 84 and quad n = 48, run out the limit while their
-  // open lists grow by gigabytes.
+  // next ones, dual n = 84 and quad n = 48, run out the limit or the memory
+  // bound while their open lists grow.
   const std::int32_t max_dual =
       static_cast<std::int32_t>(args.get_int("max-dual", 72));
   const std::int32_t max_quad =
@@ -24,6 +24,9 @@ int main(int argc, char** argv) {
   const Real time_limit = args.get_real("point-limit", 120.0);
   const std::string out_dir = args.get_string("out-dir", "results");
   args.reject_unread();
+  // Every point ends in an outcome the table prints: solved, "(limit)" or
+  // "(memory)" once the search's arenas, table and open list reach 2 GiB.
+  constexpr std::uint64_t kMemoryBound = std::uint64_t{2} << 30;
 
   for (auto [cores, max_jobs, fig] :
        {std::tuple{2u, max_dual, "9a"}, std::tuple{4u, max_quad, "9b"}}) {
@@ -37,17 +40,20 @@ int main(int argc, char** argv) {
       SearchOptions opt;
       opt.time_limit_seconds = time_limit;
       opt.max_stats_nodes = 20'000'000;
+      opt.max_memory_bytes = kMemoryBound;
       WallTimer t;
       auto r = solve_oastar(p, opt);
       double secs = t.seconds();
       std::string time_cell = TextTable::fmt(secs, 3);
       if (r.timed_out) time_cell += " (limit)";
+      if (r.memory_exhausted) time_cell += " (memory)";
       table.add_row(
           {TextTable::fmt_int(jobs), time_cell,
            TextTable::fmt_int(static_cast<std::int64_t>(
                r.stats.visited_paths)),
            TextTable::fmt_int(static_cast<std::int64_t>(r.stats.expanded))});
-      if (r.timed_out) break;  // larger points will only be slower
+      // Larger points will only be slower and larger.
+      if (r.timed_out || r.memory_exhausted) break;
     }
     std::cout << "\n--- Fig. " << fig << ": " << cores
               << "-core machines ---\n"

@@ -1,11 +1,11 @@
 #include "astar/search.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
-#include <queue>
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "graph/condensation.hpp"
 #include "graph/level_stats.hpp"
@@ -18,27 +18,78 @@
 namespace cosched {
 namespace {
 
+/// A search record. Its process set and its per-parallel-job running maxima
+/// (Eq. 13) live in the engine's arenas at the record's index.
 struct StateRec {
-  DynamicBitset scheduled;
-  Real g_serial = 0.0;        ///< summed part of the path distance
-  std::vector<Real> par_max;  ///< running max per parallel job (Eq. 13)
-  Real g = 0.0;               ///< g_serial + Σ par_max
+  Real g_serial = 0.0;          ///< summed part of the path distance
+  Real g = 0.0;                 ///< g_serial + Σ par_max
   std::int32_t parent = -1;
-  std::vector<ProcessId> via_node;  ///< node appended to reach this state
-  std::int32_t q = 0;               ///< processes scheduled
-  bool alive = true;                ///< false once superseded/dominated
+  std::int32_t q = 0;           ///< processes scheduled
+  std::int32_t next_same = -1;  ///< next live record over the same set
+  bool alive = true;            ///< false once superseded/dominated
 };
 
 struct HeapEntry {
   Real f;
-  std::int32_t depth;  ///< processes scheduled; deeper first on equal f
   std::int64_t seq;    ///< FIFO tie-break keeps runs deterministic
+  std::int32_t depth;  ///< processes scheduled; deeper first on equal f
   std::int32_t idx;
   bool operator>(const HeapEntry& o) const {
     if (f != o.f) return f > o.f;
     if (depth != o.depth) return depth < o.depth;
     return seq > o.seq;
   }
+};
+
+/// The dismissal table: open addressing (linear probing, at most half full)
+/// from a process set to the newest record over it. A slot keeps the record
+/// index and 32 bits of the set's hash; the set itself is not copied, a
+/// probe compares against the record's words in the arena.
+class SetTable {
+ public:
+  struct Slot {
+    std::int32_t idx = -1;
+    std::uint32_t hash = 0;
+  };
+
+  SetTable() : slots_(1024) {}
+
+  /// The slot of the set hashed `hash` whose record satisfies `same`; for a
+  /// set not yet present, a newly claimed slot with idx -1, which the caller
+  /// fills before the next call.
+  template <class Same>
+  Slot& find_or_claim(std::uint64_t hash, Same&& same) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    const auto tag = static_cast<std::uint32_t>(hash);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = tag & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.idx < 0) {
+        slot.hash = tag;
+        ++size_;
+        return slot;
+      }
+      if (slot.hash == tag && same(slot.idx)) return slot;
+    }
+  }
+
+  std::size_t bytes() const { return slots_.capacity() * sizeof(Slot); }
+
+ private:
+  void grow() {
+    const std::vector<Slot> old =
+        std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.idx < 0) continue;
+      std::size_t i = slot.hash & mask;
+      while (slots_[i].idx >= 0) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
 };
 
 class Engine {
@@ -51,7 +102,11 @@ class Engine {
         eval_(problem, model_),
         n_(problem.n()),
         u_(problem.u()),
-        num_parallel_(problem.batch.parallel_job_count()) {}
+        num_parallel_(problem.batch.parallel_job_count()),
+        words_((static_cast<std::size_t>(n_) + 63) / 64),
+        stride_(static_cast<std::size_t>(num_parallel_)),
+        parent_set_(static_cast<std::size_t>(n_)),
+        succ_set_(static_cast<std::size_t>(n_)) {}
 
   SearchResult run() {
     SearchResult result;
@@ -74,12 +129,14 @@ class Engine {
     WallTimer search_timer;
     // Root: nothing scheduled.
     {
-      StateRec root;
-      root.scheduled = DynamicBitset(static_cast<std::size_t>(n_));
-      root.par_max.assign(static_cast<std::size_t>(num_parallel_), 0.0);
-      states_.push_back(std::move(root));
-      if (!beam_mode_) push_heap(0, /*h=*/full_h(states_[0]));
-      table_[states_[0].scheduled] = {0};
+      states_.emplace_back();
+      bits_.assign(words_, 0);
+      par_.assign(stride_, 0.0);
+      const DynamicBitset empty(static_cast<std::size_t>(n_));
+      table_.find_or_claim(empty.hash(), [](std::int32_t) {
+        return false;
+      }).idx = 0;
+      if (!beam_mode_) push_heap(0, /*h=*/full_h());
     }
 
     if (beam_mode_) {
@@ -95,8 +152,13 @@ class Engine {
         result.timed_out = true;
         break;
       }
-      HeapEntry top = heap_.top();
-      heap_.pop();
+      if (memory_hit()) {
+        result.memory_exhausted = true;
+        break;
+      }
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      const HeapEntry top = heap_.back();
+      heap_.pop_back();
       // Stale entries: records superseded by a cheaper subpath over the
       // same process set. Each record is pushed exactly once.
       if (!states_[static_cast<std::size_t>(top.idx)].alive) continue;
@@ -175,6 +237,21 @@ class Engine {
     return false;
   }
 
+  /// Bytes held by the records, their arenas, the dismissal table and the
+  /// open list (or the beam's candidate list): the sum of their capacities.
+  std::size_t memory_bytes() const {
+    return states_.capacity() * sizeof(StateRec) +
+           bits_.capacity() * sizeof(std::uint64_t) +
+           par_.capacity() * sizeof(Real) + table_.bytes() +
+           heap_.capacity() * sizeof(HeapEntry) +
+           beam_next_.capacity() * sizeof(beam_next_[0]);
+  }
+
+  bool memory_hit() const {
+    return options_.max_memory_bytes > 0 &&
+           memory_bytes() > options_.max_memory_bytes;
+  }
+
   /// Depth-synchronized beam search: expand the whole frontier one graph
   /// level at a time, keep the `beam_width_` best (by g + h) distinct
   /// states, repeat. Dismissal/condensation still apply within a depth.
@@ -187,6 +264,10 @@ class Engine {
       for (std::int32_t idx : frontier) {
         if (limits_hit(timer)) {
           result.timed_out = true;
+          return;
+        }
+        if (memory_hit()) {
+          result.memory_exhausted = true;
           return;
         }
         expand(idx);
@@ -211,10 +292,9 @@ class Engine {
         if (static_cast<std::int32_t>(shortlist.size()) >= 3 * beam_width_)
           break;
       }
-      for (auto& [score, idx] : shortlist) {
-        const StateRec& rec = states_[static_cast<std::size_t>(idx)];
-        score = rec.g + completion_estimate(rec);
-      }
+      for (auto& [score, idx] : shortlist)
+        score = states_[static_cast<std::size_t>(idx)].g +
+                completion_estimate(idx);
       std::sort(shortlist.begin(), shortlist.end(),
                 [](const std::pair<Real, std::int32_t>& a,
                    const std::pair<Real, std::int32_t>& b) {
@@ -252,10 +332,11 @@ class Engine {
   /// (1..m, m..1, 1..m, ...) — which near-balances per-machine pressure for
   /// any u — and sum the true machine weights. Ignores the level/lead
   /// structure: it estimates cost, it does not build the actual path.
-  Real completion_estimate(const StateRec& rec) {
+  Real completion_estimate(std::int32_t rec) {
     thread_local std::vector<ProcessId> pool;
     pool.clear();
-    rec.scheduled.collect_clear(pool);
+    parent_set_.assign_words(set_of(rec));
+    parent_set_.collect_clear(pool);
     if (pool.empty()) return 0.0;
     const std::size_t machines = pool.size() / static_cast<std::size_t>(u_);
     if (machines == 0) return 0.0;
@@ -286,16 +367,14 @@ class Engine {
     return total;
   }
 
-  // h(v) for a freshly created state; used for the root (expansions compute
-  // h incrementally via the per-expansion caches below).
-  Real full_h(const StateRec& rec) {
-    std::int32_t remaining = n_ - rec.q;
-    if (remaining == 0 || options_.heuristic == HeuristicKind::None)
-      return 0.0;
+  // h(v) of the root (expansions compute h incrementally via the
+  // per-expansion caches below).
+  Real full_h() {
+    if (n_ == 0 || options_.heuristic == HeuristicKind::None) return 0.0;
     ++stats_.heuristic_evals;
-    std::int32_t k = remaining / u_;
-    std::vector<ProcessId> unscheduled;
-    rec.scheduled.collect_clear(unscheduled);
+    std::int32_t k = n_ / u_;
+    std::vector<ProcessId> unscheduled(static_cast<std::size_t>(n_));
+    std::iota(unscheduled.begin(), unscheduled.end(), 0);
     if (options_.heuristic == HeuristicKind::Strategy1)
       return level_stats_.strategy1_h(-1, k);  // all levels are > -1
     // Strategy 2 is the Lagrangian bound at λ = 0.
@@ -303,24 +382,24 @@ class Engine {
   }
 
   void expand(std::int32_t idx) {
-    // Copy what we need: states_ may reallocate while pushing successors.
-    const DynamicBitset parent_set = states_[static_cast<std::size_t>(idx)].scheduled;
+    // Copy what we need into reused buffers: the records and arenas may
+    // reallocate while pushing successors.
+    parent_set_.assign_words(set_of(idx));
+    parent_par_max_.assign(par_of(idx).begin(), par_of(idx).end());
     const Real parent_g_serial = states_[static_cast<std::size_t>(idx)].g_serial;
-    const std::vector<Real> parent_par_max =
-        states_[static_cast<std::size_t>(idx)].par_max;
     const std::int32_t parent_q = states_[static_cast<std::size_t>(idx)].q;
 
     const ProcessId lead =
-        static_cast<ProcessId>(parent_set.find_first_clear());
+        static_cast<ProcessId>(parent_set_.find_first_clear());
     COSCHED_ENSURES(lead < n_);
 
     // Unscheduled ids beyond the lead form the combination pool.
-    std::vector<ProcessId> pool;
-    pool.reserve(static_cast<std::size_t>(n_ - parent_q - 1));
-    for (std::size_t p = parent_set.find_next_clear(
+    std::vector<ProcessId>& pool = pool_;
+    pool.clear();
+    for (std::size_t p = parent_set_.find_next_clear(
              static_cast<std::size_t>(lead) + 1);
          p < static_cast<std::size_t>(n_);
-         p = parent_set.find_next_clear(p + 1))
+         p = parent_set_.find_next_clear(p + 1))
       pool.push_back(static_cast<ProcessId>(p));
 
     const std::int32_t remaining_after = n_ - parent_q - u_;
@@ -332,12 +411,12 @@ class Engine {
       h1 = level_stats_.strategy1_h(lead, k_rem);
     // Strategy 2 / Lagrangian: the pool's reduced level minima sorted, and
     // the pool's λ and multiplier mass (all 0 for Strategy 2).
-    std::vector<std::pair<Real, ProcessId>> s2_sorted;
+    std::vector<std::pair<Real, ProcessId>>& s2_sorted = s2_sorted_;
+    s2_sorted.clear();
     Real pool_lambda = 0.0, pool_mass = 0.0;
     if ((options_.heuristic == HeuristicKind::Strategy2 ||
          options_.heuristic == HeuristicKind::Lagrangian) &&
         remaining_after > 0) {
-      s2_sorted.reserve(pool.size());
       for (ProcessId p : pool) {
         pool_lambda += level_stats_.multiplier(p);
         pool_mass += std::abs(level_stats_.multiplier(p));
@@ -456,8 +535,8 @@ class Engine {
                               std::span<const Real> member_d) {
       ++stats_.generated;
       Real g_serial = parent_g_serial;
-      thread_local std::vector<Real> par_max;
-      par_max = parent_par_max;
+      std::vector<Real>& par_max = succ_par_max_;
+      par_max = parent_par_max_;
       for (std::size_t m = 0; m < node.size(); ++m) {
         ProcessId p = node[m];
         std::int32_t pj =
@@ -475,30 +554,31 @@ class Engine {
       for (Real mx : par_max) g += mx;
 
       // Dismissal is decided before anything is built: the successor's set
-      // is written into a reused buffer, and one table lookup finds the
-      // set's records or, for a new set (always admitted), inserts its
-      // entry. A dismissed successor allocates nothing.
-      succ_set_ = parent_set;
+      // is written into a reused buffer, and one table probe finds the
+      // set's newest record or, for a new set (always admitted), claims its
+      // slot. A kept successor appends to the records and their arenas.
+      succ_set_ = parent_set_;
       for (ProcessId p : node) succ_set_.set(static_cast<std::size_t>(p));
-      auto [slot, fresh] = table_.try_emplace(succ_set_);
-      std::vector<std::int32_t>& entries = slot->second;
-      if (!fresh && !admit(entries, g_serial, par_max, g)) {
+      const std::span<const std::uint64_t> words = succ_set_.words();
+      SetTable::Slot& slot =
+          table_.find_or_claim(succ_set_.hash(), [&](std::int32_t e) {
+            return std::ranges::equal(set_of(e), words);
+          });
+      if (slot.idx >= 0 && !admit(slot.idx, g_serial, par_max, g)) {
         ++stats_.dismissed;
         return;
       }
 
-      StateRec rec;
-      rec.scheduled = succ_set_;
+      const auto new_idx = static_cast<std::int32_t>(states_.size());
+      StateRec& rec = states_.emplace_back();
       rec.g_serial = g_serial;
-      rec.par_max = par_max;
       rec.g = g;
       rec.parent = idx;
-      rec.via_node.assign(node.begin(), node.end());
       rec.q = parent_q + u_;
-      std::int32_t new_idx = static_cast<std::int32_t>(states_.size());
-      register_record(entries, new_idx);
+      bits_.insert(bits_.end(), words.begin(), words.end());
+      par_.insert(par_.end(), par_max.begin(), par_max.end());
+      register_record(slot, new_idx);
       Real h = successor_h(node);
-      states_.push_back(std::move(rec));
       if (beam_mode_) {
         beam_next_.push_back({g + h, new_idx});
         ++stats_.visited_paths;
@@ -653,14 +733,20 @@ class Engine {
     }
   }
 
-  /// Dismissal check against the records `entries` already held for the
-  /// successor's process set. Returns true if the successor must be kept,
+  std::span<const std::uint64_t> set_of(std::int32_t idx) const {
+    return {bits_.data() + static_cast<std::size_t>(idx) * words_, words_};
+  }
+  std::span<const Real> par_of(std::int32_t idx) const {
+    return {par_.data() + static_cast<std::size_t>(idx) * stride_, stride_};
+  }
+
+  /// Dismissal check against the live records over the successor's process
+  /// set, chained from `head`. Returns true if the successor must be kept,
   /// in which case any superseded/dominated records have been retired.
-  bool admit(const std::vector<std::int32_t>& entries, Real g_serial,
-             const std::vector<Real>& par_max, Real g) {
+  bool admit(std::int32_t head, Real g_serial,
+             std::span<const Real> par_max, Real g) {
     if (options_.dismiss == DismissPolicy::PaperMinDistance) {
-      COSCHED_ENSURES(entries.size() == 1);
-      StateRec& existing = states_[static_cast<std::size_t>(entries[0])];
+      StateRec& existing = states_[static_cast<std::size_t>(head)];
       if (g < existing.g) {
         existing.alive = false;
         return true;
@@ -668,55 +754,67 @@ class Engine {
       return false;
     }
     // Pareto dominance over (g_serial, par_max...).
-    auto dominates = [](Real gs_a, const std::vector<Real>& pm_a, Real gs_b,
-                        const std::vector<Real>& pm_b) {
+    auto dominates = [](Real gs_a, std::span<const Real> pm_a, Real gs_b,
+                        std::span<const Real> pm_b) {
       if (gs_a > gs_b) return false;
       for (std::size_t j = 0; j < pm_a.size(); ++j)
         if (pm_a[j] > pm_b[j]) return false;
       return true;
     };
-    for (std::int32_t e : entries) {
-      const StateRec& ex = states_[static_cast<std::size_t>(e)];
-      if (ex.alive &&
-          dominates(ex.g_serial, ex.par_max, g_serial, par_max))
+    for (std::int32_t e = head; e >= 0;
+         e = states_[static_cast<std::size_t>(e)].next_same) {
+      if (dominates(states_[static_cast<std::size_t>(e)].g_serial, par_of(e),
+                    g_serial, par_max))
         return false;
     }
-    for (std::int32_t e : entries) {
+    for (std::int32_t e = head; e >= 0;
+         e = states_[static_cast<std::size_t>(e)].next_same) {
       StateRec& ex = states_[static_cast<std::size_t>(e)];
-      if (ex.alive && dominates(g_serial, par_max, ex.g_serial, ex.par_max))
+      if (dominates(g_serial, par_max, ex.g_serial, par_of(e)))
         ex.alive = false;
     }
     return true;
   }
 
-  /// Records the accepted successor among its set's dismissal-table entries.
-  void register_record(std::vector<std::int32_t>& entries,
-                       std::int32_t new_idx) {
-    if (options_.dismiss == DismissPolicy::PaperMinDistance) {
-      entries.assign(1, new_idx);
-    } else {
-      std::erase_if(entries, [&](std::int32_t e) {
-        return !states_[static_cast<std::size_t>(e)].alive;
-      });
-      entries.push_back(new_idx);
+  /// Makes the accepted successor the newest record of its set's slot,
+  /// unlinking the records `admit` retired from the set's chain.
+  void register_record(SetTable::Slot& slot, std::int32_t new_idx) {
+    std::int32_t* link = &slot.idx;
+    while (*link >= 0) {
+      StateRec& rec = states_[static_cast<std::size_t>(*link)];
+      if (rec.alive) link = &rec.next_same;
+      else *link = rec.next_same;
     }
+    states_[static_cast<std::size_t>(new_idx)].next_same = slot.idx;
+    slot.idx = new_idx;
   }
 
   void push_heap(std::int32_t idx, Real h) {
-    heap_.push(HeapEntry{states_[static_cast<std::size_t>(idx)].g + h,
-                         states_[static_cast<std::size_t>(idx)].q, seq_++,
-                         idx});
+    heap_.push_back(HeapEntry{states_[static_cast<std::size_t>(idx)].g + h,
+                              seq_++, states_[static_cast<std::size_t>(idx)].q,
+                              idx});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     ++stats_.visited_paths;
   }
 
+  /// Each machine on the path is the set difference of a record and its
+  /// parent: the node that expansion appended.
   void reconstruct(std::int32_t idx, SearchResult& result) {
     result.found = true;
     result.objective = states_[static_cast<std::size_t>(idx)].g;
     std::vector<std::vector<ProcessId>> machines;
-    for (std::int32_t cur = idx; cur >= 0;
+    for (std::int32_t cur = idx;
+         states_[static_cast<std::size_t>(cur)].parent >= 0;
          cur = states_[static_cast<std::size_t>(cur)].parent) {
-      const auto& node = states_[static_cast<std::size_t>(cur)].via_node;
-      if (!node.empty()) machines.push_back(node);
+      const auto set = set_of(cur);
+      const auto parent_set =
+          set_of(states_[static_cast<std::size_t>(cur)].parent);
+      std::vector<ProcessId>& node = machines.emplace_back();
+      for (std::size_t w = 0; w < words_; ++w)
+        for (std::uint64_t bits = set[w] & ~parent_set[w]; bits != 0;
+             bits &= bits - 1)
+          node.push_back(static_cast<ProcessId>(
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
     }
     std::reverse(machines.begin(), machines.end());
     result.solution.machines = std::move(machines);
@@ -730,6 +828,8 @@ class Engine {
   const std::int32_t n_;
   const std::int32_t u_;
   const std::int32_t num_parallel_;
+  const std::size_t words_;   ///< bits_ words per record
+  const std::size_t stride_;  ///< par_ slots per record
 
   LevelStats level_stats_;
   bool condense_ = false;
@@ -738,9 +838,14 @@ class Engine {
   std::int32_t beam_width_ = 0;
   std::vector<std::pair<Real, std::int32_t>> beam_next_;
 
-  // Per-successor buffers, reused so that a dismissed successor allocates
-  // nothing.
+  // Per-expansion and per-successor buffers, reused so that loading the
+  // parent and judging a successor allocate nothing.
+  DynamicBitset parent_set_;
   DynamicBitset succ_set_;
+  std::vector<Real> parent_par_max_;
+  std::vector<Real> succ_par_max_;
+  std::vector<ProcessId> pool_;
+  std::vector<std::pair<Real, ProcessId>> s2_sorted_;
   std::vector<Real> d_scratch_;
   // The full-sort path's candidate slab: u ids, u member degradations and
   // one weight per candidate, plus the sorted candidate order.
@@ -749,12 +854,13 @@ class Engine {
   std::vector<Real> cand_w_;
   std::vector<std::size_t> cand_order_;
 
+  // Record i's process set is bits_[i·words_, (i+1)·words_) and its
+  // per-parallel-job maxima par_[i·stride_, (i+1)·stride_).
   std::vector<StateRec> states_;
-  std::unordered_map<DynamicBitset, std::vector<std::int32_t>,
-                     DynamicBitsetHash>
-      table_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
-      heap_;
+  std::vector<std::uint64_t> bits_;
+  std::vector<Real> par_;
+  SetTable table_;
+  std::vector<HeapEntry> heap_;  ///< binary min-heap on (f, depth, seq)
   std::int64_t seq_ = 0;
   SearchStats stats_;
 };

@@ -10,7 +10,12 @@
 //
 // The search state is the *set of scheduled processes* plus the per-
 // parallel-job running maximum degradations; see DESIGN.md §3 for why the
-// per-set dismissal needs those maxima (DismissPolicy).
+// per-set dismissal needs those maxima (DismissPolicy). Records are plain
+// structs whose sets and maxima live in two fixed-stride arenas, indexed by
+// an open-addressing dismissal table, so no state allocates on its own; the
+// schedule is rebuilt from the sets' differences along the parent chain.
+// SearchOptions bound the search by expansions, time and memory
+// (max_memory_bytes, reported as SearchResult::memory_exhausted).
 #pragma once
 
 #include "astar/search_options.hpp"

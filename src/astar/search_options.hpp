@@ -57,6 +57,11 @@ struct SearchOptions {
 
   std::uint64_t max_expansions = 0;   ///< 0 = unlimited
   Real time_limit_seconds = 0.0;      ///< 0 = unlimited
+  /// Bound on the search's memory, 0 = unlimited: the summed capacities of
+  /// its record arenas, dismissal table and open list, checked before each
+  /// expansion. Reaching it ends the search with
+  /// SearchResult::memory_exhausted.
+  std::uint64_t max_memory_bytes = 0;
 };
 
 struct SearchStats {
@@ -77,6 +82,8 @@ struct SearchStats {
 struct SearchResult {
   bool found = false;
   bool timed_out = false;
+  /// The search reached SearchOptions::max_memory_bytes (found is false).
+  bool memory_exhausted = false;
   Solution solution;
   /// Path distance of the returned solution under the search's own
   /// aggregation/model (Eq. 12/13). Re-evaluate with evaluate_solution()

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <span>
 
@@ -12,33 +13,24 @@ namespace cosched {
 namespace {
 
 /// Walks every node of every level — leads ascending, co-runner sets in
-/// lexicographic order within a level — calling
-/// `visit(lead, node, λ(node))`. λ(node) is kept as prefix sums, so a step
-/// of the walk costs O(1) amortized.
+/// lexicographic order within a level — calling `visit(lead, node)`.
 template <class Visit>
-void walk_levels(std::int32_t n, std::int32_t u,
-                 const std::vector<Real>& lambda, Visit&& visit) {
+void walk_levels(std::int32_t n, std::int32_t u, Visit&& visit) {
   const auto width = static_cast<std::size_t>(u);
   std::vector<ProcessId> node(width);
-  std::vector<Real> prefix(width);
   auto refill_from = [&](std::size_t j) {
-    for (; j < width; ++j) {
-      node[j] = node[j - 1] + 1;
-      prefix[j] = prefix[j - 1] + lambda[static_cast<std::size_t>(node[j])];
-    }
+    for (; j < width; ++j) node[j] = node[j - 1] + 1;
   };
   for (ProcessId lead = 0; lead + u <= n; ++lead) {
     node[0] = lead;
-    prefix[0] = lambda[static_cast<std::size_t>(lead)];
     refill_from(1);
     while (true) {
-      visit(lead, std::span<const ProcessId>(node), prefix[width - 1]);
+      visit(lead, std::span<const ProcessId>(node));
       // Advance the rightmost co-runner not yet at its last id.
       std::size_t j = width - 1;
       while (j >= 1 && node[j] == n - static_cast<ProcessId>(width - j)) --j;
       if (j < 1) break;
       ++node[j];
-      prefix[j] = prefix[j - 1] + lambda[static_cast<std::size_t>(node[j])];
       refill_from(j + 1);
     }
   }
@@ -74,17 +66,13 @@ LevelStats LevelStats::build_exact(const NodeEvaluator& eval,
   std::vector<Real> weights;
   if (lagrangian) weights.reserve(static_cast<std::size_t>(total));
 
-  walk_levels(n, u, stats.lambda_,
-              [&](ProcessId lead, std::span<const ProcessId> node, Real) {
-                Real w = eval.h_weight(node);
-                auto& mw =
-                    stats.min_level_weight_[static_cast<std::size_t>(lead)];
-                if (w < mw) mw = w;
-                if (sorted)
-                  stats.sorted_nodes_.emplace_back(static_cast<float>(w),
-                                                   lead);
-                if (lagrangian) weights.push_back(w);
-              });
+  walk_levels(n, u, [&](ProcessId lead, std::span<const ProcessId> node) {
+    Real w = eval.h_weight(node);
+    auto& mw = stats.min_level_weight_[static_cast<std::size_t>(lead)];
+    if (w < mw) mw = w;
+    if (sorted) stats.sorted_nodes_.emplace_back(static_cast<float>(w), lead);
+    if (lagrangian) weights.push_back(w);
+  });
   if (sorted)
     std::sort(stats.sorted_nodes_.begin(), stats.sorted_nodes_.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -93,51 +81,85 @@ LevelStats LevelStats::build_exact(const NodeEvaluator& eval,
   return stats;
 }
 
-void LevelStats::fit_multipliers(const std::vector<Real>& weights) {
-  const auto n = static_cast<std::size_t>(n_);
-  const auto width = static_cast<std::size_t>(u_);
-  const auto levels = static_cast<std::size_t>(n_ - u_ + 1);
-  const auto k = static_cast<std::size_t>(n_ / u_);
+namespace {
 
-  std::vector<Real> lambda(n, 0.0);
+/// Every node of the graph in walk_levels order, grouped by level: level l
+/// holds nodes [begin[l], begin[l+1]) and node e's co-runners (the members
+/// after its lead, ascending) are co[e·(u−1) .. (e+1)·(u−1)). Ids are stored
+/// as `Id`, the narrowest type that holds n−1.
+template <class Id>
+struct LevelSlab {
+  std::vector<std::size_t> begin;
+  std::vector<Id> co;
+};
+
+template <class Id>
+LevelSlab<Id> build_slab(std::int32_t n, std::int32_t u) {
+  LevelSlab<Id> slab;
+  const auto levels = static_cast<std::size_t>(n - u + 1);
+  slab.begin.assign(levels + 1, 0);
+  std::size_t nodes = 0;
+  walk_levels(n, u, [&](ProcessId lead, std::span<const ProcessId> node) {
+    slab.begin[static_cast<std::size_t>(lead) + 1] = ++nodes;
+    for (std::size_t j = 1; j < node.size(); ++j)
+      slab.co.push_back(static_cast<Id>(node[j]));
+  });
+  return slab;
+}
+
+/// LevelStats::fit_multipliers over a slab of `Id`s: writes the best
+/// multipliers seen to `best_lambda` and their per-level reduced minima
+/// (kInfinity past the last level) to `best_min_reduced`.
+template <class Id>
+void fit_over(const std::vector<Real>& weights, std::int32_t n_procs,
+              std::int32_t u, std::vector<Real>& best_lambda,
+              std::vector<Real>& best_min_reduced) {
+  COSCHED_EXPECTS(n_procs - 1 <= std::numeric_limits<Id>::max());
+  const auto n = static_cast<std::size_t>(n_procs);
+  const std::size_t co_width = static_cast<std::size_t>(u) - 1;
+  const auto levels = static_cast<std::size_t>(n_procs - u + 1);
+  const auto k = static_cast<std::size_t>(n_procs / u);
+
+  const LevelSlab<Id> slab = build_slab<Id>(n_procs, u);
+  auto co_of = [&](std::size_t e) {
+    return std::span<const Id>(slab.co).subspan(e * co_width, co_width);
+  };
 
   // Target of the Polyak steps: the weight of a greedy partition, in which
-  // each lowest free lead takes its cheapest node of free processes. A
-  // lead's choice only touches larger ids, so it is committed when the walk
-  // leaves the lead's level.
+  // each lowest free lead takes its cheapest node of free processes (the
+  // first in walk order on ties). A lead's choice only touches larger ids,
+  // so the levels are decided in ascending order.
   Real upper = 0.0;
   {
     std::vector<bool> used(n, false);
-    std::vector<ProcessId> pick(width);
-    Real pick_w = kInfinity;
-    auto commit = [&] {
-      if (pick_w == kInfinity) return;
-      for (ProcessId p : pick) used[static_cast<std::size_t>(p)] = true;
+    for (std::size_t l = 0; l < levels; ++l) {
+      if (used[l]) continue;
+      Real pick_w = kInfinity;
+      std::size_t pick = 0;
+      for (std::size_t e = slab.begin[l]; e < slab.begin[l + 1]; ++e) {
+        const auto co = co_of(e);
+        if (std::any_of(co.begin(), co.end(),
+                        [&](Id p) { return used[p]; }))
+          continue;
+        if (weights[e] < pick_w) {
+          pick_w = weights[e];
+          pick = e;
+        }
+      }
+      if (pick_w == kInfinity) continue;
+      used[l] = true;
+      for (Id p : co_of(pick)) used[p] = true;
       upper += pick_w;
-      pick_w = kInfinity;
-    };
-    std::size_t pos = 0;
-    ProcessId level = -1;
-    walk_levels(n_, u_, lambda,
-                [&](ProcessId lead, std::span<const ProcessId> node, Real) {
-                  const Real w = weights[pos++];
-                  if (lead != level) {
-                    commit();
-                    level = lead;
-                  }
-                  for (ProcessId p : node)
-                    if (used[static_cast<std::size_t>(p)]) return;
-                  if (w < pick_w) {
-                    pick_w = w;
-                    std::copy(node.begin(), node.end(), pick.begin());
-                  }
-                });
-    commit();
+    }
   }
 
-  // Per-level minimum reduced weight and the node attaining it.
+  // Per-level minimum reduced weight and the node attaining it (the first
+  // in walk order on ties). A node's λ sums left to right from its lead,
+  // ((λ_lead + λ_a) + λ_b) + ...: the summation order fixes the fitted λ to
+  // the bit.
+  std::vector<Real> lambda(n, 0.0);
   std::vector<Real> level_min(levels);
-  std::vector<ProcessId> argmin(levels * width);
+  std::vector<std::size_t> argmin(levels);
   std::vector<std::size_t> order(levels);
   std::vector<std::int32_t> cover(n);
   Real best_bound = -kInfinity;
@@ -145,20 +167,24 @@ void LevelStats::fit_multipliers(const std::vector<Real>& weights) {
   std::int32_t stall = 0;
   const Real tolerance = 1e-9 * std::max<Real>(1.0, std::abs(upper));
   for (std::int32_t step = 0; step < kSubgradientSteps; ++step) {
-    std::fill(level_min.begin(), level_min.end(), kInfinity);
-    std::size_t pos = 0;
-    walk_levels(n_, u_, lambda,
-                [&](ProcessId lead, std::span<const ProcessId> node,
-                    Real node_lambda) {
-                  const Real r = weights[pos++] - node_lambda;
-                  const auto l = static_cast<std::size_t>(lead);
-                  if (r < level_min[l]) {
-                    level_min[l] = r;
-                    std::copy(node.begin(), node.end(),
-                              argmin.begin() +
-                                  static_cast<std::ptrdiff_t>(l * width));
-                  }
-                });
+    for (std::size_t l = 0; l < levels; ++l) {
+      const Real lead_lambda = lambda[l];
+      Real best = kInfinity;
+      std::size_t best_e = argmin[l];
+      const Id* co = slab.co.data() + slab.begin[l] * co_width;
+      for (std::size_t e = slab.begin[l]; e < slab.begin[l + 1];
+           ++e, co += co_width) {
+        Real node_lambda = lead_lambda;
+        for (std::size_t j = 0; j < co_width; ++j) node_lambda += lambda[co[j]];
+        const Real r = weights[e] - node_lambda;
+        if (r < best) {
+          best = r;
+          best_e = e;
+        }
+      }
+      level_min[l] = best;
+      argmin[l] = best_e;
+    }
     // The root bound: λ(N) + the k smallest level minima (ties by lead).
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::nth_element(order.begin(),
@@ -174,9 +200,9 @@ void LevelStats::fit_multipliers(const std::vector<Real>& weights) {
 
     if (bound > best_bound) {
       best_bound = bound;
-      lambda_ = lambda;
-      min_reduced_weight_.assign(level_min.begin(), level_min.end());
-      min_reduced_weight_.resize(n, kInfinity);
+      best_lambda = lambda;
+      best_min_reduced.assign(level_min.begin(), level_min.end());
+      best_min_reduced.resize(n, kInfinity);
       stall = 0;
     } else if (++stall == kStallSteps) {
       theta *= 0.5;
@@ -186,9 +212,10 @@ void LevelStats::fit_multipliers(const std::vector<Real>& weights) {
 
     // Subgradient: 1 − (times process i is covered by the chosen nodes).
     std::fill(cover.begin(), cover.end(), 0);
-    for (std::size_t i = 0; i < k; ++i)
-      for (std::size_t j = 0; j < width; ++j)
-        ++cover[static_cast<std::size_t>(argmin[order[i] * width + j])];
+    for (std::size_t i = 0; i < k; ++i) {
+      ++cover[order[i]];
+      for (Id p : co_of(argmin[order[i]])) ++cover[p];
+    }
     Real norm2 = 0.0;
     for (std::int32_t c : cover)
       norm2 += static_cast<Real>((1 - c) * (1 - c));
@@ -199,6 +226,15 @@ void LevelStats::fit_multipliers(const std::vector<Real>& weights) {
     for (std::size_t i = 0; i < n; ++i)
       lambda[i] += t * static_cast<Real>(1 - cover[i]);
   }
+}
+
+}  // namespace
+
+void LevelStats::fit_multipliers(const std::vector<Real>& weights) {
+  if (n_ <= 256)
+    fit_over<std::uint8_t>(weights, n_, u_, lambda_, min_reduced_weight_);
+  else
+    fit_over<std::uint16_t>(weights, n_, u_, lambda_, min_reduced_weight_);
 }
 
 LevelStats LevelStats::build_approx(const NodeEvaluator& eval) {

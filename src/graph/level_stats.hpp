@@ -94,7 +94,10 @@ class LevelStats {
  private:
   /// Deterministic Polyak subgradient ascent on the root bound; keeps the
   /// best multipliers seen. `weights` holds every node's h-weight in
-  /// walk_levels order.
+  /// walk_levels order. Each step scans a flat per-level slab of the nodes'
+  /// co-runner ids, built once per fit: u−1 ids per node, uint8 when
+  /// n <= 256 and uint16 beyond, so no more than the node's 8-byte weight at
+  /// every (n, u) an exact build can enumerate in practice.
   void fit_multipliers(const std::vector<Real>& weights);
 
   bool exact_ = false;

@@ -1,26 +1,9 @@
 #include "util/dynamic_bitset.hpp"
 
-#include <sstream>
-
 namespace cosched {
 
 std::size_t DynamicBitset::find_first_clear() const {
   return find_next_clear(0);
-}
-
-std::size_t DynamicBitset::find_next_set(std::size_t from) const {
-  if (from >= size_) return size_;
-  std::size_t wi = from >> 6;
-  std::uint64_t w = words_[wi] & (~0ULL << (from & 63));
-  while (true) {
-    if (w) {
-      std::size_t pos = (wi << 6) +
-                        static_cast<std::size_t>(__builtin_ctzll(w));
-      return pos < size_ ? pos : size_;
-    }
-    if (++wi >= words_.size()) return size_;
-    w = words_[wi];
-  }
 }
 
 std::size_t DynamicBitset::find_next_clear(std::size_t from) const {
@@ -56,32 +39,6 @@ void DynamicBitset::collect_clear(std::vector<std::int32_t>& out) const {
   }
 }
 
-bool DynamicBitset::contains_all(const DynamicBitset& other) const {
-  COSCHED_EXPECTS(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    if ((other.words_[i] & ~words_[i]) != 0) return false;
-  return true;
-}
-
-bool DynamicBitset::disjoint_with(const DynamicBitset& other) const {
-  COSCHED_EXPECTS(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    if ((words_[i] & other.words_[i]) != 0) return false;
-  return true;
-}
-
-DynamicBitset& DynamicBitset::operator|=(const DynamicBitset& other) {
-  COSCHED_EXPECTS(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  return *this;
-}
-
-DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {
-  COSCHED_EXPECTS(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-  return *this;
-}
-
 std::uint64_t DynamicBitset::hash() const {
   std::uint64_t h = 0xcbf29ce484222325ULL ^ (size_ * 0x100000001b3ULL);
   for (auto w : words_) {
@@ -89,20 +46,10 @@ std::uint64_t DynamicBitset::hash() const {
     h *= 0x100000001b3ULL;
     h ^= h >> 29;
   }
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
   return h;
-}
-
-std::string DynamicBitset::to_string() const {
-  std::ostringstream os;
-  os << '{';
-  bool first = true;
-  for (std::size_t i = find_next_set(0); i < size_; i = find_next_set(i + 1)) {
-    if (!first) os << ',';
-    os << i;
-    first = false;
-  }
-  os << '}';
-  return os.str();
 }
 
 }  // namespace cosched

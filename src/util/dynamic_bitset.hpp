@@ -1,12 +1,14 @@
 // A compact dynamically-sized bitset used to represent process sets.
 //
-// The OA* search keeps one open-list entry per *set of scheduled processes*
-// (see DESIGN.md, "OA* state"), so this type is on the hottest path of the
-// whole library: it must hash fast, compare fast, and iterate set bits fast.
+// The OA* search (see DESIGN.md, "OA* state") builds each successor's
+// process set in a reused DynamicBitset, hashes it to probe its dismissal
+// table and, if the successor is kept, appends the words() to its set arena.
+// It must hash fast and iterate clear bits fast.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "util/common.hpp"
@@ -59,9 +61,6 @@ class DynamicBitset {
   /// level to expand is the smallest unscheduled process id.
   std::size_t find_first_clear() const;
 
-  /// Index of the lowest set bit >= from, or size() if none.
-  std::size_t find_next_set(std::size_t from) const;
-
   /// Index of the lowest clear bit >= from, or size() if none.
   std::size_t find_next_clear(std::size_t from) const;
 
@@ -71,34 +70,27 @@ class DynamicBitset {
   /// Appends the indices of all clear bits to `out`.
   void collect_clear(std::vector<std::int32_t>& out) const;
 
-  /// True if every set bit of `other` is also set in *this.
-  bool contains_all(const DynamicBitset& other) const;
-
-  /// True if *this and `other` share no set bits.
-  bool disjoint_with(const DynamicBitset& other) const;
-
-  DynamicBitset& operator|=(const DynamicBitset& other);
-  DynamicBitset& operator&=(const DynamicBitset& other);
-
   bool operator==(const DynamicBitset& other) const {
     return size_ == other.size_ && words_ == other.words_;
   }
 
-  /// 64-bit hash of the contents (FNV-1a over words, size-mixed).
+  /// 64-bit hash of the contents (FNV-1a over words, size-mixed, with a
+  /// final avalanche so that every bit reaches the low bits).
   std::uint64_t hash() const;
 
-  /// "{0,3,7}"-style rendering for diagnostics.
-  std::string to_string() const;
+  /// The backing words, bit i in word i / 64; bits past size() are clear.
+  std::span<const std::uint64_t> words() const { return words_; }
+
+  /// Overwrites the contents with `words`, which holds words().size()
+  /// words with every bit past size() clear.
+  void assign_words(std::span<const std::uint64_t> words) {
+    COSCHED_EXPECTS(words.size() == words_.size());
+    std::copy(words.begin(), words.end(), words_.begin());
+  }
 
  private:
   std::size_t size_ = 0;
   std::vector<std::uint64_t> words_;
-};
-
-struct DynamicBitsetHash {
-  std::size_t operator()(const DynamicBitset& b) const {
-    return static_cast<std::size_t>(b.hash());
-  }
 };
 
 }  // namespace cosched

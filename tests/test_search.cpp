@@ -209,6 +209,25 @@ TEST(SearchMechanics, ExpansionLimitReportsTimeout) {
   EXPECT_FALSE(r.found);
 }
 
+TEST(SearchMechanics, MemoryBoundEndsTheSearch) {
+  // The 70-process batch below keeps 8,154 records; 64 KiB holds a few
+  // hundred, so the bound stops the search part way through.
+  Problem p = random_serial_problem(70, 2, 17);
+  SearchOptions opt;
+  opt.max_memory_bytes = 64 * 1024;
+  auto bounded = solve_oastar(p, opt);
+  EXPECT_TRUE(bounded.memory_exhausted);
+  EXPECT_FALSE(bounded.found);
+  EXPECT_FALSE(bounded.timed_out);
+  EXPECT_GT(bounded.stats.expanded, 0u);
+
+  opt.max_memory_bytes = 0;  // unlimited
+  auto full = solve_oastar(p, opt);
+  expect_valid(p, full);
+  EXPECT_FALSE(full.memory_exhausted);
+  EXPECT_LT(bounded.stats.expanded, full.stats.expanded);
+}
+
 TEST(SearchMechanics, SingleMachineBatch) {
   Problem p = random_serial_problem(4, 4, 8);
   auto r = solve_oastar(p);
@@ -337,6 +356,55 @@ TEST(SearchMechanics, TieOrderAndWorkArePinned) {
     EXPECT_EQ(r.stats.generated, 1024u);
     EXPECT_EQ(r.stats.dismissed, 23u);
     EXPECT_EQ(r.stats.visited_paths, 1002u);
+  }
+}
+
+TEST(SearchMechanics, TwoWordSetsArePinned) {
+  // 70 processes: every process set spans two 64-bit words, so the set
+  // arena's stride, the dismissal table's key and the reconstruction by set
+  // difference all cross a word boundary. Serial jobs, so both policies
+  // dismiss alike.
+  Problem p = random_serial_problem(70, 2, 17);
+  const std::vector<std::vector<ProcessId>> machines{
+      {0, 41},  {1, 63},  {2, 65},  {3, 55},  {4, 60},  {5, 68},  {6, 47},
+      {7, 58},  {8, 61},  {9, 59},  {10, 48}, {11, 57}, {12, 67}, {13, 51},
+      {14, 66}, {15, 43}, {16, 69}, {17, 50}, {18, 45}, {19, 62}, {20, 46},
+      {21, 64}, {22, 52}, {23, 40}, {24, 54}, {25, 44}, {26, 39}, {27, 29},
+      {28, 37}, {30, 42}, {31, 49}, {32, 38}, {33, 35}, {34, 53}, {36, 56}};
+  for (DismissPolicy dismiss :
+       {DismissPolicy::PaperMinDistance, DismissPolicy::ParetoDominance}) {
+    SCOPED_TRACE(static_cast<int>(dismiss));
+    SearchOptions opt;
+    opt.dismiss = dismiss;
+    auto r = solve_oastar(p, opt);
+    expect_valid(p, r);
+    EXPECT_EQ(r.objective, 9.4766702808563217);
+    EXPECT_EQ(r.solution.machines, machines);
+    EXPECT_EQ(r.stats.expanded, 161u);
+    EXPECT_EQ(r.stats.generated, 8297u);
+    EXPECT_EQ(r.stats.dismissed, 144u);
+    EXPECT_EQ(r.stats.visited_paths, 8154u);
+  }
+}
+
+TEST(SearchMechanics, ParetoChainsMatchBruteForceOnTwelveProcesses) {
+  // Pareto dismissal keeps several records per process set (the chain the
+  // dismissal table links through each record); on PE and PC mixes of 12
+  // processes it must still return the exhaustive optimum.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    for (bool with_comm : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " comm " << with_comm);
+      Problem p = with_comm ? random_pc_problem(4, {4, 4}, 4, seed)
+                            : random_pe_problem(6, {3, 3}, 2, seed);
+      ASSERT_EQ(p.n(), 12);
+      SearchOptions opt;
+      opt.dismiss = DismissPolicy::ParetoDominance;
+      auto r = solve_oastar(p, opt);
+      expect_valid(p, r);
+      EXPECT_NEAR(r.objective, solve_brute_force(p).objective, 1e-9);
+      EXPECT_NEAR(evaluate_solution(p, r.solution).total, r.objective, 1e-9);
+    }
   }
 }
 

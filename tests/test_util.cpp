@@ -52,17 +52,6 @@ TEST(DynamicBitset, FindFirstClearSkipsSetPrefix) {
   EXPECT_EQ(b.find_first_clear(), 70u);  // all set -> size()
 }
 
-TEST(DynamicBitset, FindNextSetCrossesWordBoundary) {
-  DynamicBitset b(200);
-  b.set(5);
-  b.set(127);
-  b.set(128);
-  EXPECT_EQ(b.find_next_set(0), 5u);
-  EXPECT_EQ(b.find_next_set(6), 127u);
-  EXPECT_EQ(b.find_next_set(128), 128u);
-  EXPECT_EQ(b.find_next_set(129), 200u);
-}
-
 TEST(DynamicBitset, CollectSetAndClear) {
   DynamicBitset b(10);
   b.set(2);
@@ -72,20 +61,6 @@ TEST(DynamicBitset, CollectSetAndClear) {
   b.collect_clear(clear_bits);
   EXPECT_EQ(set_bits, (std::vector<std::int32_t>{2, 7}));
   EXPECT_EQ(clear_bits, (std::vector<std::int32_t>{0, 1, 3, 4, 5, 6, 8, 9}));
-}
-
-TEST(DynamicBitset, DisjointAndContains) {
-  DynamicBitset a(80), b(80);
-  a.set(3);
-  a.set(70);
-  b.set(4);
-  EXPECT_TRUE(a.disjoint_with(b));
-  b.set(70);
-  EXPECT_FALSE(a.disjoint_with(b));
-  DynamicBitset c = a;
-  c.set(50);
-  EXPECT_TRUE(c.contains_all(a));
-  EXPECT_FALSE(a.contains_all(c));
 }
 
 TEST(DynamicBitset, HashDiffersForDifferentSets) {
