@@ -7,6 +7,27 @@
 
 namespace cosched {
 
+// ------------------------------------------------------- DegradationModel --
+
+void DegradationModel::machine_degradations(std::span<const ProcessId> machine,
+                                            std::span<Real> out) const {
+  COSCHED_EXPECTS(out.size() == machine.size());
+  // Stack buffer for the co-runners; u is small (2..8 in the paper).
+  ProcessId stack[16];
+  std::vector<ProcessId> heap;
+  std::span<ProcessId> co(stack);
+  if (machine.size() > co.size()) {
+    heap.resize(machine.size());
+    co = heap;
+  }
+  for (std::size_t i = 0; i < machine.size(); ++i) {
+    std::size_t c = 0;
+    for (std::size_t j = 0; j < machine.size(); ++j)
+      if (j != i) co[c++] = machine[j];
+    out[i] = degradation(machine[i], co.first(c));
+  }
+}
+
 // ---------------------------------------------------------------- Tabular --
 
 TabularDegradationModel::TabularDegradationModel(std::int32_t num_processes)
@@ -94,10 +115,36 @@ Real SyntheticDegradationModel::degradation(
     COSCHED_EXPECTS(k != i);
     pressure_sum += rates_[static_cast<std::size_t>(k)];
   }
+  return response(sensitivities_[static_cast<std::size_t>(i)], pressure_sum);
+}
+
+void SyntheticDegradationModel::machine_degradations(
+    std::span<const ProcessId> machine, std::span<Real> out) const {
+  COSCHED_EXPECTS(out.size() == machine.size());
+  for (ProcessId k : machine)
+    COSCHED_EXPECTS(k >= 0 && static_cast<std::size_t>(k) < rates_.size());
+  for (std::size_t i = 0; i < machine.size(); ++i) {
+    const auto self = static_cast<std::size_t>(machine[i]);
+    if (rates_[self] <= 0.0) {  // imaginary / inert process
+      out[i] = 0.0;
+      continue;
+    }
+    // Summed in slot order, as degradation() sums its co-runner list.
+    Real pressure_sum = 0.0;
+    for (std::size_t j = 0; j < machine.size(); ++j) {
+      if (j == i) continue;
+      COSCHED_EXPECTS(machine[j] != machine[i]);
+      pressure_sum += rates_[static_cast<std::size_t>(machine[j])];
+    }
+    out[i] = response(sensitivities_[self], pressure_sum);
+  }
+}
+
+Real SyntheticDegradationModel::response(Real sensitivity,
+                                         Real pressure_sum) const {
   // S-curve (threshold) response: little harm while the combined working
   // set fits the shared cache, sharply growing once it overflows, then
   // saturating — the qualitative shape cache contention exhibits.
-  Real sensitivity = sensitivities_[static_cast<std::size_t>(i)];
   Real x = pressure_sum / capacity_;
   switch (landscape_) {
     case SyntheticLandscape::Smooth:

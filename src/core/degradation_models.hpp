@@ -105,9 +105,17 @@ class SyntheticDegradationModel final : public DegradationModel {
   Real capacity() const { return capacity_; }
 
   Real degradation(ProcessId i, std::span<const ProcessId> co) const override;
+  /// The co-runner pressure sums of degradation(), slot by slot in the same
+  /// order, without a co-runner list per slot.
+  void machine_degradations(std::span<const ProcessId> machine,
+                            std::span<Real> out) const override;
   Real pressure(ProcessId i) const override;
 
  private:
+  /// The landscape's response of a process of `sensitivity` to co-runner
+  /// pressure `pressure_sum`.
+  Real response(Real sensitivity, Real pressure_sum) const;
+
   std::vector<Real> rates_;
   std::vector<Real> sensitivities_;
   Real capacity_ = 1.35;  ///< co-runner pressure at the curve's midpoint

@@ -60,16 +60,11 @@ Evaluation evaluate_solution(const Problem& problem, const Solution& s,
   ev.per_process.assign(static_cast<std::size_t>(problem.n()), 0.0);
   ev.per_job.assign(static_cast<std::size_t>(batch.job_count()), 0.0);
 
-  std::vector<ProcessId> co;
-  co.reserve(static_cast<std::size_t>(problem.u() - 1));
+  std::vector<Real> d(static_cast<std::size_t>(problem.u()));
   for (const auto& m : s.machines) {
-    for (ProcessId p : m) {
-      co.clear();
-      for (ProcessId q : m)
-        if (q != p) co.push_back(q);
-      ev.per_process[static_cast<std::size_t>(p)] =
-          model.degradation(p, co);
-    }
+    model.machine_degradations(m, d);
+    for (std::size_t k = 0; k < m.size(); ++k)
+      ev.per_process[static_cast<std::size_t>(m[k])] = d[k];
   }
 
   for (const Job& job : batch.jobs()) {

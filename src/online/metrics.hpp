@@ -46,6 +46,7 @@ struct ReplanRecord {
   Real combined = 0.0;         ///< combined objective of the chosen placement
   Real degradation = 0.0;      ///< Eq. 13 part of `combined`
   std::uint64_t swaps_priced = 0;  ///< repair swaps priced (registry-only)
+  std::uint64_t swaps_applied = 0; ///< repair swaps taken (not tabled)
   std::uint64_t assignments = 0;   ///< repair Hungarian solves (registry-only)
   double solve_wall_seconds = 0.0;  ///< wall clock; excluded from
                                     ///< deterministic tables

@@ -153,18 +153,19 @@ void OnlineScheduler::advance_to(Real t) {
 void OnlineScheduler::refresh_degradations() {
   COSCHED_EXPECTS(last_replan_ != nullptr);
   const DegradationModel& model = *last_replan_->problem.full_model;
-  std::vector<ProcessId> co;
+  std::vector<ProcessId> local;
+  std::vector<Real> d;
   for (const auto& machine : machines_) {
+    local.clear();
     for (std::int64_t gid : machine) {
-      ProcState& p = procs_[static_cast<std::size_t>(gid)];
+      const ProcState& p = procs_[static_cast<std::size_t>(gid)];
       COSCHED_EXPECTS(p.local_id >= 0);
-      co.clear();
-      for (std::int64_t other : machine) {
-        if (other == gid) continue;
-        co.push_back(procs_[static_cast<std::size_t>(other)].local_id);
-      }
-      p.degradation = model.degradation(p.local_id, co);
+      local.push_back(p.local_id);
     }
+    d.resize(local.size());
+    model.machine_degradations(local, d);
+    for (std::size_t k = 0; k < machine.size(); ++k)
+      procs_[static_cast<std::size_t>(machine[k])].degradation = d[k];
   }
 }
 
@@ -629,6 +630,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   record.combined = result.combined;
   record.degradation = result.degradation;
   record.swaps_priced = result.swaps_priced;
+  record.swaps_applied = result.swaps_applied;
   record.assignments = result.assignments;
   record.solve_wall_seconds = timer.seconds();
   record.trace_id = Tracer::current_context().trace_id;

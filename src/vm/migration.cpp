@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "astar/search.hpp"
+#include "obs/trace.hpp"
 
 namespace cosched {
 namespace {
@@ -111,21 +112,30 @@ SwapEngine::SwapEngine(const Problem& problem, const Solution& reference,
   const std::size_t m = work_.machines.size();
   const std::size_t u = static_cast<std::size_t>(problem.u());
 
+  const std::size_t jobs = static_cast<std::size_t>(problem.batch.job_count());
+  jobs_.reserve(jobs);
   job_of_.resize(n);
   imaginary_.resize(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    job_of_[p] = problem.batch.job_of(static_cast<ProcessId>(p));
-    imaginary_[p] = problem.batch.job(job_of_[p]).kind == JobKind::Imaginary;
+  for (const Job& job : problem.batch.jobs()) {
+    COSCHED_EXPECTS(!job.processes.empty());
+    const ProcessId first = job.processes.front();
+    const auto size = static_cast<std::int32_t>(job.processes.size());
+    for (std::int32_t k = 0; k < size; ++k) {
+      // contribution() reads a job's degradations as one consecutive run.
+      COSCHED_EXPECTS(job.processes[static_cast<std::size_t>(k)] ==
+                      first + k);
+      job_of_[static_cast<std::size_t>(first + k)] = job.id;
+      imaginary_[static_cast<std::size_t>(first + k)] =
+          job.kind == JobKind::Imaginary;
+    }
+    COSCHED_EXPECTS(static_cast<std::size_t>(job.id) == jobs_.size());
+    jobs_.push_back({first, size, job.kind});
   }
-  co_.reserve(u);
+  fresh_.resize(u);
   saved_d_.resize(2 * u);
   d_.assign(n, 0.0);
-  for (const auto& machine : work_.machines)
-    for (std::size_t slot = 0; slot < u; ++slot)
-      d_[static_cast<std::size_t>(machine[slot])] =
-          degradation_at(machine, slot);
+  for (const auto& machine : work_.machines) price_machine(machine);
   // Summed in job order, exactly as evaluate_solution does.
-  const std::size_t jobs = static_cast<std::size_t>(problem.batch.job_count());
   contrib_.resize(jobs);
   stamp_.assign(jobs, 0);
   for (std::size_t j = 0; j < jobs; ++j) {
@@ -149,6 +159,10 @@ SwapEngine::SwapEngine(const Problem& problem, const Solution& reference,
                static_cast<std::size_t>(current[p])] += weight_[p];
       if (weight_[p] != 0.0 && home_[p] != current[p]) aligned = false;
     }
+    row_max_.assign(m, 0.0);
+    for (std::size_t h = 0; h < m; ++h)
+      for (std::size_t c = 0; c < m; ++c)
+        row_max_[h] = std::max(row_max_[h], overlap_[h * m + c]);
     assignment_.resize(m);
     // Every weighted process at home: the overlap matrix is diagonal, so
     // the identity is the best relabeling, and its kept weight summed in
@@ -166,26 +180,24 @@ SwapEngine::SwapEngine(const Problem& problem, const Solution& reference,
     idle_[p] = imaginary_[p] && moves_free(static_cast<ProcessId>(p));
 }
 
-Real SwapEngine::degradation_at(const std::vector<ProcessId>& machine,
-                                std::size_t slot) {
+void SwapEngine::price_machine(const std::vector<ProcessId>& machine) {
+  model_.machine_degradations(machine, fresh_);
   // An imaginary process suffers nothing (the DegradationModel contract).
-  if (imaginary(machine[slot])) return 0.0;
-  co_.clear();
   for (std::size_t k = 0; k < machine.size(); ++k)
-    if (k != slot) co_.push_back(machine[k]);
-  return model_.degradation(machine[slot], co_);
+    d_[static_cast<std::size_t>(machine[k])] =
+        imaginary(machine[k]) ? 0.0 : fresh_[k];
 }
 
 Real SwapEngine::contribution(JobId job_id) const {
-  const Job& job = problem_.batch.job(job_id);
+  const JobSlice& job = jobs_[static_cast<std::size_t>(job_id)];
+  const Real* d = d_.data() + job.first;
   Real contrib = 0.0;
   if (job.kind == JobKind::Imaginary) return contrib;
-  if (job.is_parallel()) {
-    for (ProcessId p : job.processes)
-      contrib = std::max(contrib, d_[static_cast<std::size_t>(p)]);
+  if (is_parallel_kind(job.kind)) {
+    for (std::int32_t k = 0; k < job.size; ++k)
+      contrib = std::max(contrib, d[k]);
   } else {
-    for (ProcessId p : job.processes)
-      contrib += d_[static_cast<std::size_t>(p)];
+    for (std::int32_t k = 0; k < job.size; ++k) contrib += d[k];
   }
   return contrib;
 }
@@ -193,13 +205,17 @@ Real SwapEngine::contribution(JobId job_id) const {
 void SwapEngine::move_overlap(ProcessId p, std::size_t from, std::size_t to) {
   const Real w = weight_[static_cast<std::size_t>(p)];
   if (w == 0.0) return;
-  const std::size_t row =
-      static_cast<std::size_t>(home_[static_cast<std::size_t>(p)]) *
-      work_.machines.size();
-  saved_overlap_.emplace_back(row + from, overlap_[row + from]);
-  overlap_[row + from] -= w;
-  saved_overlap_.emplace_back(row + to, overlap_[row + to]);
-  overlap_[row + to] += w;
+  const std::size_t m = work_.machines.size();
+  const auto h = static_cast<std::size_t>(home_[static_cast<std::size_t>(p)]);
+  Real* row = overlap_.data() + h * m;
+  saved_overlap_.emplace_back(h * m + from, row[from]);
+  row[from] -= w;
+  saved_overlap_.emplace_back(h * m + to, row[to]);
+  row[to] += w;
+  saved_row_max_.emplace_back(h, row_max_[h]);
+  Real row_max = 0.0;
+  for (std::size_t c = 0; c < m; ++c) row_max = std::max(row_max, row[c]);
+  row_max_[h] = row_max;
 }
 
 Real SwapEngine::kept_weight() {
@@ -211,27 +227,20 @@ Real SwapEngine::kept_weight_bound() const {
   // Σ_h max_c overlap[h][c], summed in row order like solve_max's total:
   // each term is at least the one the assignment picks for row h, and
   // rounded addition is monotone, so the bound is at least kept_weight().
-  const std::size_t m = work_.machines.size();
+  // A swap changes at most two rows, and move_overlap rescans just those.
   Real bound = 0.0;
-  for (std::size_t h = 0; h < m; ++h) {
-    Real row_max = 0.0;
-    for (std::size_t c = 0; c < m; ++c)
-      row_max = std::max(row_max, overlap_[h * m + c]);
-    bound += row_max;
-  }
+  for (Real row_max : row_max_) bound += row_max;
   return bound;
 }
 
-SwapEngine::Staged SwapEngine::stage(std::size_t a, std::size_t i,
-                                     std::size_t b, std::size_t j) {
+Real SwapEngine::stage(std::size_t a, std::size_t i, std::size_t b,
+                       std::size_t j) {
   COSCHED_EXPECTS(a != b && a < work_.machines.size() &&
                   b < work_.machines.size());
   auto& ma = work_.machines[a];
   auto& mb = work_.machines[b];
   const std::size_t u = ma.size();
   COSCHED_EXPECTS(i < u && j < u);
-  const ProcessId p = ma[i];
-  const ProcessId q = mb[j];
   std::swap(ma[i], mb[j]);
   ++swaps_priced_;
 
@@ -240,36 +249,48 @@ SwapEngine::Staged SwapEngine::stage(std::size_t a, std::size_t i,
     saved_d_[k] = d_[static_cast<std::size_t>(ma[k])];
     saved_d_[u + k] = d_[static_cast<std::size_t>(mb[k])];
   }
-  for (std::size_t k = 0; k < u; ++k)
-    d_[static_cast<std::size_t>(ma[k])] = degradation_at(ma, k);
-  for (std::size_t k = 0; k < u; ++k)
-    d_[static_cast<std::size_t>(mb[k])] = degradation_at(mb, k);
-  Real load_delta = 0.0;
-  for (std::size_t k = 0; k < u; ++k)
-    load_delta += (d_[static_cast<std::size_t>(ma[k])] - saved_d_[k]) +
-                  (d_[static_cast<std::size_t>(mb[k])] - saved_d_[u + k]);
+  price_machine(ma);
+  price_machine(mb);
 
   // ... and only the jobs with a process on them change contributions.
+  // An imaginary job contributes 0 before and after, and adding +0 to the
+  // delta (a sum of terms c - c' that starts at +0) changes no bit. A
+  // serial job's one process is touched once, so it needs no stamp.
   ++epoch_;
   touched_.clear();
   Real delta = 0.0;
   auto touch = [&](ProcessId x) {
+    if (imaginary(x)) return;
     const JobId job = job_of_[static_cast<std::size_t>(x)];
-    if (stamp_[static_cast<std::size_t>(job)] == epoch_) return;
-    stamp_[static_cast<std::size_t>(job)] = epoch_;
+    if (jobs_[static_cast<std::size_t>(job)].size > 1) {
+      if (stamp_[static_cast<std::size_t>(job)] == epoch_) return;
+      stamp_[static_cast<std::size_t>(job)] = epoch_;
+    }
     const Real c = contribution(job);
     touched_.emplace_back(job, c);
     delta += c - contrib_[static_cast<std::size_t>(job)];
   };
   for (ProcessId x : ma) touch(x);
   for (ProcessId x : mb) touch(x);
+  return degradation_ + delta;
+}
 
-  if (migration_cost_ > 0.0) {
-    saved_overlap_.clear();
-    move_overlap(p, a, b);
-    move_overlap(q, b, a);
-  }
-  return {degradation_ + delta, load_delta};
+Real SwapEngine::staged_load_delta(std::size_t a, std::size_t b) const {
+  const auto& ma = work_.machines[a];
+  const auto& mb = work_.machines[b];
+  const std::size_t u = ma.size();
+  Real load_delta = 0.0;
+  for (std::size_t k = 0; k < u; ++k)
+    load_delta += (d_[static_cast<std::size_t>(ma[k])] - saved_d_[k]) +
+                  (d_[static_cast<std::size_t>(mb[k])] - saved_d_[u + k]);
+  return load_delta;
+}
+
+void SwapEngine::stage_overlap(std::size_t a, std::size_t i, std::size_t b,
+                               std::size_t j) {
+  // stage() swapped the slots: a's process now sits at b[j], b's at a[i].
+  move_overlap(work_.machines[b][j], a, b);
+  move_overlap(work_.machines[a][i], b, a);
 }
 
 void SwapEngine::unstage(std::size_t a, std::size_t i, std::size_t b,
@@ -283,7 +304,10 @@ void SwapEngine::unstage(std::size_t a, std::size_t i, std::size_t b,
   }
   for (auto it = saved_overlap_.rbegin(); it != saved_overlap_.rend(); ++it)
     overlap_[it->first] = it->second;
+  for (auto it = saved_row_max_.rbegin(); it != saved_row_max_.rend(); ++it)
+    row_max_[it->first] = it->second;
   saved_overlap_.clear();
+  saved_row_max_.clear();
   std::swap(ma[i], mb[j]);
 }
 
@@ -295,21 +319,25 @@ void SwapEngine::commit(Real charge) {
   degradation_ = 0.0;
   for (Real c : contrib_) degradation_ += c;
   charge_ = charge;
+  saved_overlap_.clear();
+  saved_row_max_.clear();
   ++swaps_applied_;
 }
 
 bool SwapEngine::swap(std::size_t a, std::size_t i, std::size_t b,
                       std::size_t j, bool force) {
-  const Real degradation = stage(a, i, b, j).degradation;
+  const Real degradation = stage(a, i, b, j);
   const Real target = combined() - kObjectiveEps;
   // The charge is never negative: a swap whose degradation alone does not
-  // beat the target cannot be accepted, so skip the assignment. Nor can
-  // one that misses it under the charge of the row-maximum bound, which is
-  // at most the exact charge (subtraction, scaling by a cost >= 0 and
-  // addition all round monotonically).
+  // beat the target cannot be accepted, so it leaves the overlap matrix
+  // alone. Nor can one that misses the target under the charge of the
+  // row-maximum bound, which is at most the exact charge (subtraction,
+  // scaling by a cost >= 0 and addition all round monotonically); it skips
+  // the assignment.
   Real charge = 0.0;
   bool accept = force || degradation < target;
   if (migration_cost_ > 0.0 && accept) {
+    stage_overlap(a, i, b, j);
     if (force || degradation + charge_of(kept_weight_bound()) < target) {
       charge = charge_of(kept_weight());
       accept = force || degradation + charge < target;
@@ -369,7 +397,8 @@ std::uint64_t SwapEngine::fill(std::span<const ProcessId> admitted) {
       // per-process degradation. The second key crosses the plateaus of a
       // parallel job's max: moving a process that does not hold its job's
       // max leaves Eq. 13 as it is, but frees the way for the holder.
-      Staged best{degradation_, 0.0};
+      Real best_degradation = degradation_;
+      Real best_load_delta = 0.0;
       std::size_t best_b = m;
       std::size_t best_j = 0;
       for (std::size_t b = 0; b < m; ++b) {
@@ -387,12 +416,14 @@ std::uint64_t SwapEngine::fill(std::span<const ProcessId> admitted) {
           if (!zero_terms) run_priced = false;
           if (!idle(q) || run_priced) continue;
           run_priced = zero_terms;
-          const Staged cand = stage(a, i, b, j);
+          const Real cand = stage(a, i, b, j);
+          const Real load_delta = staged_load_delta(a, b);
           unstage(a, i, b, j);
-          if (cand.degradation < best.degradation - kObjectiveEps ||
-              (cand.degradation <= best.degradation &&
-               cand.load_delta < best.load_delta - kObjectiveEps)) {
-            best = cand;
+          if (cand < best_degradation - kObjectiveEps ||
+              (cand <= best_degradation &&
+               load_delta < best_load_delta - kObjectiveEps)) {
+            best_degradation = cand;
+            best_load_delta = load_delta;
             best_b = b;
             best_j = j;
           }
@@ -521,15 +552,23 @@ ReplanResult replan_with_migrations(const Problem& problem,
   // committed moves the counted ones.
   SwapEngine engine(problem, current, best.placement, options.migration_cost,
                     weights);
-  engine.fill(options.fill);
-  engine.run(options.max_passes);
+  {
+    COSCHED_TRACE_SPAN(fill_span, "replan.fill");
+    engine.fill(options.fill);
+  }
+  {
+    COSCHED_TRACE_SPAN(polish_span, "replan.polish");
+    engine.run(options.max_passes);
+  }
   if (engine.swaps_applied() > 0) {
+    COSCHED_TRACE_SPAN(realign_span, "replan.realign");
     ReplanResult cand = result_of(
         align_to_placement(current, engine.take_placement(), weights));
     ++alignments;
     if (cand.combined < best.combined) best = std::move(cand);
   }
   best.swaps_priced = engine.swaps_priced();
+  best.swaps_applied = engine.swaps_applied();
   best.assignments = engine.assignments() + alignments;
   return best;
 }

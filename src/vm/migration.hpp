@@ -62,16 +62,20 @@ struct ReplanOptions {
 /// placement onto `reference` (weighted_migrations), so the charge does
 /// not depend on where the swaps leave the machine labels.
 ///
-/// A swap is priced incrementally: only the two touched machines are
-/// re-evaluated, and only the jobs with a process on them are
-/// re-aggregated (Σ for serial jobs, the Eq. 13 max for parallel ones).
-/// The machine-overlap matrix is updated in O(1) per swap, and the
-/// relabeling assignment runs only when the swap can still win: its
-/// degradation beats the current combined objective alone and also plus
-/// the charge of the row-maximum bound on the kept weight (a charge never
+/// A candidate swap is priced by its arithmetic alone: one
+/// DegradationModel::machine_degradations call per touched machine, and a
+/// re-aggregation (Σ for serial jobs, the Eq. 13 max for parallel ones) of
+/// only the jobs with a process on them, read from a flat per-job table of
+/// consecutive process ids. Most candidates fail on degradation alone and
+/// never touch the machine-overlap matrix. One whose degradation beats the
+/// target moves its two processes in the overlap (O(1)), rescans the at
+/// most two rows they change for the per-row maxima, and sums those maxima
+/// into a bound on the kept weight (O(m)). The relabeling assignment runs only
+/// when the swap still wins under the charge of that bound (a charge never
 /// above the exact one). The constructor runs none on an aligned start
 /// (every weighted process on its reference machine), and with
-/// migration_cost 0 none runs at all.
+/// migration_cost 0 none runs at all. DESIGN.md §"Online replans" shows
+/// why none of this changes a decision.
 ///
 /// Idle slots (Imaginary processes that move free) are interchangeable:
 /// by the DegradationModel contract an imaginary process suffers nothing
@@ -121,14 +125,17 @@ class SwapEngine {
  private:
   bool swap(std::size_t a, std::size_t i, std::size_t b, std::size_t j,
             bool force);
-  struct Staged {
-    Real degradation;  ///< Eq. 13 objective after the swap
-    Real load_delta;   ///< change of the summed per-process degradation
-  };
-  /// Swaps the two slots and re-prices what they touch (the two machines'
-  /// degradations, the jobs on them, the overlap matrix). commit() or
-  /// unstage() must follow.
-  Staged stage(std::size_t a, std::size_t i, std::size_t b, std::size_t j);
+  /// Swaps the two slots and re-prices the degradation they touch (the two
+  /// machines' per-process degradations, the jobs on them); returns the
+  /// Eq. 13 objective after the swap. commit() or unstage() must follow.
+  Real stage(std::size_t a, std::size_t i, std::size_t b, std::size_t j);
+  /// Change of the summed per-process degradation under the swap staged
+  /// between machines a and b.
+  Real staged_load_delta(std::size_t a, std::size_t b) const;
+  /// After stage(): moves the swapped processes in the overlap matrix and
+  /// rescans the row maxima they change. unstage() undoes this too.
+  void stage_overlap(std::size_t a, std::size_t i, std::size_t b,
+                     std::size_t j);
   void unstage(std::size_t a, std::size_t i, std::size_t b, std::size_t j);
   void commit(Real charge);
   bool moves_free(ProcessId p) const;
@@ -138,8 +145,8 @@ class SwapEngine {
   bool imaginary(ProcessId p) const {
     return imaginary_[static_cast<std::size_t>(p)] != 0;
   }
-  Real degradation_at(const std::vector<ProcessId>& machine,
-                      std::size_t slot);
+  /// Writes the degradation of every process on `machine` into d_.
+  void price_machine(const std::vector<ProcessId>& machine);
   Real contribution(JobId job) const;
   void move_overlap(ProcessId p, std::size_t from, std::size_t to);
   Real charge_of(Real kept) const {
@@ -148,11 +155,19 @@ class SwapEngine {
   Real kept_weight();
   Real kept_weight_bound() const;
 
+  /// A job's processes, consecutive ids first .. first + size - 1.
+  struct JobSlice {
+    ProcessId first;
+    std::int32_t size;
+    JobKind kind;
+  };
+
   const Problem& problem_;
   const DegradationModel& model_;
   Solution work_;
   Real migration_cost_ = 0.0;
 
+  std::vector<JobSlice> jobs_;         ///< per job
   std::vector<JobId> job_of_;          ///< per process
   std::vector<char> imaginary_;        ///< per process: Imaginary job
   std::vector<char> idle_;             ///< per process: imaginary, moves free
@@ -169,13 +184,15 @@ class SwapEngine {
   std::vector<Real> weight_;           ///< move weight per process
   Real total_weight_ = 0.0;
   std::vector<Real> overlap_;          ///< [home * m + current] weight
+  std::vector<Real> row_max_;          ///< per home row: max over overlap_
   std::vector<std::int32_t> assignment_;
   AssignmentSolver solver_;
 
   // Per-swap scratch, reused.
-  std::vector<ProcessId> co_;
+  std::vector<Real> fresh_;            ///< one machine's degradations
   std::vector<Real> saved_d_;
   std::vector<std::pair<std::size_t, Real>> saved_overlap_;
+  std::vector<std::pair<std::size_t, Real>> saved_row_max_;
   std::vector<std::pair<JobId, Real>> touched_;
   std::vector<std::uint64_t> stamp_;   ///< per job: last swap that touched
   std::uint64_t epoch_ = 0;
@@ -188,6 +205,7 @@ struct ReplanResult {
   Real migration_charge = 0.0; ///< migration_cost × total moved weight
   Real combined = 0.0;         ///< degradation + migration_charge
   std::uint64_t swaps_priced = 0;  ///< candidate swaps the search priced
+  std::uint64_t swaps_applied = 0; ///< swaps it took, fill moves included
   std::uint64_t assignments = 0;   ///< Hungarian solves, alignments included
 };
 

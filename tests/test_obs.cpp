@@ -701,8 +701,9 @@ TEST(ObsEndToEnd, ReplanTraceShowsPhaseHierarchyAndAstarCounters) {
         return true;
     return false;
   };
-  for (const char* name : {"replan.admission", "replan.fresh_solve",
-                           "replan.alignment", "replan.commit"}) {
+  for (const char* name :
+       {"replan.admission", "replan.fresh_solve", "replan.alignment",
+        "replan.fill", "replan.polish", "replan.realign", "replan.commit"}) {
     bool nested = false, seen = false;
     for (const Interval& span : spans)
       if (span.name == name) {

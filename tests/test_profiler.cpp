@@ -177,7 +177,7 @@ TEST_F(ProfiledSpan, MidSpanTogglesKeepBothSidesPaired) {
 // replan has exactly one replan.fresh_solve phase (the span keeps its name;
 // it now times the Problem build), and no solver search runs anywhere under
 // online.replan — every replan, cold fleets included, is a repair of the
-// incumbent.
+// incumbent, whose fill, polish and re-alignment have phases of their own.
 TEST(Profiler, FreshSolveRunsOnlyWhenThereIsNothingToRepair) {
   Profiler& profiler = Profiler::global();
   profiler.reset();
@@ -211,6 +211,18 @@ TEST(Profiler, FreshSolveRunsOnlyWhenThereIsNothingToRepair) {
   for (const auto& [path, node] : nodes)
     EXPECT_EQ(path.find("astar.search"), std::string::npos)
         << path << " ran " << node.count << " times";
+
+  // Inside the alignment, every repair fills and polishes once, and
+  // re-aligns once when its engine took a swap.
+  const std::string alignment = "online.replan;replan.alignment";
+  EXPECT_EQ(nodes[alignment + ";replan.fill"].count, replans);
+  EXPECT_EQ(nodes[alignment + ";replan.polish"].count, replans);
+  std::uint64_t swapped = 0;
+  for (const ReplanRecord& r : service.metrics().replan_records())
+    if (r.swaps_applied > 0) ++swapped;
+  EXPECT_GT(swapped, 0u);
+  EXPECT_EQ(nodes[alignment + ";replan.realign"].count, swapped)
+      << profiler.render_collapsed();
 
   // The collapsed render carries the full paths flamegraph.pl folds.
   std::string collapsed = profiler.render_collapsed();
