@@ -7,7 +7,6 @@
 #include "baseline/local_search.hpp"
 #include "cache/machine_config.hpp"
 #include "core/degradation_models.hpp"
-#include "core/snapshot.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
 #include "vm/migration.hpp"
@@ -150,23 +149,21 @@ void OnlineScheduler::advance_to(Real t) {
   }
 }
 
-void OnlineScheduler::refresh_degradations() {
+void OnlineScheduler::refresh_degradations(std::size_t m) {
   COSCHED_EXPECTS(last_replan_ != nullptr);
   const DegradationModel& model = *last_replan_->problem.full_model;
+  const auto& machine = machines_[m];
   std::vector<ProcessId> local;
-  std::vector<Real> d;
-  for (const auto& machine : machines_) {
-    local.clear();
-    for (std::int64_t gid : machine) {
-      const ProcState& p = procs_[static_cast<std::size_t>(gid)];
-      COSCHED_EXPECTS(p.local_id >= 0);
-      local.push_back(p.local_id);
-    }
-    d.resize(local.size());
-    model.machine_degradations(local, d);
-    for (std::size_t k = 0; k < machine.size(); ++k)
-      procs_[static_cast<std::size_t>(machine[k])].degradation = d[k];
+  local.reserve(machine.size());
+  for (std::int64_t gid : machine) {
+    const ProcState& p = procs_[static_cast<std::size_t>(gid)];
+    COSCHED_EXPECTS(p.local_id >= 0);
+    local.push_back(p.local_id);
   }
+  std::vector<Real> d(local.size());
+  model.machine_degradations(local, d);
+  for (std::size_t k = 0; k < machine.size(); ++k)
+    procs_[static_cast<std::size_t>(machine[k])].degradation = d[k];
 }
 
 void OnlineScheduler::begin() {
@@ -292,8 +289,9 @@ void OnlineScheduler::handle_process_finish(std::int64_t proc_gid) {
   COSCHED_EXPECTS(p.live && p.machine >= 0);
   p.remaining = 0.0;
   p.live = false;
-  auto& machine = machines_[static_cast<std::size_t>(p.machine)];
-  machine.erase(std::find(machine.begin(), machine.end(), proc_gid));
+  const auto m = static_cast<std::size_t>(p.machine);
+  machines_[m].erase(
+      std::find(machines_[m].begin(), machines_[m].end(), proc_gid));
   p.machine = -1;
 
   JobState& job = jobs_[static_cast<std::size_t>(p.job)];
@@ -312,7 +310,9 @@ void OnlineScheduler::handle_process_finish(std::int64_t proc_gid) {
     done.detail = "slowdown=" + TextTable::fmt(slowdown);
     journal_.append(std::move(done));
   }
-  refresh_degradations();
+  // Only machine m lost a co-runner: every other machine holds the same
+  // processes in the same order, so its degradations stand.
+  refresh_degradations(m);
   maybe_replan();
 }
 
@@ -477,7 +477,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   // ---- alignment: the incumbent (running processes stay, everyone else
   // fills slots in machine order) is repaired — admitted processes seated
   // greedily, then migration-aware swaps ----------------------------------
-  Real stay_combined = 0.0;
   ReplanResult result;
   {
     COSCHED_TRACE_SPAN(alignment_span, "replan.alignment", clock_.now());
@@ -504,8 +503,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
         machine.push_back(free_movers[next_free++]);
     COSCHED_ENSURES(next_free == free_movers.size());
 
-    stay_combined = evaluate_solution(problem, incumbent).total;
-
     ReplanOptions replan_options;
     replan_options.migration_cost = options_.migration_cost;
     replan_options.max_passes = options_.replan_passes;
@@ -523,9 +520,8 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   }
 
   // ---- commit the placement -------------------------------------------
-  // The adopted placement is a complete padded Solution, so the per-process
-  // degradations come straight off the core snapshot accessor instead of a
-  // per-machine re-query loop.
+  // The repair priced the adopted placement: its per-process degradations
+  // come with the result.
   COSCHED_TRACE_SPAN(commit_span, "replan.commit", clock_.now());
   // Pre-commit machine of every live process, by local id: the commit loop
   // overwrites it, and the delta is what the journal's migration events
@@ -535,7 +531,6 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
     if (local_to_gid_[local] >= 0)
       prev_machine[local] =
           procs_[static_cast<std::size_t>(local_to_gid_[local])].machine;
-  ScheduleSnapshot adopted = snapshot_schedule(problem, result.placement);
   for (std::size_t m = 0; m < machines_.size(); ++m) {
     machines_[m].clear();
     for (ProcessId local : result.placement.machines[m]) {
@@ -543,8 +538,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
       if (gid < 0) continue;  // idle slot
       ProcState& p = procs_[static_cast<std::size_t>(gid)];
       p.machine = static_cast<std::int32_t>(m);
-      p.degradation =
-          adopted.per_process[static_cast<std::size_t>(local)];
+      p.degradation = result.per_process[static_cast<std::size_t>(local)];
       machines_[m].push_back(gid);
     }
     std::sort(machines_[m].begin(), machines_[m].end());
@@ -555,7 +549,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   // Per-job attribution: the placement every admitted job got (machine,
   // co-runners, predicted delta of the adopted schedule vs staying put)
   // and one migration event per job whose running processes moved.
-  const Real decision_delta = result.combined - stay_combined;
+  const Real decision_delta = result.combined - result.stay_combined;
   auto co_runner_jobs = [&](std::int64_t self_id) {
     std::vector<std::int64_t> co;
     const JobState& job = jobs_[static_cast<std::size_t>(self_id)];
@@ -626,7 +620,7 @@ void OnlineScheduler::replan(const char* reason, bool allow_pure_rebalance) {
   record.time = clock_.now();
   record.admitted = admit;
   record.migrations = result.migrations;
-  record.stay_combined = stay_combined;
+  record.stay_combined = result.stay_combined;
   record.combined = result.combined;
   record.degradation = result.degradation;
   record.swaps_priced = result.swaps_priced;

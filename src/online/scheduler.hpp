@@ -199,7 +199,9 @@ class OnlineScheduler {
   void handle_deadline(std::int64_t job_id);
   void maybe_replan();
   void replan(const char* reason, bool allow_pure_rebalance);
-  void refresh_degradations();
+  /// Re-prices the live processes of one machine under the last replan's
+  /// model, in the machine's gid order.
+  void refresh_degradations(std::size_t machine);
   void arm_tick();
   bool outstanding_work() const;
   std::int32_t live_process_count() const;

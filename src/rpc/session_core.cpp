@@ -1,5 +1,6 @@
 #include "rpc/session_core.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <utility>
 
@@ -36,6 +37,32 @@ AlertView alert_view(const AlertEntry& entry) {
   view.since_seconds = entry.since_seconds;
   view.detail = entry.detail;
   return view;
+}
+
+/// The ServerError text for a reply of `bytes` past the frame cap.
+std::string over_cap_error(std::size_t bytes) {
+  std::string error = "reply of ";
+  error += std::to_string(bytes);
+  error += " bytes exceeds the ";
+  error += std::to_string(kDefaultMaxFrameBytes);
+  error += "-byte frame cap";
+  return error;
+}
+
+/// Encoded size of the largest reply a SubmitJob of `job` can produce: its
+/// name echoed and one proc entry for each of its processes. Every other
+/// field of the reply and its envelope has a fixed width.
+std::size_t largest_submit_reply(const TraceJob& job) {
+  SubmitJobResponse reply;
+  WireWriter bare;
+  encode(bare, reply);
+  reply.status.procs.resize(1);
+  WireWriter one;
+  encode(one, reply);
+  const std::size_t per_proc = one.bytes().size() - bare.bytes().size();
+  return encode_response(ResponseEnvelope{}).size() + bare.bytes().size() +
+         job.name.size() +
+         per_proc * static_cast<std::size_t>(std::max(job.processes, 0));
 }
 
 }  // namespace
@@ -285,6 +312,14 @@ ResponseEnvelope SessionCore::dispatch(const RequestEnvelope& request,
   RpcStatus status = RpcStatus::Ok;
   switch (request.type) {
     case MessageType::SubmitJob: {
+      // Refused before it is submitted: a job whose reply could not be
+      // sent must not be admitted while its client is told it failed.
+      const std::size_t largest = largest_submit_reply(job);
+      if (largest > kDefaultMaxFrameBytes) {
+        status = RpcStatus::ServerError;
+        error = over_cap_error(largest);
+        break;
+      }
       SubmitJobResponse reply;
       status = submit(job, reply, error, trace_id);
       if (status == RpcStatus::Ok) encode(body, reply);
@@ -475,13 +510,8 @@ void SessionCore::serve_connection(Socket socket) {
     if (reply.size() > kDefaultMaxFrameBytes) {
       // The client's read_frame refuses a frame past the cap and drops the
       // connection; an error it can read keeps the session usable.
-      std::string error = "reply of ";
-      error += std::to_string(reply.size());
-      error += " bytes exceeds the ";
-      error += std::to_string(kDefaultMaxFrameBytes);
-      error += "-byte frame cap";
       response.status = RpcStatus::ServerError;
-      response.error = std::move(error);
+      response.error = over_cap_error(reply.size());
       response.body.clear();
       reply = encode_response(response);
     }

@@ -21,7 +21,9 @@
 // broken framing drops the connection (both counted as malformed). An
 // encoded reply larger than kDefaultMaxFrameBytes, which the client's
 // read_frame would refuse, is replaced by a ServerError naming its size;
-// the connection stays open.
+// the connection stays open. A SubmitJob whose largest possible reply
+// would not fit gets that ServerError before it is submitted, so a job
+// its client is told failed is never admitted.
 //
 // dispatch() is the only place a request body is decoded and a reply body
 // encoded, both through the message layouts of rpc/protocol.hpp. A request

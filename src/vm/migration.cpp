@@ -1,6 +1,7 @@
 #include "vm/migration.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "astar/search.hpp"
@@ -54,10 +55,6 @@ std::int32_t total_processes(const Solution& s) {
 }
 
 }  // namespace
-
-Solution align_to_placement(const Solution& old_placement, Solution fresh) {
-  return align_to_placement(old_placement, std::move(fresh), {});
-}
 
 Solution align_to_placement(const Solution& old_placement, Solution fresh,
                             std::span<const Real> move_weight) {
@@ -501,20 +498,34 @@ ReplanResult replan_with_migrations(const Problem& problem,
                                     const Solution& current,
                                     const Solution* fresh,
                                     const ReplanOptions& options) {
-  problem.check();
-  validate_solution(problem, current);
-  COSCHED_EXPECTS(options.migration_cost >= 0.0);
   std::span<const Real> weights(options.move_weight);
   if (!weights.empty())
     COSCHED_EXPECTS(weights.size() ==
                     static_cast<std::size_t>(problem.n()));
-  const auto home = machine_index(current);
 
-  // Every candidate is machine-aligned to `current`, so the processes it
-  // moves are the ones off their old machine index.
+  // Candidate 1: stay put, priced by the engine started on `current` (its
+  // constructor checks the problem and `current`). Its degradation is
+  // evaluate_solution's total bit for bit: the same machine_degradations
+  // calls, summed in job order. Nothing moves, so nothing is charged.
+  std::optional<SwapEngine> engine;
+  engine.emplace(problem, current, current, options.migration_cost, weights);
+  ReplanResult best;
+  best.placement = current;
+  best.degradation = engine->degradation();
+  best.combined = best.degradation + best.migration_charge;
+  best.per_process = engine->per_process();
+  const Real stay_combined = best.combined;
+
+  // Every other candidate is machine-aligned to `current`, so the processes
+  // it moves are the ones off their old machine index. Its machines are
+  // sorted, and a model may sum co-runners in slot order, so it is priced
+  // afresh rather than read off an engine that left them in swap order.
+  const auto home = machine_index(current);
   auto result_of = [&](Solution aligned) {
     ReplanResult r;
-    r.degradation = evaluate_solution(problem, aligned).total;
+    Evaluation eval = evaluate_solution(problem, aligned);
+    r.degradation = eval.total;
+    r.per_process = std::move(eval.per_process);
     Real moved_weight = 0.0;
     for (std::size_t a = 0; a < aligned.machines.size(); ++a)
       for (ProcessId p : aligned.machines[a]) {
@@ -532,44 +543,44 @@ ReplanResult replan_with_migrations(const Problem& problem,
     return r;
   };
 
-  // Candidate 1: stay put.
-  ReplanResult best = result_of(current);
-
   // Candidate 2: the fresh schedule (HA* unless the caller plugged in
   // another solver), machine-aligned to the old placement so its migration
-  // charge is minimal.
+  // charge is minimal. When it wins, the swap search starts from it.
   std::uint64_t alignments = 0;
   if (fresh != nullptr) {
     ReplanResult cand =
         result_of(align_to_placement(current, *fresh, weights));
     ++alignments;
-    if (cand.combined < best.combined) best = std::move(cand);
+    if (cand.combined < best.combined) {
+      best = std::move(cand);
+      engine.emplace(problem, current, best.placement, options.migration_cost,
+                     weights);
+    }
   }
 
   // Candidate 3: migration-aware swap search from the best so far, after
   // the greedy fill of options.fill. Its charge is relabel-invariant, so
   // the swaps leave machine labels anywhere; aligning again makes the
   // committed moves the counted ones.
-  SwapEngine engine(problem, current, best.placement, options.migration_cost,
-                    weights);
   {
     COSCHED_TRACE_SPAN(fill_span, "replan.fill");
-    engine.fill(options.fill);
+    engine->fill(options.fill);
   }
   {
     COSCHED_TRACE_SPAN(polish_span, "replan.polish");
-    engine.run(options.max_passes);
+    engine->run(options.max_passes);
   }
-  if (engine.swaps_applied() > 0) {
+  if (engine->swaps_applied() > 0) {
     COSCHED_TRACE_SPAN(realign_span, "replan.realign");
     ReplanResult cand = result_of(
-        align_to_placement(current, engine.take_placement(), weights));
+        align_to_placement(current, engine->take_placement(), weights));
     ++alignments;
     if (cand.combined < best.combined) best = std::move(cand);
   }
-  best.swaps_priced = engine.swaps_priced();
-  best.swaps_applied = engine.swaps_applied();
-  best.assignments = engine.assignments() + alignments;
+  best.stay_combined = stay_combined;
+  best.swaps_priced = engine->swaps_priced();
+  best.swaps_applied = engine->swaps_applied();
+  best.assignments = engine->assignments() + alignments;
   return best;
 }
 

@@ -20,12 +20,12 @@
 namespace cosched {
 
 /// Relabels `fresh.machines` so that machine k inherits the identity of the
-/// old machine it overlaps most (max-weight assignment). Both solutions
-/// must partition the same process set into the same number of machines.
-/// The weighted overload maximizes the summed `move_weight` of processes
-/// that stay put — weight-0 processes (e.g. newly admitted jobs with no
-/// current home, or idle padding) do not influence the alignment.
-Solution align_to_placement(const Solution& old_placement, Solution fresh);
+/// old machine it overlaps most (max-weight assignment), and sorts each
+/// machine. Both solutions must partition the same process set into the
+/// same number of machines. The assignment maximizes the summed
+/// `move_weight` of processes that stay put — weight-0 processes (e.g.
+/// newly admitted jobs with no current home, or idle padding) do not
+/// influence the alignment; empty weights count every process as 1.
 Solution align_to_placement(const Solution& old_placement, Solution fresh,
                             std::span<const Real> move_weight);
 
@@ -114,6 +114,8 @@ class SwapEngine {
   const Solution& placement() const { return work_; }
   Solution take_placement() { return std::move(work_); }
   Real degradation() const { return degradation_; }
+  /// d_i of every process under placement(), by ProcessId (imaginary 0).
+  const std::vector<Real>& per_process() const { return d_; }
   Real migration_charge() const { return charge_; }
   Real combined() const { return degradation_ + charge_; }
   std::uint64_t swaps_applied() const { return swaps_applied_; }
@@ -204,6 +206,10 @@ struct ReplanResult {
   std::int32_t migrations = 0; ///< processes with weight > 0 that moved
   Real migration_charge = 0.0; ///< migration_cost × total moved weight
   Real combined = 0.0;         ///< degradation + migration_charge
+  Real stay_combined = 0.0;    ///< combined objective of keeping `current`
+  /// d_i of the placement, by ProcessId; imaginary processes read 0 (the
+  /// DegradationModel contract).
+  std::vector<Real> per_process;
   std::uint64_t swaps_priced = 0;  ///< candidate swaps the search priced
   std::uint64_t swaps_applied = 0; ///< swaps it took, fill moves included
   std::uint64_t assignments = 0;   ///< Hungarian solves, alignments included
@@ -216,6 +222,10 @@ struct ReplanResult {
 /// Never returns anything worse (combined-objective-wise) than keeping
 /// `current`. The returned placement is aligned to `current`, so the
 /// processes it moves by position are exactly the `migrations` it reports.
+/// Each placement is priced once: `current` by the SwapEngine started on
+/// it, which is also `stay_combined`; an aligned candidate (the fresh one,
+/// the swapped one) by evaluate_solution, whose per-process degradations
+/// the result keeps.
 /// The fresh candidate is solved with HA* internally; the `fresh` overload
 /// takes a precomputed candidate instead (nullptr = none: a pure repair of
 /// `current`). The online service repairs, passing a candidate only when a

@@ -89,7 +89,7 @@ TEST(Migration, MachineRelabelingIsFree) {
   old_p.machines = {{0, 1}, {2, 3}, {4, 5}};
   fresh.machines = {{4, 5}, {0, 1}, {2, 3}};  // same groups, shuffled
   EXPECT_EQ(min_migrations(old_p, fresh), 0);
-  Solution aligned = align_to_placement(old_p, fresh);
+  Solution aligned = align_to_placement(old_p, fresh, {});
   EXPECT_EQ(aligned.machines, old_p.machines);
 }
 
@@ -107,7 +107,7 @@ TEST(Migration, AlignmentPicksMaxOverlap) {
   // Group {1,2,3,7} overlaps old machine 0 by 3; {4,5,6,0} overlaps old
   // machine 1 by 3 -> 2 moves (0 and 7 swap homes).
   EXPECT_EQ(min_migrations(old_p, fresh), 2);
-  Solution aligned = align_to_placement(old_p, fresh);
+  Solution aligned = align_to_placement(old_p, fresh, {});
   EXPECT_EQ(aligned.machines[0], (std::vector<ProcessId>{1, 2, 3, 7}));
   EXPECT_EQ(aligned.machines[1], (std::vector<ProcessId>{0, 4, 5, 6}));
 }
@@ -761,45 +761,44 @@ std::ostream& operator<<(std::ostream& os, const PinnedRun& r) {
             << r.combined_bits << std::dec << "}";
 }
 
-/// A repair as replan_with_migrations runs one, at migration cost 0.05:
-/// fill `admitted`, then at most 30 polish passes.
-PinnedRun pinned_repair(const Problem& p, const Solution& reference,
-                        const Solution& start, std::span<const Real> weights,
-                        std::span<const ProcessId> admitted) {
-  SwapEngine engine(p, reference, start, 0.05, weights);
-  engine.fill(admitted);
-  engine.run(30);
-  return {placement_string(engine.placement()), engine.swaps_applied(),
-          engine.swaps_priced(), engine.assignments(),
-          std::bit_cast<std::uint64_t>(engine.combined())};
+/// A repair as the online service sets one up: the problem, the reference
+/// placement, the engine's start, the move weights (1 = running) and the
+/// admitted processes the fill seats (weight 0).
+struct RepairCase {
+  Problem problem;
+  Solution reference;
+  Solution start;
+  std::vector<Real> weights;
+  std::vector<ProcessId> admitted;
+};
+
+/// idle_padded_problem(seed) with a third of the real processes admitted,
+/// the start the reference or, every third seed, a random placement.
+RepairCase padded_repair(std::uint64_t seed) {
+  RepairCase c;
+  c.problem = idle_padded_problem(seed);
+  const Problem& p = c.problem;
+  Rng rng(seed * 17 + 9);
+  c.reference = solve_random(p, rng);
+  c.weights.assign(static_cast<std::size_t>(p.n()), 0.0);
+  for (ProcessId q = 0; q < p.n(); ++q) {
+    if (is_imaginary(p, q)) continue;
+    if (rng.uniform(3) == 0)
+      c.admitted.push_back(q);
+    else
+      c.weights[static_cast<std::size_t>(q)] = 1.0;
+  }
+  c.start = seed % 3 == 0 ? solve_random(p, rng) : c.reference;
+  return c;
 }
 
-/// The runs DecisionsAndCountsArePinned makes: seeds 1–20 of
-/// idle_padded_problem (a third of the real processes admitted, the start
-/// the reference or, every third seed, a random placement), then the
-/// churn-like fleet with its new PE job filled into the free slots.
-std::vector<PinnedRun> pinned_runs() {
-  std::vector<PinnedRun> runs;
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Problem p = idle_padded_problem(seed);
-    Rng rng(seed * 17 + 9);
-    const Solution reference = solve_random(p, rng);
-    std::vector<Real> weights(static_cast<std::size_t>(p.n()), 0.0);
-    std::vector<ProcessId> admitted;
-    for (ProcessId q = 0; q < p.n(); ++q) {
-      if (is_imaginary(p, q)) continue;
-      if (rng.uniform(3) == 0)
-        admitted.push_back(q);
-      else
-        weights[static_cast<std::size_t>(q)] = 1.0;
-    }
-    const Solution start =
-        seed % 3 == 0 ? solve_random(p, rng) : reference;
-    runs.push_back(pinned_repair(p, reference, start, weights, admitted));
-  }
+/// The churn-like fleet with its new PE job to fill into the free slots;
+/// the start is the reference.
+RepairCase churn_like_repair() {
+  RepairCase c;
   Rng rng(2024);
-  Problem p = churn_like_problem(rng);
-  const std::size_t n = static_cast<std::size_t>(p.n());
+  c.problem = churn_like_problem(rng);
+  const std::size_t n = static_cast<std::size_t>(c.problem.n());
   // Processes 0..14 run in random slots; the admitted 15..18 and the idle
   // 19..23 take the free slots in machine order, as the service seats them.
   std::vector<std::size_t> slots(n);
@@ -810,14 +809,34 @@ std::vector<PinnedRun> pinned_runs() {
   ProcessId next_free = 15;
   for (ProcessId& q : at)
     if (q < 0) q = next_free++;
-  Solution incumbent;
-  incumbent.machines.resize(6);
+  c.reference.machines.resize(6);
   for (std::size_t s = 0; s < n; ++s)
-    incumbent.machines[s / 4].push_back(at[s]);
-  std::vector<Real> weights(n, 0.0);
-  std::fill(weights.begin(), weights.begin() + 15, 1.0);
-  const std::vector<ProcessId> admitted = {15, 16, 17, 18};
-  runs.push_back(pinned_repair(p, incumbent, incumbent, weights, admitted));
+    c.reference.machines[s / 4].push_back(at[s]);
+  c.start = c.reference;
+  c.weights.assign(n, 0.0);
+  std::fill(c.weights.begin(), c.weights.begin() + 15, 1.0);
+  c.admitted = {15, 16, 17, 18};
+  return c;
+}
+
+/// A repair as replan_with_migrations runs one, at migration cost 0.05:
+/// fill the admitted processes, then at most 30 polish passes.
+PinnedRun pinned_repair(const RepairCase& c) {
+  SwapEngine engine(c.problem, c.reference, c.start, 0.05, c.weights);
+  engine.fill(c.admitted);
+  engine.run(30);
+  return {placement_string(engine.placement()), engine.swaps_applied(),
+          engine.swaps_priced(), engine.assignments(),
+          std::bit_cast<std::uint64_t>(engine.combined())};
+}
+
+/// The runs DecisionsAndCountsArePinned makes: padded_repair seeds 1–20,
+/// then churn_like_repair.
+std::vector<PinnedRun> pinned_runs() {
+  std::vector<PinnedRun> runs;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed)
+    runs.push_back(pinned_repair(padded_repair(seed)));
+  runs.push_back(pinned_repair(churn_like_repair()));
   return runs;
 }
 
@@ -857,6 +876,82 @@ TEST(SwapEngine, DecisionsAndCountsArePinned) {
   std::ostringstream actual;
   for (const PinnedRun& r : runs) actual << "      " << r << ",\n";
   EXPECT_EQ(runs, expected) << actual.str();
+}
+
+/// Forwards to another model, counting machine_degradations calls: one
+/// call prices one machine.
+class CountingModel final : public DegradationModel {
+ public:
+  explicit CountingModel(DegradationModelPtr inner) : inner_(std::move(inner)) {}
+  Real degradation(ProcessId i, std::span<const ProcessId> co) const override {
+    return inner_->degradation(i, co);
+  }
+  void machine_degradations(std::span<const ProcessId> machine,
+                            std::span<Real> out) const override {
+    ++calls;
+    inner_->machine_degradations(machine, out);
+  }
+  mutable std::uint64_t calls = 0;
+
+ private:
+  DegradationModelPtr inner_;
+};
+
+/// Runs replan_with_migrations on `p` priced through a CountingModel;
+/// returns the result and the machines it priced.
+std::pair<ReplanResult, std::uint64_t> counted_replan(
+    Problem p, const Solution& current, const Solution* fresh,
+    const ReplanOptions& options) {
+  auto counting = std::make_shared<CountingModel>(p.full_model);
+  p.full_model = counting;
+  ReplanResult r = replan_with_migrations(p, current, fresh, options);
+  return {std::move(r), counting->calls};
+}
+
+// One replan prices each placement once: the incumbent by the engine
+// started on it (m machines), each staged swap's two machines, and the
+// re-aligned placement when a swap was taken (m). A fresh candidate is
+// priced once more, and only when it wins is the engine started again on
+// it: exactly m more than a fresh candidate that loses.
+TEST(Replan, PricesEachPlacementOnce) {
+  std::vector<RepairCase> repairs;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed)
+    repairs.push_back(padded_repair(seed));
+  repairs.push_back(churn_like_repair());
+  std::uint64_t realigned = 0;
+  for (std::size_t k = 0; k < repairs.size(); ++k) {
+    const RepairCase& c = repairs[k];
+    ReplanOptions opt;
+    opt.move_weight = c.weights;
+    opt.fill = c.admitted;
+    const auto [r, calls] = counted_replan(c.problem, c.start, nullptr, opt);
+    const std::uint64_t m = c.start.machines.size();
+    EXPECT_EQ(calls, m + 2 * r.swaps_priced + (r.swaps_applied > 0 ? m : 0))
+        << "repair " << k;
+    EXPECT_EQ(r.stay_combined, evaluate_solution(c.problem, c.start).total)
+        << "repair " << k;
+    if (r.swaps_applied > 0) ++realigned;
+  }
+  EXPECT_GT(realigned, 0u);
+
+  // No polish: the fresh HA* schedule is the only way to improve, and a
+  // prohibitive migration cost makes it lose.
+  Problem p = random_serial_problem(12, 4, 72);
+  Rng rng(11);
+  const Solution current = solve_random(p, rng);
+  auto ha = solve_hastar(p);
+  ASSERT_TRUE(ha.found);
+  const std::uint64_t m = current.machines.size();
+  ReplanOptions opt;
+  opt.max_passes = 0;
+  opt.migration_cost = 1e6;
+  const auto [lost, lost_calls] = counted_replan(p, current, &ha.solution, opt);
+  ASSERT_EQ(lost.combined, lost.stay_combined);
+  EXPECT_EQ(lost_calls, 2 * m);
+  opt.migration_cost = 0.0;
+  const auto [won, won_calls] = counted_replan(p, current, &ha.solution, opt);
+  ASSERT_LT(won.combined, won.stay_combined);
+  EXPECT_EQ(won_calls, 3 * m);
 }
 
 // Imaginary processes contribute nothing under every model the library

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -394,6 +395,55 @@ TEST(OnlineService, ThresholdTriggerAlsoDrainsTheQueue) {
   // The max-wait backstop bounds queue waits for every trigger family.
   EXPECT_LE(service.metrics().queue_wait().max(),
             options.admission.max_wait + 1e-9);
+}
+
+// Between replans every live process runs at the degradation the model
+// gives its machine's current co-runners: a completion re-prices the
+// machine it leaves, and every other machine's values stand. Job ids follow
+// arrival order here, so a committed placement's slot order (local ids)
+// and a machine's gid order agree, and the values match bit for bit.
+TEST(OnlineService, LiveDegradationsFollowEachMachinesCoRunners) {
+  std::uint64_t checked = 0;
+  for (std::uint64_t seed : {3u, 4u, 5u}) {
+    OnlineSchedulerOptions options;
+    options.cores = 4;
+    options.machines = 3;
+    options.admission.every_k = 1;
+    OnlineScheduler service(options);
+    service.begin();
+    for (const TraceJob& job : small_trace(seed, 30).jobs) service.submit(job);
+    std::map<std::int64_t, ProcessId> local;  // gid -> id in the replan
+    std::size_t replans = 0;
+    while (service.step(kInfinity)) {
+      if (service.metrics().replan_records().size() != replans) {
+        replans = service.metrics().replan_records().size();
+        // The replan's Problem numbers the running jobs in ascending id,
+        // each job's live processes in ascending gid.
+        local.clear();
+        ProcessId next = 0;
+        for (std::int64_t id = 0; id < service.job_count(); ++id) {
+          const JobStatusView view = service.job_status(id);
+          if (view.phase != JobPhase::Running) continue;
+          for (const JobProcView& proc : view.procs)
+            if (proc.machine >= 0) local[proc.gid] = next++;
+        }
+      }
+      if (service.last_replan() == nullptr) continue;
+      const DegradationModel& model =
+          *service.last_replan()->problem.full_model;
+      for (const auto& machine : service.service_snapshot().machines) {
+        std::vector<ProcessId> ids;
+        for (const auto& proc : machine) ids.push_back(local.at(proc.gid));
+        std::vector<Real> expected(ids.size());
+        model.machine_degradations(ids, expected);
+        for (std::size_t k = 0; k < machine.size(); ++k, ++checked)
+          EXPECT_EQ(machine[k].degradation, expected[k])
+              << "seed " << seed << " t=" << service.now() << " gid "
+              << machine[k].gid;
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
 }
 
 // Committed moves equal reported migrations: the processes the journal's

@@ -610,6 +610,37 @@ TEST(RpcFaults, OverCapReplyIsAServerErrorAndTheSessionStays) {
   server.stop();
 }
 
+// A SubmitJob refused for its reply's size is refused before it is
+// submitted: the job its client is told failed neither arrives nor is
+// admitted.
+TEST(RpcFaults, OverCapSubmitAdmitsNothing) {
+  // The job of OverCapReplyIsAServerErrorAndTheSessionStays: its name fills
+  // the request frame to the cap.
+  TraceJob job;
+  job.work = 8.0;
+  RequestEnvelope probe;
+  probe.type = MessageType::SubmitJob;
+  WireWriter body;
+  encode(body, job);
+  probe.body = body.take();
+  job.name.assign(kDefaultMaxFrameBytes - encode_request(probe).size(), 'n');
+
+  CoschedServer server(loopback_options());
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  CoschedClient client(client_for(server));
+  SubmitJobResponse submitted;
+  RpcError refused = client.submit_job(job, submitted);
+  EXPECT_EQ(refused.app, RpcStatus::ServerError) << refused.describe();
+
+  MetricsResponse metrics;
+  RpcError served = client.get_metrics(metrics);
+  EXPECT_TRUE(served.ok()) << served.describe();
+  EXPECT_EQ(metrics.arrivals, 0u);
+  EXPECT_EQ(metrics.admissions, 0u);
+  server.stop();
+}
+
 // TraceDump bounds itself: past the frame cap it answers with the newest
 // records that fit and counts the oldest ones it left out.
 TEST(RpcFaults, OverCapTraceDumpLeavesOutItsOldestRecords) {
