@@ -3,13 +3,13 @@
 //   ./shard_router --port 7720 --shards 4 --machines-per-shard 2
 //
 // Stands up N independent LiveSchedulerService shards (each with its own
-// scheduler thread and virtual clock) behind a ShardRouter + RouterServer.
+// scheduler lock and virtual clock) behind a ShardRouter + RouterServer.
 // Jobs are admitted by consistent hashing on their tenant key — the job-name
 // prefix before the first '/' — so "tenantA/train" and "tenantA/etl" land on
 // the same shard and keep degrading each other honestly, while different
-// tenants spread across the fleet. A shard whose command queue backs up past
-// --spill-depth sheds new tenants to the least-loaded shard (the remap is
-// recorded, so job-status lookups keep resolving).
+// tenants spread across the fleet. A shard with more callers waiting for its
+// scheduler than --spill-depth sheds new tenants to the least-loaded shard
+// (the remap is recorded, so job-status lookups keep resolving).
 //
 // The router speaks the same wire protocol as a single CoschedServer, so the
 // ordinary client works unchanged:

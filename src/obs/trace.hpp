@@ -179,8 +179,8 @@ std::string merge_chrome_traces(const std::vector<std::string>& parts,
 
 /// Installs `context` as the calling thread's current trace context for the
 /// scope's lifetime, restoring the previous one on exit. Used by the RPC
-/// server around request handling and by LiveSchedulerService when replaying
-/// a command's captured context on the scheduler thread.
+/// server around request handling; the scheduler commands a request issues
+/// run on the same thread, so their spans inherit it.
 class TraceContextScope {
  public:
   explicit TraceContextScope(const TraceContext& context)

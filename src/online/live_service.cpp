@@ -23,30 +23,57 @@ LiveSchedulerService::LiveSchedulerService(LiveServiceOptions options)
       probe_replan_wall_(replan_duration_metric_edges()) {
   COSCHED_EXPECTS(options_.wall_time_scale > 0.0);
   scheduler_.begin();
-  thread_ = std::thread(&LiveSchedulerService::thread_main, this);
+  if (options_.wall_clock)
+    pump_ = std::thread(&LiveSchedulerService::pump_main, this);
 }
 
 LiveSchedulerService::~LiveSchedulerService() { stop(); }
 
 void LiveSchedulerService::stop() {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stop_requested_ && !thread_.joinable()) return;
-    stop_requested_ = true;
+    std::unique_lock<std::mutex> lock(mutex_);
+    stopped_ = true;
+    freed_.wait(lock, [this] { return !busy_; });  // the holder finishes
   }
-  wake_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  freed_.notify_all();  // waiters give up
+  wake_.notify_all();   // the pump exits
+  if (pump_.joinable()) pump_.join();
 }
 
 std::vector<std::string> LiveSchedulerService::write_metrics_csvs(
     const std::string& dir, const std::string& prefix) {
-  COSCHED_EXPECTS(!thread_.joinable());  // stop() first
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    COSCHED_EXPECTS(stopped_);  // stop() first
+  }
   return scheduler_.metrics().write_csvs(dir, prefix);
 }
 
-std::size_t LiveSchedulerService::queue_depth() const {
+bool LiveSchedulerService::acquire(double timeout_seconds) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  auto settled = [this] { return !busy_ || stopped_; };
+  if (!settled()) {
+    waiting_.fetch_add(1, std::memory_order_relaxed);
+    if (timeout_seconds < 0.0)
+      freed_.wait(lock, settled);
+    else
+      freed_.wait_for(lock, std::chrono::duration<double>(timeout_seconds),
+                      settled);
+    waiting_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  if (busy_ || stopped_) return false;
+  busy_ = true;
+  return true;
+}
+
+void LiveSchedulerService::release() {
   std::lock_guard<std::mutex> lock(mutex_);
-  return commands_.size();
+  busy_ = false;
+  // During stop() every waiter must see the flag, stop() itself included.
+  if (stopped_)
+    freed_.notify_all();
+  else
+    freed_.notify_one();
 }
 
 LoadProbe LiveSchedulerService::load() const {
@@ -67,7 +94,6 @@ void LiveSchedulerService::refresh_load_probe() {
   probe_virtual_now_.store(scheduler_.now(), std::memory_order_relaxed);
   const std::vector<ReplanRecord>& records = m.replan_records();
   if (records.size() > replan_records_seen_) {
-    std::lock_guard<std::mutex> lock(probe_mutex_);
     for (std::size_t i = replan_records_seen_; i < records.size(); ++i)
       probe_replan_wall_.add(records[i].solve_wall_seconds);
     replan_records_seen_ = records.size();
@@ -82,20 +108,24 @@ Real LiveSchedulerService::wall_virtual_now() const {
   return options_.wall_time_scale * static_cast<Real>(elapsed.count());
 }
 
-void LiveSchedulerService::enqueue(
-    std::function<void(OnlineScheduler&)> run) {
-  Command command{std::move(run), Tracer::current_context()};
+void LiveSchedulerService::schedule_changed() {
+  if (!options_.wall_clock) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!stop_requested_) commands_.push_back(std::move(command));
+    pump_woken_ = true;
   }
-  wake_.notify_all();
+  wake_.notify_one();
 }
 
 bool LiveSchedulerService::submit(const TraceJob& spec, SubmitOutcome& out,
                                   double timeout_seconds) {
-  return call([this, spec](OnlineScheduler&) { return admit(spec); }, out,
-              timeout_seconds);
+  return call(
+      [&](OnlineScheduler&) {
+        SubmitOutcome outcome = admit(spec);
+        schedule_changed();
+        return outcome;
+      },
+      out, timeout_seconds);
 }
 
 bool LiveSchedulerService::drain(DrainOutcome& out, double timeout_seconds) {
@@ -103,53 +133,37 @@ bool LiveSchedulerService::drain(DrainOutcome& out, double timeout_seconds) {
       [this](OnlineScheduler& scheduler) {
         draining_.store(true, std::memory_order_release);
         scheduler.finish();
+        schedule_changed();
         return DrainOutcome{scheduler.metrics().completions(),
                             scheduler.now()};
       },
       out, timeout_seconds);
 }
 
-void LiveSchedulerService::thread_main() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (true) {
-    if (stop_requested_) break;
-    if (!commands_.empty()) {
-      Command command = std::move(commands_.front());
-      commands_.pop_front();
-      lock.unlock();
-      {
-        TraceContextScope trace_scope(command.trace);
-        command.run(scheduler_);
-      }
-      refresh_load_probe();
-      lock.lock();
-      continue;
-    }
-    if (!options_.wall_clock) {
-      wake_.wait(lock,
-                 [&] { return stop_requested_ || !commands_.empty(); });
-      continue;
-    }
-    // Wall-clock bridge: catch virtual time up with real elapsed time,
-    // then sleep until the next scheduled occurrence is due (or a command
-    // arrives). Sleeps are capped so clock drift self-corrects.
-    lock.unlock();
+void LiveSchedulerService::pump_main() {
+  // Wall-clock bridge: catch virtual time up with real elapsed time, then
+  // sleep until the next scheduled occurrence is due (or a command may
+  // have moved it). Sleeps are capped so clock drift self-corrects.
+  while (acquire(-1.0)) {
     Real target = wall_virtual_now();
     scheduler_.pump(target);
     refresh_load_probe();
     Real next = scheduler_.next_occurrence_time();
-    lock.lock();
-    if (stop_requested_ || !commands_.empty()) continue;
+    release();
+
+    std::unique_lock<std::mutex> lock(mutex_);
+    auto woken = [this] { return pump_woken_ || stopped_; };
     if (next == kInfinity) {
-      wake_.wait(lock,
-                 [&] { return stop_requested_ || !commands_.empty(); });
-      continue;
+      wake_.wait(lock, woken);
+    } else {
+      // An occurrence already due (delay <= 0) pumps again at once.
+      double delay = static_cast<double>(next - target) /
+                     static_cast<double>(options_.wall_time_scale);
+      wake_.wait_for(
+          lock, std::chrono::duration<double>(std::clamp(delay, 0.0, 0.25)),
+          woken);
     }
-    double delay = static_cast<double>(next - target) /
-                   static_cast<double>(options_.wall_time_scale);
-    if (delay <= 0.0) continue;  // due now: pump again right away
-    wake_.wait_for(lock, std::chrono::duration<double>(
-                             std::min(delay, 0.25)));
+    pump_woken_ = false;
   }
 }
 

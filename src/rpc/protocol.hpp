@@ -173,8 +173,8 @@ struct MetricsResponse {
   Real latency_exemplar_seconds = 0.0;
   // ---- shard / fan-in block ----------------------------------------------
   std::int32_t shard_id = -1;  ///< answering instance's shard id (-1 = none)
-  /// Commands enqueued and not yet executed by the scheduler thread — the
-  /// router's primary spillover signal.
+  /// Callers waiting for the scheduler lock (the field keeps its name) —
+  /// the router's primary spillover signal.
   std::uint64_t command_queue_depth = 0;
   Real replan_p95_seconds = 0.0;  ///< wall-clock replan duration p95
   /// Router accounting (zero when a plain CoschedServer answers): keys

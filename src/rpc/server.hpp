@@ -9,13 +9,14 @@
 //
 //   session workers ──> SessionCore::dispatch ──> LocalShard ──> service
 //
-// Every scheduler command is bounded by the request deadline
-// (`request_deadline_seconds`; a drain gets ten times that, since it runs
-// the queued work to completion): an expired budget turns into an
-// RpcStatus::DeadlineExpired response, never a stuck worker. On top of the
-// core it feeds every finished request to the latency histogram, reports
-// that histogram and the admission queue wait in GetMetrics, and serves
-// /metrics and /healthz from the process registry and its watchdog.
+// Every scheduler command waits for the scheduler at most the request
+// deadline (`request_deadline_seconds`; a drain ten times that, since it
+// may wait behind another drain): an expired budget turns into an
+// RpcStatus::DeadlineExpired response, never a stuck worker, and the
+// command does not run. On top of the core it feeds every finished request
+// to the latency histogram, reports that histogram and the admission queue
+// wait in GetMetrics, and serves /metrics and /healthz from the process
+// registry and its watchdog.
 #pragma once
 
 #include <cstdint>

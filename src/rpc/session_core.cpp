@@ -485,9 +485,8 @@ void SessionCore::serve_connection(Socket socket) {
       ++stats_.malformed_frames;
     } else {
       // Correlation: adopt the client's trace_id or mint one, and keep the
-      // context installed for the whole dispatch — the scheduler command
-      // queue re-installs it on the scheduler thread, so replan and solver
-      // spans inherit it.
+      // context installed for the whole dispatch — scheduler commands run
+      // on this thread, so replan and solver spans inherit it.
       trace_id = request.trace_id != 0 ? request.trace_id : next_trace_id();
       TraceContextScope trace_scope(TraceContext{trace_id});
       COSCHED_TRACE_SPAN(request_span, span_name_, -1.0,

@@ -137,10 +137,11 @@ RpcStatus LocalShard::metrics(MetricsResponse& out, std::string& error) {
 
 RpcStatus LocalShard::drain(DrainResponse& out, std::string& error) {
   DrainOutcome outcome;
-  // Drain runs every queued job to completion — give it an order of
-  // magnitude more budget than a unary command.
+  // The budget bounds only the wait for the scheduler, but a drain may
+  // wait behind another drain, which runs every queued job to completion —
+  // give it an order of magnitude more than a unary command.
   if (!service_.drain(outcome, timeout_ * 10.0)) {
-    error = "drain did not finish within the budget";
+    error = "drain did not get the scheduler within the budget";
     return RpcStatus::DeadlineExpired;
   }
   out.completions = outcome.completions;

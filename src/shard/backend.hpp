@@ -1,6 +1,6 @@
 // ShardBackend — the router's uniform view of one scheduler shard.
 //
-// A shard is one LiveSchedulerService with its own scheduler thread, its
+// A shard is one LiveSchedulerService with its own scheduler lock, its
 // own virtual clock and its own metrics; the router only needs six verbs
 // (submit / job_status / job_timeline / snapshot / metrics / drain) plus a
 // cheap load probe for the spillover policy. Two deployments hide behind
@@ -10,7 +10,7 @@
 //    deterministic one: no sockets, results are a pure function of the
 //    routed submission sequence. It is also the one mapping from the
 //    scheduler to the wire: its four reads are closures that the service
-//    runs on the scheduler thread (LiveSchedulerService::call) and that
+//    runs under its scheduler lock (LiveSchedulerService::call) and that
 //    build JobStatusResponse, JobTimelineResponse, ServiceSnapshot and
 //    MetricsResponse directly; submit and drain map the service's own
 //    outcomes. Every RpcStatus and error text comes from here. A
@@ -24,7 +24,7 @@
 //
 // Every verb reports an RpcStatus so the router front door can forward
 // shard verdicts (Draining, InvalidJob, UnknownJob, ...) unchanged; local
-// command-queue timeouts and remote transport failures both surface as
+// scheduler-lock timeouts and remote transport failures both surface as
 // DeadlineExpired/ServerError rather than hanging the router worker.
 //
 // Observability across the process boundary: every remote verb forwards
@@ -86,7 +86,7 @@ class ShardBackend {
   virtual LoadProbe load() = 0;
 
   /// Liveness probe for the router's health fan-in. Local shards are up by
-  /// construction (their scheduler thread lives in this process); remote
+  /// construction (their scheduler lives in this process); remote
   /// shards answer with a GetMetrics round-trip.
   virtual bool probe(std::string& error) {
     (void)error;
@@ -112,9 +112,9 @@ class ShardBackend {
   virtual ShardRpcErrors rpc_errors() const { return {}; }
 };
 
-/// In-process shard: owns the service and its scheduler thread. Every
-/// command waits at most `command_timeout_seconds` (a drain ten times
-/// that) for the scheduler thread.
+/// In-process shard: owns the service. Every command waits at most
+/// `command_timeout_seconds` (a drain ten times that) for the scheduler
+/// lock, and one that does not get it never runs.
 class LocalShard : public ShardBackend {
  public:
   LocalShard(std::int32_t shard_id, LiveServiceOptions options,

@@ -13,7 +13,7 @@ namespace {
 
 /// Router-side submit latency buckets, seconds. Sub-millisecond lower edges
 /// because an uncontended in-process shard answers in microseconds; the
-/// tail buckets catch command-queue backlog.
+/// tail buckets catch callers waiting for a busy shard's scheduler.
 std::vector<Real> router_latency_edges() {
   return {0.0005, 0.001, 0.002, 0.005, 0.01, 0.02,
           0.05,   0.1,   0.2,   0.5,   1.0,  2.0, 5.0};
@@ -87,8 +87,9 @@ LoadProbe ShardRouter::probe_of(std::size_t index) {
 
 std::size_t ShardRouter::least_loaded_shard_locked(
     const std::vector<LoadProbe>& probes) const {
-  // Least loaded = shallowest command queue, then fewest in-flight jobs,
-  // then lowest index — a total order, so the pick is deterministic.
+  // Least loaded = fewest callers waiting for the scheduler, then fewest
+  // in-flight jobs, then lowest index — a total order, so the pick is
+  // deterministic.
   std::size_t best = 0;
   for (std::size_t i = 1; i < probes.size(); ++i) {
     const LoadProbe& a = probes[i];
@@ -510,8 +511,8 @@ std::string ShardRouter::render_prometheus() {
                static_cast<double>(router.per_shard_requests[i]))
         << "\n";
   }
-  out << "# HELP cosched_router_shard_queue_depth Shard command-queue "
-         "depth.\n";
+  out << "# HELP cosched_router_shard_queue_depth Callers waiting for the "
+         "shard's scheduler.\n";
   out << "# TYPE cosched_router_shard_queue_depth gauge\n";
   for (std::size_t i = 0; i < probes.size(); ++i) {
     out << "cosched_router_shard_queue_depth{shard=\"" << i << "\"} "

@@ -4,7 +4,7 @@
 // replan, and the HA* co-scheduling solve grows super-linearly in fleet
 // size — so past a point, one big fleet replans slower than several small
 // ones. The router splits the machine fleet into N shards, each a full
-// LiveSchedulerService (own scheduler thread, own virtual clock, own
+// LiveSchedulerService (own scheduler lock, own virtual clock, own
 // metrics), and keeps the deployment behaving like one service:
 //
 //  * Admission is deterministic consistent hashing: the tenant key (job
@@ -12,10 +12,11 @@
 //    co-locate and keep degrading each other honestly) hashes onto a
 //    virtual-node ring (HashRing). Same key → same shard, across runs and
 //    processes, no coordination.
-//  * Spillover is the load-aware exception: when the ring shard's command
-//    queue is deeper than `spill_queue_depth`, the key is re-homed to the
-//    least-loaded shard and the remap is recorded — later jobs of the key stick to the
-//    new shard and QueryJobStatus still resolves (ids carry the shard).
+//  * Spillover is the load-aware exception: when more callers than
+//    `spill_queue_depth` wait for the ring shard's scheduler, the key is
+//    re-homed to the least-loaded shard and the remap is recorded — later
+//    jobs of the key stick to the new shard and QueryJobStatus still
+//    resolves (ids carry the shard).
 //  * Job ids are global: global = local * shard_count + shard_index, so an
 //    id alone names its shard; no lookup table, ids stay dense per shard.
 //  * Observability fans in: GetMetrics merges per-shard counters into
@@ -50,8 +51,8 @@ namespace cosched {
 
 struct RouterOptions {
   std::int32_t vnodes_per_shard = 64;
-  /// Spillover trigger: ring shard's command-queue depth strictly above
-  /// this (0 disables).
+  /// Spillover trigger: callers waiting for the ring shard's scheduler
+  /// strictly above this (0 disables).
   std::size_t spill_queue_depth = 64;
   /// Remap table cap. At the cap new spillovers are refused (the key stays
   /// on its ring shard) — bounded memory beats unbounded stickiness.

@@ -10,8 +10,8 @@ RouterServer::RouterServer(ShardRouter& router, RouterServerOptions options)
     : SessionCore(options, "router.request", 0x40D7E45EEDULL, -1),
       router_(router) {}
 
-// Shards are the caller's: the router (and its scheduler threads) outlive
-// this front door by design.
+// Shards are the caller's: the router and its shards outlive this front
+// door by design.
 RouterServer::~RouterServer() { stop(); }
 
 bool RouterServer::prepare(std::string& error) {

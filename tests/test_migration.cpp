@@ -76,6 +76,57 @@ TEST(Hungarian, MaxVariantMaximizes) {
   EXPECT_EQ(a[1], 0);
 }
 
+// A weight matrix that is zero off the diagonal — the overlap matrix of a
+// fresh placement that already sits where the old one does — is solved by
+// the identity, also when ties make other assignments as heavy: all-zero
+// rows (idle machines) and equal diagonals. Both entry points are checked.
+TEST(Hungarian, DiagonalWeightsGiveTheIdentity) {
+  std::vector<std::size_t> sizes(40);
+  std::iota(sizes.begin(), sizes.end(), std::size_t{1});
+  sizes.insert(sizes.end(), {48, 64, 96, 128, 160});
+  enum class Diagonal { Integer, Equal, Real };
+  Rng rng(36);
+  AssignmentSolver solver;
+  for (std::size_t m : sizes) {
+    std::vector<std::int32_t> identity(m);
+    std::iota(identity.begin(), identity.end(), 0);
+    for (double zero_share : {0.0, 0.1, 0.5, 0.9, 0.99}) {
+      for (Diagonal kind : {Diagonal::Integer, Diagonal::Equal,
+                            Diagonal::Real}) {
+        std::vector<std::size_t> rows(m);
+        std::iota(rows.begin(), rows.end(), std::size_t{0});
+        rng.shuffle(rows);
+        rows.resize(static_cast<std::size_t>(zero_share *
+                                             static_cast<double>(m)));
+        std::vector<Real> diagonal(m);
+        for (Real& d : diagonal) {
+          if (kind == Diagonal::Integer)
+            d = static_cast<Real>(rng.uniform_int(1, 4));
+          else if (kind == Diagonal::Equal)
+            d = 1.0;
+          else
+            d = rng.uniform_real(0.1, 5.0);
+        }
+        for (std::size_t row : rows) diagonal[row] = 0.0;
+
+        std::vector<std::vector<Real>> nested(m, std::vector<Real>(m, 0.0));
+        std::vector<Real> flat(m * m, 0.0);
+        for (std::size_t i = 0; i < m; ++i) {
+          nested[i][i] = diagonal[i];
+          flat[i * m + i] = diagonal[i];
+        }
+        std::ostringstream where;
+        where << "m=" << m << " zero rows=" << rows.size()
+              << " diagonal kind=" << static_cast<int>(kind);
+        EXPECT_EQ(solve_assignment_max(nested), identity) << where.str();
+        std::vector<std::int32_t> assignment(m, -1);
+        solver.solve_max(flat, m, assignment);
+        EXPECT_EQ(assignment, identity) << where.str();
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------- min migrations
 
 TEST(Migration, IdenticalPlacementNeedsNoMoves) {

@@ -6,15 +6,18 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "baseline/brute_force.hpp"
+#include "online/live_service.hpp"
 #include "online/scheduler.hpp"
 #include "test_helpers.hpp"
 #include "vm/migration.hpp"
@@ -710,6 +713,45 @@ TEST(OnlineService, MaxWaitBackstopFiresInTraceReplay) {
   EXPECT_EQ(status.admit_time,
             waiter.arrival_time + options.admission.max_wait);
   EXPECT_EQ(service.metrics().completions(), 2u);
+}
+
+// ------------------------------------------------- wall-clock service
+
+// In wall-clock mode the pump thread alone moves virtual time: a job
+// submitted once and never followed by another command still finishes,
+// and stop() wakes the pump from its sleep instead of waiting it out.
+TEST(LiveService, WallClockPumpFinishesJobsUnattended) {
+  LiveServiceOptions options;
+  options.scheduler = small_service_options();
+  options.wall_clock = true;
+  options.wall_time_scale = 100.0;  // 2 virtual seconds of work: ~20 ms
+  LiveSchedulerService service(options);
+
+  TraceJob job;
+  job.name = "unattended";
+  job.work = 2.0;
+  SubmitOutcome submitted;
+  ASSERT_TRUE(service.submit(job, submitted, 5.0));
+  ASSERT_EQ(submitted.error, SubmitError::None);
+
+  auto phase = [&](OnlineScheduler& scheduler) {
+    return scheduler.job_status(submitted.job_id).phase;
+  };
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  JobPhase seen = JobPhase::Pending;
+  while (std::chrono::steady_clock::now() < give_up) {
+    ASSERT_TRUE(service.call(phase, seen, 5.0));
+    if (seen == JobPhase::Finished) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(seen, JobPhase::Finished);
+
+  const auto stop_began = std::chrono::steady_clock::now();
+  service.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_began,
+            std::chrono::milliseconds(200));
+  EXPECT_EQ(service.load().completions, 1u);
 }
 
 // ------------------------------------------------- metrics CSV writer

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -638,6 +639,48 @@ TEST(RpcFaults, OverCapSubmitAdmitsNothing) {
   EXPECT_TRUE(served.ok()) << served.describe();
   EXPECT_EQ(metrics.arrivals, 0u);
   EXPECT_EQ(metrics.admissions, 0u);
+  server.stop();
+}
+
+// A SubmitJob whose request budget runs out while another caller holds
+// the scheduler is answered DeadlineExpired and never runs: once the hold
+// is released, nothing has arrived.
+TEST(RpcFaults, ExpiredSubmitAdmitsNothing) {
+  ServerOptions options = loopback_options();
+  options.request_deadline_seconds = 0.1;
+  CoschedServer server(options);
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+
+  std::promise<void> holding;
+  std::promise<void> release;
+  std::future<void> released = release.get_future();
+  std::thread holder([&] {
+    bool unused = false;
+    server.service().call(
+        [&](OnlineScheduler&) {
+          holding.set_value();
+          released.wait();
+          return true;
+        },
+        unused, 30.0);
+  });
+  holding.get_future().wait();
+
+  CoschedClient client(client_for(server));
+  SubmitJobResponse submitted;
+  RpcError expired = client.submit_job(small_trace(5, 1).jobs.front(),
+                                       submitted);
+  EXPECT_EQ(expired.kind, RpcErrorKind::Application) << expired.describe();
+  EXPECT_EQ(expired.app, RpcStatus::DeadlineExpired);
+  EXPECT_EQ(expired.attempts, 1);
+
+  release.set_value();
+  holder.join();
+  MetricsResponse metrics;
+  RpcError served = client.get_metrics(metrics);
+  EXPECT_TRUE(served.ok()) << served.describe();
+  EXPECT_EQ(metrics.arrivals, 0u);
   server.stop();
 }
 

@@ -10,10 +10,12 @@
 // RPC failure counters.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/frame.hpp"
@@ -80,14 +82,13 @@ void build_fleet(ShardRouter& router, int shards) {
 
 // ------------------------------------------------------- command budget
 
-// A command that outlives its caller's budget still runs, in queue order.
-// The scheduler thread is held by a call() that waits on a future the test
-// owns; a submit queued behind it times out as DeadlineExpired, and once
-// the hold is released the submit lands. Every closure passed to call()
-// captures only by value (`held` is a shared_future copy): a caller that
-// times out returns while its command is still queued, so a closure that
-// referenced the caller's stack would run against a dead frame.
-TEST(LocalShard, TimedOutCommandStillRunsInQueueOrder) {
+// A command whose caller's budget runs out before it gets the scheduler
+// never runs. A helper thread holds the scheduler with a call() that waits
+// on a future the test owns; a submit with a 0.05 s budget is answered
+// DeadlineExpired, and once the hold is released the job count has not
+// moved: a client told its submit expired can resubmit without getting
+// the job twice.
+TEST(LocalShard, TimedOutCommandNeverRuns) {
   LocalShard shard(0, shard_service(), /*command_timeout_seconds=*/0.05);
   auto job_count = [](OnlineScheduler& scheduler) {
     return scheduler.job_count();
@@ -95,15 +96,21 @@ TEST(LocalShard, TimedOutCommandStillRunsInQueueOrder) {
   std::int64_t before = -1;
   ASSERT_TRUE(shard.service().call(job_count, before, 30.0));
 
+  std::promise<void> holding;
   std::promise<void> release;
-  std::shared_future<void> held = release.get_future().share();
-  bool unused = false;
-  EXPECT_FALSE(shard.service().call(
-      [held](OnlineScheduler&) {
-        held.wait();
-        return true;
-      },
-      unused, 0.0));
+  std::future<void> released = release.get_future();
+  bool held = false;
+  std::thread holder([&] {
+    bool unused = false;
+    held = shard.service().call(
+        [&](OnlineScheduler&) {
+          holding.set_value();
+          released.wait();
+          return true;
+        },
+        unused, 30.0);
+  });
+  holding.get_future().wait();
 
   TraceJob job = tenant_trace(1, 1).jobs.front();
   SubmitJobResponse ack;
@@ -112,9 +119,53 @@ TEST(LocalShard, TimedOutCommandStillRunsInQueueOrder) {
   EXPECT_EQ(error, "scheduler did not answer within the budget");
 
   release.set_value();
+  holder.join();
+  EXPECT_TRUE(held);
   std::int64_t after = -1;
   ASSERT_TRUE(shard.service().call(job_count, after, 30.0));
-  EXPECT_EQ(after, before + 1);
+  EXPECT_EQ(after, before);
+}
+
+// The spillover signal: queue_depth counts the callers waiting for the
+// scheduler, not the one holding it, and reads 0 again once they ran.
+TEST(LocalShard, QueueDepthCountsWaitingCallers) {
+  LocalShard shard(0, shard_service());
+  std::promise<void> holding;
+  std::promise<void> release;
+  std::future<void> released = release.get_future();
+  std::thread holder([&] {
+    bool unused = false;
+    shard.service().call(
+        [&](OnlineScheduler&) {
+          holding.set_value();
+          released.wait();
+          return true;
+        },
+        unused, 30.0);
+  });
+  holding.get_future().wait();
+  EXPECT_EQ(shard.load().queue_depth, 0u);
+
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < 2; ++i) {
+    waiters.emplace_back([&] {
+      std::int64_t count = -1;
+      shard.service().call(
+          [](OnlineScheduler& scheduler) { return scheduler.job_count(); },
+          count, 30.0);
+    });
+  }
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (shard.load().queue_depth < 2 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(shard.load().queue_depth, 2u);
+
+  release.set_value();
+  holder.join();
+  for (std::thread& waiter : waiters) waiter.join();
+  EXPECT_EQ(shard.load().queue_depth, 0u);
 }
 
 // ------------------------------------------------------------- routing
@@ -699,7 +750,7 @@ TEST(RouterObservability, TraceIdStitchesRouterAndShardTimelines) {
   // ...and the shard's replan span sits in the namespaced remote part AND
   // carries the client's id: the namespacing proves the fan-in pulled the
   // remote dump, the id proves it crossed both wire hops (the shard's
-  // scheduler thread replays the context captured from the forwarded RPC).
+  // replan runs on the worker thread serving the forwarded RPC).
   EXPECT_TRUE(testhelpers::span_carries_trace(
       dump.chrome_json, "shard0/online.replan", kTraceId))
       << dump.chrome_json;
