@@ -32,8 +32,7 @@
 //
 // Exit codes: 0 ok; 1 infrastructure/correctness failure (errors, lost
 // completions, fan-in violation); 2 SLO budget violated, or an unknown or
-// bad flag; 3 baseline regression; 4 --fail-on-alert and the deployment's
-// SLO watchdog fired during the run.
+// bad flag; 3 baseline regression.
 #include <iostream>
 #include <memory>
 #include <string>
@@ -126,15 +125,8 @@ bool fan_in_holds(const MetricsResponse& metrics, std::int64_t expect_shards,
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
 
-  // ---- SLO watchdog configuration ----------------------------------------
-  // Embedded deployments run the servers' alert engine (--alerts 0 turns it
-  // off); --alert-rules FILE replaces the default burn-rate guards, --slo
-  // FILE points them at that budget's p95 (and gates the run against the
-  // whole budget afterwards), --alert-interval is the seconds between
-  // evaluations (at least 0.1), and --fail-on-alert 1 makes the run exit 4
-  // when the watchdog fired.
-  AlertFlags alert_flags = read_alert_flags(args, "benchmark_app");
-  bool fail_on_alert = args.get_int("fail-on-alert", 0) != 0;
+  // --slo FILE gates the finished run against that budget (exit 2).
+  SloFlag slo = read_slo_flag(args, "benchmark_app");
 
   // ---- generator configuration ------------------------------------------
   std::string mode_name = args.get_string("mode", "open");
@@ -230,9 +222,6 @@ int main(int argc, char** argv) {
     options.worker_threads =
         std::max<std::size_t>(runner_options.concurrency, 2);
     options.request_deadline_seconds = 300.0;  // drain outlives 10 s easily
-    options.enable_alerts = alert_flags.enabled;
-    options.alerts = alert_flags.engine;
-    options.alert_budget_ms = alert_flags.budget_ms;
     deployment.router_server =
         std::make_unique<RouterServer>(*deployment.router, options);
   } else {
@@ -241,9 +230,6 @@ int main(int argc, char** argv) {
     options.worker_threads =
         std::max<std::size_t>(runner_options.concurrency, 2);
     options.request_deadline_seconds = 300.0;  // drain outlives 10 s easily
-    options.enable_alerts = alert_flags.enabled;
-    options.alerts = alert_flags.engine;
-    options.alert_budget_ms = alert_flags.budget_ms;
     options.service.wall_clock = false;
     options.service.scheduler.cores =
         static_cast<std::uint32_t>(args.get_int("cores", 4));
@@ -369,37 +355,6 @@ int main(int argc, char** argv) {
     if (write_text_file(profile_out, collapsed))
       std::cout << "wrote " << profile_out << "\n";
   }
-  // --fail-on-alert: sample the watchdog before tearing the deployment
-  // down. Embedded deployments expose their engine directly (lifetime
-  // fired count survives resolution); a --connect deployment answers
-  // GetAlerts — rules currently firing or resolved count as fired.
-  std::uint64_t alerts_fired = 0;
-  std::vector<std::string> fired_rules;
-  if (fail_on_alert) {
-    AlertEngine* engine = nullptr;
-    if (deployment.single) engine = deployment.single->alert_engine();
-    if (deployment.router_server)
-      engine = deployment.router_server->alert_engine();
-    if (engine != nullptr) {
-      alerts_fired = engine->fired_total();
-      fired_rules = engine->firing_rules();
-    } else if (deployment.kind == "remote") {
-      ClientOptions client_options;
-      client_options.host = deployment.host;
-      client_options.port = deployment.port;
-      CoschedClient client(client_options);
-      AlertsResponse remote;
-      if (client.get_alerts(remote).ok()) {
-        for (const AlertEntry& entry : remote.alerts) {
-          if (entry.state != static_cast<std::uint8_t>(AlertState::Firing) &&
-              entry.state != static_cast<std::uint8_t>(AlertState::Resolved))
-            continue;
-          ++alerts_fired;
-          fired_rules.push_back(entry.rule);
-        }
-      }
-    }
-  }
   deployment.stop();
   if (!trace_out.empty() && Tracer::global().write_chrome_json(trace_out))
     std::cout << "wrote " << trace_out << "\n";
@@ -483,24 +438,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!alert_flags.slo_path.empty()) {
-    SloVerdict verdict = evaluate_slo(alert_flags.slo, report);
-    std::cout << "SLO " << alert_flags.slo_path << ":\n"
-              << verdict.describe();
+  if (!slo.path.empty()) {
+    SloVerdict verdict = evaluate_slo(slo.budget, report);
+    std::cout << "SLO " << slo.path << ":\n" << verdict.describe();
     if (!verdict.pass) {
-      std::cerr << "benchmark_app: SLO VIOLATED per " << alert_flags.slo_path
-                << "\n";
+      std::cerr << "benchmark_app: SLO VIOLATED per " << slo.path << "\n";
       if (exit_code == 0) exit_code = 2;
     }
-  }
-
-  // ---- gate: the SLO watchdog itself (--fail-on-alert) -------------------
-  if (fail_on_alert && alerts_fired > 0) {
-    std::cerr << "benchmark_app: watchdog fired " << alerts_fired
-              << " alert(s) during the run:";
-    for (const std::string& rule : fired_rules) std::cerr << " " << rule;
-    std::cerr << "\n";
-    if (exit_code == 0) exit_code = 4;
   }
 
   return exit_code;

@@ -4,18 +4,11 @@
 # Launches two CoschedServer shard processes (rpc_server --shard-id 0/1),
 # fronts them with a shard_router --remote deployment in a third process,
 # and drives the router with benchmark_app --connect. The run fails unless
-#   * a rule file asking for the removed threshold kind stops the router
-#     before it binds a port, with an error naming rules.0.kind,
-#   * the router's SLO watchdog, armed with a deliberately tight burn-rate
-#     rule, walks the full lifecycle under injected overload: /alerts shows
-#     the rule firing (fan-in entries for both shards stamped with their
-#     ids), /healthz folds to degraded with the rule in firing_alerts, and
-#     the alert resolves once the overload stops,
 #   * every request succeeds,
 #   * the router's GetMetrics fan-in reports exactly 2 shards whose summed
 #     counters equal the fleet totals (checked by --expect-shards),
-#   * a raw version-9 envelope gets VersionMismatch from a shard process and
-#     from the router, on a session that stays open (version 10 is served),
+#   * a raw version-10 envelope gets VersionMismatch from a shard process and
+#     from the router, on a session that stays open (version 11 is served),
 #   * a TraceDump against the router returns the merged fabric timeline:
 #     a correlated batch's trace id appears both on the router's request
 #     span and on a shard's replan span (namespaced shard<k>/, on its own
@@ -88,51 +81,9 @@ PIDS+=($SHARD_B_PID)
 wait_port "$SHARD_A_PORT" || exit 1
 wait_port "$SHARD_B_PORT" || exit 1
 
-# The router's watchdog gets a deliberately absurd burn-rate rule: a
-# 0.0001 ms latency budget makes every routed submit "bad", so any real
-# traffic burns the error budget 10x over (objective 0.9) and the rule must
-# fire — a deterministic overload injection without slowing anything down.
-# It watches the router-side submit histogram, which health probes never
-# touch, so the rule drains (and resolves) the moment submissions stop.
-cat >"$OUT_DIR/alert_rules_tight.json" <<'EOF'
-{"rules": [{
-  "name": "smoke_latency_burn",
-  "kind": "burn_rate",
-  "severity": "critical",
-  "histogram": "cosched_router_request_seconds",
-  "budget_ms": 0.0001,
-  "objective": 0.9,
-  "fast_window_seconds": 3,
-  "slow_window_seconds": 6,
-  "burn_factor": 2,
-  "for_seconds": 1,
-  "clear_seconds": 2,
-  "resolved_hold_seconds": 60
-}]}
-EOF
-
-# The threshold rule kind is gone: a rule file that still asks for it must
-# stop the router before it binds a port, naming the offending field.
-cat >"$OUT_DIR/alert_rules_threshold.json" <<'EOF'
-{"rules": [{"name": "deep_queue", "kind": "threshold",
-  "metric": "cosched_rpc_queue_depth", "agg": "avg", "threshold": 32}]}
-EOF
-if timeout 20 "$BIN_EX/shard_router" --port "$ROUTER_PORT" --metrics-port -1 \
-  --alert-rules "$OUT_DIR/alert_rules_threshold.json" \
-  >/dev/null 2>"$OUT_DIR/remote_router_threshold.err"; then
-  echo "remote_shard_smoke: a threshold rule file was accepted" >&2
-  exit 1
-fi
-if ! grep -q 'rules\.0\.kind' "$OUT_DIR/remote_router_threshold.err"; then
-  echo "remote_shard_smoke: threshold rule error does not name rules.0.kind:" >&2
-  cat "$OUT_DIR/remote_router_threshold.err" >&2
-  exit 1
-fi
-
 "$BIN_EX/shard_router" --port "$ROUTER_PORT" \
   --remote "$HOST:$SHARD_A_PORT,$HOST:$SHARD_B_PORT" --remote-cores 16 \
   --shard-timeout 300 --metrics-port "$ROUTER_HTTP_PORT" --trace 1 \
-  --alert-rules "$OUT_DIR/alert_rules_tight.json" --alert-interval 0.5 \
   >"$OUT_DIR/remote_router.log" 2>&1 &
 PIDS+=($!)
 wait_port "$ROUTER_PORT" || exit 1
@@ -153,80 +104,10 @@ esac
 # a fixed trace id. The id must survive the client -> router -> RemoteShard
 # -> shard-server hops and come back in the merged TraceDump. Submitted as
 # the FIRST traffic: its submissions trigger the first admission replans, so
-# those replans carry the batch's context (under the overload backlog below
-# replan commands coalesce and the context would be lost).
+# those replans carry the batch's context.
 "$BIN_EX/rpc_client" --port "$ROUTER_PORT" --jobs 6 --trace-id "$TRACE_ID" \
   --name-prefix tenantZ/ >"$OUT_DIR/remote_traced_batch.log" 2>&1 \
   || { echo "remote_shard_smoke: traced batch failed" >&2; exit 1; }
-
-# --- SLO watchdog lifecycle under injected overload ----------------------
-# Sustained submissions make the tight burn rule breach both windows; the
-# watchdog must walk inactive -> pending -> firing while the load runs.
-FIRING=0
-for i in $(seq 1 40); do
-  "$BIN_EX/rpc_client" --port "$ROUTER_PORT" --jobs 10 \
-    --name-prefix "tenantload$i/" >/dev/null 2>&1 || true
-  ALERTS=$(http_get "$ROUTER_HTTP_PORT" /alerts)
-  case "$ALERTS" in
-    *'rule=smoke_latency_burn state=firing'*) FIRING=1; break ;;
-  esac
-  sleep 0.5
-done
-if [[ $FIRING -ne 1 ]]; then
-  echo "remote_shard_smoke: watchdog never fired under overload" >&2
-  echo "$ALERTS" >&2
-  exit 1
-fi
-
-# The machine-readable snapshot ships with the CI artifacts. It must carry
-# the firing rule plus the fan-in entries of both shards, stamped with
-# their shard ids (the shards run the default watchdog rules).
-http_get "$ROUTER_HTTP_PORT" "/alerts?format=json" \
-  >"$OUT_DIR/remote_alerts_firing.json"
-ALERTS_JSON=$(cat "$OUT_DIR/remote_alerts_firing.json")
-for want in '"rule":"smoke_latency_burn"' '"state":"firing"' \
-            '"shard":0' '"shard":1'; do
-  case "$ALERTS_JSON" in
-    *"$want"*) : ;;
-    *)
-      echo "remote_shard_smoke: /alerts JSON is missing $want:" >&2
-      echo "$ALERTS_JSON" >&2
-      exit 1
-      ;;
-  esac
-done
-
-# A firing watchdog demotes /healthz to degraded (transports are all up)
-# and names the rule, so a dumb probe sees the page without parsing /alerts.
-HEALTH_FIRING=$(http_get "$ROUTER_HTTP_PORT" /healthz)
-case "$HEALTH_FIRING" in
-  *'"status":"degraded"'*smoke_latency_burn*) : ;;
-  *)
-    echo "remote_shard_smoke: /healthz did not fold the firing alert:" >&2
-    echo "$HEALTH_FIRING" >&2
-    exit 1
-    ;;
-esac
-
-# Overload stops -> the windowed deltas drain -> the rule must resolve on
-# its own (clear_seconds of hysteresis, then the resolved rest state).
-RESOLVED=0
-for _ in $(seq 1 40); do
-  ALERTS=$(http_get "$ROUTER_HTTP_PORT" /alerts)
-  case "$ALERTS" in
-    *'rule=smoke_latency_burn state=resolved'*) RESOLVED=1; break ;;
-    *'rule=smoke_latency_burn state=inactive'*) RESOLVED=1; break ;;
-  esac
-  sleep 0.5
-done
-if [[ $RESOLVED -ne 1 ]]; then
-  echo "remote_shard_smoke: watchdog never resolved after the overload" >&2
-  echo "$ALERTS" >&2
-  exit 1
-fi
-http_get "$ROUTER_HTTP_PORT" "/alerts?format=json" \
-  >"$OUT_DIR/remote_alerts_resolved.json"
-echo "remote_shard_smoke: watchdog fired under overload and resolved after"
 
 # Drive through the router. --expect-shards 2 makes benchmark_app fetch the
 # fan-in metrics and fail unless the two remote shards account for every
@@ -247,7 +128,7 @@ python3 - "$OUT_DIR" "$TRACE_ID" "$SHARD_A_PORT" "$ROUTER_PORT" <<'EOF' || exit 
 import re, socket, struct, sys
 out_dir, trace_id = sys.argv[1], sys.argv[2]
 
-# One wire version: a raw CSC1 frame carrying a version-9 GetMetrics
+# One wire version: a raw CSC1 frame carrying a version-10 GetMetrics
 # envelope must be answered VersionMismatch by a shard process and by the
 # router alike, with the session left open (a current-version GetMetrics on
 # the same connection is then served).
@@ -267,9 +148,9 @@ def exchange(conn, version, request_id):
     return status
 for name, port in (('shard', sys.argv[3]), ('router', sys.argv[4])):
     with socket.create_connection(('127.0.0.1', int(port)), timeout=30) as c:
-        assert exchange(c, 9, 90) == 1, f'{name}: v9 not VersionMismatch'
-        assert exchange(c, 10, 100) == 0, f'{name}: session not kept open'
-print('OK: v9 envelope refused with VersionMismatch by shard and router')
+        assert exchange(c, 10, 100) == 1, f'{name}: v10 not VersionMismatch'
+        assert exchange(c, 11, 110) == 0, f'{name}: session not kept open'
+print('OK: v10 envelope refused with VersionMismatch by shard and router')
 
 # One record per line; a span carries its trace id in "args".
 chrome = open(f'{out_dir}/remote_trace_merged.json').read()
@@ -390,4 +271,4 @@ fi
 if [[ $STATUS -ne 0 ]]; then
   exit "$STATUS"
 fi
-echo "remote_shard_smoke: PASS (2 remote shards, fan-in + merged trace + alert lifecycle + degraded health verified)"
+echo "remote_shard_smoke: PASS (2 remote shards, fan-in + merged trace + profile + degraded health verified)"

@@ -43,16 +43,6 @@ int main(int argc, char** argv) {
     options.http_port = static_cast<std::uint16_t>(metrics_port);
   read_trace_flags(args);
 
-  // SLO watchdog: --alerts 0 disables the engine; --alert-rules FILE loads
-  // a declarative rule set (default: fast+slow burn-rate guards on the RPC
-  // latency histogram); --slo FILE points the default rules at that
-  // budget's p95; --alert-interval is the seconds between evaluations
-  // (at least 0.1). GET /alerts (text, ?format=json) serves the state.
-  AlertFlags alert_flags = read_alert_flags(args, "rpc_server");
-  options.enable_alerts = alert_flags.enabled;
-  options.alerts = std::move(alert_flags.engine);
-  options.alert_budget_ms = alert_flags.budget_ms;
-
   options.service.wall_clock = args.get_int("virtual", 0) == 0;
   options.service.wall_time_scale = args.get_real("wall-scale", 4.0);
   options.service.scheduler.cores =
@@ -81,9 +71,6 @@ int main(int argc, char** argv) {
   if (server.http_port() != 0) {
     std::cout << "  metrics: curl http://" << options.host << ":"
               << server.http_port() << "/metrics\n";
-    if (server.alert_engine() != nullptr)
-      std::cout << "  alerts:  curl http://" << options.host << ":"
-                << server.http_port() << "/alerts\n";
   }
   std::cout << "  fleet: " << options.service.scheduler.machines
             << " machines x " << options.service.scheduler.cores << " cores, "

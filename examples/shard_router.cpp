@@ -81,14 +81,6 @@ int main(int argc, char** argv) {
   read_trace_flags(args);
   std::vector<ClientOptions> remotes = parse_remotes(
       args.get_string("remote", ""), args.get_real("remote-timeout", 60.0));
-  // SLO watchdog over the fleet page: --alerts 0 disables the router's
-  // engine; --alert-rules FILE loads a rule set (default: burn-rate guards
-  // on the router's submit latency histogram); --slo FILE points the default
-  // rules at that budget's p95; --alert-interval is the seconds between
-  // evaluations (at least 0.1). GET /alerts fans in remote shards' engines
-  // shard-labelled. Read before any shard starts, so a bad file exits
-  // with nothing running.
-  AlertFlags alert_flags = read_alert_flags(args, "shard_router");
 
   RouterOptions router_options;
   router_options.vnodes_per_shard =
@@ -135,10 +127,6 @@ int main(int argc, char** argv) {
   if (options.enable_http)
     options.http_port = static_cast<std::uint16_t>(metrics_port);
 
-  options.enable_alerts = alert_flags.enabled;
-  options.alerts = std::move(alert_flags.engine);
-  options.alert_budget_ms = alert_flags.budget_ms;
-
   // --profile-out FILE drops the router process's collapsed-stack profile
   // (what /debug/profile serves live) for flamegraph tooling.
   std::string profile_out = args.get_string("profile-out", "");
@@ -158,9 +146,6 @@ int main(int argc, char** argv) {
   if (server.http_port() != 0) {
     std::cout << "  fleet metrics: curl http://" << options.host << ":"
               << server.http_port() << "/metrics\n";
-    if (server.alert_engine() != nullptr)
-      std::cout << "  fleet alerts:  curl http://" << options.host << ":"
-                << server.http_port() << "/alerts\n";
   }
   std::cout << "  submit jobs with: ./rpc_client --port " << server.port()
             << " --jobs 20\n"

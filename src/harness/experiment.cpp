@@ -106,27 +106,15 @@ void read_trace_flags(const ArgParser& args) {
       static_cast<std::size_t>(args.get_int("trace-ring", 4096, 1, kMaxCount)));
 }
 
-AlertFlags read_alert_flags(const ArgParser& args,
-                            const std::string& program) {
-  AlertFlags flags;
-  flags.enabled = args.get_int("alerts", 1) != 0;
-  flags.engine.scrape_interval_seconds = args.get_real("alert-interval", 1.0);
+SloFlag read_slo_flag(const ArgParser& args, const std::string& program) {
+  SloFlag flag;
+  flag.path = args.get_string("slo", "");
   std::string error;
-  std::string rules_path = args.get_string("alert-rules", "");
-  if (!rules_path.empty() &&
-      !load_alert_rules(rules_path, flags.engine.rules, error)) {
-    std::cerr << program << ": --alert-rules: " << error << "\n";
+  if (!flag.path.empty() && !load_slo_budget(flag.path, flag.budget, error)) {
+    std::cerr << program << ": --slo: " << error << "\n";
     std::exit(1);
   }
-  flags.slo_path = args.get_string("slo", "");
-  if (!flags.slo_path.empty()) {
-    if (!load_slo_budget(flags.slo_path, flags.slo, error)) {
-      std::cerr << program << ": --slo: " << error << "\n";
-      std::exit(1);
-    }
-    if (flags.slo.p95_ms > 0.0) flags.budget_ms = flags.slo.p95_ms;
-  }
-  return flags;
+  return flag;
 }
 
 bool split_host_port(const std::string& address, std::string& host,

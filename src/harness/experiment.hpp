@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "loadgen/slo.hpp"
-#include "obs/alerts.hpp"
 #include "util/common.hpp"
 #include "util/table.hpp"
 
@@ -64,22 +63,15 @@ inline constexpr std::int64_t kMaxCount =
 /// thread's event ring.
 void read_trace_flags(const ArgParser& args);
 
-/// The SLO watchdog flags the servers and the load driver share.
-struct AlertFlags {
-  bool enabled = true;          ///< --alerts 0 disables the engine
-  AlertEngineOptions engine;    ///< --alert-interval, --alert-rules FILE
-  double budget_ms = 900.0;     ///< default rules' budget: the --slo p95
-  std::string slo_path;         ///< --slo FILE ("" when not given)
-  SloBudget slo;                ///< its budget, loaded
+/// The load driver's SLO gate: --slo FILE and the budget it holds.
+struct SloFlag {
+  std::string path;  ///< "" when --slo is not given
+  SloBudget budget;  ///< loaded from `path`
 };
 
-/// Reads --alerts (default 1), --alert-interval (seconds between
-/// evaluations, default 1), --alert-rules FILE (a declarative rule set
-/// replacing the default burn-rate guards) and --slo FILE (its p95, when
-/// set, becomes the default rules' budget). A file that does not load
-/// prints "<program>: --alert-rules: <why>" (or --slo) and exits with
-/// status 1.
-AlertFlags read_alert_flags(const ArgParser& args, const std::string& program);
+/// Reads --slo FILE. A file that does not load prints
+/// "<program>: --slo: <why>" and exits with status 1.
+SloFlag read_slo_flag(const ArgParser& args, const std::string& program);
 
 /// Splits "host:port". False unless a colon is present and the port is a
 /// whole number in [1, 65535].

@@ -15,7 +15,6 @@
 //   io(a, b, ...)          each field at the width of its C++ type
 //                          (WireScalar); a reader fills the fields
 //   io.enumeration(e, max) an enum as u8; a reader fails on raw > max
-//   io.bounded(v, max)     a u8; a reader fails on v > max
 //   io.list(items, fn)     u32 count, then fn(item) per element; a reader
 //                          fails on a count above remaining() before it
 //                          allocates (every element takes at least a byte)
@@ -74,7 +73,6 @@ class WireWriter {
   void enumeration(E value, E /*max*/) {
     u8(static_cast<std::uint8_t>(value));
   }
-  void bounded(std::uint8_t value, std::uint8_t /*max*/) { u8(value); }
   template <class T, class Fn>
   void list(const std::vector<T>& items, Fn&& each) {
     u32(static_cast<std::uint32_t>(items.size()));
@@ -143,10 +141,6 @@ class WireReader {
       failed_ = true;
     else
       value = static_cast<E>(raw);
-  }
-  void bounded(std::uint8_t& value, std::uint8_t max) {
-    value = u8();
-    if (value > max) failed_ = true;
   }
   template <class T, class Fn>
   void list(std::vector<T>& items, Fn&& each) {

@@ -37,8 +37,7 @@
 //
 // Compile-time kill switch: defining COSCHED_OBS_DISABLED in a TU turns
 // COSCHED_TRACE_SPAN in that TU into a no-op with zero residue (no Tracer
-// or Profiler call, no guard object). Defined where obs/alerts.cpp is
-// compiled, it also compiles out the alert engine.
+// or Profiler call, no guard object).
 //
 // Span names must be string literals (or otherwise outlive the tracer):
 // events store the pointer, not a copy, to keep recording allocation-free

@@ -14,7 +14,6 @@ const char* to_string(JournalEventKind kind) {
     case JournalEventKind::Spillover: return "spillover";
     case JournalEventKind::Migration: return "migration";
     case JournalEventKind::Completion: return "completion";
-    case JournalEventKind::Alert: return "alert";
   }
   return "?";
 }

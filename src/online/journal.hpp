@@ -40,10 +40,9 @@ enum class JournalEventKind : std::uint8_t {
   Spillover,        ///< router sent the job off its ring shard
   Migration,        ///< replan moved the job's running processes
   Completion,       ///< last process finished
-  Alert,            ///< alert rule transition (fleet-level, job_id == -1)
 };
 
-inline constexpr std::size_t kJournalEventKinds = 7;
+inline constexpr std::size_t kJournalEventKinds = 6;
 
 const char* to_string(JournalEventKind kind);
 

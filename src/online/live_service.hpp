@@ -149,7 +149,6 @@ class LiveSchedulerService {
   /// so counter sampling (/metrics) and tail views (/debug/events) are safe
   /// from any thread without the scheduler lock.
   const DecisionJournal& journal() const { return scheduler_.journal(); }
-  DecisionJournal& journal() { return scheduler_.journal(); }
 
   /// Refuses new callers, waits for the one holding the scheduler lock and
   /// joins the wall-clock pump, without draining. Idempotent.

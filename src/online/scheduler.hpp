@@ -161,11 +161,8 @@ class OnlineScheduler {
   Real now() const { return clock_.now(); }
   const SchedulerMetrics& metrics() const { return metrics_; }
   /// Per-decision attribution ring (see journal.hpp); query with
-  /// job_timeline(). The non-const overload exists for the alert engine,
-  /// which appends fleet-level transition events from its own thread (the
-  /// journal is internally mutex-guarded).
+  /// job_timeline().
   const DecisionJournal& journal() const { return journal_; }
-  DecisionJournal& journal() { return journal_; }
   /// Admission → placement → migration → completion events of one job.
   JobTimeline job_timeline(std::int64_t job_id) const {
     return journal_.query(job_id);

@@ -215,10 +215,6 @@ RpcError CoschedClient::get_metrics(MetricsResponse& out) {
   return request(MessageType::GetMetrics, {}, true, out);
 }
 
-RpcError CoschedClient::get_alerts(AlertsResponse& out) {
-  return request(MessageType::GetAlerts, {}, true, out);
-}
-
 RpcError CoschedClient::trace_dump(TraceDumpResponse& out) {
   return request(MessageType::TraceDump, {}, true, out);
 }

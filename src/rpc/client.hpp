@@ -76,9 +76,6 @@ class CoschedClient {
   RpcError query_job_timeline(std::int64_t job_id, JobTimelineResponse& out);
   RpcError query_snapshot(ServiceSnapshot& out);
   RpcError get_metrics(MetricsResponse& out);
-  /// The SLO watchdog's alert rule states (router: fleet fan-in,
-  /// shard-labelled).
-  RpcError get_alerts(AlertsResponse& out);
   /// The server's span trace as Chrome JSON, cut to fit the frame cap.
   RpcError trace_dump(TraceDumpResponse& out);
   RpcError drain(DrainResponse& out);

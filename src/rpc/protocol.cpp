@@ -12,15 +12,16 @@ const char* to_string(MessageType type) {
     case MessageType::Shutdown: return "Shutdown";
     case MessageType::TraceDump: return "TraceDump";
     case MessageType::QueryJobTimeline: return "QueryJobTimeline";
-    case MessageType::GetAlerts: return "GetAlerts";
   }
   return "?";
 }
 
 bool valid_message_type(std::uint8_t raw) {
-  constexpr std::uint8_t kRetired = 8;  // the deleted telemetry stream
+  // 8 was the deleted telemetry stream; 10 (past the last live type) was
+  // the deleted GetAlerts query of the in-process alert engine.
+  constexpr std::uint8_t kRetired = 8;
   return raw >= static_cast<std::uint8_t>(MessageType::SubmitJob) &&
-         raw <= static_cast<std::uint8_t>(MessageType::GetAlerts) &&
+         raw <= static_cast<std::uint8_t>(MessageType::QueryJobTimeline) &&
          raw != kRetired;
 }
 
@@ -91,26 +92,6 @@ bool decode_response(const std::vector<std::uint8_t>& bytes,
                                            bytes.size() - r.remaining()),
                        bytes.end());
   return true;
-}
-
-AlertsResponse local_alerts(const AlertEngine* engine, std::int32_t shard_id) {
-  AlertsResponse response;
-  response.engine_enabled = engine != nullptr;
-  if (!engine) return response;
-  for (const AlertView& view : engine->views()) {
-    AlertEntry entry;
-    entry.shard_id = shard_id;
-    entry.rule = view.rule;
-    entry.state = static_cast<std::uint8_t>(view.state);
-    entry.severity = static_cast<std::uint8_t>(view.severity);
-    entry.value = view.value;
-    entry.threshold = view.threshold;
-    entry.since_seconds = view.since_seconds;
-    entry.detail = view.detail;
-    if (view.state == AlertState::Firing) ++response.firing;
-    response.alerts.push_back(std::move(entry));
-  }
-  return response;
 }
 
 }  // namespace cosched

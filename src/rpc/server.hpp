@@ -15,8 +15,8 @@
 // RpcStatus::DeadlineExpired response, never a stuck worker, and the
 // command does not run. On top of the core it feeds every finished request
 // to the latency histogram, reports that histogram and the admission queue
-// wait in GetMetrics, and serves /metrics and /healthz from the process
-// registry and its watchdog.
+// wait in GetMetrics, and serves /metrics from the process registry and
+// /healthz (liveness).
 #pragma once
 
 #include <cstdint>
@@ -84,6 +84,9 @@ class CoschedServer : public SessionCore {
   /// (whose mutex the /metrics render holds while sampling callbacks).
   HistogramMetric* request_latency_ = nullptr;
   HistogramMetric* queue_wait_metric_ = nullptr;
+  Counter* astar_searches_ = nullptr;
+  Counter* astar_expansions_ = nullptr;
+  Counter* astar_heuristic_evals_ = nullptr;
   std::vector<std::string> callback_names_;
 };
 

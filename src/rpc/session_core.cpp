@@ -24,21 +24,6 @@ bool parse_job_id(const std::string& text, std::int64_t& id) {
   return ec == std::errc() && stop == end;
 }
 
-AlertView alert_view(const AlertEntry& entry) {
-  AlertView view;
-  view.shard_id = entry.shard_id;
-  view.rule = entry.rule;
-  alert_state_from(entry.state, view.state);
-  view.severity = entry.severity <= 2
-                      ? static_cast<AlertSeverity>(entry.severity)
-                      : AlertSeverity::Warn;
-  view.value = entry.value;
-  view.threshold = entry.threshold;
-  view.since_seconds = entry.since_seconds;
-  view.detail = entry.detail;
-  return view;
-}
-
 /// The ServerError text for a reply of `bytes` past the frame cap.
 std::string over_cap_error(std::size_t bytes) {
   std::string error = "reply of ";
@@ -78,13 +63,12 @@ SessionCore::SessionCore(const SessionOptions& options, const char* span_name,
                          std::uint64_t trace_seed, std::int32_t shard_id)
     : options_(options),
       span_name_(span_name),
-      trace_seed_(trace_seed),
-      shard_id_(shard_id) {
+      trace_seed_(trace_seed) {
   COSCHED_EXPECTS(options_.worker_threads >= 1);
   COSCHED_EXPECTS(options_.max_connections >= 1);
   // Shard-addressable servers tag the request span with their shard id, so
   // a merged fleet dump attributes every span to its shard.
-  if (shard_id_ >= 0) span_suffix_ = " shard=" + std::to_string(shard_id_);
+  if (shard_id >= 0) span_suffix_ = " shard=" + std::to_string(shard_id);
 }
 
 bool SessionCore::start(std::string& error) {
@@ -98,7 +82,7 @@ bool SessionCore::start(std::string& error) {
   }
   port_ = listener_.local_port();
   if (!prepare(error)) {
-    close_side_doors();
+    close_side_door();
     listener_.close();
     return false;
   }
@@ -141,7 +125,7 @@ void SessionCore::stop() {
     if (worker.joinable()) worker.join();
   workers_.clear();
   listener_.close();
-  close_side_doors();
+  close_side_door();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     pending_.clear();
@@ -166,23 +150,6 @@ HttpEndpoint* SessionCore::open_http(const DecisionJournal& journal) {
     // Collapsed-stack ("folded") format: one "path self_us" line per
     // phase, ready for flamegraph.pl / speedscope.
     body = Profiler::global().render_collapsed();
-    return true;
-  });
-  // Text by default, ?format=json for machines.
-  http_->handle("/alerts", [this](const std::string& target,
-                                  std::string& body,
-                                  std::string& content_type) {
-    AlertsResponse alerts = collect_alerts();
-    std::vector<AlertView> views;
-    views.reserve(alerts.alerts.size());
-    for (const AlertEntry& entry : alerts.alerts)
-      views.push_back(alert_view(entry));
-    if (http_query_param(target, "format") == "json") {
-      body = render_alerts_json(views, alerts.engine_enabled);
-      content_type = "application/json";
-    } else {
-      body = render_alerts_text(views, alerts.engine_enabled);
-    }
     return true;
   });
   http_->handle("/debug/events", [this, &journal](const std::string& target,
@@ -217,33 +184,6 @@ HttpEndpoint* SessionCore::open_http(const DecisionJournal& journal) {
     return true;
   });
   return http_.get();
-}
-
-void SessionCore::start_alerts(AlertEngineOptions alert_options,
-                               DecisionJournal& journal) {
-  if (!options_.enable_alerts || kAlertsDisabled) return;
-  if (alert_options.rules.rules.empty())
-    alert_options.rules = default_alert_rules(options_.alert_budget_ms,
-                                              "cosched_rpc_request_seconds");
-  alerts_ = std::make_unique<AlertEngine>(std::move(alert_options));
-  alerts_->set_journal(&journal);
-  if (!alerts_->start()) alerts_.reset();
-}
-
-AlertsResponse SessionCore::collect_alerts() {
-  AlertsResponse fleet = local_alerts(alerts_.get(), shard_id_);
-  for (ShardBackend* shard : remote_shards()) {
-    AlertsResponse remote;
-    std::string shard_error;
-    if (shard->alerts(remote, shard_error) != RpcStatus::Ok) continue;
-    for (AlertEntry& entry : remote.alerts) {
-      entry.shard_id = shard->shard_id();
-      if (entry.state == static_cast<std::uint8_t>(AlertState::Firing))
-        ++fleet.firing;
-      fleet.alerts.push_back(std::move(entry));
-    }
-  }
-  return fleet;
 }
 
 TraceDumpResponse SessionCore::collect_trace_dump() {
@@ -372,9 +312,6 @@ ResponseEnvelope SessionCore::dispatch(const RequestEnvelope& request,
     case MessageType::TraceDump:
       encode(body, collect_trace_dump());
       break;
-    case MessageType::GetAlerts:
-      encode(body, collect_alerts());
-      break;
   }
   if (status != RpcStatus::Ok) return rpc_failure(status, std::move(error));
   ResponseEnvelope response;
@@ -382,14 +319,10 @@ ResponseEnvelope SessionCore::dispatch(const RequestEnvelope& request,
   return response;
 }
 
-void SessionCore::close_side_doors() {
+void SessionCore::close_side_door() {
   if (http_) {
     http_->stop();
     http_.reset();
-  }
-  if (alerts_) {
-    alerts_->stop();
-    alerts_.reset();
   }
 }
 

@@ -32,13 +32,13 @@
 // answered BadRequest. The job-facing messages go to the
 // front door's verbs (submit, job_status, job_timeline, snapshot, metrics,
 // drain), whose RpcStatus and error text travel back unchanged. The
-// process-level messages are answered here: TraceDump and GetAlerts from
-// this process's tracer and watchdog plus every remote shard's
-// (remote_shards()), and GetMetrics gets the session counters and tracer
-// drops on top of the door's metrics verb. TraceDump fits its reply under
-// the frame cap by leaving out the oldest Chrome records (the largest
-// part's first) and counts them in omitted_events. The HTTP side door's
-// /alerts and /debug/events are registered here too, from the same verbs.
+// process-level messages are answered here: TraceDump from this process's
+// tracer plus every remote shard's (remote_shards()), and GetMetrics gets
+// the session counters and tracer drops on top of the door's metrics verb.
+// TraceDump fits its reply under the frame cap by leaving out the oldest
+// Chrome records (the largest part's first) and counts them in
+// omitted_events. The HTTP side door's /debug/events is registered here
+// too, from the job_timeline verb.
 //
 // Shutdown paths: an Ok reply to an RPC Shutdown request trips the latch
 // wait() blocks on, as does stop().
@@ -56,7 +56,6 @@
 
 #include "net/frame.hpp"
 #include "net/socket.hpp"
-#include "obs/alerts.hpp"
 #include "obs/http.hpp"
 #include "rpc/protocol.hpp"
 #include "util/timer.hpp"
@@ -76,18 +75,9 @@ struct SessionOptions {
   /// (useful only for testing the DeadlineExpired path).
   double request_deadline_seconds = 10.0;
   /// Observability side door: a second listening port serving GET /metrics
-  /// (Prometheus text format), /healthz, /alerts and /debug/* over HTTP/1.0.
+  /// (Prometheus text format), /healthz and /debug/* over HTTP/1.0.
   bool enable_http = true;
   std::uint16_t http_port = 0;  ///< 0 = ephemeral; read back with http_port()
-  /// SLO watchdog: evaluate burn-rate alert rules over the metrics on a
-  /// background tick (obs/alerts.hpp). When `alerts.rules` is empty the
-  /// default_alert_rules() against `alert_budget_ms` apply.
-  /// Compiled out under COSCHED_OBS_DISABLED regardless of this switch.
-  bool enable_alerts = true;
-  AlertEngineOptions alerts;
-  /// Latency budget (ms) behind the default burn-rate rules; slo.json's
-  /// p95_ms is the natural source.
-  double alert_budget_ms = 900.0;
 };
 
 struct ServerStats {
@@ -111,7 +101,7 @@ class SessionCore {
   /// workers. False (with `error` filled) when an address cannot be bound.
   bool start(std::string& error);
   /// Stops accepting, unblocks workers, joins all threads, stops the side
-  /// door and the watchdog, then runs stopped(). Idempotent.
+  /// door, then runs stopped(). Idempotent.
   void stop();
   /// Blocks until stop() is called or an RPC Shutdown arrives.
   void wait();
@@ -124,22 +114,19 @@ class SessionCore {
   std::uint16_t port() const { return port_; }
   /// HTTP observability port actually bound (0 when enable_http is off).
   std::uint16_t http_port() const { return http_ ? http_->port() : 0; }
-  /// The SLO watchdog (nullptr when disabled or compiled out).
-  AlertEngine* alert_engine() { return alerts_.get(); }
   ServerStats stats() const;
 
  protected:
   /// `span_name` names the request span and profiler phase (a literal);
   /// `trace_seed` keeps minted trace ids distinct between front doors;
-  /// `shard_id` (-1 = none) stamps the door's own alert entries and, when
-  /// set, tags every request span " shard=<id>".
+  /// `shard_id` (-1 = none), when set, tags every request span
+  /// " shard=<id>".
   SessionCore(const SessionOptions& options, const char* span_name,
               std::uint64_t trace_seed, std::int32_t shard_id);
 
-  /// Front-door setup between bind and launch: the watchdog
-  /// (start_alerts) and the door's own /metrics and /healthz routes on
-  /// open_http(). False (with `error` filled) aborts start(), which then
-  /// closes the side door and the watchdog.
+  /// Front-door setup between bind and launch: the door's own /metrics
+  /// and /healthz routes on open_http(). False (with `error` filled)
+  /// aborts start(), which then closes the side door.
   virtual bool prepare(std::string& error) = 0;
   /// Teardown after stop() has joined every session thread.
   virtual void stopped() {}
@@ -166,30 +153,19 @@ class SessionCore {
   virtual RpcStatus metrics(MetricsResponse& out, std::string& error) = 0;
   virtual RpcStatus drain(DrainResponse& out, std::string& error) = 0;
   /// The shards behind this door that run in another process, whose trace
-  /// dumps and alert states TraceDump, GetAlerts and /alerts fan in. A
-  /// single server fronts none.
+  /// dumps TraceDump fans in. A single server fronts none.
   virtual std::vector<ShardBackend*> remote_shards() { return {}; }
 
-  /// Creates the HTTP side door (when enabled) with /debug/profile, /alerts
-  /// and /debug/events routed (the bare /debug/events tail reads
-  /// `journal`); prepare() adds its routes, then starts it.
+  /// Creates the HTTP side door (when enabled) with /debug/profile and
+  /// /debug/events routed (the bare /debug/events tail reads `journal`);
+  /// prepare() adds its routes, then starts it.
   HttpEndpoint* open_http(const DecisionJournal& journal);
-  /// Starts the watchdog (when enabled) over `alert_options`, defaulting
-  /// its rules to default_alert_rules(alert_budget_ms) on
-  /// cosched_rpc_request_seconds.
-  void start_alerts(AlertEngineOptions alert_options, DecisionJournal& journal);
-  /// The door's own alert states (stamped shard_id) plus every remote
-  /// shard's, stamped with its shard id. A remote shard that cannot answer
-  /// is skipped: a partial fan-in beats none, and the failure shows in
-  /// cosched_shard_rpc_errors_total.
-  AlertsResponse collect_alerts();
 
   std::size_t active_sessions() const;
   std::size_t queued_connections() const;
 
   const SessionOptions options_;
   std::unique_ptr<HttpEndpoint> http_;
-  std::unique_ptr<AlertEngine> alerts_;
 
  private:
   bool stopping() const;
@@ -206,11 +182,10 @@ class SessionCore {
   void accept_main();
   void worker_main();
   void serve_connection(Socket socket);
-  void close_side_doors();
+  void close_side_door();
 
   const char* span_name_;
   std::uint64_t trace_seed_;
-  const std::int32_t shard_id_;
   /// Appended to the request span's "type=<message>" arguments.
   std::string span_suffix_;
   Socket listener_;

@@ -243,10 +243,6 @@ RpcStatus RemoteShard::trace_dump(TraceDumpResponse& out, std::string& error) {
   return call(error, [&] { return client_.trace_dump(out); });
 }
 
-RpcStatus RemoteShard::alerts(AlertsResponse& out, std::string& error) {
-  return call(error, [&] { return client_.get_alerts(out); });
-}
-
 ShardRpcErrors RemoteShard::rpc_errors() const {
   ShardRpcErrors errors;
   errors.transport = transport_errors_.load(std::memory_order_relaxed);

@@ -33,8 +33,7 @@
 // request timeline), every folded failure is counted by error kind
 // (transport / protocol / application — surfaced as
 // cosched_shard_rpc_errors_total and the GetMetrics health block), and
-// probe()/trace_dump()/alerts() feed the router's /healthz, TraceDump and
-// GetAlerts fan-in.
+// probe()/trace_dump() feed the router's /healthz and TraceDump fan-in.
 #pragma once
 
 #include <atomic>
@@ -100,14 +99,6 @@ class ShardBackend {
     error = "shard shares the local tracer";
     return RpcStatus::BadRequest;
   }
-  /// The shard's own alert states, for the router's GetAlerts//alerts
-  /// fan-in. Only remote shards run a watchdog of their own — a local
-  /// shard shares the process registry the router's engine already scrapes.
-  virtual RpcStatus alerts(AlertsResponse& out, std::string& error) {
-    (void)out;
-    error = "shard shares the local alert engine";
-    return RpcStatus::BadRequest;
-  }
   /// Folded RPC failures by kind; zero for local shards.
   virtual ShardRpcErrors rpc_errors() const { return {}; }
 };
@@ -169,8 +160,6 @@ class RemoteShard : public ShardBackend {
   bool probe(std::string& error) override;
   /// Pulls the shard server's own trace dump (its text + Chrome JSON).
   RpcStatus trace_dump(TraceDumpResponse& out, std::string& error) override;
-  /// Pulls the shard server's alert states (one GetAlerts round-trip).
-  RpcStatus alerts(AlertsResponse& out, std::string& error) override;
   ShardRpcErrors rpc_errors() const override;
 
  private:

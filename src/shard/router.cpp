@@ -413,27 +413,9 @@ FleetHealth ShardRouter::health(double max_age_seconds) {
   return fleet;
 }
 
-std::string ShardRouter::health_json(
-    const FleetHealth& health, const std::vector<std::string>& firing_alerts) {
-  // A fleet whose transports are all up but whose watchdog is paging is
-  // not "ok": firing alerts demote the verdict one notch (never below the
-  // transport fold — a down fleet stays down).
-  const char* status = to_string(health.state);
-  if (!firing_alerts.empty() && health.state == FleetHealth::State::Ok)
-    status = "degraded";
+std::string ShardRouter::health_json(const FleetHealth& health) {
   std::string out = "{\"status\":\"";
-  out += status;
-  if (!firing_alerts.empty()) {
-    out += "\",\"firing_alerts\":[";
-    for (std::size_t i = 0; i < firing_alerts.size(); ++i) {
-      if (i > 0) out += ",";
-      out += "\"";
-      append_json_escaped(out, firing_alerts[i]);
-      out += "\"";
-    }
-    out += "],\"transport\":\"";
-    out += to_string(health.state);
-  }
+  out += to_string(health.state);
   out += "\",\"shards_up\":" + std::to_string(health.shards_up);
   out += ",\"shards_total\":" + std::to_string(health.shards.size());
   out += ",\"shards\":[";

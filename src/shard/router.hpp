@@ -144,11 +144,8 @@ class ShardRouter {
   RouterStats stats() const;
 
   /// Router-owned decision journal: one Spillover event per submit that
-  /// landed off its ring shard (keyed by global job id), plus the router
-  /// watchdog's alert transitions (appended via the non-const overload).
-  /// Thread-safe.
+  /// landed off its ring shard (keyed by global job id). Thread-safe.
   const DecisionJournal& journal() const { return journal_; }
-  DecisionJournal& journal() { return journal_; }
 
   /// Liveness fan-in behind the bounded-staleness cache: shards whose
   /// cached verdict is older than `max_age_seconds` are re-probed (one
@@ -159,13 +156,8 @@ class ShardRouter {
   /// health() at the configured RouterOptions::health_max_age_seconds.
   FleetHealth health() { return health(options_.health_max_age_seconds); }
 
-  /// JSON breakdown of a health fold — the /healthz response body. Firing
-  /// alert rule names (when any) fold an otherwise-ok fleet into
-  /// "degraded" and ride along as a "firing_alerts" array, so the front
-  /// door's health verdict reflects the watchdog's judgement.
-  static std::string health_json(const FleetHealth& health,
-                                 const std::vector<std::string>&
-                                     firing_alerts = {});
+  /// JSON breakdown of a health fold — the /healthz response body.
+  static std::string health_json(const FleetHealth& health);
 
   /// Combined Prometheus page: router counters, per-shard gauges
   /// (including cosched_shard_up and the per-kind RPC failure counters),

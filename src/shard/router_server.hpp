@@ -6,9 +6,8 @@
 // verbs differ: they go to a ShardRouter instead of one LocalShard, job ids
 // are global (shard-encoded), SubmitJob acks carry the routed shard, and
 // GetMetrics answers the fan-in block with the per-shard health entries.
-// TraceDump, GetAlerts and /alerts fan in every remote shard (the core's
-// remote_shards() hook): span names namespaced "shard<k>/", pids
-// separated, alert entries stamped with their shard id.
+// TraceDump fans in every remote shard (the core's remote_shards() hook):
+// span names namespaced "shard<k>/", pids separated.
 //
 // The HTTP side door serves the *fleet* view on /metrics:
 // ShardRouter::render_prometheus() — router counters, per-shard gauges and
@@ -29,9 +28,6 @@
 
 namespace cosched {
 
-/// The watchdog runs over the router process's registry (which includes
-/// every local shard — they share the process). Remote shards run their own
-/// engines; GetAlerts and /alerts fan those in shard-labelled.
 using RouterServerOptions = SessionOptions;
 
 class RouterServer : public SessionCore {

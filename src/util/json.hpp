@@ -1,5 +1,5 @@
 // JSON string escaping shared by every hand-rolled JSON writer (trace
-// export, JSON log sink, /alerts, the router's /healthz).
+// export, the router's /healthz).
 #pragma once
 
 #include <string>

@@ -269,7 +269,6 @@ TEST(FrontDoorParity, MalformedBodiesAreBadRequestOnBothDoors) {
       {MessageType::Drain, {}},
       {MessageType::Shutdown, {}},
       {MessageType::TraceDump, {}},
-      {MessageType::GetAlerts, {}},
   };
   std::uint64_t request_id = 0;
   for (const Case& c : cases) {

@@ -14,6 +14,7 @@
 #include "loadgen/report.hpp"
 #include "loadgen/shapes.hpp"
 #include "loadgen/slo.hpp"
+#include "test_helpers.hpp"
 
 namespace cosched {
 namespace {
@@ -482,6 +483,33 @@ TEST(Slo, ValidationAcceptsPartialBudgetsAndComments) {
   EXPECT_NE(error.find(path), std::string::npos) << error;
   EXPECT_NE(error.find("p95_ms:"), std::string::npos) << error;
   std::remove(path.c_str());
+}
+
+
+// ---- seeded mutations of the SLO file --------------------------------------
+
+/// A copy of slo.json at the repository root.
+const std::string kSloJson = R"({
+  "_note": "Absolute SLO budgets for the committed loopback configuration (closed loop, 2 streams, 40 jobs each, virtual-time 8x4 fleet). Derived from BENCH_rpc_loopback.json with ~40% headroom for CI jitter; benchmark_app --slo slo.json exits 2 when any budget is violated.",
+  "p50_ms": 100,
+  "p95_ms": 900,
+  "p99_ms": 1100,
+  "min_rps": 8,
+  "max_error_rate": 0
+}
+)";
+
+// Every prefix and 500 seeded byte mutations: the parser answers each with
+// a budget or with false and a non-empty error, and never terminates.
+TEST(SloInputMutation, SloBudget) {
+  testhelpers::for_each_mutation(kSloJson, 0x5eed03,
+                                 [](const std::string& text) {
+    SloBudget budget;
+    std::string error;
+    if (parse_slo_budget(text, budget, error)) return true;
+    EXPECT_FALSE(error.empty()) << text;
+    return false;
+  });
 }
 
 }  // namespace

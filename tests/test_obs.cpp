@@ -70,7 +70,7 @@ TEST(ObsHistogram, QuantileInterpolatesWithinBuckets) {
   EXPECT_EQ(overflow.quantile(0.99), 10.0);
 }
 
-// Degenerate shapes the alerting TSDB leans on: an empty histogram answers
+// Degenerate shapes every quantile reader meets: an empty histogram answers
 // 0 for every q, a single sample answers (an interpolation of) itself, and
 // an all-overflow histogram pins every quantile to the observed max rather
 // than inventing a value beyond the widest finite edge.
@@ -589,8 +589,8 @@ TEST(ObsExemplars, OpenMetricsRenderRoundTripsThroughTheParser) {
 
 // Every-bucket-traced round-trip: when each bucket carries an exemplar the
 // parser recovers one exemplar per finite bucket plus the overflow, each
-// with the value that landed in that bucket. This is the exposition the
-// alerting TSDB scrapes, so the parse must not drop or misattribute any.
+// with the value that landed in that bucket. This is the exposition a
+// Prometheus scrape reads, so the parse must not drop or misattribute any.
 TEST(ObsExemplars, FullyTracedHistogramRoundTripsEveryExemplar) {
   MetricsRegistry reg;
   HistogramMetric& h =
@@ -955,6 +955,33 @@ TEST(ObsJournal, RenderAndMetricsExposition) {
             std::string::npos);
 }
 
+
+
+// ---- seeded mutations of a text exposition ---------------------------------
+
+// Every prefix of a registry render and 500 seeded byte mutations of it:
+// parse_prometheus_text answers false, or true with at most one sample per
+// line that is neither empty nor a comment.
+TEST(ObsInputMutation, PrometheusExposition) {
+  MetricsRegistry registry;
+  HistogramMetric& latency =
+      registry.histogram("cosched_lat_seconds", "test latency", {0.1, 0.5});
+  for (double x : {0.05, 0.2, 0.2, 0.9}) latency.observe(x);
+  registry.counter("cosched_requests_total", "test requests").inc(4);
+  const std::string exposition = registry.render_prometheus();
+
+  testhelpers::for_each_mutation(exposition, 0x5eed04,
+                                 [](const std::string& text) {
+    std::vector<PrometheusSample> samples;
+    if (!parse_prometheus_text(text, samples)) return false;
+    std::size_t sample_lines = 0;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+      if (!line.empty() && line[0] != '#') ++sample_lines;
+    EXPECT_LE(samples.size(), sample_lines) << text;
+    return true;
+  });
+}
 
 }  // namespace
 }  // namespace cosched

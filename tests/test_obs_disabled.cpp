@@ -1,13 +1,10 @@
-// Compile-time kill switch: this TU and the alert engine's source are built
-// with -DCOSCHED_OBS_DISABLED into a binary of their own (see
-// tests/CMakeLists.txt), so COSCHED_TRACE_SPAN must expand to a
-// no-op — no events or profile phases recorded even with the runtime
-// switches on — and the alert engine must refuse to tick or spawn its
-// scrape thread. This is the overhead story for builds that want
-// instrumentation gone entirely.
+// Compile-time kill switch: this TU is built with -DCOSCHED_OBS_DISABLED
+// into a binary of its own (see tests/CMakeLists.txt), so
+// COSCHED_TRACE_SPAN must expand to a no-op — no events or profile phases
+// recorded even with the runtime switches on. This is the overhead story
+// for builds that want instrumentation gone entirely.
 #include <gtest/gtest.h>
 
-#include "obs/alerts.hpp"
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 
@@ -60,25 +57,6 @@ TEST(ObsProfilingDisabled, PhaseMacroLeavesNoResidue) {
   profiler.set_enabled(false);
   EXPECT_EQ(profiler.render_collapsed(), "");
   profiler.reset();
-}
-
-TEST(ObsAlertsDisabled, EngineRefusesToTickOrStart) {
-  static_assert(kAlertsDisabled, "kill switch must flip the constant");
-  AlertEngineOptions options;
-  AlertRule rule;
-  rule.name = "never";
-  rule.histogram = "cosched_lat_seconds";
-  rule.burn_factor = 0.001;
-  rule.for_seconds = 0.0;
-  options.rules.rules.push_back(rule);
-  AlertEngine engine(std::move(options));
-  EXPECT_FALSE(
-      engine.tick("cosched_lat_seconds_bucket{le=\"+Inf\"} 10\n", 0.0));
-  EXPECT_FALSE(engine.start());
-  EXPECT_FALSE(engine.running());
-  EXPECT_EQ(engine.fired_total(), 0u);
-  EXPECT_EQ(engine.snapshot_count(), 0u);
-  EXPECT_EQ(engine.views().at(0).state, AlertState::Inactive);
 }
 
 }  // namespace

@@ -31,7 +31,6 @@ constexpr MessageType kEveryType[] = {
     MessageType::Shutdown,
     MessageType::TraceDump,
     MessageType::QueryJobTimeline,
-    MessageType::GetAlerts,
 };
 
 // ---- valid messages --------------------------------------------------------
@@ -167,16 +166,6 @@ Bytes response_body(MessageType type) {
       encode(w, reply);
       break;
     }
-    case MessageType::GetAlerts: {
-      AlertsResponse reply;
-      reply.engine_enabled = true;
-      reply.firing = 1;
-      reply.alerts = {
-          {-1, "latency_burn", 2, 2, 14.5, 4.0, 3.0, "fast=14.5"},
-          {0, "latency_burn", 0, 2, 0.0, 4.0, 60.0, ""}};
-      encode(w, reply);
-      break;
-    }
   }
   return w.take();
 }
@@ -268,11 +257,6 @@ bool decode_whole_response(const Bytes& bytes) {
       if (!decode(r, reply)) return false;
       for (const JournalEvent& event : reply.events)
         EXPECT_LT(static_cast<std::size_t>(event.kind), kJournalEventKinds);
-      break;
-    }
-    case MessageType::GetAlerts: {
-      AlertsResponse reply;
-      if (!decode(r, reply)) return false;
       break;
     }
   }

@@ -14,7 +14,6 @@
 
 #include "net/frame.hpp"
 #include "net/socket.hpp"
-#include "obs/alerts.hpp"
 #include "obs/trace.hpp"
 #include "online/scheduler.hpp"
 #include "rpc/client.hpp"
@@ -824,14 +823,16 @@ TEST(ProtocolStrict, MetricsBodyCutAtAnOldBlockEndIsRejected) {
   }
 }
 
-// Message type 8 (a retired server-push stream) lies inside the
-// SubmitJob..GetAlerts range but names no request: a current-version peer
-// sending it gets BadRequest instead of a cast to a missing enumerator, and
-// the session survives to serve the next request.
+// Message types 8 (a retired server-push stream, inside the
+// SubmitJob..QueryJobTimeline range) and 10 (the retired GetAlerts, just
+// past it) name no request: a current-version peer sending either gets
+// BadRequest instead of a cast to a missing enumerator, and the session
+// survives to serve the next request.
 TEST(ProtocolStrict, RetiredMessageTypeIsBadRequest) {
   EXPECT_TRUE(valid_message_type(7));
   EXPECT_FALSE(valid_message_type(8));
   EXPECT_TRUE(valid_message_type(9));
+  EXPECT_FALSE(valid_message_type(10));
 
   CoschedServer server(loopback_options());
   std::string error;
@@ -841,11 +842,13 @@ TEST(ProtocolStrict, RetiredMessageTypeIsBadRequest) {
                                   Deadline::after(2.0), net);
   ASSERT_EQ(net, NetStatus::Ok);
 
-  ResponseEnvelope refused = raw_exchange(
-      raw, kProtocolVersion, static_cast<MessageType>(8), 81);
-  EXPECT_EQ(refused.status, RpcStatus::BadRequest);
-  EXPECT_EQ(refused.error, "malformed request envelope");
-  EXPECT_TRUE(refused.body.empty());
+  for (std::uint8_t retired : {8, 10}) {
+    ResponseEnvelope refused = raw_exchange(
+        raw, kProtocolVersion, static_cast<MessageType>(retired), 81);
+    EXPECT_EQ(refused.status, RpcStatus::BadRequest) << int(retired);
+    EXPECT_EQ(refused.error, "malformed request envelope") << int(retired);
+    EXPECT_TRUE(refused.body.empty()) << int(retired);
+  }
 
   ResponseEnvelope served =
       raw_exchange(raw, kProtocolVersion, MessageType::GetMetrics, 82);
@@ -1154,124 +1157,6 @@ TEST(TimelineLoopback, OverflowAnswersTruncatedMarkerNotError) {
   for (const JournalEvent& event : reply.events)
     EXPECT_EQ(event.job_id, first_id);
   server.stop();
-}
-
-// ------------------------------------------------------ alert fan-in wire
-
-TEST(AlertWire, AlertsResponseRoundTripsAndRejectsCorruption) {
-  AlertsResponse reply;
-  reply.engine_enabled = true;
-  reply.firing = 1;
-  AlertEntry fast;
-  fast.shard_id = -1;
-  fast.rule = "rpc_latency_burn_fast";
-  fast.state = 2;     // firing
-  fast.severity = 2;  // critical
-  fast.value = 9.5;
-  fast.threshold = 8.0;
-  fast.since_seconds = 12.5;
-  fast.detail = "fast=9.5 slow=8.2";
-  AlertEntry quiet;
-  quiet.shard_id = 3;
-  quiet.rule = "deep_queue";
-  quiet.state = 0;
-  quiet.severity = 1;
-  reply.alerts = {fast, quiet};
-
-  WireWriter w;
-  encode(w, reply);
-  WireReader r(w.bytes());
-  AlertsResponse got;
-  got.alerts.push_back({});  // decoder must reset, not append
-  ASSERT_TRUE(decode(r, got));
-  EXPECT_EQ(r.remaining(), 0u);
-  EXPECT_TRUE(got.engine_enabled);
-  EXPECT_EQ(got.firing, 1u);
-  ASSERT_EQ(got.alerts.size(), 2u);
-  EXPECT_EQ(got.alerts[0].shard_id, -1);
-  EXPECT_EQ(got.alerts[0].rule, "rpc_latency_burn_fast");
-  EXPECT_EQ(got.alerts[0].state, 2);
-  EXPECT_EQ(got.alerts[0].severity, 2);
-  EXPECT_EQ(got.alerts[0].value, 9.5);
-  EXPECT_EQ(got.alerts[0].threshold, 8.0);
-  EXPECT_EQ(got.alerts[0].since_seconds, 12.5);
-  EXPECT_EQ(got.alerts[0].detail, "fast=9.5 slow=8.2");
-  EXPECT_EQ(got.alerts[1].shard_id, 3);
-  EXPECT_EQ(got.alerts[1].rule, "deep_queue");
-
-  // A truncated body is rejected, not misread.
-  std::vector<std::uint8_t> bytes = w.bytes();
-  bytes.resize(bytes.size() - 4);
-  WireReader truncated(bytes);
-  EXPECT_FALSE(decode(truncated, got));
-
-  // Out-of-range state / severity bytes are corruption, not extensions.
-  AlertsResponse bad_state = reply;
-  bad_state.alerts[0].state = 9;
-  WireWriter ws;
-  encode(ws, bad_state);
-  WireReader rs(ws.bytes());
-  EXPECT_FALSE(decode(rs, got));
-
-  AlertsResponse bad_severity = reply;
-  bad_severity.alerts[1].severity = 7;
-  WireWriter wv;
-  encode(wv, bad_severity);
-  WireReader rv(wv.bytes());
-  EXPECT_FALSE(decode(rv, got));
-}
-
-// GetAlerts takes no body: trailing bytes are a malformed request, answered
-// BadRequest rather than ignored.
-TEST(AlertWire, GetAlertsWithBodyIsBadRequest) {
-  CoschedServer server(loopback_options());
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-  ResponseEnvelope trailing = raw_exchange(
-      server.port(), kProtocolVersion, MessageType::GetAlerts, 82, {1});
-  EXPECT_EQ(trailing.status, RpcStatus::BadRequest);
-  server.stop();
-}
-
-// GetAlerts against a live server: the default watchdog rules answer with
-// their states (idle server: everything inactive, nothing firing), and
-// switching the engine off answers engine_enabled=false rather than an
-// error — a fleet dashboard can always ask.
-TEST(AlertLoopback, GetAlertsReportsRuleStates) {
-  CoschedServer server(loopback_options());
-  std::string error;
-  ASSERT_TRUE(server.start(error)) << error;
-  CoschedClient client(client_for(server));
-
-  AlertsResponse reply;
-  RpcError status = client.get_alerts(reply);
-  ASSERT_TRUE(status.ok()) << status.describe();
-  if (kAlertsDisabled) {
-    EXPECT_FALSE(reply.engine_enabled);
-    server.stop();
-    return;
-  }
-  EXPECT_TRUE(reply.engine_enabled);
-  EXPECT_EQ(reply.firing, 0u);
-  ASSERT_EQ(reply.alerts.size(), 2u);  // the default burn-rate pair
-  EXPECT_EQ(reply.alerts[0].rule, "rpc_latency_burn_fast");
-  EXPECT_EQ(reply.alerts[1].rule, "rpc_latency_burn_slow");
-  for (const AlertEntry& entry : reply.alerts) {
-    EXPECT_EQ(entry.shard_id, -1);  // the answering instance itself
-    EXPECT_EQ(entry.state, 0);      // inactive on an idle server
-  }
-  server.stop();
-
-  ServerOptions off = loopback_options();
-  off.enable_alerts = false;
-  CoschedServer dark(off);
-  ASSERT_TRUE(dark.start(error)) << error;
-  CoschedClient dark_client(client_for(dark));
-  AlertsResponse none;
-  ASSERT_TRUE(dark_client.get_alerts(none).ok());
-  EXPECT_FALSE(none.engine_enabled);
-  EXPECT_TRUE(none.alerts.empty());
-  dark.stop();
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 
 #include "net/frame.hpp"
 #include "net/socket.hpp"
-#include "obs/alerts.hpp"
 #include "obs/trace.hpp"
 #include "online/scheduler.hpp"
 #include "online/trace.hpp"
@@ -876,73 +875,6 @@ TEST(RouterObservability, HealthzAnswers503OnlyWhenTheFleetIsDown) {
   EXPECT_NE(response.find("\"status\":\"down\""), std::string::npos)
       << response;
   down_front.stop();
-}
-
-// Alert fan-in: the router's GetAlerts answers its own rules as
-// shard_id -1 and stamps each remote shard's entries with that shard's
-// index; local shards share the router's engine and contribute no
-// duplicate rows. The /alerts page carries the same picture with shard
-// labels.
-TEST(RouterObservability, AlertFanInStampsShardIds) {
-  if (kAlertsDisabled) GTEST_SKIP() << "alert engine compiled out";
-
-  CoschedServer shard_server(shard_server_options(1));
-  std::string error;
-  ASSERT_TRUE(shard_server.start(error)) << error;
-
-  ShardRouter router(ring_only_router());
-  router.add_local_shard(shard_service());  // shard 0: local, skipped
-  ClientOptions remote;
-  remote.port = shard_server.port();
-  router.add_remote_shard(remote, 4);  // shard 1: fanned in
-
-  RouterServerOptions options;
-  options.enable_http = true;
-  RouterServer front(router, options);
-  ASSERT_TRUE(front.start(error)) << error;
-
-  ClientOptions client_options;
-  client_options.port = front.port();
-  CoschedClient client(client_options);
-
-  AlertsResponse fleet;
-  RpcError rpc = client.get_alerts(fleet);
-  ASSERT_TRUE(rpc.ok()) << rpc.describe();
-  EXPECT_TRUE(fleet.engine_enabled);
-  EXPECT_EQ(fleet.firing, 0u);  // idle fleet: nothing burns
-  // 2 default rules from the router itself + 2 from the remote shard.
-  ASSERT_EQ(fleet.alerts.size(), 4u);
-  std::size_t own = 0, stamped = 0;
-  for (const AlertEntry& entry : fleet.alerts) {
-    EXPECT_EQ(entry.state, 0) << entry.rule;
-    if (entry.shard_id == -1)
-      ++own;
-    else if (entry.shard_id == 1)
-      ++stamped;
-  }
-  EXPECT_EQ(own, 2u);
-  EXPECT_EQ(stamped, 2u);
-
-  // The /alerts page renders the same fan-in with shard labels; the JSON
-  // variant is machine-readable for dashboards.
-  std::string page = http_get(front.http_port(), "/alerts");
-  EXPECT_EQ(page.rfind("HTTP/1.0 200", 0), 0u) << page;
-  EXPECT_NE(page.find("alerts: 4 rules, 0 firing"), std::string::npos)
-      << page;
-  EXPECT_NE(page.find("shard=1"), std::string::npos) << page;
-  std::string json = http_get(front.http_port(), "/alerts?format=json");
-  EXPECT_NE(json.find("\"firing\":0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"shard\":1"), std::string::npos) << json;
-
-  // Nothing firing: /healthz stays ok and carries no firing_alerts block
-  // (the key appears only when the watchdog is paging).
-  std::string health = http_get(front.http_port(), "/healthz");
-  EXPECT_EQ(health.rfind("HTTP/1.0 200", 0), 0u) << health;
-  EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos) << health;
-  EXPECT_EQ(health.find("firing_alerts"), std::string::npos) << health;
-
-  front.stop();
-  shard_server.stop();
 }
 
 }  // namespace

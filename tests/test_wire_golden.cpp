@@ -170,16 +170,6 @@ JobTimelineResponse timeline_response() {
   return reply;
 }
 
-AlertsResponse alerts_response() {
-  AlertsResponse reply;
-  reply.engine_enabled = true;
-  reply.firing = 1;
-  reply.alerts = {
-      {-1, "latency_burn", 2, 2, 14.5, 4.0, 3.0, "fast=14.5"},
-      {1, "queue_depth", 1, 1, 6.0, 5.0, 60.25, "depth=6"}};
-  return reply;
-}
-
 template <class M>
 Bytes bytes_of(const M& message) {
   WireWriter w;
@@ -209,7 +199,6 @@ Bytes response_body(MessageType type) {
     case MessageType::Shutdown: return bytes_of(ShutdownResponse{42.5});
     case MessageType::TraceDump: return bytes_of(trace_dump_response());
     case MessageType::QueryJobTimeline: return bytes_of(timeline_response());
-    case MessageType::GetAlerts: return bytes_of(alerts_response());
   }
   return {};
 }
@@ -226,7 +215,7 @@ TEST(WireGolden, EveryMessageLayout) {
       MessageType::QueryScheduleSnapshot,
       MessageType::GetMetrics, MessageType::Drain,
       MessageType::Shutdown,   MessageType::TraceDump,
-      MessageType::QueryJobTimeline, MessageType::GetAlerts,
+      MessageType::QueryJobTimeline,
   };
   std::vector<std::pair<std::string, Bytes>> cases = {
       {"TraceJob", bytes_of(trace_job())},
@@ -240,7 +229,6 @@ TEST(WireGolden, EveryMessageLayout) {
       {"ShutdownResponse", bytes_of(ShutdownResponse{42.5})},
       {"JournalEvent", bytes_of(journal_event())},
       {"JobTimelineResponse", bytes_of(timeline_response())},
-      {"AlertsResponse", bytes_of(alerts_response())},
   };
   std::uint64_t id = 100;
   for (MessageType type : kEveryType) {
@@ -279,26 +267,23 @@ TEST(WireGolden, EveryMessageLayout) {
       {"ShutdownResponse", 8, 0xbbe3269a434ccc3eull},
       {"JournalEvent", 90, 0x794b8e216dc4f63bull},
       {"JobTimelineResponse", 194, 0x88c43dabc6c0505eull},
-      {"AlertsResponse", 128, 0xac160dec69225c90ull},
-      {"request SubmitJob", 74, 0xfc9cdc9b3047654bull},
-      {"response SubmitJob", 163, 0x39272b25a1f34aeeull},
-      {"request QueryJobStatus", 27, 0xfc0c7f1b025d80dfull},
-      {"response QueryJobStatus", 152, 0x9a9564a3b0ac4ce5ull},
-      {"request QueryScheduleSnapshot", 19, 0x78c826b9353dee79ull},
-      {"response QueryScheduleSnapshot", 152, 0x53c8991c6000aad9ull},
-      {"request GetMetrics", 19, 0xf4d22ec1b2958530ull},
-      {"response GetMetrics", 514, 0x5b782cd214003109ull},
-      {"request Drain", 19, 0xe32695fe0c2a3b93ull},
-      {"response Drain", 40, 0xc6602b6015e90543ull},
-      {"request Shutdown", 19, 0xa7a1d887cb39416aull},
-      {"response Shutdown", 32, 0x8ac2b8476b6a3d6cull},
-      {"request TraceDump", 19, 0x149c06928119f7ddull},
-      {"response TraceDump", 79, 0x38b80769562ef855ull},
-      {"request QueryJobTimeline", 27, 0x75e8d935300f424aull},
-      {"response QueryJobTimeline", 218, 0x0235ddb27b30cb87ull},
-      {"request GetAlerts", 19, 0x814df0b94906ec5aull},
-      {"response GetAlerts", 152, 0xe7e836cc36f24b6eull},
-      {"response error", 67, 0x58158ccb4dab5f36ull},
+      {"request SubmitJob", 74, 0x6106b87a17c67f4cull},
+      {"response SubmitJob", 163, 0xefd83f26110f5187ull},
+      {"request QueryJobStatus", 27, 0x05440b74400199baull},
+      {"response QueryJobStatus", 152, 0xafc56fe0613777c6ull},
+      {"request QueryScheduleSnapshot", 19, 0x2def3ae64082b668ull},
+      {"response QueryScheduleSnapshot", 152, 0x8c209a016f158de6ull},
+      {"request GetMetrics", 19, 0x35f14c254bb22ba9ull},
+      {"response GetMetrics", 514, 0x0a592eda1aa3d992ull},
+      {"request Drain", 19, 0xe8293ecaa7ac3d86ull},
+      {"response Drain", 40, 0x395c29f36c38d68cull},
+      {"request Shutdown", 19, 0x23ae1c40e89d6e0full},
+      {"response Shutdown", 32, 0x6ce0e0d29fb222f3ull},
+      {"request TraceDump", 19, 0x573f8817e84a399cull},
+      {"response TraceDump", 79, 0xa55f49196b4d8c44ull},
+      {"request QueryJobTimeline", 27, 0x0e9b2bef836d504full},
+      {"response QueryJobTimeline", 218, 0x8d2b3897cbd0cd68ull},
+      {"response error", 67, 0x7e503a0e2eccdf97ull},
   };
   ASSERT_EQ(cases.size(), std::size(kGolden));
   for (std::size_t i = 0; i < cases.size(); ++i) {
